@@ -183,7 +183,6 @@ def main() -> int:
                 path,
                 IsolationLevel.CAUSAL_CONSISTENCY,
                 fmt="plume",
-                engine="compiled",
                 timings=timings,
             )
             stream_seconds = min(stream_seconds, time.perf_counter() - start)

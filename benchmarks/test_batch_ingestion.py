@@ -113,7 +113,7 @@ def test_bench6_snapshot(tmp_path, results):
     gc.collect()
 
     def _pipeline(**kwargs):
-        return check_stream_file(path, CC, fmt="plume", engine="compiled", **kwargs)
+        return check_stream_file(path, CC, fmt="plume", **kwargs)
 
     # -- the PR gate: paired calibration/pipeline rounds -----------------------
     rounds = []
@@ -142,16 +142,6 @@ def test_bench6_snapshot(tmp_path, results):
 
     # -- peak streaming memory vs the per-op era -------------------------------
     _, stream_peak = _peak_mem(_pipeline)
-
-    # -- honest single-CPU --jobs observation ----------------------------------
-    # This container exposes one CPU, so byte-range parse workers can only
-    # add fork/IPC overhead here; the multicore speedup lives in the CI
-    # shard-scaling-bench artifacts (see the note below).  Never copy a
-    # number into this section that was not actually measured.
-    jobs_seconds = {
-        str(jobs): round(_best_of(lambda: _pipeline(jobs=jobs)), 4)
-        for jobs in (1, 2)
-    }
 
     snapshot = {
         "generated_by": "benchmarks/test_batch_ingestion.py::test_bench6_snapshot",
@@ -183,13 +173,6 @@ def test_bench6_snapshot(tmp_path, results):
             "120k-op fig9 log",
             "compiled_stream": stream_peak,
             "compiled_stream_pr5_baseline": stream_mem_baseline,
-        },
-        "stream_jobs_seconds_single_cpu": {
-            "note": "measured on a 1-CPU container where parse workers can "
-            "only add overhead; multicore --jobs numbers come from the CI "
-            "shard-scaling-bench artifacts (BENCH_3/BENCH_4 uploads), "
-            "never from this machine",
-            **jobs_seconds,
         },
     }
     with open(BENCH6_PATH, "w", encoding="utf-8") as handle:

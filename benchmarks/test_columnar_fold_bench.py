@@ -16,11 +16,6 @@ cancels out):
   clocks or wr maps, so the fold loop stops paying per-record allocation
   and the collector stops walking ~100k live objects per gen-2 pass;
 * the ``batch_ops`` sweep re-measured (identical verdict per column);
-* the ``--gc-tune`` experiment, honestly: fold seconds and collector
-  interruptions with and without ``gc.freeze()`` + a raised gen-2
-  threshold.  With the object heap gone the collector has little left
-  to walk, so the further win is expected to be small -- the snapshot
-  records whatever it is;
 * ``join_clocks`` in isolation on a wide (64-session) synthetic join,
   vectorized vs its own fallback.  The fig9 stream itself runs the
   scalar path on purpose (8 sessions x 64 writer rows is below the
@@ -216,7 +211,7 @@ def test_bench10_snapshot(tmp_path, results):
     gc.collect()
 
     def _pipeline(**kwargs):
-        return check_stream_file(path, CC, fmt="plume", engine="compiled", **kwargs)
+        return check_stream_file(path, CC, fmt="plume", **kwargs)
 
     # -- the fold gate: paired calibration/pipeline rounds ---------------------
     rounds = []
@@ -236,20 +231,6 @@ def test_bench10_snapshot(tmp_path, results):
         if key.startswith("fold") or key == "parse"
     }
     join_kernel = result.stats.get("join_kernel")
-
-    # -- the --gc-tune experiment, before/after --------------------------------
-    gc_rows = {}
-    for label, tune in (("off", False), ("on", True)):
-        best = None
-        for _ in range(3):
-            timings = {}
-            _pipeline(timings=timings, gc_tune=tune)
-            if best is None or timings["fold"] < best["fold"]:
-                best = timings
-        gc_rows[label] = {
-            "fold_seconds": round(best["fold"], 4),
-            "fold_gc_collections": best["fold_gc_collections"],
-        }
 
     # -- batch_ops sensitivity (same verdict for every value) ------------------
     by_batch_ops = {
@@ -284,9 +265,7 @@ def test_bench10_snapshot(tmp_path, results):
     stream_classify = float("inf")
     for _ in range(3):
         timings = {}
-        check_stream_file(
-            stream_path, CC, fmt="plume", engine="compiled", timings=timings
-        )
+        check_stream_file(stream_path, CC, fmt="plume", timings=timings)
         stream_fold = min(stream_fold, timings["fold"])
         stream_classify = min(stream_classify, timings["fold_classify"])
 
@@ -318,14 +297,6 @@ def test_bench10_snapshot(tmp_path, results):
         },
         "join_kernel_stream": join_kernel,
         "join_clocks_micro": join_micro,
-        "gc_tune_fig9": {
-            "note": "--gc-tune (gc.freeze after the first folded batch + "
-            "gen-2 threshold x8, restored before exit) on the fig9 stream; "
-            "with the object heap gone the collector has little left to "
-            "walk, so the delta is honestly small -- the flag stays "
-            "default-off",
-            **gc_rows,
-        },
         "stream_cc_seconds_by_batch_ops": {
             "note": "best-of-3 wall seconds; identical verdict per column",
             "pr9_baseline": {

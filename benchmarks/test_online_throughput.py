@@ -1,36 +1,25 @@
-"""Compiled vs object streaming throughput: the cross-PR ``BENCH_4.json``.
+"""Streaming throughput of the online checker, in the ``BENCH_4.json`` shape.
 
-The compiled streaming core exists so that online checking stops paying the
-object model's boxing tax: ``stream_raw_history`` hands the checker plain
-tuples, keys and values intern to packed ints, and the CC pointers live in
-flat arrays.  The acceptance gate of the compiled-streaming-core PR is that
-streaming CC on the 120k-op fig9-scale history through
-:class:`~repro.core.compiled.online.CompiledIncrementalChecker` runs at
->= 1.3x the object streaming path (parse included -- the pipelines the two
-``awdit check --stream`` engines actually execute), recorded in the
-repo-root ``BENCH_4.json``.
-
-Also measured: the all-levels online pass, peak live-state footprint
-(tracemalloc) of both streaming engines, and the checkpoint save/load
-overhead at the default cadence.
+Streaming CC on the 120k-op fig9-scale history through
+:class:`~repro.core.compiled.online.CompiledIncrementalChecker`, parse
+included (the pipeline ``awdit check --stream`` executes), plus the
+all-levels online pass, the peak live-state footprint (tracemalloc), and
+the checkpoint save/load overhead at the default cadence.  The snapshot
+goes to ``benchmarks/results.json``; the committed ``BENCH_4.json`` stays
+as history (it also carries the retired object streaming engine's columns).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import tracemalloc
 
 import pytest
 
 from repro.core import IsolationLevel
-from repro.histories.formats import save_history, stream_history, stream_raw_history
+from repro.histories.formats import save_history, stream_raw_history
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream, check_stream_file
-
-_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-BENCH4_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_4.json"))
+from repro.stream import CompiledIncrementalChecker, check_stream_file
 
 pytestmark = pytest.mark.bench
 
@@ -53,12 +42,8 @@ def _fig9_history(num_transactions: int = 15_000, seed: int = 11):
     )
 
 
-def _object_stream_cc(path: str):
-    return check_stream(stream_history(path, fmt="plume"), CC)
-
-
 def _compiled_stream_cc(path: str):
-    return check_stream_file(path, CC, fmt="plume", engine="compiled")
+    return check_stream_file(path, CC, fmt="plume")
 
 
 def _timed(fn) -> float:
@@ -78,33 +63,17 @@ def _peak_mem(fn):
 
 
 def test_bench4_snapshot(tmp_path, results):
-    """Record the compiled-streaming-core perf snapshot in ``BENCH_4.json``."""
+    """Record the streaming perf snapshot."""
     history = _fig9_history()
     txns, ops = history.num_transactions, history.num_operations
     path = str(tmp_path / "large.plume")
     save_history(history, path, fmt="plume")
 
-    # Interleave the engines, best of three, so machine noise cannot skew
-    # one side (the BENCH_2 methodology).
-    object_times = []
-    compiled_times = []
-    for _ in range(3):
-        object_times.append(_timed(lambda: _object_stream_cc(path)))
-        compiled_times.append(_timed(lambda: _compiled_stream_cc(path)))
-    object_seconds = min(object_times)
-    compiled_seconds = min(compiled_times)
-    speedup = object_seconds / compiled_seconds
-
-    object_result = _object_stream_cc(path)
-    compiled_result = _compiled_stream_cc(path)
-    assert compiled_result.is_consistent == object_result.is_consistent
-    assert compiled_result.stats.get("inferred_edges") == object_result.stats.get(
-        "inferred_edges"
-    )
+    # Best of three, so machine noise cannot skew the figure.
+    compiled_seconds = min(_timed(lambda: _compiled_stream_cc(path)) for _ in range(3))
+    assert _compiled_stream_cc(path).is_consistent
 
     # All-levels online pass (one stream, three verdicts).
-    from repro.stream import CompiledIncrementalChecker
-
     def _all_levels():
         checker = CompiledIncrementalChecker()
         checker.extend_raw(stream_raw_history(path, "plume"))
@@ -112,8 +81,7 @@ def test_bench4_snapshot(tmp_path, results):
 
     all_levels_seconds = _timed(_all_levels)
 
-    # Peak streaming memory, both engines (tracemalloc, in-process proxy).
-    _, object_peak = _peak_mem(lambda: _object_stream_cc(path))
+    # Peak streaming memory (tracemalloc, in-process proxy).
     _, compiled_peak = _peak_mem(lambda: _compiled_stream_cc(path))
 
     # Checkpointing at the default cadence: the overhead users pay for
@@ -137,21 +105,16 @@ def test_bench4_snapshot(tmp_path, results):
             "mode": "serializable",
         },
         "stream_cc_pipeline_seconds": {
-            "object": round(object_seconds, 4),
             "compiled": round(compiled_seconds, 4),
-            "compiled_speedup": round(speedup, 3),
         },
         "stream_pipeline_txns_per_sec": {
-            "object": round(txns / object_seconds, 1),
             "compiled": round(txns / compiled_seconds, 1),
             "compiled_all_levels": round(txns / all_levels_seconds, 1),
         },
         "peak_streaming_mem_bytes": {
             "note": "tracemalloc peak (in-process RSS proxy), CC streaming "
             "pipeline on the 120k-op log",
-            "object": object_peak,
             "compiled": compiled_peak,
-            "compiled_over_object": round(compiled_peak / object_peak, 3),
         },
         "checkpointing": {
             "cadence_txns": 10_000,
@@ -160,36 +123,5 @@ def test_bench4_snapshot(tmp_path, results):
             "overhead_vs_plain": round(checkpoint_seconds / compiled_seconds, 3),
         },
     }
-    with open(BENCH4_PATH, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2)
-        handle.write("\n")
     results.record("bench4", "snapshot", snapshot)
 
-    assert speedup >= 1.3, (
-        f"compiled streaming CC must be >=1.3x the object streaming path, "
-        f"got {speedup:.2f}x"
-    )
-
-
-def test_streaming_engines_agree_on_anomalous_log(tmp_path):
-    """Both streaming pipelines report identical violations on a dirty log."""
-    history = generate_random_history(
-        RandomHistoryConfig(
-            num_sessions=8,
-            num_transactions=4_000,
-            num_keys=300,
-            min_ops_per_txn=4,
-            max_ops_per_txn=8,
-            read_fraction=0.5,
-            mode="random_reads",
-            seed=12,
-        )
-    )
-    path = str(tmp_path / "anomalous.plume")
-    save_history(history, path, fmt="plume")
-    object_result = _object_stream_cc(path)
-    compiled_result = _compiled_stream_cc(path)
-    assert compiled_result.is_consistent == object_result.is_consistent
-    assert [v.message for v in compiled_result.violations] == [
-        v.message for v in object_result.violations
-    ]

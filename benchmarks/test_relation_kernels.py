@@ -137,10 +137,7 @@ def test_bench5_snapshot(tmp_path, results):
 
     # -- fig9 pipeline numbers (the PR gates) ----------------------------------
     batch_seconds = _best_of(lambda: check_cc_compiled(ch), repeats=5)
-    stream_seconds = _best_of(
-        lambda: check_stream_file(path, CC, fmt="plume", engine="compiled"),
-        repeats=5,
-    )
+    stream_seconds = _best_of(lambda: check_stream_file(path, CC, fmt="plume"), repeats=5)
     batch_speedup = batch_baseline / batch_seconds
     stream_speedup = stream_baseline / stream_seconds
 
@@ -152,9 +149,7 @@ def test_bench5_snapshot(tmp_path, results):
     }
 
     # -- peak checking memory vs the packed-dict era ---------------------------
-    _, stream_peak = _peak_mem(
-        lambda: check_stream_file(path, CC, fmt="plume", engine="compiled")
-    )
+    _, stream_peak = _peak_mem(lambda: check_stream_file(path, CC, fmt="plume"))
     small = RandomHistoryConfig(
         num_sessions=8,
         num_transactions=15_000,

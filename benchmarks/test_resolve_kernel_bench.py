@@ -160,7 +160,7 @@ def test_bench9_snapshot(tmp_path, results):
     gc.collect()
 
     def _pipeline(**kwargs):
-        return check_stream_file(path, CC, fmt="plume", engine="compiled", **kwargs)
+        return check_stream_file(path, CC, fmt="plume", **kwargs)
 
     # -- the classify gate: paired calibration/pipeline rounds -----------------
     rounds = []
@@ -225,9 +225,7 @@ def test_bench9_snapshot(tmp_path, results):
     stream_classify = float("inf")
     for _ in range(3):
         timings = {}
-        check_stream_file(
-            stream_path, CC, fmt="plume", engine="compiled", timings=timings
-        )
+        check_stream_file(stream_path, CC, fmt="plume", timings=timings)
         stream_fold = min(stream_fold, timings["fold"])
         stream_classify = min(stream_classify, timings["fold_classify"])
 

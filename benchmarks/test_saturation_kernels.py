@@ -239,7 +239,7 @@ def test_bench7_snapshot(tmp_path, results):
     gc.collect()
 
     def _pipeline(**kwargs):
-        return check_stream_file(path, CC, fmt="plume", engine="compiled", **kwargs)
+        return check_stream_file(path, CC, fmt="plume", **kwargs)
 
     # -- the clock-join gate: paired calibration/pipeline rounds ---------------
     stream_rounds = []

@@ -6,35 +6,26 @@ log checked via the streaming parsers at throughput within 2x of the batch
 pipeline (load + check).  Measured txns/sec for both pipelines are recorded
 in ``results.json``.
 
-``test_bench2_snapshot`` additionally records the cross-PR perf trajectory
-in the repo-root ``BENCH_2.json``: object-path vs compiled-IR vs streaming
-throughput on the 120k-op log, plus peak checking memory (tracemalloc, the
-in-process proxy for peak RSS) on the small-transaction log, where streaming
-CC must not exceed batch.
+``test_bench2_snapshot`` additionally records the ``BENCH_2.json`` shape:
+object-path vs compiled-IR vs streaming throughput on the 120k-op log, plus
+peak checking memory (tracemalloc, the in-process proxy for peak RSS) on
+the small-transaction log, where streaming CC must not exceed batch.  The
+snapshot goes to ``benchmarks/results.json``; the committed ``BENCH_2.json``
+stays as history (its ``stream`` columns were measured on the retired
+object streaming engine).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import tracemalloc
 
 import pytest
 
 from repro.core import IsolationLevel, check
-from repro.histories.formats import (
-    load_compiled,
-    load_history,
-    save_history,
-    stream_history,
-)
+from repro.histories.formats import load_compiled, load_history, save_history
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream
-
-BENCH2_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_2.json")
-)
+from repro.stream import check_stream_file
 
 # Benchmark suites are opt-in (see pytest.ini): the marker is declared on
 # the module itself so collection behaves identically no matter which
@@ -73,7 +64,7 @@ def test_streaming_throughput_within_2x_of_batch(tmp_path, results, fmt, ext, le
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    stream_result = check_stream(stream_history(str(path), fmt=fmt), level)
+    stream_result = check_stream_file(str(path), level, fmt=fmt)
     stream_seconds = time.perf_counter() - start
 
     assert stream_result.is_consistent == batch_result.is_consistent
@@ -106,7 +97,7 @@ def _peak_mem(fn):
 
 
 def test_bench2_snapshot(tmp_path, results):
-    """Record the per-PR perf snapshot in the repo-root ``BENCH_2.json``.
+    """Record the compiled-core perf snapshot.
 
     Acceptance gates of the compiled-core PR, measured here:
 
@@ -146,7 +137,7 @@ def test_bench2_snapshot(tmp_path, results):
     compiled_result = check(load_compiled(str(path), fmt="plume"), cc)
     compiled_pipeline = time.perf_counter() - start
     start = time.perf_counter()
-    stream_result = check_stream(stream_history(str(path), fmt="plume"), cc)
+    stream_result = check_stream_file(str(path), cc, fmt="plume")
     stream_pipeline = time.perf_counter() - start
     assert (
         batch_result.is_consistent
@@ -174,7 +165,7 @@ def test_bench2_snapshot(tmp_path, results):
         lambda: check(load_compiled(str(small_path), fmt="plume"), cc)
     )
     _, stream_peak = _peak_mem(
-        lambda: check_stream(stream_history(str(small_path), fmt="plume"), cc)
+        lambda: check_stream_file(str(small_path), cc, fmt="plume")
     )
 
     speedup = object_seconds / compiled_seconds
@@ -205,9 +196,6 @@ def test_bench2_snapshot(tmp_path, results):
             "stream_over_batch": round(stream_peak / batch_peak, 3),
         },
     }
-    with open(BENCH2_PATH, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2)
-        handle.write("\n")
     results.record("bench2", "snapshot", snapshot)
 
     assert speedup >= 1.5, (
@@ -246,8 +234,8 @@ def test_streaming_violation_detection_throughput(tmp_path, results):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    stream_result = check_stream(
-        stream_history(str(path), fmt="plume"), IsolationLevel.CAUSAL_CONSISTENCY
+    stream_result = check_stream_file(
+        str(path), IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume"
     )
     stream_seconds = time.perf_counter() - start
 

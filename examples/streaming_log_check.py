@@ -6,7 +6,7 @@ history in memory before checking it.  This example shows the streaming
 workflow instead:
 
 1. generate a sizeable history and write it to disk as a plume-style log,
-2. replay the log through the iterator-based parser + IncrementalChecker,
+2. replay the log through the raw-record parser + CompiledIncrementalChecker,
    which keeps only transaction-level summaries in memory,
 3. watch read-level violations surface *while* the log is streaming, long
    before the end of the file,
@@ -20,10 +20,10 @@ Run with::
 import os
 import tempfile
 
-from repro import IncrementalChecker, IsolationLevel, check
+from repro import CompiledIncrementalChecker, IsolationLevel, check
 from repro.core.witnesses import format_report
 from repro.stream import check_stream_file
-from repro.histories.formats import load_history, save_history, stream_history
+from repro.histories.formats import load_history, save_history, stream_raw_history
 from repro.histories.generator import (
     RandomHistoryConfig,
     generate_random_history,
@@ -53,10 +53,10 @@ def make_log(path: str) -> None:
 
 def stream_check(path: str) -> None:
     """One-pass check with progress reporting and early violation output."""
-    checker = IncrementalChecker(levels=(IsolationLevel.CAUSAL_CONSISTENCY,))
+    checker = CompiledIncrementalChecker(levels=(IsolationLevel.CAUSAL_CONSISTENCY,))
     reported = 0
-    for session_id, txn in stream_history(path, fmt="plume"):
-        checker.append(session_id, txn)
+    for session_id, (label, committed, ops) in stream_raw_history(path, fmt="plume"):
+        checker.append_raw(session_id, label, committed, ops)
         # Read-level anomalies become visible the moment the offending read
         # resolves -- no need to wait for the end of the log.
         live = checker.violations
@@ -73,19 +73,16 @@ def stream_check(path: str) -> None:
     if not result.is_consistent:
         print(format_report(result.violations, limit=3))
 
-    # The compiled streaming core (`awdit check --stream`'s default engine)
-    # runs the same one-pass check on raw parser records -- no Transaction
-    # or Operation objects at all -- with checkpoint/resume support.
-    compiled = check_stream_file(
-        path, IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume", engine="compiled"
-    )
-    print(f"compiled verdict  : {compiled.summary()}")
+    # `awdit check --stream` runs the same checker over whole record
+    # batches in one call, with checkpoint/resume support.
+    one_call = check_stream_file(path, IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume")
+    print(f"one-call verdict  : {one_call.summary()}")
 
-    # The batch checker agrees (both streaming engines are property-tested
-    # to return identical verdicts and violation kinds).
+    # The batch checker agrees (the stream is property-tested to return
+    # identical verdicts and violation messages).
     batch = check(load_history(path, fmt="plume"), IsolationLevel.CAUSAL_CONSISTENCY)
     print(f"batch verdict     : {batch.summary()}")
-    assert batch.is_consistent == result.is_consistent == compiled.is_consistent
+    assert batch.is_consistent == result.is_consistent == one_call.is_consistent
 
 
 def main() -> None:

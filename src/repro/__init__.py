@@ -20,8 +20,8 @@ The package is organised as follows:
   naive reference checkers).
 * :mod:`repro.lowerbounds` -- the triangle-freeness reductions behind the
   paper's conditional lower bounds.
-* :mod:`repro.stream` -- the streaming (online) checking engine: incremental
-  checkers that consume transactions as they arrive and pair with the
+* :mod:`repro.stream` -- the streaming (online) checking engine: an online
+  checker that consumes transactions as they arrive and pairs with the
   iterator-based format parsers to check logs larger than RAM in one pass.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
@@ -62,12 +62,7 @@ from repro.core.compiled import (
     check_compiled,
     compile_history,
 )
-from repro.stream import (
-    CompiledIncrementalChecker,
-    IncrementalChecker,
-    check_stream,
-    check_stream_file,
-)
+from repro.stream import CompiledIncrementalChecker, check_stream_file
 
 __version__ = "1.0.0"
 
@@ -94,8 +89,6 @@ __all__ = [
     "check_compiled",
     "compile_history",
     "CompiledIncrementalChecker",
-    "IncrementalChecker",
-    "check_stream",
     "check_stream_file",
     "__version__",
 ]

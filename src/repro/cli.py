@@ -61,10 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "check the file in one streaming pass (memory proportional to live "
-            "state, not history size); composes with --engine (compiled online "
-            "core by default, 'object' for the reference streaming checker) "
-            "and --jobs (byte-range parallel ingestion); only the awdit "
-            "checker supports this"
+            "state, not history size) with the online checker; only the awdit "
+            "checker supports this, and --engine object|sharded and --jobs "
+            "are batch-only"
         ),
     )
     check_parser.add_argument(
@@ -72,11 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "compiled", "sharded", "object"],
         help=(
-            "checking engine: 'compiled' runs on the interned array IR "
+            "batch checking engine: 'compiled' runs on the interned array IR "
             "(default via 'auto'), 'sharded' additionally parallelizes "
             "across --jobs worker processes, 'object' runs the reference "
-            "object-model checkers; orthogonal to --stream (each engine has "
-            "a batch and a streaming form); conflicts with baseline checkers"
+            "object-model checkers; --stream has one engine and accepts only "
+            "auto/compiled; conflicts with baseline checkers"
         ),
     )
     check_parser.add_argument(
@@ -86,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "check with N worker processes: shards the batch engines, "
-            "parallelizes file ingestion for --stream (selects the sharded "
-            "engine; conflicts with --engine object and baseline checkers)"
+            "check with N worker processes: shards the batch engines "
+            "(selects the sharded engine; conflicts with --stream, "
+            "--engine object|compiled and baseline checkers)"
         ),
     )
     check_parser.add_argument(
@@ -100,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
             "operations per parser record batch (default: 4096); tunes the "
             "columnar ingestion granularity of the awdit engines in both "
             "batch and streaming mode -- the verdict is identical for any "
-            "value (conflicts with baseline checkers and the batch-mode "
-            "object engine, which ingest record by record)"
+            "value (conflicts with baseline checkers and the object "
+            "engine, which ingest record by record)"
         ),
     )
     check_parser.add_argument(
@@ -110,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "with --stream: periodically serialize the online state to PATH "
-            "so an interrupted check can continue via --resume (compiled "
-            "streaming engine only)"
+            "so an interrupted check can continue via --resume"
         ),
     )
     check_parser.add_argument(
@@ -174,17 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fold's intern/dispatch/classify/clock-join sub-laps, and "
             "per-phase GC collection counts) to stderr after the check, so "
             "perf work can see where the time goes without a profiler"
-        ),
-    )
-    check_parser.add_argument(
-        "--gc-tune",
-        action="store_true",
-        help=(
-            "with --stream: freeze the interpreter heap after the first "
-            "folded batch and raise the gen-2 GC threshold for the rest of "
-            "the stream (thresholds and freeze are restored before exit); "
-            "off by default -- the columnar fold allocates few tracked "
-            "objects, so measure with --profile before reaching for this"
         ),
     )
 
@@ -269,11 +256,9 @@ def _conflict(message: str) -> int:
 def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Optional[str]:
     """The flag-conflict message for ``awdit check``, or ``None`` if coherent.
 
-    Engine and mode are orthogonal axes (``--stream --engine compiled`` is
-    the default streaming path, ``--stream --jobs N`` parallelizes the
-    ingestion), so only genuinely incoherent combinations are rejected:
-    baseline checkers with awdit-engine flags, the single-process engines
-    with ``--jobs``, and checkpointing outside the compiled streaming path.
+    Rejected: baseline checkers with awdit-engine flags, the single-process
+    engines with ``--jobs``, batch-only engine choices under ``--stream``,
+    and checkpointing or retirement outside streaming mode.
     """
     is_baseline = checker_name not in ("awdit", "default")
     if args.jobs is not None and args.jobs < 1:
@@ -289,9 +274,9 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
             )
         if args.engine == "object" and not args.stream:
             return (
-                "--batch-ops tunes columnar ingestion; the batch-mode object "
-                "engine materializes the history record by record (drop "
-                "--batch-ops or use --stream / another engine)"
+                "--batch-ops tunes columnar ingestion; the object engine "
+                "materializes the history record by record (drop --batch-ops "
+                "or use another engine)"
             )
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
@@ -322,11 +307,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
                 "default temporary segment directory does not survive the "
                 "process"
             )
-    if args.gc_tune and not args.stream:
-        return (
-            "--gc-tune tunes the collector around the online streaming "
-            "fold; it requires --stream"
-        )
     if args.resume and args.checkpoint is None:
         return "--resume continues from a checkpoint; add --checkpoint PATH"
     if args.checkpoint_every is not None and args.checkpoint is None:
@@ -341,17 +321,16 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     if args.stream:
         if is_baseline:
             return f"--stream supports only the awdit checker, not {args.checker!r}"
-        if args.engine == "object":
-            if args.jobs is not None:
-                return (
-                    "--stream --engine object is the single-process reference "
-                    "streaming checker; it cannot use --jobs (drop one)"
-                )
-            if args.checkpoint is not None or args.resume:
-                return (
-                    "checkpoint/resume require the compiled streaming engine; "
-                    "--engine object has no checkpoint support"
-                )
+        if args.engine not in ("auto", "compiled"):
+            return (
+                f"--stream has one online checker; --engine {args.engine} is "
+                "batch-only (drop --engine or --stream)"
+            )
+        if args.jobs is not None:
+            return (
+                "--stream is single-process; --jobs shards the batch engines "
+                "(drop --jobs or --stream)"
+            )
         return None
     if is_baseline:
         if checker_name not in BASELINE_REGISTRY:
@@ -487,8 +466,6 @@ def _run_check(args: argparse.Namespace) -> int:
             args.history,
             level,
             fmt=args.format,
-            engine=args.engine,
-            jobs=args.jobs,
             max_witnesses=args.witnesses,
             checkpoint=args.checkpoint,
             checkpoint_every=(
@@ -500,7 +477,6 @@ def _run_check(args: argparse.Namespace) -> int:
             batch_ops=args.batch_ops,
             retire=_retire_policy(args),
             timings=profile_timings,
-            gc_tune=args.gc_tune,
         )
     elif checker_name in ("awdit", "default"):
         engine = args.engine
@@ -746,9 +722,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_convert(args)
         if args.command == "stats":
             return _run_stats(args)
-    except ReproError as exc:
-        # Malformed input and misuse carry file/line context in the message;
-        # a traceback would bury it.
+    except (ReproError, OSError) as exc:
+        # Malformed input, misuse, and unreadable files carry the path (and
+        # file/line context) in the message; a traceback would bury it, and
+        # exit 1 would read as a VIOLATION verdict.
         print(f"awdit: error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

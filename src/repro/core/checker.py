@@ -31,15 +31,15 @@ traversed:
 * ``"batch"`` (default) runs the engines above over the materialized
   history;
 * ``"stream"`` replays the history's transactions in file order through
-  the matching *online* engine (:mod:`repro.core.compiled.online` for the
-  compiled/sharded engines, :mod:`repro.stream.incremental` for the object
-  engine), which folds each transaction into incrementally-maintained
-  state and then finalizes.  Same results, different evaluation order --
-  the parity matrix in ``tests/test_matrix.py`` pins every
-  ``engine × mode`` cell against every other.
+  the one *online* checker (:mod:`repro.core.compiled.online`), which folds
+  each transaction into incrementally-maintained state and then finalizes.
+  Same results, different evaluation order -- the parity matrix in
+  ``tests/test_matrix.py`` pins every batch engine and the stream against
+  the object batch engine.  Streaming has no engine choice: only
+  ``engine="auto"`` / ``"compiled"`` and no ``jobs`` are accepted.
 
 On-disk histories stream through :func:`repro.stream.check_stream_file`
-instead, which adds byte-range parallel ingestion and checkpoint/resume.
+instead, which adds checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -63,6 +63,20 @@ __all__ = ["check", "check_all_levels"]
 
 _ENGINES = ("auto", "compiled", "sharded", "object")
 _MODES = ("batch", "stream")
+
+
+def _reject_stream_engine(engine: str, jobs: Optional[int]) -> None:
+    """Raise if ``engine``/``jobs`` ask for a streaming form that does not exist."""
+    if engine not in ("auto", "compiled"):
+        raise ValueError(
+            f"mode='stream' has one online checker; engine={engine!r} runs only "
+            "in batch mode (drop engine or pass mode='batch')"
+        )
+    if jobs is not None:
+        raise ValueError(
+            "mode='stream' is single-process; drop jobs (or pass mode='batch' "
+            "for the sharded engine)"
+        )
 
 
 def check(
@@ -97,17 +111,18 @@ def check(
         object engine.
     engine:
         ``"auto"`` (default), ``"compiled"``, ``"sharded"``, or
-        ``"object"``; see the module docstring.
+        ``"object"``; see the module docstring.  Stream mode accepts only
+        ``"auto"`` and ``"compiled"``.
     jobs:
         Worker count for the sharded engine.  Supplying it with
         ``engine="auto"`` selects the sharded engine; with ``"compiled"`` or
         ``"object"`` it is a usage error (those engines are single-process
-        by definition).  ``None`` with ``engine="sharded"`` means one worker
-        per available CPU.
+        by definition), as it is in stream mode.  ``None`` with
+        ``engine="sharded"`` means one worker per available CPU.
     mode:
         ``"batch"`` (default) or ``"stream"`` -- see the module docstring.
         Streaming rejects a precomputed ``read_consistency`` report (the
-        online checkers track read consistency incrementally) and handles
+        online checker tracks read consistency incrementally) and handles
         the single-session RA specialization internally.
     """
     if engine not in _ENGINES:
@@ -118,13 +133,12 @@ def check(
         if read_consistency is not None:
             raise ValueError(
                 "read_consistency reports belong to the batch object engine; "
-                "the streaming checkers track read consistency incrementally"
+                "the streaming checker tracks read consistency incrementally"
             )
+        _reject_stream_engine(engine, jobs)
         from repro.stream.runner import check_history_stream
 
-        return check_history_stream(
-            history, level, engine=engine, jobs=jobs, max_witnesses=max_witnesses
-        )
+        return check_history_stream(history, level, max_witnesses=max_witnesses)
     if jobs is not None and engine in ("compiled", "object"):
         raise ValueError(
             f"jobs only applies to the sharded engine; engine={engine!r} is "
@@ -215,11 +229,10 @@ def check_all_levels(
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     if mode == "stream":
+        _reject_stream_engine(engine, jobs)
         from repro.stream.runner import check_all_levels_history_stream
 
-        return check_all_levels_history_stream(
-            history, engine=engine, jobs=jobs, max_witnesses=max_witnesses
-        )
+        return check_all_levels_history_stream(history, max_witnesses=max_witnesses)
     if jobs is not None and engine in ("compiled", "object"):
         raise ValueError(
             f"jobs only applies to the sharded engine; engine={engine!r} is "

@@ -1,11 +1,10 @@
 """The compiled streaming core: online checking on packed interned ids.
 
-:class:`CompiledIncrementalChecker` is the compiled-IR sibling of
-:class:`repro.stream.incremental.IncrementalChecker`: the same online
-formulation of AWDIT's Algorithms 1-4 (read classification on resolution,
-per-transaction RC saturation, per-session RA frontier, causal CC frontier
-with monotone saturation pointers), but fed straight from the parsers'
-columnar record-batch layer -- ``append_batch`` folds a whole
+:class:`CompiledIncrementalChecker` is the online formulation of AWDIT's
+Algorithms 1-4 (read classification on resolution, per-transaction RC
+saturation, per-session RA frontier, causal CC frontier with monotone
+saturation pointers), fed straight from the parsers' columnar record-batch
+layer -- ``append_batch`` folds a whole
 :class:`~repro.histories.formats._raw.RecordBatch` at a time (bulk intern
 over the key/value columns, per-transaction dispatch amortized across the
 batch), and ``append_raw`` wraps one ``(is_write, key, value)`` record as a
@@ -130,41 +129,19 @@ ALL_LEVELS: Tuple[IsolationLevel, ...] = (
 #: layout as the compiled IR's unique-writes index).
 _VALUE_SHIFT = 32
 
-#: Bit budget per sort-key component of the packed inferred-edge logs; see
-#: :mod:`repro.stream.incremental` for the derivation.
+#: Bit budget per sort-key component of the packed inferred-edge logs
+#: (``(t2 << EDGE_SHIFT) | t1`` -> ``(sort key << EDGE_SHIFT) | (kid + 1)``,
+#: where the sort key packs (sid, session index, attempt) and records the
+#: position the batch algorithm would first add the edge at): up to 2^24
+#: transactions per session and 2^24 edge attempts per transaction keep
+#: batch-order replay exact; beyond that only witness selection (never
+#: verdicts) could diverge from batch.
 _KEY_SHIFT = 24
 
-#: Checkpoint file header: magic + format version.  Version 2: the
-#: ``_cc_t2_rows`` state stores writers pre-shifted by ``EDGE_SHIFT`` (the
-#: saturation packs edges with one bitwise-or); version-1 checkpoints would
-#: resume with silently wrong pointer state, so they are rejected.
-#: Version 3: the checker pickles the ``_folded_read_wids`` set behind the
-#: duplicate-write-after-fold diagnostic (and the ``_fold_laps`` profile
-#: slot); version-2 checkpoints lack both attributes and would resume with
-#: the diagnostic silently disabled, so they are rejected.
-#: Version 4: CC edge-emission probes are deferred to a per-batch flush,
-#: adding the ``_cc_probe_pending`` queue and the ``_wb_bucket`` /
-#: ``_wb_sidx`` / ``_wb_tid`` writer-registry arrays the vectorized flush
-#: sorts; version-3 checkpoints lack all four and would resume with the
-#: flush silently skipping registered writers, so they are rejected.
-#: Version 5: watermark-based retirement adds the retirement bases
-#: (``_txns_base`` / ``_sess_base`` / ``_next_tid``), the latest-writer pin
-#: map, and the segment store.  Version-4 checkpoints are still *loadable*:
-#: they predate retirement entirely, so ``__setstate__`` injects the
-#: retirement-disabled defaults (base 0, epoch 0) and the resume behaves
-#: exactly like the run that wrote them.
-#: Version 6: the resident transaction heap is columnar -- flat parallel
-#: arrays indexed by ``tid - _txns_base`` (``_t_sid`` / ``_t_sidx`` /
-#: ``_t_flags`` / ..., packed final-write and first-read-per-writer runs),
-#: a :class:`~repro.core.compiled.kernels.ParkQueue` for ``_pending``, and
-#: flat row-major clock matrices (``_hb_data`` / ``_sc_data``) instead of
-#: the ``_hb`` dict and ``List[List[int]]`` session clocks.  Version-4 and
-#: version-5 checkpoints (which carry ``_Txn`` / ``_Read`` object state)
-#: are still loadable: ``__setstate__`` migrates them into the columns via
-#: ``_migrate_legacy_state`` and the resume is byte-identical.
+#: Checkpoint file header: magic + format version.  Checkpoints are transient
+#: resume state, so only the current version loads; older ones are rejected.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
 CHECKPOINT_VERSION = 6
-_LOADABLE_CHECKPOINT_VERSIONS = (4, 5, 6)
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
@@ -196,8 +173,7 @@ class _Read:
     Only reads routed through the general slow path (own reads, aborted or
     non-final writers) materialize as ``_Read`` objects, held in the
     ``_live_reads`` side table until their transaction resolves; the fast
-    and clean paths never allocate one.  The class also remains the pickle
-    form parked reads take inside v4/v5 checkpoints.
+    and clean paths never allocate one.
     """
 
     __slots__ = ("index", "kid", "vid", "own_prev", "writer", "writer_index", "bad")
@@ -212,90 +188,18 @@ class _Read:
         self.bad = False
 
 
-class _Txn:
-    """Legacy transaction summary -- the pickle form inside v4/v5 checkpoints.
-
-    The live core stores transaction summaries as flat columns (see
-    ``CompiledIncrementalChecker.__init__``); this class exists so old
-    checkpoints still unpickle, after which ``_migrate_legacy_state``
-    decomposes each instance into the columns and drops it.
-    """
-
-    __slots__ = (
-        "tid",
-        "sid",
-        "sidx",
-        "committed",
-        "label",
-        "keys_written",
-        "keys_written_ordered",
-        "reads",
-        "unresolved",
-        "resolved",
-        "rebindable",
-        "slow_reads",
-        "cc_done",
-        "cc_pending",
-        "cc_registered",
-        "good_reads",
-        "wr_first_any",
-        "wr_first_good",
-        "prefold",
-    )
-
-    def __init__(
-        self, tid: int, sid: int, sidx: int, committed: bool, label: Optional[str]
-    ) -> None:
-        self.tid = tid
-        self.sid = sid
-        self.sidx = sidx
-        self.committed = committed
-        self.label = label
-        #: Both key-written views share one object per transaction: the fold
-        #: assigns its ``final_write`` dict (kid -> final write index, keys
-        #: in first-write order) to both slots -- iteration and membership
-        #: behave exactly like the tuple/frozenset pair they replaced, and
-        #: checkpoints written before the change (which carry the pair)
-        #: still load.
-        self.keys_written: "frozenset | Dict[int, int]" = frozenset()
-        self.keys_written_ordered: "Tuple[int, ...] | Dict[int, int]" = ()
-        self.reads: List[_Read] = []
-        self.unresolved = 0
-        self.resolved = False
-        #: Retained for checkpoint compatibility; the rebind table it used
-        #: to guard is gone (supersede waiters are reconstructed from the
-        #: park queue instead).
-        self.rebindable = False
-        #: Count of this transaction's reads that took the scalar
-        #: ``_classify`` path (own reads, non-final or aborted writers,
-        #: rebinds).  Zero at fold time means every bound read is a clean
-        #: external committed final-write read -- ``_on_resolved`` then
-        #: builds its fold structures with comprehensions instead of the
-        #: per-read re-checking loop.
-        self.slow_reads = 0
-        self.cc_done = False
-        self.cc_pending = 0
-        self.cc_registered = False
-        self.good_reads: List[Tuple[int, int, int]] = []
-        self.wr_first_any: Dict[int, int] = {}
-        self.wr_first_good: Dict[int, int] = {}
-        #: Fold-time structures precomputed at consume for a *clean* parked
-        #: transaction (every read's eventual binding already known to the
-        #: resolve kernel); consumed and cleared by ``_on_resolved``.  Clean
-        #: transactions always fold within their own batch, so this never
-        #: survives into a checkpoint.
-        self.prefold: Optional[tuple] = None
-
-
 class CompiledIncrementalChecker:
     """Online checker for RC / RA / CC over a stream of raw transactions.
 
-    Parameters mirror :class:`repro.stream.IncrementalChecker`; the feeding
-    surface differs: :meth:`append_batch` folds whole columnar
-    :class:`~repro.histories.formats._raw.RecordBatch` objects (the
-    parsers' ``stream_batches`` layer), and :meth:`append_raw` /
-    :meth:`extend_raw` accept the record-at-a-time raw form
-    (``session, label, committed, (is_write, key, value) ops``).
+    ``levels`` selects the checks (default: all three); ``num_sessions``
+    pre-registers sessions ``0..n-1`` (others register on first arrival);
+    ``max_witnesses`` caps the cycle witnesses per level; ``retire``
+    enables watermark-based retirement.  :meth:`append_batch` folds whole
+    columnar :class:`~repro.histories.formats._raw.RecordBatch` objects
+    (the parsers' ``stream_batches`` layer), :meth:`append_raw` /
+    :meth:`extend_raw` accept the record-at-a-time raw form (``session,
+    label, committed, (is_write, key, value) ops``), and :meth:`append`
+    takes an object-model transaction.
     """
 
     def __init__(
@@ -1272,10 +1176,6 @@ class CompiledIncrementalChecker:
                 "classify": 0.0,
                 "clock_join": 0.0,
             }
-        else:
-            # Lap dicts resumed from a pre-v6 checkpoint lack the dispatch
-            # sub-lap; backfill so the append_batch guard sees it.
-            self._fold_laps.setdefault("dispatch", 0.0)
         return self._fold_laps
 
     def append(self, session: object, transaction) -> None:
@@ -1294,10 +1194,9 @@ class CompiledIncrementalChecker:
     def finalize(self) -> Dict[IsolationLevel, CheckResult]:
         """Flush pending state and return one :class:`CheckResult` per level.
 
-        Identical contract to ``IncrementalChecker.finalize``: unresolved
-        reads become thin-air violations, the frontiers drain, and the
-        packed edge logs are replayed in the batch algorithms' order.
-        Idempotent.
+        Unresolved reads become thin-air violations, the frontiers drain,
+        and the packed edge logs are replayed in the batch algorithms'
+        order.  Idempotent.
         """
         if self._results is not None:
             return self._results
@@ -1561,209 +1460,24 @@ class CompiledIncrementalChecker:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         # Derived kernel caches: cheap to rebuild, numpy-shaped, and not
-        # part of the checkpoint format (v5 checkpoints stay loadable both
-        # ways; __setstate__ starts fresh mirrors that the next batch
-        # repopulates from the pickled dict/registry).
+        # part of the checkpoint format; __setstate__ starts fresh mirrors
+        # that the next batch repopulates from the pickled dict/registry.
         state.pop("_writes_index", None)
         state.pop("_wb_probe", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # The rebind table is gone: supersede waiters are reconstructed from
-        # the park queue, so a pre-change checkpoint's table (whose entries
-        # alias the pickled _Txn/_Read objects) is simply dropped.
-        self.__dict__.pop("_rebindable", None)
         self._writes_index = _kernels.WritesIndex()
         self._wb_probe = _kernels.WriterProbeIndex()
-        for slot in (
-            "_resolve_fast",
-            "_resolve_slow",
-            "_resolve_parked",
-            "_resolve_rebound",
-            "_resolve_vectorized",
-            "_resolve_scalar",
-            "_join_vectorized",
-            "_join_scalar",
-        ):
-            if slot not in state:
-                # Checkpoints that predate the resolve/join kernels resume
-                # with the tallies restarted; only profile counters notice.
-                setattr(self, slot, 0)
-        if "_next_tid" not in state:
-            # A version-4 (pre-retirement) checkpoint: nothing was ever
-            # retired, so the bases are zero, the remap epoch is zero, and
-            # retirement stays disabled for the resumed run.
-            self._next_tid = len(state["_txns"])
-            self._txns_base = 0
-            self._sess_base = [0] * len(self._by_session)
-            self._latest_writer = {}
-            self._retire = None
-            self._retire_stats = RetireStats()
-            self._segments = None
-            self._retire_last = 0
-            self._retired_final = None
-        if "_t_sid" not in state:
-            self._migrate_legacy_state()
-        elif "_gr_start" not in state:
-            # A version-5 (columnar, pre-good-run) checkpoint: its
-            # ``_good_reads`` dict maps 1:1 onto the shared run columns
-            # (rows the old CC flush already consumed stay empty -- their
-            # wr runs were stored explicitly at fold, so nothing downstream
-            # ever reads the missing run).
-            good_map = self.__dict__.pop("_good_reads", {})
-            nrows = len(self._t_sid)
-            gr_start = self._gr_start = array("q", repeat(-1, nrows))
-            gr_len = self._gr_len = array("q", repeat(0, nrows))
-            gr_index = self._gr_index = array("q")
-            gr_kid = self._gr_kid = array("q")
-            gr_writer = self._gr_writer = array("q")
-            tbase = self._txns_base
-            for tid, goods in good_map.items():
-                j = tid - tbase
-                gr_start[j] = len(gr_index)
-                gr_len[j] = len(goods)
-                for index, kid, writer in goods:
-                    gr_index.append(index)
-                    gr_kid.append(kid)
-                    gr_writer.append(writer)
-        # Pre-bucket-cache checkpoints (v4/v5) store 3-tuple writer-registry
-        # entries; grow the parallel bucket-id list the probe flush's key
-        # CSR extends from (slot order is already sid-sorted).
-        writers_by_key = self._writers_by_key
-        for key, entry in writers_by_key.items():
-            if len(entry) == 3:
-                writers_by_key[key] = (
-                    entry[0],
-                    entry[1],
-                    entry[2],
-                    [slot[2] for slot in entry[1]],
-                )
-
-    def _migrate_legacy_state(self) -> None:
-        """Decompose a v4/v5 (object-heap) pickle into the columnar layout.
-
-        The legacy state carries ``_Txn`` records, ``(rec, read)`` pending
-        lists, the ``_hb`` dict, and ``List[List[int]]`` session clocks;
-        everything maps 1:1 onto the columns, so the resumed run is
-        byte-identical to one whose checkpoint was already columnar.
-        """
-        txns: List[_Txn] = self.__dict__.pop("_txns")
-        tbase = self._txns_base
-        # Pickles written before the ``slow_reads`` slot existed: force the
-        # conservative fold path for every resumed transaction (the fast
-        # path is a pure optimization, so semantics are identical).
-        has_slow = not txns or hasattr(txns[0], "slow_reads")
-        t_sid = self._t_sid = array("q")
-        t_sidx = self._t_sidx = array("q")
-        t_flags = self._t_flags = array("B")
-        t_unres = self._t_unres = array("q")
-        t_ccpend = self._t_ccpend = array("q")
-        t_slow = self._t_slow = array("q")
-        t_labels = self._t_labels = []
-        fw_off = self._fw_off = array("q", (0,))
-        fw_kid = self._fw_kid = array("q")
-        self._wr_any_start = array("q", repeat(-1, len(txns)))
-        self._wr_any_len = array("q", repeat(0, len(txns)))
-        self._wr_any_writer = array("q")
-        self._wr_any_kid = array("q")
-        self._wr_good_start = array("q", repeat(-1, len(txns)))
-        self._wr_good_len = array("q", repeat(0, len(txns)))
-        self._wr_good_writer = array("q")
-        self._wr_good_kid = array("q")
-        gr_start = self._gr_start = array("q", repeat(-1, len(txns)))
-        gr_len = self._gr_len = array("q", repeat(0, len(txns)))
-        gr_index = self._gr_index = array("q")
-        gr_kid = self._gr_kid = array("q")
-        gr_writer = self._gr_writer = array("q")
-        live_reads = self._live_reads = {}
-        self._prefold = {}
-        for j, rec in enumerate(txns):
-            t_sid.append(rec.sid)
-            t_sidx.append(rec.sidx)
-            t_flags.append(
-                (1 if rec.committed else 0)
-                | (2 if rec.resolved else 0)
-                | (4 if rec.cc_done else 0)
-                | (8 if rec.cc_registered else 0)
-            )
-            t_unres.append(rec.unresolved)
-            t_ccpend.append(rec.cc_pending)
-            t_slow.append(rec.slow_reads if has_slow else 1)
-            t_labels.append(rec.label)
-            # Both legacy key-written forms (a kid -> index dict, or the
-            # older ordered-kids tuple) iterate their kids in first-write
-            # order, which is exactly the run layout.
-            fw_kid.extend(rec.keys_written_ordered)
-            fw_off.append(len(fw_kid))
-            wr_good = rec.wr_first_good
-            self._store_wr_runs(
-                j, rec.wr_first_any, None if wr_good == rec.wr_first_any else wr_good
-            )
-            if rec.good_reads:
-                gr_start[j] = len(gr_index)
-                gr_len[j] = len(rec.good_reads)
-                for index, kid, writer in rec.good_reads:
-                    gr_index.append(index)
-                    gr_kid.append(kid)
-                    gr_writer.append(writer)
-            if rec.reads:
-                live_reads[rec.tid] = rec.reads
-        # Per-session _Txn lists become tid arrays.
-        self._by_session = [
-            array("q", (rec.tid for rec in records)) for records in self._by_session
-        ]
-        # Ragged clock lists become the flat -1-padded matrices.
-        num_sessions = len(self._by_session)
-        stride = 4
-        while stride < num_sessions:
-            stride <<= 1
-        self._clock_stride = stride
-        self._hb_pad = b"\xff" * (8 * stride)
-        sc_data = self._sc_data = array("q")
-        for clock in self.__dict__.pop("_session_clock"):
-            sc_data.extend(clock)
-            sc_data.extend(repeat(-1, stride - len(clock)))
-        hb_map = self.__dict__.pop("_hb")
-        hb_data = self._hb_data = array("q")
-        for j in range(len(txns)):
-            clock = hb_map.get(tbase + j)
-            if clock is None:
-                hb_data.frombytes(self._hb_pad)
-            else:
-                hb_data.extend(clock)
-                hb_data.extend(repeat(-1, stride - len(clock)))
-        # (rec, read) pending lists become the columnar park queue.  Reads
-        # of slow-path transactions park by their position in the reader's
-        # live-read list; a read absent from it would be a clean-parked one
-        # (encoded by index), but those never survive their own batch, so
-        # every parked read resolves through ``live_reads``.
-        queue = _kernels.ParkQueue()
-        for wid, plist in self.__dict__.pop("_pending").items():
-            for rec, read in plist:
-                slot = -read.index - 1
-                oreads = live_reads.get(rec.tid)
-                if oreads is not None:
-                    for position, candidate in enumerate(oreads):
-                        if candidate is read:
-                            slot = position
-                            break
-                queue.add(wid, rec.tid, slot)
-        self._pending = queue
-        # Waiter/probe queues drop their record references for plain tids.
-        self._cc_waiters = {
-            writer: [rec.tid for rec in waiters]
-            for writer, waiters in self._cc_waiters.items()
-        }
-        self._cc_probe_pending = [rec.tid for rec in self._cc_probe_pending]
 
     # -- watermark-based retirement (see repro.core.compiled.retire) ------------
 
     def enable_retirement(self, policy: RetirementPolicy) -> None:
         """Enable (or re-tune) watermark-based retirement on a live checker.
 
-        The resume path uses this: a v4 (pre-retirement) checkpoint resumes
-        with retirement disabled, and ``--retire`` turns it on for the rest
+        The resume path uses this: a checkpoint written without retirement
+        resumes with it disabled, and ``--retire`` turns it on for the rest
         of the run.  The latest-writer pins are rebuilt exactly from the
         resident writes index -- nothing was evicted while the policy was
         off, so every write's registration is still resident.  On a checker
@@ -3400,8 +3114,9 @@ def load_checkpoint(
 
     The returned checker has consumed ``checker.num_transactions`` records;
     skip that many records of the stream and keep appending.  Raises
-    :class:`~repro.core.exceptions.HistoryFormatError` on a bad header, or
-    -- when ``source_path`` is given and the checkpoint recorded a source
+    :class:`~repro.core.exceptions.HistoryFormatError` on a bad header, an
+    unsupported version, or a truncated or corrupt body, or -- when
+    ``source_path`` is given and the checkpoint recorded a source
     fingerprint -- when ``source_path`` is not the history the checkpoint
     was taken from (resuming against a different file would silently mix
     two runs; the comparison re-hashes the recorded prefix length, so a
@@ -3413,13 +3128,29 @@ def load_checkpoint(
         if magic != CHECKPOINT_MAGIC:
             raise HistoryFormatError(f"{path}: not an awdit checkpoint file")
         version = handle.read(1)
-        if not version or version[0] not in _LOADABLE_CHECKPOINT_VERSIONS:
+        if not version or version[0] != CHECKPOINT_VERSION:
             raise HistoryFormatError(
                 f"{path}: unsupported checkpoint version "
                 f"{version[0] if version else '<missing>'}"
             )
-        payload = pickle.load(handle)
-    checker = payload["checker"]
+        try:
+            payload = pickle.load(handle)
+            checker = payload["checker"]
+        except (
+            pickle.UnpicklingError,
+            EOFError,
+            AttributeError,
+            ImportError,
+            IndexError,
+            KeyError,
+            TypeError,
+            ValueError,
+        ) as exc:
+            # What a cut-short or bit-flipped pickle raises varies with
+            # where the damage lands; every case means the same thing.
+            raise HistoryFormatError(
+                f"{path}: truncated or corrupt checkpoint; re-run without --resume"
+            ) from exc
     if not isinstance(checker, CompiledIncrementalChecker):  # pragma: no cover
         raise HistoryFormatError(f"{path}: checkpoint does not contain a checker")
     recorded = payload.get("source")
@@ -3443,9 +3174,8 @@ def check_stream_compiled(
 ) -> CheckResult:
     """One-pass check of a raw record stream against ``level``.
 
-    The compiled analogue of :func:`repro.stream.check_stream`: feed it
-    :func:`repro.histories.formats.stream_raw_history` and no model objects
-    are ever constructed.
+    Feed it :func:`repro.histories.formats.stream_raw_history` and no model
+    objects are ever constructed.
     """
     checker = CompiledIncrementalChecker(
         levels=(level,),

@@ -1,15 +1,14 @@
 """Watermark-based retirement: bounded resident state for eternal streams.
 
-The online folds (:class:`repro.core.compiled.online.CompiledIncrementalChecker`
-and the object-path :class:`repro.stream.incremental.IncrementalChecker`) drop
-per-operation data as soon as a transaction resolves, but their *summary*
+The online fold (:class:`repro.core.compiled.online.CompiledIncrementalChecker`)
+drops per-operation data as soon as a transaction resolves, but its *summary*
 state -- transaction records, the duplicate-write registry, the CC writer
 registry, and the retained packed-edge logs -- still grows with history
-length.  This module holds everything the two engines share to turn that into
-memory bounded by the *live window*:
+length.  This module holds the pieces that turn that into memory bounded by
+the *live window*:
 
 * :class:`RetirementPolicy` -- the knobs (``lag``, ``every``, ``segment_dir``).
-* :func:`low_watermark` -- the global low-watermark over the per-session
+* :func:`low_watermark_flat` -- the global low-watermark over the per-session
   vector clocks: ``wm[s] = min over all sessions s' of clock[s'][s]``.  A
   committed transaction whose session index is at or below the watermark of
   its session has been passed by *every* frontier; no future causal probe can
@@ -46,9 +45,9 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.model import HistoryFormatError
 
@@ -120,41 +119,19 @@ class RetireStats:
         }
 
 
-def low_watermark(
-    session_clock: Sequence[Sequence[int]], num_sessions: int
-) -> List[int]:
+def low_watermark_flat(data, stride: int, num_sessions: int) -> List[int]:
     """Per-session global low-watermark over the happens-before clocks.
 
-    ``wm[s]`` is the largest session index of ``s`` that *every* session's
-    clock has reached: ``min over s' of session_clock[s'][s]``, with a clock
-    too short to mention ``s`` contributing ``-1``.  A committed transaction
-    at ``sidx <= wm[sid]`` can never again be the answer to a causal
-    latest-writer probe strictly *after* the watermark, because every future
-    probe's bound is at least the watermark.  Sessions that fall idle freeze
-    the watermark (their clocks stop advancing); that is the documented cost
-    of a non-communicating participant.
-    """
-    wm = [-1] * num_sessions
-    for s in range(num_sessions):
-        best: Optional[int] = None
-        for clock in session_clock:
-            value = clock[s] if s < len(clock) else -1
-            if best is None or value < best:
-                best = value
-                if best < 0:
-                    break
-        wm[s] = -1 if best is None else best
-    return wm
-
-
-def low_watermark_flat(data, stride: int, num_sessions: int) -> List[int]:
-    """:func:`low_watermark` over the flat row-major session-clock matrix.
-
-    ``data`` is one ``array('q')`` of ``num_sessions`` rows, each ``stride``
-    wide and ``-1``-padded ("missing" has the same ``-1`` semantics as a
-    too-short clock list), so ``wm[s]`` is the column minimum with the same
-    early ``-1`` break as the list form.  Value-identical to
-    :func:`low_watermark` on the equivalent list-of-lists state.
+    ``data`` is the flat row-major session-clock matrix: one ``array('q')``
+    of ``num_sessions`` rows, each ``stride`` wide and ``-1``-padded (``-1``
+    means the clock has not reached the session).  ``wm[s]`` is the column
+    minimum, the largest session index of ``s`` that *every* session's
+    clock has reached.  A committed transaction at ``sidx <= wm[sid]`` can
+    never again be the answer to a causal latest-writer probe strictly
+    *after* the watermark, because every future probe's bound is at least
+    the watermark.  Sessions that fall idle freeze the watermark (their
+    clocks stop advancing); that is the documented cost of a
+    non-communicating participant.
     """
     wm = [-1] * num_sessions
     for s in range(num_sessions):

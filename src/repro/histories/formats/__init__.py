@@ -98,7 +98,8 @@ def stream_history(
     Unlike :func:`load_history`, the file is parsed incrementally and the
     history is never materialized; memory stays proportional to one
     transaction (plus the parser's sliding buffer).  Feed the pairs to
-    :class:`repro.stream.IncrementalChecker` to check logs larger than RAM.
+    :meth:`repro.stream.CompiledIncrementalChecker.append` to check logs
+    larger than RAM.
     Parse failures carry the file path next to the parser's line context.
     """
     module = _module_for(fmt, path)

@@ -118,7 +118,8 @@ def stream(handle: TextIO) -> Iterator[Tuple[int, Transaction]]:
 
     Transactions are decoded one at a time from a sliding buffer, so the
     history is never materialized; feed the pairs to
-    :class:`repro.stream.IncrementalChecker` for a one-pass check.
+    :meth:`repro.stream.CompiledIncrementalChecker.append` for a one-pass
+    check.
     """
     for sid, raw in stream_ops(handle):
         yield sid, transaction_from_raw(raw)

@@ -1,36 +1,21 @@
-"""Streaming-mode dispatch: engines, parallel ingestion, checkpoints.
+"""Streaming mode: the file and in-memory entry points, with checkpoints.
 
-The batch side of the repo dispatches one *engine* axis
-(``object | compiled | sharded``); this module gives streaming (*mode*) the
-same orthogonal treatment:
-
-* ``engine="compiled"`` (the default via ``"auto"``) checks with the
-  :class:`~repro.core.compiled.online.CompiledIncrementalChecker` -- raw
-  parser records in, no model objects on the hot path;
-* ``engine="sharded"`` / ``jobs=N`` additionally parallelizes *ingestion*:
-  the file is cut into record-aligned byte regions
-  (:mod:`repro.shard.split`) parsed by ``N`` forked workers, whose records
-  feed the sequential online core in file order -- the check itself stays
-  one-pass and byte-identical;
-* ``engine="object"`` keeps the original
-  :class:`~repro.stream.incremental.IncrementalChecker` as the independent
-  reference implementation for parity testing.
+Every streaming check runs the
+:class:`~repro.core.compiled.online.CompiledIncrementalChecker` -- raw
+parser record batches in, no model objects on the hot path.
 
 :func:`check_stream_file` is the CLI's ``awdit check --stream`` entry point
 and carries the checkpoint/resume surface: ``checkpoint=`` serializes the
 online state every ``checkpoint_every`` transactions (and once more before
 finalizing), ``resume=True`` restores it and skips the records the
-checkpoint already consumed.  :func:`check_history_stream` runs the same
-engines over an in-memory history (the parity harness behind
-``check(..., mode="stream")``).
+checkpoint already consumed.  :func:`check_history_stream` replays an
+in-memory history through the same core (``check(..., mode="stream")``).
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import time
-from collections import deque
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.compiled.ir import CompiledHistory
@@ -44,25 +29,16 @@ from repro.core.compiled.retire import RetirementPolicy
 from repro.core.isolation import IsolationLevel
 from repro.core.model import History
 from repro.core.result import CheckResult
-from repro.histories.formats._raw import RawTransaction, RecordBatch
-from repro.stream.incremental import IncrementalChecker
+from repro.histories.formats._raw import RawTransaction
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
-    "STREAM_ENGINES",
     "check_all_levels_history_stream",
     "check_history_stream",
     "check_stream_file",
     "history_records",
-    "iter_raw_batches",
-    "iter_raw_records",
     "stream_live_stats",
 ]
-
-#: Engines accepted by the streaming mode.  ``auto`` resolves to
-#: ``compiled``; ``sharded`` is ``compiled`` plus byte-range parallel
-#: ingestion (which only applies to on-disk histories).
-STREAM_ENGINES = ("auto", "compiled", "sharded", "object")
 
 #: Default checkpoint cadence (transactions between saves).
 DEFAULT_CHECKPOINT_EVERY = 10_000
@@ -105,142 +81,23 @@ def history_records(
             yield sid, (txn.label, txn.committed, ops)
 
 
-def _parse_range_batches_task(args):
-    from repro.shard.split import parse_byte_range_batches
-
-    path, lo, hi, fmt, batch_ops = args
-    return parse_byte_range_batches(path, lo, hi, fmt=fmt, batch_ops=batch_ops)
-
-
-def iter_raw_batches(
-    path: str,
-    fmt: Optional[str] = None,
-    jobs: Optional[int] = None,
-    batch_ops: Optional[int] = None,
-) -> Iterator[RecordBatch]:
-    """Record batches of ``path`` in file order, optionally parsed in parallel.
-
-    With ``jobs`` > 1, a splittable format, and usable ``fork`` parallelism,
-    the file is cut into record-aligned byte regions parsed by a worker
-    pool; batches still come back in exact file order (regions are ordered
-    and each preserves its slice's order), so consumers cannot tell the
-    difference -- and the pool ships compact flat columns instead of
-    per-record tuples.  Everything else falls back to the sequential
-    streaming parse.  Parallel parsing buffers a few regions in flight,
-    trading the strictly-bounded parser memory of the sequential path for
-    parse throughput.
-    """
-    from repro.histories.formats import stream_raw_batches
-
-    if jobs is not None and jobs > 1:
-        from repro.shard.parallel import will_parallelize
-        from repro.shard.split import split_byte_ranges, validate_range_summaries
-
-        ranges = (
-            split_byte_ranges(path, jobs * 4, fmt=fmt) if will_parallelize(jobs) else None
-        )
-        if ranges is not None and len(ranges) > 1:
-            context = multiprocessing.get_context("fork")
-            summaries = []
-            # Bounded submission window: workers may run at most a couple of
-            # regions ahead of the consumer, so a checker slower than the
-            # parsers cannot make parsed-but-unconsumed regions pile up and
-            # defeat the streaming memory bound.
-            with context.Pool(processes=jobs) as pool:
-                tasks = deque()
-                pending = deque()
-                for lo, hi in ranges:
-                    tasks.append((path, lo, hi, fmt, batch_ops))
-                window = jobs + 2
-                while tasks or pending:
-                    while tasks and len(pending) < window:
-                        pending.append(
-                            pool.apply_async(
-                                _parse_range_batches_task, (tasks.popleft(),)
-                            )
-                        )
-                    batches, summary = pending.popleft().get()
-                    summaries.append(summary)
-                    for batch in batches:
-                        yield batch
-            validate_range_summaries(path, summaries, fmt=fmt)
-            return
-    for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-        yield batch
-
-
-def iter_raw_records(
-    path: str,
-    fmt: Optional[str] = None,
-    jobs: Optional[int] = None,
-    batch_ops: Optional[int] = None,
-) -> Iterator[_RawRecord]:
-    """Raw records of ``path`` in file order, optionally parsed in parallel.
-
-    The record-at-a-time wrapper over :func:`iter_raw_batches` (same
-    ordering guarantees); consumers that can fold whole batches should use
-    :func:`iter_raw_batches` directly.
-    """
-    for batch in iter_raw_batches(path, fmt=fmt, jobs=jobs, batch_ops=batch_ops):
-        for record in batch.iter_records():
-            yield record
-
-
 def _gc_collections() -> int:
     """Total collector runs across all generations (``--profile`` deltas)."""
     return sum(entry["collections"] for entry in gc.get_stats())
 
 
-def _resolve_stream_engine(engine: str, jobs: Optional[int]) -> str:
-    if engine not in STREAM_ENGINES:
-        raise ValueError(
-            f"unknown streaming engine {engine!r}; expected one of {STREAM_ENGINES}"
-        )
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if engine == "object":
-        if jobs is not None:
-            raise ValueError(
-                "jobs parallelizes streaming ingestion for the compiled online "
-                "core; the object streaming engine is single-process"
-            )
-        return "object"
-    if engine == "auto" and jobs is not None:
-        return "sharded"
-    return "compiled" if engine == "auto" else engine
-
-
 def check_history_stream(
     history: Union[History, CompiledHistory],
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
-    engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     retire: Optional[RetirementPolicy] = None,
 ) -> CheckResult:
-    """Stream an in-memory history through the chosen online engine.
+    """Stream an in-memory history through the online checker.
 
     This is ``check(history, level, mode="stream")``: the history's
-    transactions are replayed in file order into the online checker.  With
-    ``engine="sharded"`` the parallel-ingestion axis has nothing to
-    parallelize for an in-memory history, so it runs the same compiled
-    online core (``jobs`` is accepted for interface symmetry).  ``retire``
-    enables watermark-based retirement on either engine.
+    transactions are replayed in file order into the online checker.
+    ``retire`` enables watermark-based retirement.
     """
-    resolved = _resolve_stream_engine(engine, jobs)
-    if resolved == "object":
-        if isinstance(history, CompiledHistory):
-            raise ValueError("a CompiledHistory requires a compiled-IR engine")
-        checker = IncrementalChecker(
-            levels=(level,),
-            num_sessions=history.num_sessions,
-            max_witnesses=max_witnesses,
-            retire=retire,
-        )
-        for sid, session in enumerate(history.sessions):
-            for tid in session:
-                checker.append(sid, history.transactions[tid])
-        return checker.finalize()[level]
     return check_stream_compiled(
         history_records(history),
         level,
@@ -252,8 +109,6 @@ def check_history_stream(
 
 def check_all_levels_history_stream(
     history: Union[History, CompiledHistory],
-    engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     retire: Optional[RetirementPolicy] = None,
 ) -> dict:
@@ -264,32 +119,17 @@ def check_all_levels_history_stream(
     RC, RA, and CC state simultaneously and one finalize emits all three
     results.
     """
-    resolved = _resolve_stream_engine(engine, jobs)
-    if resolved == "object":
-        if isinstance(history, CompiledHistory):
-            raise ValueError("a CompiledHistory requires a compiled-IR engine")
-        checker: object = IncrementalChecker(
-            num_sessions=history.num_sessions,
-            max_witnesses=max_witnesses,
-            retire=retire,
-        )
-        for sid, session in enumerate(history.sessions):
-            for tid in session:
-                checker.append(sid, history.transactions[tid])
-        return checker.finalize()
-    compiled_checker = CompiledIncrementalChecker(
+    checker = CompiledIncrementalChecker(
         num_sessions=history.num_sessions, max_witnesses=max_witnesses, retire=retire
     )
-    compiled_checker.extend_raw(history_records(history))
-    return compiled_checker.finalize()
+    checker.extend_raw(history_records(history))
+    return checker.finalize()
 
 
 def check_stream_file(
     path: str,
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     fmt: Optional[str] = None,
-    engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -297,45 +137,29 @@ def check_stream_file(
     batch_ops: Optional[int] = None,
     timings: Optional[Dict[str, float]] = None,
     retire: Optional[RetirementPolicy] = None,
-    gc_tune: bool = False,
 ) -> CheckResult:
     """One-pass check of an on-disk history (``awdit check --stream``).
 
-    Every engine folds the parsers' record batches (``batch_ops`` operations
-    per batch; the verdict is identical for any value).  ``jobs``
-    parallelizes the parse via byte-range workers (compiled engines only);
+    The online checker folds the parsers' record batches (``batch_ops``
+    operations per batch; the verdict is identical for any value).
     ``checkpoint`` periodically serializes the online state -- at the first
     batch boundary past every ``checkpoint_every`` transactions, and once
     more before finalizing -- so ``resume=True`` can continue an
     interrupted check, including after completion, when resuming simply
     skips every record and re-finalizes.  ``retire`` bounds resident memory
     via watermark-based retirement; on resume it enables (or re-tunes)
-    retirement on the restored checker, including v4 checkpoints that
-    predate the protocol.  ``timings`` (``--profile``) receives ``parse`` /
-    ``fold`` wall seconds, the fold's ``fold_intern`` / ``fold_dispatch`` /
-    ``fold_classify`` / ``fold_clock_join`` sub-laps, and per-phase
-    ``gc.get_stats()`` collection deltas (``parse_gc_collections`` /
-    ``fold_gc_collections``).  ``gc_tune`` freezes the interpreter heap
-    after the first folded batch and raises the gen-2 threshold for the
-    rest of the stream (``--gc-tune``); thresholds, the freeze, and the
-    collector's enabled state are restored before returning.
+    retirement on the restored checker.  ``timings`` (``--profile``)
+    receives ``parse`` / ``fold`` wall seconds, the fold's ``fold_intern`` /
+    ``fold_dispatch`` / ``fold_classify`` / ``fold_clock_join`` sub-laps,
+    and per-phase ``gc.get_stats()`` collection deltas
+    (``parse_gc_collections`` / ``fold_gc_collections``).
     """
+    # Looked up per call, not bound at import, so a caller can wrap the
+    # parser (the layered benchmark times each batch pull this way).
+    from repro.histories.formats import stream_raw_batches
+
     if batch_ops is not None and batch_ops < 1:
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
-    resolved = _resolve_stream_engine(engine, jobs)
-    if resolved == "object":
-        if checkpoint is not None or resume:
-            raise ValueError(
-                "checkpoint/resume require the compiled streaming engine"
-            )
-        from repro.histories.formats import stream_raw_batches
-
-        object_checker = IncrementalChecker(
-            levels=(level,), max_witnesses=max_witnesses, retire=retire
-        )
-        for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-            object_checker.append_batch(batch)
-        return object_checker.finalize()[level]
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if resume:
@@ -366,67 +190,40 @@ def check_stream_file(
         fold_gc = 0
     source = None if checkpoint is None else source_fingerprint(path)
     since_checkpoint = 0
-    gc_was_enabled = gc.isenabled()
-    gc_thresholds = None
-    try:
-        batches = iter_raw_batches(path, fmt=fmt, jobs=jobs, batch_ops=batch_ops)
-        while True:
-            if profile:
-                gc_mark = _gc_collections()
-                mark = time.perf_counter()
-                batch = next(batches, None)
-                parse_lap += time.perf_counter() - mark
-                parse_gc += _gc_collections() - gc_mark
-            else:
-                batch = next(batches, None)
-            if batch is None:
-                break
-            if skip:
-                # Resume: drop whole batches the checkpoint already consumed,
-                # then cut the straddling batch at the resume point.
-                num_records = len(batch.txn_end)
-                if num_records <= skip:
-                    skip -= num_records
-                    continue
-                batch = batch.tail(skip)
-                skip = 0
-            if profile:
-                gc_mark = _gc_collections()
-                mark = time.perf_counter()
-                checker.append_batch(batch)
-                fold_lap += time.perf_counter() - mark
-                fold_gc += _gc_collections() - gc_mark
-            else:
-                checker.append_batch(batch)
-            if gc_tune and gc_thresholds is None:
-                # Warmup done: the first folded batch has populated the
-                # intern tables, kernel registries, and column arrays.
-                # Everything alive now is effectively immortal, so move it
-                # out of the collector's reach and make full (gen-2)
-                # collections 8x rarer -- the columnar fold allocates so
-                # few tracked objects that the remaining gen-2 walks are
-                # almost entirely survivors being re-scanned.
-                gc.collect()
-                gc.freeze()
-                gc_thresholds = gc.get_threshold()
-                gc.set_threshold(
-                    gc_thresholds[0], gc_thresholds[1], gc_thresholds[2] * 8
-                )
-            if checkpoint is not None:
-                since_checkpoint += len(batch.txn_end)
-                if since_checkpoint >= checkpoint_every:
-                    checker.save_checkpoint(checkpoint, source=source)
-                    since_checkpoint = 0
-    finally:
-        if gc_thresholds is not None:
-            gc.set_threshold(*gc_thresholds)
-            gc.unfreeze()
-        if gc_was_enabled and not gc.isenabled():  # pragma: no cover - defensive
-            gc.enable()
-        # --gc-tune must never leak a disabled collector into library
-        # callers (freeze/threshold tuning does not disable it; this
-        # pins that invariant).
-        assert gc.isenabled() == gc_was_enabled
+    batches = stream_raw_batches(path, fmt, batch_ops=batch_ops)
+    while True:
+        if profile:
+            gc_mark = _gc_collections()
+            mark = time.perf_counter()
+            batch = next(batches, None)
+            parse_lap += time.perf_counter() - mark
+            parse_gc += _gc_collections() - gc_mark
+        else:
+            batch = next(batches, None)
+        if batch is None:
+            break
+        if skip:
+            # Resume: drop whole batches the checkpoint already consumed,
+            # then cut the straddling batch at the resume point.
+            num_records = len(batch.txn_end)
+            if num_records <= skip:
+                skip -= num_records
+                continue
+            batch = batch.tail(skip)
+            skip = 0
+        if profile:
+            gc_mark = _gc_collections()
+            mark = time.perf_counter()
+            checker.append_batch(batch)
+            fold_lap += time.perf_counter() - mark
+            fold_gc += _gc_collections() - gc_mark
+        else:
+            checker.append_batch(batch)
+        if checkpoint is not None:
+            since_checkpoint += len(batch.txn_end)
+            if since_checkpoint >= checkpoint_every:
+                checker.save_checkpoint(checkpoint, source=source)
+                since_checkpoint = 0
     if checkpoint is not None:
         checker.save_checkpoint(checkpoint, source=source)
     if profile:

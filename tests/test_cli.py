@@ -68,15 +68,40 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "cycle" in out
 
+    def test_stream_profile_reports_fold_laps_and_gc_counts(self, tmp_path, capsys):
+        path = tmp_path / "bad.plume"
+        save_history(fig_4a(), str(path), fmt="plume")
+        assert main(["check", str(path), "-i", "cc", "--stream", "--profile"]) == 1
+        err = capsys.readouterr().err  # --profile reports on stderr
+        assert "fold_dispatch" in err
+        assert "parse_gc_collections" in err and "fold_gc_collections" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["batch", "stream"])
+    def test_missing_history_exits_two(self, tmp_path, capsys, mode):
+        missing = tmp_path / "missing.plume"
+        assert main(["check", str(missing)] + mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("awdit: error:") and str(missing) in err
+
+    def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "h.plume"
+        save_history(fig_4d(), str(path), fmt="plume")
+        missing = tmp_path / "missing.awd"
+        code = main(
+            ["check", str(path), "--stream", "--checkpoint", str(missing), "--resume"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("awdit: error:") and str(missing) in err
+
 
 class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
-    Engine and mode are orthogonal (``--stream --engine compiled`` and
-    ``--stream --jobs N`` are the compiled streaming paths); what stays
-    rejected is baseline checkers with awdit-engine flags, ``--jobs`` on the
-    single-process engines, and checkpointing outside the compiled
-    streaming path.
+    ``--stream`` has one online checker (``--engine auto|compiled``); what
+    is rejected is baseline checkers with awdit-engine flags, ``--jobs`` on
+    the single-process engines and on ``--stream``, the batch-only engines
+    under ``--stream``, and checkpointing or retirement outside streaming.
     """
 
     @pytest.fixture()
@@ -95,6 +120,11 @@ class TestCheckFlagConflicts:
             ["--engine", "object", "--jobs", "2"],
             ["--engine", "compiled", "--jobs", "2"],
             ["--jobs", "0"],
+            ["--stream", "--engine", "object"],
+            ["--stream", "--engine", "sharded"],
+            ["--stream", "--jobs", "2"],
+            ["--stream", "--engine", "sharded", "--jobs", "2"],
+            ["--stream", "--engine", "object", "--retire"],
             ["--stream", "--engine", "object", "--jobs", "2"],
             ["--stream", "--engine", "object", "--checkpoint", "state.awd"],
             ["--stream", "--checkpoint", "state.awd", "--checkpoint-every", "0"],
@@ -123,13 +153,8 @@ class TestCheckFlagConflicts:
         [
             ["--stream"],
             ["--stream", "--engine", "compiled"],
-            ["--stream", "--engine", "object"],
-            ["--stream", "--engine", "sharded"],
-            ["--stream", "--jobs", "2"],
-            ["--stream", "--engine", "sharded", "--jobs", "2"],
             ["--stream", "--retire"],
             ["--stream", "--retire", "--retire-lag", "0", "--retire-every", "1"],
-            ["--stream", "--engine", "object", "--retire"],
         ],
         ids=lambda flags: " ".join(flags),
     )

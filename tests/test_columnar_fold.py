@@ -1,16 +1,14 @@
 """Columnar fold state: clock-join kernel parity, park-queue behavior,
-cross-version checkpoints, GC tuning, and batch-size validation.
+the v6 checkpoint format, and batch-size validation.
 
 The tentpole contract: the structure-of-arrays fold is answer-identical
 to the retired object-heap fold -- verdicts, witness messages, park and
 rebind ordering, refusal text -- at every ``batch_ops`` and on both
 kernel paths.  The pieces pinned here are the ones the columnar rewrite
 introduced: ``kernels.join_clocks`` (batched CC clock join),
-``kernels.ParkQueue`` (columnar park multimap), checkpoint format v6
-with v4/v5 backfill, and the ``--gc-tune`` collector experiment.
+``kernels.ParkQueue`` (columnar park multimap), and checkpoint format v6.
 """
 
-import gc
 import json
 import os
 import pickle
@@ -20,35 +18,22 @@ from array import array
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel
 from repro.core.compiled import kernels, online
-from repro.core.compiled.retire import RetirementPolicy
 from repro.cli import main
 from repro.histories.formats import save_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
     generate_random_history,
-    generate_random_stream,
     inject_anomaly,
 )
-from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
+from repro.stream import CompiledIncrementalChecker, check_stream_file
 
-from helpers import make_legacy_checker_state
-from test_resolve_kernel import (
-    arrival_raw,
-    digest,
-    fallback_modules,
-    interleaved_raw,
-    needs_numpy,
-    run_stream,
-)
-from test_retire import _downgrade_checkpoint_to_v4
-
-LEVELS = list(IsolationLevel)
+from test_resolve_kernel import interleaved_raw, needs_numpy, run_stream
 
 
 # -- join_clocks: the batched CC clock join ------------------------------------
@@ -191,23 +176,9 @@ class TestParkQueue:
 # -- cross-version checkpoints -------------------------------------------------
 
 
-def _rewrite_as_v5(path):
-    """Rewrite a current checkpoint as the v5 (object-heap) layout."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(online.CHECKPOINT_MAGIC))
-        version = handle.read(1)
-        payload = pickle.load(handle)
-    assert magic == online.CHECKPOINT_MAGIC and version[0] == online.CHECKPOINT_VERSION
-    # v5 had retirement but predates the columns: pickle the object heap.
-    make_legacy_checker_state(payload["checker"])
-    with open(path, "wb") as handle:
-        handle.write(online.CHECKPOINT_MAGIC)
-        handle.write(bytes([5]))
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 class TestCrossVersionCheckpoints:
-    """v4 and v5 pickles resume through the columnar backfill, answer-identical."""
+    """Checkpoints are written as v6 (the only loadable version), and the
+    fold they capture is answer-identical on both kernel paths."""
 
     def _history(self, txns=300, seed=29):
         return generate_random_history(
@@ -232,73 +203,6 @@ class TestCrossVersionCheckpoints:
         blob = path.read_bytes()
         assert blob.startswith(online.CHECKPOINT_MAGIC)
         assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 6
-
-    @pytest.mark.parametrize("batch_ops", [1, 64])
-    def test_v5_checkpoint_resumes_byte_identical(self, tmp_path, batch_ops):
-        history = self._history()
-        records = interleaved_raw(history, 7)
-        want, _ = run_stream(records, history.num_sessions, batch_ops)
-        half = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        half.extend_raw(iter(records[:150]), batch_ops=batch_ops)
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _rewrite_as_v5(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert "_txns" not in resumed.__dict__, "backfill must rebuild the columns"
-        assert isinstance(resumed._pending, kernels.ParkQueue)
-        resumed.extend_raw(iter(records[150:]), batch_ops=batch_ops)
-        assert digest(resumed.finalize()) == want
-
-    def test_v4_checkpoint_resumes_byte_identical(self, tmp_path):
-        history = self._history(seed=31)
-        records = interleaved_raw(history, 3)
-        want, _ = run_stream(records, history.num_sessions, 64)
-        half = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        half.extend_raw(iter(records[:150]), batch_ops=64)
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert "_txns" not in resumed.__dict__
-        resumed.extend_raw(iter(records[150:]), batch_ops=64)
-        assert digest(resumed.finalize()) == want
-
-    def test_v5_resume_straddles_a_compaction(self, tmp_path):
-        # The checkpoint is taken after real evictions, rewritten to the
-        # object-heap layout, and the resume continues retiring over the
-        # rebuilt columns -- the hardest backfill path (txns_base > 0).
-        # A causally ordered serializable stream, so the fold fully drains
-        # between batches and the retirement guard can actually evict (a
-        # random interleave parks readers ahead of their writers, which
-        # stalls the guard by design).
-        history, order = generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=4,
-                num_transactions=800,
-                num_keys=40,
-                abort_probability=0.02,
-                seed=17,
-            )
-        )
-        records = arrival_raw(history, order)
-        want, _ = run_stream(records, history.num_sessions, 64)
-        policy = RetirementPolicy(lag=192, every=16, segment_dir=str(tmp_path / "segs"))
-        half = CompiledIncrementalChecker(
-            num_sessions=history.num_sessions, retire=policy
-        )
-        half.extend_raw(iter(records[:500]), batch_ops=64)
-        assert half._txns_base > 0, "checkpoint must straddle real evictions"
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _rewrite_as_v5(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert resumed._txns_base > 0
-        resumed.enable_retirement(policy)
-        resumed.extend_raw(iter(records[500:]), batch_ops=64)
-        assert digest(resumed.finalize()) == want
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
     def test_fallback_path_answers_identical(self, batch_ops):
@@ -335,8 +239,7 @@ class TestNoNumpySubprocessColumnar:
         "                                      wsids, wsidxs)\n"
         "out = {'join': list(row), 'vectorized': vectorized, 'stream': []}\n"
         "for level in IsolationLevel:\n"
-        "    r = check_stream_file(sys.argv[1], level, fmt='plume',\n"
-        "                          engine='compiled', batch_ops=1)\n"
+        "    r = check_stream_file(sys.argv[1], level, fmt='plume', batch_ops=1)\n"
         "    out['stream'].append([level.name, r.is_consistent,\n"
         "                          [v.message for v in r.violations]])\n"
         "print(json.dumps(out))\n"
@@ -410,78 +313,17 @@ class TestBatchOpsValidation:
         assert "awdit: error:" in err
         assert f"--batch-ops must be >= 1, got {value}" in err
 
-    def test_cli_gc_tune_requires_stream(self, history_path, capsys):
-        assert main(["check", history_path, "--gc-tune"]) == 2
-        err = capsys.readouterr().err
-        assert "awdit: error:" in err and "--gc-tune" in err and "--stream" in err
-
     @pytest.mark.parametrize("value", [0, -1])
     def test_extend_raw_rejects_bad_batch_ops(self, value):
         checker = CompiledIncrementalChecker(num_sessions=1)
         with pytest.raises(ValueError, match=f"batch_ops must be >= 1, got {value}"):
             checker.extend_raw(iter([]), batch_ops=value)
 
-    @pytest.mark.parametrize("engine", ["compiled", "object"])
-    def test_check_stream_file_rejects_bad_batch_ops(self, history_path, engine):
+    def test_check_stream_file_rejects_bad_batch_ops(self, history_path):
         with pytest.raises(ValueError, match="batch_ops must be >= 1, got 0"):
             check_stream_file(
                 history_path,
                 IsolationLevel.CAUSAL_CONSISTENCY,
                 fmt="plume",
-                engine=engine,
                 batch_ops=0,
             )
-
-
-# -- --gc-tune -----------------------------------------------------------------
-
-
-class TestGcTune:
-    """The collector experiment never changes answers or leaks GC state."""
-
-    def _history_path(self, tmp_path):
-        path = tmp_path / "h.plume"
-        save_history(
-            inject_anomaly(
-                generate_random_history(
-                    RandomHistoryConfig(
-                        num_sessions=3,
-                        num_transactions=120,
-                        num_keys=8,
-                        read_fraction=0.5,
-                        mode="random_reads",
-                        seed=13,
-                    )
-                ),
-                INJECTABLE_ANOMALIES[0],
-            ),
-            str(path),
-            fmt="plume",
-        )
-        return str(path)
-
-    def test_same_answers_and_collector_fully_restored(self, tmp_path):
-        path = self._history_path(tmp_path)
-        thresholds = gc.get_threshold()
-        enabled = gc.isenabled()
-        frozen = gc.get_freeze_count()
-        for level in LEVELS:
-            plain = check_stream_file(path, level, fmt="plume", engine="compiled")
-            tuned = check_stream_file(
-                path, level, fmt="plume", engine="compiled", gc_tune=True
-            )
-            assert tuned.is_consistent == plain.is_consistent
-            assert [v.message for v in tuned.violations] == [
-                v.message for v in plain.violations
-            ]
-        assert gc.get_threshold() == thresholds
-        assert gc.isenabled() == enabled
-        assert gc.get_freeze_count() == frozen
-
-    def test_cli_gc_tune_runs_and_profiles(self, tmp_path, capsys):
-        path = self._history_path(tmp_path)
-        code = main(["check", path, "-i", "cc", "--stream", "--gc-tune", "--profile"])
-        assert code == 1  # the injected anomaly is a real violation
-        err = capsys.readouterr().err  # --profile reports on stderr
-        assert "fold_dispatch" in err
-        assert "parse_gc_collections" in err and "fold_gc_collections" in err

@@ -1,10 +1,11 @@
 """The engine × mode parity matrix.
 
-Every cell of ``{object, compiled, sharded} × {batch, stream}`` must
-produce byte-identical verdicts, violation messages, and inferred-edge
-counts -- including on aborted, weak-isolation, and anomaly-injected
-histories, and across a checkpoint/resume split of the stream.  The object
-batch engine is the oracle; everything else is compared against it.
+Every batch engine (``object``, ``compiled``, ``sharded``) and the stream
+(one online checker) must produce byte-identical verdicts, violation
+messages, and inferred-edge counts -- including on aborted, weak-isolation,
+and anomaly-injected histories, and across a checkpoint/resume split of the
+stream.  The object batch engine is the oracle; everything else is compared
+against it.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check, check_all_levels
-from repro.histories.formats import save_history
+from repro.histories.formats import save_history, stream_raw_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
@@ -23,8 +24,13 @@ from repro.shard import check_sharded
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
-ENGINES = ("object", "compiled", "sharded")
-MODES = ("batch", "stream")
+#: ``(engine, mode)`` cells: every batch engine, plus the one stream.
+CELLS = (
+    ("object", "batch"),
+    ("compiled", "batch"),
+    ("sharded", "batch"),
+    ("auto", "stream"),
+)
 
 
 def _assert_same(reference, result, context):
@@ -65,10 +71,9 @@ class TestEngineModeMatrix:
             history = inject_anomaly(history, anomaly)
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            for engine in ENGINES:
-                for mode in MODES:
-                    result = check(history, level, engine=engine, mode=mode)
-                    _assert_same(reference, result, (engine, mode, level))
+            for engine, mode in CELLS:
+                result = check(history, level, engine=engine, mode=mode)
+                _assert_same(reference, result, (engine, mode, level))
             # The forked/inline shard pipeline itself (scratch relations,
             # ordered merge) -- check() on one CPU would fall back to the
             # sequential loops, so pin the tasked pipeline explicitly.
@@ -89,17 +94,14 @@ class TestEngineModeMatrix:
             kind,
         )
         reference = check_all_levels(history, engine="object")
-        for engine in ENGINES:
-            for mode in MODES:
-                results = check_all_levels(history, engine=engine, mode=mode)
-                for level in LEVELS:
-                    _assert_same(
-                        reference[level], results[level], (engine, mode, level)
-                    )
+        for engine, mode in CELLS:
+            results = check_all_levels(history, engine=engine, mode=mode)
+            for level in LEVELS:
+                _assert_same(reference[level], results[level], (engine, mode, level))
 
 
 class TestStreamFileCells:
-    """The on-disk streaming cells: --stream --engine E and --stream --jobs N."""
+    """The on-disk streaming cells: ``--stream`` against every batch engine."""
 
     @pytest.fixture()
     def anomalous(self, tmp_path):
@@ -120,18 +122,12 @@ class TestStreamFileCells:
 
     @pytest.mark.parametrize("engine", ["auto", "compiled", "sharded", "object"])
     def test_file_stream_engines_agree(self, anomalous, engine):
+        """The file stream matches batch ``engine`` on the same history."""
         history, path = anomalous
         for level in LEVELS:
-            reference = check(history, level, engine="object")
-            result = check_stream_file(path, level, fmt="plume", engine=engine)
+            reference = check(history, level, engine=engine)
+            result = check_stream_file(path, level, fmt="plume")
             _assert_same(reference, result, (engine, level))
-
-    def test_file_stream_with_jobs_agrees(self, anomalous):
-        history, path = anomalous
-        level = IsolationLevel.CAUSAL_CONSISTENCY
-        reference = check(history, level, engine="object")
-        result = check_stream_file(path, level, fmt="plume", jobs=2)
-        _assert_same(reference, result, ("jobs", level))
 
     def test_checkpoint_resume_equals_uninterrupted_run(self, anomalous, tmp_path):
         history, path = anomalous
@@ -142,10 +138,8 @@ class TestStreamFileCells:
         # Interrupt mid-history: checkpoint after every 7 transactions, then
         # simulate a crash by building a fresh checker from the last save.
         checker = CompiledIncrementalChecker(levels=(level,))
-        from repro.stream import iter_raw_records
-
         for index, (sid, (label, committed, ops)) in enumerate(
-            iter_raw_records(path, fmt="plume")
+            stream_raw_history(path, fmt="plume")
         ):
             if index == 13:
                 break
@@ -210,6 +204,22 @@ class TestDispatchErrors:
         )
         with pytest.raises(ValueError):
             check(history, mode="stream", engine="object", jobs=2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"engine": "object"}, {"engine": "sharded"}, {"jobs": 2}],
+        ids=["object", "sharded", "jobs"],
+    )
+    def test_stream_has_no_engine_choice(self, kwargs):
+        """Batch-only engines and jobs are refused in one line naming the remedy."""
+        history = generate_random_history(
+            RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
+        )
+        for entry in (check, check_all_levels):
+            with pytest.raises(ValueError) as info:
+                entry(history, mode="stream", **kwargs)
+            message = str(info.value)
+            assert "\n" not in message and "mode='batch'" in message
 
     def test_compiled_history_streams_identically(self):
         from repro.core.compiled import compile_history

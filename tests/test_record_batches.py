@@ -5,8 +5,8 @@
 agree record-for-record at any ``batch_ops`` -- including around error
 timing (a mid-batch ``ParseError`` still carries line and file context)
 and the byte-range splitter's refusal of cobra files with CSV quoting.
-On top of the parse layer, the full engine x jobs x batch_ops streaming
-matrix over a saved file must stay byte-identical to the batch oracle
+On top of the parse layer, the batch_ops streaming matrix over a saved
+file must stay byte-identical to the batch oracle
 (batch-boundary-straddling transactions included), resume must cut a
 straddling batch at the checkpointed transaction, and a duplicate
 ``(key, value)`` write arriving after its reader folded must raise the
@@ -37,13 +37,9 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
+from repro.shard import load_compiled_sharded
 from repro.shard.split import split_byte_ranges
-from repro.stream import (
-    CompiledIncrementalChecker,
-    check_stream_file,
-    iter_raw_batches,
-    load_checkpoint,
-)
+from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
 
@@ -182,31 +178,30 @@ class TestCobraQuotedValues:
         save_history(self._quoted_history(), str(path), fmt="cobra")
         assert '"' in path.read_text(encoding="utf-8")
         assert split_byte_ranges(str(path), 4, fmt="cobra") is None
-        # The parallel batch iterator falls back to the serial parse; the
-        # embedded newline and comma survive intact.
+        # The serial parse keeps the embedded newline and comma intact.
         serial = [
             record
             for batch in stream_raw_batches(str(path), "cobra")
             for record in batch.iter_records()
         ]
-        parallel = [
-            record
-            for batch in iter_raw_batches(str(path), fmt="cobra", jobs=2)
-            for record in batch.iter_records()
-        ]
-        assert parallel == serial
         ops = serial[0][1][2]
         assert ("a\nb" in [value for _, _, value in ops]) and (
             "c,d" in [value for _, _, value in ops]
         )
 
     def test_quoted_file_checks_identically_with_jobs(self, tmp_path):
+        # The stream, and the parallel sharded ingest (whose byte-range
+        # split refuses this file and falls back to replicated parses),
+        # both match the oracle.
         path = tmp_path / "quoted.cobra"
         history = self._quoted_history()
         save_history(history, str(path), fmt="cobra")
+        sharded = load_compiled_sharded(str(path), 2, fmt="cobra", parallel=True)
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            result = check_stream_file(path=str(path), level=level, fmt="cobra", jobs=2)
+            result = check_stream_file(path=str(path), level=level, fmt="cobra")
+            _assert_same(reference, result, ("quoted-stream", level))
+            result = check(sharded, level, engine="sharded", jobs=2)
             _assert_same(reference, result, ("quoted-jobs", level))
 
 
@@ -236,7 +231,6 @@ class TestDuplicateWriteAfterFold:
                 str(path),
                 IsolationLevel.CAUSAL_CONSISTENCY,
                 fmt="plume",
-                engine="compiled",
                 batch_ops=batch_ops,
             )
         message = str(excinfo.value)
@@ -264,7 +258,7 @@ class TestDuplicateWriteAfterFold:
 
 
 class TestBatchOpsMatrix:
-    """engine x jobs x batch_ops verdicts are byte-identical."""
+    """Streaming verdicts are byte-identical at every batch_ops."""
 
     @pytest.fixture()
     def anomalous(self, tmp_path):
@@ -292,24 +286,9 @@ class TestBatchOpsMatrix:
         history, path = anomalous
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            for engine, jobs_axis in (
-                ("object", (None,)),
-                ("compiled", (None, 2)),
-                ("sharded", (None, 2)),
-            ):
-                for jobs in jobs_axis:
-                    for batch_ops in BATCH_OPS:
-                        result = check_stream_file(
-                            path,
-                            level,
-                            fmt="plume",
-                            engine=engine,
-                            jobs=jobs,
-                            batch_ops=batch_ops,
-                        )
-                        _assert_same(
-                            reference, result, (engine, jobs, batch_ops, level)
-                        )
+            for batch_ops in BATCH_OPS:
+                result = check_stream_file(path, level, fmt="plume", batch_ops=batch_ops)
+                _assert_same(reference, result, (batch_ops, level))
 
     def test_resume_cuts_a_straddling_batch(self, anomalous, tmp_path):
         # Checkpoint 13 transactions in, then resume with one huge batch:
@@ -320,7 +299,7 @@ class TestBatchOpsMatrix:
         reference = check_stream_file(path, level, fmt="plume")
         state = tmp_path / "state.awd"
         checker = CompiledIncrementalChecker(levels=(level,))
-        for index, batch in enumerate(iter_raw_batches(path, fmt="plume", batch_ops=1)):
+        for index, batch in enumerate(stream_raw_batches(path, "plume", batch_ops=1)):
             if index == 13:
                 break
             checker.append_batch(batch)

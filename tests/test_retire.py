@@ -1,29 +1,28 @@
 """Tests for watermark-based retirement (repro.core.compiled.retire).
 
-The contract under test: with ``--retire`` the streaming checkers either
-produce output byte-identical to a non-retiring run (verdicts, witness
-messages, inferred-edge counts), or refuse with
+The contract under test: with ``--retire`` the streaming checker either
+produces output byte-identical to a non-retiring run and to the object
+batch oracle (verdicts, witness messages, inferred-edge counts), or refuses
+with
 :class:`RetiredAccessError` when the history genuinely needed evicted
 state -- never a silently different answer.
 """
 
 import os
-import pickle
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_legacy_checker_state
-from repro.core import IsolationLevel
-from repro.core.compiled import online
+from repro.core import IsolationLevel, check
 from repro.core.compiled.retire import (
     RetiredAccessError,
     RetirementPolicy,
-    low_watermark,
+    low_watermark_flat,
     stable_digest,
 )
 from repro.core.model import History, Transaction, read, write
@@ -34,12 +33,7 @@ from repro.histories.generator import (
     generate_random_stream,
     inject_anomaly,
 )
-from repro.stream import (
-    CompiledIncrementalChecker,
-    IncrementalChecker,
-    check_stream_file,
-    load_checkpoint,
-)
+from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
 
@@ -90,11 +84,9 @@ def run_compiled(history, order, retire=None):
     return checker.finalize(), checker
 
 
-def run_object(history, order, retire=None):
-    checker = IncrementalChecker(num_sessions=history.num_sessions, retire=retire)
-    for sid, txn in arrival_records(history, order):
-        checker.append(sid, txn)
-    return checker.finalize(), checker
+def batch_oracle(history):
+    """The object batch engine's result per level."""
+    return {level: check(history, level, engine="object") for level in LEVELS}
 
 
 def assert_identical(got, want):
@@ -126,9 +118,10 @@ def single_session_history(prefix_ops, fillers, suffix_ops):
 class TestRetireParity:
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_injected_anomalies_both_engines(self, kind):
-        """At every lag, both engines refuse together or match the oracle.
+        """At every lag, the retiring stream refuses or matches both engines.
 
-        Small lags may legitimately refuse (a read in the random
+        The two references are the non-retiring stream and the object batch
+        oracle.  Small lags may legitimately refuse (a read in the random
         interleaving reaches past the watermark); the scan asserts the
         refusal is policy-monotone enough to find a workable lag, and that
         the first workable one reproduces the non-retiring answer exactly.
@@ -139,22 +132,16 @@ class TestRetireParity:
         history = inject_anomaly(base, kind)
         order = interleaved_order(history, seed=7)
         want, _ = run_compiled(history, order)
+        assert_identical(want, batch_oracle(history))
         matched = False
         for lag in (0, 4, 16, len(history.transactions)):
             policy = RetirementPolicy(lag=lag, every=1)
             try:
-                got_c, _ = run_compiled(history, order, retire=policy)
+                got, _ = run_compiled(history, order, retire=policy)
             except RetiredAccessError:
-                got_c = None
-            try:
-                got_o, _ = run_object(history, order, retire=policy)
-            except RetiredAccessError:
-                got_o = None
-            assert (got_c is None) == (got_o is None), lag
-            if got_c is not None:
-                assert_identical(got_c, want)
-                assert_identical(got_o, want)
-                matched = True
+                continue
+            assert_identical(got, want)
+            matched = True
         # The widest lag keeps every read inside the resident window.
         assert matched
 
@@ -170,14 +157,12 @@ class TestRetireParity:
         )
         policy = RetirementPolicy(lag=64, every=16)
         want, _ = run_compiled(history, order)
-        got_c, checker_c = run_compiled(history, order, retire=policy)
-        got_o, checker_o = run_object(history, order, retire=policy)
-        assert_identical(got_c, want)
-        assert_identical(got_o, want)
-        # The arrival order keeps the fold drained, so both engines really
+        got, checker = run_compiled(history, order, retire=policy)
+        assert_identical(got, want)
+        assert_identical(got, batch_oracle(history))
+        # The arrival order keeps the fold drained, so the checker really
         # did retire most of the stream (not a vacuous pass).
-        assert checker_c._retire_stats.retired_transactions > 300
-        assert checker_o._retire_stats.retired_transactions > 300
+        assert checker._retire_stats.retired_transactions > 300
 
     def test_inconsistent_stream_parity(self):
         history, order = generate_random_stream(
@@ -197,18 +182,11 @@ class TestRetireParity:
         for lag in (16, 64, len(history.transactions)):
             policy = RetirementPolicy(lag=lag, every=4)
             try:
-                got_c, _ = run_compiled(history, order, retire=policy)
+                got, _ = run_compiled(history, order, retire=policy)
             except RetiredAccessError:
-                got_c = None
-            try:
-                got_o, _ = run_object(history, order, retire=policy)
-            except RetiredAccessError:
-                got_o = None
-            assert (got_c is None) == (got_o is None), lag
-            if got_c is not None:
-                assert_identical(got_c, want)
-                assert_identical(got_o, want)
-                matched = True
+                continue
+            assert_identical(got, want)
+            matched = True
         assert matched
 
     @settings(
@@ -241,18 +219,10 @@ class TestRetireParity:
         want, _ = run_compiled(history, order)
         policy = RetirementPolicy(lag=lag, every=every)
         try:
-            got_c, _ = run_compiled(history, order, retire=policy)
+            got, _ = run_compiled(history, order, retire=policy)
         except RetiredAccessError:
-            got_c = None
-        try:
-            got_o, _ = run_object(history, order, retire=policy)
-        except RetiredAccessError:
-            got_o = None
-        # The two engines must agree on whether the policy was too tight.
-        assert (got_c is None) == (got_o is None)
-        if got_c is not None:
-            assert_identical(got_c, want)
-            assert_identical(got_o, want)
+            return
+        assert_identical(got, want)
 
 
 class TestRetireRefusal:
@@ -265,9 +235,8 @@ class TestRetireRefusal:
         )
         order = list(range(len(history.transactions)))
         policy = RetirementPolicy(lag=32, every=8)
-        for run in (run_compiled, run_object):
-            with pytest.raises(RetiredAccessError):
-                run(history, order, retire=policy)
+        with pytest.raises(RetiredAccessError):
+            run_compiled(history, order, retire=policy)
 
     def test_write_identity_reuse_refuses(self):
         # A later write re-mints the evicted (x, 1) identity; reads of it
@@ -277,9 +246,8 @@ class TestRetireRefusal:
         )
         order = list(range(len(history.transactions)))
         policy = RetirementPolicy(lag=32, every=8)
-        for run in (run_compiled, run_object):
-            with pytest.raises(RetiredAccessError):
-                run(history, order, retire=policy)
+        with pytest.raises(RetiredAccessError):
+            run_compiled(history, order, retire=policy)
 
     def test_generous_lag_keeps_the_same_history_checkable(self):
         # The refusal above is the policy's fault, not the history's: with
@@ -318,59 +286,12 @@ class TestRetireMemoryBounded:
         assert stats["post_compaction_peak_resident"] <= bound
         assert_identical(checker.finalize(), run_compiled(history, order)[0])
 
-    def test_object_checker_resident_state_stays_bounded(self):
-        history, order = generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=4, num_transactions=2000, num_keys=40, seed=3
-            )
-        )
-        policy = RetirementPolicy(lag=128, every=32)
-        checker = IncrementalChecker(
-            num_sessions=history.num_sessions, retire=policy
-        )
-        peak_resident = 0
-        for sid, txn in arrival_records(history, order):
-            checker.append(sid, txn)
-            peak_resident = max(peak_resident, len(checker._txns))
-        bound = policy.lag + policy.every + 40 + 4 * history.num_sessions
-        assert peak_resident <= bound
-        assert checker._retire_stats.retired_transactions >= 2000 - bound
-
     def test_non_retiring_checker_keeps_everything(self):
         history, order = generate_random_stream(
             RandomHistoryConfig(num_sessions=4, num_transactions=500, seed=3)
         )
         _, checker = run_compiled(history, order)
         assert checker.live_stats()["retired_transactions"] == 0
-
-
-def _downgrade_checkpoint_to_v4(path):
-    """Rewrite a current checkpoint file as the pre-retirement v4 layout."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(online.CHECKPOINT_MAGIC))
-        version = handle.read(1)
-        payload = pickle.load(handle)
-    assert magic == online.CHECKPOINT_MAGIC and version[0] == online.CHECKPOINT_VERSION
-    checker = payload["checker"]
-    assert checker._txns_base == 0, "cannot downgrade a retired checker"
-    # v4 predates the columnar state too: pickle the object-heap form.
-    make_legacy_checker_state(checker)
-    for attr in (
-        "_next_tid",
-        "_txns_base",
-        "_sess_base",
-        "_latest_writer",
-        "_retire",
-        "_retire_stats",
-        "_segments",
-        "_retire_last",
-        "_retired_final",
-    ):
-        checker.__dict__.pop(attr, None)
-    with open(path, "wb") as handle:
-        handle.write(online.CHECKPOINT_MAGIC)
-        handle.write(bytes([4]))
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestCheckpointAcrossRetirement:
@@ -410,7 +331,8 @@ class TestCheckpointAcrossRetirement:
             resumed.append_raw(sid, *raw_of(txn))
         assert_identical(resumed.finalize(), want)
 
-    def test_v4_checkpoint_resumes_with_retirement_disabled(self, tmp_path):
+    def test_non_retiring_checkpoint_resumes_with_retirement_disabled(self, tmp_path):
+        # A checkpoint written without retirement resumes with it still off.
         history, order = self._stream(txns=200)
         want, _ = run_compiled(history, order)
         records = list(arrival_records(history, order))
@@ -419,7 +341,6 @@ class TestCheckpointAcrossRetirement:
             half.append_raw(sid, *raw_of(txn))
         path = tmp_path / "state.awd"
         half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
 
         resumed = load_checkpoint(str(path))
         assert resumed.num_transactions == 120
@@ -429,7 +350,9 @@ class TestCheckpointAcrossRetirement:
             resumed.append_raw(sid, *raw_of(txn))
         assert_identical(resumed.finalize(), want)
 
-    def test_v4_resume_can_enable_retirement(self, tmp_path):
+    def test_non_retiring_checkpoint_resume_can_enable_retirement(self, tmp_path):
+        # The resumed run can turn retirement on, which rebuilds the
+        # latest-writer pins from the resident writes index.
         history, order = self._stream()
         want, _ = run_compiled(history, order)
         records = list(arrival_records(history, order))
@@ -438,9 +361,10 @@ class TestCheckpointAcrossRetirement:
             half.append_raw(sid, *raw_of(txn))
         path = tmp_path / "state.awd"
         half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
 
         resumed = load_checkpoint(str(path))
+        assert resumed.num_transactions == 400
+        assert resumed.live_stats()["retire_enabled"] == 0
         resumed.enable_retirement(RetirementPolicy(lag=128, every=16))
         for sid, txn in records[400:]:
             resumed.append_raw(sid, *raw_of(txn))
@@ -484,13 +408,15 @@ class TestCheckpointAcrossRetirement:
 
 class TestRetireHelpers:
     def test_low_watermark_takes_the_component_minimum(self):
-        clocks = [[3, 7, 2], [5, 4, 9], [4, 6, 2]]
-        assert low_watermark(clocks, 3) == [3, 4, 2]
+        # Three session-clock rows, stride 4, -1-padded past the sessions.
+        clocks = array("q", [3, 7, 2, -1, 5, 4, 9, -1, 4, 6, 2, -1])
+        assert low_watermark_flat(clocks, 4, 3) == [3, 4, 2]
 
     def test_low_watermark_treats_short_clocks_as_unseen(self):
         # A session that has never joined another's clock holds it at -1,
         # which pins that session's watermark below every transaction.
-        assert low_watermark([[2, 5], [1]], 2) == [1, -1]
+        clocks = array("q", [2, 5, -1, -1, 1, -1, -1, -1])
+        assert low_watermark_flat(clocks, 4, 2) == [1, -1]
 
     def test_stable_digest_distinguishes_key_value_splits(self):
         assert stable_digest("x", 1) == stable_digest("x", 1)

@@ -13,7 +13,6 @@ from repro.shard import (
     splittable,
     validate_range_summaries,
 )
-from repro.stream import iter_raw_records
 
 
 def _history(seed=3, n=120):
@@ -61,10 +60,6 @@ class TestSplitBoundaries:
         save_history(history, str(path), fmt="cobra")
         assert '"' in path.read_text()
         assert split_byte_ranges(str(path), 4, fmt="cobra") is None
-        # The parallel record iterator falls back to the (correct) serial
-        # parse, so records still match exactly.
-        serial = list(stream_raw_history(str(path), "cobra"))
-        assert list(iter_raw_records(str(path), fmt="cobra", jobs=2)) == serial
 
     def test_plume_unicode_line_separator_values_survive_split(self, tmp_path):
         # str.splitlines() would cut values on U+2028; the range parser must
@@ -163,26 +158,3 @@ class TestCrossRegionValidation:
         with pytest.raises(ParseError):
             validate_range_summaries(str(path), summaries, fmt="plume")
 
-
-class TestParallelRecordIteration:
-    @pytest.mark.parametrize("fmt,ext", FMT_EXTS)
-    def test_iter_raw_records_parallel_order_matches_serial(
-        self, tmp_path, monkeypatch, fmt, ext
-    ):
-        # Force the forked pool path even on a single-CPU machine.
-        import repro.shard.parallel as parallel
-
-        monkeypatch.setattr(parallel, "will_parallelize", lambda jobs: True)
-        path = tmp_path / f"h{ext}"
-        save_history(_history(seed=6), str(path), fmt=fmt)
-        serial = list(stream_raw_history(str(path), fmt))
-        fanned = list(iter_raw_records(str(path), fmt=fmt, jobs=2))
-        assert fanned == serial
-
-    def test_iter_raw_records_sequential_fallbacks(self, tmp_path):
-        path = tmp_path / "h.json"
-        save_history(_history(seed=6), str(path))
-        serial = list(stream_raw_history(str(path)))
-        # jobs=None and an unsplittable format both take the serial path.
-        assert list(iter_raw_records(str(path))) == serial
-        assert list(iter_raw_records(str(path), jobs=4)) == serial

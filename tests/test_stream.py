@@ -1,4 +1,4 @@
-"""Tests for the streaming checking subsystem (IncrementalChecker + parsers)."""
+"""Tests for the streaming checking subsystem (CompiledIncrementalChecker + parsers)."""
 
 import io
 import random
@@ -11,14 +11,19 @@ from repro.cli import main
 from repro.core import IsolationLevel, check
 from repro.core.model import History, Transaction, read, write
 from repro.core.violations import ViolationKind
-from repro.histories.formats import load_history, save_history, stream_history
+from repro.histories.formats import (
+    load_history,
+    save_history,
+    stream_history,
+    stream_raw_history,
+)
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import IncrementalChecker, check_stream
+from repro.stream import CompiledIncrementalChecker, check_stream_compiled
 
 from helpers import PAPER_VERDICTS, all_paper_histories
 
@@ -26,16 +31,11 @@ LEVELS = list(IsolationLevel)
 FORMAT_EXTS = [("native", ".json"), ("plume", ".plume"), ("dbcop", ".dbcop"), ("cobra", ".cobra")]
 
 
-def _unowned(txn):
-    """A fresh Transaction copy (History-owned ones carry dense ids)."""
-    return Transaction(txn.operations, committed=txn.committed, label=txn.label)
-
-
 def feed_in_order(history, checker):
     """Feed a history session by session (the on-disk file order)."""
     for sid, session in enumerate(history.sessions):
         for tid in session:
-            checker.append(sid, _unowned(history.transactions[tid]))
+            checker.append(sid, history.transactions[tid])
 
 
 def interleaved(history, rng):
@@ -52,7 +52,7 @@ def interleaved(history, rng):
         sid = rng.choice(live)
         tid = history.sessions[sid][positions[sid]]
         positions[sid] += 1
-        yield sid, _unowned(history.transactions[tid])
+        yield sid, history.transactions[tid]
 
 
 def assert_matches_batch(history, stream_results, check_messages=False):
@@ -145,7 +145,7 @@ class TestIncrementalCheckerParity:
     @pytest.mark.parametrize("name", sorted(PAPER_VERDICTS))
     def test_paper_histories_match_batch_exactly(self, name):
         history = all_paper_histories()[name]
-        checker = IncrementalChecker(num_sessions=history.num_sessions)
+        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
         feed_in_order(history, checker)
         # Labeled histories reproduce the batch witnesses verbatim.
         assert_matches_batch(history, checker.finalize(), check_messages=True)
@@ -156,7 +156,7 @@ class TestIncrementalCheckerParity:
             RandomHistoryConfig(num_sessions=3, num_transactions=15, seed=5)
         )
         history = inject_anomaly(base, kind)
-        checker = IncrementalChecker(num_sessions=history.num_sessions)
+        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
         feed_in_order(history, checker)
         assert_matches_batch(history, checker.finalize())
 
@@ -165,17 +165,17 @@ class TestIncrementalCheckerParity:
         t_read = Transaction([read("x", 1)], label="reader")
         t_write = Transaction([write("x", 1)], label="writer")
         history = History.from_sessions([[t_write], [t_read]])
-        checker = IncrementalChecker(num_sessions=2)
-        checker.append(1, _unowned(t_read))
+        checker = CompiledIncrementalChecker(num_sessions=2)
+        checker.append(1, t_read)
         assert checker.violations == []  # not witnessable yet
-        checker.append(0, _unowned(t_write))
+        checker.append(0, t_write)
         assert_matches_batch(history, checker.finalize())
 
     def test_single_session_uses_linear_specialization(self):
         history = History.from_sessions(
             [[Transaction([write("x", 1)]), Transaction([read("x", 1)])]]
         )
-        checker = IncrementalChecker(num_sessions=1)
+        checker = CompiledIncrementalChecker(num_sessions=1)
         feed_in_order(history, checker)
         result = checker.finalize()[IsolationLevel.READ_ATOMIC]
         assert result.checker == "awdit-stream-1session"
@@ -185,12 +185,12 @@ class TestIncrementalCheckerParity:
         t1 = Transaction([write("x", 1), read("y", 1)], label="t1")
         t2 = Transaction([write("y", 1), read("x", 1)], label="t2")
         history = History.from_sessions([[t1], [t2]])
-        checker = IncrementalChecker(num_sessions=2)
+        checker = CompiledIncrementalChecker(num_sessions=2)
         feed_in_order(history, checker)
         assert_matches_batch(history, checker.finalize(), check_messages=True)
 
     def test_append_after_finalize_rejected(self):
-        checker = IncrementalChecker()
+        checker = CompiledIncrementalChecker()
         checker.finalize()
         with pytest.raises(RuntimeError):
             checker.append(0, Transaction([write("x", 1)]))
@@ -198,14 +198,14 @@ class TestIncrementalCheckerParity:
 
 class TestEarlyReporting:
     def test_read_violations_witnessed_before_finalize(self):
-        checker = IncrementalChecker()
+        checker = CompiledIncrementalChecker()
         checker.append(0, Transaction([write("x", 1), write("x", 2)], label="w"))
         checker.append(1, Transaction([read("x", 1)], label="r"))
         kinds = [v.kind for v in checker.violations]
         assert ViolationKind.NOT_LATEST_WRITE in kinds
 
     def test_aborted_read_witnessed_when_writer_arrives(self):
-        checker = IncrementalChecker()
+        checker = CompiledIncrementalChecker()
         checker.append(0, Transaction([read("x", 1)], label="r"))
         assert checker.violations == []
         checker.append(1, Transaction([write("x", 1)], committed=False, label="a"))
@@ -213,13 +213,13 @@ class TestEarlyReporting:
         assert kinds == [ViolationKind.ABORTED_READ]
 
     def test_operations_are_not_retained(self):
-        checker = IncrementalChecker()
+        checker = CompiledIncrementalChecker()
         for i in range(20):
             checker.append(0, Transaction([write("x", i), read("x", i)]))
-        # The streaming state keeps transaction-level summaries only: once a
-        # transaction is folded in, its per-read records are dropped.
-        assert all(txn.reads == [] for txn in checker._txns)
-        assert not hasattr(checker._txns[0], "operations")
+        # The streaming state keeps transaction-level columns only: once a
+        # transaction is folded in, no per-read records stay resident.
+        assert not checker._live_reads
+        assert not checker._prefold
 
 
 class TestStreamingProperties:
@@ -245,8 +245,9 @@ class TestStreamingProperties:
     )
     def test_streaming_matches_batch_on_random_histories(self, config, order_seed):
         history = generate_random_history(config)
-        checker = IncrementalChecker(num_sessions=history.num_sessions)
-        checker.extend(interleaved(history, random.Random(order_seed)))
+        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
+        for sid, txn in interleaved(history, random.Random(order_seed)):
+            checker.append(sid, txn)
         results = checker.finalize()
         for level in LEVELS:
             batch = check(history, level)
@@ -275,8 +276,9 @@ class TestLargeStreamedLog:
         history = generate_random_history(config)
         path = tmp_path / "large.plume"
         save_history(history, str(path), fmt="plume")
-        result = check_stream(
-            stream_history(str(path), fmt="plume"), IsolationLevel.CAUSAL_CONSISTENCY
+        result = check_stream_compiled(
+            stream_raw_history(str(path), fmt="plume"),
+            IsolationLevel.CAUSAL_CONSISTENCY,
         )
         assert result.is_consistent
         assert result.num_operations == history.num_operations
