@@ -53,7 +53,6 @@ from repro.histories.generator import (
     generate_random_history,
     generate_random_stream,
 )
-from repro.shard.parallel import effective_cpus
 from repro.stream import check_stream_file
 
 TOLERANCE = 1.25  # fail when current > baseline * TOLERANCE
@@ -63,6 +62,16 @@ _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH7_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_7.json"))
 BENCH8_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_8.json"))
 BENCH10_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_10.json"))
+
+
+def effective_cpus() -> int:
+    """CPUs actually usable by this process (affinity-aware)."""
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
 
 
 def _best_of(fn, repeats: int = REPEATS) -> float:

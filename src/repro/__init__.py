@@ -22,7 +22,9 @@ The package is organised as follows:
   paper's conditional lower bounds.
 * :mod:`repro.stream` -- the streaming (online) checking engine: an online
   checker that consumes transactions as they arrive and pairs with the
-  iterator-based format parsers to check logs larger than RAM in one pass.
+  iterator-based format parsers to check a log in one pass without holding
+  its operations.  ``--retire`` bounds the fold's resident state; finalize
+  still needs memory proportional to the inferred CC edges.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
 Quickstart::

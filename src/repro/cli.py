@@ -60,34 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help=(
-            "check the file in one streaming pass (memory proportional to live "
-            "state, not history size) with the online checker; only the awdit "
-            "checker supports this, and --engine object|sharded and --jobs "
-            "are batch-only"
+            "check the file in one streaming pass (the fold keeps live state, "
+            "not operations) with the online checker; only the awdit "
+            "checker supports this, and --engine object is batch-only"
         ),
     )
     check_parser.add_argument(
         "--engine",
         default="auto",
-        choices=["auto", "compiled", "sharded", "object"],
+        choices=["auto", "compiled", "object"],
         help=(
             "batch checking engine: 'compiled' runs on the interned array IR "
-            "(default via 'auto'), 'sharded' additionally parallelizes "
-            "across --jobs worker processes, 'object' runs the reference "
-            "object-model checkers; --stream has one engine and accepts only "
+            "(default via 'auto'), 'object' runs the reference object-model "
+            "checkers; --stream has one engine and accepts only "
             "auto/compiled; conflicts with baseline checkers"
-        ),
-    )
-    check_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "check with N worker processes: shards the batch engines "
-            "(selects the sharded engine; conflicts with --stream, "
-            "--engine object|compiled and baseline checkers)"
         ),
     )
     check_parser.add_argument(
@@ -128,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--retire",
         action="store_true",
         help=(
-            "with --stream: bound resident memory via watermark-based "
-            "retirement -- fully folded transactions rotate into archival "
-            "segments and their summaries are compacted away; output stays "
+            "with --stream: bound the fold's resident state via "
+            "watermark-based retirement -- fully folded transactions rotate "
+            "into archival segments and their summaries are compacted away; "
+            "finalize still reloads the spilled inferred CC edges, so the "
+            "whole check needs memory proportional to them; output stays "
             "byte-identical to a non-retiring run, or the check refuses "
             "with a clear diagnostic when the history needed evicted state"
         ),
@@ -216,17 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stats_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "ingest through N shard builders and also report the per-shard "
-            "intern-table cardinalities the merge reconciles"
-        ),
-    )
-    stats_parser.add_argument(
         "--retire",
         action="store_true",
         help=(
@@ -256,13 +233,13 @@ def _conflict(message: str) -> int:
 def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Optional[str]:
     """The flag-conflict message for ``awdit check``, or ``None`` if coherent.
 
-    Rejected: baseline checkers with awdit-engine flags, the single-process
-    engines with ``--jobs``, batch-only engine choices under ``--stream``,
-    and checkpointing or retirement outside streaming mode.
+    Rejected: a negative ``--witnesses``, baseline checkers with
+    awdit-engine flags, batch-only engine choices under ``--stream``, and
+    checkpointing or retirement outside streaming mode.
     """
     is_baseline = checker_name not in ("awdit", "default")
-    if args.jobs is not None and args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
+    if args.witnesses < 0:
+        return f"--witnesses must be >= 0, got {args.witnesses}"
     if args.batch_ops is not None:
         if args.batch_ops < 1:
             return f"--batch-ops must be >= 1, got {args.batch_ops}"
@@ -326,11 +303,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
                 f"--stream has one online checker; --engine {args.engine} is "
                 "batch-only (drop --engine or --stream)"
             )
-        if args.jobs is not None:
-            return (
-                "--stream is single-process; --jobs shards the batch engines "
-                "(drop --jobs or --stream)"
-            )
         return None
     if is_baseline:
         if checker_name not in BASELINE_REGISTRY:
@@ -341,16 +313,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
                 f"{args.checker!r} has its own implementation (drop --engine "
                 f"or --checker)"
             )
-        if args.jobs is not None:
-            return (
-                f"--jobs shards the awdit engine; baseline checker "
-                f"{args.checker!r} is single-process (drop --jobs or --checker)"
-            )
-    if args.engine in ("object", "compiled") and args.jobs is not None:
-        return (
-            f"--jobs requires the sharded engine; the {args.engine!r} engine "
-            "is single-process (drop --jobs or use --engine sharded)"
-        )
     return None
 
 
@@ -361,7 +323,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
 _PROFILE_PHASES = (
     ("parse", ""),
     ("build", ""),
-    ("ingest", ""),  # sharded parse+build, fused across parallel workers
     ("fold", ""),  # streaming: whole online fold, split into the laps below
     ("fold_intern", "  "),
     ("fold_dispatch", "  "),
@@ -446,7 +407,10 @@ def _retire_policy(args: argparse.Namespace):
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    level = IsolationLevel.from_string(args.isolation)
+    try:
+        level = IsolationLevel.from_string(args.isolation)
+    except ValueError as exc:
+        return _conflict(f"{exc}; expected rc, ra or cc")
     checker_name = args.checker.lower()
     conflict = _check_flag_conflicts(args, checker_name)
     if conflict is not None:
@@ -479,40 +443,7 @@ def _run_check(args: argparse.Namespace) -> int:
             timings=profile_timings,
         )
     elif checker_name in ("awdit", "default"):
-        engine = args.engine
-        if engine == "auto" and args.jobs is not None:
-            engine = "sharded"
-        if engine == "sharded":
-            from repro.shard import default_jobs, load_compiled_sharded, will_parallelize
-
-            jobs = args.jobs if args.jobs is not None else default_jobs()
-            if will_parallelize(jobs):
-                if profile_timings is not None:
-                    # The sharded ingest fuses parse and build across its
-                    # workers; report the combined phase rather than
-                    # silently dropping it from the profile.
-                    ingest_start = time.perf_counter()
-                compiled = load_compiled_sharded(
-                    args.history, jobs, fmt=args.format, batch_ops=args.batch_ops
-                )
-                if profile_timings is not None:
-                    profile_timings["ingest"] = time.perf_counter() - ingest_start
-            else:
-                # The check will fall back to the single-process engine, so
-                # skip the shard-merge ingest overhead as well.
-                from repro.histories.formats import load_compiled
-
-                compiled = load_compiled(
-                    args.history,
-                    fmt=args.format,
-                    timings=profile_timings,
-                    batch_ops=args.batch_ops,
-                )
-            result = check(
-                compiled, level, max_witnesses=args.witnesses,
-                engine="sharded", jobs=jobs,
-            )
-        elif engine in ("auto", "compiled"):
+        if args.engine in ("auto", "compiled"):
             # The compiled path can ingest the file without materializing
             # the object model at all.
             from repro.histories.formats import load_compiled
@@ -549,8 +480,20 @@ def _run_generate(args: argparse.Namespace) -> int:
     from repro.db.profiles import profile_by_name, with_overrides
     from repro.workloads import collect_history, workload_by_name
 
-    workload = workload_by_name(args.workload)
-    profile = profile_by_name(args.database)
+    if args.sessions < 1:
+        return _conflict(f"--sessions must be >= 1, got {args.sessions}")
+    if args.transactions < 0:
+        return _conflict(f"--transactions must be >= 0, got {args.transactions}")
+    modes = [mode.value for mode in IsolationMode]
+    if args.isolation_mode and args.isolation_mode not in modes:
+        return _conflict(
+            f"unknown --isolation-mode {args.isolation_mode!r}; known: {modes}"
+        )
+    try:
+        workload = workload_by_name(args.workload)
+        profile = profile_by_name(args.database)
+    except ValueError as exc:
+        return _conflict(str(exc))
     if args.isolation_mode:
         profile = with_overrides(profile, isolation=IsolationMode(args.isolation_mode))
     profile = with_overrides(profile, seed=args.seed)
@@ -594,21 +537,8 @@ def _run_stats(args: argparse.Namespace) -> int:
             "--retire bounds the online streaming state; it requires --stream"
         )
     if args.stream:
-        if args.jobs is not None:
-            return _conflict(
-                "--stream reports the online core's live state; it conflicts "
-                "with the --jobs shard-merge report (drop one)"
-            )
         return _run_stats_stream(args)
-    shard_stats = None
-    if args.jobs is not None:
-        if args.jobs < 1:
-            return _conflict(f"--jobs must be >= 1, got {args.jobs}")
-        from repro.shard import sharded_ingest
-
-        compiled, shard_stats = sharded_ingest(args.history, args.jobs, fmt=args.format)
-    else:
-        compiled = load_compiled(args.history, fmt=args.format)
+    compiled = load_compiled(args.history, fmt=args.format)
     print(compiled.describe())
     txn_start = compiled.txn_start
     sizes = [
@@ -633,21 +563,6 @@ def _run_stats(args: argparse.Namespace) -> int:
         f"(arrays {footprint['arrays_bytes'] / 1024:.1f} KiB, "
         f"intern tables {footprint['intern_tables_bytes'] / 1024:.1f} KiB)"
     )
-    if shard_stats is not None:
-        # Pre-merge shard cardinalities: how much intern-table state the
-        # shard merge had to reconcile (keys/values interned per shard sum
-        # to more than the merged tables whenever shards overlap).
-        print(f"  shard merge ({len(shard_stats)} shards):")
-        for entry in shard_stats:
-            print(
-                f"    shard {entry.shard}: txns={entry.transactions} "
-                f"sessions={entry.sessions} keys={entry.keys} "
-                f"values={entry.values}"
-            )
-        print(
-            f"    merged : keys={compiled.num_keys} values={compiled.num_values} "
-            f"sessions={compiled.num_sessions}"
-        )
     return 0
 
 

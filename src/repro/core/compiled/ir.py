@@ -501,66 +501,6 @@ class CompiledHistoryBuilder:
             buf.txn_end.append(len(buf.kind))
             lo = hi
 
-    @property
-    def num_transactions(self) -> int:
-        """Number of transactions buffered so far."""
-        return sum(len(buf.committed) for buf in self._buffers)
-
-    @property
-    def num_keys(self) -> int:
-        """Number of distinct keys interned so far."""
-        return len(self._key_table)
-
-    @property
-    def num_values(self) -> int:
-        """Number of distinct values interned so far."""
-        return len(self._value_table)
-
-    @property
-    def num_sessions(self) -> int:
-        """Number of distinct external sessions seen so far."""
-        return len(self._buffers)
-
-    def absorb(self, other: "CompiledHistoryBuilder") -> None:
-        """Merge another builder's buffered transactions into this one.
-
-        This is the shard-merge primitive: per-shard builders intern keys and
-        values independently, so ``other``'s ids are remapped through this
-        builder's tables (``other.key_table.values[i] -> self.intern(...)``)
-        and its per-session buffers are appended.  Sessions are matched by
-        external id; ``other``'s transactions come after any already buffered
-        for the same session, so shard routing must keep each session's
-        transactions in one shard (arrival order within a session cannot be
-        reconstructed across shards).
-
-        ``other`` is left logically empty afterwards.
-        """
-        key_map = array(
-            "q", (self._key_table.intern(obj) for obj in other._key_table.values)
-        )
-        value_map = array(
-            "q", (self._value_table.intern(obj) for obj in other._value_table.values)
-        )
-        for external, osid in other._session_ids.items():
-            obuf = other._buffers[osid]
-            sid = self._session_ids.get(external)
-            if sid is None:
-                sid = len(self._buffers)
-                self._session_ids[external] = sid
-                self._buffers.append(self._SessionBuffer())
-            buf = self._buffers[sid]
-            base_txn = len(buf.committed)
-            base_ops = len(buf.kind)
-            buf.kind.extend(obuf.kind)
-            buf.key.extend(key_map[k] for k in obuf.key)
-            buf.value.extend(value_map[v] for v in obuf.value)
-            buf.txn_end.extend(base_ops + end for end in obuf.txn_end)
-            buf.committed.extend(obuf.committed)
-            for pos, label in obuf.labels.items():
-                buf.labels[base_txn + pos] = label
-        other._buffers = []
-        other._session_ids = {}
-
     def finalize(
         self, sort_sessions: bool = True, fill_gaps: bool = False
     ) -> CompiledHistory:

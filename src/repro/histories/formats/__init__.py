@@ -74,11 +74,20 @@ def _module_for(fmt: Optional[str], path: str):
     return FORMATS[name]
 
 
+def _decode_error(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """The :class:`ParseError` for a history file that is not UTF-8 text."""
+    byte = exc.object[exc.start]
+    return ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
+
+
 def load_history(path: str, fmt: Optional[str] = None) -> History:
     """Load a history from ``path`` in the given (or detected) format."""
     module = _module_for(fmt, path)
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
     return module.loads(text)  # type: ignore[attr-defined]
 
 
@@ -98,8 +107,8 @@ def stream_history(
     Unlike :func:`load_history`, the file is parsed incrementally and the
     history is never materialized; memory stays proportional to one
     transaction (plus the parser's sliding buffer).  Feed the pairs to
-    :meth:`repro.stream.CompiledIncrementalChecker.append` to check logs
-    larger than RAM.
+    :meth:`repro.stream.CompiledIncrementalChecker.append` to check a log
+    without materializing it.
     Parse failures carry the file path next to the parser's line context.
     """
     module = _module_for(fmt, path)
@@ -110,6 +119,8 @@ def stream_history(
                 yield item
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
 
 
 def stream_raw_history(
@@ -128,6 +139,8 @@ def stream_raw_history(
                 yield item
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
 
 
 def stream_raw_batches(
@@ -150,6 +163,8 @@ def stream_raw_batches(
                 yield batch
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
 
 
 def load_compiled(

@@ -6,9 +6,7 @@ session ids, labels, committed flags, source lines) covering up to
 ``batch_ops`` operations each.  The batch layer exists so the hot consumers
 -- :meth:`repro.core.compiled.ir.CompiledHistoryBuilder.add_batch` and
 :meth:`repro.core.compiled.online.CompiledIncrementalChecker.append_batch`
--- can bulk-intern whole columns and amortize per-record dispatch, and so
-parallel ingestion ships one picklable column container per region instead
-of thousands of nested tuples.
+-- can bulk-intern whole columns and amortize per-record dispatch.
 
 The per-record view is preserved on top of it: ``stream_ops`` yields
 ``(session_id, raw)`` pairs where ``raw`` is a :data:`RawTransaction`
@@ -20,7 +18,7 @@ tuples), and the object-yielding ``stream`` iterators wrap that with
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.model import Operation, OpKind, Transaction
 
@@ -53,7 +51,7 @@ class RecordBatch:
     ``txn_end``).  Record ``t`` owns the operation rows
     ``txn_end[t-1]:txn_end[t]`` (``txn_end`` is cumulative, ``txn_end[-1]``
     is the total op count).  ``txn_line`` records each record's source line
-    (0 when the producer has no line numbers, e.g. a mid-file byte region).
+    (0 when the producer has no line numbers).
     """
 
     __slots__ = (
@@ -162,56 +160,6 @@ class RecordBatch:
         out.txn_labels = self.txn_labels[skip:]
         out.txn_committed = self.txn_committed[skip:]
         out.txn_line = self.txn_line[skip:]
-        return out
-
-    def _append_slice(self, other: "RecordBatch", t: int, lo: int, hi: int) -> None:
-        """Append record ``t`` of ``other`` (op rows ``lo:hi``) to this batch."""
-        self.kinds += other.kinds[lo:hi]
-        self.keys.extend(other.keys[lo:hi])
-        self.values.extend(other.values[lo:hi])
-        self.txn_session.append(other.txn_session[t])
-        self.txn_labels.append(other.txn_labels[t])
-        self.txn_committed.append(other.txn_committed[t])
-        self.txn_line.append(other.txn_line[t])
-        self.txn_end.append(len(self.kinds))
-
-    def partition(
-        self, num_shards: int, shard_of: Callable[[object, int], int]
-    ) -> List[Optional["RecordBatch"]]:
-        """Split into per-shard sub-batches by ``shard_of(session, num_shards)``.
-
-        Entry ``s`` holds shard ``s``'s records in their original relative
-        order (``None`` when the shard got nothing), so feeding each
-        sub-batch to its shard builder reproduces per-record routing
-        exactly -- including each shard's intern-table order.
-        """
-        parts: List[Optional[RecordBatch]] = [None] * num_shards
-        lo = 0
-        for t, hi in enumerate(self.txn_end):
-            shard = shard_of(self.txn_session[t], num_shards)
-            sub = parts[shard]
-            if sub is None:
-                sub = parts[shard] = RecordBatch()
-            sub._append_slice(self, t, lo, hi)
-            lo = hi
-        return parts
-
-    def filter_records(
-        self, keep: Callable[[object], bool]
-    ) -> Optional["RecordBatch"]:
-        """Sub-batch of the records whose session satisfies ``keep``.
-
-        Order-preserving; returns ``None`` when nothing matches (the
-        replicated parallel-parse workers drop most batches whole).
-        """
-        out: Optional[RecordBatch] = None
-        lo = 0
-        for t, hi in enumerate(self.txn_end):
-            if keep(self.txn_session[t]):
-                if out is None:
-                    out = RecordBatch()
-                out._append_slice(self, t, lo, hi)
-            lo = hi
         return out
 
 

@@ -14,6 +14,7 @@ possible and kept as strings otherwise.
 
 from __future__ import annotations
 
+import io
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -30,10 +31,6 @@ __all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
 
 #: Sparse session ids are compacted, not filled (matching ``loads``).
 COMPILED_SESSION_GAPS = False
-
-#: One transaction per line: any newline is a record boundary, so the format
-#: supports byte-range splitting (:mod:`repro.shard.split`).
-BYTE_RANGE_RECORDS = "line"
 
 _OP_PATTERN = re.compile(r"([RW])\(([^,()]+),([^()]*)\)")
 _LINE_PATTERN = re.compile(
@@ -147,10 +144,7 @@ def _parse_line_into(batch: RecordBatch, line_number: int, raw_line: str) -> boo
 
 
 def stream_batches(
-    handle: Iterable[str],
-    batch_ops: Optional[int] = None,
-    allow_empty: bool = False,
-    labels_out: Optional[Dict[int, set]] = None,
+    handle: Iterable[str], batch_ops: Optional[int] = None
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
@@ -163,18 +157,13 @@ def stream_batches(
     Errors surface immediately with the offending line's context; the
     partially-filled batch holding earlier, well-formed records is
     discarded, never yielded.
-
-    ``allow_empty`` and ``labels_out`` exist for the byte-range splitter
-    (:mod:`repro.shard.split`): a mid-file region may legitimately hold no
-    records, and ``labels_out`` exposes the per-session label sets so the
-    duplicate check can run *across* regions at merge time.
     """
     if batch_ops is None:
         batch_ops = DEFAULT_BATCH_OPS
     if batch_ops < 1:
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
     empty = True
-    seen_labels: Dict[int, set] = labels_out if labels_out is not None else {}
+    seen_labels: Dict[int, set] = {}
     batch = RecordBatch()
     for line_number, raw_line in enumerate(handle, start=1):
         if not _parse_line_into(batch, line_number, raw_line):
@@ -194,24 +183,18 @@ def stream_batches(
             batch = RecordBatch()
     if len(batch.txn_end):
         yield batch
-    if empty and not allow_empty:
+    if empty:
         raise ParseError("history file contains no transactions")
 
 
-def stream_ops(
-    handle: Iterable[str],
-    allow_empty: bool = False,
-    labels_out: Optional[Dict[int, set]] = None,
-) -> Iterator[Tuple[int, RawTransaction]]:
+def stream_ops(handle: Iterable[str]) -> Iterator[Tuple[int, RawTransaction]]:
     """Iterate raw ``(session_id, (label, committed, ops))`` records.
 
     The per-record unbatching shim over :func:`stream_batches`;
     ``batch_ops=1`` keeps the legacy error timing exactly (every record is
     yielded before the line after it can raise).
     """
-    for batch in stream_batches(
-        handle, batch_ops=1, allow_empty=allow_empty, labels_out=labels_out
-    ):
+    for batch in stream_batches(handle, batch_ops=1):
         for record in batch.iter_records():
             yield record
 
@@ -229,7 +212,9 @@ def loads(text: str) -> History:
     """Parse a history from the line-oriented text format."""
     sessions: Dict[int, List[Transaction]] = {}
     # stream() rejects input with no transactions, so `sessions` is non-empty.
-    for sid, transaction in stream(text.splitlines()):
+    # Split lines like the file readers do (newline=""): str.splitlines()
+    # would also cut values on U+2028 and the other Unicode line breaks.
+    for sid, transaction in stream(io.StringIO(text, newline="")):
         sessions.setdefault(sid, []).append(transaction)
     ordered = [sessions[sid] for sid in sorted(sessions)]
     return History.from_sessions(ordered)

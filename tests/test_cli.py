@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_history, save_history
 
 from helpers import fig_4a, fig_4d
@@ -52,7 +53,7 @@ class TestCheckCommand:
         save_history(fig_4d(), str(path))
         assert main(["check", str(path), "-i", "read atomic"]) == 0
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "sharded", "object"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
     def test_engines_agree_on_verdict_and_witnesses(self, tmp_path, capsys, engine):
         path = tmp_path / "bad.json"
         save_history(fig_4a(), str(path))
@@ -60,13 +61,25 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "cycle" in out
 
-    @pytest.mark.parametrize("jobs", ["1", "2", "4"])
-    def test_jobs_flag_checks_sharded(self, tmp_path, capsys, jobs):
-        path = tmp_path / "bad.json"
-        save_history(fig_4a(), str(path))
-        assert main(["check", str(path), "-i", "rc", "--jobs", jobs]) == 1
-        out = capsys.readouterr().out
-        assert "VIOLATION" in out and "cycle" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--jobs", "2"],
+            ["check", "-j", "2"],
+            ["check", "--engine", "sharded"],
+            ["stats", "--jobs", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_engine_options_rejected_by_argparse(self, tmp_path, capsys, argv):
+        path = tmp_path / "h.json"
+        save_history(fig_4d(), str(path))
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(path)] + argv[1:])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
 
     def test_stream_profile_reports_fold_laps_and_gc_counts(self, tmp_path, capsys):
         path = tmp_path / "bad.plume"
@@ -82,6 +95,36 @@ class TestCheckCommand:
         assert main(["check", str(missing)] + mode) == 2
         err = capsys.readouterr().err
         assert err.startswith("awdit: error:") and str(missing) in err
+
+    @pytest.mark.parametrize(
+        "fmt,ext",
+        [("native", ".json"), ("plume", ".plume"), ("dbcop", ".dbcop"), ("cobra", ".cobra")],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["check", "--stream"],
+            ["check", "--engine", "object"],
+            ["stats"],
+            ["stats", "--stream"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_utf8_history_exits_two(self, tmp_path, capsys, fmt, ext, argv):
+        history = History.from_sessions(
+            [
+                [Transaction([write("x", "PLACEHOLDER")])],
+                [Transaction([read("x", "PLACEHOLDER")])],
+            ]
+        )
+        path = tmp_path / f"bad{ext}"
+        save_history(history, str(path), fmt=fmt)
+        path.write_bytes(path.read_bytes().replace(b"PLACEHOLDER", b"\xff\xfe"))
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"awdit: error: {path}: not UTF-8")
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         path = tmp_path / "h.plume"
@@ -99,9 +142,9 @@ class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
     ``--stream`` has one online checker (``--engine auto|compiled``); what
-    is rejected is baseline checkers with awdit-engine flags, ``--jobs`` on
-    the single-process engines and on ``--stream``, the batch-only engines
-    under ``--stream``, and checkpointing or retirement outside streaming.
+    is rejected is baseline checkers with awdit-engine flags, the batch-only
+    engine under ``--stream``, checkpointing or retirement outside
+    streaming, and out-of-range values.
     """
 
     @pytest.fixture()
@@ -115,17 +158,9 @@ class TestCheckFlagConflicts:
         [
             ["--checker", "plume", "--engine", "compiled"],
             ["--checker", "plume", "--engine", "object"],
-            ["--checker", "plume", "--jobs", "2"],
             ["--checker", "plume", "--stream"],
-            ["--engine", "object", "--jobs", "2"],
-            ["--engine", "compiled", "--jobs", "2"],
-            ["--jobs", "0"],
             ["--stream", "--engine", "object"],
-            ["--stream", "--engine", "sharded"],
-            ["--stream", "--jobs", "2"],
-            ["--stream", "--engine", "sharded", "--jobs", "2"],
             ["--stream", "--engine", "object", "--retire"],
-            ["--stream", "--engine", "object", "--jobs", "2"],
             ["--stream", "--engine", "object", "--checkpoint", "state.awd"],
             ["--stream", "--checkpoint", "state.awd", "--checkpoint-every", "0"],
             ["--stream", "--checkpoint-every", "100"],
@@ -140,13 +175,26 @@ class TestCheckFlagConflicts:
             ["--stream", "--retire", "--retire-every", "0"],
             ["--stream", "--retire", "--checkpoint", "state.awd"],
             ["--stream", "--retire", "--checker", "plume"],
+            ["-i", "xx"],
+            ["-i", "xx", "--stream"],
+            ["-w", "-1"],
+            ["-w", "-1", "--stream"],
         ],
         ids=lambda flags: " ".join(flags),
     )
     def test_conflicting_flags_exit_two(self, history_path, capsys, flags):
         assert main(["check", history_path, "-i", "cc"] + flags) == 2
-        err = capsys.readouterr().err
-        assert "awdit: error:" in err or "--stream" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("awdit: error:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_zero_witnesses_stays_legal(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        save_history(fig_4a(), str(path))  # one violation at RC
+        assert main(["check", str(path), "-i", "rc", "-w", "0"]) == 1
+        assert "VIOLATION" in capsys.readouterr().out
+        assert main(["check", str(path), "-i", "rc", "-w", "-1"]) == 2
 
     @pytest.mark.parametrize(
         "flags",
@@ -284,6 +332,26 @@ class TestGenerateCommand:
         assert code == 0
         assert json.loads(out.read_text())["sessions"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workload", "nosuch"],
+            ["--database", "nosuch"],
+            ["--isolation-mode", "nosuch"],
+            ["--sessions", "0"],
+            ["--transactions", "-3"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_generate_inputs_exit_two(self, tmp_path, capsys, flags):
+        out = tmp_path / "never.json"
+        assert main(["generate", str(out), "--transactions", "5"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("awdit: error:")
+        assert len(captured.err.splitlines()) == 1
+        assert flags[1] in captured.err
+        assert not out.exists()
+
 
 class TestConvertAndStats:
     def test_convert_between_formats(self, tmp_path, capsys):
@@ -313,23 +381,6 @@ class TestConvertAndStats:
         assert "interned sessions      : 2" in output
         assert "compiled footprint" in output and "KiB" in output
 
-    def test_stats_jobs_reports_shard_merge_cardinalities(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--jobs", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "shard merge (2 shards):" in output
-        assert "shard 0:" in output and "shard 1:" in output
-        assert "merged : keys=1 values=2 sessions=2" in output
-        # The single-shard summary lines are unchanged.
-        assert "distinct keys          : 1" in output
-
-    def test_stats_invalid_jobs_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--jobs", "0"]) == 2
-        assert "awdit: error:" in capsys.readouterr().err
-
     def test_stats_stream_reports_live_state_peaks(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         save_history(fig_4a(), str(path))
@@ -339,9 +390,3 @@ class TestConvertAndStats:
         assert "pending reads" in output
         assert "interned keys          : 1" in output
         assert "writes index entries   : 2" in output
-
-    def test_stats_stream_conflicts_with_jobs(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--stream", "--jobs", "2"]) == 2
-        assert "awdit: error:" in capsys.readouterr().err

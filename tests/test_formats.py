@@ -7,6 +7,7 @@ from repro.core.exceptions import ParseError, UsageError
 from repro.histories.formats import (
     FORMATS,
     detect_format,
+    load_compiled,
     load_history,
     save_history,
 )
@@ -81,6 +82,22 @@ class TestParseErrors:
     def test_plume_rejects_empty_file(self):
         with pytest.raises(ParseError):
             plume_text.loads("# only a comment\n")
+
+    def test_plume_unicode_line_separator_values_load_like_the_stream(self, tmp_path):
+        # Records end at newlines only: a U+2028 inside a value must reach
+        # the object engine's loader intact, as it does the streaming readers.
+        path = tmp_path / "u2028.plume"
+        path.write_text(
+            "session=0 txn=a committed ops= W(x,weird\u2028value)\n"
+            "session=1 txn=b committed ops= R(x,weird\u2028value)\n",
+            encoding="utf-8",
+        )
+        history = load_history(str(path))
+        assert history.transactions[0].operations[0].value == "weird\u2028value"
+        compiled = load_compiled(str(path))
+        for level in IsolationLevel:
+            assert check(history, level, engine="object").is_consistent
+            assert check(compiled, level).is_consistent
 
     def test_cobra_rejects_wrong_column_count(self):
         with pytest.raises(ParseError):

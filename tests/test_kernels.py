@@ -3,7 +3,7 @@
 The kernels module is the single home of the CC/RC/RA saturation loops, each
 existing twice -- numpy-vectorized and pure-Python fallback, selected like
 ``csr.freeze_packed``.  These tests pin the contract every consumer (batch
-checkers, shard workers, online fold) relies on:
+checkers, online fold) relies on:
 
 * the two implementations emit *byte-identical* packed co logs and key rows,
   in the identical order, on arbitrary histories including injected
@@ -11,8 +11,6 @@ checkers, shard workers, online fold) relies on:
   vectorized path runs even on tiny inputs);
 * whole-check results (verdicts, violation kinds, witness renderings) never
   depend on which implementation ran;
-* the shard workers' injected ``scratch`` pointer state is left pristine by
-  both implementations;
 * the online fold's deferred probe flush is bit-identical between the
   vectorized and scalar flush paths, for any record interleaving and any
   ``batch_ops``;
@@ -42,7 +40,6 @@ from repro.core.compiled.checkers import (
     compute_happens_before_compiled,
 )
 from repro.core.compiled.kernels import (
-    _writers_by_key_compiled,
     saturate_cc_compiled,
     saturate_ra_compiled,
     saturate_rc_compiled,
@@ -188,64 +185,6 @@ class TestKernelBitIdentity:
                 history, IsolationLevel.CAUSAL_CONSISTENCY, engine="compiled"
             )
         assert result.stats["saturation_kernel"] == "fallback"
-
-
-class TestScratchContract:
-    """The shard workers' injected CC pointer scratch stays pristine."""
-
-    def _history(self):
-        config = RandomHistoryConfig(
-            num_sessions=3,
-            num_transactions=60,
-            num_keys=5,
-            min_ops_per_txn=1,
-            max_ops_per_txn=4,
-            read_fraction=0.5,
-            seed=11,
-        )
-        return generate_random_history(config)
-
-    def _run_with_scratch(self, force_min=None):
-        history = self._history()
-        ch = compile_history(history)
-        relation = _relation_from_compiled(ch)
-        report = check_read_consistency_compiled(ch)
-        hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
-        assert hb is not None
-        writers = _writers_by_key_compiled(ch)
-        num_buckets = writers[1]
-        scratch = (
-            array("q", bytes(8 * num_buckets)),
-            array("q", [-1]) * num_buckets,
-            [],
-        )
-        for sid in range(len(ch.sessions)):
-            saturate_cc_compiled(
-                ch,
-                relation,
-                hb,
-                report.bad_ops,
-                sessions=(sid,),
-                writers_by_key=writers,
-                scratch=scratch,
-            )
-        ptrs, t2s, touched = scratch
-        assert not any(ptrs), "pointer row not reset"
-        assert all(value == -1 for value in t2s), "t2 row not reset"
-        assert touched == []
-        return relation._co_log.tobytes(), relation._co_keys.tobytes()
-
-    def test_fallback_leaves_scratch_pristine(self):
-        with _fallback():
-            self._run_with_scratch()
-
-    @needs_numpy
-    def test_vectorized_leaves_scratch_pristine(self, force_vectorized):
-        vec = self._run_with_scratch()
-        with _fallback():
-            fb = self._run_with_scratch()
-        # Session-restricted vectorized runs also match the fallback's log.
-        assert vec == fb
 
 
 @needs_numpy

@@ -1,9 +1,9 @@
 """The engine × mode parity matrix.
 
-Every batch engine (``object``, ``compiled``, ``sharded``) and the stream
-(one online checker) must produce byte-identical verdicts, violation
-messages, and inferred-edge counts -- including on aborted, weak-isolation,
-and anomaly-injected histories, and across a checkpoint/resume split of the
+Both batch engines (``object``, ``compiled``) and the stream (one online
+checker) must produce byte-identical verdicts, violation messages, and
+inferred-edge counts -- including on aborted, weak-isolation, and
+anomaly-injected histories, and across a checkpoint/resume split of the
 stream.  The object batch engine is the oracle; everything else is compared
 against it.
 """
@@ -20,15 +20,13 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.shard import check_sharded
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
-#: ``(engine, mode)`` cells: every batch engine, plus the one stream.
+#: ``(engine, mode)`` cells: both batch engines, plus the one stream.
 CELLS = (
     ("object", "batch"),
     ("compiled", "batch"),
-    ("sharded", "batch"),
     ("auto", "stream"),
 )
 
@@ -74,11 +72,6 @@ class TestEngineModeMatrix:
             for engine, mode in CELLS:
                 result = check(history, level, engine=engine, mode=mode)
                 _assert_same(reference, result, (engine, mode, level))
-            # The forked/inline shard pipeline itself (scratch relations,
-            # ordered merge) -- check() on one CPU would fall back to the
-            # sequential loops, so pin the tasked pipeline explicitly.
-            result = check_sharded(history, level, jobs=2, mode="inline")
-            _assert_same(reference, result, ("sharded-inline", level))
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_all_levels_matrix_per_anomaly(self, kind):
@@ -101,7 +94,7 @@ class TestEngineModeMatrix:
 
 
 class TestStreamFileCells:
-    """The on-disk streaming cells: ``--stream`` against every batch engine."""
+    """The on-disk streaming cells: ``--stream`` against both batch engines."""
 
     @pytest.fixture()
     def anomalous(self, tmp_path):
@@ -120,7 +113,7 @@ class TestStreamFileCells:
         save_history(history, str(path), fmt="plume")
         return history, str(path)
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "sharded", "object"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
     def test_file_stream_engines_agree(self, anomalous, engine):
         """The file stream matches batch ``engine`` on the same history."""
         history, path = anomalous
@@ -198,20 +191,22 @@ class TestDispatchErrors:
         with pytest.raises(ValueError):
             check(compile_history(history), mode="stream", engine="object")
 
-    def test_object_stream_rejects_jobs(self):
+    def test_removed_sharded_engine_is_unknown(self):
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
         )
-        with pytest.raises(ValueError):
-            check(history, mode="stream", engine="object", jobs=2)
+        for mode in ("batch", "stream"):
+            for entry in (check, check_all_levels):
+                with pytest.raises(ValueError, match="unknown engine 'sharded'"):
+                    entry(history, engine="sharded", mode=mode)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"engine": "object"}, {"engine": "sharded"}, {"jobs": 2}],
-        ids=["object", "sharded", "jobs"],
+        [{"engine": "object"}],
+        ids=["object"],
     )
     def test_stream_has_no_engine_choice(self, kwargs):
-        """Batch-only engines and jobs are refused in one line naming the remedy."""
+        """The batch-only engine is refused in one line naming the remedy."""
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
         )

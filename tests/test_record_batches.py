@@ -4,7 +4,7 @@
 ``stream_ops`` a per-record unbatching shim over it, so the two must
 agree record-for-record at any ``batch_ops`` -- including around error
 timing (a mid-batch ``ParseError`` still carries line and file context)
-and the byte-range splitter's refusal of cobra files with CSV quoting.
+and cobra values whose CSV quoting hides a newline or a comma.
 On top of the parse layer, the batch_ops streaming matrix over a saved
 file must stay byte-identical to the batch oracle
 (batch-boundary-straddling transactions included), resume must cut a
@@ -25,6 +25,7 @@ from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import (
     cobra,
     dbcop,
+    load_compiled,
     native,
     plume_text,
     save_history,
@@ -37,8 +38,6 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.shard import load_compiled_sharded
-from repro.shard.split import split_byte_ranges
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
@@ -163,7 +162,7 @@ class TestMidBatchParseErrors:
 
 
 class TestCobraQuotedValues:
-    """CSV quoting may hide newlines, so byte-range splitting refuses."""
+    """CSV quoting may hide newlines and commas inside values."""
 
     def _quoted_history(self):
         return History.from_sessions(
@@ -173,12 +172,11 @@ class TestCobraQuotedValues:
             ]
         )
 
-    def test_split_refused_but_serial_batches_parse(self, tmp_path):
+    def test_batches_keep_quoted_values(self, tmp_path):
         path = tmp_path / "quoted.cobra"
         save_history(self._quoted_history(), str(path), fmt="cobra")
         assert '"' in path.read_text(encoding="utf-8")
-        assert split_byte_ranges(str(path), 4, fmt="cobra") is None
-        # The serial parse keeps the embedded newline and comma intact.
+        # The parse keeps the embedded newline and comma intact.
         serial = [
             record
             for batch in stream_raw_batches(str(path), "cobra")
@@ -189,20 +187,18 @@ class TestCobraQuotedValues:
             "c,d" in [value for _, _, value in ops]
         )
 
-    def test_quoted_file_checks_identically_with_jobs(self, tmp_path):
-        # The stream, and the parallel sharded ingest (whose byte-range
-        # split refuses this file and falls back to replicated parses),
-        # both match the oracle.
+    def test_quoted_file_checks_identically(self, tmp_path):
+        # The stream and the batch compiled engine both match the oracle.
         path = tmp_path / "quoted.cobra"
         history = self._quoted_history()
         save_history(history, str(path), fmt="cobra")
-        sharded = load_compiled_sharded(str(path), 2, fmt="cobra", parallel=True)
+        compiled = load_compiled(str(path), fmt="cobra")
         for level in LEVELS:
             reference = check(history, level, engine="object")
             result = check_stream_file(path=str(path), level=level, fmt="cobra")
             _assert_same(reference, result, ("quoted-stream", level))
-            result = check(sharded, level, engine="sharded", jobs=2)
-            _assert_same(reference, result, ("quoted-jobs", level))
+            result = check(compiled, level)
+            _assert_same(reference, result, ("quoted-batch", level))
 
 
 class TestDuplicateWriteAfterFold:
