@@ -12,10 +12,8 @@ regression there cannot hide behind a happens-before or parse
 improvement -- the exact failure mode that would reappear if a kernel
 silently fell back to the pure-Python path (the guard also fails
 outright when numpy is importable but the batch check reports a
-fallback saturation kernel, the stream reports a fallback classify
-kernel, or a synthetic 64-session clock join above the
-``_MIN_JOIN_CELLS`` cutoff does not take the vectorized path).  The
-committed baselines are first rescaled by the
+fallback saturation kernel or the stream reports a fallback classify
+kernel).  The committed baselines are first rescaled by the
 machine-speed ratio of the :mod:`_calibration` kernel (its runtime on
 this runner vs the runtime recorded alongside the baselines), so a
 runner of a different hardware class compares against what *its own*
@@ -212,37 +210,6 @@ def main() -> int:
             f"{classify_kernel!r} classify kernel -- REGRESSION"
         )
         failed = True
-    if kernels.HAVE_NUMPY:
-        # The 8-session guard streams legitimately stay on the scalar
-        # clock join (below _MIN_JOIN_CELLS), so the vectorized path is
-        # tripwired directly: a synthetic 64-session join of 64 writer
-        # rows (4096 cells, above the cutoff) must report vectorized.
-        from array import array
-
-        stride = 64
-        hb_data = array("q", [(i * 7 + s * 3) % 97 - 1 for i in range(64) for s in range(stride)])
-        sc_data = array("q", [(s * 5) % 89 - 1 for s in range(stride)])
-        rows = list(range(64))
-        wsids = [i % stride for i in range(64)]
-        wsidxs = [(i * 11) % 103 for i in range(64)]
-        joined, vectorized = kernels.join_clocks(
-            hb_data, stride, sc_data, 0, rows, wsids, wsidxs
-        )
-        expected = kernels._join_clocks_fallback(
-            hb_data, stride, array("q", sc_data), 0, rows, wsids, wsidxs
-        )
-        if not vectorized:
-            print(
-                "perf-guard: numpy is importable but a 4096-cell clock "
-                "join took the fallback path -- REGRESSION"
-            )
-            failed = True
-        if list(joined) != list(expected):
-            print(
-                "perf-guard: vectorized clock join disagrees with the "
-                "fallback on the synthetic 64-session join -- REGRESSION"
-            )
-            failed = True
     for name, current, committed in (
         ("compiled batch CC", batch_seconds, batch_baseline),
         ("compiled batch CC saturation phase", saturation_seconds, saturation_baseline),

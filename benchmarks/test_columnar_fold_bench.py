@@ -16,12 +16,6 @@ cancels out):
   clocks or wr maps, so the fold loop stops paying per-record allocation
   and the collector stops walking ~100k live objects per gen-2 pass;
 * the ``batch_ops`` sweep re-measured (identical verdict per column);
-* ``join_clocks`` in isolation on a wide (64-session) synthetic join,
-  vectorized vs its own fallback.  The fig9 stream itself runs the
-  scalar path on purpose (8 sessions x 64 writer rows is below the
-  ``_MIN_JOIN_CELLS`` cutoff), so the stream's ``join_kernel`` stat
-  says ``fallback`` without that being a regression -- the micro bench
-  plus the ``perf_guard`` tripwire cover the vectorized path;
 * the streaming-phase peak RSS (VmHWM, subprocess probe identical to
   BENCH_8's) with retirement on, gated no worse than BENCH_8's retiring
   baseline -- columnar state must not trade speed for memory;
@@ -39,7 +33,6 @@ import os
 import subprocess
 import sys
 import time
-from array import array
 
 import pytest
 from _calibration import calibration_seconds
@@ -65,10 +58,6 @@ CC = IsolationLevel.CAUSAL_CONSISTENCY
 #: The tentpole gate: the whole fold lap, best calibration-paired round
 #: vs the committed BENCH_9 lap.
 FOLD_GATE = 1.25
-
-#: The wide-join micro bench only has to beat its own fallback -- the
-#: vectorized path exists for many-session streams, not for fig9.
-JOIN_MICRO_GATE = 1.05
 
 ROUNDS = 5
 
@@ -156,41 +145,6 @@ def _rss_probe(stream_path: str, retire: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def _join_micro(repeats: int = 200) -> dict:
-    """Time the wide-join kernel against its own fallback, same inputs."""
-    stride = 64
-    rows = list(range(64))
-    hb = array("q", ((j * s * 2654435761) % 199 - 1 for j in rows for s in range(stride)))
-    sc = array("q", ((s * 40503) % 151 - 1 for s in range(stride)))
-    wsids = [j % stride for j in rows]
-    wsidxs = [(j * 7919) % 211 for j in rows]
-
-    def run_vectorized():
-        for _ in range(repeats):
-            row, vectorized = kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
-            assert vectorized
-        return row
-
-    def run_fallback():
-        for _ in range(repeats):
-            row = kernels._join_clocks_fallback(hb, stride, sc, 0, rows, wsids, wsidxs)
-        return row
-
-    assert list(run_vectorized()) == list(run_fallback())
-    vec = _best_of(run_vectorized)
-    fb = _best_of(run_fallback)
-    return {
-        "note": "64 sessions x 64 writer rows (4096 cells, above "
-        "_MIN_JOIN_CELLS) x 200 joins; the fig9 stream itself stays on "
-        "the scalar path by design (8-session joins are below the "
-        "cutoff), so this is where the vectorized join is measured",
-        "cells": 64 * stride,
-        "vectorized_seconds": round(vec, 4),
-        "fallback_seconds": round(fb, 4),
-        "vectorized_speedup": round(fb / vec, 3),
-    }
-
-
 def test_bench10_snapshot(tmp_path, results):
     """Record the columnar-fold perf snapshot in ``BENCH_10.json``."""
     bench9 = _committed("BENCH_9.json")
@@ -218,7 +172,7 @@ def test_bench10_snapshot(tmp_path, results):
     for _ in range(ROUNDS):
         cal = calibration_seconds(repeats=3)
         timings: dict = {}
-        result = _pipeline(timings=timings)
+        _pipeline(timings=timings)
         rounds.append((dict(timings), cal))
     fold_seconds = min(laps["fold"] for laps, _ in rounds)
     fold_speedup = max(
@@ -230,16 +184,12 @@ def test_bench10_snapshot(tmp_path, results):
         for key, value in min(rounds, key=lambda r: r[0]["fold"])[0].items()
         if key.startswith("fold") or key == "parse"
     }
-    join_kernel = result.stats.get("join_kernel")
 
     # -- batch_ops sensitivity (same verdict for every value) ------------------
     by_batch_ops = {
         str(batch_ops): round(_best_of(lambda: _pipeline(batch_ops=batch_ops)), 4)
         for batch_ops in (1, 64, DEFAULT_BATCH_OPS, 65536)
     }
-
-    # -- join_clocks in isolation ----------------------------------------------
-    join_micro = _join_micro()
 
     # -- the perf-guard workload + the RSS probe: 5x-fig9 arrival stream -------
     stream_history, order = generate_random_stream(
@@ -295,8 +245,6 @@ def test_bench10_snapshot(tmp_path, results):
             "pr9_baseline_calibration_seconds": bench9_cal,
             "fold_speedup": round(fold_speedup, 3),
         },
-        "join_kernel_stream": join_kernel,
-        "join_clocks_micro": join_micro,
         "stream_cc_seconds_by_batch_ops": {
             "note": "best-of-3 wall seconds; identical verdict per column",
             "pr9_baseline": {
@@ -332,10 +280,6 @@ def test_bench10_snapshot(tmp_path, results):
         f"paired ({fold_baseline}s at calibration {bench9_cal}s); best "
         f"round gave {fold_speedup:.2f}x ({fold_seconds:.3f}s at "
         f"calibration {cal_seconds:.4f}s)"
-    )
-    assert join_micro["vectorized_speedup"] >= JOIN_MICRO_GATE, (
-        f"join_clocks must beat its own fallback on a wide join: "
-        f"{join_micro}"
     )
     assert rss_on_kb <= rss_baseline_kb, (
         f"columnar state must not regress the retiring streaming peak: "

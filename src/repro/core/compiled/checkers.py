@@ -13,10 +13,10 @@ only the constant factors change.
 The module deliberately reaches into the IR's internal flat arrays
 (``_xr_*``, ``_kw_*``) instead of the iterator accessors: these loops are the
 hot path the compiled layer exists for.  The saturation inner loops
-themselves live in :mod:`repro.core.compiled.kernels` (one vectorized /
-fallback pair per rule, shared with the online fold);
-``saturate_{rc,ra,cc}_compiled`` are re-exported here for compatibility and
-report which kernel ran in the result's ``saturation_kernel`` stat.
+themselves live in :mod:`repro.core.compiled.kernels`, shared with the
+online fold; ``saturate_{rc,ra,cc}_compiled`` are re-exported here for
+compatibility.  CC saturation has a vectorized and a fallback side, and the
+CC result reports which ran in its ``saturation_kernel`` stat.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def check_rc_compiled(
     watch.lap("read_consistency")
 
     relation = _relation_from_compiled(ch)
-    kernel = saturate_rc_compiled(ch, relation, report.bad_ops)
+    saturate_rc_compiled(ch, relation, report.bad_ops)
     watch.lap("saturation")
 
     violations = list(report.violations)
@@ -268,7 +268,6 @@ def check_rc_compiled(
         stats={
             "inferred_edges": relation.num_inferred_edges,
             "co_edges": relation.num_edges,
-            "saturation_kernel": kernel,
             **relation.timings,
         },
     )
@@ -335,7 +334,7 @@ def check_ra_compiled(
     watch.lap("repeatable_reads")
 
     relation = _relation_from_compiled(ch)
-    kernel = saturate_ra_compiled(ch, relation, report.bad_ops)
+    saturate_ra_compiled(ch, relation, report.bad_ops)
     watch.lap("saturation")
 
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
@@ -350,7 +349,6 @@ def check_ra_compiled(
         stats={
             "inferred_edges": relation.num_inferred_edges,
             "co_edges": relation.num_edges,
-            "saturation_kernel": kernel,
             **relation.timings,
         },
     )

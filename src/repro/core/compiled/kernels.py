@@ -1,4 +1,4 @@
-"""Saturation kernels: one vectorized core for batch and streaming.
+"""Saturation kernels: one core for batch and streaming.
 
 The profile after the CSR relation core (``BENCH_5.json``/``BENCH_6.json``)
 put the remaining batch cost almost entirely in the saturation loops of
@@ -8,19 +8,26 @@ fold's clock-join runs the very same loop shape.  This module is the single
 home of those loops now: every consumer (the batch checkers and the online
 fold's deferred probe flush) dispatches here.
 
-Each kernel exists twice, selected exactly like :func:`repro.graph.csr.freeze_packed`:
+Most kernels here have one implementation, in pure Python.  A kernel keeps
+a second, numpy-vectorized side only where that side measurably wins on a
+benchmarked workload (the kernel census in ``README.md``): CC saturation
+(:func:`saturate_cc_compiled`), the streaming fold's batch read resolution
+(:func:`resolve_reads` over :class:`WritesIndex`), the CC probe flush's
+writer index (:class:`WriterProbeIndex`), and unique-writes resolution
+(:func:`resolve_unique_writes`).  The vectorized side runs when
+:mod:`repro.graph.csr`, the one module that decides whether this process
+uses numpy, found it usable, and when the input is large enough to
+amortize array setup (``_MIN_VECTOR_READS``); the scalar side is the only
+path on a machine without numpy.  RC and RA saturation, the clock join,
+and the writer-registry compaction are scalar only: their vectorized
+sides were slower than the loop, never ran, or ran on no benchmarked
+workload.
 
-* a **vectorized** implementation over numpy views of the IR's parallel
-  arrays, used when numpy imports, the ``AWDIT_NO_NUMPY`` env flag is unset,
-  and the input is large enough to amortize array setup
-  (``_MIN_VECTOR_READS``); and
-* a **pure-Python fallback** -- the original interpreted loops, moved here
-  verbatim -- used everywhere else.
-
-Both produce byte-identical packed-edge logs in the identical order, so
-verdicts, violation lists, and witness renderings never depend on which ran
-(property-tested in ``tests/test_kernels.py``).  The key argument for the CC
-kernel: along one session the happens-before clocks are monotone
+The two sides of a kept kernel produce byte-identical output in the
+identical order, so verdicts, violation lists, and witness renderings never
+depend on which ran (property-tested in ``tests/test_kernels.py`` and
+``tests/test_resolve_kernel.py``).  The key argument for the CC kernel:
+along one session the happens-before clocks are monotone
 (``hb[t3'][s] >= hb[t3][s]`` for ``t3'`` after ``t3``), so the fallback's
 memoized monotone pointer per (key, session) bucket always lands on *the
 latest writer with session index <= clock bound* -- a stateless query the
@@ -41,26 +48,16 @@ edges of :mod:`repro.graph.csr`):
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, _VALUE_SHIFT
+from repro.graph.csr import HAVE_NUMPY, _np
 from repro.graph.digraph import EDGE_SHIFT
-
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI runners without numpy
-    _np = None
-if os.environ.get("AWDIT_NO_NUMPY"):
-    # Forces the pure-Python fallbacks even where numpy is installed, so the
-    # fallback kernels are testable on any machine (the CI leg sets this).
-    _np = None
 
 __all__ = [
     "HAVE_NUMPY",
-    "kernel_impl",
     "saturate_rc_compiled",
     "saturate_ra_compiled",
     "saturate_cc_compiled",
@@ -73,9 +70,6 @@ __all__ = [
     "resolve_reads",
     "resolve_unique_writes",
 ]
-
-#: Whether the vectorized kernels are selectable in this process.
-HAVE_NUMPY = _np is not None
 
 #: Below this many external reads the numpy array setup costs more than the
 #: interpreted loop it replaces; both paths are bit-identical, so the cutoff
@@ -93,11 +87,6 @@ _SIDX_SPAN = 1 << 32
 _MAX_BUCKETS = 1 << 31
 
 _UNSET = object()
-
-
-def kernel_impl() -> str:
-    """Which kernel family this process selects for large inputs."""
-    return "vectorized" if _np is not None else "fallback"
 
 
 # -- shared read gathering -----------------------------------------------------
@@ -125,56 +114,6 @@ def _external_good_reads(
     return result
 
 
-def _xr_span(ch: CompiledHistory, tids) -> int:
-    """Total external-read rows of ``tids`` (the vectorization size metric)."""
-    xr_start = ch._xr_start
-    return sum(xr_start[tid + 1] - xr_start[tid] for tid in tids)
-
-
-def _gather_good_reads(ch: CompiledHistory, bad_ops: Set[int], tid_list):
-    """Vectorized :func:`_external_good_reads` over many transactions at once.
-
-    Returns ``(starts, po, key, writer)``: three flat Python lists of the
-    surviving reads in transaction-major program order, plus the per-position
-    offsets aligned to ``tid_list`` (transaction ``tid_list[i]``'s reads are
-    rows ``starts[i]:starts[i+1]``).  The classification -- drop bad reads,
-    drop uncommitted writers -- runs as one boolean mask over the ``xr_*``
-    columns instead of a Python conditional per read.
-    """
-    np = _np
-    tids = np.asarray(tid_list, dtype=np.int64)
-    xr_start = np.frombuffer(ch._xr_start, dtype=np.int64)
-    starts = xr_start[tids]
-    counts = xr_start[tids + 1] - starts
-    total = int(counts.sum())
-    n = tids.shape[0]
-    if total == 0:
-        return [0] * (n + 1), [], [], []
-    row_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-    base = np.cumsum(counts) - counts
-    pos = np.arange(total, dtype=np.int64) - base[row_of] + starts[row_of]
-    po = np.asarray(ch._xr_po, dtype=np.int64)[pos]
-    writer = np.asarray(ch._xr_writer, dtype=np.int64)[pos]
-    committed = np.frombuffer(ch.txn_committed, dtype=np.uint8)
-    good = committed[writer] != 0
-    if bad_ops:
-        txn_start = np.frombuffer(ch.txn_start, dtype=np.int64)
-        opidx = txn_start[tids][row_of] + po
-        bad = np.fromiter(bad_ops, dtype=np.int64, count=len(bad_ops))
-        good &= ~np.isin(opidx, bad)
-    key = np.asarray(ch._xr_key, dtype=np.int64)[pos]
-    if not good.all():
-        row_of = row_of[good]
-        po = po[good]
-        key = key[good]
-        writer = writer[good]
-    good_counts = np.bincount(row_of, minlength=n)
-    starts_out = np.empty(n + 1, dtype=np.int64)
-    starts_out[0] = 0
-    np.cumsum(good_counts, out=starts_out[1:])
-    return starts_out.tolist(), po.tolist(), key.tolist(), writer.tolist()
-
-
 # -- RC (Algorithm 1) ----------------------------------------------------------
 
 
@@ -182,14 +121,8 @@ def saturate_rc_compiled(
     ch: CompiledHistory,
     relation: CommitRelation,
     bad_ops: Set[int],
-) -> str:
-    """Algorithm 1's main loop on the IR (mirror of ``saturate_rc``).
-
-    Returns the kernel implementation that ran (``"vectorized"`` /
-    ``"fallback"``).  The vectorized side batches the read classification
-    (:func:`_gather_good_reads`); the per-transaction backward pass stays
-    interpreted -- its state is tiny and order-critical.
-    """
+) -> None:
+    """Algorithm 1's main loop on the IR (mirror of ``saturate_rc``)."""
     committed = ch.txn_committed
     kw_start = ch._kw_start
     kw_key = ch._kw_key
@@ -197,19 +130,10 @@ def saturate_rc_compiled(
     # (packed edge + key id); dedup and labels happen at freeze.
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
-    num_txn = ch.num_transactions
-    gathered = None
-    if _np is not None and ch._xr_start[num_txn] >= _MIN_VECTOR_READS:
-        gathered = _gather_good_reads(ch, bad_ops, _np.arange(num_txn))
-    for tid in range(num_txn):
+    for tid in range(ch.num_transactions):
         if not committed[tid]:
             continue
-        if gathered is None:
-            reads = _external_good_reads(ch, tid, bad_ops)
-        else:
-            g_starts, g_po, g_key, g_writer = gathered
-            a, b = g_starts[tid], g_starts[tid + 1]
-            reads = list(zip(g_po[a:b], g_key[a:b], g_writer[a:b]))
+        reads = _external_good_reads(ch, tid, bad_ops)
         if not reads:
             continue
 
@@ -247,7 +171,6 @@ def saturate_rc_compiled(
             elif pair[1] != t2:
                 earliest[key] = (pair[1], t2)
             read_keys[key] = None
-    return "fallback" if gathered is None else "vectorized"
 
 
 # -- RA (Algorithm 2) ----------------------------------------------------------
@@ -257,36 +180,20 @@ def saturate_ra_compiled(
     ch: CompiledHistory,
     relation: CommitRelation,
     bad_ops: Set[int],
-) -> str:
-    """Algorithm 2's saturation on the IR (mirror of ``saturate_ra``).
-
-    Returns the kernel implementation that ran, as in
-    :func:`saturate_rc_compiled`.
-    """
+) -> None:
+    """Algorithm 2's saturation on the IR (mirror of ``saturate_ra``)."""
     committed = ch.txn_committed
     kw_start = ch._kw_start
     kw_key = ch._kw_key
     # Raw co-log appends, as in saturate_rc_compiled.
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
-    all_t3 = [t3 for session in ch.sessions for t3 in session]
-    gathered = None
-    if _np is not None and _xr_span(ch, all_t3) >= _MIN_VECTOR_READS:
-        gathered = _gather_good_reads(ch, bad_ops, all_t3)
-    position = 0
     for session in ch.sessions:
         last_write: Dict[int, int] = {}
         for t3 in session:
-            p = position
-            position += 1
             if not committed[t3]:
                 continue
-            if gathered is None:
-                reads = _external_good_reads(ch, t3, bad_ops)
-            else:
-                g_starts, g_po, g_key, g_writer = gathered
-                a, b = g_starts[p], g_starts[p + 1]
-                reads = list(zip(g_po[a:b], g_key[a:b], g_writer[a:b]))
+            reads = _external_good_reads(ch, t3, bad_ops)
 
             reader_of_key: Dict[int, int] = {}
             distinct_writers: List[int] = []
@@ -321,7 +228,6 @@ def saturate_ra_compiled(
 
             for x in kw_key[kw_start[t3] : kw_start[t3 + 1]]:
                 last_write[x] = t3
-    return "fallback" if gathered is None else "vectorized"
 
 
 # -- CC (Algorithm 3) ----------------------------------------------------------
@@ -609,8 +515,7 @@ def saturate_cc_compiled(
     if (
         _np is not None
         and isinstance(relation._co_keys, array)
-        and _xr_span(ch, (t3 for session in ch.sessions for t3 in session))
-        >= _MIN_VECTOR_READS
+        and ch._xr_start[ch.num_transactions] >= _MIN_VECTOR_READS
     ):
         idx = _cc_index(ch)
         if idx is not None:
@@ -685,12 +590,26 @@ def saturate_cc_compiled(
 # -- retirement support --------------------------------------------------------
 
 
-def _compact_writer_registry_fallback(
+def compact_writer_registry(
     wb_bucket: "array",
     wb_sidx: "array",
     wb_tid: "array",
     removed: Dict[int, int],
 ):
+    """Drop each bucket's first ``removed[bucket]`` rows from the flat registry.
+
+    The online fold's writer registry (``bucket``/``sidx``/``tid`` parallel
+    ``array('q')`` rows, appended in arrival order) is what the deferred
+    probe flush sorts into the composite ``bucket * 2^32 + sidx`` index.
+    Retirement removes a *prefix* of each bucket -- rows are appended in
+    ascending session index per bucket, and the retired rows are exactly the
+    oldest -- so compaction is "skip the first N occurrences of each bucket"
+    while preserving the original append order (future stable argsorts then
+    still see ascending session indices per bucket).
+
+    Returns three fresh ``array('q')`` rows (property-tested against a
+    reference in ``tests/test_retire.py``).
+    """
     seen: Dict[int, int] = {}
     new_bucket = array("q")
     new_sidx = array("q")
@@ -708,65 +627,26 @@ def _compact_writer_registry_fallback(
     return new_bucket, new_sidx, new_tid
 
 
-def compact_writer_registry(
-    wb_bucket: "array",
-    wb_sidx: "array",
-    wb_tid: "array",
-    removed: Dict[int, int],
-    num_buckets: int,
-):
-    """Drop each bucket's first ``removed[bucket]`` rows from the flat registry.
-
-    The online fold's writer registry (``bucket``/``sidx``/``tid`` parallel
-    ``array('q')`` rows, appended in arrival order) is what the deferred
-    probe flush sorts into the composite ``bucket * 2^32 + sidx`` index.
-    Retirement removes a *prefix* of each bucket -- rows are appended in
-    ascending session index per bucket, and the retired rows are exactly the
-    oldest -- so compaction is "skip the first N occurrences of each bucket"
-    while preserving the original append order (future stable argsorts then
-    still see ascending session indices per bucket).
-
-    Returns three fresh ``array('q')`` rows.  Vectorized and fallback
-    implementations are bit-identical (property-tested in
-    ``tests/test_retire.py``).
-    """
-    if _np is None or len(wb_bucket) < _MIN_VECTOR_READS or num_buckets <= 0:
-        return _compact_writer_registry_fallback(wb_bucket, wb_sidx, wb_tid, removed)
-    np = _np
-    bucket = np.frombuffer(wb_bucket, dtype=np.int64)
-    total = len(bucket)
-    order = np.argsort(bucket, kind="stable")
-    sorted_bucket = bucket[order]
-    # Rank of each row within its bucket: position in the stable sort minus
-    # the index of the bucket's first sorted occurrence.
-    first = np.searchsorted(sorted_bucket, sorted_bucket, side="left")
-    rank = np.arange(total, dtype=np.int64) - first
-    drop = np.zeros(num_buckets, dtype=np.int64)
-    for bid, count in removed.items():
-        drop[bid] = count
-    keep_sorted = rank >= drop[sorted_bucket]
-    keep = np.empty(total, dtype=bool)
-    keep[order] = keep_sorted
-    new_bucket = array("q")
-    new_sidx = array("q")
-    new_tid = array("q")
-    new_bucket.frombytes(bucket[keep].tobytes())
-    new_sidx.frombytes(np.frombuffer(wb_sidx, dtype=np.int64)[keep].tobytes())
-    new_tid.frombytes(np.frombuffer(wb_tid, dtype=np.int64)[keep].tobytes())
-    return new_bucket, new_sidx, new_tid
-
-
 # -- online columnar fold state (clock join + park queue) ----------------------
 
-#: Below this many joined cells (writer rows x clock stride) the numpy view
-#: setup costs more than the interpreted max loop; both paths are
-#: bit-identical, so the cutoff is pure tuning (small-session histories --
-#: the fig9 shape -- stay scalar on purpose, which the ``join_kernel`` stat
-#: reports as ``fallback``/``mixed`` without that being a regression).
-_MIN_JOIN_CELLS = 1024
 
+def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
+    """Join one transaction's causal clock from its writers' hb matrix rows.
 
-def _join_clocks_fallback(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
+    ``hb_data`` is the flat row-major hb matrix (``array('q')``, one
+    ``stride``-wide row per resident transaction, ``-1`` = "no entry") and
+    ``sc_data[soff:soff+stride]`` the reader session's base clock row.
+    ``rows`` are the matrix row indices of the (pre-filtered) external
+    writers to join, and ``wsids``/``wsidxs`` their session id / session
+    index pairs for the per-writer bump.  Returns a fresh ``array('q')`` of
+    the joined clock.
+
+    The join is a pure elementwise maximum -- the base clock, every
+    writer's full row, and a scatter-max of each writer's own session
+    index.  Vector-clock transitivity makes the commuted order safe: every
+    installed hb entry carries that transaction's full causal past, so
+    joining a dominated or repeated writer is a value-level no-op.
+    """
     out = sc_data[soff : soff + stride]
     for wj in rows:
         boff = wj * stride
@@ -778,46 +658,6 @@ def _join_clocks_fallback(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
         if wsidxs[i] > out[wsid]:
             out[wsid] = wsidxs[i]
     return out
-
-
-def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
-    """Join one transaction's causal clock from its writers' hb matrix rows.
-
-    ``hb_data`` is the flat row-major hb matrix (``array('q')``, one
-    ``stride``-wide row per resident transaction, ``-1`` = "no entry") and
-    ``sc_data[soff:soff+stride]`` the reader session's base clock row.
-    ``rows`` are the matrix row indices of the (pre-filtered) external
-    writers to join, and ``wsids``/``wsidxs`` their session id / session
-    index pairs for the per-writer bump.  Returns ``(row, vectorized)``
-    where ``row`` is a fresh ``array('q')`` of the joined clock.
-
-    The join is a pure elementwise maximum -- the base clock, every
-    writer's full row, and a scatter-max of each writer's own session
-    index -- so the two implementations are bit-identical by construction
-    (hypothesis-pinned in ``tests/test_columnar_fold.py``); the caller
-    applies the same-session and dominated-writer pre-filters identically
-    on both paths.  Vector-clock transitivity makes the commuted order
-    safe: every installed hb entry carries that transaction's full causal
-    past, so joining a dominated or repeated writer is a value-level no-op.
-    """
-    if _np is None or len(rows) * stride < _MIN_JOIN_CELLS:
-        return (
-            _join_clocks_fallback(hb_data, stride, sc_data, soff, rows, wsids, wsidxs),
-            False,
-        )
-    np = _np
-    hb_view = np.frombuffer(hb_data, dtype=np.int64).reshape(-1, stride)
-    out = hb_view[np.asarray(rows, dtype=np.int64)].max(axis=0)
-    base = np.frombuffer(sc_data, dtype=np.int64)[soff : soff + stride]
-    np.maximum(out, base, out=out)
-    np.maximum.at(
-        out,
-        np.asarray(wsids, dtype=np.int64),
-        np.asarray(wsidxs, dtype=np.int64),
-    )
-    row = array("q")
-    row.frombytes(out.tobytes())
-    return row, True
 
 
 class ParkQueue:
@@ -1035,24 +875,6 @@ class WritesIndex:
         self.t_flag.append((2 if final else 0) | (1 if committed else 0))
         if self.t_pos is not None:
             self.t_pos[wid] = len(self.t_wid) - 1
-        self._tail_stale = True
-
-    def note_insert_many(
-        self,
-        wids: Sequence[int],
-        tid: int,
-        windexes: Sequence[int],
-        finals: Sequence[bool],
-        committed: bool,
-    ) -> None:
-        if not self._enabled or self._dirty or not wids:
-            return
-        self.t_wid.extend(wids)
-        self.t_wx.extend(windexes)
-        c = 1 if committed else 0
-        self.t_flag.extend((2 | c) if f else c for f in finals)
-        self.t_tid.extend([tid] * len(wids))
-        self.t_pos = None
         self._tail_stale = True
 
     def note_insert_columns(

@@ -99,17 +99,9 @@ from repro.core.compiled.retire import (
     low_watermark_flat,
     stable_digest,
 )
-from repro.graph.csr import freeze_packed
+from repro.graph.csr import _np, freeze_packed
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, pack_edge
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI runners without numpy
-    _np = None
-
-if os.environ.get("AWDIT_NO_NUMPY"):  # pragma: no cover - fallback CI leg
-    _np = None
 
 __all__ = [
     "CompiledIncrementalChecker",
@@ -373,12 +365,8 @@ class CompiledIncrementalChecker:
         #: ``saturation_kernel`` stat (``--profile`` self-description).
         self._flush_vectorized = 0
         self._flush_scalar = 0
-        #: Clock-join tallies for ``kernels.join_clocks``, surfaced as the
-        #: ``join_kernel`` stat.  "fallback"/"mixed" is *normal* on small
-        #: session counts: joins below ``kernels._MIN_JOIN_CELLS`` cells run
-        #: the scalar path on purpose because numpy dispatch would cost more
-        #: than it saves there.
-        self._join_vectorized = 0
+        #: Clock joins run (``kernels.join_clocks``), surfaced by
+        #: ``live_stats`` as ``cc_joins_fallback``.
         self._join_scalar = 0
 
         #: Derived kernel caches (never pickled, rebuilt after restore or
@@ -1404,7 +1392,9 @@ class CompiledIncrementalChecker:
             "cc_writer_buckets": self._num_buckets,
             "cc_flushes_vectorized": self._flush_vectorized,
             "cc_flushes_fallback": self._flush_scalar,
-            "cc_joins_vectorized": self._join_vectorized,
+            # The clock join has one (scalar) side; the vectorized count
+            # stays as a key for existing readers of these stats.
+            "cc_joins_vectorized": 0,
             "cc_joins_fallback": self._join_scalar,
             "classify_vectorized": self._resolve_vectorized,
             "classify_fallback": self._resolve_scalar,
@@ -1778,7 +1768,6 @@ class CompiledIncrementalChecker:
                         self._wb_sidx,
                         self._wb_tid,
                         removed_per_bucket,
-                        self._num_buckets,
                     )
                 )
 
@@ -1871,12 +1860,6 @@ class CompiledIncrementalChecker:
             setattr(self, attr, widened)
         self._clock_stride = new_stride
         self._hb_pad = b"\xff" * (8 * new_stride)
-
-    def _dense_sid(self, external: object) -> int:
-        dense = self._session_ids.get(external)
-        if dense is None:
-            dense = self._register_session(external)
-        return dense
 
     def _name(self, tid: int) -> str:
         label = self._t_labels[tid - self._txns_base]
@@ -2438,13 +2421,8 @@ class CompiledIncrementalChecker:
                 wsids.append(wsid)
                 wsidxs.append(wsidx)
         if rows:
-            row, vectorized = _kernels.join_clocks(
-                hb_data, stride, sc_data, soff, rows, wsids, wsidxs
-            )
-            if vectorized:
-                self._join_vectorized += 1
-            else:
-                self._join_scalar += 1
+            row = _kernels.join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs)
+            self._join_scalar += 1
             hb_data[boff : boff + stride] = row
             sc_row_source = row
         else:
@@ -3071,16 +3049,6 @@ class CompiledIncrementalChecker:
                 stats["saturation_kernel"] = "fallback"
             else:
                 stats["saturation_kernel"] = "mixed"
-        if self._join_vectorized or self._join_scalar:
-            # Which clock-join implementation ran.  "fallback"/"mixed" is
-            # normal on small session counts: join_clocks stays scalar
-            # below _MIN_JOIN_CELLS even with numpy on.
-            if not self._join_scalar:
-                stats["join_kernel"] = "vectorized"
-            elif not self._join_vectorized:
-                stats["join_kernel"] = "fallback"
-            else:
-                stats["join_kernel"] = "mixed"
         if self._resolve_vectorized or self._resolve_scalar:
             # Likewise for the read-resolution kernel, plus the resolve
             # tallies ("mixed" is normal: sub-threshold tail batches take

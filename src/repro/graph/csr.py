@@ -39,7 +39,9 @@ except ImportError:  # pragma: no cover - CI runners without numpy
 
 if os.environ.get("AWDIT_NO_NUMPY"):  # pragma: no cover - fallback CI leg
     # Forces the pure-Python fallbacks even where numpy is installed, so
-    # the fallback kernels stay testable on every runner.
+    # the fallback kernels stay testable on every runner.  This module is
+    # the one place the process decides: the compiled kernels and the
+    # online fold import ``_np`` from here.
     _np = None
 
 __all__ = [
@@ -52,7 +54,8 @@ __all__ = [
     "HAVE_NUMPY",
 ]
 
-#: Whether the vectorized freeze kernels are active in this process.
+#: Whether the vectorized kernels (here and in the compiled layer) are
+#: active in this process.
 HAVE_NUMPY = _np is not None
 
 

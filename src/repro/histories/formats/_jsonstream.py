@@ -6,6 +6,8 @@ objects.  :func:`iter_session_objects` walks that structure directly off a
 file handle, decoding one transaction object at a time with
 :meth:`json.JSONDecoder.raw_decode` over a bounded sliding buffer, so
 multi-gigabyte histories never need to be resident in memory.
+:func:`require_scalar` is the check both formats apply to operation keys
+and values.
 """
 
 from __future__ import annotations
@@ -15,9 +17,23 @@ from typing import Callable, Iterator, Optional, TextIO, Tuple
 
 from repro.core.exceptions import ParseError
 
-__all__ = ["iter_session_objects"]
+__all__ = ["iter_session_objects", "require_scalar"]
 
 _WHITESPACE = " \t\r\n"
+
+
+def require_scalar(what: str, value: object) -> None:
+    """Raise :class:`ParseError` unless ``value`` is a JSON scalar.
+
+    Keys and values are interned and hashed downstream, so an array or
+    object there must be rejected as malformed input, not left to fail as a
+    ``TypeError`` deep inside a checker.
+    """
+    if value is not None and not isinstance(value, (str, int, float)):
+        kind = "an array" if isinstance(value, list) else "an object"
+        raise ParseError(
+            f"{what} must be a JSON string, number, boolean or null, got {kind}"
+        )
 
 
 class _Cursor:
@@ -91,6 +107,8 @@ class _Cursor:
         while True:
             try:
                 value, end = self._decoder.raw_decode(self.buffer, self.pos)
+            except RecursionError as exc:
+                raise ParseError(f"line {self.line}: JSON nested too deeply") from exc
             except json.JSONDecodeError as exc:
                 # The buffer may simply end mid-value; retry with more input
                 # and only report a real syntax error (or mid-record EOF) at

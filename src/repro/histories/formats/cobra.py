@@ -9,8 +9,9 @@ Each line records one operation::
 
 ``txn_index`` is the transaction's position within its session; consecutive
 lines with the same ``(session, txn_index)`` pair belong to the same
-transaction, in program order.  ``committed`` is ``1`` or ``0`` and must be
-consistent across the lines of one transaction.
+transaction, in program order.  ``committed`` is ``1`` or ``0`` (``true`` /
+``True`` and ``false`` / ``False`` are accepted too; anything else is a parse
+error) and must be consistent across the lines of one transaction.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ COMPILED_SESSION_GAPS = True
 
 _HEADER = ["session", "txn_index", "op", "key", "value", "committed"]
 
+#: Accepted spellings of the ``committed`` column; anything else is an error.
+_COMMITTED = ("1", "true", "True")
+_ABORTED = ("0", "false", "False")
+
 
 def _parse_row(line_number: int, row: List[str]) -> Tuple[int, int, bool, str, object, bool]:
     """Parse one data row into ``(session, txn_index, is_write, key, value, committed)``."""
@@ -61,7 +66,13 @@ def _parse_row(line_number: int, row: List[str]) -> Tuple[int, int, bool, str, o
         value: object = int(raw_value)
     except ValueError:
         value = raw_value
-    is_committed = row[5].strip() not in ("0", "false", "False")
+    flag = row[5].strip()
+    if flag in _COMMITTED:
+        is_committed = True
+    elif flag in _ABORTED:
+        is_committed = False
+    else:
+        raise ParseError(f"line {line_number}: committed must be 1 or 0, got {flag!r}")
     return sid, txn_index, kind == "W", key, value, is_committed
 
 

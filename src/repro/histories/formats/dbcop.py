@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.core.exceptions import ParseError
 from repro.core.model import History, Transaction
-from repro.histories.formats._jsonstream import iter_session_objects
+from repro.histories.formats._jsonstream import iter_session_objects, require_scalar
 from repro.histories.formats._raw import (
     DEFAULT_BATCH_OPS,
     RawOps,
@@ -62,6 +62,8 @@ def _raw_from_doc(txn_doc: object) -> RawTransaction:
             continue
         if "variable" not in event or "value" not in event:
             raise ParseError(f"event missing 'variable'/'value' field: {event!r}")
+        require_scalar("event 'variable'", event["variable"])
+        require_scalar("event 'value'", event["value"])
         ops.append((bool(event.get("write")), event["variable"], event["value"]))
     return None, bool(txn_doc.get("success", True)), ops
 
@@ -147,10 +149,14 @@ def loads(text: str) -> History:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     sessions_doc = document.get("sessions") if isinstance(document, dict) else None
     if not isinstance(sessions_doc, list):
         raise ParseError("expected an object with a 'sessions' list")
     sessions: List[List[Transaction]] = []
     for session_doc in sessions_doc:
+        if not isinstance(session_doc, list):
+            raise ParseError("each session must be a list of transactions")
         sessions.append([_transaction_from_doc(txn_doc) for txn_doc in session_doc])
     return History.from_sessions(sessions)

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.core.exceptions import ParseError
 from repro.core.model import History, Transaction
-from repro.histories.formats._jsonstream import iter_session_objects
+from repro.histories.formats._jsonstream import iter_session_objects, require_scalar
 from repro.histories.formats._raw import (
     DEFAULT_BATCH_OPS,
     RawOps,
@@ -49,13 +49,18 @@ def _raw_from_doc(txn_doc: object) -> RawTransaction:
     """Convert one transaction document to a raw record (no model objects)."""
     if not isinstance(txn_doc, dict) or "ops" not in txn_doc:
         raise ParseError("each transaction must be an object with an 'ops' field")
+    ops_doc = txn_doc["ops"]
+    if not isinstance(ops_doc, list):
+        raise ParseError(f"'ops' must be a list of operations, got {ops_doc!r}")
     ops: RawOps = []
-    for op_doc in txn_doc["ops"]:
+    for op_doc in ops_doc:
         if not (isinstance(op_doc, list) and len(op_doc) == 3):
             raise ParseError(f"malformed operation {op_doc!r}")
         kind, key, value = op_doc
         if kind not in ("R", "W"):
             raise ParseError(f"operation kind must be 'R' or 'W', got {kind!r}")
+        require_scalar("operation key", key)
+        require_scalar("operation value", value)
         ops.append((kind == "W", key, value))
     return txn_doc.get("label"), bool(txn_doc.get("committed", True)), ops
 
@@ -154,6 +159,8 @@ def loads(text: str) -> History:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError("expected a JSON object with a 'sessions' field")
     if document.get("format") not in (None, FORMAT_NAME):

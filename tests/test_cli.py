@@ -10,6 +10,18 @@ from repro.histories.formats import load_history, save_history
 
 from helpers import fig_4a, fig_4d
 
+#: A JSON value nested far deeper than the decoder's recursion limit.
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+def _native(ops):
+    return '{"sessions": [[{"ops": %s}]]}' % ops
+
+
+def _dbcop(variable, value):
+    event = '{"write": true, "variable": %s, "value": %s}' % (variable, value)
+    return '{"sessions": [[{"events": [%s]}]]}' % event
+
 
 class TestParser:
     def test_subcommands_registered(self):
@@ -125,6 +137,60 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"awdit: error: {path}: not UTF-8")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "ext,document",
+        [
+            (".json", _native('[["W", "x", [1, 2]]]')),
+            (".json", _native('[["W", {"a": 1}, 1]]')),
+            (".json", _native("5")),
+            (".json", _native('[["W", "x", %s]]' % _DEEP)),
+            (".dbcop", _dbcop('"x"', "[1, 2]")),
+            (".dbcop", _dbcop('{"a": 1}', "1")),
+            (".dbcop", '{"sessions": [5]}'),
+            (".dbcop", _dbcop('"x"', _DEEP)),
+        ],
+        ids=[
+            "native-list-value",
+            "native-object-key",
+            "native-int-ops",
+            "native-deep",
+            "dbcop-list-value",
+            "dbcop-object-key",
+            "dbcop-int-session",
+            "dbcop-deep",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["check", "--stream"],
+            ["check", "--engine", "object"],
+            ["stats"],
+            ["stats", "--stream"],
+            ["convert"],
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_json_history_exits_two(self, tmp_path, capsys, ext, document, argv):
+        path = tmp_path / f"bad{ext}"
+        path.write_text(document)
+        extra = [str(tmp_path / "out.plume")] if argv[0] == "convert" else []
+        assert main([argv[0], str(path)] + argv[1:] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("awdit: error:")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["batch", "stream"])
+    def test_cobra_committed_flag_must_be_one_or_zero(self, tmp_path, capsys, mode):
+        # Another session reads the write, so misreading the flag as
+        # "committed" would hide an aborted read.
+        path = tmp_path / "h.cobra"
+        path.write_text("0,0,W,x,1,aborted\n1,0,R,x,1,1\n")
+        assert main(["check", str(path), "-i", "rc"] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"awdit: error: {path}: line 1: committed must be 1 or 0, got 'aborted'\n"
 
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         path = tmp_path / "h.plume"

@@ -3,8 +3,8 @@ the v6 checkpoint format, and batch-size validation.
 
 The tentpole contract: the structure-of-arrays fold is answer-identical
 to the retired object-heap fold -- verdicts, witness messages, park and
-rebind ordering, refusal text -- at every ``batch_ops`` and on both
-kernel paths.  The pieces pinned here are the ones the columnar rewrite
+rebind ordering, refusal text -- at every ``batch_ops`` and with or
+without numpy.  The pieces pinned here are the ones the columnar rewrite
 introduced: ``kernels.join_clocks`` (batched CC clock join),
 ``kernels.ParkQueue`` (columnar park multimap), and checkpoint format v6.
 """
@@ -15,7 +15,6 @@ import pickle
 import subprocess
 import sys
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -39,17 +38,6 @@ from test_resolve_kernel import interleaved_raw, needs_numpy, run_stream
 # -- join_clocks: the batched CC clock join ------------------------------------
 
 
-@contextmanager
-def join_floor(n=0):
-    """Make the vectorized clock join run even on tiny inputs."""
-    saved = kernels._MIN_JOIN_CELLS
-    kernels._MIN_JOIN_CELLS = n
-    try:
-        yield
-    finally:
-        kernels._MIN_JOIN_CELLS = saved
-
-
 @st.composite
 def join_inputs(draw):
     stride = draw(st.sampled_from([4, 8, 16]))
@@ -68,20 +56,21 @@ def join_inputs(draw):
 
 
 class TestJoinClocks:
-    """Both implementations compute the identical elementwise maximum."""
+    """The join is the elementwise maximum and leaves its inputs alone."""
 
-    @needs_numpy
     @settings(deadline=None, max_examples=120)
     @given(inputs=join_inputs())
-    def test_vectorized_matches_fallback_bit_for_bit(self, inputs):
+    def test_is_elementwise_max(self, inputs):
         hb, stride, sc, rows, wsids, wsidxs = inputs
-        want = kernels._join_clocks_fallback(hb, stride, sc, 0, rows, wsids, wsidxs)
-        with join_floor(0):
-            row, vectorized = kernels.join_clocks(
-                hb, stride, sc, 0, rows, wsids, wsidxs
+        want = [
+            max(
+                [sc[s]]
+                + [hb[r * stride + s] for r in rows]
+                + [x for w, x in zip(wsids, wsidxs) if w == s]
             )
-        assert vectorized
-        assert list(row) == list(want)
+            for s in range(stride)
+        ]
+        assert list(kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)) == want
 
     @settings(deadline=None, max_examples=40)
     @given(inputs=join_inputs())
@@ -89,48 +78,7 @@ class TestJoinClocks:
         hb, stride, sc, rows, wsids, wsidxs = inputs
         hb_before, sc_before = list(hb), list(sc)
         kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
-        with join_floor(0):
-            kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
         assert list(hb) == hb_before and list(sc) == sc_before
-
-    def test_small_joins_stay_scalar(self):
-        # 2 rows x 4 stride = 8 cells, far below _MIN_JOIN_CELLS: the
-        # dispatch must keep the interpreted loop (fig9's 8-session shape
-        # reports ``fallback`` legitimately -- see the join_kernel stat).
-        hb = array("q", [1, -1, 3, -1, 0, 5, -1, -1])
-        sc = array("q", [2, 2, -1, -1])
-        row, vectorized = kernels.join_clocks(hb, 4, sc, 0, [0, 1], [0, 1], [4, 6])
-        assert not vectorized
-        assert list(row) == [4, 6, 3, -1]
-
-    @needs_numpy
-    def test_large_joins_vectorize_by_default(self):
-        stride = 64
-        hb = array("q", [-1]) * (64 * stride)
-        for j in range(64):
-            hb[j * stride + (j % stride)] = j
-        sc = array("q", [-1]) * stride
-        rows = list(range(64))
-        row, vectorized = kernels.join_clocks(
-            hb, stride, sc, 0, rows, [j % stride for j in rows], [100] * 64
-        )
-        assert vectorized
-        assert all(v == 100 for v in row)
-
-    def test_no_numpy_forces_fallback_even_above_floor(self):
-        saved = kernels._np
-        kernels._np = None
-        try:
-            stride = 64
-            hb = array("q", [7]) * (64 * stride)
-            sc = array("q", [-1]) * stride
-            row, vectorized = kernels.join_clocks(
-                hb, stride, sc, 0, list(range(64)), [0], [9]
-            )
-        finally:
-            kernels._np = saved
-        assert not vectorized
-        assert row[0] == 9 and all(v == 7 for v in row[1:])
 
 
 class TestParkQueue:
@@ -220,7 +168,7 @@ class TestCrossVersionCheckpoints:
 
 @needs_numpy
 class TestNoNumpySubprocessColumnar:
-    """join_clocks and the park-heavy fold are answer-identical without numpy."""
+    """join_clocks and the park-heavy fold give identical answers without numpy."""
 
     _SCRIPT = (
         "import json, sys\n"
@@ -235,9 +183,8 @@ class TestNoNumpySubprocessColumnar:
         "rows = list(range(0, 64, 1))\n"
         "wsids = [j % stride for j in rows]\n"
         "wsidxs = [(j * 7919) % 101 for j in rows]\n"
-        "row, vectorized = kernels.join_clocks(hb, stride, sc, 0, rows,\n"
-        "                                      wsids, wsidxs)\n"
-        "out = {'join': list(row), 'vectorized': vectorized, 'stream': []}\n"
+        "row = kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)\n"
+        "out = {'join': list(row), 'stream': []}\n"
         "for level in IsolationLevel:\n"
         "    r = check_stream_file(sys.argv[1], level, fmt='plume', batch_ops=1)\n"
         "    out['stream'].append([level.name, r.is_consistent,\n"
@@ -283,8 +230,6 @@ class TestNoNumpySubprocessColumnar:
         with_numpy = self._run_subprocess(str(path), no_numpy=False)
         without = self._run_subprocess(str(path), no_numpy=True)
         assert with_numpy["join"] == without["join"]
-        assert with_numpy["vectorized"] is True
-        assert without["vectorized"] is False
         assert with_numpy["stream"] == without["stream"]
 
 

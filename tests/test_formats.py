@@ -143,6 +143,10 @@ class TestFormatSpecificBehaviour:
         history = dbcop.loads(text)
         assert history.transactions[0].keys_written == {"x"}
 
+    def test_cobra_committed_flag_spellings(self):
+        history = cobra.loads("0,0,W,x,1,true\n0,1,W,x,2,True\n1,0,W,y,1,false\n1,1,W,y,2,False\n")
+        assert [t.committed for t in history.transactions] == [True, True, False, False]
+
     def test_cobra_header_is_optional(self):
         with_header = cobra.loads("session,txn_index,op,key,value,committed\n0,0,W,x,1,1\n")
         without_header = cobra.loads("0,0,W,x,1,1\n")

@@ -1,12 +1,13 @@
 """Bit-identity tests for the saturation kernels (repro.core.compiled.kernels).
 
-The kernels module is the single home of the CC/RC/RA saturation loops, each
-existing twice -- numpy-vectorized and pure-Python fallback, selected like
+The kernels module is the single home of the CC/RC/RA saturation loops.  RC
+and RA saturation have one implementation; CC saturation exists twice --
+numpy-vectorized and pure-Python fallback, selected like
 ``csr.freeze_packed``.  These tests pin the contract every consumer (batch
 checkers, online fold) relies on:
 
-* the two implementations emit *byte-identical* packed co logs and key rows,
-  in the identical order, on arbitrary histories including injected
+* the two CC implementations emit *byte-identical* packed co logs and key
+  rows, in the identical order, on arbitrary histories including injected
   anomalies (hypothesis-tested with the size cutoff pinned to 0 so the
   vectorized path runs even on tiny inputs);
 * whole-check results (verdicts, violation kinds, witness renderings) never
@@ -39,11 +40,7 @@ from repro.core.compiled.checkers import (
     check_read_consistency_compiled,
     compute_happens_before_compiled,
 )
-from repro.core.compiled.kernels import (
-    saturate_cc_compiled,
-    saturate_ra_compiled,
-    saturate_rc_compiled,
-)
+from repro.core.compiled.kernels import saturate_cc_compiled
 from repro.graph.digraph import EDGE_SHIFT
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -52,7 +49,7 @@ from repro.histories.generator import (
     inject_anomaly,
 )
 
-LEVELS = list(IsolationLevel)
+CC = IsolationLevel.CAUSAL_CONSISTENCY
 
 history_configs = st.builds(
     RandomHistoryConfig,
@@ -90,26 +87,21 @@ def _fallback(monkeypatch_target=kernels):
     return _Ctx()
 
 
-def _saturation_logs(history, level):
-    """Run one saturation kernel; return its raw (co_log, co_keys) bytes."""
+def _saturation_logs(history):
+    """Run the CC saturation kernel; return its raw (co_log, co_keys) bytes."""
     ch = compile_history(history)
     relation = _relation_from_compiled(ch)
     report = check_read_consistency_compiled(ch)
-    if level is IsolationLevel.READ_COMMITTED:
-        impl = saturate_rc_compiled(ch, relation, report.bad_ops)
-    elif level is IsolationLevel.READ_ATOMIC:
-        impl = saturate_ra_compiled(ch, relation, report.bad_ops)
-    else:
-        hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
-        if hb is None:
-            return None, None, "cyclic"
-        impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+    hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
+    if hb is None:
+        return None, None, "cyclic"
+    impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
     return relation._co_log.tobytes(), relation._co_keys.tobytes(), impl
 
 
 @needs_numpy
 class TestKernelBitIdentity:
-    """Vectorized and fallback kernels emit byte-identical edge logs."""
+    """Vectorized and fallback CC kernels emit byte-identical edge logs."""
 
     @settings(
         max_examples=50,
@@ -119,12 +111,12 @@ class TestKernelBitIdentity:
             HealthCheck.function_scoped_fixture,
         ],
     )
-    @given(config=history_configs, level=st.sampled_from(LEVELS))
-    def test_logs_bit_identical(self, config, level, force_vectorized):
+    @given(config=history_configs)
+    def test_logs_bit_identical(self, config, force_vectorized):
         history = generate_random_history(config)
-        vec_log, vec_keys, vec_impl = _saturation_logs(history, level)
+        vec_log, vec_keys, vec_impl = _saturation_logs(history)
         with _fallback():
-            fb_log, fb_keys, fb_impl = _saturation_logs(history, level)
+            fb_log, fb_keys, fb_impl = _saturation_logs(history)
         assert fb_impl in ("fallback", "cyclic")
         if vec_impl != "cyclic":
             # The vectorized path may still decline (e.g. empty histories
@@ -142,12 +134,11 @@ class TestKernelBitIdentity:
     )
     @given(
         config=history_configs,
-        level=st.sampled_from(LEVELS),
         anomaly=st.sampled_from(list(INJECTABLE_ANOMALIES)),
         anomaly_seed=st.integers(0, 1000),
     )
     def test_witness_identity_under_anomalies(
-        self, config, level, anomaly, anomaly_seed, force_vectorized
+        self, config, anomaly, anomaly_seed, force_vectorized
     ):
         history = generate_random_history(config)
         try:
@@ -155,9 +146,9 @@ class TestKernelBitIdentity:
         except ValueError:
             # Some anomalies need a minimum history shape.
             pass
-        vec = check(history, level, engine="compiled")
+        vec = check(history, CC, engine="compiled")
         with _fallback():
-            fb = check(history, level, engine="compiled")
+            fb = check(history, CC, engine="compiled")
         assert vec.is_consistent == fb.is_consistent
         assert [v.kind for v in vec.violations] == [v.kind for v in fb.violations]
         assert [v.describe() for v in vec.violations] == [
@@ -176,14 +167,12 @@ class TestKernelBitIdentity:
             seed=7,
         )
         history = generate_random_history(config)
-        _, _, impl = _saturation_logs(history, IsolationLevel.CAUSAL_CONSISTENCY)
+        _, _, impl = _saturation_logs(history)
         assert impl == "vectorized"
-        result = check(history, IsolationLevel.CAUSAL_CONSISTENCY, engine="compiled")
+        result = check(history, CC, engine="compiled")
         assert result.stats["saturation_kernel"] == "vectorized"
         with _fallback():
-            result = check(
-                history, IsolationLevel.CAUSAL_CONSISTENCY, engine="compiled"
-            )
+            result = check(history, CC, engine="compiled")
         assert result.stats["saturation_kernel"] == "fallback"
 
 
@@ -334,7 +323,6 @@ class TestEnvFlag:
             "from repro.core.compiled import online\n"
             "assert csr._np is None and not csr.HAVE_NUMPY\n"
             "assert kernels._np is None and not kernels.HAVE_NUMPY\n"
-            "assert kernels.kernel_impl() == 'fallback'\n"
             "assert online._np is None\n"
             "print('ok')\n"
         )

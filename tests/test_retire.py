@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
+from repro.core.compiled.kernels import compact_writer_registry
 from repro.core.compiled.retire import (
     RetiredAccessError,
     RetirementPolicy,
@@ -428,6 +429,24 @@ class TestRetireHelpers:
             RetirementPolicy(lag=-1)
         with pytest.raises(ValueError):
             RetirementPolicy(every=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        buckets=st.lists(st.integers(0, 5), max_size=40),
+        drops=st.dictionaries(st.integers(0, 6), st.integers(0, 8)),
+    )
+    def test_compaction_drops_each_buckets_first_rows_in_order(self, buckets, drops):
+        # Rows are (bucket, sidx, tid); sidx and tid just tag the position.
+        rows = [(b, 10 * i, 100 + i) for i, b in enumerate(buckets)]
+        want = [
+            row
+            for i, row in enumerate(rows)
+            if [r[0] for r in rows[:i]].count(row[0]) >= drops.get(row[0], 0)
+        ]
+        columns = [array("q", [row[k] for row in rows]) for k in range(3)]
+        got = compact_writer_registry(*columns, drops)
+        assert all(isinstance(column, array) for column in got)
+        assert list(zip(*got)) == want
 
 
 class TestFallbackParity:
