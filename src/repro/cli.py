@@ -111,47 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore the --checkpoint state and continue the interrupted check",
     )
     check_parser.add_argument(
-        "--retire",
-        action="store_true",
-        help=(
-            "with --stream: bound the fold's resident state via "
-            "watermark-based retirement -- fully folded transactions rotate "
-            "into archival segments and their summaries are compacted away; "
-            "finalize still reloads the spilled inferred CC edges, so the "
-            "whole check needs memory proportional to them; output stays "
-            "byte-identical to a non-retiring run, or the check refuses "
-            "with a clear diagnostic when the history needed evicted state"
-        ),
-    )
-    check_parser.add_argument(
-        "--retire-lag",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "number of most-recent transactions never retired (default: "
-            "4096); raise it when reads reach far back in the stream"
-        ),
-    )
-    check_parser.add_argument(
-        "--retire-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retirement pass cadence in appended transactions (default: 1024)",
-    )
-    check_parser.add_argument(
-        "--segment-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "with --retire: directory for the archival segment files "
-            "(default: a private temporary directory deleted at exit); "
-            "required when combining --retire with --checkpoint so a "
-            "resumed run finds its segments"
-        ),
-    )
-    check_parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -203,24 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reads, intern cardinalities) instead of the batch IR stats"
         ),
     )
-    stats_parser.add_argument(
-        "--retire",
-        action="store_true",
-        help=(
-            "with --stream: fold with watermark-based retirement enabled and "
-            "report the retirement counters (retired transactions, passes, "
-            "remap epochs, segments, post-compaction peaks)"
-        ),
-    )
-    stats_parser.add_argument(
-        "--retire-lag", type=int, default=None, metavar="N",
-        help="retirement lag (see awdit check --retire-lag)",
-    )
-    stats_parser.add_argument(
-        "--retire-every", type=int, default=None, metavar="N",
-        help="retirement cadence (see awdit check --retire-every)",
-    )
-
     return parser
 
 
@@ -235,7 +176,7 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
 
     Rejected: a negative ``--witnesses``, baseline checkers with
     awdit-engine flags, batch-only engine choices under ``--stream``, and
-    checkpointing or retirement outside streaming mode.
+    checkpointing outside streaming mode.
     """
     is_baseline = checker_name not in ("awdit", "default")
     if args.witnesses < 0:
@@ -257,33 +198,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
             )
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-    if args.retire_lag is not None and args.retire_lag < 0:
-        return f"--retire-lag must be >= 0, got {args.retire_lag}"
-    if args.retire_every is not None and args.retire_every < 1:
-        return f"--retire-every must be >= 1, got {args.retire_every}"
-    if not args.retire:
-        for flag, value in (
-            ("--retire-lag", args.retire_lag),
-            ("--retire-every", args.retire_every),
-            ("--segment-dir", args.segment_dir),
-        ):
-            if value is not None:
-                return f"{flag} tunes watermark-based retirement; add --retire"
-    else:
-        if not args.stream:
-            return (
-                "--retire bounds the online streaming state; it requires "
-                "--stream (batch engines hold the whole history anyway)"
-            )
-        if is_baseline:
-            return f"--retire supports only the awdit checker, not {args.checker!r}"
-        if args.checkpoint is not None and args.segment_dir is None:
-            return (
-                "--retire with --checkpoint needs --segment-dir DIR: a "
-                "resumed run must find the archival segments, and the "
-                "default temporary segment directory does not survive the "
-                "process"
-            )
     if args.resume and args.checkpoint is None:
         return "--resume continues from a checkpoint; add --checkpoint PATH"
     if args.checkpoint_every is not None and args.checkpoint is None:
@@ -390,22 +304,6 @@ def _print_profile(
     )
 
 
-def _retire_policy(args: argparse.Namespace):
-    """The :class:`RetirementPolicy` the ``--retire*`` flags describe, or ``None``."""
-    if not args.retire:
-        return None
-    from repro.core.compiled.retire import RetirementPolicy
-
-    kwargs = {}
-    if args.retire_lag is not None:
-        kwargs["lag"] = args.retire_lag
-    if args.retire_every is not None:
-        kwargs["every"] = args.retire_every
-    if getattr(args, "segment_dir", None) is not None:
-        kwargs["segment_dir"] = args.segment_dir
-    return RetirementPolicy(**kwargs)
-
-
 def _run_check(args: argparse.Namespace) -> int:
     try:
         level = IsolationLevel.from_string(args.isolation)
@@ -439,7 +337,6 @@ def _run_check(args: argparse.Namespace) -> int:
             ),
             resume=args.resume,
             batch_ops=args.batch_ops,
-            retire=_retire_policy(args),
             timings=profile_timings,
         )
     elif checker_name in ("awdit", "default"):
@@ -462,8 +359,8 @@ def _run_check(args: argparse.Namespace) -> int:
         history = load_history(args.history, fmt=args.format)
         result = BASELINE_REGISTRY[checker_name](history, level)
     else:
-        print(f"unknown checker {args.checker!r}", file=sys.stderr)
-        return 2
+        known = ", ".join(["awdit"] + sorted(BASELINE_REGISTRY))
+        return _conflict(f"unknown checker {args.checker!r}; known: {known}")
     if args.profile:
         total_seconds = time.perf_counter() - profile_start
         _current, peak_bytes = tracemalloc.get_traced_memory()
@@ -519,23 +416,6 @@ def _run_convert(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     from repro.histories.formats import load_compiled
 
-    if args.retire_lag is not None and args.retire_lag < 0:
-        return _conflict(f"--retire-lag must be >= 0, got {args.retire_lag}")
-    if args.retire_every is not None and args.retire_every < 1:
-        return _conflict(f"--retire-every must be >= 1, got {args.retire_every}")
-    if not args.retire:
-        for flag, value in (
-            ("--retire-lag", args.retire_lag),
-            ("--retire-every", args.retire_every),
-        ):
-            if value is not None:
-                return _conflict(
-                    f"{flag} tunes watermark-based retirement; add --retire"
-                )
-    elif not args.stream:
-        return _conflict(
-            "--retire bounds the online streaming state; it requires --stream"
-        )
     if args.stream:
         return _run_stats_stream(args)
     compiled = load_compiled(args.history, fmt=args.format)
@@ -570,7 +450,7 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
     """``awdit stats --stream``: peak live-state footprint of the online core."""
     from repro.stream import stream_live_stats
 
-    stats = stream_live_stats(args.history, fmt=args.format, retire=_retire_policy(args))
+    stats = stream_live_stats(args.history, fmt=args.format)
     print(
         f"Online core over {stats['transactions']} transactions "
         f"({stats['operations']} operations, {stats['sessions']} sessions):"
@@ -607,18 +487,6 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
         f"{stats['resolve_rebound']} rebound"
     )
     print(f"  inferred-edge log      : {stats['inferred_edge_log']} edges")
-    if stats.get("retire_enabled"):
-        print("  retirement:")
-        print(f"    retired transactions : {stats['retired_transactions']}")
-        print(f"    retire passes        : {stats['retire_passes']}")
-        print(f"    remap epochs         : {stats['remap_epochs']}")
-        print(f"    archival segments    : {stats['retire_segments']}")
-        print(f"    evicted writes       : {stats['evicted_writes']}")
-        print(f"    spilled edges        : {stats['spilled_edges']}")
-        print(
-            "    peak resident after compaction : "
-            f"{stats['post_compaction_peak_resident']} txn summaries"
-        )
     return 0
 
 

@@ -18,10 +18,9 @@ writer index (:class:`WriterProbeIndex`), and unique-writes resolution
 :mod:`repro.graph.csr`, the one module that decides whether this process
 uses numpy, found it usable, and when the input is large enough to
 amortize array setup (``_MIN_VECTOR_READS``); the scalar side is the only
-path on a machine without numpy.  RC and RA saturation, the clock join,
-and the writer-registry compaction are scalar only: their vectorized
-sides were slower than the loop, never ran, or ran on no benchmarked
-workload.
+path on a machine without numpy.  RC and RA saturation and the clock
+join are scalar only: their vectorized sides were slower than the loop
+or never ran.
 
 The two sides of a kept kernel produce byte-identical output in the
 identical order, so verdicts, violation lists, and witness renderings never
@@ -61,7 +60,6 @@ __all__ = [
     "saturate_rc_compiled",
     "saturate_ra_compiled",
     "saturate_cc_compiled",
-    "compact_writer_registry",
     "join_clocks",
     "ParkQueue",
     "ResolvedBatch",
@@ -587,46 +585,6 @@ def saturate_cc_compiled(
     return "fallback"
 
 
-# -- retirement support --------------------------------------------------------
-
-
-def compact_writer_registry(
-    wb_bucket: "array",
-    wb_sidx: "array",
-    wb_tid: "array",
-    removed: Dict[int, int],
-):
-    """Drop each bucket's first ``removed[bucket]`` rows from the flat registry.
-
-    The online fold's writer registry (``bucket``/``sidx``/``tid`` parallel
-    ``array('q')`` rows, appended in arrival order) is what the deferred
-    probe flush sorts into the composite ``bucket * 2^32 + sidx`` index.
-    Retirement removes a *prefix* of each bucket -- rows are appended in
-    ascending session index per bucket, and the retired rows are exactly the
-    oldest -- so compaction is "skip the first N occurrences of each bucket"
-    while preserving the original append order (future stable argsorts then
-    still see ascending session indices per bucket).
-
-    Returns three fresh ``array('q')`` rows (property-tested against a
-    reference in ``tests/test_retire.py``).
-    """
-    seen: Dict[int, int] = {}
-    new_bucket = array("q")
-    new_sidx = array("q")
-    new_tid = array("q")
-    get_removed = removed.get
-    for i in range(len(wb_bucket)):
-        bid = wb_bucket[i]
-        rank = seen.get(bid, 0)
-        seen[bid] = rank + 1
-        if rank < get_removed(bid, 0):
-            continue
-        new_bucket.append(bid)
-        new_sidx.append(wb_sidx[i])
-        new_tid.append(wb_tid[i])
-    return new_bucket, new_sidx, new_tid
-
-
 # -- online columnar fold state (clock join + park queue) ----------------------
 
 
@@ -634,7 +592,7 @@ def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
     """Join one transaction's causal clock from its writers' hb matrix rows.
 
     ``hb_data`` is the flat row-major hb matrix (``array('q')``, one
-    ``stride``-wide row per resident transaction, ``-1`` = "no entry") and
+    ``stride``-wide row per transaction, ``-1`` = "no entry") and
     ``sc_data[soff:soff+stride]`` the reader session's base clock row.
     ``rows`` are the matrix row indices of the (pre-filtered) external
     writers to join, and ``wsids``/``wsidxs`` their session id / session
@@ -691,10 +649,6 @@ class ParkQueue:
     def pop(self, wid: int):
         """Remove and return the wid's pair row (``None`` when absent)."""
         return self._rows.pop(wid, None)
-
-    def wids(self):
-        """Parked wids in first-park order (the thin-air drain order)."""
-        return self._rows.keys()
 
     def items(self):
         return self._rows.items()
@@ -803,9 +757,9 @@ class WritesIndex:
     re-sort per batch.
 
     The mirror is derived state: it is never pickled (checkpoints carry the
-    dict; ``__setstate__`` starts a fresh dirty mirror), and retirement
-    compaction / value-id remapping simply :meth:`invalidate` it -- the next
-    vectorized batch rebuilds from the dict.  The ``committed`` bit is
+    dict; ``__setstate__`` starts a fresh dirty mirror), and a batch that
+    fails mid-fold calls :meth:`invalidate` -- the next vectorized batch
+    rebuilds from the dict.  The ``committed`` bit is
     cached per entry at registration; a transaction's committed flag never
     changes after creation, so the cache cannot go stale.
     """
@@ -857,8 +811,9 @@ class WritesIndex:
     def invalidate(self) -> None:
         """Drop the mirror; the next :meth:`ensure` rebuilds from the dict.
 
-        Called whenever wids or entries change behind the mirror's back:
-        retirement eviction, value-intern remapping, checkpoint restore.
+        Called when the writes dict changed behind the mirror's back: a
+        batch that raised mid-fold registered a prefix of its writes while
+        its bulk mirror notes were never applied.
         """
         self._dirty = True
         if self._enabled:
@@ -1492,24 +1447,14 @@ class WriterProbeIndex:
     unique (one registration per (transaction, key)), so "later" is a plain
     composite comparison.
 
-    Derived state, like :class:`WritesIndex`: never pickled, and
-    :meth:`invalidate` resets it whenever retirement compacts the registry
-    out from under the cache.
+    Derived state, like :class:`WritesIndex`: never pickled.  The registry
+    it mirrors is append-only, so :meth:`sync` never has to drop a row it
+    merged earlier.
     """
 
     __slots__ = ("_synced", "main_comp", "main_tid", "bucket_start", "tail_comp", "tail_tid")
 
     def __init__(self) -> None:
-        self._synced = 0
-        if _np is not None:
-            empty = _np.zeros(0, dtype=_np.int64)
-            self.main_comp = empty
-            self.main_tid = empty
-            self.tail_comp = empty
-            self.tail_tid = empty
-            self.bucket_start = None
-
-    def invalidate(self) -> None:
         self._synced = 0
         if _np is not None:
             empty = _np.zeros(0, dtype=_np.int64)

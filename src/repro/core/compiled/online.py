@@ -29,18 +29,19 @@ single-record batch, so no :class:`~repro.core.model.Operation` or
 Memory model: each transaction's operation data is dropped the moment the
 transaction is folded into the online state; what stays resident is the
 *live state*, laid out as structure-of-arrays columns indexed by
-``tid - _txns_base`` -- flat ``array('q')`` transaction summaries (session
+``tid`` -- flat ``array('q')`` transaction summaries (session
 ids/indices, status flags, written-key and first-read-per-writer runs in
 shared values arrays with per-transaction offsets), the writes index, a
 columnar park queue of reads whose writes have not arrived
 (:class:`~repro.core.compiled.kernels.ParkQueue`), the per-(session, key)
 writer lists, and one flat row-major clock matrix each for the hb clocks
-and the session clocks -- so checking a multi-gigabyte log is bounded by
-live state, not by operation count, and the resident footprint is array
-bytes the cyclic GC never walks, not a per-transaction object heap.
-:meth:`live_stats` reports the peak footprint of each component
-(``awdit stats --stream`` prints it); the README's "Fold memory model"
-section maps each column to what it holds.
+and the session clocks -- so the resident footprint is array bytes the
+cyclic GC never walks, not a per-transaction object heap.  The state is
+still O(history): one summary row per transaction plus the inferred-edge
+logs, which :meth:`finalize` replays into whole-history commit relations,
+just as the batch engines build them.  :meth:`live_stats` reports the
+peak footprint of each component (``awdit stats --stream`` prints it); the
+README's "Fold memory model" section maps each column to what it holds.
 
 Checkpoint/resume: :meth:`save_checkpoint` serializes the whole online
 state (intern tables, frontiers, pending reads, edge logs) to a file;
@@ -72,7 +73,7 @@ import pickle
 import time
 from array import array
 from bisect import bisect_left
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cc import causality_cycles, causality_labels
@@ -89,16 +90,6 @@ from repro.core.violations import (
     ViolationKind,
 )
 from repro.core.compiled import kernels as _kernels
-from repro.core.compiled.retire import (
-    RetirementPolicy,
-    RetireStats,
-    SegmentStore,
-    check_identity_reuse,
-    check_retired_reads,
-    load_retired_state,
-    low_watermark_flat,
-    stable_digest,
-)
 from repro.graph.csr import _np, freeze_packed
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, pack_edge
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
@@ -133,7 +124,7 @@ _KEY_SHIFT = 24
 #: Checkpoint file header: magic + format version.  Checkpoints are transient
 #: resume state, so only the current version loads; older ones are rejected.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
@@ -185,8 +176,8 @@ class CompiledIncrementalChecker:
 
     ``levels`` selects the checks (default: all three); ``num_sessions``
     pre-registers sessions ``0..n-1`` (others register on first arrival);
-    ``max_witnesses`` caps the cycle witnesses per level; ``retire``
-    enables watermark-based retirement.  :meth:`append_batch` folds whole
+    ``max_witnesses`` caps the cycle witnesses per level.
+    :meth:`append_batch` folds whole
     columnar :class:`~repro.histories.formats._raw.RecordBatch` objects
     (the parsers' ``stream_batches`` layer), :meth:`append_raw` /
     :meth:`extend_raw` accept the record-at-a-time raw form (``session,
@@ -199,7 +190,6 @@ class CompiledIncrementalChecker:
         levels: Optional[Sequence[IsolationLevel]] = None,
         num_sessions: Optional[int] = None,
         max_witnesses: Optional[int] = None,
-        retire: Optional[RetirementPolicy] = None,
     ) -> None:
         chosen = tuple(levels) if levels is not None else ALL_LEVELS
         for level in chosen:
@@ -211,27 +201,10 @@ class CompiledIncrementalChecker:
         self._cc_enabled = IsolationLevel.CAUSAL_CONSISTENCY in chosen
         self._max_witnesses = max_witnesses
 
-        # Watermark-based retirement (see repro.core.compiled.retire): the
-        # resident lists below hold only transactions at or above the bases;
-        # everything before them rotated into archival segments.  ``tid``s
-        # and session indices stay *absolute* -- only the list indexing is
-        # offset -- so clocks, packed edges, and sort keys never renumber
-        # mid-stream.
-        self._retire = retire
-        self._retire_stats = RetireStats()
-        self._segments = SegmentStore(retire.segment_dir) if retire else None
-        self._txns_base = 0
         self._next_tid = 0
-        self._sess_base: List[int] = []
-        #: key id -> tid of the arrival-order latest registered writer; a
-        #: transaction owning any current entry is pinned (a future read may
-        #: still resolve to it), which stops the retirement scan.
-        self._latest_writer: Dict[int, int] = {}
-        self._retire_last = 0
-        self._retired_final = None
 
-        # Columnar transaction summaries: one row per resident transaction,
-        # indexed by ``j = tid - _txns_base``.  ``_t_flags`` packs the four
+        # Columnar transaction summaries: one row per transaction, indexed
+        # by ``tid``.  ``_t_flags`` packs the four
         # status booleans (bit 0 committed, bit 1 resolved, bit 2 cc_done,
         # bit 3 cc_registered).  The written-key and first-read-per-writer
         # summaries are *runs* into shared append-only values arrays:
@@ -282,8 +255,8 @@ class CompiledIncrementalChecker:
         self._live_reads: Dict[int, List[_Read]] = {}
         self._prefold: Dict[int, list] = {}
         self._session_ids: Dict[object, int] = {}
-        #: Per session: resident transaction tids in session order (absolute;
-        #: entry ``i`` of session ``s`` is session index ``_sess_base[s]+i``).
+        #: Per session: transaction tids in session order (entry ``i`` is
+        #: session index ``i``).
         self._by_session: List["array"] = []
         self._key_table = Intern()
         self._value_table = Intern()
@@ -309,8 +282,8 @@ class CompiledIncrementalChecker:
         # Flat row-major clock matrices, both with the same power-of-two row
         # stride (grown geometrically by ``_grow_clock_stride`` when a new
         # session overflows it): ``_sc_data`` holds one session-clock row
-        # per dense sid, ``_hb_data`` one hb-clock row per *resident*
-        # transaction (row ``tid - _txns_base``).  Cells are -1-padded; a -1
+        # per dense sid, ``_hb_data`` one hb-clock row per transaction
+        # (row ``tid``).  Cells are -1-padded; a -1
         # entry compares exactly like the missing entry of the old ragged
         # ``List[List[int]]`` clocks (``sidx <= -1`` is false for any real
         # session index).  -1 as int64 is all 0xff bytes, so ``_hb_pad``
@@ -369,8 +342,8 @@ class CompiledIncrementalChecker:
         #: ``live_stats`` as ``cc_joins_fallback``.
         self._join_scalar = 0
 
-        #: Derived kernel caches (never pickled, rebuilt after restore or
-        #: retirement): the sorted flat mirror of ``_writes`` behind
+        #: Derived kernel caches (never pickled, rebuilt after restore): the
+        #: sorted flat mirror of ``_writes`` behind
         #: ``kernels.resolve_reads``, and the incrementally sorted CC
         #: writer-registry view behind the probe flush.
         self._writes_index = _kernels.WritesIndex()
@@ -433,7 +406,7 @@ class CompiledIncrementalChecker:
 
     @property
     def num_transactions(self) -> int:
-        """Number of transactions appended so far (retired ones included)."""
+        """Number of transactions appended so far."""
         return self._next_tid
 
     @property
@@ -551,12 +524,8 @@ class CompiledIncrementalChecker:
         writers_by_key = self._writers_by_key
         cc_enabled = self._cc_enabled
         value_cap = 1 << _VALUE_SHIFT
-        tbase = self._txns_base
-        sess_base = self._sess_base
-        latest_writer = self._latest_writer
         value_objs = self._value_table.values
         writes_index = self._writes_index
-        retiring = self._retire is not None
         ra_enabled = self._ra_enabled
         rc_enabled = self._rc_enabled
         classify = self._classify
@@ -606,7 +575,7 @@ class CompiledIncrementalChecker:
         res = _kernels.resolve_reads(
             writes_index,
             writes,
-            lambda wtid: t_flags[wtid - tbase] & 1,
+            lambda wtid: t_flags[wtid] & 1,
             kid_col,
             vid_col,
             kinds,
@@ -670,7 +639,7 @@ class CompiledIncrementalChecker:
                         "history has too many transactions for packed edges"
                     )
                 committed = bool(committed_col[t])
-                sidx = sess_base[sid] + len(records)
+                sidx = len(records)
                 t_sid.append(sid)
                 t_sidx.append(sidx)
                 t_flags.append(1 if committed else 0)
@@ -740,9 +709,6 @@ class CompiledIncrementalChecker:
                         new_writes = w_wid[wa:wz]
                         for k in range(wa, wz):
                             writes[w_wid[k]] = (sid, sidx, w_index[k], tid, w_final[k])
-                    if retiring:
-                        for kid in final_write:
-                            latest_writer[kid] = tid
                 else:
                     final_write = None
                     new_writes = ()
@@ -818,7 +784,7 @@ class CompiledIncrementalChecker:
                         for otid, _rindex, read in waiters:
                             self._unclassify(otid, read)
                             classify(otid, read, hit)
-                            t_slow[otid - tbase] += 1
+                            t_slow[otid] += 1
                             n_rebound += 1
 
                 # Resolve earlier reads that were parked waiting for these writes.
@@ -836,7 +802,6 @@ class CompiledIncrementalChecker:
                     for p in range(0, len(row), 2):
                         otid = row[p]
                         slot = row[p + 1]
-                        oj = otid - tbase
                         if slot < 0:
                             # Clean-parked read: its binding was proved by the
                             # resolve kernel and already sits in the reader's
@@ -855,7 +820,7 @@ class CompiledIncrementalChecker:
                                     None,
                                 )
                                 classify(otid, read, hit)
-                                t_slow[oj] += 1
+                                t_slow[otid] += 1
                                 n_slow += 1
                         else:
                             read = live_reads[otid][slot]
@@ -865,15 +830,14 @@ class CompiledIncrementalChecker:
                                 n_fast += 1
                             else:
                                 classify(otid, read, hit)
-                                t_slow[oj] += 1
+                                t_slow[otid] += 1
                                 n_slow += 1
-                        t_unres[oj] -= 1
-                        if t_unres[oj] == 0:
+                        t_unres[otid] -= 1
+                        if t_unres[otid] == 0:
                             on_resolved(otid)
 
                 # Resolve this transaction's own reads against everything seen
                 # so far, consuming the kernel's whole-batch answers.
-                jrow = tid - tbase
                 if committed:
                     self._num_unfolded += 1
                     if self._num_unfolded > self._peak_unfolded:
@@ -888,9 +852,9 @@ class CompiledIncrementalChecker:
                         n_fast += rb - ra
                         folded_wids.update(r_wid[ra:rb])
                         if rb > ra:
-                            gr_start[jrow] = gbase + ra
-                            gr_len[jrow] = rb - ra
-                        wany_start[jrow] = -2
+                            gr_start[tid] = gbase + ra
+                            gr_len[tid] = rb - ra
+                        wany_start[tid] = -2
                         if ra_enabled and rb - ra > 1 and (
                             # A non-repeatable read needs a repeated key;
                             # one C-level set build skips the per-read dict
@@ -927,7 +891,7 @@ class CompiledIncrementalChecker:
                                         ((sid, sidx, r_index[ra + j]), violation)
                                     )
                                     self._live.append(violation)
-                        t_flags[jrow] |= 2
+                        t_flags[tid] |= 2
                         self._num_unfolded -= 1
                         if cc_enabled:
                             self._cc_backlog += 1
@@ -954,11 +918,11 @@ class CompiledIncrementalChecker:
                         n_parked += unresolved
                         n_fast += (rb - ra) - unresolved
                         if rb > ra:
-                            gr_start[jrow] = gbase + ra
-                            gr_len[jrow] = rb - ra
-                        wany_start[jrow] = -2
+                            gr_start[tid] = gbase + ra
+                            gr_len[tid] = rb - ra
+                        wany_start[tid] = -2
                         prefold_map[tid] = r_wid[ra:rb]
-                        t_unres[jrow] = unresolved
+                        t_unres[tid] = unresolved
                         self._num_parked += unresolved
                         if self._num_parked > self._peak_parked:
                             self._peak_parked = self._num_parked
@@ -992,7 +956,7 @@ class CompiledIncrementalChecker:
                                     writer_tid != tid
                                     and hit[4]
                                     and ov < 0
-                                    and t_flags[writer_tid - tbase] & 1
+                                    and t_flags[writer_tid] & 1
                                 ):
                                     read.writer = writer_tid
                                     read.writer_index = hit[2]
@@ -1002,16 +966,16 @@ class CompiledIncrementalChecker:
                                     slow += 1
                                     n_slow += 1
                         live_reads[tid] = reads
-                        t_slow[jrow] = slow
+                        t_slow[tid] = slow
                         if unresolved == 0:
                             on_resolved(tid)
                         else:
-                            t_unres[jrow] = unresolved
+                            t_unres[tid] = unresolved
                             self._num_parked += unresolved
                             if self._num_parked > self._peak_parked:
                                 self._peak_parked = self._num_parked
                 else:
-                    t_flags[jrow] |= 2
+                    t_flags[tid] |= 2
                     touch(sid)
         except BaseException:
             # A mid-batch error (packed-edge/value-cap overflow, the
@@ -1062,8 +1026,6 @@ class CompiledIncrementalChecker:
                 - (laps["clock_join"] - cc_lap_before)
                 - dispatch_delta
             )
-        if self._retire is not None:
-            self._maybe_retire()
         self._elapsed += time.perf_counter() - start
 
     def _intern_value_column(
@@ -1192,33 +1154,8 @@ class CompiledIncrementalChecker:
 
         key_names = self._key_table.values
         value_objs = self._value_table.values
-        if self._segments is not None and len(self._segments):
-            # Reload the archival segments once: the retired transaction
-            # metadata feeds the batch renumbering below, and the merged
-            # digest set backs the two refusal scans -- a pending read that
-            # resolves to an evicted write, and a live write identity that
-            # was registered again after its first incarnation was evicted
-            # (load_retired_state itself refuses segment-vs-segment reuse).
-            vmask = (1 << _VALUE_SHIFT) - 1
-            retired = load_retired_state(self._segments, len(self._by_session))
-            check_retired_reads(
-                retired.digests,
-                (
-                    (key_names[wid >> _VALUE_SHIFT], value_objs[wid & vmask])
-                    for wid in self._pending.wids()
-                ),
-            )
-            check_identity_reuse(
-                retired.digests,
-                (
-                    (key_names[wid >> _VALUE_SHIFT], value_objs[wid & vmask])
-                    for wid in self._writes
-                ),
-            )
-            self._retired_final = retired
         t_slow = self._t_slow
         t_unres = self._t_unres
-        tbase = self._txns_base
         for wid, row in list(self._pending.items()):
             kid = wid >> _VALUE_SHIFT
             vid = wid & ((1 << _VALUE_SHIFT) - 1)
@@ -1227,7 +1164,6 @@ class CompiledIncrementalChecker:
             for p in range(0, len(row), 2):
                 otid = row[p]
                 slot = row[p + 1]
-                oj = otid - tbase
                 if slot < 0:  # pragma: no cover - unreachable by proof
                     # A clean-parked read's writer registers later in the
                     # *same* batch (that is what the kernel proved), so none
@@ -1237,7 +1173,7 @@ class CompiledIncrementalChecker:
                 else:
                     read = self._live_reads[otid][slot]
                 read.bad = True
-                t_slow[oj] += 1
+                t_slow[otid] += 1
                 self._add_rc_violation(
                     otid,
                     read,
@@ -1246,8 +1182,8 @@ class CompiledIncrementalChecker:
                     f"transaction writes {value!r} to {key!r}",
                     write=None,
                 )
-                t_unres[oj] -= 1
-                if t_unres[oj] == 0:
+                t_unres[otid] -= 1
+                if t_unres[otid] == 0:
                     self._on_resolved(otid)
         self._pending.clear()
         self._num_parked = 0
@@ -1256,15 +1192,13 @@ class CompiledIncrementalChecker:
         self._flush_cc_probes()
 
         if self._ra_enabled:
-            for sid in range(len(self._by_session)):
-                if self._ra_next[sid] != self._sess_base[sid] + len(
-                    self._by_session[sid]
-                ):
+            for sid, records in enumerate(self._by_session):
+                if self._ra_next[sid] != len(records):
                     raise AssertionError("RA frontier failed to drain at finalize")
 
         cc_complete = all(
-            self._cc_next[sid] == self._sess_base[sid] + len(self._by_session[sid])
-            for sid in range(len(self._by_session))
+            self._cc_next[sid] == len(records)
+            for sid, records in enumerate(self._by_session)
         )
         mapping, names, committed_ids, so_edges = self._batch_numbering()
         rc_violations = [v for _, v in sorted(self._rc_axiom, key=lambda item: item[0])]
@@ -1276,7 +1210,7 @@ class CompiledIncrementalChecker:
         self._hb_data = array("q")
         self._sc_data = array("q")
         # The good-read run columns stay alive: _build_relation and
-        # _causality_graph derive each resident row's wr maps from its run
+        # _causality_graph derive each row's wr maps from its run
         # (the -2 sentinel) during the replay below.
         self._live_reads = {}
         self._prefold = {}
@@ -1289,13 +1223,11 @@ class CompiledIncrementalChecker:
         self._wb_sidx = array("q")
         self._wb_tid = array("q")
         self._ra_last_write = []
-        self._latest_writer = {}
 
         results: Dict[IsolationLevel, CheckResult] = {}
         if self._rc_enabled:
             relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, self._rc_log,
-                spilled=self._spilled_run("rc"),
+                mapping, names, committed_ids, so_edges, self._rc_log
             )
             self._rc_log = {}
             violations = rc_violations + relation.find_cycles(
@@ -1310,8 +1242,7 @@ class CompiledIncrementalChecker:
             single = len(self._by_session) <= 1
             log = self._ra_so_log if single else self._ra_log
             relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, log,
-                spilled=self._spilled_run("ra_so" if single else "ra"),
+                mapping, names, committed_ids, so_edges, log
             )
             self._ra_log = {}
             self._ra_so_log = {}
@@ -1335,8 +1266,7 @@ class CompiledIncrementalChecker:
                 )
             else:
                 relation = self._build_relation(
-                    mapping, names, committed_ids, so_edges, self._cc_log,
-                    spilled=self._spilled_run("cc"),
+                    mapping, names, committed_ids, so_edges, self._cc_log
                 )
                 self._cc_log = {}
                 violations = rc_violations + relation.find_cycles(
@@ -1353,11 +1283,6 @@ class CompiledIncrementalChecker:
                 in (ViolationKind.CAUSALITY_CYCLE, ViolationKind.COMMIT_ORDER_CYCLE)
                 and v not in self._live
             )
-        self._retired_final = None
-        if self._segments is not None:
-            # Owned (temporary) segment directories are deleted; an explicit
-            # --segment-dir keeps its segments as the user's archive.
-            self._segments.cleanup()
         self._elapsed += time.perf_counter() - start
         for result in results.values():
             result.elapsed_seconds = self._elapsed
@@ -1370,13 +1295,11 @@ class CompiledIncrementalChecker:
         """Peak live-state footprint of the online core, component by component.
 
         ``resident_transactions`` is the number of transaction-level
-        summaries currently held (operation data itself is dropped at fold,
-        and retirement evicts summaries past the watermark); the ``peak_*``
-        entries are high-water marks over the whole run, and the
-        ``retire*``/``remap_epochs`` counters describe the retirement layer
-        (all zero when ``--retire`` is off).
+        summaries currently held (operation data itself is dropped at
+        fold); the ``peak_*`` entries are high-water marks over the whole
+        run.
         """
-        stats = {
+        return {
             "transactions": self._next_tid,
             "operations": self._num_operations,
             "sessions": len(self._by_session),
@@ -1408,10 +1331,7 @@ class CompiledIncrementalChecker:
                 + len(self._ra_so_log)
                 + len(self._cc_log)
             ),
-            "retire_enabled": int(self._retire is not None),
         }
-        stats.update(self._retire_stats.as_dict())
-        return stats
 
     # -- checkpoint/resume -------------------------------------------------------
 
@@ -1428,9 +1348,10 @@ class CompiledIncrementalChecker:
         ``source`` optionally records a fingerprint of the stream being
         checked (see :func:`repro.stream.runner.source_fingerprint`);
         :func:`load_checkpoint` verifies it so a checkpoint cannot silently
-        resume against a different history.  The write is atomic (temp file
-        + rename), so an interrupted save never destroys the previous
-        checkpoint.
+        resume against a different history.  The write is atomic and
+        durable: the temp file is fsynced before it is renamed over
+        ``path``, and a failed write removes the temp file, so an
+        interrupted save never destroys the previous checkpoint.
         """
         if self._results is not None:
             raise RuntimeError("cannot checkpoint a finalized checker")
@@ -1441,11 +1362,20 @@ class CompiledIncrementalChecker:
             "checker": self,
         }
         scratch = f"{path}.tmp"
-        with open(scratch, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(bytes([CHECKPOINT_VERSION]))
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(scratch, path)
+        try:
+            with open(scratch, "wb") as handle:
+                handle.write(CHECKPOINT_MAGIC)
+                handle.write(bytes([CHECKPOINT_VERSION]))
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(scratch, path)
+        except BaseException:
+            try:
+                os.unlink(scratch)
+            except OSError:
+                pass
+            raise
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -1461,372 +1391,12 @@ class CompiledIncrementalChecker:
         self._writes_index = _kernels.WritesIndex()
         self._wb_probe = _kernels.WriterProbeIndex()
 
-    # -- watermark-based retirement (see repro.core.compiled.retire) ------------
-
-    def enable_retirement(self, policy: RetirementPolicy) -> None:
-        """Enable (or re-tune) watermark-based retirement on a live checker.
-
-        The resume path uses this: a checkpoint written without retirement
-        resumes with it disabled, and ``--retire`` turns it on for the rest
-        of the run.  The latest-writer pins are rebuilt exactly from the
-        resident writes index -- nothing was evicted while the policy was
-        off, so every write's registration is still resident.  On a checker
-        that already retires, only the policy knobs change; the segment
-        store (and its manifest) carries on so earlier segments stay valid.
-        """
-        if self._results is not None:
-            raise RuntimeError("cannot enable retirement on a finalized checker")
-        enabling = self._retire is None
-        self._retire = policy
-        if self._segments is None:
-            self._segments = SegmentStore(policy.segment_dir)
-        if enabling:
-            latest: Dict[int, int] = {}
-            for wid, entry in self._writes.items():
-                kid = wid >> _VALUE_SHIFT
-                if entry[3] > latest.get(kid, -1):
-                    latest[kid] = entry[3]
-            self._latest_writer = latest
-            self._retire_last = self._next_tid
-
-    def _maybe_retire(self) -> None:
-        """Attempt one retirement pass (end of ``append_batch``).
-
-        The global guard first: a pass runs only on a *fully drained* fold
-        -- no parked reads, no unresolved transactions (which also means no
-        read can still rebind), and (when CC is on) no CC backlog or
-        deferred probes.  Under the guard
-        every frontier has passed every resident transaction and no live
-        structure dereferences a summary by tid except through still-live
-        reads, so retiring a prefix can never be observed by later folds.
-        Anomalous histories park reads or stall the CC frontier, which
-        stalls the guard -- retirement never advances past an anomaly, and
-        byte-identical violations follow for free.
-        """
-        policy = self._retire
-        if self._next_tid - self._retire_last < policy.every:
-            return
-        self._retire_last = self._next_tid
-        if self._num_unfolded or self._pending:
-            return
-        if self._cc_enabled and (
-            self._cc_backlog or self._cc_probe_pending or self._cc_waiters
-        ):
-            return
-        limit = self._next_tid - policy.lag
-        base = self._txns_base
-        if limit <= base:
-            return
-        # Eligibility scan, strictly in tid order (the retired set is always
-        # a prefix, so tids stay dense below the base -- no hole maps).  A
-        # committed transaction must be at or below the global low-watermark
-        # of its session (every clock has passed it; no future causal probe
-        # can answer with it), and *no* transaction may own a current
-        # latest-writer pin (a future read could still resolve to it).
-        wm = (
-            low_watermark_flat(
-                self._sc_data, self._clock_stride, len(self._by_session)
-            )
-            if self._cc_enabled
-            else None
-        )
-        t_sid = self._t_sid
-        t_sidx = self._t_sidx
-        t_flags = self._t_flags
-        fw_off = self._fw_off
-        fw_kid = self._fw_kid
-        latest_writer = self._latest_writer
-        new_base = base
-        while new_base < limit:
-            j = new_base - base
-            if (t_flags[j] & 1) and wm is not None and t_sidx[j] > wm[t_sid[j]]:
-                break
-            pinned = False
-            for kid in fw_kid[fw_off[j] : fw_off[j + 1]]:
-                if latest_writer.get(kid) == new_base:
-                    pinned = True
-                    break
-            if pinned:
-                break
-            new_base += 1
-        if new_base > base:
-            self._retire_to(new_base)
-
-    def _retire_to(self, new_base: int) -> None:
-        """Retire every transaction below ``new_base`` into one segment.
-
-        Columnar compaction: the retiring transactions are a prefix of
-        every column, so eviction is one ``del column[:count]`` per flat
-        array (the hb matrix drops ``count`` whole rows the same way) plus
-        an O(live) rebuild of the shared run arrays the survivors index.
-        """
-        base = self._txns_base
-        count = new_base - base
-        stats = self._retire_stats
-        t_sid = self._t_sid
-        t_sidx = self._t_sidx
-        t_flags = self._t_flags
-        t_labels = self._t_labels
-        fw_off = self._fw_off
-        fw_kid = self._fw_kid
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        wgood_start = self._wr_good_start
-        wgood_len = self._wr_good_len
-        wgood_writer = self._wr_good_writer
-        wgood_kid = self._wr_good_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_index = self._gr_index
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-
-        seg_txns: List[Tuple[int, int, int, bool, Optional[str]]] = []
-        seg_wr: List[Tuple[int, list, list]] = []
-        per_session: Dict[int, int] = {}
-        for j in range(count):
-            tid = base + j
-            sid = t_sid[j]
-            committed = bool(t_flags[j] & 1)
-            seg_txns.append((tid, sid, t_sidx[j], committed, t_labels[j]))
-            if committed:
-                a = wany_start[j]
-                if a == -2:
-                    # Derive sentinel: the first-per-writer map materializes
-                    # from the good-read run only here, at the segment
-                    # boundary (the fold never built the dict at all).
-                    any_pairs = []
-                    seen: Set[int] = set()
-                    ga = gr_start[j]
-                    for g in range(ga, ga + gr_len[j]):
-                        w = gr_writer[g]
-                        if w not in seen:
-                            seen.add(w)
-                            any_pairs.append((w, gr_kid[g]))
-                    if any_pairs:
-                        seg_wr.append((tid, any_pairs, list(any_pairs)))
-                else:
-                    alen = wany_len[j]
-                    gs = wgood_start[j]
-                    glen = alen if gs < 0 else wgood_len[j]
-                    if alen or glen:
-                        any_pairs = list(
-                            zip(wany_writer[a : a + alen], wany_kid[a : a + alen])
-                        )
-                        if gs < 0:
-                            good_pairs = list(any_pairs)
-                        else:
-                            good_pairs = list(
-                                zip(
-                                    wgood_writer[gs : gs + glen],
-                                    wgood_kid[gs : gs + glen],
-                                )
-                            )
-                        seg_wr.append((tid, any_pairs, good_pairs))
-            per_session[sid] = per_session.get(sid, 0) + 1
-        del t_sid[:count]
-        del t_sidx[:count]
-        del t_flags[:count]
-        del self._t_unres[:count]
-        del self._t_ccpend[:count]
-        del self._t_slow[:count]
-        del t_labels[:count]
-        del self._hb_data[: count * self._clock_stride]
-        # Final-write runs: drop the retired prefix of the shared kid array
-        # and rebase the offsets.
-        cut = fw_off[count]
-        del fw_kid[:cut]
-        self._fw_off = array("q", (value - cut for value in islice(fw_off, count, None)))
-        # wr runs: prefix-delete the per-txn columns, then rebuild the
-        # shared pair arrays from the survivors (O(live state)).
-        del wany_start[:count]
-        del wany_len[:count]
-        del wgood_start[:count]
-        del wgood_len[:count]
-        new_aw = array("q")
-        new_ak = array("q")
-        for j in range(len(wany_start)):
-            length = wany_len[j]
-            if length:
-                s = wany_start[j]
-                wany_start[j] = len(new_aw)
-                new_aw.extend(wany_writer[s : s + length])
-                new_ak.extend(wany_kid[s : s + length])
-            elif wany_start[j] != -2:
-                # Keep the derive sentinel: those rows' wr maps live in the
-                # good-read runs, not here.
-                wany_start[j] = -1
-        self._wr_any_writer = new_aw
-        self._wr_any_kid = new_ak
-        new_gw = array("q")
-        new_gk = array("q")
-        for j in range(len(wgood_start)):
-            gs = wgood_start[j]
-            if gs >= 0:
-                length = wgood_len[j]
-                wgood_start[j] = len(new_gw)
-                new_gw.extend(wgood_writer[gs : gs + length])
-                new_gk.extend(wgood_kid[gs : gs + length])
-        self._wr_good_writer = new_gw
-        self._wr_good_kid = new_gk
-        # Good-read runs compact the same way: prefix-delete the per-txn
-        # columns, rebuild the shared triple arrays from the survivors.
-        del gr_start[:count]
-        del gr_len[:count]
-        new_gi = array("q")
-        new_gd = array("q")
-        new_gr = array("q")
-        for j in range(len(gr_start)):
-            length = gr_len[j]
-            if length:
-                s = gr_start[j]
-                gr_start[j] = len(new_gi)
-                new_gi.extend(gr_index[s : s + length])
-                new_gd.extend(gr_kid[s : s + length])
-                new_gr.extend(gr_writer[s : s + length])
-            else:
-                gr_start[j] = -1
-        self._gr_index = new_gi
-        self._gr_kid = new_gd
-        self._gr_writer = new_gr
-        self._txns_base = new_base
-        by_session = self._by_session
-        sess_base = self._sess_base
-        for sid, removed in per_session.items():
-            # Within a session tids ascend with the session index, so the
-            # retiring transactions are exactly its oldest ``removed``.
-            del by_session[sid][:removed]
-            sess_base[sid] += removed
-
-        # Evict writes whose writer retired.  Their identities survive only
-        # as digests inside the segment: zero resident bytes per evicted
-        # write, and the finalize-time scans still catch a read of (or a
-        # duplicate registration for) an evicted identity.
-        writes = self._writes
-        folded = self._folded_read_wids
-        key_names = self._key_table.values
-        value_objs = self._value_table.values
-        vmask = (1 << _VALUE_SHIFT) - 1
-        digests: List[int] = []
-        evicted = [wid for wid, entry in writes.items() if entry[3] < new_base]
-        for wid in evicted:
-            del writes[wid]
-            folded.discard(wid)
-            digests.append(
-                stable_digest(key_names[wid >> _VALUE_SHIFT], value_objs[wid & vmask])
-            )
-        digests.sort()
-
-        # Spill finalized edge-log entries: an entry is immutable once its
-        # *reader* endpoint (the low half) retires -- only the reader's own
-        # saturation could have lowered its meta, and a retired reader never
-        # saturates again.  Writer endpoints may still be live; tids are
-        # absolute and stable, so the entries serialize as-is.
-        spilled_logs: Dict[str, List[Tuple[int, int]]] = {}
-        total_spilled = 0
-        for name, log in (
-            ("rc", self._rc_log),
-            ("ra", self._ra_log),
-            ("ra_so", self._ra_so_log),
-            ("cc", self._cc_log),
-        ):
-            doomed = [edge for edge in log if (edge & EDGE_MASK) < new_base]
-            if doomed:
-                spilled_logs[name] = [(edge, log.pop(edge)) for edge in doomed]
-                total_spilled += len(doomed)
-
-        # Compact the CC writer registry: inside each (key, session) slot
-        # the retired rows form a prefix (rows append in arrival order);
-        # keep only the *last* retired row.  Any future probe's bound is at
-        # least the watermark, and the kept row's session index is at most
-        # the watermark -- so the kept row answers every probe any removed
-        # row could have answered, and the "latest row <= bound" answer is
-        # unchanged.  Reader pointer rows shift down by the removed count
-        # (a pointer landing at 0 re-advances on its next probe, because
-        # the kept row is always at or below the bound); the flat
-        # append-order mirror compacts through the kernels module.
-        removed_per_bucket: Dict[int, int] = {}
-        if self._cc_enabled:
-            for entry in self._writers_by_key.values():
-                for slot in entry[1]:
-                    retired_rows = bisect_left(slot[0], new_base)
-                    if retired_rows > 1:
-                        removed = retired_rows - 1
-                        del slot[0][:removed]
-                        del slot[1][:removed]
-                        removed_per_bucket[slot[2]] = removed
-            if removed_per_bucket:
-                for row in self._cc_ptr_rows:
-                    for bid, removed in removed_per_bucket.items():
-                        if bid < len(row) and row[bid]:
-                            row[bid] = row[bid] - removed if row[bid] > removed else 0
-                self._wb_bucket, self._wb_sidx, self._wb_tid = (
-                    _kernels.compact_writer_registry(
-                        self._wb_bucket,
-                        self._wb_sidx,
-                        self._wb_tid,
-                        removed_per_bucket,
-                    )
-                )
-
-        # Value-intern compaction: under the guard the only vid references
-        # left are the keys of the writes index, so rebuild the table over
-        # the survivors (relative order preserved; vid assignment is
-        # invisible in output -- witnesses render value *objects*).  Only
-        # worth the O(live) rebuild when eviction freed a real chunk.
-        remapped = False
-        live_vids = {wid & vmask for wid in writes}
-        if len(value_objs) - len(live_vids) >= 1024:
-            ordered = sorted(live_vids)
-            vid_map = {old: new for new, old in enumerate(ordered)}
-            table = Intern()
-            for old in ordered:
-                table.intern(value_objs[old])
-            self._value_table = table
-            self._writes = {
-                (wid & ~vmask) | vid_map[wid & vmask]: entry
-                for wid, entry in writes.items()
-            }
-            self._folded_read_wids = {
-                (wid & ~vmask) | vid_map[wid & vmask] for wid in folded
-            }
-            remapped = True
-
-        self._segments.write(
-            {
-                "txns": seg_txns,
-                "wr": seg_wr,
-                "logs": spilled_logs,
-                "digests": digests,
-            }
-        )
-
-        # The resolve/probe kernel mirrors index structures this pass just
-        # compacted (wid eviction, value-id remap, writer-registry rows);
-        # drop them and let the next batch rebuild from the live dicts.
-        self._writes_index.invalidate()
-        self._wb_probe.invalidate()
-
-        stats.retired_transactions += count
-        stats.passes += 1
-        stats.segments = len(self._segments)
-        stats.evicted_writes += len(digests)
-        stats.spilled_edges += total_spilled
-        if remapped or removed_per_bucket:
-            stats.remap_epochs += 1
-        resident = len(t_sid)
-        if resident > stats.post_compaction_peak:
-            stats.post_compaction_peak = resident
-
     # -- session bookkeeping ---------------------------------------------------
 
     def _register_session(self, external: object) -> int:
         dense = len(self._by_session)
         self._session_ids[external] = dense
         self._by_session.append(array("q"))
-        self._sess_base.append(0)
         self._ra_next.append(0)
         self._ra_last_write.append({})
         self._cc_next.append(0)
@@ -1862,7 +1432,7 @@ class CompiledIncrementalChecker:
         self._hb_pad = b"\xff" * (8 * new_stride)
 
     def _name(self, tid: int) -> str:
-        label = self._t_labels[tid - self._txns_base]
+        label = self._t_labels[tid]
         return label if label is not None else f"t{tid}"
 
     # -- read classification (Algorithm 4, incremental) ------------------------
@@ -1884,17 +1454,15 @@ class CompiledIncrementalChecker:
         violation = ReadConsistencyViolation(
             kind=kind, message=message, read=OpRef(tid, read.index), write=write
         )
-        j = tid - self._txns_base
         self._rc_axiom.append(
-            ((self._t_sid[j], self._t_sidx[j], read.index), violation)
+            ((self._t_sid[tid], self._t_sidx[tid], read.index), violation)
         )
         self._live.append(violation)
 
     def _unclassify(self, tid: int, read: _Read) -> None:
         """Withdraw a read's previous classification before rebinding it."""
         if read.bad:
-            j = tid - self._txns_base
-            sort_key = (self._t_sid[j], self._t_sidx[j], read.index)
+            sort_key = (self._t_sid[tid], self._t_sidx[tid], read.index)
             for i, (key, violation) in enumerate(self._rc_axiom):
                 if key == sort_key and violation.read == OpRef(tid, read.index):
                     del self._rc_axiom[i]
@@ -1935,7 +1503,7 @@ class CompiledIncrementalChecker:
                     write=OpRef(writer_tid, writer_index),
                 )
             return
-        if not self._t_flags[writer_tid - self._txns_base] & 1:
+        if not self._t_flags[writer_tid] & 1:
             self._add_rc_violation(
                 tid,
                 read,
@@ -1997,8 +1565,7 @@ class CompiledIncrementalChecker:
 
     def _on_resolved(self, tid: int) -> None:
         """All reads of ``tid`` are classified: fold it into the online state."""
-        j = tid - self._txns_base
-        sid = self._t_sid[j]
+        sid = self._t_sid[tid]
         pre = self._prefold.pop(tid, None)
         if pre is not None:
             # Clean parked transaction: the good-read run and the wr-map
@@ -2006,18 +1573,18 @@ class CompiledIncrementalChecker:
             # columns (the eventual binding of each read was already
             # known) and every read is good; only the wid list rode the
             # prefold map.
-            self._t_flags[j] |= 2
+            self._t_flags[tid] |= 2
             self._num_unfolded -= 1
             self._folded_read_wids.update(pre)
-            a = self._gr_start[j]
-            n = self._gr_len[j]
+            a = self._gr_start[tid]
+            n = self._gr_len[tid]
             if self._ra_enabled and n > 1:
                 # _check_repeatable_reads, inlined: no bad/own/unbound
                 # reads exist here, and on a violation the last-writer
                 # entry is not updated, matching the scalar check.
                 last_writer: Dict[int, int] = {}
                 lw_get = last_writer.get
-                sidx = self._t_sidx[j]
+                sidx = self._t_sidx[tid]
                 gr_index = self._gr_index
                 gr_kid = self._gr_kid
                 gr_writer = self._gr_writer
@@ -2051,7 +1618,7 @@ class CompiledIncrementalChecker:
             self._advance_ra(sid)
             self._advance_cc(sid)
             return
-        self._t_flags[j] |= 2
+        self._t_flags[tid] |= 2
         self._num_unfolded -= 1
         reads = self._live_reads.pop(tid, ())
         # ``folded_wids`` remembers which (key, value) identities this
@@ -2060,7 +1627,7 @@ class CompiledIncrementalChecker:
         # for one of them could never rebind the read -- append_batch
         # raises the duplicate-write diagnostic when it sees such a wid.
         folded_wids = self._folded_read_wids
-        if self._t_slow[j] == 0:
+        if self._t_slow[tid] == 0:
             # No read ever went through scalar _classify: every bound read
             # is a clean external committed final-write read, so the
             # re-checking loop below collapses to straight projections
@@ -2072,20 +1639,20 @@ class CompiledIncrementalChecker:
                 gr_index = self._gr_index
                 gr_kid = self._gr_kid
                 gr_writer = self._gr_writer
-                self._gr_start[j] = len(gr_index)
-                self._gr_len[j] = len(reads)
+                self._gr_start[tid] = len(gr_index)
+                self._gr_len[tid] = len(reads)
                 for read in reads:
                     gr_index.append(read.index)
                     gr_kid.append(read.kid)
                     gr_writer.append(read.writer)
-            self._wr_any_start[j] = -2
+            self._wr_any_start[tid] = -2
             if self._ra_enabled and len(reads) > 1:
                 # _check_repeatable_reads, inlined: no bad/own/unbound
                 # reads exist here, and on a violation the last-writer
                 # entry is not updated, matching the scalar check.
                 last_writer: Dict[int, int] = {}
                 lw_get = last_writer.get
-                sidx = self._t_sidx[j]
+                sidx = self._t_sidx[tid]
                 for read in reads:
                     kd = read.kid
                     w = read.writer
@@ -2117,7 +1684,6 @@ class CompiledIncrementalChecker:
             self._advance_cc(sid)
             return
         t_flags = self._t_flags
-        tbase = self._txns_base
         gr_index = self._gr_index
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
@@ -2131,7 +1697,7 @@ class CompiledIncrementalChecker:
             folded_wids.add((read.kid << _VALUE_SHIFT) | read.vid)
             if writer == tid:
                 continue
-            if not t_flags[writer - tbase] & 1:
+            if not t_flags[writer] & 1:
                 continue
             wr_any.setdefault(writer, read.kid)
             if read.bad:
@@ -2141,9 +1707,9 @@ class CompiledIncrementalChecker:
             gr_writer.append(writer)
             wr_good.setdefault(writer, read.kid)
         if len(gr_index) > gstart:
-            self._gr_start[j] = gstart
-            self._gr_len[j] = len(gr_index) - gstart
-        self._store_wr_runs(j, wr_any, None if wr_good == wr_any else wr_good)
+            self._gr_start[tid] = gstart
+            self._gr_len[tid] = len(gr_index) - gstart
+        self._store_wr_runs(tid, wr_any, None if wr_good == wr_any else wr_good)
         if self._ra_enabled:
             self._check_repeatable_reads(tid, reads)
         if self._cc_enabled:
@@ -2159,9 +1725,8 @@ class CompiledIncrementalChecker:
         """Per-transaction repeatable-reads check (Algorithm 2's pre-pass)."""
         last_writer: Dict[int, int] = {}
         key_names = self._key_table.values
-        j = tid - self._txns_base
-        sid = self._t_sid[j]
-        sidx = self._t_sidx[j]
+        sid = self._t_sid[tid]
+        sidx = self._t_sidx[tid]
         for read in reads:
             if read.bad or read.writer is None:
                 continue
@@ -2198,12 +1763,10 @@ class CompiledIncrementalChecker:
 
     def _rc_saturate(self, tid: int) -> None:
         """Per-transaction RC saturation (the body of Algorithm 1's main loop)."""
-        tbase = self._txns_base
-        j = tid - tbase
-        n = self._gr_len[j]
+        n = self._gr_len[tid]
         if not n:
             return
-        a = self._gr_start[j]
+        a = self._gr_start[tid]
         gr_index = self._gr_index
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
@@ -2216,7 +1779,7 @@ class CompiledIncrementalChecker:
                 first_txn_reads.add(gr_index[g])
         earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         read_keys: Dict[int, None] = {}
-        seq = _sort_base(self._t_sid[j], self._t_sidx[j])
+        seq = _sort_base(self._t_sid[tid], self._t_sidx[tid])
         fw_off = self._fw_off
         fw_kid = self._fw_kid
         rc_log = self._rc_log
@@ -2226,9 +1789,8 @@ class CompiledIncrementalChecker:
             key = gr_kid[g]
             t2 = gr_writer[g]
             if index in first_txn_reads:
-                wj = t2 - tbase
-                a = fw_off[wj]
-                b = fw_off[wj + 1]
+                a = fw_off[t2]
+                b = fw_off[t2 + 1]
                 if b - a <= len(read_keys):
                     candidates = [x for x in fw_kid[a:b] if x in read_keys]
                 else:
@@ -2260,14 +1822,12 @@ class CompiledIncrementalChecker:
         if not self._ra_enabled:
             return
         records = self._by_session[sid]
-        base = self._sess_base[sid]
         index = self._ra_next[sid]
         last_write = self._ra_last_write[sid]
         t_flags = self._t_flags
-        tbase = self._txns_base
-        while index - base < len(records):
-            tid = records[index - base]
-            flags = t_flags[tid - tbase]
+        while index < len(records):
+            tid = records[index]
+            flags = t_flags[tid]
             if flags & 1:
                 if not flags & 2:
                     break
@@ -2276,13 +1836,11 @@ class CompiledIncrementalChecker:
         self._ra_next[sid] = index
 
     def _ra_process(self, tid: int, last_write: Dict[int, int]) -> None:
-        tbase = self._txns_base
-        j = tid - tbase
-        ga = self._gr_start[j]
-        gn = self._gr_len[j]
+        ga = self._gr_start[tid]
+        gn = self._gr_len[tid]
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
-        seq = _sort_base(self._t_sid[j], self._t_sidx[j])
+        seq = _sort_base(self._t_sid[tid], self._t_sidx[tid])
         reader_of_key: Dict[int, int] = {}
         distinct_writers: List[int] = []
         seen_writers: Set[int] = set()
@@ -2312,9 +1870,8 @@ class CompiledIncrementalChecker:
         fw_off = self._fw_off
         fw_kid = self._fw_kid
         for t2 in distinct_writers:
-            wj = t2 - tbase
-            a = fw_off[wj]
-            b = fw_off[wj + 1]
+            a = fw_off[t2]
+            b = fw_off[t2 + 1]
             if b - a <= len(keys_read):
                 candidates = (x for x in fw_kid[a:b] if x in reader_of_key)
             else:
@@ -2326,7 +1883,7 @@ class CompiledIncrementalChecker:
                     record(ra_log, t2, t1, x, seq)
                     seq += 1
 
-        for key in fw_kid[fw_off[j] : fw_off[j + 1]]:
+        for key in fw_kid[fw_off[tid] : fw_off[tid + 1]]:
             last_write[key] = tid
 
     # -- CC frontier (Algorithm 3, online) --------------------------------------
@@ -2340,8 +1897,6 @@ class CompiledIncrementalChecker:
         cc_next = self._cc_next
         t_flags = self._t_flags
         t_ccpend = self._t_ccpend
-        tbase = self._txns_base
-        sess_base = self._sess_base
         cc_waiters = self._cc_waiters
         gr_start = self._gr_start
         gr_len = self._gr_len
@@ -2351,30 +1906,28 @@ class CompiledIncrementalChecker:
         while queue:
             current = queue.pop()
             records = by_session[current]
-            base = sess_base[current]
-            num_records = base + len(records)
+            num_records = len(records)
             index = cc_next[current]
             while index < num_records:
-                tid = records[index - base]
-                jrow = tid - tbase
-                flags = t_flags[jrow]
+                tid = records[index]
+                flags = t_flags[tid]
                 if flags & 1:
                     if not flags & 2:
                         break
                     if not flags & 8:
-                        t_flags[jrow] = flags | 8
+                        t_flags[tid] = flags | 8
                         pending = 0
                         # Duplicate writers need no dedup: each occurrence
                         # both increments ``pending`` and enqueues one
                         # waiter entry, and every entry is decremented
                         # when the writer completes.
-                        ga = gr_start[jrow]
-                        for writer in gr_writer[ga : ga + gr_len[jrow]]:
-                            if not t_flags[writer - tbase] & 4:
+                        ga = gr_start[tid]
+                        for writer in gr_writer[ga : ga + gr_len[tid]]:
+                            if not t_flags[writer] & 4:
                                 pending += 1
                                 cc_waiters.setdefault(writer, []).append(tid)
-                        t_ccpend[jrow] = pending
-                    if t_ccpend[jrow] > 0:
+                        t_ccpend[tid] = pending
+                    if t_ccpend[tid] > 0:
                         break
                     queue.extend(cc_process(tid))
                 index += 1
@@ -2384,18 +1937,16 @@ class CompiledIncrementalChecker:
 
     def _cc_process(self, tid: int) -> List[int]:
         """ComputeHB + saturate_cc for one transaction; returns sessions to poke."""
-        tbase = self._txns_base
-        j = tid - tbase
         t_sid = self._t_sid
         t_sidx = self._t_sidx
-        rec_sid = t_sid[j]
+        rec_sid = t_sid[tid]
         stride = self._clock_stride
         sc_data = self._sc_data
         hb_data = self._hb_data
         soff = rec_sid * stride
-        boff = j * stride
-        ga = self._gr_start[j]
-        gn = self._gr_len[j]
+        boff = tid * stride
+        ga = self._gr_start[tid]
+        gn = self._gr_len[tid]
         # Pre-filter against the *base* session clock, then join the
         # survivors' rows in one commutative batched max (kernels.join_clocks).
         # A same-session writer is an so-predecessor -- the base clock
@@ -2410,14 +1961,13 @@ class CompiledIncrementalChecker:
         wsidxs: List[int] = []
         if gn:
             for writer in self._gr_writer[ga : ga + gn]:
-                wj = writer - tbase
-                wsid = t_sid[wj]
+                wsid = t_sid[writer]
                 if wsid == rec_sid:
                     continue
-                wsidx = t_sidx[wj]
+                wsidx = t_sidx[writer]
                 if wsidx <= sc_data[soff + wsid]:
                     continue
-                rows.append(wj)
+                rows.append(writer)
                 wsids.append(wsid)
                 wsidxs.append(wsidx)
         if rows:
@@ -2444,22 +1994,21 @@ class CompiledIncrementalChecker:
 
         if sc_row_source is not None:
             sc_data[soff : soff + stride] = sc_row_source
-        rec_sidx = t_sidx[j]
+        rec_sidx = t_sidx[tid]
         if rec_sidx > sc_data[soff + rec_sid]:
             sc_data[soff + rec_sid] = rec_sidx
 
         t_flags = self._t_flags
-        t_flags[j] |= 4
+        t_flags[tid] |= 4
         self._cc_backlog -= 1
         waiters = self._cc_waiters.pop(tid, None)
         poke: List[int] = []
         if waiters:
             t_ccpend = self._t_ccpend
             for waiter in waiters:
-                wjj = waiter - tbase
-                t_ccpend[wjj] -= 1
-                if t_ccpend[wjj] == 0:
-                    poke.append(t_sid[wjj])
+                t_ccpend[waiter] -= 1
+                if t_ccpend[waiter] == 0:
+                    poke.append(t_sid[waiter])
         return poke
 
     def _cc_probe_scalar(self, tid: int) -> None:
@@ -2473,10 +2022,9 @@ class CompiledIncrementalChecker:
         scalar advance -- the rows are a cache of the stateless answer,
         never ahead of it.
         """
-        j = tid - self._txns_base
-        rec_sid = self._t_sid[j]
+        rec_sid = self._t_sid[tid]
         hb_data = self._hb_data
-        boff = j * self._clock_stride
+        boff = tid * self._clock_stride
         ptr_row = self._cc_ptr_rows[rec_sid]
         t2_row = self._cc_t2_rows[rec_sid]
         # Grow the flat pointer rows once per transaction to cover every
@@ -2496,13 +2044,13 @@ class CompiledIncrementalChecker:
         # instead of once per attempt; the t2 row stores writers
         # *pre-shifted* (see the checkpoint format note on _cc_t2_rows), so
         # the packed edge is a single bitwise-or per attempt.
-        meta_base = _sort_base(rec_sid, self._t_sidx[j]) << EDGE_SHIFT
+        meta_base = _sort_base(rec_sid, self._t_sidx[tid]) << EDGE_SHIFT
         meta_step = 1 << EDGE_SHIFT
         cc_log = self._cc_log
         cc_log_setdefault = cc_log.setdefault
         writers_by_key = self._writers_by_key
-        ga = self._gr_start[j]
-        gn = self._gr_len[j]
+        ga = self._gr_start[tid]
+        gn = self._gr_len[tid]
         for key, t1 in zip(
             self._gr_kid[ga : ga + gn], self._gr_writer[ga : ga + gn]
         ):
@@ -2559,12 +2107,10 @@ class CompiledIncrementalChecker:
             return
         self._cc_probe_pending = []
         np = _np
-        tbase = self._txns_base
         gr_len = self._gr_len
-        js_list = [tid - tbase for tid in pending]
         total = 0
-        for jrow in js_list:
-            total += gr_len[jrow]
+        for tid in pending:
+            total += gr_len[tid]
         use_vectorized = (
             np is not None
             and total >= _kernels._MIN_VECTOR_READS
@@ -2578,8 +2124,8 @@ class CompiledIncrementalChecker:
         if not use_vectorized:
             self._flush_scalar += 1
             probe = self._cc_probe_scalar
-            for i, tid in enumerate(pending):
-                if gr_len[js_list[i]]:
+            for tid in pending:
+                if gr_len[tid]:
                     probe(tid)
             return
         self._flush_vectorized += 1
@@ -2607,7 +2153,7 @@ class CompiledIncrementalChecker:
         # clock rows are -1-padded past each session's horizon, so the
         # :k column slice reproduces the old np.full(-1) fill exactly.
         hb_view = np.frombuffer(self._hb_data, dtype=np.int64).reshape(-1, stride)
-        js = np.asarray(js_list, dtype=np.int64)
+        js = np.asarray(pending, dtype=np.int64)
         clock_mat = hb_view[js, :k]
         # hi components: _sort_base, vectorized (the session-count guard
         # above keeps the packed value inside int64 exactly as the scalar
@@ -2692,8 +2238,8 @@ class CompiledIncrementalChecker:
             self._flush_vectorized -= 1
             self._flush_scalar += 1
             probe = self._cc_probe_scalar
-            for i, tid in enumerate(pending):
-                if gr_len[js_list[i]]:
+            for tid in pending:
+                if gr_len[tid]:
                     probe(tid)
             return
         hi = rec_hi[erec] + attempt
@@ -2732,35 +2278,6 @@ class CompiledIncrementalChecker:
 
     # -- finalize helpers --------------------------------------------------------
 
-    def _final_sessions(self):
-        """Per-session record sequences for the finalize loops.
-
-        Without retirement this is ``_by_session`` itself (zero overhead);
-        with retirement each session's retired stand-ins (reloaded from the
-        segments) are prepended, so the loops below see every transaction
-        of the history in session order exactly as a never-evicting run
-        would.  Entries are therefore *mixed*: plain ``int`` transaction
-        ids for resident rows (read through the columns) and retired
-        stand-in objects (read through their attributes).
-        """
-        retired = self._retired_final
-        if retired is None:
-            return self._by_session
-        merged = []
-        for sid, records in enumerate(self._by_session):
-            front = retired.records[sid]
-            if len(front) != self._sess_base[sid]:  # pragma: no cover - defensive
-                raise AssertionError("segment store lost retired transactions")
-            merged.append(front + list(records))
-        return merged
-
-    def _spilled_run(self, name: str):
-        """The segments' spilled ``(edge, meta)`` entries for one edge log."""
-        retired = self._retired_final
-        if retired is None:
-            return None
-        return retired.log_runs.get(name)
-
     def _batch_numbering(self):
         """Renumber transactions the way ``History.from_sessions`` would.
 
@@ -2773,23 +2290,15 @@ class CompiledIncrementalChecker:
         so_edges = array("Q")
         so_append = so_edges.append
         batch_tid = 0
-        tbase = self._txns_base
         t_flags = self._t_flags
         t_labels = self._t_labels
-        for records in self._final_sessions():
+        for records in self._by_session:
             previous = -1
             for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    mapping[rec] = batch_tid
-                    label = t_labels[jrow]
-                    committed = t_flags[jrow] & 1
-                else:
-                    mapping[rec.tid] = batch_tid
-                    label = rec.label
-                    committed = rec.committed
+                mapping[rec] = batch_tid
+                label = t_labels[rec]
                 names[batch_tid] = label if label is not None else f"t{batch_tid}"
-                if committed:
+                if t_flags[rec] & 1:
                     committed_ids.append(batch_tid)
                     if previous >= 0:
                         so_append((previous << EDGE_SHIFT) | batch_tid)
@@ -2804,7 +2313,6 @@ class CompiledIncrementalChecker:
         committed_ids: List[int],
         so_edges,
         log: Dict[int, int],
-        spilled: Optional[List[Tuple[int, int]]] = None,
     ) -> CommitRelation:
         relation = CommitRelation(
             names=names,
@@ -2814,7 +2322,6 @@ class CompiledIncrementalChecker:
         relation._so_log.extend(so_edges)
         wr_append = relation._wr_log.append
         wrk_append = relation._wr_keys.append
-        tbase = self._txns_base
         t_flags = self._t_flags
         wany_start = self._wr_any_start
         wany_len = self._wr_any_len
@@ -2824,41 +2331,30 @@ class CompiledIncrementalChecker:
         gr_len = self._gr_len
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
-        for records in self._final_sessions():
+        for records in self._by_session:
             for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    if not t_flags[jrow] & 1:
-                        continue
-                    reader = mapping[rec]
-                    a = wany_start[jrow]
-                    if a >= 0:
-                        for idx in range(a, a + wany_len[jrow]):
-                            wr_append(
-                                (mapping[wany_writer[idx]] << EDGE_SHIFT) | reader
-                            )
-                            wrk_append(wany_kid[idx])
-                    elif a == -2:
-                        # Derive sentinel: every external committed read was
-                        # good, so the first-read-per-writer map falls out of
-                        # the good-read run in read order -- exactly the dict
-                        # insertion order _store_wr_runs used to serialize.
-                        ga = gr_start[jrow]
-                        seen: Set[int] = set()
-                        for g in range(ga, ga + gr_len[jrow]):
-                            w = gr_writer[g]
-                            if w not in seen:
-                                seen.add(w)
-                                wr_append((mapping[w] << EDGE_SHIFT) | reader)
-                                wrk_append(gr_kid[g])
-                else:
-                    if not rec.committed:
-                        continue
-                    reader = mapping[rec.tid]
-                    for writer, kid in rec.wr_first_any.items():
-                        wr_append((mapping[writer] << EDGE_SHIFT) | reader)
-                        wrk_append(kid)
-        self._drain_log(log, mapping, relation, spilled)
+                if not t_flags[rec] & 1:
+                    continue
+                reader = mapping[rec]
+                a = wany_start[rec]
+                if a >= 0:
+                    for idx in range(a, a + wany_len[rec]):
+                        wr_append((mapping[wany_writer[idx]] << EDGE_SHIFT) | reader)
+                        wrk_append(wany_kid[idx])
+                elif a == -2:
+                    # Derive sentinel: every external committed read was
+                    # good, so the first-read-per-writer map falls out of
+                    # the good-read run in read order -- exactly the dict
+                    # insertion order _store_wr_runs used to serialize.
+                    ga = gr_start[rec]
+                    seen: Set[int] = set()
+                    for g in range(ga, ga + gr_len[rec]):
+                        w = gr_writer[g]
+                        if w not in seen:
+                            seen.add(w)
+                            wr_append((mapping[w] << EDGE_SHIFT) | reader)
+                            wrk_append(gr_kid[g])
+        self._drain_log(log, mapping, relation)
         return relation
 
     def _drain_log(
@@ -2866,7 +2362,6 @@ class CompiledIncrementalChecker:
         log: Dict[int, int],
         mapping: List[int],
         relation: CommitRelation,
-        spilled: Optional[List[Tuple[int, int]]] = None,
     ) -> None:
         """Drain a packed inferred-edge log into the relation's co rows.
 
@@ -2879,28 +2374,12 @@ class CompiledIncrementalChecker:
         which reproduces ``sorted(log, key=log.__getitem__)`` exactly; it
         bails to the scalar loop if a seq half ever exceeds uint64 (only
         possible past ~65k sessions).
-
-        ``spilled`` carries the retired readers' finalized ``(edge, meta)``
-        entries reloaded from the archival segments.  Metas are globally
-        unique (each reader's attempt counter advances per emission and the
-        per-reader bases are distinct), an edge appears in at most one of
-        the runs (a spilled edge's reader retired and never records again),
-        and every spilled entry already holds its global minimum meta -- so
-        one sort over the concatenation restores the exact order a
-        never-evicting log would drain in.
         """
-        n_spilled = len(spilled) if spilled else 0
-        n = len(log) + n_spilled
+        n = len(log)
         if _np is not None and n:
             try:
-                if n_spilled:
-                    keys_iter = chain(log.keys(), (edge for edge, _ in spilled))
-                    metas = list(log.values())
-                    metas.extend(meta for _, meta in spilled)
-                else:
-                    keys_iter = log.keys()
-                    metas = log.values()
-                packed = _np.fromiter(keys_iter, _np.uint64, n)
+                metas = log.values()
+                packed = _np.fromiter(log.keys(), _np.uint64, n)
                 hi = _np.fromiter((m >> EDGE_SHIFT for m in metas), _np.uint64, n)
                 lo = _np.fromiter((m & EDGE_MASK for m in metas), _np.uint64, n)
             except OverflowError:  # pragma: no cover - >65k sessions
@@ -2918,18 +2397,6 @@ class CompiledIncrementalChecker:
                 return
         co_append = relation._co_log.append
         cok_append = relation._co_keys.append
-        if n_spilled:
-            items = list(log.items())
-            items.extend(spilled)
-            log.clear()
-            items.sort(key=lambda item: item[1])
-            for edge, meta in items:
-                co_append(
-                    (mapping[edge >> EDGE_SHIFT] << EDGE_SHIFT)
-                    | mapping[edge & EDGE_MASK]
-                )
-                cok_append((meta & EDGE_MASK) - 1)
-            return
         log_pop = log.pop
         for edge in sorted(log, key=log.__getitem__):
             kid = (log_pop(edge) & EDGE_MASK) - 1
@@ -2948,20 +2415,13 @@ class CompiledIncrementalChecker:
         so_log: List[int] = []
         wr_log: List[int] = []
         wr_keys: List[int] = []
-        tbase = self._txns_base
         t_flags = self._t_flags
-        final_sessions = self._final_sessions()
-        for records in final_sessions:
+        for records in self._by_session:
             previous = -1
             for rec in records:
-                if type(rec) is int:
-                    if not t_flags[rec - tbase] & 1:
-                        continue
-                    current = mapping[rec]
-                else:
-                    if not rec.committed:
-                        continue
-                    current = mapping[rec.tid]
+                if not t_flags[rec] & 1:
+                    continue
+                current = mapping[rec]
                 if previous >= 0:
                     so_log.append((previous << EDGE_SHIFT) | current)
                 previous = current
@@ -2977,48 +2437,37 @@ class CompiledIncrementalChecker:
         gr_len = self._gr_len
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
-        for records in final_sessions:
+        for records in self._by_session:
             for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    if not t_flags[jrow] & 1:
-                        continue
-                    reader = mapping[rec]
-                    gs = wgood_start[jrow]
-                    if gs >= 0:
-                        # Explicit good run (possibly empty: every external
-                        # committed read was bad).
-                        src_w, src_k = wgood_writer, wgood_kid
-                        a, n = gs, wgood_len[jrow]
-                    elif wany_start[jrow] == -2:
-                        # Derive sentinel: good == any == first-per-writer
-                        # over the good-read run (see _build_relation).
-                        ga = gr_start[jrow]
-                        seen: Set[int] = set()
-                        for g in range(ga, ga + gr_len[jrow]):
-                            w = gr_writer[g]
-                            if w not in seen:
-                                seen.add(w)
-                                wr_log.append(
-                                    (mapping[w] << EDGE_SHIFT) | reader
-                                )
-                                wr_keys.append(gr_kid[g])
-                        continue
-                    else:
-                        # -1 sentinel: the good map equals the any map.
-                        src_w, src_k = wany_writer, wany_kid
-                        a = wany_start[jrow]
-                        n = wany_len[jrow] if a >= 0 else 0
-                    for idx in range(a, a + n):
-                        wr_log.append((mapping[src_w[idx]] << EDGE_SHIFT) | reader)
-                        wr_keys.append(src_k[idx])
+                if not t_flags[rec] & 1:
+                    continue
+                reader = mapping[rec]
+                gs = wgood_start[rec]
+                if gs >= 0:
+                    # Explicit good run (possibly empty: every external
+                    # committed read was bad).
+                    src_w, src_k = wgood_writer, wgood_kid
+                    a, n = gs, wgood_len[rec]
+                elif wany_start[rec] == -2:
+                    # Derive sentinel: good == any == first-per-writer
+                    # over the good-read run (see _build_relation).
+                    ga = gr_start[rec]
+                    seen: Set[int] = set()
+                    for g in range(ga, ga + gr_len[rec]):
+                        w = gr_writer[g]
+                        if w not in seen:
+                            seen.add(w)
+                            wr_log.append((mapping[w] << EDGE_SHIFT) | reader)
+                            wr_keys.append(gr_kid[g])
+                    continue
                 else:
-                    if not rec.committed:
-                        continue
-                    reader = mapping[rec.tid]
-                    for writer, kid in rec.wr_first_good.items():
-                        wr_log.append((mapping[writer] << EDGE_SHIFT) | reader)
-                        wr_keys.append(kid)
+                    # -1 sentinel: the good map equals the any map.
+                    src_w, src_k = wany_writer, wany_kid
+                    a = wany_start[rec]
+                    n = wany_len[rec] if a >= 0 else 0
+                for idx in range(a, a + n):
+                    wr_log.append((mapping[src_w[idx]] << EDGE_SHIFT) | reader)
+                    wr_keys.append(src_k[idx])
         graph = freeze_packed(self._next_tid, (so_log, wr_log))
         labels = causality_labels(
             so_log, wr_log, wr_keys, key_names=self._key_table.values
@@ -3138,7 +2587,6 @@ def check_stream_compiled(
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     max_witnesses: Optional[int] = None,
     num_sessions: Optional[int] = None,
-    retire: Optional[RetirementPolicy] = None,
 ) -> CheckResult:
     """One-pass check of a raw record stream against ``level``.
 
@@ -3149,7 +2597,6 @@ def check_stream_compiled(
         levels=(level,),
         num_sessions=num_sessions,
         max_witnesses=max_witnesses,
-        retire=retire,
     )
     checker.extend_raw(records)
     return checker.finalize()[level]

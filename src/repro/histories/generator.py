@@ -88,8 +88,7 @@ def generate_random_stream(config: RandomHistoryConfig) -> Tuple[History, List[i
     generation (arrival) order -- the realistic input order for the streaming
     checkers, and the one that keeps cross-session reads resolvable on
     arrival (a session-blocked replay parks every cross-session read until
-    the writer's whole session has been fed, which stalls watermark-based
-    retirement).  Same seed, same history as :func:`generate_random_history`.
+    the writer's whole session has been fed).  Same seed, same history as :func:`generate_random_history`.
     """
     sessions, arrival = _generate_sessions(config)
     history = History.from_sessions(sessions)

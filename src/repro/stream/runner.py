@@ -25,7 +25,7 @@ from repro.core.compiled.online import (
     load_checkpoint,
     source_fingerprint,
 )
-from repro.core.compiled.retire import RetirementPolicy
+from repro.core.exceptions import HistoryFormatError, UsageError
 from repro.core.isolation import IsolationLevel
 from repro.core.model import History
 from repro.core.result import CheckResult
@@ -90,27 +90,23 @@ def check_history_stream(
     history: Union[History, CompiledHistory],
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     max_witnesses: Optional[int] = None,
-    retire: Optional[RetirementPolicy] = None,
 ) -> CheckResult:
     """Stream an in-memory history through the online checker.
 
     This is ``check(history, level, mode="stream")``: the history's
     transactions are replayed in file order into the online checker.
-    ``retire`` enables watermark-based retirement.
     """
     return check_stream_compiled(
         history_records(history),
         level,
         max_witnesses=max_witnesses,
         num_sessions=history.num_sessions,
-        retire=retire,
     )
 
 
 def check_all_levels_history_stream(
     history: Union[History, CompiledHistory],
     max_witnesses: Optional[int] = None,
-    retire: Optional[RetirementPolicy] = None,
 ) -> dict:
     """Stream an in-memory history once, checking all three levels together.
 
@@ -120,7 +116,7 @@ def check_all_levels_history_stream(
     results.
     """
     checker = CompiledIncrementalChecker(
-        num_sessions=history.num_sessions, max_witnesses=max_witnesses, retire=retire
+        num_sessions=history.num_sessions, max_witnesses=max_witnesses
     )
     checker.extend_raw(history_records(history))
     return checker.finalize()
@@ -136,7 +132,6 @@ def check_stream_file(
     resume: bool = False,
     batch_ops: Optional[int] = None,
     timings: Optional[Dict[str, float]] = None,
-    retire: Optional[RetirementPolicy] = None,
 ) -> CheckResult:
     """One-pass check of an on-disk history (``awdit check --stream``).
 
@@ -146,9 +141,12 @@ def check_stream_file(
     batch boundary past every ``checkpoint_every`` transactions, and once
     more before finalizing -- so ``resume=True`` can continue an
     interrupted check, including after completion, when resuming simply
-    skips every record and re-finalizes.  ``retire`` bounds resident memory
-    via watermark-based retirement; on resume it enables (or re-tunes)
-    retirement on the restored checker.  ``timings`` (``--profile``)
+    skips every record and re-finalizes.  Resuming raises
+    :class:`~repro.core.exceptions.UsageError` when the checkpoint does not
+    track ``level``, and
+    :class:`~repro.core.exceptions.HistoryFormatError` when the file ends
+    before the transactions the checkpoint already consumed.  ``timings``
+    (``--profile``)
     receives ``parse`` / ``fold`` wall seconds, the fold's ``fold_intern`` /
     ``fold_dispatch`` / ``fold_classify`` / ``fold_clock_join`` sub-laps,
     and per-phase ``gc.get_stats()`` collection deltas
@@ -167,19 +165,16 @@ def check_stream_file(
             raise ValueError("resume requires a checkpoint path")
         checker = load_checkpoint(checkpoint, source_path=path)
         if level not in checker.levels:
-            raise ValueError(
-                f"checkpoint tracks {[lvl.short_name for lvl in checker.levels]}, "
+            raise UsageError(
+                f"{checkpoint}: checkpoint tracks "
+                f"{[lvl.short_name for lvl in checker.levels]}, "
                 f"not {level.short_name}; re-run without --resume"
             )
         # The resumed run's witness budget wins over the one pickled with
         # the original checker.
         checker._max_witnesses = max_witnesses
-        if retire is not None:
-            checker.enable_retirement(retire)
     else:
-        checker = CompiledIncrementalChecker(
-            levels=(level,), max_witnesses=max_witnesses, retire=retire
-        )
+        checker = CompiledIncrementalChecker(levels=(level,), max_witnesses=max_witnesses)
     skip = checker.num_transactions
     profile = timings is not None
     if profile:
@@ -224,6 +219,15 @@ def check_stream_file(
             if since_checkpoint >= checkpoint_every:
                 checker.save_checkpoint(checkpoint, source=source)
                 since_checkpoint = 0
+    if skip:
+        # The file ended before the resume point: the prefix fingerprint
+        # matched, but this is not the history the checkpoint consumed.
+        # Refuse before the final save so the checkpoint survives.
+        consumed = checker.num_transactions
+        raise HistoryFormatError(
+            f"{path}: holds {consumed - skip} transactions, but checkpoint "
+            f"{checkpoint} already consumed {consumed}; re-run without --resume"
+        )
     if checkpoint is not None:
         checker.save_checkpoint(checkpoint, source=source)
     if profile:
@@ -243,25 +247,17 @@ def stream_live_stats(
     fmt: Optional[str] = None,
     levels: Optional[Iterable[IsolationLevel]] = None,
     batch_ops: Optional[int] = None,
-    retire: Optional[RetirementPolicy] = None,
 ) -> dict:
     """Feed ``path`` through the online core and return its live-state peaks.
 
     Powers ``awdit stats --stream``: the returned dict is
     :meth:`CompiledIncrementalChecker.live_stats` after the whole stream has
     been folded (but before finalize, so the reported footprint is the
-    online state itself).  With ``retire`` the retirement counters show how
-    much of the history has rotated into segments.
+    online state itself).
     """
     from repro.histories.formats import stream_raw_batches
 
-    checker = CompiledIncrementalChecker(
-        levels=tuple(levels) if levels is not None else None, retire=retire
-    )
+    checker = CompiledIncrementalChecker(levels=tuple(levels) if levels is not None else None)
     for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
         checker.append_batch(batch)
-    stats = checker.live_stats()
-    if checker._segments is not None:
-        # Stats-only run: never finalized, so drop owned segment tempdirs.
-        checker._segments.cleanup()
-    return stats
+    return checker.live_stats()

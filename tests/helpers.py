@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict
+import os
+from typing import Dict, Tuple
 
 from repro.core.model import History, Transaction, read, write
+from repro.histories.formats import save_history
+from repro.histories.generator import RandomHistoryConfig, generate_random_history
+
+#: Bytes of file prefix a checkpoint's source fingerprint hashes.
+FINGERPRINT_PREFIX = 1 << 16
 
 
 def fig_1a() -> History:
@@ -87,3 +93,32 @@ PAPER_VERDICTS = {
     "fig_4d": (True, True, True),
 }
 
+
+
+def long_plume_and_cut_copy(directory: str) -> Tuple[str, str, int, int]:
+    """A plume history past 64 KiB, and a copy cut at a line past 64 KiB.
+
+    Both files share the prefix a checkpoint's source fingerprint hashes,
+    so a checkpoint of the long file matches the cut copy.  Returns the two
+    paths and the number of transactions each holds.
+    """
+    history = generate_random_history(
+        RandomHistoryConfig(num_sessions=4, num_transactions=1500, seed=5)
+    )
+    long_path = os.path.join(directory, "long.plume")
+    save_history(history, long_path, fmt="plume")
+    with open(long_path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    kept = []
+    size = 0
+    for line in lines:
+        kept.append(line)
+        size += len(line.encode("utf-8"))
+        if size > FINGERPRINT_PREFIX:
+            break
+    assert size < os.path.getsize(long_path)
+    cut_path = os.path.join(directory, "cut.plume")
+    with open(cut_path, "w", encoding="utf-8") as handle:
+        handle.writelines(kept)
+    cut_txns = sum(1 for line in kept if line.startswith("session="))
+    return long_path, cut_path, history.num_transactions, cut_txns

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from repro.baselines import BASELINE_REGISTRY
 from repro.cli import build_parser, main
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_history, save_history
 
-from helpers import fig_4a, fig_4d
+from helpers import fig_4a, fig_4d, long_plume_and_cut_copy
 
 #: A JSON value nested far deeper than the decoder's recursion limit.
 _DEEP = "[" * 5000 + "]" * 5000
@@ -55,10 +56,16 @@ class TestCheckCommand:
         assert main(["check", str(path), "-i", "cc", "--checker", "plume"]) == 0
         assert "plume" in capsys.readouterr().out
 
-    def test_unknown_checker_exits_two(self, tmp_path):
+    def test_unknown_checker_exits_two(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         save_history(fig_4d(), str(path))
         assert main(["check", str(path), "--checker", "mystery"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        known = ", ".join(["awdit"] + sorted(BASELINE_REGISTRY))
+        assert captured.err == (
+            f"awdit: error: unknown checker 'mystery'; known: {known}\n"
+        )
 
     def test_isolation_aliases(self, tmp_path):
         path = tmp_path / "h.json"
@@ -80,6 +87,13 @@ class TestCheckCommand:
             ["check", "-j", "2"],
             ["check", "--engine", "sharded"],
             ["stats", "--jobs", "2"],
+            ["check", "--stream", "--retire"],
+            ["check", "--stream", "--retire-lag", "64"],
+            ["check", "--stream", "--retire-every", "16"],
+            ["check", "--stream", "--segment-dir", "D"],
+            ["stats", "--stream", "--retire"],
+            ["stats", "--stream", "--retire-lag", "64"],
+            ["stats", "--stream", "--retire-every", "16"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -209,8 +223,8 @@ class TestCheckFlagConflicts:
 
     ``--stream`` has one online checker (``--engine auto|compiled``); what
     is rejected is baseline checkers with awdit-engine flags, the batch-only
-    engine under ``--stream``, checkpointing or retirement outside
-    streaming, and out-of-range values.
+    engine under ``--stream``, checkpointing outside streaming, and
+    out-of-range values.
     """
 
     @pytest.fixture()
@@ -226,21 +240,12 @@ class TestCheckFlagConflicts:
             ["--checker", "plume", "--engine", "object"],
             ["--checker", "plume", "--stream"],
             ["--stream", "--engine", "object"],
-            ["--stream", "--engine", "object", "--retire"],
             ["--stream", "--engine", "object", "--checkpoint", "state.awd"],
             ["--stream", "--checkpoint", "state.awd", "--checkpoint-every", "0"],
             ["--stream", "--checkpoint-every", "100"],
             ["--stream", "--resume"],
             ["--checkpoint", "state.awd"],
             ["--checkpoint-every", "100"],
-            ["--retire"],
-            ["--stream", "--retire-lag", "64"],
-            ["--stream", "--retire-every", "64"],
-            ["--stream", "--segment-dir", "segs"],
-            ["--stream", "--retire", "--retire-lag", "-1"],
-            ["--stream", "--retire", "--retire-every", "0"],
-            ["--stream", "--retire", "--checkpoint", "state.awd"],
-            ["--stream", "--retire", "--checker", "plume"],
             ["-i", "xx"],
             ["-i", "xx", "--stream"],
             ["-w", "-1"],
@@ -267,8 +272,6 @@ class TestCheckFlagConflicts:
         [
             ["--stream"],
             ["--stream", "--engine", "compiled"],
-            ["--stream", "--retire"],
-            ["--stream", "--retire", "--retire-lag", "0", "--retire-every", "1"],
         ],
         ids=lambda flags: " ".join(flags),
     )
@@ -307,48 +310,56 @@ class TestCheckFlagConflicts:
         resumed = capsys.readouterr().out
         assert "CONSISTENT" in first and "CONSISTENT" in resumed
 
-    def test_retire_with_checkpoint_needs_segment_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "taken,resumed",
+        [("cc", "rc"), ("rc", "cc"), ("rc", "cut")],
+        ids=["cc-then-rc", "rc-then-cc", "cut-history"],
+    )
+    def test_bad_resume_exits_two(self, tmp_path, capsys, taken, resumed):
+        long_path, cut_path, long_txns, cut_txns = long_plume_and_cut_copy(
+            str(tmp_path)
+        )
+        state = str(tmp_path / "state.awd")
+        base = ["--stream", "--checkpoint", state]
+        main(["check", long_path, "-i", taken] + base)
+        capsys.readouterr()
+        if resumed == "cut":
+            argv = ["check", cut_path, "-i", taken] + base + ["--resume"]
+            message = (
+                f"{cut_path}: holds {cut_txns} transactions, but checkpoint "
+                f"{state} already consumed {long_txns}; re-run without --resume"
+            )
+        else:
+            argv = ["check", long_path, "-i", resumed] + base + ["--resume"]
+            message = (
+                f"{state}: checkpoint tracks ['{taken.upper()}'], not "
+                f"{resumed.upper()}; re-run without --resume"
+            )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"awdit: error: {message}\n"
+
+    def test_resume_of_older_checkpoint_version_exits_two(self, tmp_path, capsys):
+        from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
         path = tmp_path / "h.plume"
         save_history(fig_4d(), str(path), fmt="plume")
         state = tmp_path / "state.awd"
-        args = [
-            "check", str(path), "-i", "cc", "--stream", "--retire",
-            "--checkpoint", str(state),
-        ]
-        assert main(args) == 2
-        assert "--segment-dir" in capsys.readouterr().err
-        assert (
-            main(args + ["--segment-dir", str(tmp_path / "segs")]) == 0
+        argv = ["check", str(path), "-i", "cc", "--stream", "--checkpoint", str(state)]
+        assert main(argv) == 0
+        blob = state.read_bytes()
+        older = CHECKPOINT_VERSION - 1
+        state.write_bytes(
+            CHECKPOINT_MAGIC + bytes([older]) + blob[len(CHECKPOINT_MAGIC) + 1 :]
         )
-        assert "CONSISTENT" in capsys.readouterr().out
-
-    def test_retiring_check_matches_plain_output(self, tmp_path, capsys):
-        path = tmp_path / "h.plume"
-        save_history(fig_4a(), str(path), fmt="plume")
-        assert main(["check", str(path), "-i", "rc", "--stream"]) == 1
-        plain = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "check", str(path), "-i", "rc", "--stream", "--retire",
-                    "--retire-lag", "0", "--retire-every", "1",
-                ]
-            )
-            == 1
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"awdit: error: {state}: unsupported checkpoint version {older}\n"
         )
-        retiring = capsys.readouterr().out
-        # Witness text is byte-identical; only the wall-clock line differs.
-        assert plain.splitlines()[1:] == retiring.splitlines()[1:]
-
-    def test_stats_stream_retire_prints_counters(self, tmp_path, capsys):
-        path = tmp_path / "h.plume"
-        save_history(fig_4d(), str(path), fmt="plume")
-        assert main(["stats", str(path), "--stream", "--retire"]) == 0
-        out = capsys.readouterr().out
-        assert "retirement:" in out
-        assert "retired transactions" in out
-        assert main(["stats", str(path), "--retire"]) == 2
-        assert "--stream" in capsys.readouterr().err
 
 
 class TestGenerateCommand:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check, check_all_levels
+from repro.core.exceptions import UsageError
 from repro.histories.formats import save_history, stream_raw_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -20,7 +21,15 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
+from repro.stream import (
+    CompiledIncrementalChecker,
+    check_all_levels_history_stream,
+    check_history_stream,
+    check_stream_compiled,
+    check_stream_file,
+    load_checkpoint,
+    stream_live_stats,
+)
 
 LEVELS = list(IsolationLevel)
 #: ``(engine, mode)`` cells: both batch engines, plus the one stream.
@@ -154,7 +163,7 @@ class TestStreamFileCells:
         check_stream_file(
             path, IsolationLevel.READ_COMMITTED, fmt="plume", checkpoint=str(state)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="tracks \\['RC'\\], not CC"):
             check_stream_file(
                 path,
                 IsolationLevel.CAUSAL_CONSISTENCY,
@@ -199,6 +208,30 @@ class TestDispatchErrors:
             for entry in (check, check_all_levels):
                 with pytest.raises(ValueError, match="unknown engine 'sharded'"):
                     entry(history, engine="sharded", mode=mode)
+
+    @pytest.mark.parametrize(
+        "entry,args",
+        [
+            (CompiledIncrementalChecker, ()),
+            (check_stream_compiled, ([],)),
+            (check_history_stream, (None,)),
+            (check_all_levels_history_stream, (None,)),
+            (check_stream_file, ("h.plume",)),
+            (stream_live_stats, ("h.plume",)),
+        ],
+        ids=[
+            "CompiledIncrementalChecker",
+            "check_stream_compiled",
+            "check_history_stream",
+            "check_all_levels_history_stream",
+            "check_stream_file",
+            "stream_live_stats",
+        ],
+    )
+    def test_removed_retire_parameter_is_unknown(self, entry, args):
+        """No streaming entry point still takes (or silently drops) ``retire=``."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'retire'"):
+            entry(*args, retire=None)
 
     @pytest.mark.parametrize(
         "kwargs",

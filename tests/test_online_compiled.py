@@ -23,7 +23,7 @@ from repro.stream import (
     load_checkpoint,
 )
 
-from helpers import PAPER_VERDICTS, all_paper_histories
+from helpers import PAPER_VERDICTS, all_paper_histories, long_plume_and_cut_copy
 
 LEVELS = list(IsolationLevel)
 
@@ -288,13 +288,82 @@ class TestCheckpointResume:
             with pytest.raises(HistoryFormatError, match=message):
                 load_checkpoint(str(path))
 
-    def test_checkpoint_write_is_atomic(self, tmp_path):
-        checker = CompiledIncrementalChecker()
-        checker.append_raw(0, None, True, [(True, "x", 1)])
+    def test_checkpoint_write_is_atomic(self, tmp_path, monkeypatch):
+        import errno
+        import os
+        import pickle
+
+        history, records = self._records()
+        cut = len(records) // 2
+        full = CompiledIncrementalChecker(num_sessions=history.num_sessions)
+        full.extend_raw(records)
+        want = full.finalize()
+
+        syncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            syncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
+        checker.extend_raw(records[:cut])
         path = tmp_path / "state.awd"
         checker.save_checkpoint(str(path))
+        assert len(syncs) == 1
         assert not (tmp_path / "state.awd.tmp").exists()
-        assert load_checkpoint(str(path)).num_transactions == 1
+
+        # A save that fails after a partial write (a full disk) removes its
+        # temp file and leaves the previous checkpoint loadable.
+        real_dump = pickle.dump
+
+        def failing_dump(obj, handle, protocol=None):
+            handle.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pickle, "dump", failing_dump)
+        checker.extend_raw(records[cut:])
+        with pytest.raises(OSError):
+            checker.save_checkpoint(str(path))
+        monkeypatch.setattr(pickle, "dump", real_dump)
+        assert not (tmp_path / "state.awd.tmp").exists()
+        assert len(syncs) == 1
+
+        resumed = load_checkpoint(str(path))
+        assert resumed.num_transactions == cut
+        resumed.extend_raw(records[cut:])
+        got = resumed.finalize()
+        for level in LEVELS:
+            assert [v.message for v in got[level].violations] == [
+                v.message for v in want[level].violations
+            ], level
+            assert got[level].stats.get("inferred_edges") == want[level].stats.get(
+                "inferred_edges"
+            ), level
+
+    def test_resume_refuses_a_history_shorter_than_the_checkpoint(self, tmp_path):
+        from repro.stream import check_stream_file
+
+        long_path, cut_path, consumed, cut_txns = long_plume_and_cut_copy(
+            str(tmp_path)
+        )
+        state = tmp_path / "state.awd"
+        rc = IsolationLevel.READ_COMMITTED
+        check_stream_file(long_path, rc, fmt="plume", checkpoint=str(state))
+        with pytest.raises(
+            HistoryFormatError,
+            match=(
+                f"holds {cut_txns} transactions, but checkpoint .* already "
+                f"consumed {consumed}; re-run without --resume"
+            ),
+        ):
+            check_stream_file(
+                cut_path, rc, fmt="plume", checkpoint=str(state), resume=True
+            )
+        # The refusal happens before the final save: the checkpoint still
+        # holds the long history's state.
+        assert load_checkpoint(str(state)).num_transactions == consumed
 
     def test_resume_rejects_a_different_history_file(self, tmp_path):
         from repro.stream import check_stream_file
@@ -395,6 +464,27 @@ class TestLiveStats:
         stats = checker.live_stats()
         assert stats["transactions"] == history.num_transactions
         assert stats["cc_writer_buckets"] > 0
+
+    def test_keys_read_by_perfbench_are_present(self):
+        # perfbench/run.py reads these counters from a traced stream run.
+        checker = CompiledIncrementalChecker()
+        checker.append_raw(0, None, True, [(True, "x", 1)])
+        checker.append_raw(1, None, True, [(False, "x", 1)])
+        stats = checker.live_stats()
+        for key in (
+            "resolve_fast_path",
+            "resolve_slow_path",
+            "resolve_parked",
+            "peak_pending_reads",
+            "inferred_edge_log",
+            "classify_vectorized",
+            "classify_fallback",
+            "cc_joins_fallback",
+            "cc_joins_vectorized",
+        ):
+            assert isinstance(stats[key], int), key
+        # The clock join has one (scalar) side; the vectorized count stays 0.
+        assert stats["cc_joins_vectorized"] == 0
 
 
 class TestCompiledOnlineProperties:

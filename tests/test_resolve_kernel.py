@@ -22,8 +22,6 @@ relies on:
 * ``AWDIT_NO_NUMPY=1`` -- the supported process-wide switch -- yields the
   same answers from a real subprocess while reporting
   ``classify_kernel: fallback``;
-* retirement compaction invalidates the flat registry mid-stream and the
-  next batch rebuilds it from the live dicts without changing a verdict;
 * checkpoints never serialize the registry, and a resumed checker
   rebuilds it.
 """
@@ -42,7 +40,6 @@ from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
 from repro.core.compiled import kernels, online
-from repro.core.compiled.retire import RetirementPolicy
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import save_history
@@ -50,7 +47,6 @@ from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
     generate_random_history,
-    generate_random_stream,
     inject_anomaly,
 )
 from repro.stream import CompiledIncrementalChecker, load_checkpoint
@@ -101,15 +97,6 @@ def interleaved_raw(history, seed):
     return records
 
 
-def arrival_raw(history, order):
-    """Raw records of ``history`` in the generator's arrival ``order``."""
-    sid_of = [0] * len(history.transactions)
-    for sid, session in enumerate(history.sessions):
-        for tid in session:
-            sid_of[tid] = sid
-    return [(sid_of[tid], raw_of(history.transactions[tid])) for tid in order]
-
-
 @contextmanager
 def vector_floor(n=0):
     """Make the vectorized kernel run even on tiny batches."""
@@ -151,10 +138,10 @@ def digest(results):
     ]
 
 
-def run_stream(records, num_sessions, batch_ops, fallback=False, retire=None):
+def run_stream(records, num_sessions, batch_ops, fallback=False):
     ctx = fallback_modules() if fallback else vector_floor()
     with ctx:
-        checker = CompiledIncrementalChecker(num_sessions=num_sessions, retire=retire)
+        checker = CompiledIncrementalChecker(num_sessions=num_sessions)
         checker.extend_raw(iter(records), batch_ops=batch_ops)
         return digest(checker.finalize()), checker
 
@@ -369,6 +356,22 @@ class TestDuplicateRefusalParity:
         assert "w2" in message
         assert "--stream" in message
 
+    @needs_numpy
+    def test_refusal_mid_batch_drops_the_writes_mirror(self):
+        # The refused batch registers W(y, 5) in the writes dict before the
+        # duplicate W(x, 1) raises, but never applies its mirror notes: the
+        # mirror must be dropped so any later use rebuilds it from the dict.
+        records = self._refused_records()
+        y_writer = (0, ("wy", True, [(True, "y", 5)]))
+        with vector_floor():
+            checker = CompiledIncrementalChecker(num_sessions=3)
+            checker.extend_raw(iter(records[:2]), batch_ops=4096)
+            assert not checker._writes_index._dirty
+            with pytest.raises(HistoryFormatError, match="duplicate write"):
+                checker.extend_raw(iter([y_writer, records[2]]), batch_ops=4096)
+            assert checker.live_stats()["writes_index"] == 2
+            assert checker._writes_index._dirty
+
 
 @needs_numpy
 class TestNoNumpySubprocess:
@@ -426,66 +429,6 @@ class TestNoNumpySubprocess:
             assert a[:3] == b[:3], a[0]
         assert {row[3] for row in with_numpy} == {"vectorized"}
         assert {row[3] for row in without} == {"fallback"}
-
-
-class TestRetireStraddlesCompaction:
-    """--retire compaction drops the registry; the next batch rebuilds it."""
-
-    def _stream(self):
-        return generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=6,
-                num_transactions=600,
-                num_keys=30,
-                abort_probability=0.05,
-                seed=13,
-            )
-        )
-
-    @needs_numpy
-    def test_vectorized_verdicts_survive_compaction(self):
-        history, order = self._stream()
-        records = arrival_raw(history, order)
-        want, _ = run_stream(records, history.num_sessions, 64)
-
-        rebuilds = [0]
-        real_rebuild = kernels.WritesIndex._rebuild
-
-        def counting(self, writes, committed_of):
-            rebuilds[0] += 1
-            return real_rebuild(self, writes, committed_of)
-
-        kernels.WritesIndex._rebuild = counting
-        try:
-            got, checker = run_stream(
-                records,
-                history.num_sessions,
-                64,
-                retire=RetirementPolicy(lag=64, every=16),
-            )
-        finally:
-            kernels.WritesIndex._rebuild = real_rebuild
-        assert got == want
-        # The run genuinely retired (non-vacuous), and resolve_reads kept
-        # answering across the invalidations: at least one rebuild per
-        # compaction pass beyond the initial build.
-        assert checker._retire_stats.retired_transactions > 300
-        assert checker._retire_stats.passes >= 1
-        assert rebuilds[0] > checker._retire_stats.passes
-
-    def test_fallback_verdicts_survive_compaction(self):
-        history, order = self._stream()
-        records = arrival_raw(history, order)
-        want, _ = run_stream(records, history.num_sessions, 64, fallback=True)
-        got, checker = run_stream(
-            records,
-            history.num_sessions,
-            64,
-            fallback=True,
-            retire=RetirementPolicy(lag=64, every=16),
-        )
-        assert got == want
-        assert checker._retire_stats.retired_transactions > 300
 
 
 class TestCheckpointAcrossResolver:
