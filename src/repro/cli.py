@@ -486,7 +486,7 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
         f"{stats['resolve_parked']} parked, "
         f"{stats['resolve_rebound']} rebound"
     )
-    print(f"  inferred-edge log      : {stats['inferred_edge_log']} edges")
+    print(f"  inferred-edge log      : {stats['inferred_edge_log']} attempts")
     return 0
 
 

@@ -28,7 +28,6 @@ from repro.core.cc import causality_cycles, causality_labels
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, compile_history
 from repro.core.compiled.kernels import (
-    _external_good_reads,
     saturate_cc_compiled,
     saturate_ra_compiled,
     saturate_rc_compiled,
@@ -373,22 +372,7 @@ def check_ra_single_session_compiled(
     violations.extend(check_repeatable_reads_compiled(ch, report.bad_ops))
 
     relation = _relation_from_compiled(ch)
-    committed = ch.txn_committed
-    kw_start = ch._kw_start
-    kw_key = ch._kw_key
-    last_write: Dict[int, int] = {}
-    if ch.num_sessions == 1:
-        for t3 in ch.sessions[0]:
-            if not committed[t3]:
-                continue
-            for _po, key, t1 in _external_good_reads(ch, t3, report.bad_ops):
-                t2 = last_write.get(key)
-                if t2 is not None and t2 != t1:
-                    # key is a dense id: the relation was built with the
-                    # IR's key table, so labels decode it lazily.
-                    relation.add_inferred(t2, t1, key=key)
-            for x in kw_key[kw_start[t3] : kw_start[t3 + 1]]:
-                last_write[x] = t3
+    saturate_ra_compiled(ch, relation, report.bad_ops, so_only=True)
     watch.lap("scan")
 
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))

@@ -20,11 +20,14 @@ single-record batch, so no :class:`~repro.core.model.Operation` or
   ``(writer session, key)`` writer list, allocated when the first write
   registers), exactly like the batch
   :func:`~repro.core.compiled.checkers.saturate_cc_compiled`;
-* inferred edges are recorded in the same packed ``int -> int`` logs and
-  replayed in batch order at :meth:`finalize`, so verdicts, violation
-  kinds, witnesses, and inferred-edge counts are byte-identical to every
-  batch engine (property-tested in ``tests/test_online_compiled.py`` and
-  ``tests/test_matrix.py``).
+* RC and RA saturation run the batch kernels' per-transaction bodies
+  (:func:`~repro.core.compiled.kernels.saturate_rc_txn` /
+  :func:`~repro.core.compiled.kernels.saturate_ra_txn`), and every
+  inferred-edge attempt is appended to the batch co-log columns, one run
+  per transaction; :meth:`finalize` replays the runs in batch order, so the
+  co log, verdicts, violation kinds, witnesses, and inferred-edge counts
+  are identical to the batch engine's (tested in
+  ``tests/test_online_compiled.py`` and ``tests/test_matrix.py``).
 
 Memory model: each transaction's operation data is dropped the moment the
 transaction is folded into the online state; what stays resident is the
@@ -91,12 +94,13 @@ from repro.core.violations import (
 )
 from repro.core.compiled import kernels as _kernels
 from repro.graph.csr import _np, freeze_packed
-from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, pack_edge
+from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
 
 __all__ = [
     "CompiledIncrementalChecker",
     "check_stream_compiled",
+    "checkpoint_temp_path",
     "load_checkpoint",
     "source_fingerprint",
     "CHECKPOINT_MAGIC",
@@ -112,22 +116,18 @@ ALL_LEVELS: Tuple[IsolationLevel, ...] = (
 #: layout as the compiled IR's unique-writes index).
 _VALUE_SHIFT = 32
 
-#: Bit budget per sort-key component of the packed inferred-edge logs
-#: (``(t2 << EDGE_SHIFT) | t1`` -> ``(sort key << EDGE_SHIFT) | (kid + 1)``,
-#: where the sort key packs (sid, session index, attempt) and records the
-#: position the batch algorithm would first add the edge at): up to 2^24
-#: transactions per session and 2^24 edge attempts per transaction keep
-#: batch-order replay exact; beyond that only witness selection (never
-#: verdicts) could diverge from batch.
-_KEY_SHIFT = 24
-
 #: Checkpoint file header: magic + format version.  Checkpoints are transient
 #: resume state, so only the current version loads; older ones are rejected.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
+
+
+def checkpoint_temp_path(path: str) -> str:
+    """The temp file a checkpoint save at ``path`` writes before renaming it."""
+    return f"{path}.tmp"
 
 
 def source_fingerprint(path: str, prefix_len: Optional[int] = None) -> dict:
@@ -145,9 +145,38 @@ def source_fingerprint(path: str, prefix_len: Optional[int] = None) -> dict:
     return {"prefix_len": length, "prefix_sha256": digest}
 
 
-def _sort_base(sid: int, sidx: int) -> int:
-    """The sort-key base for transaction (sid, sidx); add the attempt number."""
-    return ((sid << _KEY_SHIFT) | sidx) << _KEY_SHIFT
+class _EdgeLog:
+    """Inferred-edge attempts, in the batch kernels' co-log format.
+
+    ``edges`` and ``keys`` hold every attempt, duplicates included: the
+    packed ``(t2 << EDGE_SHIFT) | t1`` and its key id, the two columns a
+    :class:`CommitRelation` freezes.  One transaction's attempts are one
+    contiguous emission, recorded as the run ``(tids[r], starts[r],
+    lens[r])``; runs are in emission order, so :meth:`finalize` recovers the
+    batch order by sorting them by batch transaction id.
+    """
+
+    __slots__ = ("edges", "keys", "tids", "starts", "lens")
+
+    def __init__(self) -> None:
+        self.edges = array("Q")
+        self.keys = array("q")
+        self.tids = array("q")
+        self.starts = array("q")
+        self.lens = array("q")
+
+    def close_run(self, tid: int, start: int) -> bool:
+        """Record the attempts appended since ``start`` as ``tid``'s run.
+
+        Returns whether there were any (no attempts, no run).
+        """
+        length = len(self.edges) - start
+        if not length:
+            return False
+        self.tids.append(tid)
+        self.starts.append(start)
+        self.lens.append(length)
+        return True
 
 
 class _Read:
@@ -360,11 +389,14 @@ class CompiledIncrementalChecker:
         self._resolve_vectorized = 0
         self._resolve_scalar = 0
 
-        # Recorded inferred edges, replayed in batch order at finalize.
-        self._rc_log: Dict[int, int] = {}
-        self._ra_log: Dict[int, int] = {}
-        self._ra_so_log: Dict[int, int] = {}
-        self._cc_log: Dict[int, int] = {}
+        # Inferred-edge attempts, replayed in batch order at finalize.  The
+        # t2 -so-> t3 attempts open each RA run; ``_ra_so_lens`` (aligned
+        # with the RA runs) counts them, and those prefixes alone are the
+        # single-session RA log.
+        self._rc_log = _EdgeLog()
+        self._ra_log = _EdgeLog()
+        self._ra_so_lens = array("q")
+        self._cc_log = _EdgeLog()
 
         # Violations discovered so far, plus their batch-order sort keys.
         self._rc_axiom: List[Tuple[Tuple[int, int, int], Violation]] = []
@@ -531,6 +563,7 @@ class CompiledIncrementalChecker:
         classify = self._classify
         on_resolved = self._on_resolved
         rc_saturate = self._rc_saturate
+        check_repeatable_run = self._check_repeatable_run
         advance_ra = self._advance_ra
         advance_cc = self._advance_cc
         pending_add = pending.add
@@ -855,42 +888,8 @@ class CompiledIncrementalChecker:
                             gr_start[tid] = gbase + ra
                             gr_len[tid] = rb - ra
                         wany_start[tid] = -2
-                        if ra_enabled and rb - ra > 1 and (
-                            # A non-repeatable read needs a repeated key;
-                            # one C-level set build skips the per-read dict
-                            # loop for the (dominant) all-distinct case.
-                            len(set(kids := r_kid[ra:rb])) != rb - ra
-                        ):
-                            writers = r_writer[ra:rb]
-                            # _check_repeatable_reads, inlined (the writer is
-                            # never the reader itself on the fast path); on a
-                            # violation the last-writer entry is *not* updated,
-                            # matching the scalar check.
-                            last_writer: Dict[int, int] = {}
-                            lw_get = last_writer.get
-                            for j, w in enumerate(writers):
-                                kd = kids[j]
-                                previous = lw_get(kd)
-                                if previous is None:
-                                    last_writer[kd] = w
-                                elif previous != w:
-                                    key = self._key_table.values[kd]
-                                    violation = RepeatableReadViolation(
-                                        kind=ViolationKind.NON_REPEATABLE_READ,
-                                        message=(
-                                            f"{self._name(tid)} reads {key!r} "
-                                            f"from both "
-                                            f"{self._name(previous)} "
-                                            f"and {self._name(w)}"
-                                        ),
-                                        txn=tid,
-                                        key=key,
-                                        writers=(previous, w),
-                                    )
-                                    self._rr.append(
-                                        ((sid, sidx, r_index[ra + j]), violation)
-                                    )
-                                    self._live.append(violation)
+                        if ra_enabled and rb - ra > 1:
+                            check_repeatable_run(tid)
                         t_flags[tid] |= 2
                         self._num_unfolded -= 1
                         if cc_enabled:
@@ -1145,8 +1144,8 @@ class CompiledIncrementalChecker:
         """Flush pending state and return one :class:`CheckResult` per level.
 
         Unresolved reads become thin-air violations, the frontiers drain,
-        and the packed edge logs are replayed in the batch algorithms'
-        order.  Idempotent.
+        and each level's inferred-edge runs are appended to its relation's
+        co log in the batch algorithms' order.  Idempotent.
         """
         if self._results is not None:
             return self._results
@@ -1222,14 +1221,18 @@ class CompiledIncrementalChecker:
         self._wb_bucket = array("q")
         self._wb_sidx = array("q")
         self._wb_tid = array("q")
+        self._writes_index = _kernels.WritesIndex()
+        self._wb_probe = _kernels.WriterProbeIndex()
+        self._folded_read_wids = set()
         self._ra_last_write = []
 
         results: Dict[IsolationLevel, CheckResult] = {}
         if self._rc_enabled:
+            log, self._rc_log = self._rc_log, _EdgeLog()
             relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, self._rc_log
+                mapping, names, committed_ids, so_edges, log, log.lens
             )
-            self._rc_log = {}
+            del log
             violations = rc_violations + relation.find_cycles(
                 max_witnesses=self._max_witnesses
             )
@@ -1240,12 +1243,13 @@ class CompiledIncrementalChecker:
         if self._ra_enabled:
             rr_violations = [v for _, v in sorted(self._rr, key=lambda item: item[0])]
             single = len(self._by_session) <= 1
-            log = self._ra_so_log if single else self._ra_log
+            log, self._ra_log = self._ra_log, _EdgeLog()
+            so_lens, self._ra_so_lens = self._ra_so_lens, array("q")
             relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, log
+                mapping, names, committed_ids, so_edges, log,
+                so_lens if single else log.lens,
             )
-            self._ra_log = {}
-            self._ra_so_log = {}
+            del log, so_lens
             violations = (
                 rc_violations
                 + rr_violations
@@ -1265,10 +1269,11 @@ class CompiledIncrementalChecker:
                     IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit-stream", None
                 )
             else:
+                log, self._cc_log = self._cc_log, _EdgeLog()
                 relation = self._build_relation(
-                    mapping, names, committed_ids, so_edges, self._cc_log
+                    mapping, names, committed_ids, so_edges, log, log.lens
                 )
-                self._cc_log = {}
+                del log
                 violations = rc_violations + relation.find_cycles(
                     max_witnesses=self._max_witnesses
                 )
@@ -1297,7 +1302,8 @@ class CompiledIncrementalChecker:
         ``resident_transactions`` is the number of transaction-level
         summaries currently held (operation data itself is dropped at
         fold); the ``peak_*`` entries are high-water marks over the whole
-        run.
+        run; ``inferred_edge_log`` counts the inferred-edge attempts logged
+        so far, duplicates included.
         """
         return {
             "transactions": self._next_tid,
@@ -1326,10 +1332,9 @@ class CompiledIncrementalChecker:
             "resolve_parked": self._resolve_parked,
             "resolve_rebound": self._resolve_rebound,
             "inferred_edge_log": (
-                len(self._rc_log)
-                + len(self._ra_log)
-                + len(self._ra_so_log)
-                + len(self._cc_log)
+                len(self._rc_log.edges)
+                + len(self._ra_log.edges)
+                + len(self._cc_log.edges)
             ),
         }
 
@@ -1350,8 +1355,9 @@ class CompiledIncrementalChecker:
         :func:`load_checkpoint` verifies it so a checkpoint cannot silently
         resume against a different history.  The write is atomic and
         durable: the temp file is fsynced before it is renamed over
-        ``path``, and a failed write removes the temp file, so an
-        interrupted save never destroys the previous checkpoint.
+        ``path``, the directory is fsynced after the rename so the rename
+        itself survives a crash, and a failed write removes the temp file,
+        so an interrupted save never destroys the previous checkpoint.
         """
         if self._results is not None:
             raise RuntimeError("cannot checkpoint a finalized checker")
@@ -1361,7 +1367,7 @@ class CompiledIncrementalChecker:
             "source": source,
             "checker": self,
         }
-        scratch = f"{path}.tmp"
+        scratch = checkpoint_temp_path(path)
         try:
             with open(scratch, "wb") as handle:
                 handle.write(CHECKPOINT_MAGIC)
@@ -1376,6 +1382,11 @@ class CompiledIncrementalChecker:
             except OSError:
                 pass
             raise
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -1566,6 +1577,14 @@ class CompiledIncrementalChecker:
     def _on_resolved(self, tid: int) -> None:
         """All reads of ``tid`` are classified: fold it into the online state."""
         sid = self._t_sid[tid]
+        self._t_flags[tid] |= 2
+        self._num_unfolded -= 1
+        # ``folded_wids`` remembers which (key, value) identities this
+        # transaction read (any bound read, own/aborted writers included):
+        # its operation data is dropped below, so a later duplicate write
+        # for one of them could never rebind the read -- append_batch
+        # raises the duplicate-write diagnostic when it sees such a wid.
+        folded_wids = self._folded_read_wids
         pre = self._prefold.pop(tid, None)
         if pre is not None:
             # Clean parked transaction: the good-read run and the wr-map
@@ -1573,65 +1592,15 @@ class CompiledIncrementalChecker:
             # columns (the eventual binding of each read was already
             # known) and every read is good; only the wid list rode the
             # prefold map.
-            self._t_flags[tid] |= 2
-            self._num_unfolded -= 1
-            self._folded_read_wids.update(pre)
-            a = self._gr_start[tid]
-            n = self._gr_len[tid]
-            if self._ra_enabled and n > 1:
-                # _check_repeatable_reads, inlined: no bad/own/unbound
-                # reads exist here, and on a violation the last-writer
-                # entry is not updated, matching the scalar check.
-                last_writer: Dict[int, int] = {}
-                lw_get = last_writer.get
-                sidx = self._t_sidx[tid]
-                gr_index = self._gr_index
-                gr_kid = self._gr_kid
-                gr_writer = self._gr_writer
-                for g in range(a, a + n):
-                    kd = gr_kid[g]
-                    w = gr_writer[g]
-                    previous = lw_get(kd)
-                    if previous is not None and previous != w:
-                        key = self._key_table.values[kd]
-                        violation = RepeatableReadViolation(
-                            kind=ViolationKind.NON_REPEATABLE_READ,
-                            message=(
-                                f"{self._name(tid)} reads {key!r} from both "
-                                f"{self._name(previous)} and "
-                                f"{self._name(w)}"
-                            ),
-                            txn=tid,
-                            key=key,
-                            writers=(previous, w),
-                        )
-                        self._rr.append(((sid, sidx, gr_index[g]), violation))
-                        self._live.append(violation)
-                    else:
-                        last_writer[kd] = w
-            if self._cc_enabled:
-                self._cc_backlog += 1
-                if self._cc_backlog > self._peak_cc_backlog:
-                    self._peak_cc_backlog = self._cc_backlog
-            if self._rc_enabled:
-                self._rc_saturate(tid)
-            self._advance_ra(sid)
-            self._advance_cc(sid)
-            return
-        self._t_flags[tid] |= 2
-        self._num_unfolded -= 1
-        reads = self._live_reads.pop(tid, ())
-        # ``folded_wids`` remembers which (key, value) identities this
-        # transaction read (any bound read, own/aborted writers included):
-        # its operation data is dropped below, so a later duplicate write
-        # for one of them could never rebind the read -- append_batch
-        # raises the duplicate-write diagnostic when it sees such a wid.
-        folded_wids = self._folded_read_wids
-        if self._t_slow[tid] == 0:
+            folded_wids.update(pre)
+            if self._ra_enabled:
+                self._check_repeatable_run(tid)
+        elif self._t_slow[tid] == 0:
             # No read ever went through scalar _classify: every bound read
             # is a clean external committed final-write read, so the
             # re-checking loop below collapses to straight projections
             # into the shared good-read run columns.
+            reads = self._live_reads.pop(tid, ())
             folded_wids.update(
                 (read.kid << _VALUE_SHIFT) | read.vid for read in reads
             )
@@ -1646,72 +1615,39 @@ class CompiledIncrementalChecker:
                     gr_kid.append(read.kid)
                     gr_writer.append(read.writer)
             self._wr_any_start[tid] = -2
-            if self._ra_enabled and len(reads) > 1:
-                # _check_repeatable_reads, inlined: no bad/own/unbound
-                # reads exist here, and on a violation the last-writer
-                # entry is not updated, matching the scalar check.
-                last_writer: Dict[int, int] = {}
-                lw_get = last_writer.get
-                sidx = self._t_sidx[tid]
-                for read in reads:
-                    kd = read.kid
-                    w = read.writer
-                    previous = lw_get(kd)
-                    if previous is not None and previous != w:
-                        key = self._key_table.values[kd]
-                        violation = RepeatableReadViolation(
-                            kind=ViolationKind.NON_REPEATABLE_READ,
-                            message=(
-                                f"{self._name(tid)} reads {key!r} from both "
-                                f"{self._name(previous)} and "
-                                f"{self._name(w)}"
-                            ),
-                            txn=tid,
-                            key=key,
-                            writers=(previous, w),
-                        )
-                        self._rr.append(((sid, sidx, read.index), violation))
-                        self._live.append(violation)
-                    else:
-                        last_writer[kd] = w
-            if self._cc_enabled:
-                self._cc_backlog += 1
-                if self._cc_backlog > self._peak_cc_backlog:
-                    self._peak_cc_backlog = self._cc_backlog
-            if self._rc_enabled:
-                self._rc_saturate(tid)
-            self._advance_ra(sid)
-            self._advance_cc(sid)
-            return
-        t_flags = self._t_flags
-        gr_index = self._gr_index
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        gstart = len(gr_index)
-        wr_any = {}
-        wr_good: Dict[int, int] = {}
-        for read in reads:
-            writer = read.writer
-            if writer is None:
-                continue
-            folded_wids.add((read.kid << _VALUE_SHIFT) | read.vid)
-            if writer == tid:
-                continue
-            if not t_flags[writer] & 1:
-                continue
-            wr_any.setdefault(writer, read.kid)
-            if read.bad:
-                continue
-            gr_index.append(read.index)
-            gr_kid.append(read.kid)
-            gr_writer.append(writer)
-            wr_good.setdefault(writer, read.kid)
-        if len(gr_index) > gstart:
-            self._gr_start[tid] = gstart
-            self._gr_len[tid] = len(gr_index) - gstart
-        self._store_wr_runs(tid, wr_any, None if wr_good == wr_any else wr_good)
-        if self._ra_enabled:
-            self._check_repeatable_reads(tid, reads)
+            if self._ra_enabled:
+                self._check_repeatable_run(tid)
+        else:
+            reads = self._live_reads.pop(tid, ())
+            t_flags = self._t_flags
+            gr_index = self._gr_index
+            gr_kid = self._gr_kid
+            gr_writer = self._gr_writer
+            gstart = len(gr_index)
+            wr_any = {}
+            wr_good: Dict[int, int] = {}
+            for read in reads:
+                writer = read.writer
+                if writer is None:
+                    continue
+                folded_wids.add((read.kid << _VALUE_SHIFT) | read.vid)
+                if writer == tid:
+                    continue
+                if not t_flags[writer] & 1:
+                    continue
+                wr_any.setdefault(writer, read.kid)
+                if read.bad:
+                    continue
+                gr_index.append(read.index)
+                gr_kid.append(read.kid)
+                gr_writer.append(writer)
+                wr_good.setdefault(writer, read.kid)
+            if len(gr_index) > gstart:
+                self._gr_start[tid] = gstart
+                self._gr_len[tid] = len(gr_index) - gstart
+            self._store_wr_runs(tid, wr_any, None if wr_good == wr_any else wr_good)
+            if self._ra_enabled:
+                self._check_repeatable_reads(tid, reads)
         if self._cc_enabled:
             self._cc_backlog += 1
             if self._cc_backlog > self._peak_cc_backlog:
@@ -1721,100 +1657,80 @@ class CompiledIncrementalChecker:
         self._advance_ra(sid)
         self._advance_cc(sid)
 
+    def _non_repeatable(
+        self, tid: int, kid: int, previous: int, writer: int, index: int
+    ) -> None:
+        """Record that ``tid`` reads key ``kid`` from both ``previous`` and ``writer``."""
+        key = self._key_table.values[kid]
+        violation = RepeatableReadViolation(
+            kind=ViolationKind.NON_REPEATABLE_READ,
+            message=(
+                f"{self._name(tid)} reads {key!r} from both "
+                f"{self._name(previous)} and {self._name(writer)}"
+            ),
+            txn=tid,
+            key=key,
+            writers=(previous, writer),
+        )
+        self._rr.append(((self._t_sid[tid], self._t_sidx[tid], index), violation))
+        self._live.append(violation)
+
+    def _check_repeatable_run(self, tid: int) -> None:
+        """Algorithm 2's repeatable-reads pre-pass over ``tid``'s good-read run.
+
+        Every read of the run is good and external, so this is
+        :meth:`_check_repeatable_reads` without its filters.  A violation
+        needs a repeated key, so one C-level set build skips the scan in
+        the common all-distinct case; on a violation the last-writer entry
+        is not updated, matching the scalar check.
+        """
+        a = self._gr_start[tid]
+        n = self._gr_len[tid]
+        kids = self._gr_kid[a : a + n]
+        if len(set(kids)) == n:
+            return
+        last_writer: Dict[int, int] = {}
+        for g, kid, writer in zip(range(a, a + n), kids, self._gr_writer[a : a + n]):
+            previous = last_writer.setdefault(kid, writer)
+            if previous != writer:
+                self._non_repeatable(tid, kid, previous, writer, self._gr_index[g])
+
     def _check_repeatable_reads(self, tid: int, reads: Sequence[_Read]) -> None:
         """Per-transaction repeatable-reads check (Algorithm 2's pre-pass)."""
         last_writer: Dict[int, int] = {}
-        key_names = self._key_table.values
-        sid = self._t_sid[tid]
-        sidx = self._t_sidx[tid]
         for read in reads:
             if read.bad or read.writer is None:
                 continue
             writer = read.writer
             previous = last_writer.get(read.kid)
             if writer != tid and previous is not None and previous != writer:
-                key = key_names[read.kid]
-                violation = RepeatableReadViolation(
-                    kind=ViolationKind.NON_REPEATABLE_READ,
-                    message=(
-                        f"{self._name(tid)} reads {key!r} from both "
-                        f"{self._name(previous)} and "
-                        f"{self._name(writer)}"
-                    ),
-                    txn=tid,
-                    key=key,
-                    writers=(previous, writer),
-                )
-                self._rr.append(((sid, sidx, read.index), violation))
-                self._live.append(violation)
+                self._non_repeatable(tid, read.kid, previous, writer, read.index)
             else:
                 last_writer[read.kid] = writer
 
     # -- inferred-edge recording -----------------------------------------------
 
-    @staticmethod
-    def _record(log: Dict[int, int], t2: int, t1: int, kid: int, sort_key: int) -> None:
-        """Keep the batch-order-earliest ``(sort key, key id)`` per packed edge."""
-        edge = pack_edge(t2, t1)
-        meta = (sort_key << EDGE_SHIFT) | (kid + 1)
-        current = log.get(edge)
-        if current is None or meta < current:
-            log[edge] = meta
+    def _good_reads(self, tid: int) -> List[Tuple[int, int, int]]:
+        """``tid``'s good-read run as the kernels' ``(po, key, writer)`` triples."""
+        a = self._gr_start[tid]
+        b = a + self._gr_len[tid]
+        return list(zip(self._gr_index[a:b], self._gr_kid[a:b], self._gr_writer[a:b]))
 
     def _rc_saturate(self, tid: int) -> None:
         """Per-transaction RC saturation (the body of Algorithm 1's main loop)."""
-        n = self._gr_len[tid]
-        if not n:
+        if not self._gr_len[tid]:
             return
-        a = self._gr_start[tid]
-        gr_index = self._gr_index
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        seen_txns: Set[int] = set()
-        first_txn_reads: Set[int] = set()
-        for g in range(a, a + n):
-            writer = gr_writer[g]
-            if writer not in seen_txns:
-                seen_txns.add(writer)
-                first_txn_reads.add(gr_index[g])
-        earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-        read_keys: Dict[int, None] = {}
-        seq = _sort_base(self._t_sid[tid], self._t_sidx[tid])
-        fw_off = self._fw_off
-        fw_kid = self._fw_kid
-        rc_log = self._rc_log
-        rc_log_get = rc_log.get
-        for g in range(a + n - 1, a - 1, -1):
-            index = gr_index[g]
-            key = gr_kid[g]
-            t2 = gr_writer[g]
-            if index in first_txn_reads:
-                a = fw_off[t2]
-                b = fw_off[t2 + 1]
-                if b - a <= len(read_keys):
-                    candidates = [x for x in fw_kid[a:b] if x in read_keys]
-                else:
-                    keys_written = set(fw_kid[a:b])
-                    candidates = [x for x in read_keys if x in keys_written]
-                for x in candidates:
-                    older, newer = earliest[x]
-                    t1 = newer
-                    if t1 == t2:
-                        t1 = older
-                    if t1 is not None and t1 != t2:
-                        # _record, inlined (hot path).
-                        edge = (t2 << EDGE_SHIFT) | t1
-                        meta = (seq << EDGE_SHIFT) | (x + 1)
-                        current = rc_log_get(edge)
-                        if current is None or meta < current:
-                            rc_log[edge] = meta
-                        seq += 1
-            pair = earliest.get(key)
-            if pair is None:
-                earliest[key] = (None, t2)
-            elif pair[1] != t2:
-                earliest[key] = (pair[1], t2)
-            read_keys[key] = None
+        log = self._rc_log
+        start = len(log.edges)
+        _kernels.saturate_rc_txn(
+            self._good_reads(tid),
+            self._fw_off,
+            self._fw_kid,
+            None,
+            log.edges.append,
+            log.keys.append,
+        )
+        log.close_run(tid, start)
 
     # -- RA frontier (Algorithm 2, online) --------------------------------------
 
@@ -1836,55 +1752,20 @@ class CompiledIncrementalChecker:
         self._ra_next[sid] = index
 
     def _ra_process(self, tid: int, last_write: Dict[int, int]) -> None:
-        ga = self._gr_start[tid]
-        gn = self._gr_len[tid]
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        seq = _sort_base(self._t_sid[tid], self._t_sidx[tid])
-        reader_of_key: Dict[int, int] = {}
-        distinct_writers: List[int] = []
-        seen_writers: Set[int] = set()
-        for g in range(ga, ga + gn):
-            writer = gr_writer[g]
-            reader_of_key.setdefault(gr_kid[g], writer)
-            if writer not in seen_writers:
-                seen_writers.add(writer)
-                distinct_writers.append(writer)
-
-        ra_log = self._ra_log
-        ra_so_log = self._ra_so_log
-        record = self._record
-        # Case t2 -so-> t3 (also the whole single-session specialization).
-        for g in range(ga, ga + gn):
-            key = gr_kid[g]
-            t1 = gr_writer[g]
-            t2 = last_write.get(key)
-            if t2 is not None and t2 != t1:
-                record(ra_so_log, t2, t1, key, seq)
-                record(ra_log, t2, t1, key, seq)
-                seq += 1
-
-        # Case t2 -wr-> t3: intersect writer keys with read keys, iterating
-        # the smaller side in deterministic order (as the batch checker does).
-        keys_read = reader_of_key.keys()
-        fw_off = self._fw_off
-        fw_kid = self._fw_kid
-        for t2 in distinct_writers:
-            a = fw_off[t2]
-            b = fw_off[t2 + 1]
-            if b - a <= len(keys_read):
-                candidates = (x for x in fw_kid[a:b] if x in reader_of_key)
-            else:
-                keys_written = set(fw_kid[a:b])
-                candidates = (x for x in keys_read if x in keys_written)
-            for x in candidates:
-                t1 = reader_of_key[x]
-                if t1 != t2:
-                    record(ra_log, t2, t1, x, seq)
-                    seq += 1
-
-        for key in fw_kid[fw_off[tid] : fw_off[tid + 1]]:
-            last_write[key] = tid
+        log = self._ra_log
+        start = len(log.edges)
+        so_attempts = _kernels.saturate_ra_txn(
+            tid,
+            self._good_reads(tid),
+            last_write,
+            self._fw_off,
+            self._fw_kid,
+            None,
+            log.edges.append,
+            log.keys.append,
+        )
+        if log.close_run(tid, start):
+            self._ra_so_lens.append(so_attempts)
 
     # -- CC frontier (Algorithm 3, online) --------------------------------------
 
@@ -2039,15 +1920,13 @@ class CompiledIncrementalChecker:
         # covers every registered session (writer session ids always index
         # a registered session), so the slot loop reads bounds straight
         # from the row without a pad step.
-        # The meta base advances by one whole seq step (1 << EDGE_SHIFT) per
-        # recorded attempt, so the shift happens once per transaction
-        # instead of once per attempt; the t2 row stores writers
-        # *pre-shifted* (see the checkpoint format note on _cc_t2_rows), so
-        # the packed edge is a single bitwise-or per attempt.
-        meta_base = _sort_base(rec_sid, self._t_sidx[tid]) << EDGE_SHIFT
-        meta_step = 1 << EDGE_SHIFT
-        cc_log = self._cc_log
-        cc_log_setdefault = cc_log.setdefault
+        # The t2 row stores writers *pre-shifted* (see the checkpoint format
+        # note on _cc_t2_rows), so the packed edge is a single bitwise-or
+        # per attempt.
+        log = self._cc_log
+        edges_append = log.edges.append
+        keys_append = log.keys.append
+        start = len(log.edges)
         writers_by_key = self._writers_by_key
         ga = self._gr_start[tid]
         gn = self._gr_len[tid]
@@ -2057,7 +1936,6 @@ class CompiledIncrementalChecker:
             entry = writers_by_key.get(key)
             if entry is None:
                 continue
-            key1 = key + 1
             t1s = t1 << EDGE_SHIFT
             for writer_list, writer_indices, bid, other in entry[1]:
                 ptr = ptr_row[bid]
@@ -2072,16 +1950,9 @@ class CompiledIncrementalChecker:
                 else:
                     t2s_val = t2_row[bid]
                 if t2s_val >= 0 and t2s_val != t1s:
-                    # _record, inlined (hot path); both sides pre-shifted,
-                    # so the self-edge test and the edge packing are one
-                    # comparison and one bitwise-or, and setdefault makes
-                    # the common first-occurrence case a single dict probe.
-                    edge = t2s_val | t1
-                    meta = meta_base | key1
-                    current = cc_log_setdefault(edge, meta)
-                    if meta < current:
-                        cc_log[edge] = meta
-                    meta_base += meta_step
+                    edges_append(t2s_val | t1)
+                    keys_append(key)
+        log.close_run(tid, start)
 
     def _flush_cc_probes(self) -> None:
         """Answer every CC probe deferred by ``_cc_process`` since last flush.
@@ -2093,13 +1964,13 @@ class CompiledIncrementalChecker:
         ``bucket * 2^32 + sidx`` composite (:class:`kernels.WriterProbeIndex`;
         only rows appended since the last flush are sorted per flush) and
         answers every (read, writer-session) probe of the batch with one
-        ``searchsorted`` per run, then reduces the per-edge minimum meta
-        with one lexsort before merging into the packed log.  The scalar metas
-        are reproduced exactly: the attempt counter advances only per
-        *emitted* attempt, and deferral can only add non-emitting probes
-        (any writer at or below a bound registered before the clock join
-        that produced the bound).  Falls back to the scalar pointer loop
-        when numpy is off, the batch is small, or a packing guard fails;
+        ``searchsorted`` per run.  Probes expand in pending order, each
+        transaction's reads in read order, so the emitted attempts append
+        to the CC log as one run per transaction, exactly as the scalar
+        pointer loop appends them (deferral only adds non-emitting probes:
+        any writer at or below a bound registered before the clock join
+        that produced the bound).  Falls back to the scalar loop when numpy
+        is off, the batch is small, or the bucket composite would overflow;
         both paths are bit-identical.
         """
         pending = self._cc_probe_pending
@@ -2115,11 +1986,9 @@ class CompiledIncrementalChecker:
             np is not None
             and total >= _kernels._MIN_VECTOR_READS
             and len(self._wb_bucket) > 0
-            # Composite packing head-room: bucket * 2^32 + sidx and the
-            # meta hi component ((sid << 24) | sidx, shifted 24) must both
-            # stay inside a signed int64.
+            # Composite packing head-room: bucket * 2^32 + sidx must stay
+            # inside a signed int64.
             and self._num_buckets < _kernels._MAX_BUCKETS
-            and len(self._by_session) < (1 << 15)
         )
         if not use_vectorized:
             self._flush_scalar += 1
@@ -2155,12 +2024,6 @@ class CompiledIncrementalChecker:
         hb_view = np.frombuffer(self._hb_data, dtype=np.int64).reshape(-1, stride)
         js = np.asarray(pending, dtype=np.int64)
         clock_mat = hb_view[js, :k]
-        # hi components: _sort_base, vectorized (the session-count guard
-        # above keeps the packed value inside int64 exactly as the scalar
-        # per-transaction assignment into an int64 array did).
-        sid_a = np.frombuffer(self._t_sid, dtype=np.int64)[js]
-        sidx_a = np.frombuffer(self._t_sidx, dtype=np.int64)[js]
-        rec_hi = ((sid_a << _KEY_SHIFT) | sidx_a) << _KEY_SHIFT
         # Per-read rows come straight off the shared good-read run columns:
         # each pending transaction's (start, len) run expands to flat
         # positions with one arange/cumsum, no per-read Python loop.
@@ -2221,60 +2084,19 @@ class CompiledIncrementalChecker:
         if not emit.any():
             return
 
-        # Emission metas: hi advances per emitted attempt within each
-        # transaction (probe order is read order is pending order, so the
-        # emitted rec indices are non-decreasing and bincount gives each
-        # transaction's attempt base).
-        t2_e = t2[emit]
-        t1_e = t1_probe[emit]
+        # Probe order is pending order, so each transaction's attempts are
+        # one contiguous run; packed edges stay below 2^63 (tids < 2^31), so
+        # the int64 bytes are the uint64 log's bytes.
         erec = probe_rec[emit]
-        ekey = read_key_a[probe_read[emit]]
-        ecounts = np.bincount(erec, minlength=nrec)
-        estarts = np.cumsum(ecounts) - ecounts
-        attempt = np.arange(erec.shape[0], dtype=np.int64) - estarts[erec]
-        if int(attempt.max()) >= (1 << _KEY_SHIFT):
-            # Meta hi head-room exhausted (2^24 emissions for a single
-            # transaction); the scalar loop's Python ints cannot overflow.
-            self._flush_vectorized -= 1
-            self._flush_scalar += 1
-            probe = self._cc_probe_scalar
-            for tid in pending:
-                if gr_len[tid]:
-                    probe(tid)
-            return
-        hi = rec_hi[erec] + attempt
-        lo = ekey + 1
-        edges = (t2_e << EDGE_SHIFT) | t1_e
-
-        # Per-edge minimum meta via one lexsort (last key is primary), then
-        # merge first occurrences into the packed log.
-        order2 = np.lexsort((lo, hi, edges))
-        edges_sorted = edges[order2]
-        first = np.empty(edges_sorted.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(edges_sorted[1:], edges_sorted[:-1], out=first[1:])
-        sel = order2[first]
-        # Metas pack as Python ints (hi occupies bits above EDGE_SHIFT and
-        # overflows int64 for large session ids, exactly like the scalar
-        # path), so the per-edge packing stays a comprehension -- but the
-        # merge itself runs at dict speed: the batch map is already
-        # min-reduced per edge, fresh edges land through one C-level
-        # update, and only edges an earlier flush recorded (rare) need the
-        # min against the incumbent meta.
-        batch_map = dict(
-            zip(
-                edges[sel].tolist(),
-                [
-                    (h << EDGE_SHIFT) | low
-                    for h, low in zip(hi[sel].tolist(), lo[sel].tolist())
-                ],
-            )
-        )
-        cc_log = self._cc_log
-        for edge in cc_log.keys() & batch_map.keys():
-            if cc_log[edge] < batch_map[edge]:
-                batch_map[edge] = cc_log[edge]
-        cc_log.update(batch_map)
+        log = self._cc_log
+        first = len(log.edges)
+        log.edges.frombytes(((t2[emit] << EDGE_SHIFT) | t1_probe[emit]).tobytes())
+        log.keys.frombytes(read_key_a[probe_read[emit]].tobytes())
+        counts = np.bincount(erec, minlength=nrec)
+        runs = np.flatnonzero(counts)
+        log.tids.frombytes(js[runs].tobytes())
+        log.starts.frombytes((first + np.cumsum(counts) - counts)[runs].tobytes())
+        log.lens.frombytes(counts[runs].tobytes())
 
     # -- finalize helpers --------------------------------------------------------
 
@@ -2312,7 +2134,8 @@ class CompiledIncrementalChecker:
         names: List[str],
         committed_ids: List[int],
         so_edges,
-        log: Dict[int, int],
+        log: _EdgeLog,
+        lens: "array",
     ) -> CommitRelation:
         relation = CommitRelation(
             names=names,
@@ -2354,56 +2177,8 @@ class CompiledIncrementalChecker:
                             seen.add(w)
                             wr_append((mapping[w] << EDGE_SHIFT) | reader)
                             wrk_append(gr_kid[g])
-        self._drain_log(log, mapping, relation)
+        _drain_log(log, lens, mapping, relation)
         return relation
-
-    def _drain_log(
-        self,
-        log: Dict[int, int],
-        mapping: List[int],
-        relation: CommitRelation,
-    ) -> None:
-        """Drain a packed inferred-edge log into the relation's co rows.
-
-        Entries land in batch order (ascending meta = batch position of the
-        earliest firing attempt), renumbered through ``mapping`` -- so the
-        lazy label replay matches the batch engines bit for bit.  Dedup
-        against so/wr and the witness labels happen at the relation's CSR
-        freeze.  The vectorized path splits each meta into (seq, key) halves
-        -- metas overflow 64 bits by construction -- and lexsorts them,
-        which reproduces ``sorted(log, key=log.__getitem__)`` exactly; it
-        bails to the scalar loop if a seq half ever exceeds uint64 (only
-        possible past ~65k sessions).
-        """
-        n = len(log)
-        if _np is not None and n:
-            try:
-                metas = log.values()
-                packed = _np.fromiter(log.keys(), _np.uint64, n)
-                hi = _np.fromiter((m >> EDGE_SHIFT for m in metas), _np.uint64, n)
-                lo = _np.fromiter((m & EDGE_MASK for m in metas), _np.uint64, n)
-            except OverflowError:  # pragma: no cover - >65k sessions
-                pass
-            else:
-                log.clear()
-                order = _np.lexsort((lo, hi))
-                remap = _np.asarray(mapping, _np.uint64)
-                src = remap[(packed >> EDGE_SHIFT).astype(_np.int64)]
-                dst = remap[(packed & EDGE_MASK).astype(_np.int64)]
-                relation._co_log.frombytes(((src << EDGE_SHIFT) | dst)[order].tobytes())
-                relation._co_keys.frombytes(
-                    (lo.astype(_np.int64) - 1)[order].tobytes()
-                )
-                return
-        co_append = relation._co_log.append
-        cok_append = relation._co_keys.append
-        log_pop = log.pop
-        for edge in sorted(log, key=log.__getitem__):
-            kid = (log_pop(edge) & EDGE_MASK) - 1
-            co_append(
-                (mapping[edge >> EDGE_SHIFT] << EDGE_SHIFT) | mapping[edge & EDGE_MASK]
-            )
-            cok_append(kid)
 
     def _causality_graph(self, mapping: List[int]):
         """The committed ``so ∪ good-wr`` graph, frozen to CSR rows.
@@ -2522,6 +2297,54 @@ class CompiledIncrementalChecker:
             num_sessions=len(self._by_session),
             stats=stats,
         )
+
+
+def _drain_log(
+    log: _EdgeLog, lens: "array", mapping: List[int], relation: CommitRelation
+) -> None:
+    """Append a log's runs to the relation's co log, in batch order.
+
+    Run ``r`` contributes its first ``lens[r]`` attempts (``log.lens``, or
+    the RA so-case prefixes), renumbered through ``mapping``; the runs go
+    in ascending batch transaction id, which is the order the batch
+    kernels emit them in.
+    """
+    num_runs = len(log.tids)
+    if not num_runs:
+        return
+    co_log = relation._co_log
+    co_keys = relation._co_keys
+    np = _np
+    if np is None:
+        edges = log.edges
+        keys = log.keys
+        starts = log.starts
+        tids = log.tids
+        for r in sorted(range(num_runs), key=lambda r: mapping[tids[r]]):
+            a = starts[r]
+            b = a + lens[r]
+            co_log.extend(
+                [
+                    (mapping[e >> EDGE_SHIFT] << EDGE_SHIFT) | mapping[e & EDGE_MASK]
+                    for e in edges[a:b]
+                ]
+            )
+            co_keys.extend(keys[a:b])
+        return
+    remap = np.asarray(mapping, dtype=np.uint64)
+    order = np.argsort(remap[np.frombuffer(log.tids, dtype=np.int64)])
+    starts = np.frombuffer(log.starts, dtype=np.int64)[order]
+    run_lens = np.frombuffer(lens, dtype=np.int64)[order]
+    # One flat gather position per attempt, runs in batch order.
+    pos = np.repeat(starts - (np.cumsum(run_lens) - run_lens), run_lens) + np.arange(
+        int(run_lens.sum()), dtype=np.int64
+    )
+    edges = np.frombuffer(log.edges, dtype=np.uint64)[pos]
+    shift = np.uint64(EDGE_SHIFT)
+    co_log.frombytes(
+        ((remap[edges >> shift] << shift) | remap[edges & np.uint64(EDGE_MASK)]).tobytes()
+    )
+    co_keys.frombytes(np.frombuffer(log.keys, dtype=np.int64)[pos].tobytes())
 
 
 def load_checkpoint(

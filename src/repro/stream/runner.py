@@ -15,6 +15,7 @@ in-memory history through the same core (``check(..., mode="stream")``).
 from __future__ import annotations
 
 import gc
+import os
 import time
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
@@ -22,6 +23,7 @@ from repro.core.compiled.ir import CompiledHistory
 from repro.core.compiled.online import (
     CompiledIncrementalChecker,
     check_stream_compiled,
+    checkpoint_temp_path,
     load_checkpoint,
     source_fingerprint,
 )
@@ -122,6 +124,16 @@ def check_all_levels_history_stream(
     return checker.finalize()
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file (one real path, or one inode)."""
+    if os.path.realpath(first) == os.path.realpath(second):
+        return True
+    try:
+        return os.path.samefile(first, second)
+    except OSError:
+        return False
+
+
 def check_stream_file(
     path: str,
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
@@ -145,7 +157,10 @@ def check_stream_file(
     :class:`~repro.core.exceptions.UsageError` when the checkpoint does not
     track ``level``, and
     :class:`~repro.core.exceptions.HistoryFormatError` when the file ends
-    before the transactions the checkpoint already consumed.  ``timings``
+    before the transactions the checkpoint already consumed.  A
+    ``checkpoint`` that is ``path`` itself, or whose ``.tmp`` save file is,
+    raises :class:`~repro.core.exceptions.UsageError` before anything is
+    written: a save would replace the history.  ``timings``
     (``--profile``)
     receives ``parse`` / ``fold`` wall seconds, the fold's ``fold_intern`` /
     ``fold_dispatch`` / ``fold_classify`` / ``fold_clock_join`` sub-laps,
@@ -160,6 +175,13 @@ def check_stream_file(
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if checkpoint is not None:
+        for target in (checkpoint, checkpoint_temp_path(checkpoint)):
+            if _same_file(path, target):
+                raise UsageError(
+                    f"{path}: checkpoint {checkpoint} would overwrite the "
+                    "history being checked; choose another checkpoint path"
+                )
     if resume:
         if checkpoint is None:
             raise ValueError("resume requires a checkpoint path")

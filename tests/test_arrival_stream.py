@@ -11,8 +11,10 @@ anywhere in the interleaving.
 The contract pinned here: fed in arrival order, the online checker's
 verdict, violation messages and inferred-edge count equal the object batch
 oracle's at every level, at every batch size, across a checkpoint taken
-anywhere in the stream, and without numpy.  Every transaction stays
-resident: transaction ``tid`` is fold row ``tid`` for the whole run.
+anywhere in the stream, and without numpy; and the co log its finalize
+hands each commit relation is the compiled batch engine's, attempt for
+attempt.  Every transaction stays resident: transaction ``tid`` is fold
+row ``tid`` for the whole run.
 """
 
 import json
@@ -24,6 +26,11 @@ import sys
 import pytest
 
 from repro.core import IsolationLevel, check
+from repro.core.commit import CommitRelation
+from repro.core.compiled import kernels, online
+from repro.core.compiled.checkers import check_compiled
+from repro.core.compiled.ir import CompiledHistoryBuilder
+from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.histories.formats import plume_text
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -193,6 +200,73 @@ class TestArrivalOrderParity:
         stats = checker.live_stats()
         assert stats["transactions"] == history.num_transactions
         assert stats["resident_transactions"] == history.num_transactions
+
+
+class TestCoLogParity:
+    """The online finalize hands each relation the batch co log, attempt for attempt.
+
+    Fed the same arrival-order records, ``CompiledIncrementalChecker`` and
+    ``check_compiled`` (over ``CompiledHistoryBuilder.finalize(
+    sort_sessions=False)``, which numbers sessions in arrival order like
+    the online finalize) must append the same inferred-edge attempts, in
+    the same order, duplicates included, at RC, RA and CC; edges compare
+    by transaction name and key name.  ``no-numpy`` takes the scalar CC
+    probe flush and edge drain, as ``AWDIT_NO_NUMPY=1`` does.
+    """
+
+    @staticmethod
+    def _co_logs(monkeypatch, run):
+        logs = []
+        find_cycles = CommitRelation.find_cycles
+
+        def capture(relation, max_witnesses=None):
+            name = relation.name_of
+            key_names = relation._key_names
+            logs.append(
+                [
+                    (name(edge >> EDGE_SHIFT), name(edge & EDGE_MASK), key_names[key])
+                    for edge, key in zip(relation._co_log, relation._co_keys)
+                ]
+            )
+            return find_cycles(relation, max_witnesses=max_witnesses)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CommitRelation, "find_cycles", capture)
+            run()
+        return logs
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "no-numpy"])
+    @pytest.mark.parametrize("batch_ops", [7, 4096])
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CONFIGS))
+    def test_online_co_log_equals_batch(self, monkeypatch, name, batch_ops, use_numpy):
+        if use_numpy and kernels._np is None:
+            pytest.skip("numpy is not available")
+        if use_numpy:
+            # Every flush takes the vectorized side.
+            monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
+        else:
+            monkeypatch.setattr(kernels, "_np", None)
+            monkeypatch.setattr(online, "_np", None)
+        history, order = generate_random_stream(GENERATOR_CONFIGS[name])
+        records = arrival_records(history, order)
+
+        def run_batch():
+            builder = CompiledHistoryBuilder()
+            for sid, raw in records:
+                builder.add_transaction(sid, *raw)
+            ch = builder.finalize(sort_sessions=False)
+            for level in LEVELS:
+                check_compiled(ch, level)
+
+        def run_online():
+            checker = CompiledIncrementalChecker()
+            checker.extend_raw(iter(records), batch_ops=batch_ops)
+            checker.finalize()
+
+        want = self._co_logs(monkeypatch, run_batch)
+        got = self._co_logs(monkeypatch, run_online)
+        assert len(want) >= 2 and any(want)
+        assert got == want
 
 
 class TestArrivalOrderCheckpoint:

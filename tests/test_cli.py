@@ -340,6 +340,30 @@ class TestCheckFlagConflicts:
         assert captured.out == ""
         assert captured.err == f"awdit: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "history,checkpoint",
+        [("h.plume", "h.plume"), ("h.plume", "./h.plume"), ("h.tmp", "h")],
+        ids=["same-path", "same-real-path", "history-is-the-temp-file"],
+    )
+    def test_checkpoint_over_the_history_exits_two(
+        self, tmp_path, capsys, monkeypatch, history, checkpoint
+    ):
+        # A save would replace the history with a checkpoint (or truncate
+        # it mid-read, through the ``.tmp`` file): refuse before any write.
+        monkeypatch.chdir(tmp_path)
+        save_history(fig_4d(), history, fmt="plume")
+        before = (tmp_path / history).read_bytes()
+        argv = ["check", history, "-i", "cc", "--stream", "--checkpoint", checkpoint]
+        assert main(argv + ["--checkpoint-every", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"awdit: error: {history}: checkpoint {checkpoint} would overwrite "
+            "the history being checked; choose another checkpoint path\n"
+        )
+        assert (tmp_path / history).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [history]
+
     def test_resume_of_older_checkpoint_version_exits_two(self, tmp_path, capsys):
         from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 

@@ -1,12 +1,12 @@
 """Columnar fold state: clock-join kernel parity, park-queue behavior,
-the v7 checkpoint format, and batch-size validation.
+the v8 checkpoint format, and batch-size validation.
 
 The tentpole contract: the structure-of-arrays fold is answer-identical
 to the retired object-heap fold -- verdicts, witness messages, park and
 rebind ordering, refusal text -- at every ``batch_ops`` and with or
 without numpy.  The pieces pinned here are the ones the columnar rewrite
 introduced: ``kernels.join_clocks`` (batched CC clock join),
-``kernels.ParkQueue`` (columnar park multimap), and checkpoint format v7.
+``kernels.ParkQueue`` (columnar park multimap), and checkpoint format v8.
 """
 
 import json
@@ -125,7 +125,7 @@ class TestParkQueue:
 
 
 class TestCrossVersionCheckpoints:
-    """Checkpoints are written as v7 (the only loadable version), and the
+    """Checkpoints are written as v8 (the only loadable version), and the
     fold they capture is answer-identical on both kernel paths."""
 
     def _history(self, txns=300, seed=29):
@@ -143,14 +143,14 @@ class TestCrossVersionCheckpoints:
             )
         )
 
-    def test_saved_checkpoints_are_v7(self, tmp_path):
+    def test_saved_checkpoints_are_v8(self, tmp_path):
         checker = CompiledIncrementalChecker(num_sessions=2)
         checker.append_raw(0, "t0", True, [(True, "x", 1)])
         path = tmp_path / "state.awd"
         checker.save_checkpoint(str(path))
         blob = path.read_bytes()
         assert blob.startswith(online.CHECKPOINT_MAGIC)
-        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 7
+        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 8
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
     def test_fallback_path_answers_identical(self, batch_ops):

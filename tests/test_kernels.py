@@ -211,7 +211,11 @@ class TestOnlineFlushBitIdentity:
             monkeypatch.setattr(online, "_np", None)
         checker = online.CompiledIncrementalChecker(levels=list(online.ALL_LEVELS))
         checker.extend_raw(self._records(history, order_seed), batch_ops=batch_ops)
-        log = dict(checker._cc_log)
+        cc_log = checker._cc_log
+        log = {
+            column: getattr(cc_log, column).tolist()
+            for column in ("edges", "keys", "tids", "starts", "lens")
+        }
         results = checker.finalize()
         rendered = {
             level.name: (

@@ -292,6 +292,7 @@ class TestCheckpointResume:
         import errno
         import os
         import pickle
+        import stat
 
         history, records = self._records()
         cut = len(records) // 2
@@ -303,7 +304,7 @@ class TestCheckpointResume:
         real_fsync = os.fsync
 
         def counting_fsync(fd):
-            syncs.append(fd)
+            syncs.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
@@ -311,7 +312,9 @@ class TestCheckpointResume:
         checker.extend_raw(records[:cut])
         path = tmp_path / "state.awd"
         checker.save_checkpoint(str(path))
-        assert len(syncs) == 1
+        # The temp file before the rename, then its directory after it, so
+        # the rename itself is durable.
+        assert syncs == ["file", "dir"]
         assert not (tmp_path / "state.awd.tmp").exists()
 
         # A save that fails after a partial write (a full disk) removes its
@@ -328,7 +331,7 @@ class TestCheckpointResume:
             checker.save_checkpoint(str(path))
         monkeypatch.setattr(pickle, "dump", real_dump)
         assert not (tmp_path / "state.awd.tmp").exists()
-        assert len(syncs) == 1
+        assert syncs == ["file", "dir"]
 
         resumed = load_checkpoint(str(path))
         assert resumed.num_transactions == cut
