@@ -19,6 +19,10 @@ cancels out):
 * the 5x-fig9 arrival-stream fold laps that ``benchmarks/perf_guard.py``
   re-measures and gates against.
 
+The clock matrices have since gone: the fold now only resolves and
+classifies reads, and the stream's finalize runs the batch checkers, so
+the ``fold`` lap these gates time no longer holds any CC work.
+
 Everything lands in the repo-root ``BENCH_10.json``.
 """
 

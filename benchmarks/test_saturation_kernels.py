@@ -13,8 +13,12 @@ records the fig9-scale numbers the PR gates on:
   pairing described in :mod:`test_batch_ingestion`;
 * the saturation phase lap on its own must be cut >= 2x vs the BENCH_5
   ``batch_cc_phase_seconds.saturation`` lap;
-* the fold clock-join lap must be measurably reduced (>= 1.1x) vs the
-  BENCH_6 ``stream_fold_phase_seconds.fold_clock_join`` lap;
+* the streaming CC work must be measurably faster (>= 1.1x) than the
+  BENCH_6 ``stream_fold_phase_seconds.fold_clock_join`` lap.  That lap
+  timed the stream's clock joins plus its edge probes; the fold now does
+  no CC work, and the stream's finalize runs it through the batch
+  checker's ``cc_cycles``, so the gate times the stream result's
+  ``happens_before`` + ``saturation`` stats;
 * the default ``--batch-ops`` (4096) must never be the worst column of
   the batch_ops sweep.  The BENCH_6 sweep exposed a mid-size cliff --
   64-op batches (2.03s) were *slower* than single-op batches (1.98s)
@@ -177,21 +181,21 @@ def test_bench7_snapshot(tmp_path, results):
     def _pipeline(**kwargs):
         return check_stream_file(path, CC, fmt="plume", **kwargs)
 
-    # -- the clock-join gate: paired calibration/pipeline rounds ---------------
+    # -- the CC-work gate: paired calibration/pipeline rounds ------------------
     stream_rounds = []
     for _ in range(ROUNDS):
         cal = calibration_seconds(repeats=3)
         timings: dict = {}
         start = time.perf_counter()
-        _pipeline(timings=timings)
+        result = _pipeline(timings=timings)
         seconds = time.perf_counter() - start
+        # The stream's CC work, which BENCH_6's fold clock-join lap timed.
+        timings["cc_work"] = result.stats["happens_before"] + result.stats["saturation"]
         stream_rounds.append((seconds, dict(timings), cal))
     stream_seconds = min(seconds for seconds, _, _ in stream_rounds)
-    clock_join_seconds = min(
-        laps["fold_clock_join"] for _, laps, _ in stream_rounds
-    )
-    clock_join_speedup = max(
-        (clock_join_baseline * cal / bench6_cal) / laps["fold_clock_join"]
+    cc_work_seconds = min(laps["cc_work"] for _, laps, _ in stream_rounds)
+    cc_work_speedup = max(
+        (clock_join_baseline * cal / bench6_cal) / laps["cc_work"]
         for _, laps, cal in stream_rounds
     )
     stream_speedup = max(
@@ -248,7 +252,7 @@ def test_bench7_snapshot(tmp_path, results):
         "stream_fold_phase_seconds": {
             **fold_laps,
             "fold_clock_join_pr6_baseline": clock_join_baseline,
-            "fold_clock_join_speedup": round(clock_join_speedup, 3),
+            "cc_work_speedup": round(cc_work_speedup, 3),
         },
         "stream_cc_seconds_by_batch_ops": {
             "note": "best-of-3 wall seconds; the verdict is identical for "
@@ -278,10 +282,11 @@ def test_bench7_snapshot(tmp_path, results):
         f"({saturation_baseline}s), best paired round gave "
         f"{saturation_speedup:.2f}x ({saturation_seconds:.3f}s)"
     )
-    assert clock_join_speedup >= CLOCK_JOIN_GATE, (
-        f"the fold clock-join lap must be reduced >= {CLOCK_JOIN_GATE}x vs "
-        f"BENCH_6 ({clock_join_baseline}s), best paired round gave "
-        f"{clock_join_speedup:.2f}x ({clock_join_seconds:.3f}s)"
+    assert cc_work_speedup >= CLOCK_JOIN_GATE, (
+        f"the stream's CC work (happens_before + saturation) must be "
+        f">= {CLOCK_JOIN_GATE}x faster than the BENCH_6 fold clock-join lap "
+        f"({clock_join_baseline}s), best paired round gave "
+        f"{cc_work_speedup:.2f}x ({cc_work_seconds:.3f}s)"
     )
     worst = max(by_batch_ops.values())
     assert by_batch_ops[str(DEFAULT_BATCH_OPS)] < worst, (

@@ -116,9 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "print per-phase wall/alloc timings (parse, build, freeze, "
             "saturate, acyclicity, witness; with --stream: parse, the "
-            "fold's intern/dispatch/classify/clock-join sub-laps, and "
-            "per-phase GC collection counts) to stderr after the check, so "
-            "perf work can see where the time goes without a profiler"
+            "fold's intern/dispatch/classify sub-laps, per-phase GC "
+            "collection counts, then the same finalize laps as batch) to "
+            "stderr after the check, so perf work can see where the time "
+            "goes without a profiler"
         ),
     )
 
@@ -233,15 +234,15 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
 #: Timing stats keys printed by ``--profile``, in pipeline order.  The
 #: ``cycle_check`` lap spans the freeze/acyclicity/witness entries below it
 #: (it times the whole ``find_cycles`` call), so the sub-phases are shown
-#: indented under it.
+#: indented under it.  ``build`` is the IR build: after the parse in batch
+#: mode, and at the end of the fold (the resolved IR) with ``--stream``.
 _PROFILE_PHASES = (
     ("parse", ""),
-    ("build", ""),
     ("fold", ""),  # streaming: whole online fold, split into the laps below
     ("fold_intern", "  "),
     ("fold_dispatch", "  "),
     ("fold_classify", "  "),
-    ("fold_clock_join", "  "),
+    ("build", ""),
     ("read_consistency", ""),
     ("repeatable_reads", ""),
     ("happens_before", ""),
@@ -464,16 +465,9 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
         f"  unfolded transactions  : {stats['unfolded_transactions']} now, "
         f"peak {stats['peak_unfolded_transactions']}"
     )
-    print(f"  peak CC frontier lag   : {stats['peak_cc_backlog']}")
     print(f"  interned keys          : {stats['interned_keys']}")
     print(f"  interned values        : {stats['interned_values']}")
     print(f"  writes index entries   : {stats['writes_index']}")
-    print(f"  CC writer buckets      : {stats['cc_writer_buckets']}")
-    print(
-        "  CC probe flushes       : "
-        f"{stats['cc_flushes_vectorized']} vectorized, "
-        f"{stats['cc_flushes_fallback']} fallback"
-    )
     print(
         "  classify kernel calls  : "
         f"{stats['classify_vectorized']} vectorized, "
@@ -486,7 +480,6 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
         f"{stats['resolve_parked']} parked, "
         f"{stats['resolve_rebound']} rebound"
     )
-    print(f"  inferred-edge log      : {stats['inferred_edge_log']} attempts")
     return 0
 
 

@@ -9,11 +9,12 @@ Public surface:
   :func:`repro.histories.formats.load_compiled`).
 * :func:`check_compiled` / :func:`check_all_levels_compiled` -- the AWDIT
   checkers on the IR, byte-identical to the object path.
-* :class:`CompiledIncrementalChecker` -- the compiled *streaming* core
-  (:mod:`repro.core.compiled.online`): the same algorithms folded online
-  over raw parser records, with checkpoint/resume.
-* :class:`Intern` -- the dense interning table (also reused by the streaming
-  checker for its packed inferred-edge logs).
+* :class:`CompiledIncrementalChecker` -- the compiled *streaming* front end
+  (:mod:`repro.core.compiled.online`): read resolution and classification
+  folded online over raw parser records, then these checkers on the
+  resolved IR at finalize, with checkpoint/resume.
+* :class:`Intern` -- the dense interning table (also used by the streaming
+  checker's fold).
 """
 
 from repro.core.compiled.checkers import (

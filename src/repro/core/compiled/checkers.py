@@ -13,10 +13,20 @@ only the constant factors change.
 The module deliberately reaches into the IR's internal flat arrays
 (``_xr_*``, ``_kw_*``) instead of the iterator accessors: these loops are the
 hot path the compiled layer exists for.  The saturation inner loops
-themselves live in :mod:`repro.core.compiled.kernels`, shared with the
-online fold; ``saturate_{rc,ra,cc}_compiled`` are re-exported here for
-compatibility.  CC saturation has a vectorized and a fallback side, and the
-CC result reports which ran in its ``saturation_kernel`` stat.
+themselves live in :mod:`repro.core.compiled.kernels`;
+``saturate_{rc,ra,cc}_compiled`` are re-exported here for compatibility.
+CC saturation has a vectorized and a fallback side, and the CC result
+reports which ran in its ``saturation_kernel`` stat.
+
+Everything a level does after read consistency (and repeatable reads, for
+RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,
+:func:`cc_cycles`: build ``so ∪ wr``, saturate, compute happens-before (CC
+only), and search the relation for cycles.  ``check_{rc,ra,cc}_compiled``
+call them after their read-level checks, and the streaming checker's
+finalize calls them on the resolved IR it builds from the fold's columns
+(:mod:`repro.core.compiled.online`), so both engines run the same code.
+They read only the IR's transaction arrays, ``sessions``, ``labels``,
+``txn_start``, ``_kw_*`` and ``_xr_*``, never its operation columns.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ __all__ = [
     "check_ra_compiled",
     "check_ra_single_session_compiled",
     "check_cc_compiled",
+    "rc_cycles",
+    "ra_cycles",
+    "cc_cycles",
 ]
 
 
@@ -237,7 +250,35 @@ def _relation_from_compiled(ch: CompiledHistory) -> CommitRelation:
     return relation
 
 
+def _relation_stats(relation: CommitRelation, co_edges: bool = True) -> Dict[str, object]:
+    """The inferred-edge counts and freeze/acyclicity/witness laps of ``relation``."""
+    stats: Dict[str, object] = {"inferred_edges": relation.num_inferred_edges}
+    if co_edges:
+        stats["co_edges"] = relation.num_edges
+    stats.update(relation.timings)
+    return stats
+
+
 # -- RC (Algorithm 1) ----------------------------------------------------------
+
+
+def rc_cycles(
+    ch: CompiledHistory,
+    bad_ops: Set[int],
+    watch: Stopwatch,
+    max_witnesses: Optional[int] = None,
+) -> Tuple[List[Violation], Dict[str, object]]:
+    """Algorithm 1 after read consistency: saturate ``co'``, then find its cycles.
+
+    Returns the cycle violations and the relation's stats; laps
+    ``saturation`` and ``cycle_check`` into ``watch``.
+    """
+    relation = _relation_from_compiled(ch)
+    saturate_rc_compiled(ch, relation, bad_ops)
+    watch.lap("saturation")
+    violations = relation.find_cycles(max_witnesses=max_witnesses)
+    watch.lap("cycle_check")
+    return violations, _relation_stats(relation)
 
 
 def check_rc_compiled(
@@ -249,26 +290,9 @@ def check_rc_compiled(
     watch = Stopwatch()
     report = report or check_read_consistency_compiled(ch)
     watch.lap("read_consistency")
-
-    relation = _relation_from_compiled(ch)
-    saturate_rc_compiled(ch, relation, report.bad_ops)
-    watch.lap("saturation")
-
-    violations = list(report.violations)
-    violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
-    watch.lap("cycle_check")
-
+    cycles, stats = rc_cycles(ch, report.bad_ops, watch, max_witnesses)
     return _result(
-        ch,
-        IsolationLevel.READ_COMMITTED,
-        violations,
-        "awdit",
-        watch,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            **relation.timings,
-        },
+        ch, IsolationLevel.READ_COMMITTED, report.violations + cycles, "awdit", watch, stats
     )
 
 
@@ -318,6 +342,27 @@ def check_repeatable_reads_compiled(
     return violations
 
 
+def ra_cycles(
+    ch: CompiledHistory,
+    bad_ops: Set[int],
+    watch: Stopwatch,
+    max_witnesses: Optional[int] = None,
+    so_only: bool = False,
+) -> Tuple[List[Violation], Dict[str, object]]:
+    """Algorithm 2 after repeatable reads: saturate ``co'``, then find its cycles.
+
+    ``so_only`` is the single-session specialization (Theorem 1.6): only
+    the ``t2 -so-> t3`` inferences, lapped as ``scan``, and no ``co_edges``
+    stat.  Otherwise laps ``saturation``; ``cycle_check`` either way.
+    """
+    relation = _relation_from_compiled(ch)
+    saturate_ra_compiled(ch, relation, bad_ops, so_only=so_only)
+    watch.lap("scan" if so_only else "saturation")
+    violations = relation.find_cycles(max_witnesses=max_witnesses)
+    watch.lap("cycle_check")
+    return violations, _relation_stats(relation, co_edges=not so_only)
+
+
 def check_ra_compiled(
     ch: CompiledHistory,
     max_witnesses: Optional[int] = None,
@@ -332,24 +377,9 @@ def check_ra_compiled(
     violations.extend(check_repeatable_reads_compiled(ch, report.bad_ops))
     watch.lap("repeatable_reads")
 
-    relation = _relation_from_compiled(ch)
-    saturate_ra_compiled(ch, relation, report.bad_ops)
-    watch.lap("saturation")
-
-    violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
-    watch.lap("cycle_check")
-
+    cycles, stats = ra_cycles(ch, report.bad_ops, watch, max_witnesses)
     return _result(
-        ch,
-        IsolationLevel.READ_ATOMIC,
-        violations,
-        "awdit",
-        watch,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            **relation.timings,
-        },
+        ch, IsolationLevel.READ_ATOMIC, violations + cycles, "awdit", watch, stats
     )
 
 
@@ -371,20 +401,9 @@ def check_ra_single_session_compiled(
     violations: List[Violation] = list(report.violations)
     violations.extend(check_repeatable_reads_compiled(ch, report.bad_ops))
 
-    relation = _relation_from_compiled(ch)
-    saturate_ra_compiled(ch, relation, report.bad_ops, so_only=True)
-    watch.lap("scan")
-
-    violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
-    watch.lap("cycle_check")
-
+    cycles, stats = ra_cycles(ch, report.bad_ops, watch, max_witnesses, so_only=True)
     return _result(
-        ch,
-        IsolationLevel.READ_ATOMIC,
-        violations,
-        "awdit-1session",
-        watch,
-        stats={"inferred_edges": relation.num_inferred_edges, **relation.timings},
+        ch, IsolationLevel.READ_ATOMIC, violations + cycles, "awdit-1session", watch, stats
     )
 
 
@@ -495,6 +514,34 @@ def compute_happens_before_compiled(
     return hb, []
 
 
+def cc_cycles(
+    ch: CompiledHistory,
+    bad_ops: Set[int],
+    watch: Stopwatch,
+    max_witnesses: Optional[int] = None,
+) -> Tuple[List[Violation], Dict[str, object]]:
+    """Algorithm 3 after read consistency: happens-before, saturation, cycles.
+
+    A cycle in ``so ∪ wr`` itself ends the check with causality-cycle
+    violations (and no stats).  Otherwise the saturated ``co'`` is searched
+    for cycles, and the stats name the saturation kernel that ran.  Laps
+    ``happens_before``, then ``saturation`` and ``cycle_check``.
+    """
+    hb, cycle_violations = compute_happens_before_compiled(ch, bad_ops)
+    watch.lap("happens_before")
+    if hb is None:
+        return cycle_violations, {}
+    relation = _relation_from_compiled(ch)
+    kernel = saturate_cc_compiled(ch, relation, hb, bad_ops)
+    # The clocks are dead once the co log holds every attempt; the cycle
+    # search should not carry them.
+    del hb
+    watch.lap("saturation")
+    violations = relation.find_cycles(max_witnesses=max_witnesses)
+    watch.lap("cycle_check")
+    return violations, {**_relation_stats(relation), "saturation_kernel": kernel}
+
+
 def check_cc_compiled(
     ch: CompiledHistory,
     max_witnesses: Optional[int] = None,
@@ -504,36 +551,14 @@ def check_cc_compiled(
     watch = Stopwatch()
     report = report or check_read_consistency_compiled(ch)
     watch.lap("read_consistency")
-
-    violations: List[Violation] = list(report.violations)
-    hb, cycle_violations = compute_happens_before_compiled(ch, report.bad_ops)
-    watch.lap("happens_before")
-
-    if hb is None:
-        violations.extend(cycle_violations)
-        return _result(
-            ch, IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit", watch, stats={}
-        )
-
-    relation = _relation_from_compiled(ch)
-    kernel = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
-    watch.lap("saturation")
-
-    violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
-    watch.lap("cycle_check")
-
+    cycles, stats = cc_cycles(ch, report.bad_ops, watch, max_witnesses)
     return _result(
         ch,
         IsolationLevel.CAUSAL_CONSISTENCY,
-        violations,
+        report.violations + cycles,
         "awdit",
         watch,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            "saturation_kernel": kernel,
-            **relation.timings,
-        },
+        stats,
     )
 
 
@@ -546,7 +571,7 @@ def _result(
     violations: List[Violation],
     checker: str,
     watch: Stopwatch,
-    stats: Dict[str, float],
+    stats: Dict[str, object],
 ) -> CheckResult:
     return CheckResult(
         level=level,

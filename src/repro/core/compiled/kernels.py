@@ -3,29 +3,27 @@
 The profile after the CSR relation core (``BENCH_5.json``/``BENCH_6.json``)
 put the remaining batch cost almost entirely in the saturation loops of
 :mod:`repro.core.compiled.checkers` -- interpreted Python over the IR's flat
-rows, ~470k per-(session, key) slot visits on the fig9 log -- and the online
-fold's clock-join runs the very same loop shape.  This module is the single
-home of those loops now: every consumer (the batch checkers and the online
-fold's deferred probe flush) dispatches here, and the per-transaction
-bodies of RC and RA saturation (:func:`saturate_rc_txn`,
-:func:`saturate_ra_txn`) are the only copies, called per transaction by the
-batch loops and by the online fold alike.  Every saturation appends its
-edge attempts, duplicates included, to the flat co-log columns that
-:class:`~repro.core.commit.CommitRelation` freezes.
+rows, ~470k per-(session, key) slot visits on the fig9 log.  This module is
+the single home of those loops: the per-level checker functions of
+:mod:`repro.core.compiled.checkers` dispatch here, for the batch engine and
+for the streaming checker's finalize alike (the fold itself only resolves
+and classifies reads, with :func:`resolve_reads` and :class:`ParkQueue`).
+Every saturation appends its edge attempts, duplicates included, to the
+flat co-log columns that :class:`~repro.core.commit.CommitRelation`
+freezes.
 
 Most kernels here have one implementation, in pure Python.  A kernel keeps
 a second, numpy-vectorized side only where that side measurably wins on a
 benchmarked workload (the kernel census in ``README.md``): CC saturation
-(:func:`saturate_cc_compiled`), the streaming fold's batch read resolution
-(:func:`resolve_reads` over :class:`WritesIndex`), the CC probe flush's
-writer index (:class:`WriterProbeIndex`), and unique-writes resolution
-(:func:`resolve_unique_writes`).  The vectorized side runs when
+(:func:`saturate_cc_compiled`, in fixed-size transaction chunks so its
+temporaries stay bounded), the streaming fold's batch read resolution
+(:func:`resolve_reads` over :class:`WritesIndex`), and unique-writes
+resolution (:func:`resolve_unique_writes`).  The vectorized side runs when
 :mod:`repro.graph.csr`, the one module that decides whether this process
 uses numpy, found it usable, and when the input is large enough to
 amortize array setup (``_MIN_VECTOR_READS``); the scalar side is the only
-path on a machine without numpy.  RC and RA saturation and the clock
-join are scalar only: their vectorized sides were slower than the loop
-or never ran.
+path on a machine without numpy.  RC and RA saturation are scalar only:
+their vectorized sides were slower than the loop.
 
 The two sides of a kept kernel produce byte-identical output in the
 identical order, so verdicts, violation lists, and witness renderings never
@@ -67,11 +65,9 @@ __all__ = [
     "saturate_ra_txn",
     "saturate_ra_compiled",
     "saturate_cc_compiled",
-    "join_clocks",
     "ParkQueue",
     "ResolvedBatch",
     "WritesIndex",
-    "WriterProbeIndex",
     "resolve_reads",
     "resolve_unique_writes",
 ]
@@ -90,6 +86,12 @@ _SIDX_SPAN = 1 << 32
 #: Bucket ids above this would overflow the int64 composite; such histories
 #: (>2^31 distinct (key, session) writer buckets) take the fallback.
 _MAX_BUCKETS = 1 << 31
+
+#: Transactions per pass of the vectorized CC kernel.  A pass's temporaries
+#: grow with the (read, writer bucket) probes of its transactions, so one
+#: whole-history pass peaks well above the co log it emits; fixed-size
+#: chunks, taken in emission order, bound the peak near the co log's size.
+_CC_CHUNK_TXNS = 1024
 
 _UNSET = object()
 
@@ -126,7 +128,7 @@ def saturate_rc_txn(
     reads: Sequence[Tuple[int, int, int]],
     kw_start: Sequence[int],
     kw_key: Sequence[int],
-    kw_set: Optional[Callable[[int], AbstractSet[int]]],
+    kw_set: Callable[[int], AbstractSet[int]],
     co_append: Callable[[int], None],
     cok_append: Callable[[int], None],
 ) -> None:
@@ -135,12 +137,11 @@ def saturate_rc_txn(
     ``reads`` are the transaction's good external committed reads as
     ``(po, key, writer)`` triples in program order.  ``kw_key[kw_start[t] :
     kw_start[t + 1]]`` lists the distinct keys transaction ``t`` writes, in
-    first-write order; ``kw_set(t)`` returns the same keys as a set, or
-    ``kw_set`` is ``None`` and the set is built per probe.  Every attempt,
-    duplicates included, appends the packed edge ``(t2 << EDGE_SHIFT) | t1``
-    through ``co_append`` and its key id through ``cok_append`` (the
-    ``append`` methods of the co-log columns); the relation's freeze
-    deduplicates.  The batch checker and the streaming fold both call this.
+    first-write order; ``kw_set(t)`` returns the same keys as a set.  Every
+    attempt, duplicates included, appends the packed edge ``(t2 <<
+    EDGE_SHIFT) | t1`` through ``co_append`` and its key id through
+    ``cok_append`` (the ``append`` methods of the co-log columns); the
+    relation's freeze deduplicates.
     """
     # Forward pass: record the po-first read of each observed transaction.
     seen_txns: Set[int] = set()
@@ -160,7 +161,7 @@ def saturate_rc_txn(
             if hi - lo <= len(read_keys):
                 candidates = [x for x in kw_key[lo:hi] if x in read_keys]
             else:
-                written = set(kw_key[lo:hi]) if kw_set is None else kw_set(t2)
+                written = kw_set(t2)
                 candidates = [x for x in read_keys if x in written]
             for x in candidates:
                 older, newer = earliest[x]
@@ -207,30 +208,27 @@ def saturate_ra_txn(
     last_write: Dict[int, int],
     kw_start: Sequence[int],
     kw_key: Sequence[int],
-    kw_set: Optional[Callable[[int], AbstractSet[int]]],
+    kw_set: Callable[[int], AbstractSet[int]],
     co_append: Callable[[int], None],
     cok_append: Callable[[int], None],
     so_only: bool = False,
-) -> int:
+) -> None:
     """Algorithm 2's per-transaction body (mirror of ``saturate_ra``).
 
     ``t3`` is the transaction, ``reads`` its good external committed reads
     as ``(po, key, writer)`` triples in program order, and ``last_write``
     its session's key -> latest committed writer map, which this call
     advances past ``t3``.  The written-key CSR, ``kw_set`` and the appends
-    are as in :func:`saturate_rc_txn`.  The ``t2 -so-> t3``
-    attempts are appended first and their count is returned: they alone
-    are the single-session specialization's inferences (Theorem 1.6), and
-    ``so_only`` stops after them.
+    are as in :func:`saturate_rc_txn`.  The ``t2 -so-> t3`` attempts are
+    appended first: they alone are the single-session specialization's
+    inferences (Theorem 1.6), and ``so_only`` stops after them.
     """
     # Case t2 -so-> t3.
-    so_attempts = 0
     for _po, key, t1 in reads:
         t2 = last_write.get(key)
         if t2 is not None and t2 != t1:
             co_append((t2 << EDGE_SHIFT) | t1)
             cok_append(key)
-            so_attempts += 1
 
     if not so_only:
         reader_of_key: Dict[int, int] = {}
@@ -249,7 +247,7 @@ def saturate_ra_txn(
             if hi - lo <= len(reader_of_key):
                 candidates = [x for x in kw_key[lo:hi] if x in reader_of_key]
             else:
-                written = set(kw_key[lo:hi]) if kw_set is None else kw_set(t2)
+                written = kw_set(t2)
                 candidates = [x for x in reader_of_key if x in written]
             for x in candidates:
                 t1 = reader_of_key[x]
@@ -259,7 +257,6 @@ def saturate_ra_txn(
 
     for x in kw_key[kw_start[t3] : kw_start[t3 + 1]]:
         last_write[x] = t3
-    return so_attempts
 
 
 def saturate_ra_compiled(
@@ -465,31 +462,35 @@ def _saturate_cc_vectorized(
     hb,
     bad_ops: Set[int],
 ) -> None:
-    """All CC edge attempts of ``ch`` in five batched passes.
+    """All CC edge attempts of ``ch``, in batched passes over transaction chunks.
 
     Emission order matches the fallback exactly: transactions expand in
-    session-major order, each transaction's surviving reads in program
-    order, and each read's probes over its key's buckets in ascending
-    session order -- the masks preserve positions, so the filtered edge run
-    appends in the same sequence the interpreted loop's appends would.
+    session-major order, :data:`_CC_CHUNK_TXNS` at a time, each
+    transaction's surviving reads in program order, and each read's probes
+    over its key's buckets in ascending session order -- the masks preserve
+    positions, so the filtered edge runs append in the same sequence the
+    interpreted loop's appends would.
     """
     np = _np
     committed = ch.txn_committed
-    t3s: List[int] = []
-    rows: List[List[int]] = []
-    for session in ch.sessions:
-        for t3 in session:
-            if not committed[t3]:
-                continue
-            clock = hb[t3]
-            if clock is None:
-                continue
-            t3s.append(t3)
-            rows.append(clock)
-    if not t3s:
-        return
-    tids = np.asarray(t3s, dtype=np.int64)
-    clock_mat = np.asarray(rows, dtype=np.int64)
+    t3s = [
+        t3
+        for session in ch.sessions
+        for t3 in session
+        if committed[t3] and hb[t3] is not None
+    ]
+    bad = np.fromiter(bad_ops, dtype=np.int64, count=len(bad_ops)) if bad_ops else None
+    for first in range(0, len(t3s), _CC_CHUNK_TXNS):
+        _saturate_cc_chunk(idx, relation, hb, t3s[first : first + _CC_CHUNK_TXNS], bad)
+
+
+def _saturate_cc_chunk(
+    idx: _CCIndex, relation: CommitRelation, hb, chunk: List[int], bad
+) -> None:
+    """The CC edge attempts of the transactions ``chunk``, in five batched passes."""
+    np = _np
+    tids = np.asarray(chunk, dtype=np.int64)
+    clock_mat = np.asarray([hb[t3] for t3 in chunk], dtype=np.int64)
 
     # Pass 1: expand every external read of the selected transactions.
     starts = idx.xr_start[tids]
@@ -504,9 +505,8 @@ def _saturate_cc_vectorized(
     # Pass 2: classify (drop bad reads and uncommitted writers).
     t1 = idx.xr_writer[pos]
     good = idx.committed[t1]
-    if bad_ops:
+    if bad is not None:
         opidx = idx.txn_start[tids][row_of] + idx.xr_po[pos]
-        bad = np.fromiter(bad_ops, dtype=np.int64, count=len(bad_ops))
         good &= ~np.isin(opidx, bad)
     if not good.all():
         pos = pos[good]
@@ -654,37 +654,7 @@ def saturate_cc_compiled(
     return "fallback"
 
 
-# -- online columnar fold state (clock join + park queue) ----------------------
-
-
-def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
-    """Join one transaction's causal clock from its writers' hb matrix rows.
-
-    ``hb_data`` is the flat row-major hb matrix (``array('q')``, one
-    ``stride``-wide row per transaction, ``-1`` = "no entry") and
-    ``sc_data[soff:soff+stride]`` the reader session's base clock row.
-    ``rows`` are the matrix row indices of the (pre-filtered) external
-    writers to join, and ``wsids``/``wsidxs`` their session id / session
-    index pairs for the per-writer bump.  Returns a fresh ``array('q')`` of
-    the joined clock.
-
-    The join is a pure elementwise maximum -- the base clock, every
-    writer's full row, and a scatter-max of each writer's own session
-    index.  Vector-clock transitivity makes the commuted order safe: every
-    installed hb entry carries that transaction's full causal past, so
-    joining a dominated or repeated writer is a value-level no-op.
-    """
-    out = sc_data[soff : soff + stride]
-    for wj in rows:
-        boff = wj * stride
-        for s in range(stride):
-            value = hb_data[boff + s]
-            if value > out[s]:
-                out[s] = value
-    for i, wsid in enumerate(wsids):
-        if wsidxs[i] > out[wsid]:
-            out[wsid] = wsidxs[i]
-    return out
+# -- online columnar fold state (park queue) ------------------------------------
 
 
 class ParkQueue:
@@ -1501,117 +1471,6 @@ def _resolve_reads_fallback(
     out.txn_clean = txn_clean
     out.txn_hazard = txn_hazard
     return out
-
-
-class WriterProbeIndex:
-    """Incrementally sorted view of the CC writer registry for probe flushes.
-
-    The vectorized probe flush used to re-``argsort`` the *entire*
-    append-order writer registry every batch -- the dominant cost of the
-    small-``batch_ops`` regime (the ``BENCH_7`` 64-ops cliff).  This cache
-    keeps the registry's ``bucket * _SIDX_SPAN + sidx`` composite sorted
-    incrementally: a ``main`` sorted run with precomputed per-bucket starts,
-    plus a small sorted ``tail`` of rows appended since the last merge.  A
-    probe takes the later of the two runs' answers; (bucket, sidx) pairs are
-    unique (one registration per (transaction, key)), so "later" is a plain
-    composite comparison.
-
-    Derived state, like :class:`WritesIndex`: never pickled.  The registry
-    it mirrors is append-only, so :meth:`sync` never has to drop a row it
-    merged earlier.
-    """
-
-    __slots__ = ("_synced", "main_comp", "main_tid", "bucket_start", "tail_comp", "tail_tid")
-
-    def __init__(self) -> None:
-        self._synced = 0
-        if _np is not None:
-            empty = _np.zeros(0, dtype=_np.int64)
-            self.main_comp = empty
-            self.main_tid = empty
-            self.tail_comp = empty
-            self.tail_tid = empty
-            self.bucket_start = None
-
-    def sync(self, wb_bucket, wb_sidx, wb_tid, num_buckets: int) -> None:
-        """Fold rows appended since the last sync into the sorted runs.
-
-        Views of the live ``array('q')`` rows are copied immediately -- an
-        exported buffer would block the fold's appends -- and the per-bucket
-        main starts only extend for newly allocated buckets (which cannot
-        have main rows: main froze before they existed).
-        """
-        np = _np
-        total = len(wb_bucket)
-        n = self._synced
-        if total > n:
-            new_comp = (
-                np.frombuffer(wb_bucket, dtype=np.int64)[n:] * _SIDX_SPAN
-                + np.frombuffer(wb_sidx, dtype=np.int64)[n:]
-            )
-            new_tid = np.frombuffer(wb_tid, dtype=np.int64)[n:].copy()
-            if self.tail_comp.shape[0]:
-                comp = np.concatenate((self.tail_comp, new_comp))
-                tid = np.concatenate((self.tail_tid, new_tid))
-            else:
-                comp, tid = new_comp, new_tid
-            order = np.argsort(comp)
-            self.tail_comp = comp[order]
-            self.tail_tid = tid[order]
-            self._synced = total
-            if self.tail_comp.shape[0] > max(
-                _TAIL_MERGE_MIN, self.main_comp.shape[0] >> 2
-            ):
-                comp = np.concatenate((self.main_comp, self.tail_comp))
-                tid = np.concatenate((self.main_tid, self.tail_tid))
-                order = np.argsort(comp)
-                self.main_comp = comp[order]
-                self.main_tid = tid[order]
-                empty = np.zeros(0, dtype=np.int64)
-                self.tail_comp = empty
-                self.tail_tid = empty
-                self.bucket_start = None
-        bs = self.bucket_start
-        if bs is None:
-            self.bucket_start = np.searchsorted(
-                self.main_comp,
-                np.arange(num_buckets, dtype=np.int64) * _SIDX_SPAN,
-            )
-        elif bs.shape[0] < num_buckets:
-            self.bucket_start = np.concatenate(
-                (
-                    bs,
-                    np.full(
-                        num_buckets - bs.shape[0],
-                        self.main_comp.shape[0],
-                        dtype=np.int64,
-                    ),
-                )
-            )
-
-    def probe(self, probe_bucket, bound):
-        """``(has, t2)`` arrays: latest registered writer per (bucket, bound)."""
-        np = _np
-        key = probe_bucket * _SIDX_SPAN + bound
-        mc = self.main_comp
-        wm = np.searchsorted(mc, key, side="right")
-        has_m = wm > self.bucket_start[probe_bucket]
-        im = np.maximum(wm - 1, 0)
-        t2 = self.main_tid[im] if mc.shape[0] else np.zeros(key.shape[0], dtype=np.int64)
-        tc = self.tail_comp
-        if tc.shape[0]:
-            wt = np.searchsorted(tc, key, side="right")
-            ts = np.searchsorted(tc, probe_bucket * _SIDX_SPAN)
-            has_t = wt > ts
-            it = np.maximum(wt - 1, 0)
-            if mc.shape[0]:
-                comp_m = mc[im]
-                use_t = has_t & (~has_m | (tc[it] > comp_m))
-            else:
-                use_t = has_t
-            t2 = np.where(use_t, self.tail_tid[it], t2)
-            return has_m | has_t, t2
-        return has_m, t2
 
 
 # -- batch unique-writes resolution (IR build) ---------------------------------

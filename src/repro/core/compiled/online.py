@@ -1,53 +1,47 @@
-"""The compiled streaming core: online checking on packed interned ids.
+"""The compiled streaming core: online read resolution on packed interned ids.
 
-:class:`CompiledIncrementalChecker` is the online formulation of AWDIT's
-Algorithms 1-4 (read classification on resolution, per-transaction RC
-saturation, per-session RA frontier, causal CC frontier with monotone
-saturation pointers), fed straight from the parsers' columnar record-batch
-layer -- ``append_batch`` folds a whole
+:class:`CompiledIncrementalChecker` is the streaming front end of the
+compiled checkers.  AWDIT checks RC, RA and CC (Algorithms 1-3) in two
+steps -- saturate a commit order over the *complete* history, then test it
+for a cycle -- so before the last transaction arrives a stream can only
+report read-level violations.  The fold therefore does exactly that part
+online (Algorithm 4's read classification and Algorithm 2's repeatable-reads
+pre-pass, on resolution), and :meth:`~CompiledIncrementalChecker.finalize`
+hands everything after it to the batch checkers: it builds a *resolved*
+:class:`~repro.core.compiled.ir.CompiledHistory` from the fold's columns
+and runs the per-level functions of :mod:`repro.core.compiled.checkers`
+that ``check_{rc,ra,cc}_compiled`` run, so saturation, happens-before, the
+co log, verdicts, violation kinds, witnesses, and inferred-edge counts are
+the batch engine's by construction (tested in
+``tests/test_online_compiled.py`` and ``tests/test_arrival_stream.py``).
+
+The fold is fed straight from the parsers' columnar record-batch layer --
+``append_batch`` folds a whole
 :class:`~repro.histories.formats._raw.RecordBatch` at a time (bulk intern
-over the key/value columns, per-transaction dispatch amortized across the
-batch), and ``append_raw`` wraps one ``(is_write, key, value)`` record as a
-single-record batch, so no :class:`~repro.core.model.Operation` or
-:class:`~repro.core.model.Transaction` objects exist on the hot path at all:
-
-* keys *and* values are interned to dense ints on arrival
-  (:class:`~repro.core.compiled.ir.Intern`); the writes index and the
-  pending-read table are keyed by packed ``(key_id << 32) | value_id`` ints
-  instead of ``(key, value)`` tuples;
-* the CC saturation's per-(session, key) monotone pointers live in flat
-  ``array('q')`` rows indexed by dense bucket ids (one bucket per
-  ``(writer session, key)`` writer list, allocated when the first write
-  registers), exactly like the batch
-  :func:`~repro.core.compiled.checkers.saturate_cc_compiled`;
-* RC and RA saturation run the batch kernels' per-transaction bodies
-  (:func:`~repro.core.compiled.kernels.saturate_rc_txn` /
-  :func:`~repro.core.compiled.kernels.saturate_ra_txn`), and every
-  inferred-edge attempt is appended to the batch co-log columns, one run
-  per transaction; :meth:`finalize` replays the runs in batch order, so the
-  co log, verdicts, violation kinds, witnesses, and inferred-edge counts
-  are identical to the batch engine's (tested in
-  ``tests/test_online_compiled.py`` and ``tests/test_matrix.py``).
+over the key/value columns, whole-batch read resolution through
+:func:`~repro.core.compiled.kernels.resolve_reads`), and ``append_raw``
+wraps one ``(is_write, key, value)`` record as a single-record batch, so no
+:class:`~repro.core.model.Operation` or
+:class:`~repro.core.model.Transaction` objects exist on the hot path.  Keys
+*and* values are interned to dense ints on arrival
+(:class:`~repro.core.compiled.ir.Intern`); the writes index and the
+pending-read table are keyed by packed ``(key_id << 32) | value_id`` ints.
 
 Memory model: each transaction's operation data is dropped the moment the
-transaction is folded into the online state; what stays resident is the
-*live state*, laid out as structure-of-arrays columns indexed by
-``tid`` -- flat ``array('q')`` transaction summaries (session
-ids/indices, status flags, written-key and first-read-per-writer runs in
-shared values arrays with per-transaction offsets), the writes index, a
-columnar park queue of reads whose writes have not arrived
-(:class:`~repro.core.compiled.kernels.ParkQueue`), the per-(session, key)
-writer lists, and one flat row-major clock matrix each for the hb clocks
-and the session clocks -- so the resident footprint is array bytes the
-cyclic GC never walks, not a per-transaction object heap.  The state is
-still O(history): one summary row per transaction plus the inferred-edge
-logs, which :meth:`finalize` replays into whole-history commit relations,
-just as the batch engines build them.  :meth:`live_stats` reports the
-peak footprint of each component (``awdit stats --stream`` prints it); the
-README's "Fold memory model" section maps each column to what it holds.
+transaction is folded; what stays resident is laid out as
+structure-of-arrays columns indexed by ``tid`` -- flat ``array('q')``
+transaction summaries (session ids/indices, status flags, operation counts,
+and written-key and external-read runs in shared values arrays), a set of
+bad reads, the writes index, and a columnar park queue of reads whose
+writes have not arrived (:class:`~repro.core.compiled.kernels.ParkQueue`)
+-- array bytes the cyclic GC never walks.  The state is O(history), like
+batch: one summary row per transaction and one run row per external read.
+:meth:`live_stats` reports the footprint of each component (``awdit stats
+--stream`` prints it); the README's "Fold memory model" section maps each
+column to what it holds.
 
 Checkpoint/resume: :meth:`save_checkpoint` serializes the whole online
-state (intern tables, frontiers, pending reads, edge logs) to a file;
+state (intern tables, summaries, runs, pending reads) to a file;
 :func:`load_checkpoint` restores it so an interrupted long-running check
 continues exactly where it stopped (``awdit check --stream --checkpoint
 state.awd`` / ``--resume``).  Checkpoints use :mod:`pickle` under a
@@ -57,15 +51,14 @@ pickle.
 Duplicate ``(key, value)`` writes resolve exactly like the batch unique-
 writes convention -- the *last* write in transaction-id order wins: a
 later-ordered duplicate supersedes the registry entry and rebinds every
-already-resolved read of a transaction that has not yet been folded into
-the frontiers.  A duplicate arriving only after a reading transaction was
-folded can no longer rebind it (that would require a second pass over
-dropped state), so :meth:`append_batch` detects the case at fold time and
-raises :class:`~repro.core.exceptions.HistoryFormatError` with a pointer at
-batch mode instead of silently diverging from the batch engines.  Every
-stream that replays a history in its session-blocked order with writes
-ahead of their readers never trips the diagnostic and resolves identically
-to batch.
+already-resolved read of a transaction that has not yet been folded.  A
+duplicate arriving only after a reading transaction was folded can no
+longer rebind it (that would require a second pass over dropped state), so
+:meth:`append_batch` detects the case at fold time and raises
+:class:`~repro.core.exceptions.HistoryFormatError` with a pointer at batch
+mode instead of silently diverging from the batch engines.  Every stream
+that replays a history in its session-blocked order with writes ahead of
+their readers never trips the diagnostic and resolves identically to batch.
 """
 
 from __future__ import annotations
@@ -75,17 +68,15 @@ import os
 import pickle
 import time
 from array import array
-from bisect import bisect_left
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cc import causality_cycles, causality_labels
-from repro.core.commit import CommitRelation
-from repro.core.compiled.ir import Intern
+from repro.core.compiled.checkers import cc_cycles, ra_cycles, rc_cycles
+from repro.core.compiled.ir import CompiledHistory, Intern
 from repro.core.exceptions import HistoryFormatError
 from repro.core.isolation import IsolationLevel
 from repro.core.model import OpRef
-from repro.core.result import CheckResult
+from repro.core.result import CheckResult, Stopwatch
 from repro.core.violations import (
     ReadConsistencyViolation,
     RepeatableReadViolation,
@@ -93,8 +84,6 @@ from repro.core.violations import (
     ViolationKind,
 )
 from repro.core.compiled import kernels as _kernels
-from repro.graph.csr import _np, freeze_packed
-from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
 
 __all__ = [
@@ -119,7 +108,7 @@ _VALUE_SHIFT = 32
 #: Checkpoint file header: magic + format version.  Checkpoints are transient
 #: resume state, so only the current version loads; older ones are rejected.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
@@ -145,40 +134,6 @@ def source_fingerprint(path: str, prefix_len: Optional[int] = None) -> dict:
     return {"prefix_len": length, "prefix_sha256": digest}
 
 
-class _EdgeLog:
-    """Inferred-edge attempts, in the batch kernels' co-log format.
-
-    ``edges`` and ``keys`` hold every attempt, duplicates included: the
-    packed ``(t2 << EDGE_SHIFT) | t1`` and its key id, the two columns a
-    :class:`CommitRelation` freezes.  One transaction's attempts are one
-    contiguous emission, recorded as the run ``(tids[r], starts[r],
-    lens[r])``; runs are in emission order, so :meth:`finalize` recovers the
-    batch order by sorting them by batch transaction id.
-    """
-
-    __slots__ = ("edges", "keys", "tids", "starts", "lens")
-
-    def __init__(self) -> None:
-        self.edges = array("Q")
-        self.keys = array("q")
-        self.tids = array("q")
-        self.starts = array("q")
-        self.lens = array("q")
-
-    def close_run(self, tid: int, start: int) -> bool:
-        """Record the attempts appended since ``start`` as ``tid``'s run.
-
-        Returns whether there were any (no attempts, no run).
-        """
-        length = len(self.edges) - start
-        if not length:
-            return False
-        self.tids.append(tid)
-        self.starts.append(start)
-        self.lens.append(length)
-        return True
-
-
 class _Read:
     """A read awaiting (or holding) its write-read resolution, all-int form.
 
@@ -188,7 +143,7 @@ class _Read:
     and clean paths never allocate one.
     """
 
-    __slots__ = ("index", "kid", "vid", "own_prev", "writer", "writer_index", "bad")
+    __slots__ = ("index", "kid", "vid", "own_prev", "writer", "bad")
 
     def __init__(self, index: int, kid: int, vid: int, own_prev: Optional[int]) -> None:
         self.index = index
@@ -196,7 +151,6 @@ class _Read:
         self.vid = vid
         self.own_prev = own_prev
         self.writer: Optional[int] = None
-        self.writer_index = -1
         self.bad = False
 
 
@@ -233,50 +187,34 @@ class CompiledIncrementalChecker:
         self._next_tid = 0
 
         # Columnar transaction summaries: one row per transaction, indexed
-        # by ``tid``.  ``_t_flags`` packs the four
-        # status booleans (bit 0 committed, bit 1 resolved, bit 2 cc_done,
-        # bit 3 cc_registered).  The written-key and first-read-per-writer
-        # summaries are *runs* into shared append-only values arrays:
-        # ``_fw_kid[_fw_off[j]:_fw_off[j+1]]`` is the transaction's written
-        # kids in first-write order, and the ``_wr_any`` / ``_wr_good``
-        # (start, len) pairs slice parallel (writer tid, kid) arrays in
-        # first-read order.  ``_wr_good_start[j] == -1`` is a sentinel for
-        # "the good run equals the any run", and ``_wr_any_start[j] == -2``
-        # for "derive both maps from the good-read run at consume time"
-        # (the overwhelmingly common clean-fold case: every read is good,
-        # so first-kid-per-distinct-writer over the run *is* the any map)
-        # -- the hot fold stores no wr bytes at all for such rows.
+        # by ``tid``: session id and index, committed flag, operation count,
+        # unresolved-read counter, and label.
+        # The written-key and external-read summaries are *runs* into
+        # shared append-only values arrays: ``_fw_kid[_fw_off[j]:_fw_off[j +
+        # 1]]`` is the transaction's written kids in first-write order, and
+        # the ``(_xr_start[j], _xr_len[j])`` pair slices the parallel
+        # ``_xr_po`` / ``_xr_kid`` / ``_xr_writer`` arrays: one ``(op index,
+        # kid, writer tid)`` triple per read of a committed transaction whose
+        # writer is another, committed transaction, in read order -- the
+        # resolved IR's ``_xr_*`` rows.  Fast and clean-parked transactions
+        # alias the resolve kernel's batch columns (one bulk extend per batch
+        # covers them); slow-path rows append their triples at fold.  Reads of
+        # those runs that broke an RC axiom are in ``_bad_reads`` as packed
+        # ``(tid << 32) | op index``.
         self._t_sid = array("q")
         self._t_sidx = array("q")
-        self._t_flags = array("B")
+        self._t_committed = bytearray()
+        self._t_nops = array("q")
         self._t_unres = array("q")
-        self._t_ccpend = array("q")
-        self._t_slow = array("q")
         self._t_labels: List[Optional[str]] = []
         self._fw_off = array("q", (0,))
         self._fw_kid = array("q")
-        self._wr_any_start = array("q")
-        self._wr_any_len = array("q")
-        self._wr_any_writer = array("q")
-        self._wr_any_kid = array("q")
-        self._wr_good_start = array("q")
-        self._wr_good_len = array("q")
-        self._wr_good_writer = array("q")
-        self._wr_good_kid = array("q")
-        # Good-read runs: ``(op index, kid, writer tid)`` triples of every
-        # committed transaction's good reads, in read order, as three shared
-        # append-only arrays sliced by the per-row ``(_gr_start, _gr_len)``
-        # pair.  Fast and clean-parked transactions alias the resolve
-        # kernel's batch columns (one bulk extend per batch covers them);
-        # slow-path rows append their triples at resolve.  The run feeds RC
-        # saturation, the RA pre-pass, the CC prefilter and probe flush, and
-        # -- through the ``_wr_any_start[j] == -2`` derive sentinel -- the
-        # finalize wr maps, so no per-transaction tuple lists stay resident.
-        self._gr_start = array("q")
-        self._gr_len = array("q")
-        self._gr_index = array("q")
-        self._gr_kid = array("q")
-        self._gr_writer = array("q")
+        self._xr_start = array("q")
+        self._xr_len = array("q")
+        self._xr_po = array("q")
+        self._xr_kid = array("q")
+        self._xr_writer = array("q")
+        self._bad_reads: Set[int] = set()
         # Side tables bounded by the unfolded backlog, never by stream
         # length (every entry is popped when its transaction folds): tid ->
         # live ``_Read`` objects of a slow-path transaction still parked,
@@ -301,82 +239,9 @@ class CompiledIncrementalChecker:
         # rebind table is maintained on the hot path.
         self._pending = _kernels.ParkQueue()
 
-        # RA state: per-session frontier index and lastWrite map.
-        self._ra_next: List[int] = []
-        self._ra_last_write: List[Dict[int, int]] = []
-
-        # CC state: per-session causal frontier, session clocks, writer lists
-        # with dense bucket ids, and the flat per-reader-session pointer rows.
-        self._cc_next: List[int] = []
-        # Flat row-major clock matrices, both with the same power-of-two row
-        # stride (grown geometrically by ``_grow_clock_stride`` when a new
-        # session overflows it): ``_sc_data`` holds one session-clock row
-        # per dense sid, ``_hb_data`` one hb-clock row per transaction
-        # (row ``tid``).  Cells are -1-padded; a -1
-        # entry compares exactly like the missing entry of the old ragged
-        # ``List[List[int]]`` clocks (``sidx <= -1`` is false for any real
-        # session index).  -1 as int64 is all 0xff bytes, so ``_hb_pad``
-        # (one padded row) appends a fresh row with a single frombytes.
-        self._clock_stride = 4
-        self._sc_data = array("q")
-        self._hb_data = array("q")
-        self._hb_pad = b"\xff" * (8 * self._clock_stride)
-        #: key id -> (sorted writer session ids, slots aligned with them,
-        #: {sid: slot}, bucket ids aligned with the slots); a slot is
-        #: (tids, sidxs, bucket id, writer sid).  The slot list is what the
-        #: CC loop iterates -- one tuple unpack per probe instead of a dict
-        #: lookup per (read, session) pair -- and the parallel bucket-id
-        #: list lets the vectorized probe flush build its key CSR with two
-        #: C-level extends per key instead of a Python loop over slots.
-        self._writers_by_key: Dict[
-            int,
-            Tuple[
-                List[int],
-                List[Tuple[List[int], List[int], int, int]],
-                Dict[int, Tuple[List[int], List[int], int, int]],
-                List[int],
-            ],
-        ] = {}
-        self._num_buckets = 0
-        #: Per reader session: monotone pointer / latest-hb-writer rows,
-        #: indexed by bucket id (grown lazily to ``_num_buckets``).  Plain
-        #: int lists, not ``array``: the saturation loop indexes them per
-        #: (read, session) probe and list indexing skips the box/unbox.
-        #: The t2 rows store each writer tid pre-shifted by ``EDGE_SHIFT``
-        #: (-1 = no writer), so the saturation packs an edge with one
-        #: bitwise-or; part of the checkpoint format (see
-        #: ``CHECKPOINT_VERSION``).
-        self._cc_ptr_rows: List[List[int]] = []
-        self._cc_t2_rows: List[List[int]] = []
-        #: writer tid -> tids of registered readers waiting on its cc_done
-        #: (one entry per waiting read occurrence, like the dependency count).
-        self._cc_waiters: Dict[int, List[int]] = {}
-        #: Append-order mirror of every writer registration -- (bucket id,
-        #: session index, tid) rows the vectorized probe flush sorts into a
-        #: searchsorted-able composite (see ``_flush_cc_probes``); part of
-        #: the checkpoint format (``CHECKPOINT_VERSION`` 4).
-        self._wb_bucket = array("q")
-        self._wb_sidx = array("q")
-        self._wb_tid = array("q")
-        #: Transactions (tids) whose CC clock join ran but whose
-        #: edge-emission probes are deferred to the end of the batch, where
-        #: one flush answers them all (vectorized when numpy is on and the
-        #: batch is big enough, the scalar pointer loop otherwise).
-        self._cc_probe_pending: List[int] = []
-        #: Flush-implementation tallies, surfaced as the
-        #: ``saturation_kernel`` stat (``--profile`` self-description).
-        self._flush_vectorized = 0
-        self._flush_scalar = 0
-        #: Clock joins run (``kernels.join_clocks``), surfaced by
-        #: ``live_stats`` as ``cc_joins_fallback``.
-        self._join_scalar = 0
-
-        #: Derived kernel caches (never pickled, rebuilt after restore): the
-        #: sorted flat mirror of ``_writes`` behind
-        #: ``kernels.resolve_reads``, and the incrementally sorted CC
-        #: writer-registry view behind the probe flush.
+        #: Derived kernel cache (never pickled, rebuilt after restore): the
+        #: sorted flat mirror of ``_writes`` behind ``kernels.resolve_reads``.
         self._writes_index = _kernels.WritesIndex()
-        self._wb_probe = _kernels.WriterProbeIndex()
         #: Read-resolution tallies: reads bound on the fast path (no
         #: ``_classify`` call), classified by the scalar slow path, parked
         #: for a missing write, and rebound by a duplicate-write supersede
@@ -388,15 +253,6 @@ class CompiledIncrementalChecker:
         self._resolve_rebound = 0
         self._resolve_vectorized = 0
         self._resolve_scalar = 0
-
-        # Inferred-edge attempts, replayed in batch order at finalize.  The
-        # t2 -so-> t3 attempts open each RA run; ``_ra_so_lens`` (aligned
-        # with the RA runs) counts them, and those prefixes alone are the
-        # single-session RA log.
-        self._rc_log = _EdgeLog()
-        self._ra_log = _EdgeLog()
-        self._ra_so_lens = array("q")
-        self._cc_log = _EdgeLog()
 
         # Violations discovered so far, plus their batch-order sort keys.
         self._rc_axiom: List[Tuple[Tuple[int, int, int], Violation]] = []
@@ -412,8 +268,6 @@ class CompiledIncrementalChecker:
         self._num_unfolded = 0
         self._peak_parked = 0
         self._peak_unfolded = 0
-        self._peak_cc_backlog = 0
-        self._cc_backlog = 0
 
         # Packed (key, value) identities read by already-folded transactions.
         # A later duplicate write superseding one of these could not rebind
@@ -421,8 +275,7 @@ class CompiledIncrementalChecker:
         # a diagnostic instead of silently diverging from the batch engines.
         self._folded_read_wids: Set[int] = set()
         # --profile sub-laps of the fold ("intern" / "dispatch" /
-        # "classify" / "clock_join" wall seconds); None unless
-        # enable_fold_profile() ran.
+        # "classify" wall seconds); None unless enable_fold_profile() ran.
         self._fold_laps: Optional[Dict[str, float]] = None
 
         if num_sessions is not None:
@@ -491,9 +344,8 @@ class CompiledIncrementalChecker:
         folding), then each transaction of the batch goes
         through exactly the resolution pipeline of the online algorithms:
         write registration, duplicate-write supersede/rebind, parked-read
-        resolution, own-read classification, and the RA/CC frontier
-        advances.  Verdicts and violations do not depend on how the stream
-        was cut into batches.
+        resolution, and own-read classification.  Verdicts and violations
+        do not depend on how the stream was cut into batches.
 
         Raises :class:`~repro.core.exceptions.HistoryFormatError` when a
         duplicate ``(key, value)`` write supersedes a write whose bound
@@ -526,26 +378,18 @@ class CompiledIncrementalChecker:
         if laps is not None:
             lap_mark = time.perf_counter()
             laps["intern"] += lap_mark - start
-            cc_lap_before = laps["clock_join"]
 
         t_sid = self._t_sid
         t_sidx = self._t_sidx
-        t_flags = self._t_flags
+        t_committed = self._t_committed
+        t_nops = self._t_nops
         t_unres = self._t_unres
-        t_ccpend = self._t_ccpend
-        t_slow = self._t_slow
         t_labels = self._t_labels
         fw_off = self._fw_off
         fw_kid = self._fw_kid
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wgood_start = self._wr_good_start
-        wgood_len = self._wr_good_len
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_index = self._gr_index
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
+        xr_start = self._xr_start
+        xr_len = self._xr_len
+        xr_po = self._xr_po
         live_reads = self._live_reads
         prefold_map = self._prefold
         session_ids = self._session_ids
@@ -553,44 +397,22 @@ class CompiledIncrementalChecker:
         writes = self._writes
         pending = self._pending
         folded_wids = self._folded_read_wids
-        writers_by_key = self._writers_by_key
-        cc_enabled = self._cc_enabled
         value_cap = 1 << _VALUE_SHIFT
         value_objs = self._value_table.values
         writes_index = self._writes_index
         ra_enabled = self._ra_enabled
-        rc_enabled = self._rc_enabled
         classify = self._classify
         on_resolved = self._on_resolved
-        rc_saturate = self._rc_saturate
         check_repeatable_run = self._check_repeatable_run
-        advance_ra = self._advance_ra
-        advance_cc = self._advance_cc
         pending_add = pending.add
         # The underlying dict's pop, not the ParkQueue method: one write
         # arrival per parked wid pays this call, so skipping the Python
         # wrapper frame is measurable on write-heavy streams.
         pending_pop = pending._rows.pop
         writes_get = writes.get
-        wb_bucket_append = self._wb_bucket.append
-        wb_sidx_append = self._wb_sidx.append
-        wb_tid_append = self._wb_tid.append
-        # The hb matrix (and its pad row) are rebound after any mid-batch
-        # session registration: a registration can grow the clock stride,
-        # which replaces both.
-        hb_data = self._hb_data
-        hb_pad = self._hb_pad
         # Resolve counters accumulate in locals for the whole batch (the
         # live-stats surface only reads them between batches).
         n_fast = n_slow = n_parked = n_rebound = 0
-        # Fast-path and aborted folds defer their frontier advances to one
-        # sweep per touched session at the end of the batch: the frontiers
-        # always process in session order from their own cursors, so when
-        # the advance runs does not change what it computes -- only the
-        # per-transaction call overhead.  (_on_resolved keeps its inline
-        # advances: parked resolutions are rare and may cross batches.)
-        touched_sids: Set[int] = set()
-        touch = touched_sids.add
 
         # Whole-batch read resolution: one kernel call answers every
         # committed read's "who wrote this (key, value) -- final? committed?
@@ -608,7 +430,7 @@ class CompiledIncrementalChecker:
         res = _kernels.resolve_reads(
             writes_index,
             writes,
-            lambda wtid: t_flags[wtid] & 1,
+            t_committed.__getitem__,
             kid_col,
             vid_col,
             kinds,
@@ -632,7 +454,6 @@ class CompiledIncrementalChecker:
         r_own_prev = res.r_own_prev
         r_fast = res.r_fast
         r_writer = res.r_writer
-        r_windex = res.r_windex
         w_start = res.w_start
         w_index = res.w_index
         w_kid = res.w_kid
@@ -642,15 +463,16 @@ class CompiledIncrementalChecker:
         txn_clean = res.txn_clean
         txn_hazard = res.txn_hazard
 
-        # The batch's read columns land in the shared good-run arrays in one
-        # bulk extend; fast and clean-parked transactions then alias their
-        # ``[ra:rb)`` slice by offset instead of materializing tuple lists.
-        # Rows of slow-path reads (writer still -1) are never referenced --
-        # those transactions append their resolved triples at fold time.
-        gbase = len(gr_index)
-        gr_index.extend(r_index)
-        gr_kid.extend(r_kid)
-        gr_writer.extend(r_writer)
+        # The batch's read columns land in the shared external-read run
+        # arrays in one bulk extend; fast and clean-parked transactions then
+        # alias their ``[ra:rb)`` slice by offset instead of materializing
+        # tuple lists.  Rows of slow-path reads (writer still -1) are never
+        # referenced -- those transactions append their resolved triples at
+        # fold time.
+        gbase = len(xr_po)
+        xr_po.extend(r_index)
+        self._xr_kid.extend(r_kid)
+        self._xr_writer.extend(r_writer)
 
         if txn_end:
             self._num_operations += txn_end[-1]
@@ -659,15 +481,12 @@ class CompiledIncrementalChecker:
                 sid = session_ids.get(sessions_col[t])
                 if sid is None:
                     sid = self._register_session(sessions_col[t])
-                    hb_data = self._hb_data
-                    hb_pad = self._hb_pad
                 records = by_session[sid]
                 tid = self._next_tid
                 if tid >= (1 << 31):
-                    # Transaction ids are packed-edge endpoints, and the CC t2
-                    # rows store them pre-shifted in signed array('q') slots;
-                    # checked once per transaction so the saturation loops can
-                    # pack and store without guards.
+                    # Transaction ids are packed-edge endpoints (and the CC
+                    # saturation stores them pre-shifted in signed
+                    # array('q') slots); checked once per transaction.
                     raise HistoryFormatError(
                         "history has too many transactions for packed edges"
                     )
@@ -675,18 +494,12 @@ class CompiledIncrementalChecker:
                 sidx = len(records)
                 t_sid.append(sid)
                 t_sidx.append(sidx)
-                t_flags.append(1 if committed else 0)
+                t_committed.append(committed)
+                t_nops.append(txn_end[t] - txn_end[t - 1] if t else txn_end[0])
                 t_unres.append(0)
-                t_ccpend.append(0)
-                t_slow.append(0)
                 t_labels.append(labels_col[t])
-                wany_start.append(-1)
-                wany_len.append(0)
-                wgood_start.append(-1)
-                wgood_len.append(0)
-                gr_start.append(-1)
-                gr_len.append(0)
-                hb_data.frombytes(hb_pad)
+                xr_start.append(-1)
+                xr_len.append(0)
                 records.append(tid)
                 self._next_tid = tid + 1
                 if t == cap_txn:
@@ -698,19 +511,13 @@ class CompiledIncrementalChecker:
                         "history has too many distinct values for the compiled IR"
                     )
 
-                # ``final_write`` maps key id -> the transaction's final write
-                # index; dict(zip) keeps first-write key order with the last
-                # write winning, exactly the map the per-op scan used to build.
-                # Its keys land in the ``_fw_kid`` run for this row; the write
-                # indices are only needed transiently for registration.
+                # The distinct written kids in first-write order land in the
+                # ``_fw_kid`` run for this row.
                 superseded: List[int] = ()
                 wa = w_start[t]
                 wz = w_start[t + 1]
                 if wa != wz:
-                    final_write: Dict[int, int] = dict(
-                        zip(w_kid[wa:wz], w_index[wa:wz])
-                    )
-                    fw_kid.extend(final_write)
+                    fw_kid.extend(dict.fromkeys(w_kid[wa:wz]))
 
                     # Register writes, last write in batch order winning.
                     # Non-hazardous transactions bulk-register -- every write is
@@ -743,33 +550,8 @@ class CompiledIncrementalChecker:
                         for k in range(wa, wz):
                             writes[w_wid[k]] = (sid, sidx, w_index[k], tid, w_final[k])
                 else:
-                    final_write = None
                     new_writes = ()
                 fw_off.append(len(fw_kid))
-
-                if committed and cc_enabled and final_write:
-                    num_buckets = self._num_buckets
-                    for kid in final_write:
-                        entry2 = writers_by_key.get(kid)
-                        if entry2 is None:
-                            entry2 = ([], [], {}, [])
-                            writers_by_key[kid] = entry2
-                        sids, slots, per_sid, buckets = entry2
-                        slot = per_sid.get(sid)
-                        if slot is None:
-                            slot = ([], [], num_buckets, sid)
-                            num_buckets += 1
-                            per_sid[sid] = slot
-                            position = bisect_left(sids, sid)
-                            sids.insert(position, sid)
-                            slots.insert(position, slot)
-                            buckets.insert(position, slot[2])
-                        slot[0].append(tid)
-                        slot[1].append(sidx)
-                        wb_bucket_append(slot[2])
-                        wb_sidx_append(sidx)
-                        wb_tid_append(tid)
-                    self._num_buckets = num_buckets
 
                 # A later-ordered duplicate write rebinds the resolved reads of
                 # transactions that have not been folded yet -- and refuses the
@@ -817,7 +599,6 @@ class CompiledIncrementalChecker:
                         for otid, _rindex, read in waiters:
                             self._unclassify(otid, read)
                             classify(otid, read, hit)
-                            t_slow[otid] += 1
                             n_rebound += 1
 
                 # Resolve earlier reads that were parked waiting for these writes.
@@ -826,7 +607,6 @@ class CompiledIncrementalChecker:
                     if not row:
                         continue
                     hit = writes[wid]
-                    windex = hit[2]
                     # Parked reads resolve against this transaction's fresh
                     # write (always external to the parked reader): the common
                     # _classify exit binds inline.
@@ -838,7 +618,7 @@ class CompiledIncrementalChecker:
                         if slot < 0:
                             # Clean-parked read: its binding was proved by the
                             # resolve kernel and already sits in the reader's
-                            # good-read run; nothing to materialize unless the
+                            # external-read run; nothing to materialize unless the
                             # proof failed (it cannot -- a clean wid has
                             # exactly one batch writer, final and committed --
                             # but keep the classify route for defense in
@@ -853,17 +633,14 @@ class CompiledIncrementalChecker:
                                     None,
                                 )
                                 classify(otid, read, hit)
-                                t_slow[otid] += 1
                                 n_slow += 1
                         else:
                             read = live_reads[otid][slot]
                             if clean and read.own_prev is None:
                                 read.writer = tid
-                                read.writer_index = windex
                                 n_fast += 1
                             else:
                                 classify(otid, read, hit)
-                                t_slow[otid] += 1
                                 n_slow += 1
                         t_unres[otid] -= 1
                         if t_unres[otid] == 0:
@@ -885,20 +662,11 @@ class CompiledIncrementalChecker:
                         n_fast += rb - ra
                         folded_wids.update(r_wid[ra:rb])
                         if rb > ra:
-                            gr_start[tid] = gbase + ra
-                            gr_len[tid] = rb - ra
-                        wany_start[tid] = -2
+                            xr_start[tid] = gbase + ra
+                            xr_len[tid] = rb - ra
                         if ra_enabled and rb - ra > 1:
                             check_repeatable_run(tid)
-                        t_flags[tid] |= 2
                         self._num_unfolded -= 1
-                        if cc_enabled:
-                            self._cc_backlog += 1
-                            if self._cc_backlog > self._peak_cc_backlog:
-                                self._peak_cc_backlog = self._cc_backlog
-                        if rc_enabled:
-                            rc_saturate(tid)
-                        touch(sid)
                     elif txn_clean[t]:
                         # Every read is clean but at least one writer registers
                         # later in this batch: park those reads exactly like the
@@ -917,9 +685,8 @@ class CompiledIncrementalChecker:
                         n_parked += unresolved
                         n_fast += (rb - ra) - unresolved
                         if rb > ra:
-                            gr_start[tid] = gbase + ra
-                            gr_len[tid] = rb - ra
-                        wany_start[tid] = -2
+                            xr_start[tid] = gbase + ra
+                            xr_len[tid] = rb - ra
                         prefold_map[tid] = r_wid[ra:rb]
                         t_unres[tid] = unresolved
                         self._num_parked += unresolved
@@ -929,7 +696,6 @@ class CompiledIncrementalChecker:
                         reads: List[_Read] = []
                         reads_append = reads.append
                         unresolved = 0
-                        slow = 0
                         for j in range(ra, rb):
                             ov = r_own_prev[j]
                             read = _Read(
@@ -938,7 +704,6 @@ class CompiledIncrementalChecker:
                             reads_append(read)
                             if r_fast[j]:
                                 read.writer = r_writer[j]
-                                read.writer_index = r_windex[j]
                                 n_fast += 1
                                 continue
                             wid = r_wid[j]
@@ -955,17 +720,14 @@ class CompiledIncrementalChecker:
                                     writer_tid != tid
                                     and hit[4]
                                     and ov < 0
-                                    and t_flags[writer_tid] & 1
+                                    and t_committed[writer_tid]
                                 ):
                                     read.writer = writer_tid
-                                    read.writer_index = hit[2]
                                     n_fast += 1
                                 else:
                                     classify(tid, read, hit)
-                                    slow += 1
                                     n_slow += 1
                         live_reads[tid] = reads
-                        t_slow[tid] = slow
                         if unresolved == 0:
                             on_resolved(tid)
                         else:
@@ -973,9 +735,6 @@ class CompiledIncrementalChecker:
                             self._num_parked += unresolved
                             if self._num_parked > self._peak_parked:
                                 self._peak_parked = self._num_parked
-                else:
-                    t_flags[tid] |= 2
-                    touch(sid)
         except BaseException:
             # A mid-batch error (packed-edge/value-cap overflow, the
             # duplicate-write refusal) leaves the writes dict holding a
@@ -985,12 +744,6 @@ class CompiledIncrementalChecker:
             writes_index.invalidate()
             raise
         finally:
-            # The deferred frontier sweep runs on the error path too, so a
-            # refused batch leaves the frontiers exactly where the per-fold
-            # advances would have.
-            for touched in sorted(touched_sids):
-                advance_ra(touched)
-                advance_cc(touched)
             self._resolve_fast += n_fast
             self._resolve_slow += n_slow
             self._resolve_parked += n_parked
@@ -1003,28 +756,10 @@ class CompiledIncrementalChecker:
             res.nh_wid, res.nh_tid, res.nh_windex, res.nh_flag
         )
 
-        if self._cc_probe_pending:
-            # Answer every CC probe deferred by _cc_process in one flush per
-            # batch; the time belongs to the clock_join lap (it *is* the
-            # saturation half of the CC work) and is therefore accounted
-            # before the classify subtraction below.
-            if laps is not None:
-                flush_mark = time.perf_counter()
-                self._flush_cc_probes()
-                laps["clock_join"] += time.perf_counter() - flush_mark
-            else:
-                self._flush_cc_probes()
         if laps is not None:
-            # The fold loop is classification + frontier work; the CC clock
-            # joins and the resolve-kernel dispatch time themselves (into
-            # laps["clock_join"] / laps["dispatch"]), so subtract their
-            # deltas to keep the three laps disjoint.
-            laps["classify"] += (
-                time.perf_counter()
-                - lap_mark
-                - (laps["clock_join"] - cc_lap_before)
-                - dispatch_delta
-            )
+            # The resolve-kernel dispatch times itself into laps["dispatch"],
+            # so subtract its delta to keep the laps disjoint.
+            laps["classify"] += time.perf_counter() - lap_mark - dispatch_delta
         self._elapsed += time.perf_counter() - start
 
     def _intern_value_column(
@@ -1111,12 +846,13 @@ class CompiledIncrementalChecker:
     def enable_fold_profile(self) -> Dict[str, float]:
         """Start accumulating fold sub-laps; returns the live lap dict.
 
-        The dict maps ``"intern"`` / ``"dispatch"`` / ``"classify"`` /
-        ``"clock_join"`` to wall seconds spent in the columnar key intern
-        pass, the resolve-kernel dispatch, the per-transaction resolution
-        loop (which also lazily interns values), and the CC frontier's
-        clock joins respectively (``awdit check --stream --profile``
-        prints them as ``fold_*``).
+        The dict maps ``"intern"`` / ``"dispatch"`` / ``"classify"`` to
+        wall seconds spent in the columnar key intern pass, the
+        resolve-kernel dispatch, and the per-transaction resolution loop
+        (which also lazily interns values) respectively (``awdit check
+        --stream --profile`` prints them as ``fold_*``).  The fold does no
+        CC work, so ``"clock_join"`` stays 0.0; the key remains for
+        existing readers of the laps.
         """
         if self._fold_laps is None:
             self._fold_laps = {
@@ -1143,9 +879,14 @@ class CompiledIncrementalChecker:
     def finalize(self) -> Dict[IsolationLevel, CheckResult]:
         """Flush pending state and return one :class:`CheckResult` per level.
 
-        Unresolved reads become thin-air violations, the frontiers drain,
-        and each level's inferred-edge runs are appended to its relation's
-        co log in the batch algorithms' order.  Idempotent.
+        Unresolved reads become thin-air violations.  Then the fold's
+        columns become a resolved IR (:meth:`_resolved_history`), and each
+        level runs the batch checkers' post-read-consistency function on it
+        (:func:`~repro.core.compiled.checkers.rc_cycles`,
+        :func:`~repro.core.compiled.checkers.ra_cycles`,
+        :func:`~repro.core.compiled.checkers.cc_cycles`); each result's
+        stats carry the IR ``build`` lap and that function's laps.
+        Idempotent.
         """
         if self._results is not None:
             return self._results
@@ -1153,7 +894,6 @@ class CompiledIncrementalChecker:
 
         key_names = self._key_table.values
         value_objs = self._value_table.values
-        t_slow = self._t_slow
         t_unres = self._t_unres
         for wid, row in list(self._pending.items()):
             kid = wid >> _VALUE_SHIFT
@@ -1172,7 +912,6 @@ class CompiledIncrementalChecker:
                 else:
                     read = self._live_reads[otid][slot]
                 read.bad = True
-                t_slow[otid] += 1
                 self._add_rc_violation(
                     otid,
                     read,
@@ -1186,102 +925,50 @@ class CompiledIncrementalChecker:
                     self._on_resolved(otid)
         self._pending.clear()
         self._num_parked = 0
-        # Thin-air resolution above may have advanced the CC frontier;
-        # answer any probes it deferred before the logs are replayed.
-        self._flush_cc_probes()
 
-        if self._ra_enabled:
-            for sid, records in enumerate(self._by_session):
-                if self._ra_next[sid] != len(records):
-                    raise AssertionError("RA frontier failed to drain at finalize")
-
-        cc_complete = all(
-            self._cc_next[sid] == len(records)
-            for sid, records in enumerate(self._by_session)
-        )
-        mapping, names, committed_ids, so_edges = self._batch_numbering()
-        rc_violations = [v for _, v in sorted(self._rc_axiom, key=lambda item: item[0])]
-
-        # Release the online state before rebuilding the commit relations so
-        # peak memory stays close to one relation.
+        build = Stopwatch()
+        ch, bad_ops = self._resolved_history()
+        # Release the fold state the checkers do not read (the resolved IR
+        # holds its own copy of the runs).
         self._writes = {}
-        self._pending = _kernels.ParkQueue()
-        self._hb_data = array("q")
-        self._sc_data = array("q")
-        # The good-read run columns stay alive: _build_relation and
-        # _causality_graph derive each row's wr maps from its run
-        # (the -2 sentinel) during the replay below.
         self._live_reads = {}
         self._prefold = {}
-        self._writers_by_key = {}
-        self._cc_ptr_rows = []
-        self._cc_t2_rows = []
-        self._cc_waiters = {}
-        self._cc_probe_pending = []
-        self._wb_bucket = array("q")
-        self._wb_sidx = array("q")
-        self._wb_tid = array("q")
         self._writes_index = _kernels.WritesIndex()
-        self._wb_probe = _kernels.WriterProbeIndex()
         self._folded_read_wids = set()
-        self._ra_last_write = []
+        self._fw_kid = array("q")
+        self._xr_po = array("q")
+        self._xr_kid = array("q")
+        self._xr_writer = array("q")
+        self._bad_reads = set()
+        build_seconds = build.lap("build")
 
+        rc_violations = [v for _, v in sorted(self._rc_axiom, key=lambda item: item[0])]
+        max_witnesses = self._max_witnesses
         results: Dict[IsolationLevel, CheckResult] = {}
         if self._rc_enabled:
-            log, self._rc_log = self._rc_log, _EdgeLog()
-            relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, log, log.lens
-            )
-            del log
-            violations = rc_violations + relation.find_cycles(
-                max_witnesses=self._max_witnesses
-            )
+            watch = Stopwatch()
+            cycles, stats = rc_cycles(ch, bad_ops, watch, max_witnesses)
             results[IsolationLevel.READ_COMMITTED] = self._result(
-                IsolationLevel.READ_COMMITTED, violations, "awdit-stream", relation
+                IsolationLevel.READ_COMMITTED, rc_violations + cycles, "awdit-stream",
+                stats, watch, build_seconds,
             )
-            del relation
         if self._ra_enabled:
             rr_violations = [v for _, v in sorted(self._rr, key=lambda item: item[0])]
-            single = len(self._by_session) <= 1
-            log, self._ra_log = self._ra_log, _EdgeLog()
-            so_lens, self._ra_so_lens = self._ra_so_lens, array("q")
-            relation = self._build_relation(
-                mapping, names, committed_ids, so_edges, log,
-                so_lens if single else log.lens,
-            )
-            del log, so_lens
-            violations = (
-                rc_violations
-                + rr_violations
-                + relation.find_cycles(max_witnesses=self._max_witnesses)
-            )
-            checker = "awdit-stream-1session" if single else "awdit-stream"
+            single = ch.num_sessions <= 1
+            watch = Stopwatch()
+            cycles, stats = ra_cycles(ch, bad_ops, watch, max_witnesses, so_only=single)
             results[IsolationLevel.READ_ATOMIC] = self._result(
-                IsolationLevel.READ_ATOMIC, violations, checker, relation,
-                co_edges=not single,
+                IsolationLevel.READ_ATOMIC, rc_violations + rr_violations + cycles,
+                "awdit-stream-1session" if single else "awdit-stream",
+                stats, watch, build_seconds,
             )
-            del relation
         if self._cc_enabled:
-            if not cc_complete:
-                graph, labels = self._causality_graph(mapping)
-                violations = rc_violations + causality_cycles(names, graph, labels)
-                results[IsolationLevel.CAUSAL_CONSISTENCY] = self._result(
-                    IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit-stream", None
-                )
-            else:
-                log, self._cc_log = self._cc_log, _EdgeLog()
-                relation = self._build_relation(
-                    mapping, names, committed_ids, so_edges, log, log.lens
-                )
-                del log
-                violations = rc_violations + relation.find_cycles(
-                    max_witnesses=self._max_witnesses
-                )
-                results[IsolationLevel.CAUSAL_CONSISTENCY] = self._result(
-                    IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit-stream",
-                    relation,
-                )
-                del relation
+            watch = Stopwatch()
+            cycles, stats = cc_cycles(ch, bad_ops, watch, max_witnesses)
+            results[IsolationLevel.CAUSAL_CONSISTENCY] = self._result(
+                IsolationLevel.CAUSAL_CONSISTENCY, rc_violations + cycles, "awdit-stream",
+                stats, watch, build_seconds,
+            )
         for result in results.values():
             self._live.extend(
                 v for v in result.violations if v.kind
@@ -1302,8 +989,9 @@ class CompiledIncrementalChecker:
         ``resident_transactions`` is the number of transaction-level
         summaries currently held (operation data itself is dropped at
         fold); the ``peak_*`` entries are high-water marks over the whole
-        run; ``inferred_edge_log`` counts the inferred-edge attempts logged
-        so far, duplicates included.
+        run.  The fold infers no edges and joins no clocks (finalize runs
+        the batch checkers), so ``inferred_edge_log`` and ``cc_joins_*``
+        read 0; the keys remain for existing readers of these stats.
         """
         return {
             "transactions": self._next_tid,
@@ -1314,28 +1002,18 @@ class CompiledIncrementalChecker:
             "peak_pending_reads": self._peak_parked,
             "unfolded_transactions": self._num_unfolded,
             "peak_unfolded_transactions": self._peak_unfolded,
-            "peak_cc_backlog": self._peak_cc_backlog,
             "interned_keys": len(self._key_table),
             "interned_values": len(self._value_table),
             "writes_index": len(self._writes),
-            "cc_writer_buckets": self._num_buckets,
-            "cc_flushes_vectorized": self._flush_vectorized,
-            "cc_flushes_fallback": self._flush_scalar,
-            # The clock join has one (scalar) side; the vectorized count
-            # stays as a key for existing readers of these stats.
             "cc_joins_vectorized": 0,
-            "cc_joins_fallback": self._join_scalar,
+            "cc_joins_fallback": 0,
             "classify_vectorized": self._resolve_vectorized,
             "classify_fallback": self._resolve_scalar,
             "resolve_fast_path": self._resolve_fast,
             "resolve_slow_path": self._resolve_slow,
             "resolve_parked": self._resolve_parked,
             "resolve_rebound": self._resolve_rebound,
-            "inferred_edge_log": (
-                len(self._rc_log.edges)
-                + len(self._ra_log.edges)
-                + len(self._cc_log.edges)
-            ),
+            "inferred_edge_log": 0,
         }
 
     # -- checkpoint/resume -------------------------------------------------------
@@ -1344,8 +1022,8 @@ class CompiledIncrementalChecker:
         """Serialize the whole online state to ``path``.
 
         The checkpoint captures everything :meth:`append_raw` has folded so
-        far -- intern tables, transaction summaries, frontiers, pending
-        reads, and edge logs -- so a :func:`load_checkpoint`'ed checker
+        far -- intern tables, transaction summaries, written-key and
+        external-read runs, bad reads, and pending reads -- so a :func:`load_checkpoint`'ed checker
         continues the stream from record ``num_transactions`` onward and
         finalizes byte-identically to an uninterrupted run.  Finalized
         checkers cannot be checkpointed.
@@ -1390,17 +1068,15 @@ class CompiledIncrementalChecker:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Derived kernel caches: cheap to rebuild, numpy-shaped, and not
-        # part of the checkpoint format; __setstate__ starts fresh mirrors
-        # that the next batch repopulates from the pickled dict/registry.
+        # Derived kernel cache: cheap to rebuild, numpy-shaped, and not
+        # part of the checkpoint format; __setstate__ starts a fresh mirror
+        # that the next batch repopulates from the pickled writes dict.
         state.pop("_writes_index", None)
-        state.pop("_wb_probe", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._writes_index = _kernels.WritesIndex()
-        self._wb_probe = _kernels.WriterProbeIndex()
 
     # -- session bookkeeping ---------------------------------------------------
 
@@ -1408,39 +1084,7 @@ class CompiledIncrementalChecker:
         dense = len(self._by_session)
         self._session_ids[external] = dense
         self._by_session.append(array("q"))
-        self._ra_next.append(0)
-        self._ra_last_write.append({})
-        self._cc_next.append(0)
-        self._cc_ptr_rows.append([])
-        self._cc_t2_rows.append([])
-        if dense + 1 > self._clock_stride:
-            self._grow_clock_stride(dense + 1)
-        self._sc_data.frombytes(self._hb_pad)
         return dense
-
-    def _grow_clock_stride(self, needed: int) -> None:
-        """Double the clock-matrix row stride until it covers ``needed``.
-
-        Rebuilds both matrices row by row (old rows keep their values in
-        the widened rows' prefixes, the tails stay -1 padding).  Amortized
-        over geometric growth; sessions register rarely relative to folds.
-        """
-        stride = self._clock_stride
-        new_stride = stride
-        while new_stride < needed:
-            new_stride <<= 1
-        for attr in ("_hb_data", "_sc_data"):
-            old = getattr(self, attr)
-            rows = len(old) // stride
-            widened = array("q")
-            widened.frombytes(b"\xff" * (8 * new_stride * rows))
-            for r in range(rows):
-                widened[r * new_stride : r * new_stride + stride] = old[
-                    r * stride : (r + 1) * stride
-                ]
-            setattr(self, attr, widened)
-        self._clock_stride = new_stride
-        self._hb_pad = b"\xff" * (8 * new_stride)
 
     def _name(self, tid: int) -> str:
         label = self._t_labels[tid]
@@ -1484,7 +1128,6 @@ class CompiledIncrementalChecker:
                     break
         read.bad = False
         read.writer = None
-        read.writer_index = -1
 
     def _classify(
         self, tid: int, read: _Read, hit: Tuple[int, int, int, int, bool]
@@ -1492,7 +1135,6 @@ class CompiledIncrementalChecker:
         """Classify a freshly resolved read against the five RC axioms."""
         _wsid, _wsidx, writer_index, writer_tid, is_final = hit
         read.writer = writer_tid
-        read.writer_index = writer_index
         if writer_tid == tid:
             if writer_index > read.index:
                 self._add_rc_violation(
@@ -1514,7 +1156,7 @@ class CompiledIncrementalChecker:
                     write=OpRef(writer_tid, writer_index),
                 )
             return
-        if not self._t_flags[writer_tid] & 1:
+        if not self._t_committed[writer_tid]:
             self._add_rc_violation(
                 tid,
                 read,
@@ -1544,40 +1186,8 @@ class CompiledIncrementalChecker:
                 write=OpRef(writer_tid, writer_index),
             )
 
-    def _store_wr_runs(
-        self,
-        j: int,
-        wr_any: Dict[int, int],
-        wr_good: Optional[Dict[int, int]],
-    ) -> None:
-        """Store a transaction's first-read-per-writer maps as column runs.
-
-        ``wr_good is None`` means the good map equals the any map (the
-        clean-fold case): the good run stays the -1 sentinel and readers
-        fall through to the any run.  Dict insertion order (= first-read
-        order) is what the runs preserve; the finalize replay depends on it.
-        """
-        if wr_any:
-            self._wr_any_start[j] = len(self._wr_any_writer)
-            self._wr_any_len[j] = len(wr_any)
-            aw = self._wr_any_writer.append
-            ak = self._wr_any_kid.append
-            for writer, kid in wr_any.items():
-                aw(writer)
-                ak(kid)
-        if wr_good is not None:
-            self._wr_good_start[j] = len(self._wr_good_writer)
-            self._wr_good_len[j] = len(wr_good)
-            gw = self._wr_good_writer.append
-            gk = self._wr_good_kid.append
-            for writer, kid in wr_good.items():
-                gw(writer)
-                gk(kid)
-
     def _on_resolved(self, tid: int) -> None:
         """All reads of ``tid`` are classified: fold it into the online state."""
-        sid = self._t_sid[tid]
-        self._t_flags[tid] |= 2
         self._num_unfolded -= 1
         # ``folded_wids`` remembers which (key, value) identities this
         # transaction read (any bound read, own/aborted writers included):
@@ -1587,75 +1197,38 @@ class CompiledIncrementalChecker:
         folded_wids = self._folded_read_wids
         pre = self._prefold.pop(tid, None)
         if pre is not None:
-            # Clean parked transaction: the good-read run and the wr-map
-            # sentinel were written at consume from the resolve-kernel
-            # columns (the eventual binding of each read was already
-            # known) and every read is good; only the wid list rode the
-            # prefold map.
+            # Clean parked transaction: its external-read run was written at
+            # consume from the resolve-kernel columns (the eventual binding
+            # of each read was already known) and every read is good; only
+            # the wid list rode the prefold map.
             folded_wids.update(pre)
             if self._ra_enabled:
                 self._check_repeatable_run(tid)
-        elif self._t_slow[tid] == 0:
-            # No read ever went through scalar _classify: every bound read
-            # is a clean external committed final-write read, so the
-            # re-checking loop below collapses to straight projections
-            # into the shared good-read run columns.
-            reads = self._live_reads.pop(tid, ())
-            folded_wids.update(
-                (read.kid << _VALUE_SHIFT) | read.vid for read in reads
-            )
-            if reads:
-                gr_index = self._gr_index
-                gr_kid = self._gr_kid
-                gr_writer = self._gr_writer
-                self._gr_start[tid] = len(gr_index)
-                self._gr_len[tid] = len(reads)
-                for read in reads:
-                    gr_index.append(read.index)
-                    gr_kid.append(read.kid)
-                    gr_writer.append(read.writer)
-            self._wr_any_start[tid] = -2
-            if self._ra_enabled:
-                self._check_repeatable_run(tid)
-        else:
-            reads = self._live_reads.pop(tid, ())
-            t_flags = self._t_flags
-            gr_index = self._gr_index
-            gr_kid = self._gr_kid
-            gr_writer = self._gr_writer
-            gstart = len(gr_index)
-            wr_any = {}
-            wr_good: Dict[int, int] = {}
-            for read in reads:
-                writer = read.writer
-                if writer is None:
-                    continue
-                folded_wids.add((read.kid << _VALUE_SHIFT) | read.vid)
-                if writer == tid:
-                    continue
-                if not t_flags[writer] & 1:
-                    continue
-                wr_any.setdefault(writer, read.kid)
-                if read.bad:
-                    continue
-                gr_index.append(read.index)
-                gr_kid.append(read.kid)
-                gr_writer.append(writer)
-                wr_good.setdefault(writer, read.kid)
-            if len(gr_index) > gstart:
-                self._gr_start[tid] = gstart
-                self._gr_len[tid] = len(gr_index) - gstart
-            self._store_wr_runs(tid, wr_any, None if wr_good == wr_any else wr_good)
-            if self._ra_enabled:
-                self._check_repeatable_reads(tid, reads)
-        if self._cc_enabled:
-            self._cc_backlog += 1
-            if self._cc_backlog > self._peak_cc_backlog:
-                self._peak_cc_backlog = self._cc_backlog
-        if self._rc_enabled:
-            self._rc_saturate(tid)
-        self._advance_ra(sid)
-        self._advance_cc(sid)
+            return
+        reads = self._live_reads.pop(tid, ())
+        t_committed = self._t_committed
+        bad_reads = self._bad_reads
+        xr_po = self._xr_po
+        xr_kid = self._xr_kid
+        xr_writer = self._xr_writer
+        start = len(xr_po)
+        for read in reads:
+            writer = read.writer
+            if writer is None:
+                continue
+            folded_wids.add((read.kid << _VALUE_SHIFT) | read.vid)
+            if writer == tid or not t_committed[writer]:
+                continue
+            if read.bad:
+                bad_reads.add((tid << 32) | read.index)
+            xr_po.append(read.index)
+            xr_kid.append(read.kid)
+            xr_writer.append(writer)
+        if len(xr_po) > start:
+            self._xr_start[tid] = start
+            self._xr_len[tid] = len(xr_po) - start
+        if self._ra_enabled:
+            self._check_repeatable_reads(tid, reads)
 
     def _non_repeatable(
         self, tid: int, kid: int, previous: int, writer: int, index: int
@@ -1676,24 +1249,24 @@ class CompiledIncrementalChecker:
         self._live.append(violation)
 
     def _check_repeatable_run(self, tid: int) -> None:
-        """Algorithm 2's repeatable-reads pre-pass over ``tid``'s good-read run.
+        """Algorithm 2's repeatable-reads pre-pass over ``tid``'s external-read run.
 
-        Every read of the run is good and external, so this is
-        :meth:`_check_repeatable_reads` without its filters.  A violation
-        needs a repeated key, so one C-level set build skips the scan in
-        the common all-distinct case; on a violation the last-writer entry
-        is not updated, matching the scalar check.
+        Only called for transactions whose every read is good and external,
+        so this is :meth:`_check_repeatable_reads` without its filters.  A
+        violation needs a repeated key, so one C-level set build skips the
+        scan in the common all-distinct case; on a violation the last-writer
+        entry is not updated, matching the scalar check.
         """
-        a = self._gr_start[tid]
-        n = self._gr_len[tid]
-        kids = self._gr_kid[a : a + n]
+        a = self._xr_start[tid]
+        n = self._xr_len[tid]
+        kids = self._xr_kid[a : a + n]
         if len(set(kids)) == n:
             return
         last_writer: Dict[int, int] = {}
-        for g, kid, writer in zip(range(a, a + n), kids, self._gr_writer[a : a + n]):
+        for g, kid, writer in zip(range(a, a + n), kids, self._xr_writer[a : a + n]):
             previous = last_writer.setdefault(kid, writer)
             if previous != writer:
-                self._non_repeatable(tid, kid, previous, writer, self._gr_index[g])
+                self._non_repeatable(tid, kid, previous, writer, self._xr_po[g])
 
     def _check_repeatable_reads(self, tid: int, reads: Sequence[_Read]) -> None:
         """Per-transaction repeatable-reads check (Algorithm 2's pre-pass)."""
@@ -1708,575 +1281,98 @@ class CompiledIncrementalChecker:
             else:
                 last_writer[read.kid] = writer
 
-    # -- inferred-edge recording -----------------------------------------------
-
-    def _good_reads(self, tid: int) -> List[Tuple[int, int, int]]:
-        """``tid``'s good-read run as the kernels' ``(po, key, writer)`` triples."""
-        a = self._gr_start[tid]
-        b = a + self._gr_len[tid]
-        return list(zip(self._gr_index[a:b], self._gr_kid[a:b], self._gr_writer[a:b]))
-
-    def _rc_saturate(self, tid: int) -> None:
-        """Per-transaction RC saturation (the body of Algorithm 1's main loop)."""
-        if not self._gr_len[tid]:
-            return
-        log = self._rc_log
-        start = len(log.edges)
-        _kernels.saturate_rc_txn(
-            self._good_reads(tid),
-            self._fw_off,
-            self._fw_kid,
-            None,
-            log.edges.append,
-            log.keys.append,
-        )
-        log.close_run(tid, start)
-
-    # -- RA frontier (Algorithm 2, online) --------------------------------------
-
-    def _advance_ra(self, sid: int) -> None:
-        if not self._ra_enabled:
-            return
-        records = self._by_session[sid]
-        index = self._ra_next[sid]
-        last_write = self._ra_last_write[sid]
-        t_flags = self._t_flags
-        while index < len(records):
-            tid = records[index]
-            flags = t_flags[tid]
-            if flags & 1:
-                if not flags & 2:
-                    break
-                self._ra_process(tid, last_write)
-            index += 1
-        self._ra_next[sid] = index
-
-    def _ra_process(self, tid: int, last_write: Dict[int, int]) -> None:
-        log = self._ra_log
-        start = len(log.edges)
-        so_attempts = _kernels.saturate_ra_txn(
-            tid,
-            self._good_reads(tid),
-            last_write,
-            self._fw_off,
-            self._fw_kid,
-            None,
-            log.edges.append,
-            log.keys.append,
-        )
-        if log.close_run(tid, start):
-            self._ra_so_lens.append(so_attempts)
-
-    # -- CC frontier (Algorithm 3, online) --------------------------------------
-
-    def _advance_cc(self, sid: int) -> None:
-        if not self._cc_enabled:
-            return
-        laps = self._fold_laps
-        lap_start = 0.0 if laps is None else time.perf_counter()
-        by_session = self._by_session
-        cc_next = self._cc_next
-        t_flags = self._t_flags
-        t_ccpend = self._t_ccpend
-        cc_waiters = self._cc_waiters
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_writer = self._gr_writer
-        cc_process = self._cc_process
-        queue = [sid]
-        while queue:
-            current = queue.pop()
-            records = by_session[current]
-            num_records = len(records)
-            index = cc_next[current]
-            while index < num_records:
-                tid = records[index]
-                flags = t_flags[tid]
-                if flags & 1:
-                    if not flags & 2:
-                        break
-                    if not flags & 8:
-                        t_flags[tid] = flags | 8
-                        pending = 0
-                        # Duplicate writers need no dedup: each occurrence
-                        # both increments ``pending`` and enqueues one
-                        # waiter entry, and every entry is decremented
-                        # when the writer completes.
-                        ga = gr_start[tid]
-                        for writer in gr_writer[ga : ga + gr_len[tid]]:
-                            if not t_flags[writer] & 4:
-                                pending += 1
-                                cc_waiters.setdefault(writer, []).append(tid)
-                        t_ccpend[tid] = pending
-                    if t_ccpend[tid] > 0:
-                        break
-                    queue.extend(cc_process(tid))
-                index += 1
-            cc_next[current] = index
-        if laps is not None:
-            laps["clock_join"] += time.perf_counter() - lap_start
-
-    def _cc_process(self, tid: int) -> List[int]:
-        """ComputeHB + saturate_cc for one transaction; returns sessions to poke."""
-        t_sid = self._t_sid
-        t_sidx = self._t_sidx
-        rec_sid = t_sid[tid]
-        stride = self._clock_stride
-        sc_data = self._sc_data
-        hb_data = self._hb_data
-        soff = rec_sid * stride
-        boff = tid * stride
-        ga = self._gr_start[tid]
-        gn = self._gr_len[tid]
-        # Pre-filter against the *base* session clock, then join the
-        # survivors' rows in one commutative batched max (kernels.join_clocks).
-        # A same-session writer is an so-predecessor -- the base clock
-        # already joins every predecessor's clock and session index.  And by
-        # vector-clock transitivity a writer at or below the base clock's
-        # entry for its session is already joined in whole.  The old scalar
-        # loop also skipped writers dominated by *earlier joins of this same
-        # batch*; dropping that refinement only adds redundant rows to an
-        # idempotent max, so the joined clock is value-identical.
-        rows: List[int] = []
-        wsids: List[int] = []
-        wsidxs: List[int] = []
-        if gn:
-            for writer in self._gr_writer[ga : ga + gn]:
-                wsid = t_sid[writer]
-                if wsid == rec_sid:
-                    continue
-                wsidx = t_sidx[writer]
-                if wsidx <= sc_data[soff + wsid]:
-                    continue
-                rows.append(writer)
-                wsids.append(wsid)
-                wsidxs.append(wsidx)
-        if rows:
-            row = _kernels.join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs)
-            self._join_scalar += 1
-            hb_data[boff : boff + stride] = row
-            sc_row_source = row
-        else:
-            # No external joins: the transaction's clock IS the base
-            # session clock (stored by copy -- rows are fixed slots).
-            row = sc_data[soff : soff + stride]
-            hb_data[boff : boff + stride] = row
-            sc_row_source = None
-
-        # The edge-emission probes are *deferred* to a per-batch flush
-        # (_flush_cc_probes): the probe answer -- the latest registered
-        # writer at or below the clock bound -- is time-invariant once the
-        # clock is joined (every writer under the bound is in rec's causal
-        # past, so it registered before this point; later registrations sit
-        # strictly above the bound), so batching them loses nothing and
-        # lets one vectorized pass answer the whole batch.
-        if gn:
-            self._cc_probe_pending.append(tid)
-
-        if sc_row_source is not None:
-            sc_data[soff : soff + stride] = sc_row_source
-        rec_sidx = t_sidx[tid]
-        if rec_sidx > sc_data[soff + rec_sid]:
-            sc_data[soff + rec_sid] = rec_sidx
-
-        t_flags = self._t_flags
-        t_flags[tid] |= 4
-        self._cc_backlog -= 1
-        waiters = self._cc_waiters.pop(tid, None)
-        poke: List[int] = []
-        if waiters:
-            t_ccpend = self._t_ccpend
-            for waiter in waiters:
-                t_ccpend[waiter] -= 1
-                if t_ccpend[waiter] == 0:
-                    poke.append(t_sid[waiter])
-        return poke
-
-    def _cc_probe_scalar(self, tid: int) -> None:
-        """Answer one transaction's deferred CC probes with the pointer loop.
-
-        The pre-deferral saturation half of ``_cc_process``, verbatim: the
-        monotone per-(reader session, bucket) pointer rows memoize the scan
-        frontier.  Bounds per (reader, writer) session pair only grow over
-        a session's life, so pointer state left lagging by a vectorized
-        flush (which never touches the rows) self-corrects on the next
-        scalar advance -- the rows are a cache of the stateless answer,
-        never ahead of it.
-        """
-        rec_sid = self._t_sid[tid]
-        hb_data = self._hb_data
-        boff = tid * self._clock_stride
-        ptr_row = self._cc_ptr_rows[rec_sid]
-        t2_row = self._cc_t2_rows[rec_sid]
-        # Grow the flat pointer rows once per transaction to cover every
-        # bucket allocated so far (zeros = untouched, -1 = no writer), so
-        # the slot loop below can index without a bounds check.
-        num_buckets = self._num_buckets
-        if len(ptr_row) < num_buckets:
-            grow = num_buckets - len(ptr_row)
-            ptr_row.extend([0] * grow)
-            t2_row.extend([-1] * grow)
-        # Clock rows are stride-wide and -1-padded, and the stride always
-        # covers every registered session (writer session ids always index
-        # a registered session), so the slot loop reads bounds straight
-        # from the row without a pad step.
-        # The t2 row stores writers *pre-shifted* (see the checkpoint format
-        # note on _cc_t2_rows), so the packed edge is a single bitwise-or
-        # per attempt.
-        log = self._cc_log
-        edges_append = log.edges.append
-        keys_append = log.keys.append
-        start = len(log.edges)
-        writers_by_key = self._writers_by_key
-        ga = self._gr_start[tid]
-        gn = self._gr_len[tid]
-        for key, t1 in zip(
-            self._gr_kid[ga : ga + gn], self._gr_writer[ga : ga + gn]
-        ):
-            entry = writers_by_key.get(key)
-            if entry is None:
-                continue
-            t1s = t1 << EDGE_SHIFT
-            for writer_list, writer_indices, bid, other in entry[1]:
-                ptr = ptr_row[bid]
-                bound = hb_data[boff + other]
-                count = len(writer_list)
-                if ptr < count and writer_indices[ptr] <= bound:
-                    while ptr < count and writer_indices[ptr] <= bound:
-                        ptr += 1
-                    t2s_val = writer_list[ptr - 1] << EDGE_SHIFT
-                    ptr_row[bid] = ptr
-                    t2_row[bid] = t2s_val
-                else:
-                    t2s_val = t2_row[bid]
-                if t2s_val >= 0 and t2s_val != t1s:
-                    edges_append(t2s_val | t1)
-                    keys_append(key)
-        log.close_run(tid, start)
-
-    def _flush_cc_probes(self) -> None:
-        """Answer every CC probe deferred by ``_cc_process`` since last flush.
-
-        Runs once per ``append_batch`` (and once in ``finalize``).  The
-        probe answer -- the latest registered writer at or below a clock
-        bound -- is stateless, so the vectorized path keeps the append-order
-        writer registry incrementally sorted as a per-bucket
-        ``bucket * 2^32 + sidx`` composite (:class:`kernels.WriterProbeIndex`;
-        only rows appended since the last flush are sorted per flush) and
-        answers every (read, writer-session) probe of the batch with one
-        ``searchsorted`` per run.  Probes expand in pending order, each
-        transaction's reads in read order, so the emitted attempts append
-        to the CC log as one run per transaction, exactly as the scalar
-        pointer loop appends them (deferral only adds non-emitting probes:
-        any writer at or below a bound registered before the clock join
-        that produced the bound).  Falls back to the scalar loop when numpy
-        is off, the batch is small, or the bucket composite would overflow;
-        both paths are bit-identical.
-        """
-        pending = self._cc_probe_pending
-        if not pending:
-            return
-        self._cc_probe_pending = []
-        np = _np
-        gr_len = self._gr_len
-        total = 0
-        for tid in pending:
-            total += gr_len[tid]
-        use_vectorized = (
-            np is not None
-            and total >= _kernels._MIN_VECTOR_READS
-            and len(self._wb_bucket) > 0
-            # Composite packing head-room: bucket * 2^32 + sidx must stay
-            # inside a signed int64.
-            and self._num_buckets < _kernels._MAX_BUCKETS
-        )
-        if not use_vectorized:
-            self._flush_scalar += 1
-            probe = self._cc_probe_scalar
-            for tid in pending:
-                if gr_len[tid]:
-                    probe(tid)
-            return
-        self._flush_vectorized += 1
-
-        # The sorted composite over the writer registry is maintained
-        # *incrementally* (kernels.WriterProbeIndex): only rows appended
-        # since the last flush are sorted here, and they merge into the
-        # main run amortized -- the full-registry argsort every flush used
-        # to dominate the small-batch_ops regime.
-        probe_index = self._wb_probe
-        probe_index.sync(
-            self._wb_bucket, self._wb_sidx, self._wb_tid, self._num_buckets
-        )
-
-        # Gather the batch: one clock row per pending transaction, one row
-        # per good read, and a CSR of the flush-time slot lists of every
-        # distinct key probed.  Slots that appeared after a transaction's
-        # clock join hold only writers above its bounds (registration is
-        # arrival-ordered), so sharing the flush-time snapshot emits the
-        # same attempts the per-transaction loop would have.
-        k = len(self._by_session)
-        nrec = len(pending)
-        stride = self._clock_stride
-        # One fancy-index gather replaces the per-transaction row copies:
-        # clock rows are -1-padded past each session's horizon, so the
-        # :k column slice reproduces the old np.full(-1) fill exactly.
-        hb_view = np.frombuffer(self._hb_data, dtype=np.int64).reshape(-1, stride)
-        js = np.asarray(pending, dtype=np.int64)
-        clock_mat = hb_view[js, :k]
-        # Per-read rows come straight off the shared good-read run columns:
-        # each pending transaction's (start, len) run expands to flat
-        # positions with one arange/cumsum, no per-read Python loop.
-        lens = np.frombuffer(gr_len, dtype=np.int64)[js]
-        starts_g = np.frombuffer(self._gr_start, dtype=np.int64)[js]
-        read_rec_a = np.repeat(np.arange(nrec, dtype=np.int64), lens)
-        cum = np.cumsum(lens) - lens
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - cum[read_rec_a]
-            + starts_g[read_rec_a]
-        )
-        read_key_a = np.frombuffer(self._gr_kid, dtype=np.int64)[pos]
-        read_t1_a = np.frombuffer(self._gr_writer, dtype=np.int64)[pos]
-        # The key CSR numbers distinct keys in sorted-unique order (the old
-        # loop used first-seen order); only which rows belong to which key
-        # matters -- per-read probe order still follows each key's slot
-        # entry order, so the emitted attempts are unchanged.
-        uniq_keys, read_kpos_a = np.unique(read_key_a, return_inverse=True)
-        key_start: List[int] = [0]
-        slot_bucket: List[int] = []
-        slot_sid: List[int] = []
-        writers_by_key = self._writers_by_key
-        for key in uniq_keys.tolist():
-            entry = writers_by_key.get(key)
-            if entry is not None:
-                # entry[3] mirrors the slots' bucket ids and entry[0] their
-                # writer sids, both in the same sid-sorted order -- two
-                # extends replace the per-slot tuple unpack loop.
-                slot_bucket.extend(entry[3])
-                slot_sid.extend(entry[0])
-            key_start.append(len(slot_bucket))
-        key_start_a = np.asarray(key_start, dtype=np.int64)
-        starts = key_start_a[read_kpos_a]
-        nslots = key_start_a[read_kpos_a + 1] - starts
-        total_probes = int(nslots.sum())
-        if total_probes == 0:
-            return
-        slot_bucket_a = np.asarray(slot_bucket, dtype=np.int64)
-        slot_sid_a = np.asarray(slot_sid, dtype=np.int64)
-
-        # Expand (read x slot) probe pairs and answer them all at once.
-        probe_read = np.repeat(
-            np.arange(read_rec_a.shape[0], dtype=np.int64), nslots
-        )
-        base = np.cumsum(nslots) - nslots
-        probe_slot = (
-            np.arange(total_probes, dtype=np.int64)
-            - base[probe_read]
-            + starts[probe_read]
-        )
-        probe_rec = read_rec_a[probe_read]
-        probe_bucket = slot_bucket_a[probe_slot]
-        bound = clock_mat[probe_rec, slot_sid_a[probe_slot]]
-        has, t2 = probe_index.probe(probe_bucket, bound)
-        t1_probe = read_t1_a[probe_read]
-        emit = has & (t2 != t1_probe)
-        if not emit.any():
-            return
-
-        # Probe order is pending order, so each transaction's attempts are
-        # one contiguous run; packed edges stay below 2^63 (tids < 2^31), so
-        # the int64 bytes are the uint64 log's bytes.
-        erec = probe_rec[emit]
-        log = self._cc_log
-        first = len(log.edges)
-        log.edges.frombytes(((t2[emit] << EDGE_SHIFT) | t1_probe[emit]).tobytes())
-        log.keys.frombytes(read_key_a[probe_read[emit]].tobytes())
-        counts = np.bincount(erec, minlength=nrec)
-        runs = np.flatnonzero(counts)
-        log.tids.frombytes(js[runs].tobytes())
-        log.starts.frombytes((first + np.cumsum(counts) - counts)[runs].tobytes())
-        log.lens.frombytes(counts[runs].tobytes())
-
     # -- finalize helpers --------------------------------------------------------
 
-    def _batch_numbering(self):
-        """Renumber transactions the way ``History.from_sessions`` would.
+    def _resolved_history(self) -> Tuple[CompiledHistory, Set[int]]:
+        """The fold's columns as a resolved IR, plus its bad reads as ``bad_ops``.
 
-        ``so_edges`` comes back *packed* (``(prev << EDGE_SHIFT) | next``),
-        ready to extend a relation's so log without re-boxing.
+        Transactions are renumbered session-blocked, sessions in arrival
+        order -- the numbering ``History.from_sessions`` assigns.  The IR
+        carries the transaction arrays, ``sessions``, ``labels``, the
+        intern tables, ``txn_start`` (from the operation counts), the
+        written-key CSR ``_kw_*`` of committed transactions, and ``_xr_*``:
+        every external read whose writer is committed, bad reads included.
+        That is everything the per-level checker functions read; there are
+        no operation columns.  The bad reads come back as the global
+        operation indices ``txn_start[tid] + po`` the checkers take.
         """
-        mapping = [0] * self._next_tid
-        names = [""] * self._next_tid
-        committed_ids: List[int] = []
-        so_edges = array("Q")
-        so_append = so_edges.append
-        batch_tid = 0
-        t_flags = self._t_flags
+        order = array("q")
+        for records in self._by_session:
+            order.extend(records)
+        mapping = [0] * len(order)
+        for batch_tid, tid in enumerate(order):
+            mapping[tid] = batch_tid
+
+        t_committed = self._t_committed
         t_labels = self._t_labels
+        ch = CompiledHistory()
+        ch.key_table = self._key_table
+        ch.value_table = self._value_table
+        ch.session_table = list(self._session_ids)
+        ch.txn_session = array("q", map(self._t_sid.__getitem__, order))
+        ch.txn_session_index = array("q", map(self._t_sidx.__getitem__, order))
+        ch.txn_committed = bytearray(map(t_committed.__getitem__, order))
+        ch.txn_start.extend(accumulate(map(self._t_nops.__getitem__, order)))
+        ch.labels = {
+            batch_tid: t_labels[tid]
+            for batch_tid, tid in enumerate(order)
+            if t_labels[tid] is not None
+        }
+        offset = 0
         for records in self._by_session:
-            previous = -1
-            for rec in records:
-                mapping[rec] = batch_tid
-                label = t_labels[rec]
-                names[batch_tid] = label if label is not None else f"t{batch_tid}"
-                if t_flags[rec] & 1:
-                    committed_ids.append(batch_tid)
-                    if previous >= 0:
-                        so_append((previous << EDGE_SHIFT) | batch_tid)
-                    previous = batch_tid
-                batch_tid += 1
-        return mapping, names, committed_ids, so_edges
+            ch.sessions.append(list(range(offset, offset + len(records))))
+            offset += len(records)
 
-    def _build_relation(
-        self,
-        mapping: List[int],
-        names: List[str],
-        committed_ids: List[int],
-        so_edges,
-        log: _EdgeLog,
-        lens: "array",
-    ) -> CommitRelation:
-        relation = CommitRelation(
-            names=names,
-            committed=committed_ids,
-            key_names=self._key_table.values,
-        )
-        relation._so_log.extend(so_edges)
-        wr_append = relation._wr_log.append
-        wrk_append = relation._wr_keys.append
-        t_flags = self._t_flags
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        for records in self._by_session:
-            for rec in records:
-                if not t_flags[rec] & 1:
-                    continue
-                reader = mapping[rec]
-                a = wany_start[rec]
-                if a >= 0:
-                    for idx in range(a, a + wany_len[rec]):
-                        wr_append((mapping[wany_writer[idx]] << EDGE_SHIFT) | reader)
-                        wrk_append(wany_kid[idx])
-                elif a == -2:
-                    # Derive sentinel: every external committed read was
-                    # good, so the first-read-per-writer map falls out of
-                    # the good-read run in read order -- exactly the dict
-                    # insertion order _store_wr_runs used to serialize.
-                    ga = gr_start[rec]
-                    seen: Set[int] = set()
-                    for g in range(ga, ga + gr_len[rec]):
-                        w = gr_writer[g]
-                        if w not in seen:
-                            seen.add(w)
-                            wr_append((mapping[w] << EDGE_SHIFT) | reader)
-                            wrk_append(gr_kid[g])
-        _drain_log(log, lens, mapping, relation)
-        return relation
+        fw_off = self._fw_off
+        fw_kid = self._fw_kid
+        run_start = self._xr_start
+        run_len = self._xr_len
+        run_po = self._xr_po
+        run_kid = self._xr_kid
+        run_writer = self._xr_writer
+        kw_start = ch._kw_start
+        kw_key = ch._kw_key
+        xr_start = ch._xr_start
+        xr_po = array("q")
+        xr_key = array("q")
+        writers = array("q")
+        for tid in order:
+            if t_committed[tid]:
+                kw_key.extend(fw_kid[fw_off[tid] : fw_off[tid + 1]])
+                length = run_len[tid]
+                if length:
+                    a = run_start[tid]
+                    xr_po.extend(run_po[a : a + length])
+                    xr_key.extend(run_kid[a : a + length])
+                    writers.extend(run_writer[a : a + length])
+            kw_start.append(len(kw_key))
+            xr_start.append(len(xr_po))
+        ch._xr_po = xr_po
+        ch._xr_key = xr_key
+        ch._xr_writer = array("q", map(mapping.__getitem__, writers))
+        ch._kw_sets = [None] * len(order)
 
-    def _causality_graph(self, mapping: List[int]):
-        """The committed ``so ∪ good-wr`` graph, frozen to CSR rows.
-
-        Returns ``(frozen_graph, labels)`` for :func:`causality_cycles`;
-        only called when the stream ends with a causality cycle, so the
-        labels build eagerly here.
-        """
-        so_log: List[int] = []
-        wr_log: List[int] = []
-        wr_keys: List[int] = []
-        t_flags = self._t_flags
-        for records in self._by_session:
-            previous = -1
-            for rec in records:
-                if not t_flags[rec] & 1:
-                    continue
-                current = mapping[rec]
-                if previous >= 0:
-                    so_log.append((previous << EDGE_SHIFT) | current)
-                previous = current
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        wgood_start = self._wr_good_start
-        wgood_len = self._wr_good_len
-        wgood_writer = self._wr_good_writer
-        wgood_kid = self._wr_good_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        for records in self._by_session:
-            for rec in records:
-                if not t_flags[rec] & 1:
-                    continue
-                reader = mapping[rec]
-                gs = wgood_start[rec]
-                if gs >= 0:
-                    # Explicit good run (possibly empty: every external
-                    # committed read was bad).
-                    src_w, src_k = wgood_writer, wgood_kid
-                    a, n = gs, wgood_len[rec]
-                elif wany_start[rec] == -2:
-                    # Derive sentinel: good == any == first-per-writer
-                    # over the good-read run (see _build_relation).
-                    ga = gr_start[rec]
-                    seen: Set[int] = set()
-                    for g in range(ga, ga + gr_len[rec]):
-                        w = gr_writer[g]
-                        if w not in seen:
-                            seen.add(w)
-                            wr_log.append((mapping[w] << EDGE_SHIFT) | reader)
-                            wr_keys.append(gr_kid[g])
-                    continue
-                else:
-                    # -1 sentinel: the good map equals the any map.
-                    src_w, src_k = wany_writer, wany_kid
-                    a = wany_start[rec]
-                    n = wany_len[rec] if a >= 0 else 0
-                for idx in range(a, a + n):
-                    wr_log.append((mapping[src_w[idx]] << EDGE_SHIFT) | reader)
-                    wr_keys.append(src_k[idx])
-        graph = freeze_packed(self._next_tid, (so_log, wr_log))
-        labels = causality_labels(
-            so_log, wr_log, wr_keys, key_names=self._key_table.values
-        )
-        return graph, labels
+        txn_start = ch.txn_start
+        bad_ops = {
+            txn_start[mapping[packed >> 32]] + (packed & 0xFFFFFFFF)
+            for packed in self._bad_reads
+        }
+        return ch, bad_ops
 
     def _result(
         self,
         level: IsolationLevel,
         violations: List[Violation],
         checker: str,
-        relation: Optional[CommitRelation],
-        co_edges: bool = True,
+        stats: Dict[str, object],
+        watch: Stopwatch,
+        build_seconds: float,
     ) -> CheckResult:
-        stats: Dict[str, float] = {}
-        if relation is not None:
-            stats["inferred_edges"] = relation.num_inferred_edges
-            if co_edges:
-                stats["co_edges"] = relation.num_edges
-            # freeze/acyclicity/witness wall laps, for `--stream --profile`.
-            stats.update(relation.timings)
-        if self._flush_vectorized or self._flush_scalar:
-            # Which CC probe-flush implementation ran (bench snapshots and
-            # `--profile` are self-describing about the kernel in play).
-            if not self._flush_scalar:
-                stats["saturation_kernel"] = "vectorized"
-            elif not self._flush_vectorized:
-                stats["saturation_kernel"] = "fallback"
-            else:
-                stats["saturation_kernel"] = "mixed"
+        stats = {**stats, "build": build_seconds, **watch.laps}
         if self._resolve_vectorized or self._resolve_scalar:
-            # Likewise for the read-resolution kernel, plus the resolve
-            # tallies ("mixed" is normal: sub-threshold tail batches take
-            # the fallback twin even with numpy on).
+            # Which read-resolution kernel ran, plus the resolve tallies
+            # ("mixed" is normal: sub-threshold tail batches take the
+            # fallback twin even with numpy on).
             if not self._resolve_scalar:
                 stats["classify_kernel"] = "vectorized"
             elif not self._resolve_vectorized:
@@ -2297,54 +1393,6 @@ class CompiledIncrementalChecker:
             num_sessions=len(self._by_session),
             stats=stats,
         )
-
-
-def _drain_log(
-    log: _EdgeLog, lens: "array", mapping: List[int], relation: CommitRelation
-) -> None:
-    """Append a log's runs to the relation's co log, in batch order.
-
-    Run ``r`` contributes its first ``lens[r]`` attempts (``log.lens``, or
-    the RA so-case prefixes), renumbered through ``mapping``; the runs go
-    in ascending batch transaction id, which is the order the batch
-    kernels emit them in.
-    """
-    num_runs = len(log.tids)
-    if not num_runs:
-        return
-    co_log = relation._co_log
-    co_keys = relation._co_keys
-    np = _np
-    if np is None:
-        edges = log.edges
-        keys = log.keys
-        starts = log.starts
-        tids = log.tids
-        for r in sorted(range(num_runs), key=lambda r: mapping[tids[r]]):
-            a = starts[r]
-            b = a + lens[r]
-            co_log.extend(
-                [
-                    (mapping[e >> EDGE_SHIFT] << EDGE_SHIFT) | mapping[e & EDGE_MASK]
-                    for e in edges[a:b]
-                ]
-            )
-            co_keys.extend(keys[a:b])
-        return
-    remap = np.asarray(mapping, dtype=np.uint64)
-    order = np.argsort(remap[np.frombuffer(log.tids, dtype=np.int64)])
-    starts = np.frombuffer(log.starts, dtype=np.int64)[order]
-    run_lens = np.frombuffer(lens, dtype=np.int64)[order]
-    # One flat gather position per attempt, runs in batch order.
-    pos = np.repeat(starts - (np.cumsum(run_lens) - run_lens), run_lens) + np.arange(
-        int(run_lens.sum()), dtype=np.int64
-    )
-    edges = np.frombuffer(log.edges, dtype=np.uint64)[pos]
-    shift = np.uint64(EDGE_SHIFT)
-    co_log.frombytes(
-        ((remap[edges >> shift] << shift) | remap[edges & np.uint64(EDGE_MASK)]).tobytes()
-    )
-    co_keys.frombytes(np.frombuffer(log.keys, dtype=np.int64)[pos].tobytes())
 
 
 def load_checkpoint(

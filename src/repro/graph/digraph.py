@@ -22,8 +22,8 @@ __all__ = [
 
 #: Bit layout of a packed edge: ``(source << EDGE_SHIFT) | target``.  One
 #: machine-word int per edge instead of a two-tuple; shared by the packed-edge
-#: mode of :class:`~repro.core.commit.CommitRelation` and the streaming
-#: checker's inferred-edge logs.  32 bits per endpoint caps graphs at ~4.3e9
+#: mode of :class:`~repro.core.commit.CommitRelation` and the compiled
+#: saturation kernels' co logs.  32 bits per endpoint caps graphs at ~4.3e9
 #: vertices, far beyond any history the tester can hold in memory -- but the
 #: cap is *enforced*: a vertex id outside ``[0, EDGE_MASK]`` would silently
 #: bleed into the other endpoint's bits (``src << 32 | dst`` collides), so

@@ -4,9 +4,9 @@ Public surface:
 
 * :class:`CompiledIncrementalChecker` -- the online checker
   (:mod:`repro.core.compiled.online`): consumes transactions as they are
-  appended, maintains the AWDIT checkers' state online on packed interned
+  appended, resolves and classifies their reads online on packed interned
   ids, reports read-level violations as soon as they become witnessable,
-  and supports checkpoint/resume.
+  runs the compiled checkers at finalize, and supports checkpoint/resume.
 * :func:`check_stream_compiled` -- one-shot wrapper over a raw record
   stream.
 * :func:`check_stream_file` -- the file-level entry point behind ``awdit

@@ -160,12 +160,13 @@ def check_stream_file(
     before the transactions the checkpoint already consumed.  A
     ``checkpoint`` that is ``path`` itself, or whose ``.tmp`` save file is,
     raises :class:`~repro.core.exceptions.UsageError` before anything is
-    written: a save would replace the history.  ``timings``
-    (``--profile``)
+    written: a save would replace the history.  So does a ``checkpoint``
+    that is a directory or lies in a missing one, before the history is
+    read: the first save could not write it.  ``timings`` (``--profile``)
     receives ``parse`` / ``fold`` wall seconds, the fold's ``fold_intern`` /
-    ``fold_dispatch`` / ``fold_classify`` / ``fold_clock_join`` sub-laps,
-    and per-phase ``gc.get_stats()`` collection deltas
-    (``parse_gc_collections`` / ``fold_gc_collections``).
+    ``fold_dispatch`` / ``fold_classify`` sub-laps, and per-phase
+    ``gc.get_stats()`` collection deltas (``parse_gc_collections`` /
+    ``fold_gc_collections``); the finalize laps are in the result's stats.
     """
     # Looked up per call, not bound at import, so a caller can wrap the
     # parser (the layered benchmark times each batch pull this way).
@@ -182,6 +183,15 @@ def check_stream_file(
                     f"{path}: checkpoint {checkpoint} would overwrite the "
                     "history being checked; choose another checkpoint path"
                 )
+        if os.path.isdir(checkpoint):
+            raise UsageError(
+                f"--checkpoint {checkpoint} is a directory; give a file path"
+            )
+        directory = os.path.dirname(os.path.abspath(checkpoint))
+        if not os.path.isdir(directory):
+            raise UsageError(
+                f"--checkpoint {checkpoint}: directory {directory} does not exist"
+            )
     if resume:
         if checkpoint is None:
             raise ValueError("resume requires a checkpoint path")
@@ -258,7 +268,6 @@ def check_stream_file(
         timings["fold_intern"] = laps["intern"]
         timings["fold_dispatch"] = laps["dispatch"]
         timings["fold_classify"] = laps["classify"]
-        timings["fold_clock_join"] = laps["clock_join"]
         timings["parse_gc_collections"] = parse_gc
         timings["fold_gc_collections"] = fold_gc
     return checker.finalize()[level]

@@ -24,11 +24,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
 from repro.core.commit import CommitRelation
-from repro.core.compiled import kernels, online
-from repro.core.compiled.checkers import check_compiled
+from repro.core.compiled import kernels
+from repro.core.compiled.checkers import check_compiled, check_read_consistency_compiled
+from repro.core.exceptions import HistoryFormatError
 from repro.core.compiled.ir import CompiledHistoryBuilder
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.histories.formats import plume_text
@@ -211,7 +214,7 @@ class TestCoLogParity:
     the online finalize) must append the same inferred-edge attempts, in
     the same order, duplicates included, at RC, RA and CC; edges compare
     by transaction name and key name.  ``no-numpy`` takes the scalar CC
-    probe flush and edge drain, as ``AWDIT_NO_NUMPY=1`` does.
+    saturation, as ``AWDIT_NO_NUMPY=1`` does.
     """
 
     @staticmethod
@@ -242,11 +245,10 @@ class TestCoLogParity:
         if use_numpy and kernels._np is None:
             pytest.skip("numpy is not available")
         if use_numpy:
-            # Every flush takes the vectorized side.
+            # Every CC saturation takes the vectorized side.
             monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
         else:
             monkeypatch.setattr(kernels, "_np", None)
-            monkeypatch.setattr(online, "_np", None)
         history, order = generate_random_stream(GENERATOR_CONFIGS[name])
         records = arrival_records(history, order)
 
@@ -267,6 +269,88 @@ class TestCoLogParity:
         got = self._co_logs(monkeypatch, run_online)
         assert len(want) >= 2 and any(want)
         assert got == want
+
+
+class TestResolvedHistory:
+    """Finalize's resolved IR holds the rows the batch IR's checkers read.
+
+    Fed the same arrival-order records, the IR the online finalize builds
+    from the fold's columns must equal ``CompiledHistoryBuilder.finalize(
+    sort_sessions=False)``'s on every array the per-level checker functions
+    read (``_xr_*`` limited to reads whose writer is committed, the only
+    rows those functions use), and its ``bad_ops`` must mark exactly the
+    batch read-consistency report's bad reads among those rows.
+    """
+
+    @staticmethod
+    def _rows(ch, bad_ops):
+        committed = ch.txn_committed
+        reads, bad = [], []
+        for tid in range(ch.num_transactions):
+            for j in range(ch._xr_start[tid], ch._xr_start[tid + 1]):
+                if committed[ch._xr_writer[j]]:
+                    row = (tid, ch._xr_po[j], ch._xr_key[j], ch._xr_writer[j])
+                    reads.append(row)
+                    if ch.txn_start[tid] + ch._xr_po[j] in bad_ops:
+                        bad.append(row)
+        return {
+            "session": list(ch.txn_session),
+            "session_index": list(ch.txn_session_index),
+            "committed": list(ch.txn_committed),
+            "start": list(ch.txn_start),
+            "sessions": [list(session) for session in ch.sessions],
+            "labels": dict(ch.labels),
+            "written": [list(ch.keys_written(tid)) for tid in range(ch.num_transactions)],
+            "reads": reads,
+            "bad": bad,
+        }
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        config=st.builds(
+            RandomHistoryConfig,
+            num_sessions=st.integers(1, 4),
+            num_transactions=st.integers(0, 30),
+            num_keys=st.integers(1, 5),
+            min_ops_per_txn=st.just(1),
+            max_ops_per_txn=st.integers(1, 6),
+            abort_probability=st.sampled_from([0.0, 0.15]),
+            mode=st.sampled_from(["serializable", "random_reads"]),
+            seed=st.integers(0, 10_000),
+        ),
+        anomaly=st.sampled_from(INJECTABLE_ANOMALIES),
+        seed=st.integers(0, 1000),
+        batch_ops=st.sampled_from([1, 7, 4096]),
+    )
+    def test_resolved_ir_matches_builder(self, config, anomaly, seed, batch_ops):
+        history = generate_random_history(config)
+        try:
+            history = inject_anomaly(history, anomaly, rng=random.Random(seed))
+        except ValueError:
+            pass  # some anomalies need a minimum history shape
+        records = arrival_records(history, interleaved_order(history, seed))
+        builder = CompiledHistoryBuilder()
+        for sid, raw in records:
+            builder.add_transaction(sid, *raw)
+        batch = builder.finalize(sort_sessions=False)
+        want = self._rows(batch, check_read_consistency_compiled(batch).bad_ops)
+
+        checker = CompiledIncrementalChecker()
+        resolve = checker._resolved_history
+        got = []
+
+        def capture():
+            ch, bad_ops = resolve()
+            got.append(self._rows(ch, bad_ops))
+            return ch, bad_ops
+
+        checker._resolved_history = capture
+        try:
+            checker.extend_raw(iter(records), batch_ops=batch_ops)
+        except HistoryFormatError:
+            return  # a duplicate write the stream refuses to rebind
+        checker.finalize()
+        assert got == [want]
 
 
 class TestArrivalOrderCheckpoint:
@@ -328,9 +412,9 @@ class TestArrivalOrderWithoutNumpy:
     _SCRIPT = (
         "import json, sys\n"
         "from repro.core import IsolationLevel\n"
-        "from repro.core.compiled import online\n"
+        "from repro.core.compiled import kernels\n"
         "from repro.stream import check_stream_file\n"
-        "assert online._np is None\n"
+        "assert kernels._np is None\n"
         "out = []\n"
         "for level in IsolationLevel:\n"
         "    r = check_stream_file(sys.argv[1], level, fmt='plume')\n"

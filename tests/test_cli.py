@@ -1,6 +1,7 @@
 """End-to-end tests for the ``awdit`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,17 @@ class TestCheckCommand:
         err = capsys.readouterr().err  # --profile reports on stderr
         assert "fold_dispatch" in err
         assert "parse_gc_collections" in err and "fold_gc_collections" in err
+
+    def test_stream_profile_reports_finalize_laps(self, tmp_path, capsys):
+        # The stream's finalize runs the batch checker functions, so its
+        # profile shows their laps, as a batch check's does.
+        path = tmp_path / "ok.plume"
+        save_history(fig_4d(), str(path), fmt="plume")
+        assert main(["check", str(path), "-i", "cc", "--stream", "--profile"]) == 0
+        err = capsys.readouterr().err
+        for phase in ("build", "happens_before", "saturation", "cycle_check"):
+            assert re.search(rf"^ +{phase} +\d+\.\d+$", err, re.M), phase
+        assert "clock_join" not in err
 
     @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["batch", "stream"])
     def test_missing_history_exits_two(self, tmp_path, capsys, mode):
@@ -363,6 +375,32 @@ class TestCheckFlagConflicts:
         )
         assert (tmp_path / history).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [history]
+
+    @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["save", "resume"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unusable_checkpoint_path_exits_two_before_the_fold(
+        self, tmp_path, capsys, target, resume
+    ):
+        # The second line is malformed, so an error from the fold or the
+        # parser would name the history, not the checkpoint.
+        path = tmp_path / "h.plume"
+        save_history(fig_4d(), str(path), fmt="plume")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "not a transaction\n" + "".join(lines[1:]))
+        if target == "directory":
+            checkpoint = str(tmp_path)
+            message = f"--checkpoint {checkpoint} is a directory; give a file path"
+        else:
+            checkpoint = str(tmp_path / "absent" / "c.awd")
+            message = (
+                f"--checkpoint {checkpoint}: directory {tmp_path / 'absent'} "
+                "does not exist"
+            )
+        argv = ["check", str(path), "-i", "cc", "--stream", "--checkpoint", checkpoint]
+        assert main(argv + resume) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"awdit: error: {message}\n"
 
     def test_resume_of_older_checkpoint_version_exits_two(self, tmp_path, capsys):
         from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION

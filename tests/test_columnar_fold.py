@@ -1,12 +1,11 @@
-"""Columnar fold state: clock-join kernel parity, park-queue behavior,
-the v8 checkpoint format, and batch-size validation.
+"""Columnar fold state: park-queue behavior, the v9 checkpoint format,
+and batch-size validation.
 
-The tentpole contract: the structure-of-arrays fold is answer-identical
-to the retired object-heap fold -- verdicts, witness messages, park and
-rebind ordering, refusal text -- at every ``batch_ops`` and with or
-without numpy.  The pieces pinned here are the ones the columnar rewrite
-introduced: ``kernels.join_clocks`` (batched CC clock join),
-``kernels.ParkQueue`` (columnar park multimap), and checkpoint format v8.
+The contract: the structure-of-arrays fold is answer-identical to the
+retired object-heap fold -- verdicts, witness messages, park and rebind
+ordering, refusal text -- at every ``batch_ops`` and with or without
+numpy.  The pieces pinned here are ``kernels.ParkQueue`` (columnar park
+multimap) and checkpoint format v9.
 """
 
 import json
@@ -14,11 +13,8 @@ import os
 import pickle
 import subprocess
 import sys
-from array import array
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import IsolationLevel
 from repro.core.compiled import kernels, online
@@ -35,50 +31,7 @@ from repro.stream import CompiledIncrementalChecker, check_stream_file
 from test_resolve_kernel import interleaved_raw, needs_numpy, run_stream
 
 
-# -- join_clocks: the batched CC clock join ------------------------------------
-
-
-@st.composite
-def join_inputs(draw):
-    stride = draw(st.sampled_from([4, 8, 16]))
-    nrows = draw(st.integers(1, 8))
-    cells = draw(
-        st.lists(
-            st.integers(-1, 40), min_size=nrows * stride, max_size=nrows * stride
-        )
-    )
-    base = draw(st.lists(st.integers(-1, 40), min_size=stride, max_size=stride))
-    k = draw(st.integers(1, nrows))
-    rows = draw(st.lists(st.integers(0, nrows - 1), min_size=k, max_size=k))
-    wsids = draw(st.lists(st.integers(0, stride - 1), min_size=k, max_size=k))
-    wsidxs = draw(st.lists(st.integers(0, 50), min_size=k, max_size=k))
-    return array("q", cells), stride, array("q", base), rows, wsids, wsidxs
-
-
-class TestJoinClocks:
-    """The join is the elementwise maximum and leaves its inputs alone."""
-
-    @settings(deadline=None, max_examples=120)
-    @given(inputs=join_inputs())
-    def test_is_elementwise_max(self, inputs):
-        hb, stride, sc, rows, wsids, wsidxs = inputs
-        want = [
-            max(
-                [sc[s]]
-                + [hb[r * stride + s] for r in rows]
-                + [x for w, x in zip(wsids, wsidxs) if w == s]
-            )
-            for s in range(stride)
-        ]
-        assert list(kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)) == want
-
-    @settings(deadline=None, max_examples=40)
-    @given(inputs=join_inputs())
-    def test_inputs_never_mutated(self, inputs):
-        hb, stride, sc, rows, wsids, wsidxs = inputs
-        hb_before, sc_before = list(hb), list(sc)
-        kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
-        assert list(hb) == hb_before and list(sc) == sc_before
+# -- ParkQueue: the columnar park multimap -------------------------------------
 
 
 class TestParkQueue:
@@ -125,7 +78,7 @@ class TestParkQueue:
 
 
 class TestCrossVersionCheckpoints:
-    """Checkpoints are written as v8 (the only loadable version), and the
+    """Checkpoints are written as v9 (the only loadable version), and the
     fold they capture is answer-identical on both kernel paths."""
 
     def _history(self, txns=300, seed=29):
@@ -143,14 +96,14 @@ class TestCrossVersionCheckpoints:
             )
         )
 
-    def test_saved_checkpoints_are_v8(self, tmp_path):
+    def test_saved_checkpoints_are_v9(self, tmp_path):
         checker = CompiledIncrementalChecker(num_sessions=2)
         checker.append_raw(0, "t0", True, [(True, "x", 1)])
         path = tmp_path / "state.awd"
         checker.save_checkpoint(str(path))
         blob = path.read_bytes()
         assert blob.startswith(online.CHECKPOINT_MAGIC)
-        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 8
+        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 9
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
     def test_fallback_path_answers_identical(self, batch_ops):
@@ -168,27 +121,17 @@ class TestCrossVersionCheckpoints:
 
 @needs_numpy
 class TestNoNumpySubprocessColumnar:
-    """join_clocks and the park-heavy fold give identical answers without numpy."""
+    """The park-heavy fold gives identical answers without numpy."""
 
     _SCRIPT = (
         "import json, sys\n"
-        "from array import array\n"
         "from repro.core import IsolationLevel\n"
-        "from repro.core.compiled import kernels\n"
         "from repro.stream import check_stream_file\n"
-        "stride = 64\n"
-        "hb = array('q', ((j * s * 2654435761) % 97 - 1\n"
-        "                 for j in range(64) for s in range(stride)))\n"
-        "sc = array('q', ((s * 40503) % 89 - 1 for s in range(stride)))\n"
-        "rows = list(range(0, 64, 1))\n"
-        "wsids = [j % stride for j in rows]\n"
-        "wsidxs = [(j * 7919) % 101 for j in rows]\n"
-        "row = kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)\n"
-        "out = {'join': list(row), 'stream': []}\n"
+        "out = []\n"
         "for level in IsolationLevel:\n"
         "    r = check_stream_file(sys.argv[1], level, fmt='plume', batch_ops=1)\n"
-        "    out['stream'].append([level.name, r.is_consistent,\n"
-        "                          [v.message for v in r.violations]])\n"
+        "    out.append([level.name, r.is_consistent,\n"
+        "                [v.message for v in r.violations]])\n"
         "print(json.dumps(out))\n"
     )
 
@@ -207,7 +150,7 @@ class TestNoNumpySubprocessColumnar:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    def test_join_and_park_parity(self, tmp_path):
+    def test_park_parity(self, tmp_path):
         # batch_ops=1 maximizes cross-batch parking: every read of a
         # not-yet-arrived writer goes through the columnar ParkQueue.
         history = inject_anomaly(
@@ -229,8 +172,7 @@ class TestNoNumpySubprocessColumnar:
         save_history(history, str(path), fmt="plume")
         with_numpy = self._run_subprocess(str(path), no_numpy=False)
         without = self._run_subprocess(str(path), no_numpy=True)
-        assert with_numpy["join"] == without["join"]
-        assert with_numpy["stream"] == without["stream"]
+        assert with_numpy == without
 
 
 # -- batch_ops validation ------------------------------------------------------

@@ -3,8 +3,9 @@
 The kernels module is the single home of the CC/RC/RA saturation loops.  RC
 and RA saturation have one implementation; CC saturation exists twice --
 numpy-vectorized and pure-Python fallback, selected like
-``csr.freeze_packed``.  These tests pin the contract every consumer (batch
-checkers, online fold) relies on:
+``csr.freeze_packed``.  These tests pin the contract every consumer (the
+per-level checker functions, run by batch checks and by the streaming
+finalize) relies on:
 
 * the two CC implementations emit *byte-identical* packed co logs and key
   rows, in the identical order, on arbitrary histories including injected
@@ -12,9 +13,9 @@ checkers, online fold) relies on:
   vectorized path runs even on tiny inputs);
 * whole-check results (verdicts, violation kinds, witness renderings) never
   depend on which implementation ran;
-* the online fold's deferred probe flush is bit-identical between the
-  vectorized and scalar flush paths, for any record interleaving and any
-  ``batch_ops``;
+* the vectorized CC kernel's transaction chunking changes neither the co
+  log (one transaction per chunk, the whole history in one chunk, and the
+  scalar side agree) nor leaves its peak far above the co log it keeps;
 * the 32-bit boundaries of the vectorized encodings hold: packed edges are
   unsigned, and the composite writer index spans a full ``2^32`` per bucket
   so a ``bound = -1`` probe cannot collide with the previous bucket
@@ -25,6 +26,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -34,7 +36,6 @@ from hypothesis import strategies as st
 from repro.core import IsolationLevel, check
 from repro.core.compiled import compile_history
 from repro.core.compiled import kernels
-from repro.core.compiled import online
 from repro.core.compiled.checkers import (
     _relation_from_compiled,
     check_read_consistency_compiled,
@@ -177,75 +178,64 @@ class TestKernelBitIdentity:
 
 
 @needs_numpy
-class TestOnlineFlushBitIdentity:
-    """The online fold's vectorized probe flush matches the scalar flush."""
-
-    def _records(self, history, order_seed):
-        rng = random.Random(order_seed)
-        positions = [0] * len(history.sessions)
-        while True:
-            live = [
-                i
-                for i, session in enumerate(history.sessions)
-                if positions[i] < len(session)
-            ]
-            if not live:
-                return
-            i = rng.choice(live)
-            tid = history.sessions[i][positions[i]]
-            positions[i] += 1
-            txn = history.transactions[tid]
-            yield (
-                f"s{i}",
-                (
-                    txn.label,
-                    txn.committed,
-                    [(op.is_write, op.key, op.value) for op in txn.operations],
-                ),
-            )
-
-    def _run(self, history, batch_ops, order_seed, use_numpy, monkeypatch):
-        if use_numpy:
-            monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
-        else:
-            monkeypatch.setattr(online, "_np", None)
-        checker = online.CompiledIncrementalChecker(levels=list(online.ALL_LEVELS))
-        checker.extend_raw(self._records(history, order_seed), batch_ops=batch_ops)
-        cc_log = checker._cc_log
-        log = {
-            column: getattr(cc_log, column).tolist()
-            for column in ("edges", "keys", "tids", "starts", "lens")
-        }
-        results = checker.finalize()
-        rendered = {
-            level.name: (
-                [(v.kind.name, v.describe()) for v in res.violations],
-                res.checker,
-            )
-            for level, res in results.items()
-        }
-        return log, rendered
+class TestCCChunking:
+    """The vectorized CC kernel runs in transaction chunks, in emission order."""
 
     @settings(
-        max_examples=25,
+        max_examples=40,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
     )
-    @given(
-        config=history_configs,
-        batch_ops=st.sampled_from([1, 7, 4096]),
-        order_seed=st.integers(0, 1000),
-    )
-    def test_cc_log_and_results_identical(
-        self, config, batch_ops, order_seed, monkeypatch
-    ):
+    @given(config=history_configs)
+    def test_co_log_independent_of_chunk_size(self, config, force_vectorized, monkeypatch):
         history = generate_random_history(config)
-        with monkeypatch.context() as patch:
-            vec_log, vec_out = self._run(history, batch_ops, order_seed, True, patch)
-        with monkeypatch.context() as patch:
-            fb_log, fb_out = self._run(history, batch_ops, order_seed, False, patch)
-        assert vec_log == fb_log
-        assert vec_out == fb_out
+        logs = []
+        for chunk in (1, 1 << 30):
+            monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", chunk)
+            logs.append(_saturation_logs(history))
+        with _fallback():
+            logs.append(_saturation_logs(history))
+        if logs[-1][2] == "cyclic":
+            return
+        one, whole, scalar = logs
+        assert one[:2] == whole[:2] == scalar[:2]
+
+    def test_peak_bounded_by_retained_co_log(self, monkeypatch):
+        # 50 sessions and several chunks.  One whole-history pass peaks at
+        # 9.2x the co log it retains here (6.9-8.2x on the perfbench
+        # histories); 128-transaction chunks at 2.0x.
+        monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", 128)
+        history = generate_random_history(
+            RandomHistoryConfig(
+                num_sessions=50,
+                num_transactions=1000,
+                num_keys=60,
+                min_ops_per_txn=2,
+                max_ops_per_txn=8,
+                read_fraction=0.6,
+                seed=5,
+            )
+        )
+        ch = compile_history(history)
+        relation = _relation_from_compiled(ch)
+        report = check_read_consistency_compiled(ch)
+        hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
+        assert hb is not None
+        kernels._cc_index(ch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert impl == "vectorized"
+        retained = len(relation._co_log) * 8 + len(relation._co_keys) * 8
+        assert retained > 0
+        assert peak <= 3 * retained, (peak, retained)
 
 
 class TestCompositeProbeBoundary:
@@ -324,10 +314,8 @@ class TestEnvFlag:
         script = (
             "from repro.graph import csr\n"
             "from repro.core.compiled import kernels\n"
-            "from repro.core.compiled import online\n"
             "assert csr._np is None and not csr.HAVE_NUMPY\n"
             "assert kernels._np is None and not kernels.HAVE_NUMPY\n"
-            "assert online._np is None\n"
             "print('ok')\n"
         )
         env = dict(os.environ)

@@ -456,18 +456,6 @@ class TestLiveStats:
         assert stats["interned_keys"] == 2
         assert stats["writes_index"] == 2
 
-    def test_cc_buckets_and_edge_log_reported(self):
-        history = generate_random_history(
-            RandomHistoryConfig(
-                num_sessions=3, num_transactions=30, mode="random_reads", seed=4
-            )
-        )
-        checker = CompiledIncrementalChecker(num_sessions=3)
-        feed_in_order(history, checker)
-        stats = checker.live_stats()
-        assert stats["transactions"] == history.num_transactions
-        assert stats["cc_writer_buckets"] > 0
-
     def test_keys_read_by_perfbench_are_present(self):
         # perfbench/run.py reads these counters from a traced stream run.
         checker = CompiledIncrementalChecker()
@@ -486,8 +474,10 @@ class TestLiveStats:
             "cc_joins_vectorized",
         ):
             assert isinstance(stats[key], int), key
-        # The clock join has one (scalar) side; the vectorized count stays 0.
-        assert stats["cc_joins_vectorized"] == 0
+        # The fold infers no edges and joins no clocks: finalize runs the
+        # batch checkers, so these counters stay 0.
+        for key in ("inferred_edge_log", "cc_joins_fallback", "cc_joins_vectorized"):
+            assert stats[key] == 0, key
 
 
 class TestCompiledOnlineProperties:

@@ -39,7 +39,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
-from repro.core.compiled import kernels, online
+from repro.core.compiled import kernels
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import save_history
@@ -110,20 +110,17 @@ def vector_floor(n=0):
 
 @contextmanager
 def fallback_modules():
-    """Force the pure-Python path for a whole checker lifetime.
+    """Force the pure-Python kernels for a whole checker lifetime.
 
-    Both modules must flip together (mirroring ``AWDIT_NO_NUMPY``):
-    ``kernels._np`` selects the resolve implementation while
-    ``online._np`` gates the probe-index and flush vectorization, and a
-    checker built half-numpy would mix array and list state.
+    ``kernels._np`` selects the resolve implementation during the fold and
+    the CC saturation side at finalize (mirroring ``AWDIT_NO_NUMPY``).
     """
-    saved = (kernels._np, online._np)
+    saved = kernels._np
     kernels._np = None
-    online._np = None
     try:
         yield
     finally:
-        kernels._np, online._np = saved
+        kernels._np = saved
 
 
 def digest(results):
@@ -447,7 +444,6 @@ class TestCheckpointAcrossResolver:
         checker.extend_raw(iter(interleaved_raw(history, 5)), batch_ops=64)
         state = checker.__getstate__()
         assert "_writes_index" not in state
-        assert "_wb_probe" not in state
 
     def test_checkpoint_resume_rebuilds_registry(self, tmp_path):
         history = self._history()
