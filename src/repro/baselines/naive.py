@@ -21,7 +21,13 @@ from repro.core.result import CheckResult, Stopwatch
 from repro.core.violations import Violation
 from repro.graph.digraph import DiGraph
 
-__all__ = ["check_naive", "check_rc_naive", "check_ra_naive", "check_cc_naive"]
+__all__ = [
+    "check_naive",
+    "check_rc_naive",
+    "check_ra_naive",
+    "check_cc_naive",
+    "cc_relation_naive",
+]
 
 
 def _good_external_reads(history: History, tid: int, bad_reads: Set[OpRef]):
@@ -118,22 +124,28 @@ def check_ra_naive(history: History) -> CheckResult:
     return _result(IsolationLevel.READ_ATOMIC, history, violations, watch, "naive")
 
 
+def cc_relation_naive(history: History, bad_reads: Set[OpRef]) -> CommitRelation:
+    """``so ∪ wr`` plus every edge the CC axiom forces, none left out as implied."""
+    relation = CommitRelation(history)
+    transactions = history.transactions
+    ancestors = _ancestors(history, bad_reads)
+
+    # A cycle in so ∪ wr makes the ancestor sets unreliable; the relation
+    # already contains so ∪ wr, so the cycle is reported either way.
+    for t3 in history.committed:
+        for _index, op, t1 in _good_external_reads(history, t3, bad_reads):
+            for t2 in ancestors[t3]:
+                if t2 != t1 and transactions[t2].writes_key(op.key):
+                    relation.add_inferred(t2, t1, key=op.key)
+    return relation
+
+
 def check_cc_naive(history: History) -> CheckResult:
     """Reference Causal Consistency check: enumerate every CC-axiom instance."""
     watch = Stopwatch()
     report = check_read_consistency(history)
     violations: List[Violation] = list(report.violations)
-    relation = CommitRelation(history)
-    transactions = history.transactions
-    ancestors = _ancestors(history, report.bad_reads)
-
-    # A cycle in so ∪ wr makes the ancestor sets unreliable; the relation
-    # already contains so ∪ wr, so the cycle is reported either way.
-    for t3 in history.committed:
-        for _index, op, t1 in _good_external_reads(history, t3, report.bad_reads):
-            for t2 in ancestors[t3]:
-                if t2 != t1 and transactions[t2].writes_key(op.key):
-                    relation.add_inferred(t2, t1, key=op.key)
+    relation = cc_relation_naive(history, report.bad_reads)
     violations.extend(relation.find_cycles())
     watch.lap("total")
     return _result(IsolationLevel.CAUSAL_CONSISTENCY, history, violations, watch, "naive")

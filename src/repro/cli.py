@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
             "print per-phase wall/alloc timings (parse, build, freeze, "
             "saturate, acyclicity, witness; with --stream: parse, the "
             "fold's intern/dispatch/classify sub-laps, per-phase GC "
-            "collection counts, then the same finalize laps as batch) to "
+            "collection counts, then the same finalize laps as batch), and "
+            "the saturated relation's co_edges and inferred_edges counts "
+            "(CC infers no edge that happens-before already implies), to "
             "stderr after the check, so perf work can see where the time "
             "goes without a profiler"
         ),
@@ -275,6 +277,12 @@ def _print_profile(
         # Which saturation implementation actually ran (numpy-vectorized
         # or the pure-Python fallback), so snapshots are self-describing.
         print(f"  {'saturation_kernel':<18} {kernel:>9}", file=sys.stderr)
+    for name in ("co_edges", "inferred_edges"):
+        value = result.stats.get(name)
+        if value is not None:
+            # The saturated relation's size: its distinct edges, and those
+            # of them beyond so ∪ wr.
+            print(f"  {name:<18} {value:9d}", file=sys.stderr)
     classify_kernel = result.stats.get("classify_kernel")
     if classify_kernel is not None:
         # Same self-description for the streaming fold's read-resolution

@@ -11,6 +11,15 @@ happens-before-latest writer of the key in every other session with a
 monotonically advancing pointer into that session's writer list.  The total
 running time is ``O(n · k)`` for a history of size ``n`` with ``k`` sessions
 (Lemma 3.8).
+
+A forced edge ``t2 -> t1`` is left out when ``t2`` happens before ``t1``.
+The relation holds ``so ∪ wr`` and happens-before is ``(so ∪ wr)+``, so such
+an edge changes neither the relation's transitive closure nor its
+acyclicity, just as the so-predecessors of the hb-latest writer need no
+edge of their own.  The test is one clock lookup, ``hb[t1][session(t2)] >=
+session_index(t2)``, so the ``O(n · k)`` bound holds.  The compiled kernels
+(``repro.core.compiled.kernels``) apply the same rule in the same emission
+order; the definitional checker ``repro.baselines.naive`` keeps every edge.
 """
 
 from __future__ import annotations
@@ -220,10 +229,13 @@ def saturate_cc(
     """Add to ``relation`` the commit edges forced by the CC axiom.
 
     For every read ``t1 -wr_x-> t3`` and every session ``s'`` that writes
-    ``x``, the happens-before-latest writer of ``x`` in ``s'`` (found by
-    advancing a monotone per-session pointer over ``Writes_{s'}[x]``) must
-    commit before ``t1``.  Writers that are so-predecessors of that latest
-    writer are ordered transitively and need no explicit edge.
+    ``x``, the happens-before-latest writer ``t2`` of ``x`` in ``s'`` (found
+    by advancing a monotone per-session pointer over ``Writes_{s'}[x]``)
+    must commit before ``t1``.  Writers that are so-predecessors of ``t2``
+    are ordered transitively and need no explicit edge.  Neither does
+    ``t2`` itself when it is an hb-predecessor of ``t1``
+    (``hb[t1][s'] >= session_index(t2)``): ``so ∪ wr`` is in the relation,
+    so a path ``t2 -(so∪wr)+-> t1`` already orders them.
     """
     transactions = history.transactions
     writers_by_key = _writers_by_key_per_session(history)
@@ -248,6 +260,7 @@ def saturate_cc(
                 key_writers = writers_by_key.get(key)
                 if not key_writers:
                     continue
+                floor = hb[t1].entries
                 for other, writer_list, writer_indices in key_writers:
                     state = (other, key)
                     ptr = pointer.get(state, 0)
@@ -260,7 +273,11 @@ def saturate_cc(
                         last_write[state] = writer_list[ptr - 1]
                         pointer[state] = ptr
                     t2 = last_write.get(state)
-                    if t2 is not None and t2 != t1:
+                    if (
+                        t2 is not None
+                        and t2 != t1
+                        and transactions[t2].session_index > floor[other]
+                    ):
                         relation.add_inferred(t2, t1, key=key)
 
 

@@ -14,7 +14,9 @@ sort + in-place dedup pass, no per-edge dict entries -- and the acyclicity
 check, cycle extraction, and linearization all run over the frozen CSR rows.
 Freezing is the single de-duplication point: duplicate edges (the saturation
 rules fire many times per edge) collapse there, and the inferred-edge count
-is the number of distinct edges beyond distinct ``so ∪ wr``.
+is the number of distinct edges beyond distinct ``so ∪ wr``.  For CC it
+leaves out the forced edges that happens-before already implies: the CC
+saturation never appends them (see :mod:`repro.core.cc`).
 
 Edge *labels* -- the ``(reason, key)`` pair that explains an edge in a
 witness -- are never built on the hot path.  The logs retain the reason

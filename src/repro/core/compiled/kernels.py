@@ -34,7 +34,12 @@ along one session the happens-before clocks are monotone
 memoized monotone pointer per (key, session) bucket always lands on *the
 latest writer with session index <= clock bound* -- a stateless query the
 vectorized path answers for every probe at once with one ``searchsorted``
-against a flat sorted writer index.
+against a flat sorted writer index.  Both sides, like the object
+``saturate_cc``, drop a candidate ``t2 -> t1`` that happens-before already
+implies (``hb[t1][session(t2)] >= session_index(t2)``), and skip a probe
+outright when ``t3``'s bound at the session is at most ``t1``'s clock
+there; the scalar pointer may then lag, and the next larger bound walks it
+on.
 
 Two 32-bit boundaries shape the vectorized encodings (mirroring the packed
 edges of :mod:`repro.graph.csr`):
@@ -479,18 +484,29 @@ def _saturate_cc_vectorized(
         for t3 in session
         if committed[t3] and hb[t3] is not None
     ]
+    # One transactions x sessions clock matrix, flat and row-major, serves
+    # every chunk: the t3 rows bound the probes, and the t1 rows drop the
+    # hb-implied edges.  Rows without a clock (uncommitted) are never read.
+    k = ch.num_sessions
+    empty = [-1] * k
+    clocks = np.array([empty if c is None else c for c in hb], dtype=np.int64).reshape(-1)
     bad = np.fromiter(bad_ops, dtype=np.int64, count=len(bad_ops)) if bad_ops else None
     for first in range(0, len(t3s), _CC_CHUNK_TXNS):
-        _saturate_cc_chunk(idx, relation, hb, t3s[first : first + _CC_CHUNK_TXNS], bad)
+        _saturate_cc_chunk(
+            idx, relation, clocks, k, t3s[first : first + _CC_CHUNK_TXNS], bad
+        )
 
 
 def _saturate_cc_chunk(
-    idx: _CCIndex, relation: CommitRelation, hb, chunk: List[int], bad
+    idx: _CCIndex, relation: CommitRelation, clocks, k: int, chunk: List[int], bad
 ) -> None:
-    """The CC edge attempts of the transactions ``chunk``, in five batched passes."""
+    """The CC edge attempts of the transactions ``chunk``, in five batched passes.
+
+    ``clocks[t * k + s]`` is transaction ``t``'s happens-before clock at
+    session ``s``.
+    """
     np = _np
     tids = np.asarray(chunk, dtype=np.int64)
-    clock_mat = np.asarray([hb[t3] for t3 in chunk], dtype=np.int64)
 
     # Pass 1: expand every external read of the selected transactions.
     starts = idx.xr_start[tids]
@@ -517,29 +533,38 @@ def _saturate_cc_chunk(
     keys = idx.xr_key[pos]
 
     # Pass 3: expand each read over its key's (key, session) writer buckets.
+    # A probe whose t3 bound is at most t1's clock at the bucket's session
+    # is dropped here: every candidate writer of that bucket hb-precedes t1.
     per_read = idx.key_bucket_count[keys]
     total2 = int(per_read.sum())
     if total2 == 0:
         return
     read_of = np.repeat(np.arange(keys.shape[0], dtype=np.int64), per_read)
-    base2 = np.cumsum(per_read) - per_read
-    probe_bucket = (
-        np.arange(total2, dtype=np.int64)
-        - base2[read_of]
-        + idx.key_bucket_start[keys][read_of]
-    )
+    first_bucket = idx.key_bucket_start[keys] - (np.cumsum(per_read) - per_read)
+    probe_bucket = np.arange(total2, dtype=np.int64) + first_bucket[read_of]
+    probe_sid = idx.bucket_sid[probe_bucket]
+    bound = clocks[(tids[row_of] * k)[read_of] + probe_sid]
+    floor = clocks[(t1 * k)[read_of] + probe_sid]
+    live = np.flatnonzero(bound > floor)
+    if live.shape[0] == 0:
+        return
+    read_of = read_of[live]
+    probe_bucket = probe_bucket[live]
+    bound = bound[live]
+    floor = floor[live]
 
     # Pass 4: one searchsorted answers every "latest writer <= clock bound"
-    # query (the fallback's memoized monotone pointers compute exactly this;
-    # clocks are monotone along a session, so the memo never lags the query).
-    bound = clock_mat[row_of[read_of], idx.bucket_sid[probe_bucket]]
+    # query (the fallback's monotone pointers compute exactly this: clocks
+    # are monotone along a session, so a pointer only walks forward to it).
     where = np.searchsorted(idx.wb_comp, probe_bucket * _SIDX_SPAN + bound, side="right")
     has = where > idx.bucket_start[probe_bucket]
-    t2 = idx.wb_tid[np.maximum(where - 1, 0)]
+    hit = np.maximum(where - 1, 0)
+    t2 = idx.wb_tid[hit]
 
-    # Pass 5: pack and append the surviving edges wholesale.
+    # Pass 5: pack and append the edges that survive, those whose writer
+    # does not hb-precede t1, wholesale.
     t1e = t1[read_of]
-    emit = has & (t2 != t1e)
+    emit = has & (t2 != t1e) & ((idx.wb_comp[hit] & (_SIDX_SPAN - 1)) > floor)
     if not emit.any():
         return
     packed = (t2[emit].astype(np.uint64) << np.uint64(EDGE_SHIFT)) | t1e[emit].astype(
@@ -560,23 +585,21 @@ def saturate_cc_compiled(
     Dispatches to the vectorized kernel (:func:`_saturate_cc_vectorized`)
     when numpy is active and the selected transactions carry enough reads;
     otherwise runs the interpreted monotone-pointer walk.  Both emit the
-    same packed edges in the same order; returns which implementation ran.
+    same packed edges in the same order, leaving out those happens-before
+    implies; returns which implementation ran.
 
-    The per-(session, key) monotone pointers of the fallback live in two
-    flat ``array('q')`` rows indexed by the dense bucket ids of
+    The per-(session, key) monotone pointers of the fallback live in one
+    flat ``array('q')`` row indexed by the dense bucket ids of
     :func:`_writers_by_key_compiled` -- a C-level indexed read per probe,
-    where a dict of packed ``(ptr << EDGE_SHIFT) | t2`` values would box a
-    fresh big int per pointer advance.  Only the slots a session actually
-    touched are reset between sessions, so sessions with few reads stay
-    cheap.
+    where a dict would box a fresh int per pointer advance.  Only the slots
+    a session actually touched are reset between sessions, so sessions with
+    few reads stay cheap.
     """
     if ch.num_transactions > (1 << 31):
-        # The t2 scratch row stores writers pre-shifted by EDGE_SHIFT in a
-        # signed array('q') (and the vectorized composite assumes session
-        # indices below 2^31); a tid >= 2^31 would overflow the store deep
-        # in the loop below, so reject it here with the cause attached.
+        # The vectorized composite assumes session indices below 2^31 (see
+        # _SIDX_SPAN); reject larger histories here with the cause attached.
         raise ValueError(
-            "CC saturation's pre-shifted writer rows support at most "
+            "CC saturation's writer index supports at most "
             f"2^31 transactions; got {ch.num_transactions}"
         )
     if (
@@ -598,17 +621,15 @@ def saturate_cc_compiled(
     txn_start = ch.txn_start
     # This loop attempts an edge per (read, writing-session) pair; each
     # attempt is at most two raw appends into the relation's co log (the
-    # freeze collapses the duplicates).  The monotone pointer (ptr) and the
-    # hb-latest writer per bucket live in the two flat rows below; a stored
-    # ptr is always >= 1, so ptr == 0 doubles as the "never touched" marker
-    # the reset pass relies on.  The t2 row stores the writer *pre-shifted*
-    # (``t2 << EDGE_SHIFT``): the packed edge is then a single bitwise-or
-    # against the read's writer, and -1 still flags "no hb-latest writer".
+    # freeze collapses the duplicates).  The monotone pointer per bucket
+    # lives in the flat row below: ptr writers of the bucket sit at or
+    # below the largest bound walked so far, so the hb-latest writer is
+    # ``writer_list[ptr - 1]``, and ptr == 0 means there is none yet (and
+    # marks the slot untouched for the reset pass).
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
     check_bad = bool(bad_ops)
     ptrs = array("q", bytes(8 * num_buckets))
-    t2s = array("q", [-1]) * num_buckets
     touched: List[int] = []
 
     for session in ch.sessions:
@@ -629,27 +650,28 @@ def saturate_cc_compiled(
                 key_writers = writers_index[key]
                 if not key_writers:
                     continue
-                t1s = t1 << EDGE_SHIFT
+                floor = hb[t1]
                 for other, writer_list, writer_indices, count, bid in key_writers:
-                    ptr = ptrs[bid]
                     bound = clock[other]
+                    if bound <= floor[other]:
+                        # Every candidate of the bucket hb-precedes t1.  The
+                        # pointer may lag; a later, larger bound walks on.
+                        continue
+                    ptr = ptrs[bid]
                     if ptr < count and writer_indices[ptr] <= bound:
+                        if not ptr:
+                            touched.append(bid)
                         while ptr < count and writer_indices[ptr] <= bound:
                             ptr += 1
-                        t2s_val = writer_list[ptr - 1] << EDGE_SHIFT
-                        if not ptrs[bid]:
-                            touched.append(bid)
                         ptrs[bid] = ptr
-                        t2s[bid] = t2s_val
-                    else:
-                        t2s_val = t2s[bid]
-                    if t2s_val >= 0 and t2s_val != t1s:
-                        co_append(t2s_val | t1)
-                        cok_append(key)
+                    if ptr and writer_indices[ptr - 1] > floor[other]:
+                        t2 = writer_list[ptr - 1]
+                        if t2 != t1:
+                            co_append((t2 << EDGE_SHIFT) | t1)
+                            cok_append(key)
         # Pointer state is per-session: clear only the touched slots.
         for bid in touched:
             ptrs[bid] = 0
-            t2s[bid] = -1
         del touched[:]
     return "fallback"
 

@@ -484,9 +484,9 @@ class CompiledIncrementalChecker:
                 records = by_session[sid]
                 tid = self._next_tid
                 if tid >= (1 << 31):
-                    # Transaction ids are packed-edge endpoints (and the CC
-                    # saturation stores them pre-shifted in signed
-                    # array('q') slots); checked once per transaction.
+                    # Transaction ids are packed-edge endpoints (and CC
+                    # saturation's writer index keeps session indices
+                    # below 2^31); checked once per transaction.
                     raise HistoryFormatError(
                         "history has too many transactions for packed edges"
                     )

@@ -32,17 +32,17 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI runners without numpy
-    _np = None
-
 if os.environ.get("AWDIT_NO_NUMPY"):  # pragma: no cover - fallback CI leg
     # Forces the pure-Python fallbacks even where numpy is installed, so
-    # the fallback kernels stay testable on every runner.  This module is
-    # the one place the process decides: the compiled kernels and the
-    # online fold import ``_np`` from here.
+    # the fallback kernels stay testable on every runner; numpy is then
+    # never imported.  This module is the one place the process decides:
+    # the compiled kernels and the online fold import ``_np`` from here.
     _np = None
+else:
+    try:  # pragma: no cover - exercised implicitly by every test run
+        import numpy as _np
+    except ImportError:  # pragma: no cover - CI runners without numpy
+        _np = None
 
 __all__ = [
     "FrozenGraph",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import BASELINE_REGISTRY
 from repro.cli import build_parser, main
+from repro.core import IsolationLevel, check
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_history, save_history
 
@@ -126,6 +127,20 @@ class TestCheckCommand:
         for phase in ("build", "happens_before", "saturation", "cycle_check"):
             assert re.search(rf"^ +{phase} +\d+\.\d+$", err, re.M), phase
         assert "clock_join" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["batch", "stream"])
+    def test_profile_reports_relation_edge_counts(self, tmp_path, capsys, mode):
+        path = tmp_path / "bad.plume"
+        history = fig_4a()
+        save_history(history, str(path), fmt="plume")
+        stats = check(history, IsolationLevel.CAUSAL_CONSISTENCY).stats
+        assert stats["inferred_edges"] > 0
+        assert main(["check", str(path), "-i", "cc", "--profile"] + mode) == 1
+        err = capsys.readouterr().err
+        for name in ("co_edges", "inferred_edges"):
+            match = re.search(rf"^ +{name} +(\d+)$", err, re.M)
+            assert match is not None, name
+            assert int(match.group(1)) == stats[name], name
 
     @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["batch", "stream"])
     def test_missing_history_exits_two(self, tmp_path, capsys, mode):

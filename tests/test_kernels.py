@@ -13,13 +13,18 @@ finalize) relies on:
   vectorized path runs even on tiny inputs);
 * whole-check results (verdicts, violation kinds, witness renderings) never
   depend on which implementation ran;
-* the vectorized CC kernel's transaction chunking changes neither the co
+* the object oracle and both kernel sides leave out the same edges that
+  happens-before implies, in the same order, and what they keep has the
+  transitive closure, verdict and violation kinds of the definitional
+  checker (``repro.baselines.naive``);
+* the vectorized CC kernel's transaction chunking does not change the co
   log (one transaction per chunk, the whole history in one chunk, and the
-  scalar side agree) nor leaves its peak far above the co log it keeps;
+  scalar side agree), and it keeps the peak well below one whole pass's;
 * the 32-bit boundaries of the vectorized encodings hold: packed edges are
   unsigned, and the composite writer index spans a full ``2^32`` per bucket
   so a ``bound = -1`` probe cannot collide with the previous bucket
-  (mirroring ``tests/test_csr.py``'s packed-edge boundary coverage).
+  (mirroring ``tests/test_csr.py``'s packed-edge boundary coverage);
+* ``AWDIT_NO_NUMPY`` forces the fallbacks without importing numpy.
 """
 
 import os
@@ -33,7 +38,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import cc_relation_naive, check_cc_naive
 from repro.core import IsolationLevel, check
+from repro.core.cc import compute_happens_before, saturate_cc
+from repro.core.commit import CommitRelation
 from repro.core.compiled import compile_history
 from repro.core.compiled import kernels
 from repro.core.compiled.checkers import (
@@ -42,6 +50,7 @@ from repro.core.compiled.checkers import (
     compute_happens_before_compiled,
 )
 from repro.core.compiled.kernels import saturate_cc_compiled
+from repro.core.read_consistency import check_read_consistency
 from repro.graph.digraph import EDGE_SHIFT
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -88,15 +97,23 @@ def _fallback(monkeypatch_target=kernels):
     return _Ctx()
 
 
-def _saturation_logs(history):
-    """Run the CC saturation kernel; return its raw (co_log, co_keys) bytes."""
+def _compiled_cc_relation(history):
+    """The CC saturation kernel's relation (``None`` if cyclic) and which side ran."""
     ch = compile_history(history)
-    relation = _relation_from_compiled(ch)
     report = check_read_consistency_compiled(ch)
     hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
     if hb is None:
-        return None, None, "cyclic"
+        return None, "cyclic"
+    relation = _relation_from_compiled(ch)
     impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+    return relation, impl
+
+
+def _saturation_logs(history):
+    """Run the CC saturation kernel; return its raw (co_log, co_keys) bytes."""
+    relation, impl = _compiled_cc_relation(history)
+    if relation is None:
+        return None, None, impl
     return relation._co_log.tobytes(), relation._co_keys.tobytes(), impl
 
 
@@ -203,11 +220,13 @@ class TestCCChunking:
         one, whole, scalar = logs
         assert one[:2] == whole[:2] == scalar[:2]
 
-    def test_peak_bounded_by_retained_co_log(self, monkeypatch):
-        # 50 sessions and several chunks.  One whole-history pass peaks at
-        # 9.2x the co log it retains here (6.9-8.2x on the perfbench
-        # histories); 128-transaction chunks at 2.0x.
-        monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", 128)
+    def test_chunked_peak_bounded_by_whole_pass_peak(self, monkeypatch):
+        # 50 sessions and several chunks.  A pass's temporaries grow with
+        # the (read, writer-bucket) probes of its transactions; chunking
+        # bounds them.  The co log is no yardstick: nearly every edge is
+        # implied by happens-before here and is never emitted.  So the
+        # bound is one whole-history pass on the same history, which
+        # 128-transaction chunks peak at about a fifth of.
         history = generate_random_history(
             RandomHistoryConfig(
                 num_sessions=50,
@@ -220,22 +239,119 @@ class TestCCChunking:
             )
         )
         ch = compile_history(history)
-        relation = _relation_from_compiled(ch)
         report = check_read_consistency_compiled(ch)
         hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
         assert hb is not None
         kernels._cc_index(ch)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert impl == "vectorized"
-        retained = len(relation._co_log) * 8 + len(relation._co_keys) * 8
-        assert retained > 0
-        assert peak <= 3 * retained, (peak, retained)
+
+        def peak(chunk):
+            monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", chunk)
+            relation = _relation_from_compiled(ch)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                impl = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+                result = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert impl == "vectorized"
+            return result
+
+        chunked, whole = peak(128), peak(1 << 30)
+        assert 3 * chunked <= whole, (chunked, whole)
+
+
+def _object_cc_relation(history):
+    """The object oracle's saturated relation, or ``None`` if ``so ∪ wr`` is cyclic."""
+    report = check_read_consistency(history)
+    hb, _ = compute_happens_before(history, report.bad_reads)
+    if hb is None:
+        return None
+    relation = CommitRelation(history)
+    saturate_cc(history, relation, hb, report.bad_reads)
+    return relation
+
+
+def _closure(relation):
+    """Every vertex's set of vertices reachable by one or more edges."""
+    graph = relation.freeze()
+    offsets, targets = graph.offsets, graph.targets
+    reach = []
+    for vertex in range(graph.num_vertices):
+        seen = set()
+        stack = [vertex]
+        while stack:
+            source = stack.pop()
+            for target in targets[offsets[source] : offsets[source + 1]]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        reach.append(seen)
+    return reach
+
+
+class TestHbImpliedEdgesDropped:
+    """All three CC sides leave out the edges happens-before already implies.
+
+    ``repro.baselines.naive`` keeps every edge the CC axiom forces; it is
+    the definition the pruned relations are held to.
+    """
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        config=history_configs,
+        anomaly=st.sampled_from([None, *INJECTABLE_ANOMALIES]),
+        anomaly_seed=st.integers(0, 1000),
+    )
+    def test_closure_and_verdict_match_the_definition(
+        self, config, anomaly, anomaly_seed, force_vectorized
+    ):
+        history = generate_random_history(config)
+        if anomaly is not None:
+            try:
+                history = inject_anomaly(history, anomaly, rng=random.Random(anomaly_seed))
+            except ValueError:
+                # Some anomalies need a minimum history shape.
+                pass
+
+        naive = check_cc_naive(history)
+        for result in (check(history, CC, engine="object"), check(history, CC)):
+            assert result.is_consistent == naive.is_consistent
+            assert result.violation_kinds() == naive.violation_kinds()
+
+        oracle = _object_cc_relation(history)
+        with _fallback():
+            scalar, scalar_impl = _compiled_cc_relation(history)
+        if oracle is None:
+            assert scalar is None
+            return
+        assert scalar_impl == "fallback"
+        sides = [scalar]
+        if kernels.HAVE_NUMPY:
+            vectorized, vectorized_impl = _compiled_cc_relation(history)
+            assert vectorized_impl == "vectorized"
+            sides.append(vectorized)
+
+        # Same edges, same keys, same order on every side.
+        emitted = list(zip(oracle._co_log, oracle._co_keys))
+        key_names = compile_history(history).key_table.values
+        for side in sides:
+            assert list(zip(side._co_log, (key_names[k] for k in side._co_keys))) == (
+                emitted
+            )
+
+        # The dropped edges were implied: the closure is the definition's.
+        report = check_read_consistency(history)
+        expected = _closure(cc_relation_naive(history, report.bad_reads))
+        for relation in (oracle, *sides):
+            assert _closure(relation) == expected
 
 
 class TestCompositeProbeBoundary:
@@ -309,6 +425,21 @@ class TestCompositeProbeBoundary:
 
 class TestEnvFlag:
     """AWDIT_NO_NUMPY forces the fallback kernels process-wide."""
+
+    def test_flag_keeps_numpy_out_of_the_process(self):
+        # The flag is read before numpy would be imported, so a process
+        # that runs only the pure-Python sides never pays numpy's import.
+        script = "import sys\nimport repro.cli\nprint('numpy' in sys.modules)\n"
+        env = dict(os.environ)
+        env["AWDIT_NO_NUMPY"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_flag_disables_numpy_probes(self):
         script = (
