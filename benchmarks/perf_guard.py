@@ -42,9 +42,9 @@ import time
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
-from repro.core.compiled import kernels
 from repro.core.compiled.checkers import check_cc_compiled
 from repro.core.compiled.ir import compile_history
+from repro.graph import csr
 from repro.histories.formats import plume_text
 from repro.histories.generator import (
     RandomHistoryConfig,
@@ -198,13 +198,13 @@ def main() -> int:
             classify_kernel = stream_result.stats.get("classify_kernel")
 
     failed = False
-    if kernels.HAVE_NUMPY and kernel_used != "vectorized":
+    if csr.HAVE_NUMPY and kernel_used != "vectorized":
         print(
             f"perf-guard: numpy is importable but the batch check reported "
             f"the {kernel_used!r} saturation kernel -- REGRESSION"
         )
         failed = True
-    if kernels.HAVE_NUMPY and classify_kernel != "vectorized":
+    if csr.HAVE_NUMPY and classify_kernel != "vectorized":
         print(
             f"perf-guard: numpy is importable but the stream reported the "
             f"{classify_kernel!r} classify kernel -- REGRESSION"

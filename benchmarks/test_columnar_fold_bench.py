@@ -37,7 +37,7 @@ import pytest
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
-from repro.core.compiled import kernels
+from repro.graph import csr
 from repro.histories.formats import plume_text, save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import (
@@ -97,7 +97,7 @@ def test_bench10_snapshot(tmp_path, results):
     bench9_cal = bench9["machine_calibration_seconds"]
     sweep_baseline = bench9["stream_cc_seconds_by_batch_ops"]
 
-    if not kernels.HAVE_NUMPY:
+    if not csr.HAVE_NUMPY:
         pytest.skip("the vectorized kernels need numpy; no perf gate")
 
     history = _fig9_history()

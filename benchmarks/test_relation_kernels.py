@@ -111,16 +111,13 @@ def _synthetic_edges(num_vertices: int, num_edges: int, seed: int):
 
 
 def _fallback(fn, *args):
-    saved = csr._np
-    csr._np = None
-    try:
+    with csr.numpy_disabled():
         return fn(*args)
-    finally:
-        csr._np = saved
 
 
 def test_bench5_snapshot(tmp_path, results):
     """Record the frozen-CSR relation-core perf snapshot in ``BENCH_5.json``."""
+    csr.load_numpy()  # the vectorized freeze runs once numpy is loaded
     bench2 = _committed("BENCH_2.json")
     bench3 = _committed("BENCH_3.json")
     bench4 = _committed("BENCH_4.json")
@@ -262,6 +259,7 @@ def test_bench5_snapshot(tmp_path, results):
 
 def test_fallback_freeze_matches_vectorized_on_synthetic_sets():
     """The CI-runner (no numpy) freeze produces bit-identical CSR rows."""
+    csr.load_numpy()
     for num_vertices, num_edges in ((5_000, 20_000), (200, 20_000)):
         edges = _synthetic_edges(num_vertices, num_edges, seed=3)
         vectorized = freeze_packed(num_vertices, (edges,))

@@ -48,6 +48,7 @@ from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
 from repro.core.compiled import kernels
+from repro.graph import csr
 from repro.histories.formats import plume_text, save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import (
@@ -147,7 +148,7 @@ def test_bench9_snapshot(tmp_path, results):
     sweep_baseline = bench7["stream_cc_seconds_by_batch_ops"]
     bench7_cal = bench7["machine_calibration_seconds"]
 
-    if not kernels.HAVE_NUMPY:
+    if not csr.HAVE_NUMPY:
         pytest.skip("vectorized resolve kernel needs numpy; no perf gate")
 
     history = _fig9_history()

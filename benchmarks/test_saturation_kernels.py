@@ -55,6 +55,7 @@ from repro.core.compiled.checkers import (
     compute_happens_before_compiled,
 )
 from repro.core.compiled.ir import compile_history
+from repro.graph import csr
 from repro.histories.formats import save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
@@ -118,7 +119,7 @@ def test_bench7_snapshot(tmp_path, results):
     clock_join_baseline = bench6["stream_fold_phase_seconds"]["fold_clock_join"]
     bench6_cal = bench6["machine_calibration_seconds"]
 
-    if not kernels.HAVE_NUMPY:
+    if not csr.HAVE_NUMPY:
         pytest.skip("vectorized kernels need numpy; fallback has no perf gate")
 
     history = _fig9_history()
@@ -155,18 +156,14 @@ def test_bench7_snapshot(tmp_path, results):
     report = check_read_consistency_compiled(ch)
     hb, _cycles = compute_happens_before_compiled(ch, report.bad_ops)
 
-    def _saturate():
+    def _saturate(side="vectorized"):
         relation = _relation_from_compiled(ch)
-        kernels.saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+        assert kernels.saturate_cc_compiled(ch, relation, hb, report.bad_ops) == side
         return relation
 
     def _saturate_fallback():
-        saved = kernels._np
-        kernels._np = None
-        try:
-            return _saturate()
-        finally:
-            kernels._np = saved
+        with csr.numpy_disabled():
+            return _saturate("fallback")
 
     vectorized_lap = _best_of(_saturate)
     fallback_lap = _best_of(_saturate_fallback)

@@ -27,6 +27,9 @@ The package is organised as follows:
   per transaction plus the inferred edges that finalize replays.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
+The names below are imported on first access (PEP 562), so importing the
+package loads none of these modules.
+
 Quickstart::
 
     from repro import History, Transaction, read, write, check, IsolationLevel
@@ -39,58 +42,36 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.core import (
-    CheckResult,
-    CycleViolation,
-    History,
-    IsolationLevel,
-    Operation,
-    OpKind,
-    OpRef,
-    Transaction,
-    Violation,
-    ViolationKind,
-    check,
-    check_all_levels,
-    check_cc,
-    check_ra,
-    check_rc,
-    check_read_consistency,
-    read,
-    write,
-)
-from repro.core.compiled import (
-    CompiledHistory,
-    check_compiled,
-    compile_history,
-)
-from repro.stream import CompiledIncrementalChecker, check_stream_file
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "History": "repro.core.model",
+    "Transaction": "repro.core.model",
+    "Operation": "repro.core.model",
+    "OpKind": "repro.core.model",
+    "OpRef": "repro.core.model",
+    "read": "repro.core.model",
+    "write": "repro.core.model",
+    "IsolationLevel": "repro.core.isolation",
+    "check": "repro.core.checker",
+    "check_all_levels": "repro.core.checker",
+    "check_rc": "repro.core.rc",
+    "check_ra": "repro.core.ra",
+    "check_cc": "repro.core.cc",
+    "check_read_consistency": "repro.core.read_consistency",
+    "CheckResult": "repro.core.result",
+    "Violation": "repro.core.violations",
+    "ViolationKind": "repro.core.violations",
+    "CycleViolation": "repro.core.violations",
+    "CompiledHistory": "repro.core.compiled.ir",
+    "check_compiled": "repro.core.compiled.checkers",
+    "compile_history": "repro.core.compiled.ir",
+    "CompiledIncrementalChecker": "repro.core.compiled.online",
+    "check_stream_file": "repro.stream.runner",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "History",
-    "Transaction",
-    "Operation",
-    "OpKind",
-    "OpRef",
-    "read",
-    "write",
-    "IsolationLevel",
-    "check",
-    "check_all_levels",
-    "check_rc",
-    "check_ra",
-    "check_cc",
-    "check_read_consistency",
-    "CheckResult",
-    "Violation",
-    "ViolationKind",
-    "CycleViolation",
-    "CompiledHistory",
-    "check_compiled",
-    "compile_history",
-    "CompiledIncrementalChecker",
-    "check_stream_file",
-    "__version__",
-]

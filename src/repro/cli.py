@@ -22,11 +22,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core import IsolationLevel, check
+from repro.baselines import BASELINE_REGISTRY
+from repro.core.checker import check
+from repro.core.isolation import IsolationLevel
 from repro.core.result import CheckResult
 from repro.core.witnesses import format_report
-from repro.histories.formats import FORMATS, load_history, save_history
-from repro.baselines import BASELINE_REGISTRY
+from repro.graph.csr import load_numpy
+from repro.histories.formats import FORMATS, load_compiled, load_history, save_history
 
 __all__ = ["main", "build_parser"]
 
@@ -349,11 +351,14 @@ def _run_check(args: argparse.Namespace) -> int:
             timings=profile_timings,
         )
     elif checker_name in ("awdit", "default"):
+        if level is IsolationLevel.CAUSAL_CONSISTENCY:
+            # CC is the level whose kernels win from numpy; load it before
+            # the parse, so the IR build's unique-writes resolution runs
+            # its numpy side too.  RC and RA never load it (repro.graph.csr).
+            load_numpy()
         if args.engine in ("auto", "compiled"):
             # The compiled path can ingest the file without materializing
             # the object model at all.
-            from repro.histories.formats import load_compiled
-
             compiled = load_compiled(
                 args.history,
                 fmt=args.format,
@@ -423,8 +428,6 @@ def _run_convert(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    from repro.histories.formats import load_compiled
-
     if args.stream:
         return _run_stats_stream(args)
     compiled = load_compiled(args.history, fmt=args.format)

@@ -36,6 +36,7 @@ from repro.graph.csr import (
     FrozenGraph,
     find_cycle_in_component_frozen,
     freeze_packed,
+    load_numpy,
     scc_frozen,
     toposort_frozen,
 )
@@ -291,8 +292,10 @@ def check_cc(
     If ``so ∪ wr`` is cyclic the causality-cycle witnesses are reported and
     the CC-specific saturation is skipped (as discussed in Section 3.4, CC
     checking past a causality cycle produces an avalanche of spurious
-    reports).
+    reports).  Like every CC check, it loads numpy first (see
+    :mod:`repro.graph.csr`).
     """
+    load_numpy()
     watch = Stopwatch()
     report = read_consistency or check_read_consistency(history)
     watch.lap("read_consistency")

@@ -12,7 +12,8 @@ Public surface:
 * :class:`CompiledIncrementalChecker` -- the compiled *streaming* front end
   (:mod:`repro.core.compiled.online`): read resolution and classification
   folded online over raw parser records, then these checkers on the
-  resolved IR at finalize, with checkpoint/resume.
+  resolved IR at finalize, with checkpoint/resume.  Its names are imported
+  on first access (PEP 562), so a batch check never loads the fold.
 * :class:`Intern` -- the dense interning table (also used by the streaming
   checker's fold).
 """
@@ -29,10 +30,15 @@ from repro.core.compiled.ir import (
     Intern,
     compile_history,
 )
-from repro.core.compiled.online import (
-    CompiledIncrementalChecker,
-    check_stream_compiled,
-    load_checkpoint,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CompiledIncrementalChecker": "repro.core.compiled.online",
+        "check_stream_compiled": "repro.core.compiled.online",
+        "load_checkpoint": "repro.core.compiled.online",
+    },
 )
 
 __all__ = [

@@ -51,7 +51,7 @@ from repro.core.violations import (
     Violation,
     ViolationKind,
 )
-from repro.graph.csr import freeze_packed, toposort_frozen
+from repro.graph.csr import freeze_packed, load_numpy, toposort_frozen
 from repro.graph.digraph import EDGE_SHIFT
 
 __all__ = [
@@ -525,8 +525,10 @@ def cc_cycles(
     A cycle in ``so ∪ wr`` itself ends the check with causality-cycle
     violations (and no stats).  Otherwise the saturated ``co'`` is searched
     for cycles, and the stats name the saturation kernel that ran.  Laps
-    ``happens_before``, then ``saturation`` and ``cycle_check``.
+    ``happens_before``, then ``saturation`` and ``cycle_check``.  Loads
+    numpy first, so the CC kernels run their numpy sides for every caller.
     """
+    load_numpy()
     hb, cycle_violations = compute_happens_before_compiled(ch, bad_ops)
     watch.lap("happens_before")
     if hb is None:

@@ -18,12 +18,16 @@ benchmarked workload (the kernel census in ``README.md``): CC saturation
 (:func:`saturate_cc_compiled`, in fixed-size transaction chunks so its
 temporaries stay bounded), the streaming fold's batch read resolution
 (:func:`resolve_reads` over :class:`WritesIndex`), and unique-writes
-resolution (:func:`resolve_unique_writes`).  The vectorized side runs when
-:mod:`repro.graph.csr`, the one module that decides whether this process
-uses numpy, found it usable, and when the input is large enough to
-amortize array setup (``_MIN_VECTOR_READS``); the scalar side is the only
-path on a machine without numpy.  RC and RA saturation are scalar only:
-their vectorized sides were slower than the loop.
+resolution (:func:`resolve_unique_writes`).  :mod:`repro.graph.csr` is the
+one module that imports numpy, and only a CC check loads it (CC saturation
+here calls :func:`~repro.graph.csr.load_numpy` for callers that get there
+first); each side reads the module through ``csr`` at call time.  So the
+vectorized side runs when numpy is already loaded and the input is large
+enough to amortize array setup (``_MIN_VECTOR_READS``), and an RC or RA
+check runs the scalar sides unless something earlier in the process loaded
+numpy.  The scalar side is the only path on a machine without numpy.  RC
+and RA saturation are scalar only: their vectorized sides were slower than
+the loop.
 
 The two sides of a kept kernel produce byte-identical output in the
 identical order, so verdicts, violation lists, and witness renderings never
@@ -60,11 +64,10 @@ from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, T
 
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, _VALUE_SHIFT
-from repro.graph.csr import HAVE_NUMPY, _np
+from repro.graph import csr as _csr
 from repro.graph.digraph import EDGE_SHIFT
 
 __all__ = [
-    "HAVE_NUMPY",
     "saturate_rc_txn",
     "saturate_rc_compiled",
     "saturate_ra_txn",
@@ -378,7 +381,7 @@ def _build_cc_index(ch: CompiledHistory) -> Optional[_CCIndex]:
     always produce ascending sessions, but a hand-built ``History`` may not,
     and the writer rows must be session-ordered for ``searchsorted``.
     """
-    np = _np
+    np = _csr._np
     num_txn = ch.num_transactions
     num_keys = ch.num_keys
     k = ch.num_sessions
@@ -476,7 +479,7 @@ def _saturate_cc_vectorized(
     positions, so the filtered edge runs append in the same sequence the
     interpreted loop's appends would.
     """
-    np = _np
+    np = _csr._np
     committed = ch.txn_committed
     t3s = [
         t3
@@ -505,7 +508,7 @@ def _saturate_cc_chunk(
     ``clocks[t * k + s]`` is transaction ``t``'s happens-before clock at
     session ``s``.
     """
-    np = _np
+    np = _csr._np
     tids = np.asarray(chunk, dtype=np.int64)
 
     # Pass 1: expand every external read of the selected transactions.
@@ -582,8 +585,9 @@ def saturate_cc_compiled(
 ) -> str:
     """CC saturation on the IR (mirror of ``saturate_cc``).
 
-    Dispatches to the vectorized kernel (:func:`_saturate_cc_vectorized`)
-    when numpy is active and the selected transactions carry enough reads;
+    Loads numpy (a CC check is where it pays for its import) and dispatches
+    to the vectorized kernel (:func:`_saturate_cc_vectorized`) when it is
+    available and the selected transactions carry enough reads;
     otherwise runs the interpreted monotone-pointer walk.  Both emit the
     same packed edges in the same order, leaving out those happens-before
     implies; returns which implementation ran.
@@ -603,7 +607,7 @@ def saturate_cc_compiled(
             f"2^31 transactions; got {ch.num_transactions}"
         )
     if (
-        _np is not None
+        _csr.load_numpy() is not None
         and isinstance(relation._co_keys, array)
         and ch._xr_start[ch.num_transactions] >= _MIN_VECTOR_READS
     ):
@@ -846,13 +850,13 @@ class WritesIndex:
     )
 
     def __init__(self) -> None:
-        self._enabled = _np is not None
+        self._enabled = _csr._np is not None
         self._dirty = True
         if self._enabled:
             self._reset()
 
     def _reset(self) -> None:
-        np = _np
+        np = _csr._np
         self.m_wid = np.zeros(0, dtype=np.int64)
         self.m_tid = np.zeros(0, dtype=np.int64)
         self.m_wx = np.zeros(0, dtype=np.int64)
@@ -918,7 +922,7 @@ class WritesIndex:
 
     def note_update(self, wid: int, tid: int, windex: int, final: bool, committed: bool) -> None:
         """A supersede replaced the dict entry for ``wid`` in place."""
-        np = _np
+        np = _csr._np
         if not self._enabled or self._dirty:
             return
         flag = (2 if final else 0) | (1 if committed else 0)
@@ -963,7 +967,7 @@ class WritesIndex:
         return True
 
     def _rebuild(self, writes: Dict[int, tuple], committed_of) -> None:
-        np = _np
+        np = _csr._np
         self._reset()
         n = len(writes)
         if n:
@@ -990,7 +994,7 @@ class WritesIndex:
         # first), so this is a two-run merge of already-sorted columns:
         # searchsorted positions plus one masked scatter per column, with
         # no argsort over the whole registry.
-        np = _np
+        np = _csr._np
         a_wid = self.m_wid
         b_wid = self.s_wid
         pos = np.searchsorted(a_wid, b_wid)
@@ -1025,7 +1029,7 @@ class WritesIndex:
         # the whole tail each batch costs a per-element Python list -> array
         # conversion of the entire tail, which dominated the classify lap
         # (~0.8s) on 600k-op streams.
-        np = _np
+        np = _csr._np
         t_wid = self.t_wid
         n = len(t_wid)
         k = self.t_synced
@@ -1074,7 +1078,7 @@ class WritesIndex:
 
     def contains(self, wids) -> "object":
         """Boolean array: is each wid registered (main or tail)?"""
-        np = _np
+        np = _csr._np
         found = np.zeros(wids.shape[0], dtype=bool)
         for col in (self.m_wid, self.s_wid):
             if col.shape[0]:
@@ -1085,7 +1089,7 @@ class WritesIndex:
 
     def lookup(self, wids):
         """``(found, tid, windex, flag)`` arrays; flag = final<<1 | committed."""
-        np = _np
+        np = _csr._np
         n = wids.shape[0]
         found = np.zeros(n, dtype=bool)
         tid = np.full(n, -1, dtype=np.int64)
@@ -1141,7 +1145,7 @@ def resolve_reads(
     (property-tested in ``tests/test_resolve_kernel.py``).
     """
     if (
-        _np is not None
+        _csr._np is not None
         and index is not None
         and len(kinds) >= _MIN_VECTOR_READS
         and index.ensure(writes, committed_of)
@@ -1159,7 +1163,7 @@ def resolve_reads(
 def _resolve_reads_vectorized(
     index, kid_col, vid_col, kinds, txn_end, committed_col, tid0
 ):
-    np = _np
+    np = _csr._np
     n = len(kinds)
     num_txn = len(txn_end)
     kid = np.asarray(kid_col, dtype=np.int64)
@@ -1508,7 +1512,7 @@ def resolve_unique_writes(op_kind, op_key, op_value):
     history.  Vectorized and fallback are bit-identical.
     """
     n = len(op_key)
-    if _np is not None and n >= _MIN_VECTOR_READS:
+    if _csr._np is not None and n >= _MIN_VECTOR_READS:
         out = _resolve_unique_writes_vectorized(op_kind, op_key, op_value)
         if out is not None:
             return out
@@ -1516,7 +1520,7 @@ def resolve_unique_writes(op_kind, op_key, op_value):
 
 
 def _resolve_unique_writes_vectorized(op_kind, op_key, op_value):
-    np = _np
+    np = _csr._np
     n = len(op_key)
     key = np.frombuffer(op_key, dtype=np.int64)
     value = np.frombuffer(op_value, dtype=np.int64)

@@ -84,6 +84,7 @@ from repro.core.violations import (
     ViolationKind,
 )
 from repro.core.compiled import kernels as _kernels
+from repro.graph.csr import load_numpy
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
 
 __all__ = [
@@ -239,6 +240,10 @@ class CompiledIncrementalChecker:
         # rebind table is maintained on the hot path.
         self._pending = _kernels.ParkQueue()
 
+        if self._cc_enabled:
+            # A CC check loads numpy before the fold, so read resolution
+            # runs the same side as CC saturation will (repro.graph.csr).
+            load_numpy()
         #: Derived kernel cache (never pickled, rebuilt after restore): the
         #: sorted flat mirror of ``_writes`` behind ``kernels.resolve_reads``.
         self._writes_index = _kernels.WritesIndex()
@@ -1076,6 +1081,8 @@ class CompiledIncrementalChecker:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        if self._cc_enabled:
+            load_numpy()
         self._writes_index = _kernels.WritesIndex()
 
     # -- session bookkeeping ---------------------------------------------------

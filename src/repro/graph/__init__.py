@@ -15,38 +15,29 @@ needed for that reduction:
   (``ComputeHB``) and by the Plume-like baseline.
 * :mod:`repro.graph.tree_clock` -- the tree-clock data structure (Mathur et
   al. 2022) that the Plume baseline uses for faster joins.
+
+The names below are imported on first access (PEP 562), so importing one
+submodule (the checkers import :mod:`repro.graph.csr`) loads no other.
 """
 
-from repro.graph.digraph import DiGraph
-from repro.graph.csr import (
-    FrozenGraph,
-    freeze_packed,
-    scc_frozen,
-    toposort_frozen,
-    find_cycle_in_component_frozen,
-)
-from repro.graph.cycles import (
-    strongly_connected_components,
-    topological_sort,
-    has_cycle,
-    find_cycle,
-    find_cycle_in_component,
-)
-from repro.graph.vector_clock import VectorClock
-from repro.graph.tree_clock import TreeClock
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiGraph",
-    "FrozenGraph",
-    "freeze_packed",
-    "scc_frozen",
-    "toposort_frozen",
-    "find_cycle_in_component_frozen",
-    "strongly_connected_components",
-    "topological_sort",
-    "has_cycle",
-    "find_cycle",
-    "find_cycle_in_component",
-    "VectorClock",
-    "TreeClock",
-]
+_EXPORTS = {
+    "DiGraph": "repro.graph.digraph",
+    "FrozenGraph": "repro.graph.csr",
+    "freeze_packed": "repro.graph.csr",
+    "scc_frozen": "repro.graph.csr",
+    "toposort_frozen": "repro.graph.csr",
+    "find_cycle_in_component_frozen": "repro.graph.csr",
+    "strongly_connected_components": "repro.graph.cycles",
+    "topological_sort": "repro.graph.cycles",
+    "has_cycle": "repro.graph.cycles",
+    "find_cycle": "repro.graph.cycles",
+    "find_cycle_in_component": "repro.graph.cycles",
+    "VectorClock": "repro.graph.vector_clock",
+    "TreeClock": "repro.graph.tree_clock",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

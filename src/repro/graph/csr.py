@@ -10,10 +10,21 @@ index arithmetic.  Freezing is the *single* de-duplication point of the
 relation layer: the hot loops never probe a hash table per edge, they only
 append, and parallel edges collapse here.
 
-When ``numpy`` is importable the sort/dedup/offset-counting runs vectorized
-(``np.unique`` + ``np.bincount``); otherwise a pure-Python fallback produces
-bit-identical structures, so environments without numpy (the CI matrix
-installs none) lose only constant factors, never results.
+This is the one module that imports numpy, and it does so lazily.
+:data:`HAVE_NUMPY` says whether numpy is installed and ``AWDIT_NO_NUMPY``
+leaves it on; it is found without importing numpy.  :func:`load_numpy`
+imports it on its first call, and the isolation level decides who calls
+it: a CC check does, before it reads the history (the CLI, the streaming
+checker built for CC, and ``cc_cycles``/CC saturation for library callers),
+because CC saturation is the one kernel where numpy wins more than its
+import costs.  RC and RA never load numpy.  Every numpy side -- the freeze,
+distinct count and toposort here, and the kernels of
+:mod:`repro.core.compiled.kernels` -- reads ``_np`` from this module at call
+time, so it runs only once numpy is loaded (and, in the kernels, when its
+input clears ``_MIN_VECTOR_READS``).  Otherwise a pure-Python fallback
+produces bit-identical structures, so a process without numpy loses only
+constant factors, never results.  :func:`numpy_disabled` is the switch the
+tests use to force the fallbacks.
 
 Packed edges are unsigned 64-bit values: an endpoint may use all
 ``EDGE_SHIFT`` bits, so the logs must be ``array('Q')`` (or plain ints) --
@@ -26,23 +37,13 @@ equal outputs.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from array import array
+from contextlib import contextmanager
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
-
-if os.environ.get("AWDIT_NO_NUMPY"):  # pragma: no cover - fallback CI leg
-    # Forces the pure-Python fallbacks even where numpy is installed, so
-    # the fallback kernels stay testable on every runner; numpy is then
-    # never imported.  This module is the one place the process decides:
-    # the compiled kernels and the online fold import ``_np`` from here.
-    _np = None
-else:
-    try:  # pragma: no cover - exercised implicitly by every test run
-        import numpy as _np
-    except ImportError:  # pragma: no cover - CI runners without numpy
-        _np = None
 
 __all__ = [
     "FrozenGraph",
@@ -52,11 +53,56 @@ __all__ = [
     "toposort_frozen",
     "find_cycle_in_component_frozen",
     "HAVE_NUMPY",
+    "load_numpy",
+    "numpy_disabled",
 ]
 
-#: Whether the vectorized kernels (here and in the compiled layer) are
-#: active in this process.
-HAVE_NUMPY = _np is not None
+#: Whether numpy is installed and ``AWDIT_NO_NUMPY`` leaves it on.  The
+#: flag forces the pure-Python fallbacks even where numpy is installed, so
+#: they stay testable on every runner.  :func:`load_numpy` clears this when
+#: the import fails.
+HAVE_NUMPY = (
+    not os.environ.get("AWDIT_NO_NUMPY")
+    and importlib.util.find_spec("numpy") is not None
+)
+
+#: The numpy module once :func:`load_numpy` has imported it, else ``None``.
+_np = None
+
+
+def load_numpy():
+    """Import numpy on the first call; return it, or ``None`` without it.
+
+    A numpy that is installed but does not import (a broken or half-removed
+    package) turns the numpy sides off for the rest of the process, so the
+    check in progress finishes on the fallbacks with the same output.
+    """
+    global _np, HAVE_NUMPY
+    if _np is None and HAVE_NUMPY:
+        try:
+            import numpy
+        except ImportError:
+            HAVE_NUMPY = False
+        else:
+            _np = numpy
+    return _np
+
+
+@contextmanager
+def numpy_disabled():
+    """Run the body on the pure-Python sides, as ``AWDIT_NO_NUMPY`` does.
+
+    Within it :func:`load_numpy` returns ``None`` and every side reads
+    ``_np`` as ``None``; the state before is restored on exit.  This is the
+    one seam the tests and benchmarks use to pin a kernel's fallback.
+    """
+    global _np, HAVE_NUMPY
+    saved = _np, HAVE_NUMPY
+    _np, HAVE_NUMPY = None, False
+    try:
+        yield
+    finally:
+        _np, HAVE_NUMPY = saved
 
 
 class FrozenGraph:

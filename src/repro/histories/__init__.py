@@ -7,13 +7,19 @@
 * :mod:`repro.histories.formats` -- on-disk formats: the native JSON format
   plus parsers/serializers in the spirit of the formats consumed by Plume,
   DBCop, and Cobra (Section 5 of the paper).
+
+The names below are imported on first access (PEP 562), so reading a
+history file never loads the generator.
 """
 
-from repro.histories.builder import HistoryBuilder
-from repro.histories.generator import RandomHistoryConfig, generate_random_history
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HistoryBuilder",
-    "RandomHistoryConfig",
-    "generate_random_history",
-]
+_EXPORTS = {
+    "HistoryBuilder": "repro.histories.builder",
+    "RandomHistoryConfig": "repro.histories.generator",
+    "generate_random_history": "repro.histories.generator",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

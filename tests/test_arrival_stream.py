@@ -14,12 +14,17 @@ oracle's at every level, at every batch size, across a checkpoint taken
 anywhere in the stream, and without numpy; and the co log its finalize
 hands each commit relation is the compiled batch engine's, attempt for
 attempt.  Every transaction stays resident: transaction ``tid`` is fold
-row ``tid`` for the whole run.
+row ``tid`` for the whole run.  Through the CLI, a file whose sessions
+first appear out of id order gets the same verdict line, violation count
+and kinds from ``check`` and ``check --stream``, though the witnesses may
+differ.
 """
 
+import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -27,12 +32,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import IsolationLevel, check
 from repro.core.commit import CommitRelation
 from repro.core.compiled import kernels
 from repro.core.compiled.checkers import check_compiled, check_read_consistency_compiled
 from repro.core.exceptions import HistoryFormatError
 from repro.core.compiled.ir import CompiledHistoryBuilder
+from repro.graph import csr
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.histories.formats import plume_text
 from repro.histories.generator import (
@@ -242,15 +249,15 @@ class TestCoLogParity:
     @pytest.mark.parametrize("batch_ops", [7, 4096])
     @pytest.mark.parametrize("name", sorted(GENERATOR_CONFIGS))
     def test_online_co_log_equals_batch(self, monkeypatch, name, batch_ops, use_numpy):
-        if use_numpy and kernels._np is None:
+        if use_numpy and not csr.HAVE_NUMPY:
             pytest.skip("numpy is not available")
-        if use_numpy:
-            # Every CC saturation takes the vectorized side.
-            monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
-        else:
-            monkeypatch.setattr(kernels, "_np", None)
+        # Every CC saturation takes the vectorized side with numpy (the CC
+        # check loads it), and the scalar side under numpy_disabled.
+        monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
+        side = contextlib.nullcontext() if use_numpy else csr.numpy_disabled()
         history, order = generate_random_stream(GENERATOR_CONFIGS[name])
         records = arrival_records(history, order)
+        kernels_used = []
 
         def run_batch():
             builder = CompiledHistoryBuilder()
@@ -258,17 +265,21 @@ class TestCoLogParity:
                 builder.add_transaction(sid, *raw)
             ch = builder.finalize(sort_sessions=False)
             for level in LEVELS:
-                check_compiled(ch, level)
+                kernels_used.append(check_compiled(ch, level).stats.get("saturation_kernel"))
 
         def run_online():
             checker = CompiledIncrementalChecker()
             checker.extend_raw(iter(records), batch_ops=batch_ops)
-            checker.finalize()
+            results = checker.finalize()
+            kernels_used.extend(r.stats.get("saturation_kernel") for r in results.values())
 
-        want = self._co_logs(monkeypatch, run_batch)
-        got = self._co_logs(monkeypatch, run_online)
+        with side:
+            want = self._co_logs(monkeypatch, run_batch)
+            got = self._co_logs(monkeypatch, run_online)
         assert len(want) >= 2 and any(want)
         assert got == want
+        ran = set(kernels_used) - {None}
+        assert ran <= {"vectorized" if use_numpy else "fallback"}
 
 
 class TestResolvedHistory:
@@ -412,9 +423,9 @@ class TestArrivalOrderWithoutNumpy:
     _SCRIPT = (
         "import json, sys\n"
         "from repro.core import IsolationLevel\n"
-        "from repro.core.compiled import kernels\n"
+        "from repro.graph import csr\n"
         "from repro.stream import check_stream_file\n"
-        "assert kernels._np is None\n"
+        "assert not csr.HAVE_NUMPY\n"
         "out = []\n"
         "for level in IsolationLevel:\n"
         "    r = check_stream_file(sys.argv[1], level, fmt='plume')\n"
@@ -453,3 +464,60 @@ class TestArrivalOrderWithoutNumpy:
         ]
         assert json.loads(proc.stdout) == want
         assert not all(row[1] for row in want)
+
+
+class TestSessionsFirstSeenOutOfOrder:
+    """``check`` and ``check --stream`` agree on what is wrong, not on the witness.
+
+    Batch numbers sessions by sorted external id; the stream numbers them
+    in the order it first sees them.  When a file's sessions first appear
+    as 2, 0, 1 the two engines search differently numbered relations, so
+    they may print another cycle or list the violations in another order.
+    The verdict line, the violation count and the per-kind counts must
+    still be equal at every level.
+    """
+
+    @staticmethod
+    def _order(history, seed):
+        """An arrival order whose sessions first appear as 2, 0, 1."""
+        firsts = [history.sessions[sid][0] for sid in (2, 0, 1)]
+        rng = random.Random(seed)
+        positions = [1, 1, 1]
+        order = list(firsts)
+        live = [sid for sid in range(3) if len(history.sessions[sid]) > 1]
+        while live:
+            sid = rng.choice(live)
+            order.append(history.sessions[sid][positions[sid]])
+            positions[sid] += 1
+            if positions[sid] == len(history.sessions[sid]):
+                live.remove(sid)
+        return order
+
+    @staticmethod
+    def _verdict(capsys, path, level, stream):
+        """Exit code, verdict line and the report above the witnesses."""
+        argv = ["check", str(path), "-i", level] + (["--stream"] if stream else [])
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        # "[awdit] CC: VIOLATION (...) in 1.23 ms (...)": drop the checker
+        # tag, which names the engine, and the elapsed time.
+        verdict = re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", lines[0])
+        end = lines.index("witnesses:") if "witnesses:" in lines else len(lines)
+        return code, verdict, lines[1:end]
+
+    @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
+    def test_verdict_count_and_kinds_match(self, tmp_path, capsys, kind):
+        history = generate_random_history(
+            RandomHistoryConfig(num_sessions=3, num_transactions=40, num_keys=5, seed=4)
+        )
+        history = inject_anomaly(history, kind, rng=random.Random(1))
+        assert all(history.sessions)
+        path = tmp_path / "h.plume"
+        path.write_text(plume_text.dumps(history, order=self._order(history, 5)))
+        verdicts = []
+        for level in ("rc", "ra", "cc"):
+            batch = self._verdict(capsys, path, level, stream=False)
+            stream = self._verdict(capsys, path, level, stream=True)
+            assert stream == batch, level
+            verdicts.append(batch[0])
+        assert 1 in verdicts

@@ -10,6 +10,10 @@ tests pin three properties the engines rely on:
   double-count in SCC, toposort, linearization, or inferred-edge counts;
 * the numpy-vectorized freeze and the pure-Python fallback produce
   bit-identical structures, including at the 32-bit packed-edge boundary.
+
+The freeze runs its numpy side only once numpy is loaded, so this module
+loads it first (``csr.load_numpy()``, a no-op without numpy), and
+``csr.numpy_disabled()`` pins the fallback.
 """
 
 from array import array
@@ -37,18 +41,21 @@ def _pack_all(edges):
     return [(u << EDGE_SHIFT) | v for u, v in edges]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _numpy_loaded():
+    csr.load_numpy()
+
+
 def _freeze(n, edges):
     return freeze_packed(n, (_pack_all(edges),))
 
 
 def _fallback_freeze(n, packed_runs):
     """Run freeze_packed with numpy disabled (the CI-runner code path)."""
-    saved = csr._np
-    csr._np = None
-    try:
-        return freeze_packed(n, packed_runs)
-    finally:
-        csr._np = saved
+    with csr.numpy_disabled():
+        graph = freeze_packed(n, packed_runs)
+    assert graph._targets_np is None  # the fallback ran
+    return graph
 
 
 edge_sets = st.integers(2, 12).flatmap(
@@ -142,6 +149,8 @@ class TestFrozenMatchesDiGraph:
         n, edges = case
         packed = _pack_all(edges)
         vectorized = freeze_packed(n, (packed,))
+        if edges:
+            assert (vectorized._targets_np is not None) == csr.HAVE_NUMPY
         fallback = _fallback_freeze(n, (packed,))
         assert fallback.offsets == vectorized.offsets
         assert fallback.targets == vectorized.targets
@@ -164,12 +173,8 @@ class TestPackedEdgeBoundary:
     def test_fallback_agrees_at_boundary(self):
         top = (EDGE_MASK << EDGE_SHIFT) | EDGE_MASK
         runs = (array("Q", [top, (5 << EDGE_SHIFT) | 1, top]),)
-        saved = csr._np
-        csr._np = None
-        try:
+        with csr.numpy_disabled():
             assert distinct_edge_count(runs) == 2
-        finally:
-            csr._np = saved
 
     def test_boundary_edges_sort_as_unsigned(self):
         # A source id with the top bit of its 32-bit half set must sort

@@ -25,6 +25,12 @@ finalize) relies on:
   so a ``bound = -1`` probe cannot collide with the previous bucket
   (mirroring ``tests/test_csr.py``'s packed-edge boundary coverage);
 * ``AWDIT_NO_NUMPY`` forces the fallbacks without importing numpy.
+
+Every test picks its side through :mod:`repro.graph.csr`, the one module
+that imports numpy: CC saturation loads numpy itself, a test that reads
+numpy directly calls ``csr.load_numpy()``, and ``csr.numpy_disabled()``
+forces the fallback -- which each such test asserts ran, so no test's
+coverage depends on what an earlier test loaded.
 """
 
 import os
@@ -51,7 +57,9 @@ from repro.core.compiled.checkers import (
 )
 from repro.core.compiled.kernels import saturate_cc_compiled
 from repro.core.read_consistency import check_read_consistency
+from repro.graph import csr
 from repro.graph.digraph import EDGE_SHIFT
+from repro.histories.formats import save_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
@@ -75,7 +83,7 @@ history_configs = st.builds(
 )
 
 needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="vectorized kernels need numpy"
+    not csr.HAVE_NUMPY, reason="vectorized kernels need numpy"
 )
 
 
@@ -83,18 +91,6 @@ needs_numpy = pytest.mark.skipif(
 def force_vectorized(monkeypatch):
     """Make the vectorized kernels run even on tiny inputs."""
     monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
-
-
-def _fallback(monkeypatch_target=kernels):
-    class _Ctx:
-        def __enter__(self):
-            self.saved = monkeypatch_target._np
-            monkeypatch_target._np = None
-
-        def __exit__(self, *exc):
-            monkeypatch_target._np = self.saved
-
-    return _Ctx()
 
 
 def _compiled_cc_relation(history):
@@ -133,7 +129,7 @@ class TestKernelBitIdentity:
     def test_logs_bit_identical(self, config, force_vectorized):
         history = generate_random_history(config)
         vec_log, vec_keys, vec_impl = _saturation_logs(history)
-        with _fallback():
+        with csr.numpy_disabled():
             fb_log, fb_keys, fb_impl = _saturation_logs(history)
         assert fb_impl in ("fallback", "cyclic")
         if vec_impl != "cyclic":
@@ -165,8 +161,10 @@ class TestKernelBitIdentity:
             # Some anomalies need a minimum history shape.
             pass
         vec = check(history, CC, engine="compiled")
-        with _fallback():
+        with csr.numpy_disabled():
             fb = check(history, CC, engine="compiled")
+        # No saturation kernel runs past a causality cycle.
+        assert fb.stats.get("saturation_kernel", "fallback") == "fallback"
         assert vec.is_consistent == fb.is_consistent
         assert [v.kind for v in vec.violations] == [v.kind for v in fb.violations]
         assert [v.describe() for v in vec.violations] == [
@@ -189,7 +187,7 @@ class TestKernelBitIdentity:
         assert impl == "vectorized"
         result = check(history, CC, engine="compiled")
         assert result.stats["saturation_kernel"] == "vectorized"
-        with _fallback():
+        with csr.numpy_disabled():
             result = check(history, CC, engine="compiled")
         assert result.stats["saturation_kernel"] == "fallback"
 
@@ -213,10 +211,11 @@ class TestCCChunking:
         for chunk in (1, 1 << 30):
             monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", chunk)
             logs.append(_saturation_logs(history))
-        with _fallback():
+        with csr.numpy_disabled():
             logs.append(_saturation_logs(history))
         if logs[-1][2] == "cyclic":
             return
+        assert logs[-1][2] == "fallback"
         one, whole, scalar = logs
         assert one[:2] == whole[:2] == scalar[:2]
 
@@ -327,14 +326,14 @@ class TestHbImpliedEdgesDropped:
             assert result.violation_kinds() == naive.violation_kinds()
 
         oracle = _object_cc_relation(history)
-        with _fallback():
+        with csr.numpy_disabled():
             scalar, scalar_impl = _compiled_cc_relation(history)
         if oracle is None:
             assert scalar is None
             return
         assert scalar_impl == "fallback"
         sides = [scalar]
-        if kernels.HAVE_NUMPY:
+        if csr.HAVE_NUMPY:
             vectorized, vectorized_impl = _compiled_cc_relation(history)
             assert vectorized_impl == "vectorized"
             sides.append(vectorized)
@@ -373,7 +372,7 @@ class TestCompositeProbeBoundary:
 
     @needs_numpy
     def test_probe_matches_bisect_reference_at_boundary(self):
-        np = kernels._np
+        np = csr.load_numpy()
         span = kernels._SIDX_SPAN
         # Bucket 0 holds writers at the very top of the sidx range; bucket 1
         # holds small ones.  (bucket, sidx, tid) rows, bucket-major.
@@ -410,7 +409,7 @@ class TestCompositeProbeBoundary:
 
     @needs_numpy
     def test_packed_edges_are_unsigned_at_boundary(self):
-        np = kernels._np
+        np = csr.load_numpy()
         # Pass 5 packs (t2 << EDGE_SHIFT) | t1 in uint64; a tid with the
         # top bit of its 32-bit half set must round-trip unflipped.
         t2 = np.asarray([2**31 - 1], dtype=np.int64)
@@ -426,36 +425,42 @@ class TestCompositeProbeBoundary:
 class TestEnvFlag:
     """AWDIT_NO_NUMPY forces the fallback kernels process-wide."""
 
-    def test_flag_keeps_numpy_out_of_the_process(self):
-        # The flag is read before numpy would be imported, so a process
-        # that runs only the pure-Python sides never pays numpy's import.
-        script = "import sys\nimport repro.cli\nprint('numpy' in sys.modules)\n"
+    def _run(self, script, *args):
         env = dict(os.environ)
         env["AWDIT_NO_NUMPY"] = "1"
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, *args],
             env=env,
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.returncode in (0, 1), proc.stderr
+        return proc.stdout
+
+    def test_flag_keeps_numpy_out_of_the_process(self, tmp_path):
+        # A CC check is the one that would load numpy; under the flag it
+        # runs the pure-Python sides and never pays numpy's import.
+        path = tmp_path / "h.plume"
+        save_history(
+            generate_random_history(RandomHistoryConfig(num_transactions=40, seed=3)),
+            str(path),
+            fmt="plume",
+        )
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "code = repro.cli.main(['check', sys.argv[1], '-i', 'cc', '--profile'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = self._run(script, str(path))
+        assert out.splitlines()[-1] == "False"
 
     def test_flag_disables_numpy_probes(self):
         script = (
+            "import sys\n"
             "from repro.graph import csr\n"
-            "from repro.core.compiled import kernels\n"
-            "assert csr._np is None and not csr.HAVE_NUMPY\n"
-            "assert kernels._np is None and not kernels.HAVE_NUMPY\n"
+            "assert not csr.HAVE_NUMPY and csr.load_numpy() is None\n"
+            "assert csr._np is None and 'numpy' not in sys.modules\n"
             "print('ok')\n"
         )
-        env = dict(os.environ)
-        env["AWDIT_NO_NUMPY"] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+        assert self._run(script).strip() == "ok"

@@ -24,6 +24,11 @@ relies on:
   ``classify_kernel: fallback``;
 * checkpoints never serialize the registry, and a resumed checker
   rebuilds it.
+
+The checkers here check every level, CC included, so each one loads numpy
+when it is built (:mod:`repro.graph.csr`); ``csr.numpy_disabled()`` pins
+the fallback, and a run under it asserts that the fallback resolved every
+batch.
 """
 
 import json
@@ -42,6 +47,7 @@ from repro.core import IsolationLevel, check
 from repro.core.compiled import kernels
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, Transaction, read, write
+from repro.graph import csr
 from repro.histories.formats import save_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -56,7 +62,7 @@ LEVELS = list(IsolationLevel)
 BATCH_SIZES = (1, 7, 4096)
 
 needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="vectorized resolve kernel needs numpy"
+    not csr.HAVE_NUMPY, reason="vectorized resolve kernel needs numpy"
 )
 
 history_configs = st.builds(
@@ -108,21 +114,6 @@ def vector_floor(n=0):
         kernels._MIN_VECTOR_READS = saved
 
 
-@contextmanager
-def fallback_modules():
-    """Force the pure-Python kernels for a whole checker lifetime.
-
-    ``kernels._np`` selects the resolve implementation during the fold and
-    the CC saturation side at finalize (mirroring ``AWDIT_NO_NUMPY``).
-    """
-    saved = kernels._np
-    kernels._np = None
-    try:
-        yield
-    finally:
-        kernels._np = saved
-
-
 def digest(results):
     return [
         (
@@ -136,11 +127,21 @@ def digest(results):
 
 
 def run_stream(records, num_sessions, batch_ops, fallback=False):
-    ctx = fallback_modules() if fallback else vector_floor()
+    """Stream ``records`` at every level; ``fallback`` pins the pure-Python
+    kernels for the checker's whole lifetime (the resolve side during the
+    fold, the CC saturation side at finalize) and asserts that they ran."""
+    ctx = csr.numpy_disabled() if fallback else vector_floor()
     with ctx:
         checker = CompiledIncrementalChecker(num_sessions=num_sessions)
         checker.extend_raw(iter(records), batch_ops=batch_ops)
-        return digest(checker.finalize()), checker
+        results = checker.finalize()
+    if fallback:
+        assert not checker._resolve_vectorized
+        cc_kernel = results[IsolationLevel.CAUSAL_CONSISTENCY].stats.get(
+            "saturation_kernel", "fallback"
+        )
+        assert cc_kernel == "fallback"
+    return digest(results), checker
 
 
 _COLUMNS = tuple(c for c in kernels.ResolvedBatch.__slots__ if c != "kernel")
@@ -424,7 +425,8 @@ class TestNoNumpySubprocess:
         without = self._run_subprocess(str(path), no_numpy=True)
         for a, b in zip(with_numpy, without):
             assert a[:3] == b[:3], a[0]
-        assert {row[3] for row in with_numpy} == {"vectorized"}
+        # Only the CC check loads numpy, and the script runs it last.
+        assert [row[3] for row in with_numpy] == ["fallback", "fallback", "vectorized"]
         assert {row[3] for row in without} == {"fallback"}
 
 
