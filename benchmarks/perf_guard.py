@@ -3,17 +3,15 @@
 Re-measures compiled batch CC plus its saturation phase lap against
 ``BENCH_7.json`` (the vectorized-saturation era numbers) on the 120k-op
 fig9-scale history, and the compiled streaming CC pipeline against
-the ``compiled_stream_pipeline`` number of ``BENCH_8.json`` plus its fold
-and classify phases against ``BENCH_10.json`` (the columnar-fold era) on
-the 600k-op arrival-order stream those snapshots record, and fails
-(exit 1) when any of the five regresses more than ``TOLERANCE``.
-Gating the saturation, fold, and classify laps on their own means a
-regression there cannot hide behind a happens-before or parse
-improvement -- the exact failure mode that would reappear if a kernel
-silently fell back to the pure-Python path (the guard also fails
-outright when numpy is importable but the batch check reports a
-fallback saturation kernel or the stream reports a fallback classify
-kernel).  The committed baselines are first rescaled by the
+the ``compiled_stream_pipeline`` number of ``BENCH_8.json`` on the
+600k-op arrival-order stream that snapshot records, and fails (exit 1)
+when any of the three regresses more than ``TOLERANCE``.  Gating the
+saturation lap on its own means a regression there cannot hide behind a
+happens-before or parse improvement -- the exact failure mode that would
+reappear if a kernel silently fell back to the pure-Python path (the
+guard also fails outright when numpy is importable but the batch check or
+the stream reports a fallback saturation kernel).  The committed
+baselines are first rescaled by the
 machine-speed ratio of the :mod:`_calibration` kernel (its runtime on
 this runner vs the runtime recorded alongside the baselines), so a
 runner of a different hardware class compares against what *its own*
@@ -59,7 +57,6 @@ REPEATS = 3
 _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH7_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_7.json"))
 BENCH8_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_8.json"))
-BENCH10_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_10.json"))
 
 
 def effective_cpus() -> int:
@@ -91,27 +88,16 @@ def main() -> int:
         bench7 = json.load(handle)
     with open(BENCH8_PATH, encoding="utf-8") as handle:
         bench8 = json.load(handle)
-    with open(BENCH10_PATH, encoding="utf-8") as handle:
-        bench10 = json.load(handle)
     batch_baseline = bench7["check_cc_seconds"]["compiled_batch"]
     saturation_baseline = bench7["batch_cc_phase_seconds"]["saturation"]
     stream_baseline = bench8["check_cc_seconds"]["compiled_stream_pipeline"]
-    # BENCH_10 recorded its fold and classify laps on this exact
-    # workload (the 5x-fig9 arrival stream), so both gate like-for-like
-    # against the columnar-fold era.
-    fold_baseline = bench10["stream_5x_fold_phase_seconds"]["fold"]
-    classify_baseline = bench10["stream_5x_fold_phase_seconds"]["fold_classify"]
 
     # Rescale the committed baselines to this machine's speed: the same
     # calibration kernel ran when each snapshot was recorded, so the
     # ratio cancels the hardware class out of the comparison (BENCH_7
     # and BENCH_8 each carry their own recorded calibration).
     local_cal = calibration_seconds()
-    for snapshot, name in (
-        (bench7, "BENCH_7"),
-        (bench8, "BENCH_8"),
-        (bench10, "BENCH_10"),
-    ):
+    for snapshot, name in ((bench7, "BENCH_7"), (bench8, "BENCH_8")):
         recorded_cal = snapshot.get("machine_calibration_seconds")
         if not recorded_cal:
             continue
@@ -123,11 +109,8 @@ def main() -> int:
         if snapshot is bench7:
             batch_baseline *= scale
             saturation_baseline *= scale
-        elif snapshot is bench8:
-            stream_baseline *= scale
         else:
-            fold_baseline *= scale
-            classify_baseline *= scale
+            stream_baseline *= scale
 
     history = generate_random_history(
         RandomHistoryConfig(
@@ -156,7 +139,7 @@ def main() -> int:
             kernel_used = result.stats["saturation_kernel"]
         del ch, history, result
 
-        # The streaming gates replay BENCH_8's workload: the 5x-fig9
+        # The streaming gate replays BENCH_8's workload: the 5x-fig9
         # arrival-order stream (75k transactions, ~600k operations).
         stream_shape = bench8["streams"]["base"]
         stream_history, order = generate_random_stream(
@@ -180,22 +163,14 @@ def main() -> int:
         del stream_history, order
         gc.collect()
         stream_seconds = float("inf")
-        fold_seconds = float("inf")
-        classify_seconds = float("inf")
-        classify_kernel = None
+        stream_kernel = None
         for _ in range(REPEATS):
-            timings = {}
             start = time.perf_counter()
             stream_result = check_stream_file(
-                path,
-                IsolationLevel.CAUSAL_CONSISTENCY,
-                fmt="plume",
-                timings=timings,
+                path, IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume"
             )
             stream_seconds = min(stream_seconds, time.perf_counter() - start)
-            fold_seconds = min(fold_seconds, timings["fold"])
-            classify_seconds = min(classify_seconds, timings["fold_classify"])
-            classify_kernel = stream_result.stats.get("classify_kernel")
+            stream_kernel = stream_result.stats.get("saturation_kernel")
 
     failed = False
     if csr.HAVE_NUMPY and kernel_used != "vectorized":
@@ -204,18 +179,16 @@ def main() -> int:
             f"the {kernel_used!r} saturation kernel -- REGRESSION"
         )
         failed = True
-    if csr.HAVE_NUMPY and classify_kernel != "vectorized":
+    if csr.HAVE_NUMPY and stream_kernel != "vectorized":
         print(
             f"perf-guard: numpy is importable but the stream reported the "
-            f"{classify_kernel!r} classify kernel -- REGRESSION"
+            f"{stream_kernel!r} saturation kernel -- REGRESSION"
         )
         failed = True
     for name, current, committed in (
         ("compiled batch CC", batch_seconds, batch_baseline),
         ("compiled batch CC saturation phase", saturation_seconds, saturation_baseline),
         ("compiled streaming CC pipeline", stream_seconds, stream_baseline),
-        ("compiled streaming CC fold phase", fold_seconds, fold_baseline),
-        ("compiled streaming CC classify phase", classify_seconds, classify_baseline),
     ):
         ratio = current / committed
         status = "OK"

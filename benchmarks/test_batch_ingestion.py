@@ -19,8 +19,9 @@ kernel run with one pipeline run -- both see the same machine state, and
 the per-round ratio factors the throttling out.  The gate takes the best
 round, the same best-of principle ``_best_of`` applies to raw seconds.
 
-Everything lands in the repo-root ``BENCH_6.json``; the CI ``perf-guard``
-job re-measures the pipeline and the fold phase against it.
+Everything lands in the repo-root ``BENCH_6.json``.  The online fold
+whose sub-laps this snapshot once recorded is gone: ``--stream`` now feeds
+the same IR builder as a batch check.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ def test_bench6_snapshot(tmp_path, results):
         for batch_ops in (1, 64, DEFAULT_BATCH_OPS, 65536)
     }
 
-    # -- fold sub-laps (the --profile split, naming the next hot spot) ---------
-    timings: dict = {}
-    _pipeline(timings=timings)
-    fold_laps = {key: round(value, 4) for key, value in timings.items()}
-
     # -- peak streaming memory vs the per-op era -------------------------------
     _, stream_peak = _peak_mem(_pipeline)
 
@@ -164,10 +160,9 @@ def test_bench6_snapshot(tmp_path, results):
         },
         "stream_cc_seconds_by_batch_ops": {
             "note": "best-of-3 wall seconds; the verdict is identical for "
-            "every batch_ops value, only the fold amortization changes",
+            "every batch_ops value, only the per-batch amortization changes",
             **by_batch_ops,
         },
-        "stream_fold_phase_seconds": fold_laps,
         "peak_streaming_mem_bytes": {
             "note": "tracemalloc peak, CC streaming pipeline on the "
             "120k-op fig9 log",

@@ -15,10 +15,9 @@ records the fig9-scale numbers the PR gates on:
   ``batch_cc_phase_seconds.saturation`` lap;
 * the streaming CC work must be measurably faster (>= 1.1x) than the
   BENCH_6 ``stream_fold_phase_seconds.fold_clock_join`` lap.  That lap
-  timed the stream's clock joins plus its edge probes; the fold now does
-  no CC work, and the stream's finalize runs it through the batch
-  checker's ``cc_cycles``, so the gate times the stream result's
-  ``happens_before`` + ``saturation`` stats;
+  timed the stream's clock joins plus its edge probes; the stream now
+  builds the batch IR and runs the batch checker, so the gate times the
+  stream result's ``happens_before`` + ``saturation`` stats;
 * the default ``--batch-ops`` (4096) must never be the worst column of
   the batch_ops sweep.  The BENCH_6 sweep exposed a mid-size cliff --
   64-op batches (2.03s) were *slower* than single-op batches (1.98s)
@@ -32,8 +31,7 @@ container's throttling, so every gated round pairs one
 same machine state, and the per-round ratio factors the throttling out.
 
 Everything lands in the repo-root ``BENCH_7.json``; the CI ``perf-guard``
-job re-measures batch CC, the saturation lap, the pipeline, and the fold
-against it.
+job re-measures batch CC and the saturation lap against it.
 """
 
 from __future__ import annotations
@@ -199,7 +197,7 @@ def test_bench7_snapshot(tmp_path, results):
         (stream_baseline * cal / bench6_cal) / seconds
         for seconds, _, cal in stream_rounds
     )
-    fold_laps = {
+    stream_laps = {
         key: round(value, 4)
         for key, value in min(stream_rounds, key=lambda r: r[0])[1].items()
     }
@@ -247,7 +245,7 @@ def test_bench7_snapshot(tmp_path, results):
             "vectorized_speedup": round(fallback_lap / vectorized_lap, 3),
         },
         "stream_fold_phase_seconds": {
-            **fold_laps,
+            **stream_laps,
             "fold_clock_join_pr6_baseline": clock_join_baseline,
             "cc_work_speedup": round(cc_work_speedup, 3),
         },

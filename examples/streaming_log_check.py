@@ -7,10 +7,10 @@ workflow instead:
 
 1. generate a sizeable history and write it to disk as a plume-style log,
 2. replay the log through the raw-record parser + CompiledIncrementalChecker,
-   which keeps only transaction-level summaries in memory,
-3. watch read-level violations surface *while* the log is streaming, long
-   before the end of the file,
-4. finalize and compare the verdicts with the batch checker.
+   which builds the compiled IR record by record, with progress reporting,
+3. finalize: AWDIT decides every level on the complete history, so the
+   checker's violations fill here,
+4. compare the verdicts with the batch checker.
 
 Run with::
 
@@ -52,22 +52,18 @@ def make_log(path: str) -> None:
 
 
 def stream_check(path: str) -> None:
-    """One-pass check with progress reporting and early violation output."""
+    """One-pass check with progress reporting; violations at finalize."""
     checker = CompiledIncrementalChecker(levels=(IsolationLevel.CAUSAL_CONSISTENCY,))
-    reported = 0
     for session_id, (label, committed, ops) in stream_raw_history(path, fmt="plume"):
         checker.append_raw(session_id, label, committed, ops)
-        # Read-level anomalies become visible the moment the offending read
-        # resolves -- no need to wait for the end of the log.
-        live = checker.violations
-        while reported < len(live):
-            violation = live[reported]
+        if checker.num_transactions % 1000 == 0:
             print(
-                f"  !! after {checker.num_transactions} txns "
-                f"({checker.num_operations} ops): {violation.describe()}"
+                f"  .. {checker.num_transactions} txns "
+                f"({checker.num_operations} ops) appended"
             )
-            reported += 1
     results = checker.finalize()
+    for violation in checker.violations:
+        print(f"  !! {violation.describe()}")
     result = results[IsolationLevel.CAUSAL_CONSISTENCY]
     print(f"\nstreaming verdict : {result.summary()}")
     if not result.is_consistent:
@@ -78,8 +74,8 @@ def stream_check(path: str) -> None:
     one_call = check_stream_file(path, IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume")
     print(f"one-call verdict  : {one_call.summary()}")
 
-    # The batch checker agrees (the stream is property-tested to return
-    # identical verdicts and violation messages).
+    # The batch checker agrees (both build the same IR and run the same
+    # checkers, so verdicts and violation messages are identical).
     batch = check(load_history(path, fmt="plume"), IsolationLevel.CAUSAL_CONSISTENCY)
     print(f"batch verdict     : {batch.summary()}")
     assert batch.is_consistent == result.is_consistent == one_call.is_consistent

@@ -20,11 +20,11 @@ The package is organised as follows:
   naive reference checkers).
 * :mod:`repro.lowerbounds` -- the triangle-freeness reductions behind the
   paper's conditional lower bounds.
-* :mod:`repro.stream` -- the streaming (online) checking engine: an online
-  checker that consumes transactions as they arrive and pairs with the
-  iterator-based format parsers to check a log in one pass without holding
-  its operations.  Its memory is still O(history), like batch: one summary
-  per transaction plus the inferred edges that finalize replays.
+* :mod:`repro.stream` -- streaming checks: a checker that builds the
+  compiled IR from transactions as they arrive, pairs with the
+  iterator-based format parsers to check a log in one pass, and runs the
+  batch checkers at the end.  Its memory is O(history), like batch, because
+  it holds the same IR.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
 The names below are imported on first access (PEP 562), so importing the

@@ -10,8 +10,7 @@ Subcommands:
 * ``awdit convert SRC DST`` -- convert a history between on-disk formats.
 * ``awdit stats HISTORY`` -- print size statistics of a history file,
   including the compiled IR's interned cardinalities (keys, values,
-  sessions) and its estimated in-memory footprint; ``--stream`` reports
-  the online core's peak live-state footprint instead.
+  sessions) and its estimated in-memory footprint.
 
 Run ``awdit <subcommand> --help`` for the full flag list.
 """
@@ -62,9 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help=(
-            "check the file in one streaming pass (the fold keeps live state, "
-            "not operations) with the online checker; only the awdit "
-            "checker supports this, and --engine object is batch-only"
+            "check the file in one streaming pass that builds the compiled "
+            "IR batch by batch, with checkpoint/resume; prints what a batch "
+            "check prints; only the awdit checker supports this, and "
+            "--engine object is batch-only"
         ),
     )
     check_parser.add_argument(
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "with --stream: periodically serialize the online state to PATH "
-            "so an interrupted check can continue via --resume"
+            "with --stream: periodically serialize the streaming state to "
+            "PATH so an interrupted check can continue via --resume"
         ),
     )
     check_parser.add_argument(
@@ -116,10 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print per-phase wall/alloc timings (parse, build, freeze, "
-            "saturate, acyclicity, witness; with --stream: parse, the "
-            "fold's intern/dispatch/classify sub-laps, per-phase GC "
-            "collection counts, then the same finalize laps as batch), and "
+            "print per-phase wall/alloc timings (parse, build, "
+            "read_consistency, saturate, freeze, acyclicity, witness; the "
+            "same phases with --stream), and "
             "the saturated relation's co_edges and inferred_edges counts "
             "(CC infers no edge that happens-before already implies), to "
             "stderr after the check, so perf work can see where the time "
@@ -158,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser = subparsers.add_parser("stats", help="print history statistics")
     stats_parser.add_argument("history")
     stats_parser.add_argument("--format", "-f", default=None, choices=sorted(FORMATS))
-    stats_parser.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "fold the file through the compiled online core and report its "
-            "peak live-state footprint (resident transactions, pending "
-            "reads, intern cardinalities) instead of the batch IR stats"
-        ),
-    )
     return parser
 
 
@@ -211,7 +201,7 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
         not args.stream
     ):
         return (
-            "--checkpoint serializes the online streaming state; it requires "
+            "--checkpoint serializes the streaming state; it requires "
             "--stream (batch engines re-check from scratch)"
         )
     if args.stream:
@@ -219,7 +209,7 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
             return f"--stream supports only the awdit checker, not {args.checker!r}"
         if args.engine not in ("auto", "compiled"):
             return (
-                f"--stream has one online checker; --engine {args.engine} is "
+                f"--stream has one checker; --engine {args.engine} is "
                 "batch-only (drop --engine or --stream)"
             )
         return None
@@ -238,14 +228,9 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
 #: Timing stats keys printed by ``--profile``, in pipeline order.  The
 #: ``cycle_check`` lap spans the freeze/acyclicity/witness entries below it
 #: (it times the whole ``find_cycles`` call), so the sub-phases are shown
-#: indented under it.  ``build`` is the IR build: after the parse in batch
-#: mode, and at the end of the fold (the resolved IR) with ``--stream``.
+#: indented under it.  ``build`` is the IR build, in both modes.
 _PROFILE_PHASES = (
     ("parse", ""),
-    ("fold", ""),  # streaming: whole online fold, split into the laps below
-    ("fold_intern", "  "),
-    ("fold_dispatch", "  "),
-    ("fold_classify", "  "),
     ("build", ""),
     ("read_consistency", ""),
     ("repeatable_reads", ""),
@@ -284,28 +269,6 @@ def _print_profile(
         if value is not None:
             # The saturated relation's size: its distinct edges, and those
             # of them beyond so ∪ wr.
-            print(f"  {name:<18} {value:9d}", file=sys.stderr)
-    classify_kernel = result.stats.get("classify_kernel")
-    if classify_kernel is not None:
-        # Same self-description for the streaming fold's read-resolution
-        # kernel, plus how the batch resolver routed the reads.
-        print(
-            f"  {'classify_kernel':<18} {classify_kernel:>9}", file=sys.stderr
-        )
-        for name in (
-            "resolve_fast",
-            "resolve_slow",
-            "resolve_parked",
-            "resolve_rebound",
-        ):
-            value = result.stats.get(name)
-            if value is not None:
-                print(f"    {name:<16} {value:9d}", file=sys.stderr)
-    for name in ("parse_gc_collections", "fold_gc_collections"):
-        value = merged.get(name)
-        if value is not None:
-            # gc.get_stats() collection-count deltas per phase: how often
-            # the collector interrupted each phase (all generations).
             print(f"  {name:<18} {value:9d}", file=sys.stderr)
     print(f"  {'total':<18} {total_seconds:9.4f}", file=sys.stderr)
     print(
@@ -428,8 +391,6 @@ def _run_convert(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    if args.stream:
-        return _run_stats_stream(args)
     compiled = load_compiled(args.history, fmt=args.format)
     print(compiled.describe())
     txn_start = compiled.txn_start
@@ -454,42 +415,6 @@ def _run_stats(args: argparse.Namespace) -> int:
         f"  compiled footprint     : {footprint['total_bytes'] / 1024:.1f} KiB "
         f"(arrays {footprint['arrays_bytes'] / 1024:.1f} KiB, "
         f"intern tables {footprint['intern_tables_bytes'] / 1024:.1f} KiB)"
-    )
-    return 0
-
-
-def _run_stats_stream(args: argparse.Namespace) -> int:
-    """``awdit stats --stream``: peak live-state footprint of the online core."""
-    from repro.stream import stream_live_stats
-
-    stats = stream_live_stats(args.history, fmt=args.format)
-    print(
-        f"Online core over {stats['transactions']} transactions "
-        f"({stats['operations']} operations, {stats['sessions']} sessions):"
-    )
-    print(f"  resident txn summaries : {stats['resident_transactions']}")
-    print(
-        f"  pending reads          : {stats['pending_reads']} now, "
-        f"peak {stats['peak_pending_reads']}"
-    )
-    print(
-        f"  unfolded transactions  : {stats['unfolded_transactions']} now, "
-        f"peak {stats['peak_unfolded_transactions']}"
-    )
-    print(f"  interned keys          : {stats['interned_keys']}")
-    print(f"  interned values        : {stats['interned_values']}")
-    print(f"  writes index entries   : {stats['writes_index']}")
-    print(
-        "  classify kernel calls  : "
-        f"{stats['classify_vectorized']} vectorized, "
-        f"{stats['classify_fallback']} fallback"
-    )
-    print(
-        "  resolved reads         : "
-        f"{stats['resolve_fast_path']} fast-path, "
-        f"{stats['resolve_slow_path']} slow-path, "
-        f"{stats['resolve_parked']} parked, "
-        f"{stats['resolve_rebound']} rebound"
     )
     return 0
 

@@ -26,12 +26,12 @@ traversed:
 * ``"batch"`` (default) runs the engines above over the materialized
   history;
 * ``"stream"`` replays the history's transactions in file order through
-  the one *online* checker (:mod:`repro.core.compiled.online`), which folds
-  each transaction into incrementally-maintained state and then finalizes.
-  Same results, different evaluation order -- the parity matrix in
-  ``tests/test_matrix.py`` pins the compiled batch engine and the stream
-  against the object batch engine.  Streaming has no engine choice: only
-  ``engine="auto"`` / ``"compiled"`` are accepted.
+  the one streaming checker (:mod:`repro.core.compiled.online`), which
+  builds the compiled IR from them and runs the compiled engine at
+  finalize -- the parity matrix in ``tests/test_matrix.py`` pins the
+  compiled batch engine and the stream against the object batch engine.
+  Streaming has no engine choice: only ``engine="auto"`` / ``"compiled"``
+  are accepted.
 
 On-disk histories stream through :func:`repro.stream.check_stream_file`
 instead, which adds checkpoint/resume.
@@ -64,7 +64,7 @@ def _reject_stream_engine(engine: str) -> None:
     """Raise if ``engine`` asks for a streaming form that does not exist."""
     if engine not in ("auto", "compiled"):
         raise ValueError(
-            f"mode='stream' has one online checker; engine={engine!r} runs only "
+            f"mode='stream' has one streaming checker; engine={engine!r} runs only "
             "in batch mode (drop engine or pass mode='batch')"
         )
 
@@ -105,8 +105,8 @@ def check(
     mode:
         ``"batch"`` (default) or ``"stream"`` -- see the module docstring.
         Streaming rejects a precomputed ``read_consistency`` report (the
-        online checker tracks read consistency incrementally) and handles
-        the single-session RA specialization internally.
+        streaming checker computes its own at finalize) and handles the
+        single-session RA specialization internally.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
@@ -116,7 +116,7 @@ def check(
         if read_consistency is not None:
             raise ValueError(
                 "read_consistency reports belong to the batch object engine; "
-                "the streaming checker tracks read consistency incrementally"
+                "the streaming checker computes its own at finalize"
             )
         _reject_stream_engine(engine)
         from repro.stream.runner import check_history_stream

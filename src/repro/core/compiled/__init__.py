@@ -10,12 +10,11 @@ Public surface:
 * :func:`check_compiled` / :func:`check_all_levels_compiled` -- the AWDIT
   checkers on the IR, byte-identical to the object path.
 * :class:`CompiledIncrementalChecker` -- the compiled *streaming* front end
-  (:mod:`repro.core.compiled.online`): read resolution and classification
-  folded online over raw parser records, then these checkers on the
-  resolved IR at finalize, with checkpoint/resume.  Its names are imported
-  on first access (PEP 562), so a batch check never loads the fold.
-* :class:`Intern` -- the dense interning table (also used by the streaming
-  checker's fold).
+  (:mod:`repro.core.compiled.online`): the builder fed record batch by
+  record batch, then these checkers at finalize, with checkpoint/resume.
+  Its names are imported on first access (PEP 562), so a batch check never
+  loads it.
+* :class:`Intern` -- the dense interning table.
 """
 
 from repro.core.compiled.checkers import (

@@ -22,11 +22,11 @@ Everything a level does after read consistency (and repeatable reads, for
 RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,
 :func:`cc_cycles`: build ``so ∪ wr``, saturate, compute happens-before (CC
 only), and search the relation for cycles.  ``check_{rc,ra,cc}_compiled``
-call them after their read-level checks, and the streaming checker's
-finalize calls them on the resolved IR it builds from the fold's columns
-(:mod:`repro.core.compiled.online`), so both engines run the same code.
-They read only the IR's transaction arrays, ``sessions``, ``labels``,
-``txn_start``, ``_kw_*`` and ``_xr_*``, never its operation columns.
+call them after their read-level checks.  They read only the IR's
+transaction arrays, ``sessions``, ``labels``, ``txn_start``, ``_kw_*`` and
+``_xr_*``, never its operation columns.  A streaming check
+(:mod:`repro.core.compiled.online`) builds the same IR and runs
+:func:`check_compiled`, so both modes run the same code.
 """
 
 from __future__ import annotations

@@ -411,14 +411,18 @@ def compile_history(history: History) -> CompiledHistory:
 class CompiledHistoryBuilder:
     """Accumulate raw parser events into a :class:`CompiledHistory`.
 
-    The builder is the streaming-side producer of the IR: the ``stream_ops``
-    layer of the history formats feeds ``(session, label, committed, ops)``
-    records with plain-tuple operations, so no :class:`Operation` or
-    :class:`Transaction` objects are ever created.  Per-session buffers keep
-    arrival order; :meth:`finalize` renumbers transactions session-blocked
-    (the numbering :meth:`History.from_sessions` would assign) and resolves
-    the write-read relation with the same last-write-wins unique-writes
-    convention as ``History._infer_wr``.
+    The builder is the one ingest path from a file to the IR, for
+    :func:`~repro.histories.formats.load_compiled` and for ``awdit check
+    --stream`` (:class:`~repro.core.compiled.online.CompiledIncrementalChecker`)
+    alike: the parsers' record batches, or ``(session, label, committed,
+    ops)`` records with plain-tuple operations, go in, so no
+    :class:`Operation` or :class:`Transaction` objects are ever created.
+    Per-session buffers keep arrival order; :meth:`finalize` renumbers
+    transactions session-blocked (the numbering
+    :meth:`History.from_sessions` would assign) and resolves the write-read
+    relation with the same last-write-wins unique-writes convention as
+    ``History._infer_wr``.  A builder pickles as is, which is what a
+    streaming checkpoint saves.
     """
 
     class _SessionBuffer:
@@ -446,12 +450,7 @@ class CompiledHistoryBuilder:
         ops: Iterable[Tuple[bool, object, object]],
     ) -> None:
         """Append one transaction of ``(is_write, key, value)`` operations."""
-        sid = self._session_ids.get(session)
-        if sid is None:
-            sid = len(self._buffers)
-            self._session_ids[session] = sid
-            self._buffers.append(self._SessionBuffer())
-        buf = self._buffers[sid]
+        buf = self._buffer(session)
         intern_key = self._key_table.intern
         intern_value = self._value_table.intern
         for is_write, key, value in ops:
@@ -480,17 +479,10 @@ class CompiledHistoryBuilder:
         sessions = batch.txn_session
         labels = batch.txn_labels
         committed_col = batch.txn_committed
-        session_ids = self._session_ids
-        buffers = self._buffers
+        buffer = self._buffer
         lo = 0
         for t, hi in enumerate(batch.txn_end):
-            session = sessions[t]
-            sid = session_ids.get(session)
-            if sid is None:
-                sid = len(buffers)
-                session_ids[session] = sid
-                buffers.append(self._SessionBuffer())
-            buf = buffers[sid]
+            buf = buffer(sessions[t])
             buf.kind += kinds[lo:hi]
             buf.key.extend(kid_col[lo:hi])
             buf.value.extend(vid_col[lo:hi])
@@ -501,24 +493,32 @@ class CompiledHistoryBuilder:
             buf.txn_end.append(len(buf.kind))
             lo = hi
 
-    def finalize(
-        self, sort_sessions: bool = True, fill_gaps: bool = False
-    ) -> CompiledHistory:
+    def add_session(self, session: object) -> None:
+        """Register ``session`` now, so it exists even if no transaction follows."""
+        self._buffer(session)
+
+    def _buffer(self, session: object) -> "CompiledHistoryBuilder._SessionBuffer":
+        sid = self._session_ids.get(session)
+        if sid is None:
+            sid = self._session_ids[session] = len(self._buffers)
+            self._buffers.append(self._SessionBuffer())
+        return self._buffers[sid]
+
+    def finalize(self, fill_gaps: bool = False) -> CompiledHistory:
         """Assemble the buffered sessions into a :class:`CompiledHistory`.
 
-        ``sort_sessions`` orders sessions by their external id (the batch
-        loaders' convention); ``fill_gaps`` additionally materializes empty
-        sessions for missing integer ids (the cobra loader's convention).
-        Unsortable mixed external ids fall back to first-seen order.
+        Sessions are ordered by their external id, the batch loaders'
+        convention, so arrival order never changes the numbering; unsortable
+        mixed external ids fall back to first-seen order.  ``fill_gaps``
+        additionally materializes empty sessions for missing integer ids
+        (see :func:`repro.histories.formats.session_gaps`).
         """
-        externals = list(self._session_ids)
-        if sort_sessions:
-            try:
-                # sorted() (not list.sort) so a mid-sort TypeError on mixed
-                # unorderable ids leaves the first-seen order intact.
-                externals = sorted(externals)  # type: ignore[type-var]
-            except TypeError:
-                pass
+        try:
+            # sorted() (not list.sort) so a mid-sort TypeError on mixed
+            # unorderable ids leaves the first-seen order intact.
+            externals = sorted(self._session_ids)  # type: ignore[type-var]
+        except TypeError:
+            externals = list(self._session_ids)
         if fill_gaps and externals and all(isinstance(e, int) for e in externals):
             lo = min(0, min(externals))  # type: ignore[type-var]
             externals = list(range(lo, max(externals) + 1))  # type: ignore[arg-type]

@@ -5,20 +5,18 @@ put the remaining batch cost almost entirely in the saturation loops of
 :mod:`repro.core.compiled.checkers` -- interpreted Python over the IR's flat
 rows, ~470k per-(session, key) slot visits on the fig9 log.  This module is
 the single home of those loops: the per-level checker functions of
-:mod:`repro.core.compiled.checkers` dispatch here, for the batch engine and
-for the streaming checker's finalize alike (the fold itself only resolves
-and classifies reads, with :func:`resolve_reads` and :class:`ParkQueue`).
-Every saturation appends its edge attempts, duplicates included, to the
-flat co-log columns that :class:`~repro.core.commit.CommitRelation`
-freezes.
+:mod:`repro.core.compiled.checkers` dispatch here, for a batch check and a
+streaming check alike (both build the IR with
+:class:`~repro.core.compiled.ir.CompiledHistoryBuilder`).  Every saturation
+appends its edge attempts, duplicates included, to the flat co-log columns
+that :class:`~repro.core.commit.CommitRelation` freezes.
 
 Most kernels here have one implementation, in pure Python.  A kernel keeps
 a second, numpy-vectorized side only where that side measurably wins on a
 benchmarked workload (the kernel census in ``README.md``): CC saturation
 (:func:`saturate_cc_compiled`, in fixed-size transaction chunks so its
-temporaries stay bounded), the streaming fold's batch read resolution
-(:func:`resolve_reads` over :class:`WritesIndex`), and unique-writes
-resolution (:func:`resolve_unique_writes`).  :mod:`repro.graph.csr` is the
+temporaries stay bounded) and unique-writes resolution
+(:func:`resolve_unique_writes`).  :mod:`repro.graph.csr` is the
 one module that imports numpy, and only a CC check loads it (CC saturation
 here calls :func:`~repro.graph.csr.load_numpy` for callers that get there
 first); each side reads the module through ``csr`` at call time.  So the
@@ -31,8 +29,7 @@ the loop.
 
 The two sides of a kept kernel produce byte-identical output in the
 identical order, so verdicts, violation lists, and witness renderings never
-depend on which ran (property-tested in ``tests/test_kernels.py`` and
-``tests/test_resolve_kernel.py``).  The key argument for the CC kernel:
+depend on which ran (property-tested in ``tests/test_kernels.py``).  The key argument for the CC kernel:
 along one session the happens-before clocks are monotone
 (``hb[t3'][s] >= hb[t3][s]`` for ``t3'`` after ``t3``), so the fallback's
 memoized monotone pointer per (key, session) bucket always lands on *the
@@ -73,10 +70,6 @@ __all__ = [
     "saturate_ra_txn",
     "saturate_ra_compiled",
     "saturate_cc_compiled",
-    "ParkQueue",
-    "ResolvedBatch",
-    "WritesIndex",
-    "resolve_reads",
     "resolve_unique_writes",
 ]
 
@@ -680,833 +673,13 @@ def saturate_cc_compiled(
     return "fallback"
 
 
-# -- online columnar fold state (park queue) ------------------------------------
-
-
-class ParkQueue:
-    """Columnar park queue: packed write id -> flat ``(tid, slot)`` pairs.
-
-    The streaming fold's multimap of reads waiting for a write to arrive,
-    with no per-read objects resident: each value is one ``array('q')`` of
-    interleaved pairs in arrival order.  ``slot >= 0`` indexes the reader's
-    live-read list (the general slow path); ``slot < 0`` encodes a
-    clean-parked read of a prefold transaction as ``-(read_index) - 1``
-    (its key/value ids are recoverable from the packed wid, and its
-    eventual binding is already known to the resolve kernel).  Pops
-    preserve arrival order exactly, and iteration order over wids is
-    insertion order -- both are contractual for park/rebind/thin-air
-    timing.  Plain dict-of-arrays, so checkpoints pickle it directly.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self) -> None:
-        self._rows: Dict[int, "array"] = {}
-
-    def add(self, wid: int, tid: int, slot: int) -> None:
-        row = self._rows.get(wid)
-        if row is None:
-            row = array("q")
-            self._rows[wid] = row
-        row.append(tid)
-        row.append(slot)
-
-    def pop(self, wid: int):
-        """Remove and return the wid's pair row (``None`` when absent)."""
-        return self._rows.pop(wid, None)
-
-    def items(self):
-        return self._rows.items()
-
-    def rows(self):
-        return self._rows.values()
-
-    def clear(self) -> None:
-        self._rows.clear()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __bool__(self) -> bool:
-        return bool(self._rows)
-
-    def __contains__(self, wid: int) -> bool:
-        return wid in self._rows
-
-    def __getstate__(self):
-        return self._rows
-
-    def __setstate__(self, rows) -> None:
-        self._rows = rows
-
-
-# -- online read resolution (the streaming fold's classify kernel) -------------
-
-#: Tail entries beyond ``max(this, min(main_len / 4, _TAIL_MERGE_MAX))``
-#: trigger a merge of the incrementally sorted indexes below; amortized
-#: O(log) merges per doubling, with the cap bounding how much tail the
-#: per-batch sync ever has to carry on multi-hundred-k-write streams.
-_TAIL_MERGE_MIN = 4096
-_TAIL_MERGE_MAX = 65536
-
-
-class ResolvedBatch:
-    """Read-resolution answers for one record batch, plain Python columns.
-
-    Produced by :func:`resolve_reads`.  Rows are CSR-sliced per transaction:
-    transaction ``t``'s reads are rows ``r_start[t]:r_start[t+1]`` of the
-    ``r_*`` columns (committed transactions only -- aborted reads never
-    resolve), its writes rows ``w_start[t]:w_start[t+1]`` of the ``w_*``
-    columns.  A read is *clean* when its wid resolves uniquely to a final
-    write of a committed external transaction and the reader has no earlier
-    own write to the key: ``r_fast[j]`` marks a clean read whose writer is
-    already registered (or earlier in the batch) -- bindable at the
-    reader's consume without probing the writes dict -- while a clean read
-    of a *later* batch transaction still parks, exactly like the scalar
-    fold, and binds when that writer registers.  ``r_writer``/``r_windex``
-    carry the (eventual) binding for every clean row and ``-1`` otherwise.
-    ``txn_fast[t]`` is true when every read of a committed transaction is
-    fast (the fold folds it straight off these columns); ``txn_clean[t]``
-    when every read is at least clean (the fold precomputes the fold-time
-    structures and skips rebind tracking -- no in-batch supersede can ever
-    touch a clean wid); ``txn_hazard[t]`` is true when any write of the
-    transaction collides with the registry or with another batch write
-    (registration must replay the exact scalar supersede protocol).
-
-    The ``nh_*`` columns carry the registration notes for every write of a
-    *non-hazardous* transaction (batch order, ``nh_tid`` absolute,
-    ``nh_flag = final<<1 | committed``): those wids are fresh and unique by
-    construction, so the fold hands them to
-    :meth:`WritesIndex.note_insert_columns` in one call per batch instead
-    of one note per transaction.  Hazardous registrations stay scalar.
-    """
-
-    __slots__ = (
-        "kernel",
-        "r_start",
-        "r_index",
-        "r_kid",
-        "r_vid",
-        "r_wid",
-        "r_own_prev",
-        "r_fast",
-        "r_writer",
-        "r_windex",
-        "w_start",
-        "w_index",
-        "w_kid",
-        "w_wid",
-        "w_final",
-        "nh_wid",
-        "nh_tid",
-        "nh_windex",
-        "nh_flag",
-        "txn_fast",
-        "txn_clean",
-        "txn_hazard",
-    )
-
-
-class WritesIndex:
-    """Incrementally sorted flat mirror of the online writes registry.
-
-    The vectorized :func:`resolve_reads` answers "is this packed write id
-    registered, by whom, final, committed?" for a whole batch with one
-    ``searchsorted`` -- which needs the registry as sorted flat arrays, not
-    a dict.  This class maintains that mirror *incrementally*: a sorted
-    ``main`` (wid-sorted int64 columns) plus a small append ``tail`` (plain
-    Python lists, with a sorted array cache synced by delta-merge each
-    batch), merged into ``main`` only when the tail outgrows
-    ``max(_TAIL_MERGE_MIN, min(len(main) / 4, _TAIL_MERGE_MAX))``, so
-    per-batch upkeep is O(batch) amortized instead of an O(registry)
-    re-sort per batch.
-
-    The mirror is derived state: it is never pickled (checkpoints carry the
-    dict; ``__setstate__`` starts a fresh dirty mirror), and a batch that
-    fails mid-fold calls :meth:`invalidate` -- the next vectorized batch
-    rebuilds from the dict.  The ``committed`` bit is
-    cached per entry at registration; a transaction's committed flag never
-    changes after creation, so the cache cannot go stale.
-    """
-
-    __slots__ = (
-        "_enabled",
-        "_dirty",
-        "m_wid",
-        "m_tid",
-        "m_wx",
-        "m_flag",
-        "t_wid",
-        "t_tid",
-        "t_wx",
-        "t_flag",
-        "t_pos",
-        "t_synced",
-        "_tail_stale",
-        "s_wid",
-        "s_tid",
-        "s_wx",
-        "s_flag",
-    )
-
-    def __init__(self) -> None:
-        self._enabled = _csr._np is not None
-        self._dirty = True
-        if self._enabled:
-            self._reset()
-
-    def _reset(self) -> None:
-        np = _csr._np
-        self.m_wid = np.zeros(0, dtype=np.int64)
-        self.m_tid = np.zeros(0, dtype=np.int64)
-        self.m_wx = np.zeros(0, dtype=np.int64)
-        self.m_flag = np.zeros(0, dtype=np.uint8)
-        self.t_wid: List[int] = []
-        self.t_tid: List[int] = []
-        self.t_wx: List[int] = []
-        self.t_flag: List[int] = []
-        self.t_pos: Optional[Dict[int, int]] = None
-        self.t_synced = 0
-        self._tail_stale = False
-        self.s_wid = self.m_wid
-        self.s_tid = self.m_tid
-        self.s_wx = self.m_wx
-        self.s_flag = self.m_flag
-
-    def invalidate(self) -> None:
-        """Drop the mirror; the next :meth:`ensure` rebuilds from the dict.
-
-        Called when the writes dict changed behind the mirror's back: a
-        batch that raised mid-fold registered a prefix of its writes while
-        its bulk mirror notes were never applied.
-        """
-        self._dirty = True
-        if self._enabled:
-            self._reset()
-
-    # -- registration notes (cheap, called from the fold's scalar loop) --------
-
-    def note_insert(self, wid: int, tid: int, windex: int, final: bool, committed: bool) -> None:
-        if not self._enabled or self._dirty:
-            return
-        self.t_wid.append(wid)
-        self.t_tid.append(tid)
-        self.t_wx.append(windex)
-        self.t_flag.append((2 if final else 0) | (1 if committed else 0))
-        if self.t_pos is not None:
-            self.t_pos[wid] = len(self.t_wid) - 1
-        self._tail_stale = True
-
-    def note_insert_columns(
-        self,
-        wids: Sequence[int],
-        tids: Sequence[int],
-        windexes: Sequence[int],
-        flags: Sequence[int],
-    ) -> None:
-        """Bulk-append one batch's non-hazardous registrations to the tail.
-
-        The wids are fresh and mutually unique (resolve_reads routes every
-        colliding wid through the scalar protocol), so they can land after
-        the batch's scalar hazard notes without reordering concerns -- the
-        tail is keyed by wid and the two sets are disjoint.
-        """
-        if not self._enabled or self._dirty or not wids:
-            return
-        self.t_wid.extend(wids)
-        self.t_tid.extend(tids)
-        self.t_wx.extend(windexes)
-        self.t_flag.extend(flags)
-        self.t_pos = None
-        self._tail_stale = True
-
-    def note_update(self, wid: int, tid: int, windex: int, final: bool, committed: bool) -> None:
-        """A supersede replaced the dict entry for ``wid`` in place."""
-        np = _csr._np
-        if not self._enabled or self._dirty:
-            return
-        flag = (2 if final else 0) | (1 if committed else 0)
-        m_wid = self.m_wid
-        if m_wid.shape[0]:
-            pos = int(np.searchsorted(m_wid, wid))
-            if pos < m_wid.shape[0] and int(m_wid[pos]) == wid:
-                self.m_tid[pos] = tid
-                self.m_wx[pos] = windex
-                self.m_flag[pos] = flag
-                return
-        if self.t_pos is None:
-            self.t_pos = {w: i for i, w in enumerate(self.t_wid)}
-        i = self.t_pos.get(wid)
-        if i is None:  # pragma: no cover - defensive; wid must be resident
-            self._dirty = True
-            return
-        self.t_tid[i] = tid
-        self.t_wx[i] = windex
-        self.t_flag[i] = flag
-        if i < self.t_synced:
-            # The mutated entry is already inside the converted sorted-tail
-            # prefix; force a full re-sort at the next sync.
-            self.t_synced = 0
-        self._tail_stale = True
-
-    # -- batch-time sync -------------------------------------------------------
-
-    def ensure(self, writes: Dict[int, tuple], committed_of) -> bool:
-        """Bring the mirror up to date; False means "use the fallback"."""
-        if not self._enabled:
-            return False
-        if self._dirty:
-            self._rebuild(writes, committed_of)
-        else:
-            if self._tail_stale:
-                self._refresh_tail()
-            if len(self.t_wid) > max(
-                _TAIL_MERGE_MIN, min(self.m_wid.shape[0] >> 2, _TAIL_MERGE_MAX)
-            ):
-                self._merge_tail()
-        return True
-
-    def _rebuild(self, writes: Dict[int, tuple], committed_of) -> None:
-        np = _csr._np
-        self._reset()
-        n = len(writes)
-        if n:
-            wid = np.fromiter(writes.keys(), np.int64, n)
-            tid = np.empty(n, dtype=np.int64)
-            wx = np.empty(n, dtype=np.int64)
-            flag = np.empty(n, dtype=np.uint8)
-            i = 0
-            for entry in writes.values():
-                t = entry[3]
-                tid[i] = t
-                wx[i] = entry[2]
-                flag[i] = (2 if entry[4] else 0) | (1 if committed_of(t) else 0)
-                i += 1
-            order = np.argsort(wid)
-            self.m_wid = wid[order]
-            self.m_tid = tid[order]
-            self.m_wx = wx[order]
-            self.m_flag = flag[order]
-        self._dirty = False
-
-    def _merge_tail(self) -> None:
-        # The sorted-tail cache is in sync here (``ensure`` refreshes it
-        # first), so this is a two-run merge of already-sorted columns:
-        # searchsorted positions plus one masked scatter per column, with
-        # no argsort over the whole registry.
-        np = _csr._np
-        a_wid = self.m_wid
-        b_wid = self.s_wid
-        pos = np.searchsorted(a_wid, b_wid)
-        n = a_wid.shape[0] + b_wid.shape[0]
-        idx_b = pos + np.arange(b_wid.shape[0], dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[idx_b] = False
-        for name in ("wid", "tid", "wx", "flag"):
-            a = getattr(self, "m_" + name)
-            b = getattr(self, "s_" + name)
-            out = np.empty(n, dtype=a.dtype)
-            out[idx_b] = b
-            out[mask] = a
-            setattr(self, "m_" + name, out)
-        self.t_wid = []
-        self.t_tid = []
-        self.t_wx = []
-        self.t_flag = []
-        self.t_pos = None
-        self.t_synced = 0
-        empty = np.zeros(0, dtype=np.int64)
-        self.s_wid = empty
-        self.s_tid = empty
-        self.s_wx = empty
-        self.s_flag = np.zeros(0, dtype=np.uint8)
-        self._tail_stale = False
-
-    def _refresh_tail(self) -> None:
-        # Convert and sort only the entries appended since the last sync:
-        # the synced prefix is already sorted in ``s_*``, and the delta is
-        # folded in with one linear two-run merge per column.  Re-sorting
-        # the whole tail each batch costs a per-element Python list -> array
-        # conversion of the entire tail, which dominated the classify lap
-        # (~0.8s) on 600k-op streams.
-        np = _csr._np
-        t_wid = self.t_wid
-        n = len(t_wid)
-        k = self.t_synced
-        if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            self.s_wid = empty
-            self.s_tid = empty
-            self.s_wx = empty
-            self.s_flag = np.zeros(0, dtype=np.uint8)
-            self.t_synced = 0
-            self._tail_stale = False
-            return
-        if k == 0 or k > n:
-            wid = np.asarray(t_wid, dtype=np.int64)
-            order = np.argsort(wid)
-            self.s_wid = wid[order]
-            self.s_tid = np.asarray(self.t_tid, dtype=np.int64)[order]
-            self.s_wx = np.asarray(self.t_wx, dtype=np.int64)[order]
-            self.s_flag = np.asarray(self.t_flag, dtype=np.uint8)[order]
-        elif k < n:
-            dw = np.asarray(t_wid[k:], dtype=np.int64)
-            order = np.argsort(dw)
-            dw = dw[order]
-            delta = (
-                ("wid", dw),
-                ("tid", np.asarray(self.t_tid[k:], dtype=np.int64)[order]),
-                ("wx", np.asarray(self.t_wx[k:], dtype=np.int64)[order]),
-                ("flag", np.asarray(self.t_flag[k:], dtype=np.uint8)[order]),
-            )
-            a_wid = self.s_wid
-            pos = np.searchsorted(a_wid, dw)
-            m = a_wid.shape[0] + dw.shape[0]
-            idx_b = pos + np.arange(dw.shape[0], dtype=np.int64)
-            mask = np.ones(m, dtype=bool)
-            mask[idx_b] = False
-            for name, b in delta:
-                a = getattr(self, "s_" + name)
-                out = np.empty(m, dtype=a.dtype)
-                out[idx_b] = b
-                out[mask] = a
-                setattr(self, "s_" + name, out)
-        self.t_synced = n
-        self._tail_stale = False
-
-    # -- vectorized probes -----------------------------------------------------
-
-    def contains(self, wids) -> "object":
-        """Boolean array: is each wid registered (main or tail)?"""
-        np = _csr._np
-        found = np.zeros(wids.shape[0], dtype=bool)
-        for col in (self.m_wid, self.s_wid):
-            if col.shape[0]:
-                pos = np.searchsorted(col, wids)
-                pc = np.minimum(pos, col.shape[0] - 1)
-                found |= col[pc] == wids
-        return found
-
-    def lookup(self, wids):
-        """``(found, tid, windex, flag)`` arrays; flag = final<<1 | committed."""
-        np = _csr._np
-        n = wids.shape[0]
-        found = np.zeros(n, dtype=bool)
-        tid = np.full(n, -1, dtype=np.int64)
-        wx = np.full(n, -1, dtype=np.int64)
-        flag = np.zeros(n, dtype=np.uint8)
-        for col, ctid, cwx, cflag in (
-            (self.m_wid, self.m_tid, self.m_wx, self.m_flag),
-            (self.s_wid, self.s_tid, self.s_wx, self.s_flag),
-        ):
-            if not col.shape[0]:
-                continue
-            pos = np.searchsorted(col, wids)
-            pc = np.minimum(pos, col.shape[0] - 1)
-            hit = col[pc] == wids
-            if hit.any():
-                found |= hit
-                tid = np.where(hit, ctid[pc], tid)
-                wx = np.where(hit, cwx[pc], wx)
-                flag = np.where(hit, cflag[pc], flag)
-        return found, tid, wx, flag
-
-
-def resolve_reads(
-    index: Optional[WritesIndex],
-    writes: Dict[int, tuple],
-    committed_of,
-    kid_col: Sequence[int],
-    vid_col: Sequence[int],
-    kinds,
-    txn_end,
-    committed_col,
-    tid0: int,
-) -> ResolvedBatch:
-    """Resolve a whole batch's reads against the writes registry at once.
-
-    Inputs are the record batch's interned columns (``vid_col`` is ``-1``
-    only at aborted-transaction reads, which never resolve), the *pre-batch*
-    writes dict (not yet mutated by this batch), its sorted mirror, a
-    ``committed_of(tid)`` predicate for registry writers, and the tid the
-    batch's first transaction will get.  Output is a :class:`ResolvedBatch`
-    of plain Python columns -- the fold's scalar control loop consumes them
-    in exactly today's order, so park/rebind/refusal semantics and error
-    timing are untouched; only the per-read probing is batched.
-
-    A read is *fast* iff its wid resolves uniquely to a final write of a
-    committed external transaction and the reader has no earlier own write
-    to the key -- precisely the reads the fold's inline check (and the
-    common exit of ``_classify``) binds without recording a violation.  Any
-    wid written twice in the batch, or written in the batch *and* already
-    registered, is hazardous: its reads and its writers' registrations drop
-    to the exact scalar path, which replays the supersede/rebind protocol
-    against the live dict.  Both implementations produce identical columns
-    (property-tested in ``tests/test_resolve_kernel.py``).
-    """
-    if (
-        _csr._np is not None
-        and index is not None
-        and len(kinds) >= _MIN_VECTOR_READS
-        and index.ensure(writes, committed_of)
-    ):
-        out = _resolve_reads_vectorized(
-            index, kid_col, vid_col, kinds, txn_end, committed_col, tid0
-        )
-        if out is not None:
-            return out
-    return _resolve_reads_fallback(
-        writes, committed_of, kid_col, vid_col, kinds, txn_end, committed_col, tid0
-    )
-
-
-def _resolve_reads_vectorized(
-    index, kid_col, vid_col, kinds, txn_end, committed_col, tid0
-):
-    np = _csr._np
-    n = len(kinds)
-    num_txn = len(txn_end)
-    kid = np.asarray(kid_col, dtype=np.int64)
-    if int(kid.max()) >= (1 << 31) or tid0 + num_txn >= (1 << 31):
-        # Packed-wid / grouping-key head-room gone (2^31 keys, or the tid
-        # guard will fire mid-batch); the fallback's Python ints can't
-        # overflow and the fold raises at the exact transaction either way.
-        return None
-    vid = np.asarray(vid_col, dtype=np.int64)
-    kindm = np.frombuffer(kinds, dtype=np.uint8).astype(bool)
-    ends = np.frombuffer(txn_end, dtype=np.int64).copy()
-    committed_t = np.frombuffer(committed_col, dtype=np.uint8).astype(bool)
-    starts = np.empty(num_txn, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1]
-    span = ends - starts
-    txn_of = np.repeat(np.arange(num_txn, dtype=np.int64), span)
-    lidx = np.arange(n, dtype=np.int64) - starts[txn_of]
-    wid_all = (kid << _VALUE_SHIFT) | vid
-
-    # Last own write preceding each op: segmented running max of (write
-    # position + 1) over ops grouped by (txn, key) in program order.
-    order2 = np.lexsort((kid, txn_of))
-    g = (txn_of[order2] << 31) | kid[order2]
-    newseg = np.empty(n, dtype=bool)
-    newseg[0] = True
-    np.not_equal(g[1:], g[:-1], out=newseg[1:])
-    segid = np.cumsum(newseg) - 1
-    span_const = n + 2
-    wval = np.where(kindm[order2], lidx[order2] + 1, 0)
-    packed = segid * span_const + wval
-    np.maximum.accumulate(packed, out=packed)
-    own_sorted = packed - segid * span_const - 1
-    own_prev = np.empty(n, dtype=np.int64)
-    own_prev[order2] = own_sorted
-
-    # Write columns + in-batch duplicate / registry-collision hazards.
-    wpos = np.flatnonzero(kindm)
-    nw = wpos.shape[0]
-    w_txn = txn_of[wpos]
-    w_kid_a = kid[wpos]
-    w_wid_a = wid_all[wpos]
-    w_lidx_a = lidx[wpos]
-    if nw:
-        gk = (w_txn << 31) | w_kid_a
-        order3 = np.lexsort((w_lidx_a, gk))
-        gk_s = gk[order3]
-        last = np.empty(nw, dtype=bool)
-        np.not_equal(gk_s[1:], gk_s[:-1], out=last[:-1])
-        last[-1] = True
-        w_final_a = np.empty(nw, dtype=bool)
-        w_final_a[order3] = last
-
-        order_w = np.argsort(w_wid_a, kind="stable")
-        sw = w_wid_a[order_w]
-        dup_s = np.zeros(nw, dtype=bool)
-        if nw > 1:
-            eq = sw[1:] == sw[:-1]
-            dup_s[1:] = eq
-            dup_s[:-1] |= eq
-        hot_s = dup_s | index.contains(sw)
-        w_hot = np.empty(nw, dtype=bool)
-        w_hot[order_w] = hot_s
-        txn_hazard = np.bincount(w_txn[w_hot], minlength=num_txn) > 0
-
-        nh = ~txn_hazard[w_txn]
-        nh_wid_a = w_wid_a[nh]
-        nh_tid_a = w_txn[nh] + tid0
-        nh_windex_a = w_lidx_a[nh]
-        nh_flag_a = (w_final_a[nh].astype(np.uint8) << 1) | committed_t[
-            w_txn[nh]
-        ].astype(np.uint8)
-    else:
-        w_final_a = np.zeros(0, dtype=bool)
-        txn_hazard = np.zeros(num_txn, dtype=bool)
-        nh_wid_a = nh_tid_a = nh_windex_a = np.zeros(0, dtype=np.int64)
-        nh_flag_a = np.zeros(0, dtype=np.uint8)
-
-    # Read columns: resolve each committed read's wid against the batch's
-    # writes (searchsorted over the sorted write wids; the leftmost match
-    # is the unique one whenever the wid is clean) and the registry mirror.
-    rpos = np.flatnonzero((~kindm) & committed_t[txn_of])
-    nr = rpos.shape[0]
-    r_txn = txn_of[rpos]
-    r_kid_a = kid[rpos]
-    r_vid_a = vid[rpos]
-    r_wid_a = wid_all[rpos]
-    r_lidx_a = lidx[rpos]
-    r_ownp_a = own_prev[rpos]
-    if nr:
-        ownp_none = r_ownp_a < 0
-        if nw:
-            p = np.searchsorted(sw, r_wid_a)
-            pc = np.minimum(p, nw - 1)
-            in_b = sw[pc] == r_wid_a
-            widx = order_w[pc]
-            m_txn = w_txn[widx]
-            m_hot = hot_s[pc]
-            # Clean: unique in-batch writer, final, committed, external
-            # (same-transaction matches are future reads / own reads, never
-            # clean), no earlier own write.  Fast additionally requires the
-            # writer to precede the reader; a clean read of a *later*
-            # transaction parks and binds when that writer registers.
-            clean = (
-                in_b
-                & ~m_hot
-                & (m_txn != r_txn)
-                & w_final_a[widx]
-                & committed_t[m_txn]
-                & ownp_none
-            )
-            fast = clean & (m_txn < r_txn)
-            r_writer_a = np.where(clean, m_txn + tid0, -1)
-            r_windex_a = np.where(clean, w_lidx_a[widx], -1)
-        else:
-            in_b = np.zeros(nr, dtype=bool)
-            clean = np.zeros(nr, dtype=bool)
-            fast = clean
-            r_writer_a = np.full(nr, -1, dtype=np.int64)
-            r_windex_a = np.full(nr, -1, dtype=np.int64)
-        reg_found, g_tid, g_wx, g_flag = index.lookup(r_wid_a)
-        reg_fast = (
-            (~in_b)
-            & reg_found
-            & (g_flag & 2).astype(bool)
-            & (g_flag & 1).astype(bool)
-            & ownp_none
-        )
-        fast = fast | reg_fast
-        clean = clean | reg_fast
-        r_writer_a = np.where(reg_fast, g_tid, r_writer_a)
-        r_windex_a = np.where(reg_fast, g_wx, r_windex_a)
-        nonfast = np.bincount(r_txn[~fast], minlength=num_txn)
-        txn_fast = committed_t & (nonfast == 0)
-        nonclean = np.bincount(r_txn[~clean], minlength=num_txn)
-        txn_clean = committed_t & (nonclean == 0)
-        r_counts = np.bincount(r_txn, minlength=num_txn)
-    else:
-        fast = np.zeros(0, dtype=bool)
-        r_writer_a = np.zeros(0, dtype=np.int64)
-        r_windex_a = np.zeros(0, dtype=np.int64)
-        txn_fast = committed_t.copy()
-        txn_clean = txn_fast
-        r_counts = np.zeros(num_txn, dtype=np.int64)
-
-    out = ResolvedBatch()
-    out.kernel = "vectorized"
-    r_start = np.empty(num_txn + 1, dtype=np.int64)
-    r_start[0] = 0
-    np.cumsum(r_counts, out=r_start[1:])
-    w_start = np.empty(num_txn + 1, dtype=np.int64)
-    w_start[0] = 0
-    np.cumsum(np.bincount(w_txn, minlength=num_txn), out=w_start[1:])
-    out.r_start = r_start.tolist()
-    out.r_index = r_lidx_a.tolist()
-    out.r_kid = r_kid_a.tolist()
-    out.r_vid = r_vid_a.tolist()
-    out.r_wid = r_wid_a.tolist()
-    out.r_own_prev = r_ownp_a.tolist()
-    out.r_fast = fast.tolist()
-    out.r_writer = r_writer_a.tolist()
-    out.r_windex = r_windex_a.tolist()
-    out.w_start = w_start.tolist()
-    out.w_index = w_lidx_a.tolist()
-    out.w_kid = w_kid_a.tolist()
-    out.w_wid = w_wid_a.tolist()
-    out.w_final = w_final_a.tolist()
-    out.nh_wid = nh_wid_a.tolist()
-    out.nh_tid = nh_tid_a.tolist()
-    out.nh_windex = nh_windex_a.tolist()
-    out.nh_flag = nh_flag_a.tolist()
-    out.txn_fast = txn_fast.tolist()
-    out.txn_clean = txn_clean.tolist()
-    out.txn_hazard = txn_hazard.tolist()
-    return out
-
-
-def _resolve_reads_fallback(
-    writes, committed_of, kid_col, vid_col, kinds, txn_end, committed_col, tid0
-):
-    r_start = [0]
-    r_index: List[int] = []
-    r_kid: List[int] = []
-    r_vid: List[int] = []
-    r_wid: List[int] = []
-    r_own_prev: List[int] = []
-    r_fast: List[bool] = []
-    r_writer: List[int] = []
-    r_windex: List[int] = []
-    w_start = [0]
-    w_index: List[int] = []
-    w_kid: List[int] = []
-    w_wid: List[int] = []
-    w_final: List[bool] = []
-    nh_wid: List[int] = []
-    nh_tid: List[int] = []
-    nh_windex: List[int] = []
-    nh_flag: List[int] = []
-    txn_fast: List[bool] = []
-    txn_clean: List[bool] = []
-    txn_hazard: List[bool] = []
-
-    # Pass 1: write columns, plus the first occurrence (and occurrence
-    # count) of every wid written in the batch -- the vectorized side's
-    # leftmost-stable-sorted match, reproduced with a dict.
-    batch_w: Dict[int, List[int]] = {}
-    spans: List[Tuple[int, int]] = []
-    lo = 0
-    for t, hi in enumerate(txn_end):
-        final_write: Dict[int, int] = {}
-        txn_writes: List[Tuple[int, int, int]] = []
-        for i in range(lo, hi):
-            if kinds[i]:
-                kid = kid_col[i]
-                index = i - lo
-                final_write[kid] = index
-                txn_writes.append((kid, (kid << _VALUE_SHIFT) | vid_col[i], index))
-        for kid, wid, index in txn_writes:
-            fl = final_write[kid] == index
-            w_kid.append(kid)
-            w_wid.append(wid)
-            w_index.append(index)
-            w_final.append(fl)
-            entry = batch_w.get(wid)
-            if entry is None:
-                batch_w[wid] = [1, t, index, fl]
-            else:
-                entry[0] += 1
-        w_start.append(len(w_wid))
-        spans.append((lo, hi))
-        lo = hi
-
-    # Pass 2: per-transaction hazard flag and read resolution (own-write
-    # replay in program order, exactly the scalar fold's scan).
-    for t, (lo, hi) in enumerate(spans):
-        hazard = False
-        for k in range(w_start[t], w_start[t + 1]):
-            wid = w_wid[k]
-            if batch_w[wid][0] > 1 or wid in writes:
-                hazard = True
-                break
-        txn_hazard.append(hazard)
-        committed = bool(committed_col[t])
-        if not hazard and w_start[t] != w_start[t + 1]:
-            c = 1 if committed else 0
-            tid = tid0 + t
-            for k in range(w_start[t], w_start[t + 1]):
-                nh_wid.append(w_wid[k])
-                nh_tid.append(tid)
-                nh_windex.append(w_index[k])
-                nh_flag.append((2 | c) if w_final[k] else c)
-        own: Dict[int, int] = {}
-        own_get = own.get
-        all_fast = True
-        all_clean = True
-        for i in range(lo, hi):
-            kid = kid_col[i]
-            if kinds[i]:
-                own[kid] = i - lo
-            elif committed:
-                vid = vid_col[i]
-                wid = (kid << _VALUE_SHIFT) | vid
-                ownp = own_get(kid, -1)
-                fast = False
-                clean = False
-                writer = -1
-                windex = -1
-                bw = batch_w.get(wid)
-                if bw is not None:
-                    if bw[0] == 1 and wid not in writes:
-                        wtxn = bw[1]
-                        if (
-                            wtxn != t
-                            and bw[3]
-                            and committed_col[wtxn]
-                            and ownp < 0
-                        ):
-                            clean = True
-                            fast = wtxn < t
-                            writer = tid0 + wtxn
-                            windex = bw[2]
-                else:
-                    hit = writes.get(wid)
-                    if (
-                        hit is not None
-                        and hit[4]
-                        and ownp < 0
-                        and committed_of(hit[3])
-                    ):
-                        fast = True
-                        clean = True
-                        writer = hit[3]
-                        windex = hit[2]
-                if not fast:
-                    all_fast = False
-                if not clean:
-                    all_clean = False
-                r_index.append(i - lo)
-                r_kid.append(kid)
-                r_vid.append(vid)
-                r_wid.append(wid)
-                r_own_prev.append(ownp)
-                r_fast.append(fast)
-                r_writer.append(writer)
-                r_windex.append(windex)
-        r_start.append(len(r_index))
-        txn_fast.append(committed and all_fast)
-        txn_clean.append(committed and all_clean)
-
-    out = ResolvedBatch()
-    out.kernel = "fallback"
-    out.r_start = r_start
-    out.r_index = r_index
-    out.r_kid = r_kid
-    out.r_vid = r_vid
-    out.r_wid = r_wid
-    out.r_own_prev = r_own_prev
-    out.r_fast = r_fast
-    out.r_writer = r_writer
-    out.r_windex = r_windex
-    out.w_start = w_start
-    out.w_index = w_index
-    out.w_kid = w_kid
-    out.w_wid = w_wid
-    out.w_final = w_final
-    out.nh_wid = nh_wid
-    out.nh_tid = nh_tid
-    out.nh_windex = nh_windex
-    out.nh_flag = nh_flag
-    out.txn_fast = txn_fast
-    out.txn_clean = txn_clean
-    out.txn_hazard = txn_hazard
-    return out
-
-
 # -- batch unique-writes resolution (IR build) ---------------------------------
 
 
 def resolve_unique_writes(op_kind, op_key, op_value):
     """Unique-writes wr inference over whole op columns, last write wins.
 
-    The batch twin of :func:`resolve_reads`: given the IR builder's packed
-    op columns, return the ``op_wr`` array mapping each read to the global
+    Given the IR builder's packed op columns, return the ``op_wr`` array mapping each read to the global
     op index of the last write of its ``(key, value)`` identity (``-1`` =
     thin air).  :meth:`CompiledHistoryBuilder.finalize` calls this once per
     history.  Vectorized and fallback are bit-identical.

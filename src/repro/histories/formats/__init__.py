@@ -34,6 +34,7 @@ __all__ = [
     "load_history",
     "load_compiled",
     "save_history",
+    "session_gaps",
     "stream_history",
     "stream_raw_batches",
     "stream_raw_history",
@@ -167,6 +168,18 @@ def stream_raw_batches(
             raise _decode_error(path, exc) from exc
 
 
+def session_gaps(path: str, fmt: Optional[str] = None) -> bool:
+    """Whether the IR of ``path`` gets an empty session per missing integer id.
+
+    The batch loaders' session convention: the JSON and cobra formats keep
+    a session that has no transactions, so their IR fills the gaps in the
+    integer ids; plume does not.  :func:`load_compiled` and ``awdit check
+    --stream`` both finish their :class:`CompiledHistoryBuilder` with it,
+    so both number sessions, and print witnesses, alike.
+    """
+    return getattr(_module_for(fmt, path), "COMPILED_SESSION_GAPS", False)
+
+
 def load_compiled(
     path: str,
     fmt: Optional[str] = None,
@@ -183,11 +196,10 @@ def load_compiled(
     (which a one-pass parse cannot observe).
 
     ``timings`` (for ``awdit check --profile``) receives separate ``parse``
-    and ``build`` wall seconds, measured per batch around the generator pull
-    and the builder fold -- no materialization needed.  ``batch_ops`` tunes
-    the operations per batch (``--batch-ops``).
+    and ``build`` wall seconds, measured per batch around the generator
+    pull and the builder's ``add_batch`` -- no materialization needed.
+    ``batch_ops`` tunes the operations per batch (``--batch-ops``).
     """
-    module = _module_for(fmt, path)
     builder = CompiledHistoryBuilder()
     if timings is None:
         for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
@@ -209,10 +221,7 @@ def load_compiled(
             build_lap += time.perf_counter() - start
         timings["parse"] = parse_lap
         start = time.perf_counter()
-    compiled = builder.finalize(
-        sort_sessions=True,
-        fill_gaps=getattr(module, "COMPILED_SESSION_GAPS", False),
-    )
+    compiled = builder.finalize(fill_gaps=session_gaps(path, fmt))
     if timings is not None:
         timings["build"] = build_lap + time.perf_counter() - start
     return compiled

@@ -2,17 +2,16 @@
 
 Public surface:
 
-* :class:`CompiledIncrementalChecker` -- the online checker
-  (:mod:`repro.core.compiled.online`): consumes transactions as they are
-  appended, resolves and classifies their reads online on packed interned
-  ids, reports read-level violations as soon as they become witnessable,
-  runs the compiled checkers at finalize, and supports checkpoint/resume.
+* :class:`CompiledIncrementalChecker` -- the streaming checker
+  (:mod:`repro.core.compiled.online`): builds the compiled IR from
+  transactions as they are appended, runs the compiled checkers at
+  finalize, and supports checkpoint/resume.
 * :func:`check_stream_compiled` -- one-shot wrapper over a raw record
   stream.
 * :func:`check_stream_file` -- the file-level entry point behind ``awdit
   check --stream``, with checkpoint/resume.
 * :func:`check_history_stream` -- stream an in-memory history through the
-  online checker (the ``check(..., mode="stream")`` implementation).
+  streaming checker (the ``check(..., mode="stream")`` implementation).
 
 Pair with the iterator-based parsers
 (:func:`repro.histories.formats.stream_raw_history` /
@@ -31,7 +30,6 @@ from repro.stream.runner import (
     check_history_stream,
     check_stream_file,
     history_records,
-    stream_live_stats,
 )
 
 __all__ = [
@@ -43,5 +41,4 @@ __all__ = [
     "check_stream_file",
     "history_records",
     "load_checkpoint",
-    "stream_live_stats",
 ]

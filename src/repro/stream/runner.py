@@ -2,11 +2,12 @@
 
 Every streaming check runs the
 :class:`~repro.core.compiled.online.CompiledIncrementalChecker` -- raw
-parser record batches in, no model objects on the hot path.
+parser record batches into the compiled IR builder, no model objects, and
+the batch checkers at the end.
 
 :func:`check_stream_file` is the CLI's ``awdit check --stream`` entry point
 and carries the checkpoint/resume surface: ``checkpoint=`` serializes the
-online state every ``checkpoint_every`` transactions (and once more before
+streaming state every ``checkpoint_every`` transactions (and once more before
 finalizing), ``resume=True`` restores it and skips the records the
 checkpoint already consumed.  :func:`check_history_stream` replays an
 in-memory history through the same core (``check(..., mode="stream")``).
@@ -14,10 +15,9 @@ in-memory history through the same core (``check(..., mode="stream")``).
 
 from __future__ import annotations
 
-import gc
 import os
 import time
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.compiled.ir import CompiledHistory
 from repro.core.compiled.online import (
@@ -39,7 +39,6 @@ __all__ = [
     "check_history_stream",
     "check_stream_file",
     "history_records",
-    "stream_live_stats",
 ]
 
 #: Default checkpoint cadence (transactions between saves).
@@ -83,20 +82,15 @@ def history_records(
             yield sid, (txn.label, txn.committed, ops)
 
 
-def _gc_collections() -> int:
-    """Total collector runs across all generations (``--profile`` deltas)."""
-    return sum(entry["collections"] for entry in gc.get_stats())
-
-
 def check_history_stream(
     history: Union[History, CompiledHistory],
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     max_witnesses: Optional[int] = None,
 ) -> CheckResult:
-    """Stream an in-memory history through the online checker.
+    """Stream an in-memory history through the streaming checker.
 
     This is ``check(history, level, mode="stream")``: the history's
-    transactions are replayed in file order into the online checker.
+    transactions are replayed in file order into the streaming checker.
     """
     return check_stream_compiled(
         history_records(history),
@@ -113,9 +107,8 @@ def check_all_levels_history_stream(
     """Stream an in-memory history once, checking all three levels together.
 
     The all-levels analogue of :func:`check_history_stream`
-    (``check_all_levels(..., mode="stream")``): one online pass maintains
-    RC, RA, and CC state simultaneously and one finalize emits all three
-    results.
+    (``check_all_levels(..., mode="stream")``): one pass builds the IR and
+    one finalize checks all three levels on one read-consistency report.
     """
     checker = CompiledIncrementalChecker(
         num_sessions=history.num_sessions, max_witnesses=max_witnesses
@@ -147,13 +140,16 @@ def check_stream_file(
 ) -> CheckResult:
     """One-pass check of an on-disk history (``awdit check --stream``).
 
-    The online checker folds the parsers' record batches (``batch_ops``
-    operations per batch; the verdict is identical for any value).
-    ``checkpoint`` periodically serializes the online state -- at the first
-    batch boundary past every ``checkpoint_every`` transactions, and once
-    more before finalizing -- so ``resume=True`` can continue an
-    interrupted check, including after completion, when resuming simply
-    skips every record and re-finalizes.  Resuming raises
+    The streaming checker builds the IR from the parsers' record batches
+    (``batch_ops`` operations per batch; the verdict is identical for any
+    value) and numbers sessions like
+    :func:`~repro.histories.formats.load_compiled`
+    (:func:`~repro.histories.formats.session_gaps`), so it prints what a
+    batch check prints.  ``checkpoint`` periodically serializes the
+    checker -- at the first batch boundary past every ``checkpoint_every``
+    transactions, and once more before finalizing -- so ``resume=True`` can
+    continue an interrupted check, including after completion, when
+    resuming simply skips every record and re-finalizes.  Resuming raises
     :class:`~repro.core.exceptions.UsageError` when the checkpoint does not
     track ``level``, and
     :class:`~repro.core.exceptions.HistoryFormatError` when the file ends
@@ -163,14 +159,12 @@ def check_stream_file(
     written: a save would replace the history.  So does a ``checkpoint``
     that is a directory or lies in a missing one, before the history is
     read: the first save could not write it.  ``timings`` (``--profile``)
-    receives ``parse`` / ``fold`` wall seconds, the fold's ``fold_intern`` /
-    ``fold_dispatch`` / ``fold_classify`` sub-laps, and per-phase
-    ``gc.get_stats()`` collection deltas (``parse_gc_collections`` /
-    ``fold_gc_collections``); the finalize laps are in the result's stats.
+    receives the ``parse`` wall seconds; the ``build`` lap and the
+    checkers' laps are in the result's stats.
     """
     # Looked up per call, not bound at import, so a caller can wrap the
     # parser (the layered benchmark times each batch pull this way).
-    from repro.histories.formats import stream_raw_batches
+    from repro.histories.formats import session_gaps, stream_raw_batches
 
     if batch_ops is not None and batch_ops < 1:
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
@@ -206,27 +200,20 @@ def check_stream_file(
         # the original checker.
         checker._max_witnesses = max_witnesses
     else:
-        checker = CompiledIncrementalChecker(levels=(level,), max_witnesses=max_witnesses)
+        checker = CompiledIncrementalChecker(
+            levels=(level,),
+            max_witnesses=max_witnesses,
+            fill_gaps=session_gaps(path, fmt),
+        )
     skip = checker.num_transactions
-    profile = timings is not None
-    if profile:
-        laps = checker.enable_fold_profile()
-        parse_lap = 0.0
-        fold_lap = 0.0
-        parse_gc = 0
-        fold_gc = 0
+    parse_lap = 0.0
     source = None if checkpoint is None else source_fingerprint(path)
     since_checkpoint = 0
     batches = stream_raw_batches(path, fmt, batch_ops=batch_ops)
     while True:
-        if profile:
-            gc_mark = _gc_collections()
-            mark = time.perf_counter()
-            batch = next(batches, None)
-            parse_lap += time.perf_counter() - mark
-            parse_gc += _gc_collections() - gc_mark
-        else:
-            batch = next(batches, None)
+        mark = time.perf_counter()
+        batch = next(batches, None)
+        parse_lap += time.perf_counter() - mark
         if batch is None:
             break
         if skip:
@@ -238,14 +225,7 @@ def check_stream_file(
                 continue
             batch = batch.tail(skip)
             skip = 0
-        if profile:
-            gc_mark = _gc_collections()
-            mark = time.perf_counter()
-            checker.append_batch(batch)
-            fold_lap += time.perf_counter() - mark
-            fold_gc += _gc_collections() - gc_mark
-        else:
-            checker.append_batch(batch)
+        checker.append_batch(batch)
         if checkpoint is not None:
             since_checkpoint += len(batch.txn_end)
             if since_checkpoint >= checkpoint_every:
@@ -262,33 +242,6 @@ def check_stream_file(
         )
     if checkpoint is not None:
         checker.save_checkpoint(checkpoint, source=source)
-    if profile:
+    if timings is not None:
         timings["parse"] = parse_lap
-        timings["fold"] = fold_lap
-        timings["fold_intern"] = laps["intern"]
-        timings["fold_dispatch"] = laps["dispatch"]
-        timings["fold_classify"] = laps["classify"]
-        timings["parse_gc_collections"] = parse_gc
-        timings["fold_gc_collections"] = fold_gc
     return checker.finalize()[level]
-
-
-def stream_live_stats(
-    path: str,
-    fmt: Optional[str] = None,
-    levels: Optional[Iterable[IsolationLevel]] = None,
-    batch_ops: Optional[int] = None,
-) -> dict:
-    """Feed ``path`` through the online core and return its live-state peaks.
-
-    Powers ``awdit stats --stream``: the returned dict is
-    :meth:`CompiledIncrementalChecker.live_stats` after the whole stream has
-    been folded (but before finalize, so the reported footprint is the
-    online state itself).
-    """
-    from repro.histories.formats import stream_raw_batches
-
-    checker = CompiledIncrementalChecker(levels=tuple(levels) if levels is not None else None)
-    for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-        checker.append_batch(batch)
-    return checker.live_stats()

@@ -1,23 +1,23 @@
-"""Arrival-order streams: the generator's contract and online parity.
+"""Arrival-order streams: the generator's contract and streaming parity.
 
 ``generate_random_stream`` returns a history plus the order in which its
 transactions were generated -- the realistic input order for
 ``awdit check --stream``, the file order of perfbench's fig9 history, and
-the stream ``benchmarks/perf_guard.py`` replays.  Fed in that order,
-cross-session reads resolve on arrival instead of parking until the
-writer's whole session has been folded, and a checkpoint can land
-anywhere in the interleaving.
+the stream ``benchmarks/perf_guard.py`` replays.  Fed in that order, the
+sessions interleave, sessions first appear out of id order, and a
+checkpoint can land anywhere in the interleaving.
 
-The contract pinned here: fed in arrival order, the online checker's
+The contract pinned here: fed in arrival order, the streaming checker's
 verdict, violation messages and inferred-edge count equal the object batch
 oracle's at every level, at every batch size, across a checkpoint taken
-anywhere in the stream, and without numpy; and the co log its finalize
-hands each commit relation is the compiled batch engine's, attempt for
-attempt.  Every transaction stays resident: transaction ``tid`` is fold
-row ``tid`` for the whole run.  Through the CLI, a file whose sessions
-first appear out of id order gets the same verdict line, violation count
-and kinds from ``check`` and ``check --stream``, though the witnesses may
-differ.
+anywhere in the stream, and without numpy; the IR its finalize checks is the
+one ``CompiledHistoryBuilder`` builds from the same records, and the co log
+that finalize hands each commit relation is the compiled batch engine's,
+attempt for attempt; the answer never depends on which side (numpy or
+pure Python) of a kernel ran, not even across a checkpoint saved on one
+side and finished on the other.  Through the CLI, a file whose sessions
+first appear out of id order prints the same output from ``check`` and
+``check --stream``, apart from the checker label and the elapsed time.
 """
 
 import contextlib
@@ -27,6 +27,7 @@ import random
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,9 +36,8 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import IsolationLevel, check
 from repro.core.commit import CommitRelation
-from repro.core.compiled import kernels
-from repro.core.compiled.checkers import check_compiled, check_read_consistency_compiled
-from repro.core.exceptions import HistoryFormatError
+from repro.core.compiled import kernels, online
+from repro.core.compiled.checkers import check_compiled
 from repro.core.compiled.ir import CompiledHistoryBuilder
 from repro.graph import csr
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
@@ -132,6 +132,74 @@ def oracle_digest(history):
     return digest({level: check(history, level, engine="object") for level in LEVELS})
 
 
+needs_numpy = pytest.mark.skipif(not csr.HAVE_NUMPY, reason="numpy is not available")
+
+#: Random histories for the property tests: small, with aborts and
+#: arbitrary cross-session reads.
+history_configs = st.builds(
+    RandomHistoryConfig,
+    num_sessions=st.integers(1, 5),
+    num_transactions=st.integers(0, 30),
+    num_keys=st.integers(1, 6),
+    min_ops_per_txn=st.just(1),
+    max_ops_per_txn=st.integers(1, 6),
+    read_fraction=st.floats(0.2, 0.8),
+    abort_probability=st.sampled_from([0.0, 0.15]),
+    mode=st.sampled_from(["serializable", "random_reads"]),
+    seed=st.integers(0, 10_000),
+)
+
+
+@contextlib.contextmanager
+def kernel_side(use_numpy):
+    """Pin every kernel with a numpy side to one side for the body.
+
+    ``use_numpy`` lowers the size floor to one operation, so even a tiny
+    history takes the vectorized unique-writes resolution and CC
+    saturation; otherwise ``csr.numpy_disabled()`` pins the fallbacks.
+    Yields a list that gets one entry per vectorized resolution that ran.
+    """
+    resolved = []
+    real = kernels._resolve_unique_writes_vectorized
+
+    def spy(*args):
+        out = real(*args)
+        resolved.append(out is not None)
+        return out
+
+    side = contextlib.nullcontext() if use_numpy else csr.numpy_disabled()
+    with side, mock.patch.object(kernels, "_MIN_VECTOR_READS", 1), mock.patch.object(
+        kernels, "_resolve_unique_writes_vectorized", spy
+    ):
+        yield resolved
+
+
+def saturation_sides(results):
+    """The CC saturation sides that ran (RC and RA have none)."""
+    return {result.stats.get("saturation_kernel") for result in results.values()} - {None}
+
+
+def run_on_side(records, num_sessions, batch_ops, use_numpy):
+    """Stream ``records`` at every level on one kernel side.
+
+    Returns the digest and the CC saturation sides that ran.  The fallback
+    side must be the only one to run under ``use_numpy=False``; with numpy
+    a vectorized side may still decline (CC saturation does on a history
+    without cross-transaction reads), so callers assert what they expect.
+    """
+    with kernel_side(use_numpy) as resolved:
+        checker = CompiledIncrementalChecker(num_sessions=num_sessions)
+        checker.extend_raw(iter(records), batch_ops=batch_ops)
+        results = checker.finalize()
+    sides = saturation_sides(results)
+    if use_numpy:
+        assert all(resolved)
+    else:
+        assert resolved == []
+        assert sides <= {"fallback"}
+    return digest(results), sides
+
+
 class TestRandomStreamGenerator:
     @pytest.mark.parametrize("name", sorted(GENERATOR_CONFIGS))
     def test_order_is_a_session_respecting_permutation(self, name):
@@ -196,8 +264,8 @@ class TestArrivalOrderParity:
         assert digest(got) == want
 
     def test_inconsistent_arrival_stream_matches_batch_oracle(self):
-        # random_reads histories read arbitrarily far back, so reads park
-        # across sessions and the witnesses are non-trivial.
+        # random_reads histories read arbitrarily far back, so reads cross
+        # sessions and the witnesses are non-trivial.
         history, order = generate_random_stream(GENERATOR_CONFIGS["random-reads"])
         got, _ = run_online(history, order)
         want = oracle_digest(history)
@@ -206,22 +274,22 @@ class TestArrivalOrderParity:
 
     def test_every_transaction_stays_resident(self):
         history, order = generate_random_stream(GENERATOR_CONFIGS["aborts"])
-        _, checker = run_online(history, order, batch_ops=64)
-        stats = checker.live_stats()
-        assert stats["transactions"] == history.num_transactions
-        assert stats["resident_transactions"] == history.num_transactions
+        results, checker = run_online(history, order, batch_ops=64)
+        assert checker.live_stats()["transactions"] == history.num_transactions
+        for result in results.values():
+            assert result.num_transactions == history.num_transactions
+            assert result.num_operations == history.num_operations
 
 
 class TestCoLogParity:
-    """The online finalize hands each relation the batch co log, attempt for attempt.
+    """The stream's finalize hands each relation the batch co log, attempt for attempt.
 
     Fed the same arrival-order records, ``CompiledIncrementalChecker`` and
-    ``check_compiled`` (over ``CompiledHistoryBuilder.finalize(
-    sort_sessions=False)``, which numbers sessions in arrival order like
-    the online finalize) must append the same inferred-edge attempts, in
-    the same order, duplicates included, at RC, RA and CC; edges compare
-    by transaction name and key name.  ``no-numpy`` takes the scalar CC
-    saturation, as ``AWDIT_NO_NUMPY=1`` does.
+    ``check_compiled`` (over ``CompiledHistoryBuilder.finalize()``, the
+    batch loaders' session numbering) must append the same inferred-edge
+    attempts, in the same order, duplicates included, at RC, RA and CC;
+    edges compare by transaction name and key name.  ``no-numpy`` takes the
+    scalar CC saturation, as ``AWDIT_NO_NUMPY=1`` does.
     """
 
     @staticmethod
@@ -263,7 +331,7 @@ class TestCoLogParity:
             builder = CompiledHistoryBuilder()
             for sid, raw in records:
                 builder.add_transaction(sid, *raw)
-            ch = builder.finalize(sort_sessions=False)
+            ch = builder.finalize()
             for level in LEVELS:
                 kernels_used.append(check_compiled(ch, level).stats.get("saturation_kernel"))
 
@@ -282,58 +350,65 @@ class TestCoLogParity:
         assert ran <= {"vectorized" if use_numpy else "fallback"}
 
 
-class TestResolvedHistory:
-    """Finalize's resolved IR holds the rows the batch IR's checkers read.
+class TestStreamIR:
+    """The stream's finalize checks the IR the batch builder builds.
 
-    Fed the same arrival-order records, the IR the online finalize builds
-    from the fold's columns must equal ``CompiledHistoryBuilder.finalize(
-    sort_sessions=False)``'s on every array the per-level checker functions
-    read (``_xr_*`` limited to reads whose writer is committed, the only
-    rows those functions use), and its ``bad_ops`` must mark exactly the
-    batch read-consistency report's bad reads among those rows.
+    Fed the same records in the same order, ``CompiledIncrementalChecker``
+    (``RecordBatch`` columns of ``batch_ops`` operations into the builder's
+    ``add_batch``) and ``CompiledHistoryBuilder.add_transaction`` per record
+    must finalize to equal IRs: op and transaction columns, session
+    numbering, labels, and both intern tables in the same id order.
     """
 
+    _COLUMNS = (
+        "op_kind",
+        "op_key",
+        "op_value",
+        "op_txn",
+        "op_wr",
+        "op_final",
+        "txn_start",
+        "txn_session",
+        "txn_session_index",
+        "txn_committed",
+    )
+
+    @classmethod
+    def _rows(cls, ch):
+        rows = {name: list(getattr(ch, name)) for name in cls._COLUMNS}
+        rows.update(
+            sessions=[list(session) for session in ch.sessions],
+            session_table=list(ch.session_table),
+            labels=dict(ch.labels),
+            keys=list(ch.key_table.values),
+            values=list(ch.value_table.values),
+        )
+        return rows
+
     @staticmethod
-    def _rows(ch, bad_ops):
-        committed = ch.txn_committed
-        reads, bad = [], []
-        for tid in range(ch.num_transactions):
-            for j in range(ch._xr_start[tid], ch._xr_start[tid + 1]):
-                if committed[ch._xr_writer[j]]:
-                    row = (tid, ch._xr_po[j], ch._xr_key[j], ch._xr_writer[j])
-                    reads.append(row)
-                    if ch.txn_start[tid] + ch._xr_po[j] in bad_ops:
-                        bad.append(row)
-        return {
-            "session": list(ch.txn_session),
-            "session_index": list(ch.txn_session_index),
-            "committed": list(ch.txn_committed),
-            "start": list(ch.txn_start),
-            "sessions": [list(session) for session in ch.sessions],
-            "labels": dict(ch.labels),
-            "written": [list(ch.keys_written(tid)) for tid in range(ch.num_transactions)],
-            "reads": reads,
-            "bad": bad,
-        }
+    def _stream_ir(records, batch_ops):
+        built = []
+        real = online.check_read_consistency_compiled
+
+        def capture(ch):
+            built.append(ch)
+            return real(ch)
+
+        with mock.patch.object(online, "check_read_consistency_compiled", capture):
+            checker = CompiledIncrementalChecker()
+            checker.extend_raw(iter(records), batch_ops=batch_ops)
+            checker.finalize()
+        (ch,) = built
+        return ch
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        config=st.builds(
-            RandomHistoryConfig,
-            num_sessions=st.integers(1, 4),
-            num_transactions=st.integers(0, 30),
-            num_keys=st.integers(1, 5),
-            min_ops_per_txn=st.just(1),
-            max_ops_per_txn=st.integers(1, 6),
-            abort_probability=st.sampled_from([0.0, 0.15]),
-            mode=st.sampled_from(["serializable", "random_reads"]),
-            seed=st.integers(0, 10_000),
-        ),
+        config=history_configs,
         anomaly=st.sampled_from(INJECTABLE_ANOMALIES),
         seed=st.integers(0, 1000),
         batch_ops=st.sampled_from([1, 7, 4096]),
     )
-    def test_resolved_ir_matches_builder(self, config, anomaly, seed, batch_ops):
+    def test_finalized_ir_matches_builder(self, config, anomaly, seed, batch_ops):
         history = generate_random_history(config)
         try:
             history = inject_anomaly(history, anomaly, rng=random.Random(seed))
@@ -343,25 +418,53 @@ class TestResolvedHistory:
         builder = CompiledHistoryBuilder()
         for sid, raw in records:
             builder.add_transaction(sid, *raw)
-        batch = builder.finalize(sort_sessions=False)
-        want = self._rows(batch, check_read_consistency_compiled(batch).bad_ops)
+        want = self._rows(builder.finalize())
+        assert self._rows(self._stream_ir(records, batch_ops)) == want
 
-        checker = CompiledIncrementalChecker()
-        resolve = checker._resolved_history
-        got = []
 
-        def capture():
-            ch, bad_ops = resolve()
-            got.append(self._rows(ch, bad_ops))
-            return ch, bad_ops
+@needs_numpy
+class TestKernelSideIdentity:
+    """Verdicts and witnesses never depend on which kernel side ran.
 
-        checker._resolved_history = capture
-        try:
-            checker.extend_raw(iter(records), batch_ops=batch_ops)
-        except HistoryFormatError:
-            return  # a duplicate write the stream refuses to rebind
-        checker.finalize()
-        assert got == [want]
+    The stream's IR build resolves reads with a vectorized or a pure-Python
+    unique-writes kernel, and its CC check saturates on a vectorized or a
+    pure-Python side; every pairing must print the same answer, at every
+    batch size, as the object batch oracle.
+    """
+
+    BATCH_SIZES = (1, 7, 4096)
+
+    def _both(self, history, order_seed, batch_ops):
+        """The digest both sides agree on, and the sides numpy's run took."""
+        records = arrival_records(history, interleaved_order(history, order_seed))
+        vectorized, sides = run_on_side(records, history.num_sessions, batch_ops, True)
+        fallback, _ = run_on_side(records, history.num_sessions, batch_ops, False)
+        assert vectorized == fallback
+        return vectorized, sides
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        config=history_configs,
+        batch_ops=st.sampled_from(BATCH_SIZES),
+        order_seed=st.integers(0, 100),
+    )
+    def test_random_interleavings(self, config, batch_ops, order_seed):
+        self._both(generate_random_history(config), order_seed, batch_ops)
+
+    @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
+    def test_injected_anomalies(self, kind):
+        base = generate_random_history(
+            RandomHistoryConfig(num_sessions=3, num_transactions=20, seed=7)
+        )
+        history = inject_anomaly(base, kind)
+        runs = [self._both(history, 11, batch_ops) for batch_ops in self.BATCH_SIZES]
+        digests = [found for found, _ in runs]
+        # batch_ops is a buffering knob, not a semantic one.
+        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == oracle_digest(history)
+        # A causality cycle stops CC before saturation, so no side runs.
+        for _, sides in runs:
+            assert sides <= {"vectorized"}
 
 
 class TestArrivalOrderCheckpoint:
@@ -419,6 +522,50 @@ class TestArrivalOrderCheckpoint:
             assert got.num_transactions == history.num_transactions
 
 
+@needs_numpy
+class TestCheckpointAcrossKernelSides:
+    """A checkpoint holds no kernel state.
+
+    Saved mid-stream on one kernel side and finished on the other, a stream
+    gives the uninterrupted run's answer, in both directions.
+    """
+
+    @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
+    def test_resume_on_the_other_side_matches(self, tmp_path, batch_ops):
+        history = inject_anomaly(
+            generate_random_history(
+                RandomHistoryConfig(
+                    num_sessions=4,
+                    num_transactions=300,
+                    num_keys=12,
+                    max_ops_per_txn=6,
+                    abort_probability=0.05,
+                    mode="random_reads",
+                    seed=41,
+                )
+            ),
+            INJECTABLE_ANOMALIES[0],
+        )
+        records = arrival_records(history, interleaved_order(history, 11))
+        cut = len(records) // 2
+        want = oracle_digest(history)
+        for first_side in (True, False):
+            path = tmp_path / f"state-{first_side}.awd"
+            with kernel_side(first_side):
+                first = CompiledIncrementalChecker(num_sessions=history.num_sessions)
+                first.extend_raw(iter(records[:cut]), batch_ops=batch_ops)
+                first.save_checkpoint(str(path))
+            with kernel_side(not first_side) as resolved:
+                resumed = load_checkpoint(str(path))
+                resumed.extend_raw(iter(records[cut:]), batch_ops=batch_ops)
+                results = resumed.finalize()
+            assert digest(results) == want, first_side
+            assert saturation_sides(results) == {
+                "fallback" if first_side else "vectorized"
+            }
+            assert bool(resolved) == (not first_side)
+
+
 class TestArrivalOrderWithoutNumpy:
     _SCRIPT = (
         "import json, sys\n"
@@ -465,16 +612,77 @@ class TestArrivalOrderWithoutNumpy:
         assert json.loads(proc.stdout) == want
         assert not all(row[1] for row in want)
 
+    @needs_numpy
+    def test_single_op_batches_match_without_numpy(self, tmp_path):
+        # batch_ops=1 appends every transaction on its own, so most reads
+        # reach the builder before their writer does.
+        history = inject_anomaly(
+            generate_random_history(
+                RandomHistoryConfig(
+                    num_sessions=4,
+                    num_transactions=200,
+                    num_keys=8,
+                    min_ops_per_txn=2,
+                    max_ops_per_txn=6,
+                    read_fraction=0.6,
+                    mode="random_reads",
+                    seed=23,
+                )
+            ),
+            INJECTABLE_ANOMALIES[0],
+        )
+        path = tmp_path / "h.plume"
+        path.write_text(plume_text.dumps(history, order=interleaved_order(history, 3)))
+        script = (
+            "import json, sys\n"
+            "from repro.core import IsolationLevel\n"
+            "from repro.stream import check_stream_file\n"
+            "out = []\n"
+            "for level in IsolationLevel:\n"
+            "    r = check_stream_file(sys.argv[1], level, fmt='plume', batch_ops=1)\n"
+            "    out.append([level.name, r.is_consistent,\n"
+            "                [v.message for v in r.violations],\n"
+            "                r.stats.get('saturation_kernel')])\n"
+            "print(json.dumps(out))\n"
+        )
+        env = dict(os.environ)
+        env["AWDIT_NO_NUMPY"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        without = json.loads(proc.stdout)
+        with_numpy = []
+        for level in LEVELS:
+            result = check_stream_file(str(path), level, fmt="plume", batch_ops=1)
+            with_numpy.append(
+                [
+                    level.name,
+                    result.is_consistent,
+                    [v.message for v in result.violations],
+                    result.stats.get("saturation_kernel"),
+                ]
+            )
+        assert [row[:3] for row in without] == [row[:3] for row in with_numpy]
+        assert [row[:3] for row in with_numpy] == [
+            list(row[:3]) for row in oracle_digest(history)
+        ]
+        # Only CC saturates, on numpy's side when numpy loads.
+        assert [row[3] for row in with_numpy] == [None, None, "vectorized"]
+        assert [row[3] for row in without] == [None, None, "fallback"]
+
 
 class TestSessionsFirstSeenOutOfOrder:
-    """``check`` and ``check --stream`` agree on what is wrong, not on the witness.
+    """``check`` and ``check --stream`` print the same report.
 
-    Batch numbers sessions by sorted external id; the stream numbers them
-    in the order it first sees them.  When a file's sessions first appear
-    as 2, 0, 1 the two engines search differently numbered relations, so
-    they may print another cycle or list the violations in another order.
-    The verdict line, the violation count and the per-kind counts must
-    still be equal at every level.
+    Both number sessions by sorted external id, whatever order the file
+    first shows them in, so when a file's sessions first appear as 2, 0, 1
+    the two modes search identically numbered relations.  Their stdout must
+    be equal at every level, apart from the checker label (which names the
+    mode) and the elapsed time.
     """
 
     @staticmethod
@@ -494,19 +702,17 @@ class TestSessionsFirstSeenOutOfOrder:
         return order
 
     @staticmethod
-    def _verdict(capsys, path, level, stream):
-        """Exit code, verdict line and the report above the witnesses."""
+    def _output(capsys, path, level, stream):
+        """Exit code and stdout, without the checker label and elapsed time."""
         argv = ["check", str(path), "-i", level] + (["--stream"] if stream else [])
         code = main(argv)
-        lines = capsys.readouterr().out.splitlines()
         # "[awdit] CC: VIOLATION (...) in 1.23 ms (...)": drop the checker
-        # tag, which names the engine, and the elapsed time.
-        verdict = re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", lines[0])
-        end = lines.index("witnesses:") if "witnesses:" in lines else len(lines)
-        return code, verdict, lines[1:end]
+        # tag, which names the mode, and the elapsed time.
+        out = re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", capsys.readouterr().out, count=2)
+        return code, out
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
-    def test_verdict_count_and_kinds_match(self, tmp_path, capsys, kind):
+    def test_same_output_as_batch(self, tmp_path, capsys, kind):
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=3, num_transactions=40, num_keys=5, seed=4)
         )
@@ -516,8 +722,8 @@ class TestSessionsFirstSeenOutOfOrder:
         path.write_text(plume_text.dumps(history, order=self._order(history, 5)))
         verdicts = []
         for level in ("rc", "ra", "cc"):
-            batch = self._verdict(capsys, path, level, stream=False)
-            stream = self._verdict(capsys, path, level, stream=True)
+            batch = self._output(capsys, path, level, stream=False)
+            stream = self._output(capsys, path, level, stream=True)
             assert stream == batch, level
             verdicts.append(batch[0])
         assert 1 in verdicts

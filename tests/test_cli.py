@@ -96,6 +96,7 @@ class TestCheckCommand:
             ["stats", "--stream", "--retire"],
             ["stats", "--stream", "--retire-lag", "64"],
             ["stats", "--stream", "--retire-every", "16"],
+            ["stats", "--stream"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -109,13 +110,17 @@ class TestCheckCommand:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
 
-    def test_stream_profile_reports_fold_laps_and_gc_counts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+    def test_stream_profile_prints_the_batch_phases(self, tmp_path, capsys, level):
         path = tmp_path / "bad.plume"
         save_history(fig_4a(), str(path), fmt="plume")
-        assert main(["check", str(path), "-i", "cc", "--stream", "--profile"]) == 1
-        err = capsys.readouterr().err  # --profile reports on stderr
-        assert "fold_dispatch" in err
-        assert "parse_gc_collections" in err and "fold_gc_collections" in err
+        phases = []
+        for mode in ([], ["--stream"]):
+            assert main(["check", str(path), "-i", level, "--profile"] + mode) == 1
+            err = capsys.readouterr().err  # --profile reports on stderr
+            phases.append(re.findall(r"^ +(\w+) +\d+\.\d+$", err, re.M))
+        assert phases[0] == phases[1]
+        assert phases[0][:3] == ["parse", "build", "read_consistency"]
 
     def test_stream_profile_reports_finalize_laps(self, tmp_path, capsys):
         # The stream's finalize runs the batch checker functions, so its
@@ -158,9 +163,9 @@ class TestCheckCommand:
         [
             ["check"],
             ["check", "--stream"],
+            ["check", "--stream", "--batch-ops", "1"],
             ["check", "--engine", "object"],
             ["stats"],
-            ["stats", "--stream"],
         ],
         ids=" ".join,
     )
@@ -207,9 +212,9 @@ class TestCheckCommand:
         [
             ["check"],
             ["check", "--stream"],
+            ["check", "--stream", "--batch-ops", "1"],
             ["check", "--engine", "object"],
             ["stats"],
-            ["stats", "--stream"],
             ["convert"],
         ],
         ids=" ".join,
@@ -248,7 +253,7 @@ class TestCheckCommand:
 class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
-    ``--stream`` has one online checker (``--engine auto|compiled``); what
+    ``--stream`` has one checker (``--engine auto|compiled``); what
     is rejected is baseline checkers with awdit-engine flags, the batch-only
     engine under ``--stream``, checkpointing outside streaming, and
     out-of-range values.
@@ -393,11 +398,11 @@ class TestCheckFlagConflicts:
 
     @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["save", "resume"])
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-    def test_unusable_checkpoint_path_exits_two_before_the_fold(
+    def test_unusable_checkpoint_path_exits_two_before_the_history_is_read(
         self, tmp_path, capsys, target, resume
     ):
-        # The second line is malformed, so an error from the fold or the
-        # parser would name the history, not the checkpoint.
+        # The second line is malformed, so an error from the parser would
+        # name the history, not the checkpoint.
         path = tmp_path / "h.plume"
         save_history(fig_4d(), str(path), fmt="plume")
         lines = path.read_text().splitlines(keepends=True)
@@ -534,13 +539,3 @@ class TestConvertAndStats:
         assert "interned values        : 2" in output
         assert "interned sessions      : 2" in output
         assert "compiled footprint" in output and "KiB" in output
-
-    def test_stats_stream_reports_live_state_peaks(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--stream"]) == 0
-        output = capsys.readouterr().out
-        assert "Online core over 3 transactions" in output
-        assert "pending reads" in output
-        assert "interned keys          : 1" in output
-        assert "writes index entries   : 2" in output

@@ -190,7 +190,7 @@ class TestBuilder:
         builder = CompiledHistoryBuilder()
         builder.add_transaction(1, "b", True, [(True, "x", 2)])
         builder.add_transaction(0, "a", True, [(True, "x", 1)])
-        ch = builder.finalize(sort_sessions=True)
+        ch = builder.finalize()
         # Session 0 comes first after sorting, so its transaction gets tid 0.
         assert ch.labels == {0: "a", 1: "b"}
         assert ch.sessions == [[0], [1]]
@@ -198,7 +198,7 @@ class TestBuilder:
     def test_fill_gaps_materializes_empty_sessions(self):
         builder = CompiledHistoryBuilder()
         builder.add_transaction(2, None, True, [(True, "x", 1)])
-        ch = builder.finalize(sort_sessions=True, fill_gaps=True)
+        ch = builder.finalize(fill_gaps=True)
         assert ch.num_sessions == 3
         assert ch.sessions == [[], [], [0]]
 

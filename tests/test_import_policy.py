@@ -4,7 +4,7 @@ Only a CC check gains more from numpy than numpy's import costs, so
 :mod:`repro.graph.csr` imports it lazily and only a CC check loads it; the
 packages resolve their re-exports on first access, so the CLI loads no
 baseline checker, no history generator and, in batch mode, not the
-streaming fold.  Each probe runs ``repro.cli.main`` in a new interpreter and
+streaming checker.  Each probe runs ``repro.cli.main`` in a new interpreter and
 prints ``sys.modules`` afterwards, since the test process itself has long
 since imported everything.
 

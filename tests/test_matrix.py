@@ -1,7 +1,7 @@
 """The engine × mode parity matrix.
 
-Both batch engines (``object``, ``compiled``) and the stream (one online
-checker) must produce byte-identical verdicts, violation messages, and
+Both batch engines (``object``, ``compiled``) and the stream (one
+streaming checker) must produce byte-identical verdicts, violation messages, and
 inferred-edge counts -- including on aborted, weak-isolation, and
 anomaly-injected histories, and across a checkpoint/resume split of the
 stream.  The object batch engine is the oracle; everything else is compared
@@ -28,7 +28,6 @@ from repro.stream import (
     check_stream_compiled,
     check_stream_file,
     load_checkpoint,
-    stream_live_stats,
 )
 
 LEVELS = list(IsolationLevel)
@@ -217,7 +216,6 @@ class TestDispatchErrors:
             (check_history_stream, (None,)),
             (check_all_levels_history_stream, (None,)),
             (check_stream_file, ("h.plume",)),
-            (stream_live_stats, ("h.plume",)),
         ],
         ids=[
             "CompiledIncrementalChecker",
@@ -225,7 +223,6 @@ class TestDispatchErrors:
             "check_history_stream",
             "check_all_levels_history_stream",
             "check_stream_file",
-            "stream_live_stats",
         ],
     )
     def test_removed_retire_parameter_is_unknown(self, entry, args):

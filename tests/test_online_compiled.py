@@ -134,16 +134,6 @@ class TestCompiledOnlineParity:
         assert result.is_consistent == batch.is_consistent
         assert result.num_operations == history.num_operations
 
-    def test_operations_are_not_retained(self):
-        checker = CompiledIncrementalChecker()
-        for i in range(20):
-            checker.append_raw(
-                0, None, True, [(True, "x", i), (False, "x", i)]
-            )
-        # Columnar state: resolved transactions keep no per-read objects.
-        assert not checker._live_reads
-        assert not checker._prefold
-
     def test_append_after_finalize_rejected(self):
         checker = CompiledIncrementalChecker()
         checker.finalize()
@@ -151,15 +141,15 @@ class TestCompiledOnlineParity:
             checker.append_raw(0, None, True, [(True, "x", 1)])
 
     def test_value_cardinality_guard(self, monkeypatch):
-        import repro.core.compiled.online as online
+        import repro.core.compiled.ir as ir
 
-        # Shrink the interned-value budget instead of interning 2^32 values.
-        monkeypatch.setattr(online, "_VALUE_SHIFT", 2)
+        # Shrink the builder's interned-value budget instead of interning
+        # 2^32 values; the stream refuses at finalize, as load_compiled does.
+        monkeypatch.setattr(ir, "_VALUE_SHIFT", 2)
         checker = CompiledIncrementalChecker()
-        with pytest.raises(HistoryFormatError):
-            checker.append_raw(
-                0, None, True, [(True, "x", value) for value in range(5)]
-            )
+        checker.append_raw(0, None, True, [(True, "x", value) for value in range(5)])
+        with pytest.raises(HistoryFormatError, match="too many distinct values"):
+            checker.finalize()
 
 
 class TestDuplicateWriteResolution:
@@ -186,11 +176,11 @@ class TestDuplicateWriteResolution:
             ), (engine, level)
 
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_superseding_write_rebinds_parked_transactions(self, engine):
-        # The reader resolves its x-read against the non-final "loser" while
-        # parked on its y-read; the superseding "winner" write arrives before
-        # the y-write unparks it, so the read must rebind to the winner.
-        # ``engine`` is the batch oracle the stream is compared against.
+    def test_superseding_write_wins_like_batch(self, engine):
+        # The reader's R(x,5) matches the non-final "loser" write and the
+        # later "winner" write, and its y-write arrives last; like batch,
+        # the stream binds the read to the winner (the last (x,5) write in
+        # transaction-id order).  ``engine`` is the batch oracle.
         tl = Transaction([write("x", 5), write("x", 6)], label="loser")
         tr = Transaction([read("x", 5), read("y", 9)], label="reader")
         tw = Transaction([write("x", 5)], label="winner")
@@ -252,6 +242,17 @@ class TestCheckpointResume:
             assert got[level].stats.get("inferred_edges") == want[level].stats.get(
                 "inferred_edges"
             ), level
+
+    def test_saved_checkpoints_are_v10(self, tmp_path):
+        from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+        checker = CompiledIncrementalChecker(num_sessions=2)
+        checker.append_raw(0, "t0", True, [(True, "x", 1)])
+        path = tmp_path / "state.awd"
+        checker.save_checkpoint(str(path))
+        blob = path.read_bytes()
+        assert blob.startswith(CHECKPOINT_MAGIC)
+        assert blob[len(CHECKPOINT_MAGIC)] == CHECKPOINT_VERSION == 10
 
     def test_checkpoint_rejects_finalized_checker(self, tmp_path):
         checker = CompiledIncrementalChecker()
@@ -437,25 +438,6 @@ class TestCheckpointResume:
 
 
 class TestLiveStats:
-    def test_peaks_track_parked_reads(self):
-        checker = CompiledIncrementalChecker()
-        # A read whose write arrives two appends later parks in between.
-        checker.append_raw(0, None, True, [(False, "x", 1)])
-        stats = checker.live_stats()
-        assert stats["pending_reads"] == 1
-        assert stats["unfolded_transactions"] == 1
-        checker.append_raw(1, None, True, [(True, "y", 9)])
-        checker.append_raw(2, None, True, [(True, "x", 1)])
-        stats = checker.live_stats()
-        assert stats["pending_reads"] == 0
-        assert stats["peak_pending_reads"] == 1
-        assert stats["unfolded_transactions"] == 0
-        # Peak of 2: the parked reader plus the writer in flight during its
-        # own append (counted until it folds at the end of the call).
-        assert stats["peak_unfolded_transactions"] == 2
-        assert stats["interned_keys"] == 2
-        assert stats["writes_index"] == 2
-
     def test_keys_read_by_perfbench_are_present(self):
         # perfbench/run.py reads these counters from a traced stream run.
         checker = CompiledIncrementalChecker()
@@ -473,11 +455,43 @@ class TestLiveStats:
             "cc_joins_fallback",
             "cc_joins_vectorized",
         ):
-            assert isinstance(stats[key], int), key
-        # The fold infers no edges and joins no clocks: finalize runs the
-        # batch checkers, so these counters stay 0.
-        for key in ("inferred_edge_log", "cc_joins_fallback", "cc_joins_vectorized"):
-            assert stats[key] == 0, key
+            # Counters of the online fold the builder replaced: no such
+            # work is done any more, so each reads 0.
+            assert isinstance(stats[key], int) and stats[key] == 0, key
+        assert (stats["transactions"], stats["operations"]) == (2, 2)
+        # perfbench/traced.py reads these laps; the fold they timed is gone.
+        laps = checker.enable_fold_profile()
+        assert laps == dict.fromkeys(("intern", "dispatch", "classify", "clock_join"), 0.0)
+
+    def test_sizes_track_every_append(self):
+        # perfbench samples these between appends, so they must count what
+        # has arrived so far, and end at the results' sizes.
+        history = generate_random_history(
+            RandomHistoryConfig(num_sessions=3, num_transactions=60, max_ops_per_txn=5, seed=2)
+        )
+        checker = CompiledIncrementalChecker()
+        transactions = operations = 0
+        for sid, (label, committed, ops) in raw_records(history):
+            checker.append_raw(sid, label, committed, ops)
+            transactions += 1
+            operations += len(ops)
+            stats = checker.live_stats()
+            assert (stats["transactions"], stats["operations"]) == (transactions, operations)
+            assert (checker.num_transactions, checker.num_operations) == (
+                transactions,
+                operations,
+            )
+        results = checker.finalize()
+        assert (transactions, operations) == (
+            history.num_transactions,
+            history.num_operations,
+        )
+        for result in results.values():
+            assert (result.num_transactions, result.num_operations) == (
+                transactions,
+                operations,
+            )
+        assert checker.live_stats()["transactions"] == transactions
 
 
 class TestCompiledOnlineProperties:

@@ -7,21 +7,29 @@ timing (a mid-batch ``ParseError`` still carries line and file context)
 and cobra values whose CSV quoting hides a newline or a comma.
 On top of the parse layer, the batch_ops streaming matrix over a saved
 file must stay byte-identical to the batch oracle
-(batch-boundary-straddling transactions included), resume must cut a
-straddling batch at the checkpointed transaction, and a duplicate
-``(key, value)`` write arriving after its reader folded must raise the
-clear diagnostic instead of silently diverging from the batch engines.
+(batch-boundary-straddling transactions included), including a duplicate
+``(key, value)`` write that arrives after its reader and readers that
+arrive before their writer in any order, resume must cut a straddling
+batch at the checkpointed transaction, and a batch size below 1 is refused
+up front.
 """
 
 import io
+import random
+import re
+from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import IsolationLevel, check
-from repro.core.exceptions import HistoryFormatError, ParseError
+from repro.core.compiled import kernels
+from repro.core.exceptions import ParseError
 from repro.core.model import History, Transaction, read, write
+from repro.graph import csr
 from repro.histories.formats import (
     cobra,
     dbcop,
@@ -52,6 +60,15 @@ FORMAT_MODULES = {
 #: The parity axis: degenerate single-op batches, a prime that lands
 #: batch boundaries mid-transaction, and the production default.
 BATCH_OPS = (1, 7, 4096)
+
+
+def _raw(txn):
+    """``txn`` as a raw ``(label, committed, ops)`` record."""
+    return (
+        txn.label,
+        txn.committed,
+        [(op.is_write, op.key, op.value) for op in txn.operations],
+    )
 
 
 def _assert_same(reference, result, context):
@@ -201,43 +218,50 @@ class TestCobraQuotedValues:
             _assert_same(reference, result, ("quoted-batch", level))
 
 
-class TestDuplicateWriteAfterFold:
-    """A duplicate (key, value) write after its reader folded is refused."""
+class TestDuplicateWriteAfterReader:
+    """A duplicate (key, value) write after its reader resolves like batch."""
 
-    def _refused(self):
-        # w1 writes (x,1); the reader folds bound to w1; then w2 repeats
-        # the same (key, value) with a larger (sid, sidx) and would win
-        # the batch engines' tie-break -- but the folded read can no
-        # longer rebind, so the stream must refuse instead of diverging.
+    def _duplicate_after_reader(self):
+        # w1 writes (x,1), the reader reads it, then w2 repeats the same
+        # (key, value) with a larger (sid, sidx) and wins the unique-writes
+        # tie-break: R(x,1) reads from w2, and every level is consistent.
         t1 = Transaction([write("x", 1)], label="w1")
         t2 = Transaction([read("x", 1)], label="r")
         t3 = Transaction([write("x", 1)], label="w2")
         return History.from_sessions([[t1], [t2], [t3]])
 
     @pytest.mark.parametrize("batch_ops", [1, 2, None], ids=["1", "2", "default"])
-    def test_diagnostic_raised_at_every_batch_size(self, batch_ops, tmp_path):
-        history = self._refused()
+    def test_stream_matches_oracle_at_every_batch_size(self, batch_ops, tmp_path):
+        history = self._duplicate_after_reader()
         path = tmp_path / "dup.plume"
         save_history(history, str(path), fmt="plume")
-        # The batch engines handle the same file fine (this is exactly the
-        # divergence the diagnostic exists to prevent).
-        assert check(history, IsolationLevel.CAUSAL_CONSISTENCY).is_consistent
-        with pytest.raises(HistoryFormatError) as excinfo:
-            check_stream_file(
-                str(path),
-                IsolationLevel.CAUSAL_CONSISTENCY,
-                fmt="plume",
-                batch_ops=batch_ops,
-            )
-        message = str(excinfo.value)
-        assert "duplicate write W(x, 1)" in message
-        assert "w2" in message
-        assert "--stream" in message
+        for level in LEVELS:
+            reference = check(history, level, engine="object")
+            assert reference.is_consistent, level
+            result = check_stream_file(str(path), level, fmt="plume", batch_ops=batch_ops)
+            _assert_same(reference, result, ("duplicate", level, batch_ops))
 
-    def test_duplicate_before_reader_rebinds_cleanly(self, tmp_path):
-        # Same duplicate, but the reader arrives last: its resolved read
-        # rebinds to the superseding writer before folding, so there is
-        # nothing to refuse and every level matches the batch oracle.
+    @pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+    def test_cli_stream_prints_the_batch_report(self, level, tmp_path, capsys):
+        path = tmp_path / "dup.plume"
+        save_history(self._duplicate_after_reader(), str(path), fmt="plume")
+        outputs = []
+        modes = (
+            [],
+            ["--stream", "--batch-ops", "1"],
+            ["--stream", "--batch-ops", "2"],
+            ["--stream"],
+        )
+        for mode in modes:
+            code = main(["check", str(path), "-i", level] + mode)
+            out = capsys.readouterr().out
+            # Drop the checker label, which names the mode, and the elapsed time.
+            outputs.append((code, re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", out, count=2)))
+        assert outputs[0][0] == 0 and "CONSISTENT" in outputs[0][1]
+        assert outputs[1:] == [outputs[0]] * 3
+
+    def test_duplicate_before_reader_resolves_like_batch(self, tmp_path):
+        # Same duplicate, but the reader arrives last.
         t1 = Transaction([write("x", 1)], label="w1")
         t2 = Transaction([write("x", 1)], label="w2")
         t3 = Transaction([read("x", 1)], label="r")
@@ -251,6 +275,65 @@ class TestDuplicateWriteAfterFold:
                     str(path), level, fmt="plume", batch_ops=batch_ops
                 )
                 _assert_same(reference, result, ("rebind", level, batch_ops))
+
+
+class TestReaderBeforeWriter:
+    """Readers that arrive before their writers resolve like batch, in any order.
+
+    A stream resolves reads when it finalizes, and numbers transactions by
+    session like batch, so arrival order cannot change the answer: for
+    every arrival order of one-transaction sessions, with a reader's
+    ``(x, 5)`` written by two transactions (the later session wins) and its
+    ``(y, 9)`` by another, the stream at every batch size, on either side
+    of the unique-writes resolution kernel, equals the object batch oracle.
+    """
+
+    @staticmethod
+    def _sides():
+        """The kernel sides to run: pure Python, and numpy if it loads.
+
+        The size floor drops to one operation so these tiny histories
+        reach the vectorized side at all.
+        """
+        yield csr.numpy_disabled()
+        if csr.HAVE_NUMPY:
+            csr.load_numpy()
+            yield mock.patch.object(kernels, "_MIN_VECTOR_READS", 1)
+
+    def _assert_every_order_matches(self, sessions, orders):
+        history = History.from_sessions([[txn] for txn in sessions])
+        want = {level: check(history, level, engine="object") for level in LEVELS}
+        for order in orders:
+            for batch_ops in BATCH_OPS:
+                for side in self._sides():
+                    with side:
+                        checker = CompiledIncrementalChecker()
+                        checker.extend_raw(
+                            ((sid, _raw(sessions[sid])) for sid in order),
+                            batch_ops=batch_ops,
+                        )
+                        results = checker.finalize()
+                    for level in LEVELS:
+                        _assert_same(want[level], results[level], (order, batch_ops, level))
+
+    def test_single_waiting_reader(self):
+        loser = Transaction([write("x", 5), write("x", 6)], label="loser")
+        reader = Transaction([read("x", 5), read("y", 9)], label="reader")
+        winner = Transaction([write("x", 5)], label="winner")
+        ywriter = Transaction([write("y", 9)], label="ywriter")
+        self._assert_every_order_matches(
+            [loser, reader, winner, ywriter], permutations(range(4))
+        )
+
+    def test_multiple_waiting_readers(self):
+        # Two readers with their reads in opposite orders.
+        loser = Transaction([write("x", 5), write("x", 6)], label="loser")
+        r1 = Transaction([read("x", 5), read("y", 9)], label="r1")
+        r2 = Transaction([read("y", 9), read("x", 5)], label="r2")
+        winner = Transaction([write("x", 5)], label="winner")
+        ywriter = Transaction([write("y", 9)], label="ywriter")
+        orders = random.Random(0).sample(list(permutations(range(5))), 24)
+        self._assert_every_order_matches([loser, r1, r2, winner, ywriter], orders)
 
 
 class TestBatchOpsMatrix:
@@ -312,3 +395,41 @@ class TestBatchOpsMatrix:
             batch_ops=4096,
         )
         _assert_same(reference, result, ("resume-tail", level))
+
+
+class TestBatchOpsValidation:
+    """Nonsensical batch sizes are rejected up front, not silently built."""
+
+    @pytest.fixture()
+    def history_path(self, tmp_path):
+        path = tmp_path / "h.plume"
+        save_history(
+            generate_random_history(
+                RandomHistoryConfig(num_sessions=2, num_transactions=20, seed=1)
+            ),
+            str(path),
+            fmt="plume",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cli_rejects_bad_batch_ops(self, history_path, capsys, value):
+        assert main(["check", history_path, "--stream", "--batch-ops", value]) == 2
+        err = capsys.readouterr().err
+        assert "awdit: error:" in err
+        assert f"--batch-ops must be >= 1, got {value}" in err
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_extend_raw_rejects_bad_batch_ops(self, value):
+        checker = CompiledIncrementalChecker(num_sessions=1)
+        with pytest.raises(ValueError, match=f"batch_ops must be >= 1, got {value}"):
+            checker.extend_raw(iter([]), batch_ops=value)
+
+    def test_check_stream_file_rejects_bad_batch_ops(self, history_path):
+        with pytest.raises(ValueError, match="batch_ops must be >= 1, got 0"):
+            check_stream_file(
+                history_path,
+                IsolationLevel.CAUSAL_CONSISTENCY,
+                fmt="plume",
+                batch_ops=0,
+            )

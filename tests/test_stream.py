@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -197,29 +198,25 @@ class TestIncrementalCheckerParity:
 
 
 class TestEarlyReporting:
-    def test_read_violations_witnessed_before_finalize(self):
+    """``violations`` fills at finalize: the levels are checked there."""
+
+    def test_read_violations_witnessed_at_finalize(self):
         checker = CompiledIncrementalChecker()
         checker.append(0, Transaction([write("x", 1), write("x", 2)], label="w"))
         checker.append(1, Transaction([read("x", 1)], label="r"))
+        assert checker.violations == []
+        checker.finalize()
         kinds = [v.kind for v in checker.violations]
         assert ViolationKind.NOT_LATEST_WRITE in kinds
 
-    def test_aborted_read_witnessed_when_writer_arrives(self):
+    def test_aborted_read_witnessed_at_finalize(self):
         checker = CompiledIncrementalChecker()
         checker.append(0, Transaction([read("x", 1)], label="r"))
-        assert checker.violations == []
         checker.append(1, Transaction([write("x", 1)], committed=False, label="a"))
+        assert checker.violations == []
+        checker.finalize()
         kinds = [v.kind for v in checker.violations]
         assert kinds == [ViolationKind.ABORTED_READ]
-
-    def test_operations_are_not_retained(self):
-        checker = CompiledIncrementalChecker()
-        for i in range(20):
-            checker.append(0, Transaction([write("x", i), read("x", i)]))
-        # The streaming state keeps transaction-level columns only: once a
-        # transaction is folded in, no per-read records stay resident.
-        assert not checker._live_reads
-        assert not checker._prefold
 
 
 class TestStreamingProperties:
@@ -301,6 +298,52 @@ class TestCliStream:
         assert main(["check", str(path), "-i", "rc", "--stream"]) == 1
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "cycle" in out
+
+    @pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+    @pytest.mark.parametrize("fmt,ext", FORMAT_EXTS)
+    def test_same_output_as_batch(self, tmp_path, capsys, fmt, ext, level):
+        # Both modes build one IR with the format's session convention and
+        # run the same checks, so every witness line must match.
+        history = inject_anomaly(
+            generate_random_history(
+                RandomHistoryConfig(
+                    num_sessions=4,
+                    num_transactions=80,
+                    num_keys=6,
+                    max_ops_per_txn=5,
+                    mode="random_reads",
+                    seed=12,
+                )
+            ),
+            ViolationKind.COMMIT_ORDER_CYCLE,
+        )
+        path = tmp_path / f"h{ext}"
+        save_history(history, str(path), fmt=fmt)
+        outputs = []
+        for mode in ([], ["--stream"]):
+            assert main(["check", str(path), "-i", level] + mode) == 1
+            out = capsys.readouterr().out
+            outputs.append(re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", out, count=2))
+        assert outputs[0] == outputs[1]
+        assert "cycle" in outputs[0]
+
+    @pytest.mark.parametrize("fmt,ext", FORMAT_EXTS)
+    def test_empty_session_numbered_like_batch(self, tmp_path, capsys, fmt, ext):
+        # The JSON and cobra formats keep an empty session; both modes must
+        # number the sessions after it alike, or witnesses name other txns.
+        history = all_paper_histories()["fig_4a"]
+        padded = History.from_sessions(
+            [[history.transactions[tid] for tid in session] for session in history.sessions]
+            + [[], [Transaction([read("y", 1)], label="thin")]]
+        )
+        path = tmp_path / f"h{ext}"
+        save_history(padded, str(path), fmt=fmt)
+        outputs = []
+        for mode in ([], ["--stream"]):
+            assert main(["check", str(path), "-i", "rc"] + mode) == 1
+            out = capsys.readouterr().out
+            outputs.append(re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", out, count=2))
+        assert outputs[0] == outputs[1]
 
     def test_check_stream_rejects_baselines(self, tmp_path):
         path = tmp_path / "h.json"
