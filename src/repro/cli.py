@@ -84,11 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "operations per parser record batch (default: 4096); tunes the "
-            "columnar ingestion granularity of the awdit engines in both "
-            "batch and streaming mode -- the verdict is identical for any "
-            "value (conflicts with baseline checkers and the object "
-            "engine, which ingest record by record)"
+            "operations per parser record batch (default: 4096); every "
+            "checker, engine and mode reads the file in these batches -- "
+            "the verdict is identical for any value"
         ),
     )
     check_parser.add_argument(
@@ -176,21 +174,8 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     is_baseline = checker_name not in ("awdit", "default")
     if args.witnesses < 0:
         return f"--witnesses must be >= 0, got {args.witnesses}"
-    if args.batch_ops is not None:
-        if args.batch_ops < 1:
-            return f"--batch-ops must be >= 1, got {args.batch_ops}"
-        if is_baseline and checker_name in BASELINE_REGISTRY:
-            return (
-                f"--batch-ops tunes the awdit engines' columnar ingestion; "
-                f"baseline checker {args.checker!r} ingests record by record "
-                "(drop --batch-ops or --checker)"
-            )
-        if args.engine == "object" and not args.stream:
-            return (
-                "--batch-ops tunes columnar ingestion; the object engine "
-                "materializes the history record by record (drop --batch-ops "
-                "or use another engine)"
-            )
+    if args.batch_ops is not None and args.batch_ops < 1:
+        return f"--batch-ops must be >= 1, got {args.batch_ops}"
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
     if args.resume and args.checkpoint is None:
@@ -330,10 +315,10 @@ def _run_check(args: argparse.Namespace) -> int:
             )
             result = check(compiled, level, max_witnesses=args.witnesses)
         else:
-            history = load_history(args.history, fmt=args.format)
+            history = load_history(args.history, fmt=args.format, batch_ops=args.batch_ops)
             result = check(history, level, max_witnesses=args.witnesses, engine="object")
     elif checker_name in BASELINE_REGISTRY:
-        history = load_history(args.history, fmt=args.format)
+        history = load_history(args.history, fmt=args.format, batch_ops=args.batch_ops)
         result = BASELINE_REGISTRY[checker_name](history, level)
     else:
         known = ", ".join(["awdit"] + sorted(BASELINE_REGISTRY))

@@ -148,7 +148,7 @@ class CommitRelation:
         ``(writer, reader, key)`` triples in the same order
         :class:`History` would produce them (key ids when ``key_names`` is
         given, key objects otherwise).  Endpoints must be dense ids below
-        ``len(names)`` -- the streaming finalizers renumber before calling.
+        ``len(names)``.
         """
         relation = cls(names=names, committed=committed, key_names=key_names)
         so_append = relation._so_log.append

@@ -13,10 +13,10 @@ only the constant factors change.
 The module deliberately reaches into the IR's internal flat arrays
 (``_xr_*``, ``_kw_*``) instead of the iterator accessors: these loops are the
 hot path the compiled layer exists for.  The saturation inner loops
-themselves live in :mod:`repro.core.compiled.kernels`;
-``saturate_{rc,ra,cc}_compiled`` are re-exported here for compatibility.
-CC saturation has a vectorized and a fallback side, and the CC result
-reports which ran in its ``saturation_kernel`` stat.
+themselves live in :mod:`repro.core.compiled.kernels`
+(``saturate_{rc,ra,cc}_compiled``), which the per-level functions here
+call.  CC saturation has a vectorized and a fallback side, and the CC
+result reports which ran in its ``saturation_kernel`` stat.
 
 Everything a level does after read consistency (and repeatable reads, for
 RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,

@@ -40,7 +40,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, OpKind
 
-__all__ = ["Intern", "CompiledHistory", "CompiledHistoryBuilder", "compile_history"]
+__all__ = [
+    "Intern",
+    "CompiledHistory",
+    "CompiledHistoryBuilder",
+    "compile_history",
+    "session_order",
+]
 
 #: Bit width of a value id inside a packed ``(key_id, value_id)`` write
 #: identity.  4.3e9 distinct values per history is far beyond the in-memory
@@ -408,6 +414,27 @@ def compile_history(history: History) -> CompiledHistory:
     return ch
 
 
+def session_order(sessions: Iterable[object], fill_gaps: bool = False) -> List[object]:
+    """The external session ids of a parsed history, in dense-session-id order.
+
+    The one numbering rule of every loader: sessions sort by external id, so
+    arrival order never changes the numbering, and unsortable mixed ids keep
+    their first-seen (iteration) order.  With ``fill_gaps`` (the format's
+    :func:`~repro.histories.formats.session_gaps`), integer ids also get an
+    empty session per missing id from ``min(0, lowest)`` up.
+    """
+    try:
+        # sorted() (not list.sort) so a mid-sort TypeError on mixed
+        # unorderable ids leaves the first-seen order intact.
+        externals = sorted(sessions)  # type: ignore[type-var]
+    except TypeError:
+        externals = list(sessions)
+    if fill_gaps and externals and all(isinstance(e, int) for e in externals):
+        lo = min(0, min(externals))  # type: ignore[type-var]
+        externals = list(range(lo, max(externals) + 1))  # type: ignore[arg-type]
+    return externals
+
+
 class CompiledHistoryBuilder:
     """Accumulate raw parser events into a :class:`CompiledHistory`.
 
@@ -507,21 +534,12 @@ class CompiledHistoryBuilder:
     def finalize(self, fill_gaps: bool = False) -> CompiledHistory:
         """Assemble the buffered sessions into a :class:`CompiledHistory`.
 
-        Sessions are ordered by their external id, the batch loaders'
-        convention, so arrival order never changes the numbering; unsortable
-        mixed external ids fall back to first-seen order.  ``fill_gaps``
-        additionally materializes empty sessions for missing integer ids
-        (see :func:`repro.histories.formats.session_gaps`).
+        Sessions are numbered by :func:`session_order`, so arrival order
+        never changes the numbering; ``fill_gaps`` additionally materializes
+        empty sessions for missing integer ids (see
+        :func:`repro.histories.formats.session_gaps`).
         """
-        try:
-            # sorted() (not list.sort) so a mid-sort TypeError on mixed
-            # unorderable ids leaves the first-seen order intact.
-            externals = sorted(self._session_ids)  # type: ignore[type-var]
-        except TypeError:
-            externals = list(self._session_ids)
-        if fill_gaps and externals and all(isinstance(e, int) for e in externals):
-            lo = min(0, min(externals))  # type: ignore[type-var]
-            externals = list(range(lo, max(externals) + 1))  # type: ignore[arg-type]
+        externals = session_order(self._session_ids, fill_gaps)
 
         ch = CompiledHistory()
         ch.key_table = self._key_table

@@ -57,7 +57,7 @@ edges of :mod:`repro.graph.csr`):
 from __future__ import annotations
 
 from array import array
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, _VALUE_SHIFT
@@ -65,9 +65,7 @@ from repro.graph import csr as _csr
 from repro.graph.digraph import EDGE_SHIFT
 
 __all__ = [
-    "saturate_rc_txn",
     "saturate_rc_compiled",
-    "saturate_ra_txn",
     "saturate_ra_compiled",
     "saturate_cc_compiled",
     "resolve_unique_writes",
@@ -125,67 +123,20 @@ def _external_good_reads(
 # -- RC (Algorithm 1) ----------------------------------------------------------
 
 
-def saturate_rc_txn(
-    reads: Sequence[Tuple[int, int, int]],
-    kw_start: Sequence[int],
-    kw_key: Sequence[int],
-    kw_set: Callable[[int], AbstractSet[int]],
-    co_append: Callable[[int], None],
-    cok_append: Callable[[int], None],
-) -> None:
-    """Algorithm 1's main-loop body for one transaction (mirror of ``saturate_rc``).
-
-    ``reads`` are the transaction's good external committed reads as
-    ``(po, key, writer)`` triples in program order.  ``kw_key[kw_start[t] :
-    kw_start[t + 1]]`` lists the distinct keys transaction ``t`` writes, in
-    first-write order; ``kw_set(t)`` returns the same keys as a set.  Every
-    attempt, duplicates included, appends the packed edge ``(t2 <<
-    EDGE_SHIFT) | t1`` through ``co_append`` and its key id through
-    ``cok_append`` (the ``append`` methods of the co-log columns); the
-    relation's freeze deduplicates.
-    """
-    # Forward pass: record the po-first read of each observed transaction.
-    seen_txns: Set[int] = set()
-    first_txn_reads: Set[int] = set()
-    for po, _key, writer in reads:
-        if writer not in seen_txns:
-            seen_txns.add(writer)
-            first_txn_reads.add(po)
-
-    # Backward pass (see saturate_rc for the invariants; read_keys is a dict
-    # so the smaller-side iteration below is deterministic).
-    earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    read_keys: Dict[int, None] = {}
-    for po, key, t2 in reversed(reads):
-        if po in first_txn_reads:
-            lo, hi = kw_start[t2], kw_start[t2 + 1]
-            if hi - lo <= len(read_keys):
-                candidates = [x for x in kw_key[lo:hi] if x in read_keys]
-            else:
-                written = kw_set(t2)
-                candidates = [x for x in read_keys if x in written]
-            for x in candidates:
-                older, newer = earliest[x]
-                t1 = newer
-                if t1 == t2:
-                    t1 = older
-                if t1 is not None and t1 != t2:
-                    co_append((t2 << EDGE_SHIFT) | t1)
-                    cok_append(x)
-        pair = earliest.get(key)
-        if pair is None:
-            earliest[key] = (None, t2)
-        elif pair[1] != t2:
-            earliest[key] = (pair[1], t2)
-        read_keys[key] = None
-
-
 def saturate_rc_compiled(
     ch: CompiledHistory,
     relation: CommitRelation,
     bad_ops: Set[int],
 ) -> None:
-    """Algorithm 1's main loop on the IR (mirror of ``saturate_rc``)."""
+    """Algorithm 1's main loop on the IR (mirror of ``saturate_rc``).
+
+    Per committed transaction, its good external committed reads
+    ``(po, key, writer)`` are walked in program order.  ``kw_key[kw_start[t]
+    : kw_start[t + 1]]`` lists the distinct keys transaction ``t`` writes,
+    in first-write order.  Every attempt, duplicates included, appends the
+    packed edge ``(t2 << EDGE_SHIFT) | t1`` and its key id to the
+    relation's co-log columns; the relation's freeze deduplicates.
+    """
     committed = ch.txn_committed
     kw_start = ch._kw_start
     kw_key = ch._kw_key
@@ -196,68 +147,46 @@ def saturate_rc_compiled(
         if not committed[tid]:
             continue
         reads = _external_good_reads(ch, tid, bad_ops)
-        if reads:
-            saturate_rc_txn(reads, kw_start, kw_key, kw_set, co_append, cok_append)
+        if not reads:
+            continue
+
+        # Forward pass: record the po-first read of each observed transaction.
+        seen_txns: Set[int] = set()
+        first_txn_reads: Set[int] = set()
+        for po, _key, writer in reads:
+            if writer not in seen_txns:
+                seen_txns.add(writer)
+                first_txn_reads.add(po)
+
+        # Backward pass (see saturate_rc for the invariants; read_keys is a
+        # dict so the smaller-side iteration below is deterministic).
+        earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
+        read_keys: Dict[int, None] = {}
+        for po, key, t2 in reversed(reads):
+            if po in first_txn_reads:
+                lo, hi = kw_start[t2], kw_start[t2 + 1]
+                if hi - lo <= len(read_keys):
+                    candidates = [x for x in kw_key[lo:hi] if x in read_keys]
+                else:
+                    written = kw_set(t2)
+                    candidates = [x for x in read_keys if x in written]
+                for x in candidates:
+                    older, newer = earliest[x]
+                    t1 = newer
+                    if t1 == t2:
+                        t1 = older
+                    if t1 is not None and t1 != t2:
+                        co_append((t2 << EDGE_SHIFT) | t1)
+                        cok_append(x)
+            pair = earliest.get(key)
+            if pair is None:
+                earliest[key] = (None, t2)
+            elif pair[1] != t2:
+                earliest[key] = (pair[1], t2)
+            read_keys[key] = None
 
 
 # -- RA (Algorithm 2) ----------------------------------------------------------
-
-
-def saturate_ra_txn(
-    t3: int,
-    reads: Sequence[Tuple[int, int, int]],
-    last_write: Dict[int, int],
-    kw_start: Sequence[int],
-    kw_key: Sequence[int],
-    kw_set: Callable[[int], AbstractSet[int]],
-    co_append: Callable[[int], None],
-    cok_append: Callable[[int], None],
-    so_only: bool = False,
-) -> None:
-    """Algorithm 2's per-transaction body (mirror of ``saturate_ra``).
-
-    ``t3`` is the transaction, ``reads`` its good external committed reads
-    as ``(po, key, writer)`` triples in program order, and ``last_write``
-    its session's key -> latest committed writer map, which this call
-    advances past ``t3``.  The written-key CSR, ``kw_set`` and the appends
-    are as in :func:`saturate_rc_txn`.  The ``t2 -so-> t3`` attempts are
-    appended first: they alone are the single-session specialization's
-    inferences (Theorem 1.6), and ``so_only`` stops after them.
-    """
-    # Case t2 -so-> t3.
-    for _po, key, t1 in reads:
-        t2 = last_write.get(key)
-        if t2 is not None and t2 != t1:
-            co_append((t2 << EDGE_SHIFT) | t1)
-            cok_append(key)
-
-    if not so_only:
-        reader_of_key: Dict[int, int] = {}
-        distinct_writers: List[int] = []
-        seen_writers: Set[int] = set()
-        for _po, key, writer in reads:
-            reader_of_key.setdefault(key, writer)
-            if writer not in seen_writers:
-                seen_writers.add(writer)
-                distinct_writers.append(writer)
-
-        # Case t2 -wr-> t3: intersect written keys with read keys, iterating
-        # the smaller side in deterministic order.
-        for t2 in distinct_writers:
-            lo, hi = kw_start[t2], kw_start[t2 + 1]
-            if hi - lo <= len(reader_of_key):
-                candidates = [x for x in kw_key[lo:hi] if x in reader_of_key]
-            else:
-                written = kw_set(t2)
-                candidates = [x for x in reader_of_key if x in written]
-            for x in candidates:
-                t1 = reader_of_key[x]
-                if t1 != t2:
-                    co_append((t2 << EDGE_SHIFT) | t1)
-                    cok_append(x)
-
-    for x in kw_key[kw_start[t3] : kw_start[t3 + 1]]:
-        last_write[x] = t3
 
 
 def saturate_ra_compiled(
@@ -268,8 +197,12 @@ def saturate_ra_compiled(
 ) -> None:
     """Algorithm 2's saturation on the IR (mirror of ``saturate_ra``).
 
-    ``so_only`` keeps only the ``t2 -so-> t3`` case, which is the whole of
-    the single-session check (Theorem 1.6).
+    Each session keeps a key -> latest committed writer map, advanced past
+    each committed transaction ``t3`` after its attempts.  The written-key
+    CSR and the co-log appends are as in :func:`saturate_rc_compiled`.  A
+    transaction's ``t2 -so-> t3`` attempts are appended first: they alone
+    are the single-session specialization's inferences (Theorem 1.6), and
+    ``so_only`` keeps only them.
     """
     committed = ch.txn_committed
     kw_start = ch._kw_start
@@ -282,17 +215,42 @@ def saturate_ra_compiled(
         for t3 in session:
             if not committed[t3]:
                 continue
-            saturate_ra_txn(
-                t3,
-                _external_good_reads(ch, t3, bad_ops),
-                last_write,
-                kw_start,
-                kw_key,
-                kw_set,
-                co_append,
-                cok_append,
-                so_only,
-            )
+            reads = _external_good_reads(ch, t3, bad_ops)
+
+            # Case t2 -so-> t3.
+            for _po, key, t1 in reads:
+                t2 = last_write.get(key)
+                if t2 is not None and t2 != t1:
+                    co_append((t2 << EDGE_SHIFT) | t1)
+                    cok_append(key)
+
+            if not so_only:
+                reader_of_key: Dict[int, int] = {}
+                distinct_writers: List[int] = []
+                seen_writers: Set[int] = set()
+                for _po, key, writer in reads:
+                    reader_of_key.setdefault(key, writer)
+                    if writer not in seen_writers:
+                        seen_writers.add(writer)
+                        distinct_writers.append(writer)
+
+                # Case t2 -wr-> t3: intersect written keys with read keys,
+                # iterating the smaller side in deterministic order.
+                for t2 in distinct_writers:
+                    lo, hi = kw_start[t2], kw_start[t2 + 1]
+                    if hi - lo <= len(reader_of_key):
+                        candidates = [x for x in kw_key[lo:hi] if x in reader_of_key]
+                    else:
+                        written = kw_set(t2)
+                        candidates = [x for x in reader_of_key if x in written]
+                    for x in candidates:
+                        t1 = reader_of_key[x]
+                        if t1 != t2:
+                            co_append((t2 << EDGE_SHIFT) | t1)
+                            cok_append(x)
+
+            for x in kw_key[kw_start[t3] : kw_start[t3 + 1]]:
+                last_write[x] = t3
 
 
 # -- CC (Algorithm 3) ----------------------------------------------------------

@@ -196,7 +196,8 @@ class CompiledIncrementalChecker:
         """Add one raw transaction record appended to ``session``.
 
         ``ops`` are ``(is_write, key, value)`` tuples in program order --
-        the records the formats' ``stream_ops`` layer yields.
+        the records :func:`repro.histories.formats.stream_raw_history`
+        yields.
         """
         batch = RecordBatch()
         batch.add_record(session, label, committed, ops)
@@ -240,8 +241,10 @@ class CompiledIncrementalChecker:
 
         Each level runs :func:`check_compiled` on one shared read-consistency
         report, so a result differs from a batch check's only in its
-        ``awdit-stream`` checker name, its elapsed time (appends included)
-        and its ``build`` lap, which counts the appends too.  Idempotent.
+        ``awdit-stream`` checker name and its ``build`` lap, which counts
+        the appends too.  Its elapsed time is, as in a batch check, the
+        checks' alone: the shared read-consistency lap plus the level's own
+        laps.  Idempotent.
         """
         if self._results is not None:
             return self._results
@@ -258,11 +261,8 @@ class CompiledIncrementalChecker:
                 )
                 result.checker = result.checker.replace("awdit", "awdit-stream", 1)
                 result.stats.update(build=build, read_consistency=read_consistency)
+                result.elapsed_seconds += read_consistency
                 results[level] = result
-        watch.lap("levels")
-        elapsed = self._build_seconds + watch.total
-        for result in results.values():
-            result.elapsed_seconds = elapsed
         self._results = results
         return results
 

@@ -15,27 +15,39 @@ the same flavour and information content, all loss-lessly round-tripping the
 * ``cobra`` -- a CSV-like operation-per-line format in the style of Cobra's
   logs (:mod:`repro.histories.formats.cobra`).
 
-:func:`load_history` / :func:`save_history` dispatch on a format name or on
-the file extension.
+A format module is ``dumps`` (the writer), ``stream_batches`` (its one
+parser, yielding columnar :class:`~repro.histories.formats._raw.RecordBatch`
+objects) and ``COMPILED_SESSION_GAPS`` (its session convention).  Every
+reader goes through that parser via :func:`stream_raw_batches`:
+:func:`load_compiled` builds the IR, :func:`load_history` assembles the
+object :class:`~repro.core.model.History`, and both number sessions by
+:func:`~repro.core.compiled.ir.session_order`, so the compiled and object
+engines, the baselines and ``awdit convert`` all read one history, or refuse
+one file with one message.  :func:`load_history` / :func:`save_history`
+dispatch on a format name or on the file extension.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.compiled import CompiledHistory, CompiledHistoryBuilder
+from repro.core.compiled.ir import session_order
 from repro.core.exceptions import ParseError, UsageError
 from repro.core.model import History, Transaction
 from repro.histories.formats import cobra, dbcop, native, plume_text
-from repro.histories.formats._raw import RawTransaction, RecordBatch
+from repro.histories.formats._raw import (
+    RawTransaction,
+    RecordBatch,
+    transaction_from_raw,
+)
 
 __all__ = [
     "load_history",
     "load_compiled",
     "save_history",
     "session_gaps",
-    "stream_history",
     "stream_raw_batches",
     "stream_raw_history",
     "FORMATS",
@@ -81,15 +93,24 @@ def _decode_error(path: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
 
 
-def load_history(path: str, fmt: Optional[str] = None) -> History:
-    """Load a history from ``path`` in the given (or detected) format."""
-    module = _module_for(fmt, path)
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
-    return module.loads(text)  # type: ignore[attr-defined]
+def load_history(
+    path: str, fmt: Optional[str] = None, batch_ops: Optional[int] = None
+) -> History:
+    """Load a history from ``path`` in the given (or detected) format.
+
+    The object-model twin of :func:`load_compiled`: the same record batches
+    (:func:`stream_raw_batches`, ``batch_ops`` operations each; the history
+    is identical for any value) are assembled into transactions, and
+    sessions are numbered by the same
+    :func:`~repro.core.compiled.ir.session_order` rule, so both loaders
+    read one history and refuse one file with one message.
+    """
+    sessions: Dict[object, List[Transaction]] = {}
+    for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
+        for session, raw in batch.iter_records():
+            sessions.setdefault(session, []).append(transaction_from_raw(raw))
+    order = session_order(sessions, session_gaps(path, fmt))
+    return History.from_sessions([sessions.get(session, []) for session in order])
 
 
 def save_history(history: History, path: str, fmt: Optional[str] = None) -> None:
@@ -100,48 +121,18 @@ def save_history(history: History, path: str, fmt: Optional[str] = None) -> None
         handle.write(text)
 
 
-def stream_history(
-    path: str, fmt: Optional[str] = None
-) -> Iterator[Tuple[int, Transaction]]:
-    """Iterate ``(session_id, transaction)`` pairs from ``path``, one pass.
-
-    Unlike :func:`load_history`, the file is parsed incrementally and the
-    history is never materialized; memory stays proportional to one
-    transaction (plus the parser's sliding buffer).  Feed the pairs to
-    :meth:`repro.stream.CompiledIncrementalChecker.append` to check a log
-    without materializing it.
-    Parse failures carry the file path next to the parser's line context.
-    """
-    module = _module_for(fmt, path)
-    # newline="" keeps the csv-based cobra parser happy; harmless elsewhere.
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            for item in module.stream(handle):  # type: ignore[attr-defined]
-                yield item
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
-
-
 def stream_raw_history(
     path: str, fmt: Optional[str] = None
-) -> Iterator[Tuple[int, RawTransaction]]:
+) -> Iterator[Tuple[object, RawTransaction]]:
     """Iterate raw ``(session_id, (label, committed, ops))`` records from ``path``.
 
-    The allocation-light sibling of :func:`stream_history`: operations are
-    plain tuples, so no model objects are created at all.  This is the
-    ingestion path of :func:`load_compiled`.
+    The per-record view of :func:`stream_raw_batches`: batches of one record
+    each, unbatched, so a parse error surfaces only after every record
+    before it was yielded.  Operations are plain ``(is_write, key, value)``
+    tuples; no model objects are created.
     """
-    module = _module_for(fmt, path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            for item in module.stream_ops(handle):  # type: ignore[attr-defined]
-                yield item
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
+    for batch in stream_raw_batches(path, fmt, batch_ops=1):
+        yield from batch.iter_records()
 
 
 def stream_raw_batches(
@@ -149,11 +140,12 @@ def stream_raw_batches(
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns from ``path``, one pass.
 
-    The columnar sibling of :func:`stream_raw_history` and the ingestion
-    path of every compiled consumer: each batch covers up to ``batch_ops``
-    operations (``None`` = the formats' default) in flat parallel columns,
-    ready for bulk interning.  Parse failures carry the file path next to
-    the parser's line context.
+    The ingestion path of every reader -- :func:`load_compiled`,
+    :func:`load_history`, :func:`stream_raw_history` and ``awdit check
+    --stream``: each batch covers up to ``batch_ops`` operations (``None`` =
+    the formats' default) in flat parallel columns, ready for bulk
+    interning.  Parse failures carry the file path next to the parser's
+    line context.
     """
     module = _module_for(fmt, path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -171,11 +163,13 @@ def stream_raw_batches(
 def session_gaps(path: str, fmt: Optional[str] = None) -> bool:
     """Whether the IR of ``path`` gets an empty session per missing integer id.
 
-    The batch loaders' session convention: the JSON and cobra formats keep
-    a session that has no transactions, so their IR fills the gaps in the
-    integer ids; plume does not.  :func:`load_compiled` and ``awdit check
-    --stream`` both finish their :class:`CompiledHistoryBuilder` with it,
-    so both number sessions, and print witnesses, alike.
+    The loaders' session convention: the JSON and cobra formats keep a
+    session that has no transactions, so their histories fill the gaps in
+    the integer ids; plume does not.  :func:`load_history`,
+    :func:`load_compiled` and ``awdit check --stream`` all pass it to
+    :func:`~repro.core.compiled.ir.session_order`, so all number sessions,
+    and print witnesses, alike.  A trailing empty session leaves no record
+    in the file's batches, so no reader sees it.
     """
     return getattr(_module_for(fmt, path), "COMPILED_SESSION_GAPS", False)
 
@@ -191,9 +185,9 @@ def load_compiled(
     The file is parsed with the columnar record-batch layer and compiled on
     the fly, skipping ``Operation``/``Transaction`` objects entirely: peak
     memory is the compiled arrays plus the intern tables plus one in-flight
-    batch, not the object graph.  The result is identical to
-    ``compile_history(load_history(path))`` up to trailing empty sessions
-    (which a one-pass parse cannot observe).
+    batch, not the object graph.  It holds the history
+    ``load_history(path)`` holds: both read the same batches and number
+    sessions alike.
 
     ``timings`` (for ``awdit check --profile``) receives separate ``parse``
     and ``build`` wall seconds, measured per batch around the generator

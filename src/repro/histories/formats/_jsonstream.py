@@ -168,8 +168,8 @@ def iter_session_objects(
         raise ParseError("expected a JSON object with a 'sessions' field")
     trailing = cursor.peek()
     if trailing != "":
-        # Match the batch parser, which rejects concatenated/rewritten files
-        # ("Extra data"); trailing garbage must not pass as a valid history.
+        # A concatenated or rewritten capture must not pass as a valid
+        # history: nothing may follow the history object.
         raise ParseError(f"unexpected trailing data after history object: {trailing!r}")
 
 

@@ -1,18 +1,18 @@
-"""The raw record layer shared by the streaming parsers.
+"""The raw record layer every reader shares.
 
-Every format's ``stream_batches`` iterator yields :class:`RecordBatch`
-containers: flat parallel columns (operation kinds, keys, values; per-record
-session ids, labels, committed flags, source lines) covering up to
-``batch_ops`` operations each.  The batch layer exists so the hot consumers
--- :meth:`repro.core.compiled.ir.CompiledHistoryBuilder.add_batch` and
-:meth:`repro.core.compiled.online.CompiledIncrementalChecker.append_batch`
--- can bulk-intern whole columns and amortize per-record dispatch.
+Every format's ``stream_batches`` parser -- the only parser each format has
+-- yields :class:`RecordBatch` containers: flat parallel columns (operation
+kinds, keys, values; per-record session ids, labels, committed flags,
+source lines) covering up to ``batch_ops`` operations each.  The batches
+feed both assemblers: :meth:`repro.core.compiled.ir.CompiledHistoryBuilder.add_batch`
+bulk-interns whole columns into the compiled IR (``load_compiled``, ``awdit
+check`` and ``--stream``), and ``load_history`` turns each record into a
+:class:`~repro.core.model.Transaction` with :func:`transaction_from_raw`
+(the object engine, the baselines and ``awdit convert``).
 
-The per-record view is preserved on top of it: ``stream_ops`` yields
-``(session_id, raw)`` pairs where ``raw`` is a :data:`RawTransaction`
-(``(label, committed, ops)`` with plain ``(is_write, key, value)`` operation
-tuples), and the object-yielding ``stream`` iterators wrap that with
-:func:`transaction_from_raw`.
+:meth:`RecordBatch.iter_records` gives the per-record view: ``(session_id,
+raw)`` pairs where ``raw`` is a :data:`RawTransaction` (``(label,
+committed, ops)`` with plain ``(is_write, key, value)`` operation tuples).
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ class RecordBatch:
     def iter_records(self) -> Iterator[Tuple[object, RawTransaction]]:
         """Yield the records back as ``(session, (label, committed, ops))``.
 
-        The exact per-record tuples the pre-batch ``stream_ops`` layer
-        yielded, so unbatching shims preserve every consumer's view.
+        The per-record view of the columns, with plain ``(is_write, key,
+        value)`` operation tuples: what ``load_history`` and
+        ``stream_raw_history`` (:mod:`repro.histories.formats`) read.
         """
         kinds = self.kinds
         keys = self.keys

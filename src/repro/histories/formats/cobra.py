@@ -21,19 +21,13 @@ import io
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History, Operation, OpKind, Transaction
-from repro.histories.formats._raw import (
-    DEFAULT_BATCH_OPS,
-    RawOps,
-    RawTransaction,
-    RecordBatch,
-    transaction_from_raw,
-)
+from repro.core.model import History
+from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RawOps, RecordBatch
 
-__all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
+__all__ = ["dumps", "stream_batches"]
 
-#: Missing integer session ids denote empty sessions (``loads`` pads to
-#: ``max(session) + 1``).
+#: Missing integer session ids denote empty sessions: a history has
+#: ``max(session) + 1`` of them.
 COMPILED_SESSION_GAPS = True
 
 _HEADER = ["session", "txn_index", "op", "key", "value", "committed"]
@@ -53,9 +47,8 @@ def _parse_row(line_number: int, row: List[str]) -> Tuple[int, int, bool, str, o
     except ValueError as exc:
         raise ParseError(f"line {line_number}: bad session/txn index") from exc
     if sid < 0:
-        # Both loaders must agree on what a negative session means; loads'
-        # positional session assembly would silently drop such rows, so
-        # reject them outright on every path.
+        # Session ids number the history's sessions from 0 (gaps are
+        # empty sessions), so a negative one has no place in it.
         raise ParseError(f"line {line_number}: negative session id {sid}")
     kind = row[2].strip()
     if kind not in ("R", "W"):
@@ -81,14 +74,15 @@ def stream_batches(
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
-    Consecutive rows with the same ``(session, txn_index)`` pair form one
-    transaction; a transaction's rows must be contiguous and its per-session
-    indices strictly increasing across transactions (files written by
-    :func:`dumps` always are -- the batch :func:`loads` additionally
-    tolerates interleaved rows by buffering the whole file).  A repeated
-    index is rejected as a duplicate transaction id.  A transaction lands in
-    a batch only once its last row is seen, so memory stays bounded by one
-    batch plus one open transaction plus one index per session.
+    The format's one parser, read by every loader.  Consecutive rows with
+    the same ``(session, txn_index)`` pair form one transaction; a
+    transaction's rows must be contiguous and its per-session indices
+    strictly increasing across transactions (files written by :func:`dumps`
+    always are), so interleaved rows and an index that goes backwards are
+    rejected.  A repeated index is rejected as a duplicate transaction id.
+    A transaction lands in a batch only once its last row is seen, so
+    memory stays bounded by one batch plus one open transaction plus one
+    index per session.
     """
     if batch_ops is None:
         batch_ops = DEFAULT_BATCH_OPS
@@ -146,27 +140,6 @@ def stream_batches(
     yield batch
 
 
-def stream_ops(handle: Iterable[str]) -> Iterator[Tuple[int, RawTransaction]]:
-    """Iterate raw ``(session_id, (label, committed, ops))`` records.
-
-    The per-record unbatching shim over :func:`stream_batches`;
-    ``batch_ops=1`` keeps the legacy error timing exactly (a closed
-    transaction is yielded before the row after it can raise).
-    """
-    for batch in stream_batches(handle, batch_ops=1):
-        for record in batch.iter_records():
-            yield record
-
-
-def stream(handle: Iterable[str]) -> Iterator[Tuple[int, Transaction]]:
-    """Iterate ``(session_id, transaction)`` pairs off an open cobra-style file.
-
-    The object-yielding wrapper over :func:`stream_ops`.
-    """
-    for sid, raw in stream_ops(handle):
-        yield sid, transaction_from_raw(raw)
-
-
 def dumps(history: History) -> str:
     """Serialize ``history`` to the CSV-like Cobra-style format."""
     buffer = io.StringIO()
@@ -180,35 +153,3 @@ def dumps(history: History) -> str:
                     [sid, index, op.kind.value, op.key, op.value, int(txn.committed)]
                 )
     return buffer.getvalue()
-
-
-def loads(text: str) -> History:
-    """Parse a history from the CSV-like Cobra-style format."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
-        raise ParseError("empty cobra-style history")
-    if [cell.strip() for cell in rows[0]] == _HEADER:
-        rows = rows[1:]
-    transactions: Dict[Tuple[int, int], List[Operation]] = {}
-    committed: Dict[Tuple[int, int], bool] = {}
-    for line_number, row in enumerate(rows, start=2):
-        sid, txn_index, is_write, key, value, is_committed = _parse_row(line_number, row)
-        ident = (sid, txn_index)
-        operation = Operation(OpKind.WRITE if is_write else OpKind.READ, key, value)
-        transactions.setdefault(ident, []).append(operation)
-        previous = committed.setdefault(ident, is_committed)
-        if previous != is_committed:
-            raise ParseError(
-                f"line {line_number}: inconsistent committed flag for transaction {ident}"
-            )
-    num_sessions = max(sid for sid, _ in transactions) + 1
-    sessions: List[List[Transaction]] = [[] for _ in range(num_sessions)]
-    for sid in range(num_sessions):
-        indices = sorted(idx for s, idx in transactions if s == sid)
-        for idx in indices:
-            ident = (sid, idx)
-            sessions[sid].append(
-                Transaction(transactions[ident], committed=committed[ident])
-            )
-    return History.from_sessions(sessions)

@@ -23,20 +23,19 @@ dropped on load (they never reached the database).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History, Transaction
+from repro.core.model import History
 from repro.histories.formats._jsonstream import iter_session_objects, require_scalar
 from repro.histories.formats._raw import (
     DEFAULT_BATCH_OPS,
     RawOps,
     RawTransaction,
     RecordBatch,
-    transaction_from_raw,
 )
 
-__all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
+__all__ = ["dumps", "stream_batches"]
 
 #: Missing integer session ids denote empty sessions (positional format).
 COMPILED_SESSION_GAPS = True
@@ -68,20 +67,16 @@ def _raw_from_doc(txn_doc: object) -> RawTransaction:
     return None, bool(txn_doc.get("success", True)), ops
 
 
-def _transaction_from_doc(txn_doc: object) -> Transaction:
-    """Convert one DBCop transaction document to a :class:`Transaction`."""
-    return transaction_from_raw(_raw_from_doc(txn_doc))
-
-
 def stream_batches(
     handle: TextIO, batch_ops: Optional[int] = None
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
-    The columnar layer under :func:`stream_ops`: transaction documents are
-    decoded one at a time from the sliding JSON buffer and accumulated into
-    flat batch columns.  A malformed document raises immediately with its
-    line context; the partially-filled batch is discarded, never yielded.
+    The format's one parser, read by every loader: transaction documents
+    are decoded one at a time from the sliding JSON buffer and accumulated
+    into flat batch columns.  A malformed document raises immediately with
+    its line context; the partially-filled batch is discarded, never
+    yielded.
     """
     if batch_ops is None:
         batch_ops = DEFAULT_BATCH_OPS
@@ -99,27 +94,6 @@ def stream_batches(
             batch = RecordBatch()
     if len(batch.txn_end):
         yield batch
-
-
-def stream_ops(handle: TextIO) -> Iterator[Tuple[int, RawTransaction]]:
-    """Iterate raw ``(session_index, (label, committed, ops))`` records.
-
-    A thin unbatching shim over :func:`stream_batches` (``batch_ops=1``
-    keeps the legacy record-at-a-time error timing).
-    """
-    for batch in stream_batches(handle, batch_ops=1):
-        for record in batch.iter_records():
-            yield record
-
-
-def stream(handle: TextIO) -> Iterator[Tuple[int, Transaction]]:
-    """Iterate ``(session_index, transaction)`` pairs off an open DBCop-style file.
-
-    Transactions are decoded one at a time from a sliding buffer, so the
-    history is never materialized.
-    """
-    for sid, raw in stream_ops(handle):
-        yield sid, transaction_from_raw(raw)
 
 
 def dumps(history: History) -> str:
@@ -141,22 +115,3 @@ def dumps(history: History) -> str:
             rendered.append({"events": events, "success": txn.committed})
         sessions.append(rendered)
     return json.dumps({"id": 0, "sessions": sessions}, indent=2)
-
-
-def loads(text: str) -> History:
-    """Parse a DBCop-style JSON history."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
-    sessions_doc = document.get("sessions") if isinstance(document, dict) else None
-    if not isinstance(sessions_doc, list):
-        raise ParseError("expected an object with a 'sessions' list")
-    sessions: List[List[Transaction]] = []
-    for session_doc in sessions_doc:
-        if not isinstance(session_doc, list):
-            raise ParseError("each session must be a list of transactions")
-        sessions.append([_transaction_from_doc(txn_doc) for txn_doc in session_doc])
-    return History.from_sessions(sessions)

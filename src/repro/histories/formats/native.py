@@ -23,20 +23,19 @@ the paper assumes.  Values may be any JSON scalar.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History, Transaction
+from repro.core.model import History
 from repro.histories.formats._jsonstream import iter_session_objects, require_scalar
 from repro.histories.formats._raw import (
     DEFAULT_BATCH_OPS,
     RawOps,
     RawTransaction,
     RecordBatch,
-    transaction_from_raw,
 )
 
-__all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
+__all__ = ["dumps", "stream_batches"]
 
 FORMAT_NAME = "awdit-native"
 FORMAT_VERSION = 1
@@ -65,19 +64,14 @@ def _raw_from_doc(txn_doc: object) -> RawTransaction:
     return txn_doc.get("label"), bool(txn_doc.get("committed", True)), ops
 
 
-def _transaction_from_doc(txn_doc: object) -> Transaction:
-    """Convert one transaction document to a :class:`Transaction`."""
-    return transaction_from_raw(_raw_from_doc(txn_doc))
-
-
 def stream_batches(
     handle: TextIO, batch_ops: Optional[int] = None
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
-    The columnar layer under :func:`stream_ops`: transaction documents are
-    decoded one at a time from the sliding JSON buffer and accumulated into
-    flat batch columns, so the compiled consumers can bulk-intern them.  A
+    The format's one parser, read by every loader: transaction documents
+    are decoded one at a time from the sliding JSON buffer and accumulated
+    into flat batch columns, so the consumers can bulk-intern them.  A
     malformed document raises immediately with its line context; the
     partially-filled batch is discarded, never yielded.
     """
@@ -104,32 +98,6 @@ def stream_batches(
         yield batch
 
 
-def stream_ops(handle: TextIO) -> Iterator[Tuple[int, RawTransaction]]:
-    """Iterate raw ``(session_index, (label, committed, ops))`` records.
-
-    The allocation-light layer under :func:`stream`: operations are plain
-    ``(is_write, key, value)`` tuples, so per-record consumers can read a
-    file without creating any ``Operation`` objects.  A thin unbatching
-    shim over :func:`stream_batches` (``batch_ops=1`` keeps the legacy
-    record-at-a-time error timing).
-    """
-    for batch in stream_batches(handle, batch_ops=1):
-        for record in batch.iter_records():
-            yield record
-
-
-def stream(handle: TextIO) -> Iterator[Tuple[int, Transaction]]:
-    """Iterate ``(session_index, transaction)`` pairs off an open native-JSON file.
-
-    Transactions are decoded one at a time from a sliding buffer, so the
-    history is never materialized; feed the pairs to
-    :meth:`repro.stream.CompiledIncrementalChecker.append` for a one-pass
-    check.
-    """
-    for sid, raw in stream_ops(handle):
-        yield sid, transaction_from_raw(raw)
-
-
 def dumps(history: History) -> str:
     """Serialize ``history`` to a JSON string."""
     sessions: List[List[Dict[str, Any]]] = []
@@ -151,29 +119,3 @@ def dumps(history: History) -> str:
         "sessions": sessions,
     }
     return json.dumps(document, indent=2)
-
-
-def loads(text: str) -> History:
-    """Parse a history from a JSON string produced by :func:`dumps`."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
-    if not isinstance(document, dict):
-        raise ParseError("expected a JSON object with a 'sessions' field")
-    if document.get("format") not in (None, FORMAT_NAME):
-        raise ParseError(f"unexpected format marker {document.get('format')!r}")
-    sessions_doc = document.get("sessions")
-    if not isinstance(sessions_doc, list):
-        raise ParseError("'sessions' must be a list of sessions")
-    sessions: List[List[Transaction]] = []
-    for session_doc in sessions_doc:
-        if not isinstance(session_doc, list):
-            raise ParseError("each session must be a list of transactions")
-        session: List[Transaction] = []
-        for txn_doc in session_doc:
-            session.append(_transaction_from_doc(txn_doc))
-        sessions.append(session)
-    return History.from_sessions(sessions)

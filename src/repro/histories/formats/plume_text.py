@@ -14,22 +14,17 @@ possible and kept as strings otherwise.
 
 from __future__ import annotations
 
-import io
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History, Transaction
-from repro.histories.formats._raw import (
-    DEFAULT_BATCH_OPS,
-    RawTransaction,
-    RecordBatch,
-    transaction_from_raw,
-)
+from repro.core.model import History
+from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
 
-__all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
+__all__ = ["dumps", "stream_batches"]
 
-#: Sparse session ids are compacted, not filled (matching ``loads``).
+#: Sparse session ids are compacted, not filled: sessions 0 and 5 make a
+#: two-session history.
 COMPILED_SESSION_GAPS = False
 
 _OP_PATTERN = re.compile(r"([RW])\(([^,()]+),([^()]*)\)")
@@ -148,10 +143,11 @@ def stream_batches(
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
-    One line is one transaction, so the parse is naturally one-pass; lines of
-    one session must appear in session order (they always do in files written
-    by :func:`dumps`).  Like :func:`loads`, a file with no transactions at
-    all is rejected (a truncated capture must not pass as consistent), and a
+    The format's one parser, read by every loader.  One line is one
+    transaction, so the parse is naturally one-pass; lines of one session
+    must appear in session order (they always do in files written by
+    :func:`dumps`).  A file with no transactions at all is rejected (a
+    truncated capture must not pass as consistent), and a
     ``txn=`` id repeated within one session is rejected as a duplicate
     transaction id (memory cost: one label reference per transaction).
     Errors surface immediately with the offending line's context; the
@@ -185,36 +181,3 @@ def stream_batches(
         yield batch
     if empty:
         raise ParseError("history file contains no transactions")
-
-
-def stream_ops(handle: Iterable[str]) -> Iterator[Tuple[int, RawTransaction]]:
-    """Iterate raw ``(session_id, (label, committed, ops))`` records.
-
-    The per-record unbatching shim over :func:`stream_batches`;
-    ``batch_ops=1`` keeps the legacy error timing exactly (every record is
-    yielded before the line after it can raise).
-    """
-    for batch in stream_batches(handle, batch_ops=1):
-        for record in batch.iter_records():
-            yield record
-
-
-def stream(handle: Iterable[str]) -> Iterator[Tuple[int, Transaction]]:
-    """Iterate ``(session_id, transaction)`` pairs off an open plume-style file.
-
-    The object-yielding wrapper over :func:`stream_ops`.
-    """
-    for sid, raw in stream_ops(handle):
-        yield sid, transaction_from_raw(raw)
-
-
-def loads(text: str) -> History:
-    """Parse a history from the line-oriented text format."""
-    sessions: Dict[int, List[Transaction]] = {}
-    # stream() rejects input with no transactions, so `sessions` is non-empty.
-    # Split lines like the file readers do (newline=""): str.splitlines()
-    # would also cut values on U+2028 and the other Unicode line breaks.
-    for sid, transaction in stream(io.StringIO(text, newline="")):
-        sessions.setdefault(sid, []).append(transaction)
-    ordered = [sessions[sid] for sid in sorted(sessions)]
-    return History.from_sessions(ordered)

@@ -1,12 +1,14 @@
 """Tests for the compiled streaming core (repro.core.compiled.online)."""
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
+from repro.core.compiled import CompiledHistoryBuilder
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, Transaction, read, write
 from repro.core.violations import ViolationKind
@@ -29,7 +31,7 @@ LEVELS = list(IsolationLevel)
 
 
 def raw_records(history):
-    """The history's raw records in file order (what stream_ops would yield)."""
+    """The history's raw records in file order (what stream_raw_history yields)."""
     for sid, session in enumerate(history.sessions):
         for tid in session:
             txn = history.transactions[tid]
@@ -133,6 +135,23 @@ class TestCompiledOnlineParity:
         batch = check(history, IsolationLevel.CAUSAL_CONSISTENCY)
         assert result.is_consistent == batch.is_consistent
         assert result.num_operations == history.num_operations
+
+    def test_elapsed_counts_the_checks_not_the_appends(self, monkeypatch):
+        # Like a batch check's, a stream result's elapsed time is its
+        # checks' alone; the appends are the build lap.
+        add_batch = CompiledHistoryBuilder.add_batch
+
+        def slow_add_batch(self, batch):
+            time.sleep(0.2)
+            add_batch(self, batch)
+
+        monkeypatch.setattr(CompiledHistoryBuilder, "add_batch", slow_add_batch)
+        history = all_paper_histories()["fig_1b"]
+        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
+        checker.extend_raw(raw_records(history))
+        for result in checker.finalize().values():
+            assert result.stats["build"] > 0.2
+            assert result.elapsed_seconds < 0.2
 
     def test_append_after_finalize_rejected(self):
         checker = CompiledIncrementalChecker()

@@ -15,9 +15,9 @@ from repro.core.violations import ViolationKind
 from repro.histories.formats import (
     load_history,
     save_history,
-    stream_history,
     stream_raw_history,
 )
+from repro.histories.formats._raw import transaction_from_raw
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
@@ -78,8 +78,8 @@ class TestStreamingParsers:
         save_history(history, str(path), fmt=fmt)
         loaded = load_history(str(path), fmt=fmt)
         sessions = {}
-        for sid, txn in stream_history(str(path), fmt=fmt):
-            sessions.setdefault(sid, []).append(txn)
+        for sid, raw in stream_raw_history(str(path), fmt=fmt):
+            sessions.setdefault(sid, []).append(transaction_from_raw(raw))
         ordered = [sessions[sid] for sid in sorted(sessions)]
         restreamed = History.from_sessions(ordered)
         assert restreamed.num_operations == loaded.num_operations
@@ -98,8 +98,8 @@ class TestStreamingParsers:
             def read(self, size=-1):
                 return super().read(1)
 
-        pairs = list(native.stream(OneChar(text)))
-        assert len(pairs) == history.num_transactions
+        batches = list(native.stream_batches(OneChar(text)))
+        assert sum(len(batch) for batch in batches) == history.num_transactions
 
     def test_cobra_stream_rejects_split_transactions(self):
         from repro.core.exceptions import ParseError
@@ -107,7 +107,7 @@ class TestStreamingParsers:
 
         text = "0,0,W,x,1,1\n0,1,W,x,2,1\n0,0,W,y,1,1\n"
         with pytest.raises(ParseError):
-            list(cobra.stream(io.StringIO(text)))
+            list(cobra.stream_batches(io.StringIO(text)))
 
     def test_json_stream_rejects_trailing_garbage(self):
         """Concatenated/rewritten captures must error like the batch parser."""
@@ -116,18 +116,18 @@ class TestStreamingParsers:
 
         text = native.dumps(all_paper_histories()["fig_4a"])
         with pytest.raises(ParseError):
-            list(native.stream(io.StringIO(text + ' {"oops": 1}')))
+            list(native.stream_batches(io.StringIO(text + ' {"oops": 1}')))
 
     @pytest.mark.parametrize("module_name", ["plume_text", "cobra"])
     def test_line_based_streams_reject_empty_input(self, module_name):
-        """A truncated/empty capture must error like loads, not pass as consistent."""
+        """A truncated/empty capture must error, not pass as consistent."""
         import importlib
 
         from repro.core.exceptions import ParseError
 
         module = importlib.import_module(f"repro.histories.formats.{module_name}")
         with pytest.raises(ParseError):
-            list(module.stream(io.StringIO("")))
+            list(module.stream_batches(io.StringIO("")))
 
     def test_plume_stream_is_lazy(self):
         from repro.histories.formats import plume_text
@@ -137,9 +137,9 @@ class TestStreamingParsers:
             yield "session=1 txn=b committed ops= R(x,1)"
             raise AssertionError("must not be pulled")
 
-        iterator = plume_text.stream(lines())
-        sid, txn = next(iterator)
-        assert sid == 0 and txn.label == "a"
+        iterator = plume_text.stream_batches(lines(), batch_ops=1)
+        batch = next(iterator)
+        assert batch.txn_session == [0] and batch.txn_labels == ["a"]
 
 
 class TestIncrementalCheckerParity:
