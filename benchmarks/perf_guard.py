@@ -42,6 +42,7 @@ from _calibration import calibration_seconds
 from repro.core import IsolationLevel
 from repro.core.compiled.checkers import check_cc_compiled
 from repro.core.compiled.ir import compile_history
+from repro.core.compiled.online import check_stream_file
 from repro.graph import csr
 from repro.histories.formats import plume_text
 from repro.histories.generator import (
@@ -49,7 +50,6 @@ from repro.histories.generator import (
     generate_random_history,
     generate_random_stream,
 )
-from repro.stream import check_stream_file
 
 TOLERANCE = 1.25  # fail when current > baseline * TOLERANCE
 REPEATS = 3

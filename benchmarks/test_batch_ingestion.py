@@ -36,10 +36,10 @@ import pytest
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
+from repro.core.compiled.online import check_stream_file
 from repro.histories.formats import save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream_file
 
 _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH6_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_6.json"))

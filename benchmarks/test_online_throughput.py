@@ -3,10 +3,10 @@
 Streaming CC on the 120k-op fig9-scale history through
 :class:`~repro.core.compiled.online.CompiledIncrementalChecker`, parse
 included (the pipeline ``awdit check --stream`` executes), plus the
-all-levels online pass, the peak live-state footprint (tracemalloc), and
-the checkpoint save/load overhead at the default cadence.  The snapshot
-goes to ``benchmarks/results.json``; the committed ``BENCH_4.json`` stays
-as history (it also carries the retired object streaming engine's columns).
+all-levels online pass and the peak live-state footprint (tracemalloc).
+The snapshot goes to ``benchmarks/results.json``; the committed
+``BENCH_4.json`` stays as history (it also carries the retired object
+streaming engine's columns and the retired checkpoint overhead).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import tracemalloc
 import pytest
 
 from repro.core import IsolationLevel
-from repro.histories.formats import save_history, stream_raw_history
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
+from repro.histories.formats import save_history, stream_raw_batches
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import CompiledIncrementalChecker, check_stream_file
 
 pytestmark = pytest.mark.bench
 
@@ -76,25 +76,14 @@ def test_bench4_snapshot(tmp_path, results):
     # All-levels online pass (one stream, three verdicts).
     def _all_levels():
         checker = CompiledIncrementalChecker()
-        checker.extend_raw(stream_raw_history(path, "plume"))
+        for batch in stream_raw_batches(path, "plume"):
+            checker.append_batch(batch)
         return checker.finalize()
 
     all_levels_seconds = _timed(_all_levels)
 
     # Peak streaming memory (tracemalloc, in-process proxy).
     _, compiled_peak = _peak_mem(lambda: _compiled_stream_cc(path))
-
-    # Checkpointing at the default cadence: the overhead users pay for
-    # resumability.
-    state = str(tmp_path / "state.awd")
-    checkpoint_seconds = _timed(
-        lambda: check_stream_file(path, CC, fmt="plume", checkpoint=state)
-    )
-    resume_seconds = _timed(
-        lambda: check_stream_file(
-            path, CC, fmt="plume", checkpoint=state, resume=True
-        )
-    )
 
     snapshot = {
         "generated_by": "benchmarks/test_online_throughput.py::test_bench4_snapshot",
@@ -115,12 +104,6 @@ def test_bench4_snapshot(tmp_path, results):
             "note": "tracemalloc peak (in-process RSS proxy), CC streaming "
             "pipeline on the 120k-op log",
             "compiled": compiled_peak,
-        },
-        "checkpointing": {
-            "cadence_txns": 10_000,
-            "checkpointed_run_seconds": round(checkpoint_seconds, 4),
-            "resume_completed_run_seconds": round(resume_seconds, 4),
-            "overhead_vs_plain": round(checkpoint_seconds / compiled_seconds, 3),
         },
     }
     results.record("bench4", "snapshot", snapshot)

@@ -38,12 +38,12 @@ from repro.core.compiled.checkers import (
     saturate_cc_compiled,
 )
 from repro.core.compiled.ir import compile_history
+from repro.core.compiled.online import check_stream_file
 from repro.graph import csr
 from repro.graph.csr import freeze_packed, scc_frozen, toposort_frozen
 from repro.graph.digraph import EDGE_SHIFT
 from repro.histories.formats import load_compiled, save_history
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream_file
 
 _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH5_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_5.json"))

@@ -53,11 +53,11 @@ from repro.core.compiled.checkers import (
     compute_happens_before_compiled,
 )
 from repro.core.compiled.ir import compile_history
+from repro.core.compiled.online import check_stream_file
 from repro.graph import csr
 from repro.histories.formats import save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream_file
 
 _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH7_PATH = os.path.abspath(os.path.join(_ROOT, "BENCH_7.json"))

@@ -23,9 +23,9 @@ import tracemalloc
 import pytest
 
 from repro.core import IsolationLevel, check
+from repro.core.compiled.online import check_stream_file
 from repro.histories.formats import load_compiled, load_history, save_history
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import check_stream_file
 
 # Benchmark suites are opt-in (see pytest.ini): the marker is declared on
 # the module itself so collection behaves identically no matter which

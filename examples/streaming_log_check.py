@@ -6,8 +6,8 @@ history in memory before checking it.  This example shows the streaming
 workflow instead:
 
 1. generate a sizeable history and write it to disk as a plume-style log,
-2. replay the log through the raw-record parser + CompiledIncrementalChecker,
-   which builds the compiled IR record by record, with progress reporting,
+2. replay the log's parser record batches through CompiledIncrementalChecker,
+   which builds the compiled IR batch by batch, with progress reporting,
 3. finalize: AWDIT decides every level on the complete history, so the
    checker's violations fill here,
 4. compare the verdicts with the batch checker.
@@ -20,10 +20,9 @@ Run with::
 import os
 import tempfile
 
-from repro import CompiledIncrementalChecker, IsolationLevel, check
+from repro import CompiledIncrementalChecker, IsolationLevel, check, check_stream_file
 from repro.core.witnesses import format_report
-from repro.stream import check_stream_file
-from repro.histories.formats import load_history, save_history, stream_raw_history
+from repro.histories.formats import load_history, save_history, stream_raw_batches
 from repro.histories.generator import (
     RandomHistoryConfig,
     generate_random_history,
@@ -54,13 +53,12 @@ def make_log(path: str) -> None:
 def stream_check(path: str) -> None:
     """One-pass check with progress reporting; violations at finalize."""
     checker = CompiledIncrementalChecker(levels=(IsolationLevel.CAUSAL_CONSISTENCY,))
-    for session_id, (label, committed, ops) in stream_raw_history(path, fmt="plume"):
-        checker.append_raw(session_id, label, committed, ops)
-        if checker.num_transactions % 1000 == 0:
-            print(
-                f"  .. {checker.num_transactions} txns "
-                f"({checker.num_operations} ops) appended"
-            )
+    for batch in stream_raw_batches(path, fmt="plume"):
+        checker.append_batch(batch)
+        print(
+            f"  .. {checker.num_transactions} txns "
+            f"({checker.num_operations} ops) appended"
+        )
     results = checker.finalize()
     for violation in checker.violations:
         print(f"  !! {violation.describe()}")
@@ -69,8 +67,7 @@ def stream_check(path: str) -> None:
     if not result.is_consistent:
         print(format_report(result.violations, limit=3))
 
-    # `awdit check --stream` runs the same checker over whole record
-    # batches in one call, with checkpoint/resume support.
+    # `awdit check --stream` runs the same loop in one call.
     one_call = check_stream_file(path, IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume")
     print(f"one-call verdict  : {one_call.summary()}")
 

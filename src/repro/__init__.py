@@ -20,11 +20,10 @@ The package is organised as follows:
   naive reference checkers).
 * :mod:`repro.lowerbounds` -- the triangle-freeness reductions behind the
   paper's conditional lower bounds.
-* :mod:`repro.stream` -- streaming checks: a checker that builds the
-  compiled IR from transactions as they arrive, pairs with the
-  iterator-based format parsers to check a log in one pass, and runs the
-  batch checkers at the end.  Its memory is O(history), like batch, because
-  it holds the same IR.
+* :mod:`repro.core.compiled.online` -- streaming checks (``awdit check
+  --stream``): a checker that builds the compiled IR from a file's parser
+  batches as they arrive and runs the batch checkers at the end.  Its
+  memory is O(history), like batch, because it holds the same IR.
 * :mod:`repro.cli` -- the ``awdit`` command-line tool.
 
 The names below are imported on first access (PEP 562), so importing the
@@ -67,7 +66,7 @@ _EXPORTS = {
     "check_compiled": "repro.core.compiled.checkers",
     "compile_history": "repro.core.compiled.ir",
     "CompiledIncrementalChecker": "repro.core.compiled.online",
-    "check_stream_file": "repro.stream.runner",
+    "check_stream_file": "repro.core.compiled.online",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

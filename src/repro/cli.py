@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "check the file in one streaming pass that builds the compiled "
-            "IR batch by batch, with checkpoint/resume; prints what a batch "
-            "check prints; only the awdit checker supports this, and "
-            "--engine object is batch-only"
+            "IR batch by batch; prints what a batch check prints; only the "
+            "awdit checker supports this, and --engine object is batch-only"
         ),
     )
     check_parser.add_argument(
@@ -88,27 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
             "checker, engine and mode reads the file in these batches -- "
             "the verdict is identical for any value"
         ),
-    )
-    check_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help=(
-            "with --stream: periodically serialize the streaming state to "
-            "PATH so an interrupted check can continue via --resume"
-        ),
-    )
-    check_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="transactions between checkpoint saves (default: 10000)",
-    )
-    check_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore the --checkpoint state and continue the interrupted check",
     )
     check_parser.add_argument(
         "--profile",
@@ -167,28 +145,15 @@ def _conflict(message: str) -> int:
 def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Optional[str]:
     """The flag-conflict message for ``awdit check``, or ``None`` if coherent.
 
-    Rejected: a negative ``--witnesses``, baseline checkers with
-    awdit-engine flags, batch-only engine choices under ``--stream``, and
-    checkpointing outside streaming mode.
+    Rejected: a negative ``--witnesses``, a ``--batch-ops`` below 1,
+    baseline checkers with awdit-engine flags, and batch-only engine choices
+    under ``--stream``.
     """
     is_baseline = checker_name not in ("awdit", "default")
     if args.witnesses < 0:
         return f"--witnesses must be >= 0, got {args.witnesses}"
     if args.batch_ops is not None and args.batch_ops < 1:
         return f"--batch-ops must be >= 1, got {args.batch_ops}"
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        return f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-    if args.resume and args.checkpoint is None:
-        return "--resume continues from a checkpoint; add --checkpoint PATH"
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        return "--checkpoint-every sets the --checkpoint cadence; add --checkpoint PATH"
-    if (args.checkpoint is not None or args.checkpoint_every is not None) and (
-        not args.stream
-    ):
-        return (
-            "--checkpoint serializes the streaming state; it requires "
-            "--stream (batch engines re-check from scratch)"
-        )
     if args.stream:
         if is_baseline:
             return f"--stream supports only the awdit checker, not {args.checker!r}"
@@ -281,20 +246,13 @@ def _run_check(args: argparse.Namespace) -> int:
         tracemalloc.start()
         profile_start = time.perf_counter()
     if args.stream:
-        from repro.stream import DEFAULT_CHECKPOINT_EVERY, check_stream_file
+        from repro.core.compiled.online import check_stream_file
 
         result: CheckResult = check_stream_file(
             args.history,
             level,
             fmt=args.format,
             max_witnesses=args.witnesses,
-            checkpoint=args.checkpoint,
-            checkpoint_every=(
-                args.checkpoint_every
-                if args.checkpoint_every is not None
-                else DEFAULT_CHECKPOINT_EVERY
-            ),
-            resume=args.resume,
             batch_ops=args.batch_ops,
             timings=profile_timings,
         )

@@ -20,21 +20,10 @@ witness renderings, inferred-edge counts).  ``engine="auto"`` resolves to
 ``"compiled"``, except when a precomputed object-path
 :class:`ReadConsistencyReport` is supplied for reuse.
 
-Orthogonal to the engine axis, ``mode`` selects *how* the history is
-traversed:
-
-* ``"batch"`` (default) runs the engines above over the materialized
-  history;
-* ``"stream"`` replays the history's transactions in file order through
-  the one streaming checker (:mod:`repro.core.compiled.online`), which
-  builds the compiled IR from them and runs the compiled engine at
-  finalize -- the parity matrix in ``tests/test_matrix.py`` pins the
-  compiled batch engine and the stream against the object batch engine.
-  Streaming has no engine choice: only ``engine="auto"`` / ``"compiled"``
-  are accepted.
-
-On-disk histories stream through :func:`repro.stream.check_stream_file`
-instead, which adds checkpoint/resume.
+On-disk histories can also stream through
+:func:`repro.core.compiled.online.check_stream_file` (``awdit check
+--stream``), which builds the same IR batch by batch and runs the compiled
+engine on it.
 """
 
 from __future__ import annotations
@@ -57,16 +46,6 @@ from repro.core.result import CheckResult
 __all__ = ["check", "check_all_levels"]
 
 _ENGINES = ("auto", "compiled", "object")
-_MODES = ("batch", "stream")
-
-
-def _reject_stream_engine(engine: str) -> None:
-    """Raise if ``engine`` asks for a streaming form that does not exist."""
-    if engine not in ("auto", "compiled"):
-        raise ValueError(
-            f"mode='stream' has one streaming checker; engine={engine!r} runs only "
-            "in batch mode (drop engine or pass mode='batch')"
-        )
 
 
 def check(
@@ -76,7 +55,6 @@ def check(
     use_single_session_fast_path: bool = True,
     read_consistency: Optional[ReadConsistencyReport] = None,
     engine: str = "auto",
-    mode: str = "batch",
 ) -> CheckResult:
     """Check whether ``history`` satisfies ``level``.
 
@@ -100,28 +78,10 @@ def check(
         object engine.
     engine:
         ``"auto"`` (default), ``"compiled"``, or ``"object"``; see the
-        module docstring.  Stream mode accepts only ``"auto"`` and
-        ``"compiled"``.
-    mode:
-        ``"batch"`` (default) or ``"stream"`` -- see the module docstring.
-        Streaming rejects a precomputed ``read_consistency`` report (the
-        streaming checker computes its own at finalize) and handles the
-        single-session RA specialization internally.
+        module docstring.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if mode == "stream":
-        if read_consistency is not None:
-            raise ValueError(
-                "read_consistency reports belong to the batch object engine; "
-                "the streaming checker computes its own at finalize"
-            )
-        _reject_stream_engine(engine)
-        from repro.stream.runner import check_history_stream
-
-        return check_history_stream(history, level, max_witnesses=max_witnesses)
     if isinstance(history, CompiledHistory):
         if engine == "object":
             raise ValueError("a CompiledHistory requires a compiled-IR engine")
@@ -173,7 +133,6 @@ def check_all_levels(
     max_witnesses: Optional[int] = None,
     use_single_session_fast_path: bool = True,
     engine: str = "auto",
-    mode: str = "batch",
 ) -> Dict[IsolationLevel, CheckResult]:
     """Check the history against RC, RA, and CC, sharing one Read Consistency pass.
 
@@ -184,13 +143,6 @@ def check_all_levels(
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if mode == "stream":
-        _reject_stream_engine(engine)
-        from repro.stream.runner import check_all_levels_history_stream
-
-        return check_all_levels_history_stream(history, max_witnesses=max_witnesses)
     if isinstance(history, CompiledHistory) and engine == "object":
         raise ValueError("a CompiledHistory requires a compiled-IR engine")
     if engine != "object" or isinstance(history, CompiledHistory):

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.model import History
 from repro.core.violations import CycleEdge, CycleViolation, ViolationKind
@@ -132,34 +132,6 @@ class CommitRelation:
             self._add_so_wr_edges()
 
     # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        names: Sequence[str],
-        committed: Sequence[int],
-        so_edges: Iterable[Tuple[int, int]],
-        wr_edges: Iterable[Tuple[int, int, object]],
-        key_names: Optional[Sequence[str]] = None,
-    ) -> "CommitRelation":
-        """Build a relation from transaction-level summaries (no history object).
-
-        ``so_edges`` are immediate session-order edges; ``wr_edges`` are
-        ``(writer, reader, key)`` triples in the same order
-        :class:`History` would produce them (key ids when ``key_names`` is
-        given, key objects otherwise).  Endpoints must be dense ids below
-        ``len(names)``.
-        """
-        relation = cls(names=names, committed=committed, key_names=key_names)
-        so_append = relation._so_log.append
-        for source, target in so_edges:
-            so_append((source << EDGE_SHIFT) | target)
-        wr_append = relation._wr_log.append
-        wrk_append = relation._wr_keys.append
-        for writer, reader, key in wr_edges:
-            wr_append((writer << EDGE_SHIFT) | reader)
-            wrk_append(key)
-        return relation
 
     def _add_so_wr_edges(self) -> None:
         history = self.history

@@ -11,9 +11,8 @@ Public surface:
   checkers on the IR, byte-identical to the object path.
 * :class:`CompiledIncrementalChecker` -- the compiled *streaming* front end
   (:mod:`repro.core.compiled.online`): the builder fed record batch by
-  record batch, then these checkers at finalize, with checkpoint/resume.
-  Its names are imported on first access (PEP 562), so a batch check never
-  loads it.
+  record batch, then these checkers at finalize.  Its names are imported
+  on first access (PEP 562), so a batch check never loads it.
 * :class:`Intern` -- the dense interning table.
 """
 
@@ -35,8 +34,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "CompiledIncrementalChecker": "repro.core.compiled.online",
-        "check_stream_compiled": "repro.core.compiled.online",
-        "load_checkpoint": "repro.core.compiled.online",
     },
 )
 
@@ -49,7 +46,5 @@ __all__ = [
     "check_all_levels_compiled",
     "check_compiled",
     "check_read_consistency_compiled",
-    "check_stream_compiled",
     "compile_history",
-    "load_checkpoint",
 ]

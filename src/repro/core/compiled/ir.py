@@ -448,8 +448,7 @@ class CompiledHistoryBuilder:
     transactions session-blocked (the numbering
     :meth:`History.from_sessions` would assign) and resolves the write-read
     relation with the same last-write-wins unique-writes convention as
-    ``History._infer_wr``.  A builder pickles as is, which is what a
-    streaming checkpoint saves.
+    ``History._infer_wr``.
     """
 
     class _SessionBuffer:
@@ -519,10 +518,6 @@ class CompiledHistoryBuilder:
             buf.committed.append(1 if committed_col[t] else 0)
             buf.txn_end.append(len(buf.kind))
             lo = hi
-
-    def add_session(self, session: object) -> None:
-        """Register ``session`` now, so it exists even if no transaction follows."""
-        self._buffer(session)
 
     def _buffer(self, session: object) -> "CompiledHistoryBuilder._SessionBuffer":
         sid = self._session_ids.get(session)

@@ -30,18 +30,14 @@ dispatch on a format name or on the file extension.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.compiled import CompiledHistory, CompiledHistoryBuilder
 from repro.core.compiled.ir import session_order
 from repro.core.exceptions import ParseError, UsageError
 from repro.core.model import History, Transaction
 from repro.histories.formats import cobra, dbcop, native, plume_text
-from repro.histories.formats._raw import (
-    RawTransaction,
-    RecordBatch,
-    transaction_from_raw,
-)
+from repro.histories.formats._raw import RecordBatch, transaction_from_raw
 
 __all__ = [
     "load_history",
@@ -49,7 +45,6 @@ __all__ = [
     "save_history",
     "session_gaps",
     "stream_raw_batches",
-    "stream_raw_history",
     "FORMATS",
     "detect_format",
 ]
@@ -121,31 +116,16 @@ def save_history(history: History, path: str, fmt: Optional[str] = None) -> None
         handle.write(text)
 
 
-def stream_raw_history(
-    path: str, fmt: Optional[str] = None
-) -> Iterator[Tuple[object, RawTransaction]]:
-    """Iterate raw ``(session_id, (label, committed, ops))`` records from ``path``.
-
-    The per-record view of :func:`stream_raw_batches`: batches of one record
-    each, unbatched, so a parse error surfaces only after every record
-    before it was yielded.  Operations are plain ``(is_write, key, value)``
-    tuples; no model objects are created.
-    """
-    for batch in stream_raw_batches(path, fmt, batch_ops=1):
-        yield from batch.iter_records()
-
-
 def stream_raw_batches(
     path: str, fmt: Optional[str] = None, batch_ops: Optional[int] = None
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns from ``path``, one pass.
 
     The ingestion path of every reader -- :func:`load_compiled`,
-    :func:`load_history`, :func:`stream_raw_history` and ``awdit check
-    --stream``: each batch covers up to ``batch_ops`` operations (``None`` =
-    the formats' default) in flat parallel columns, ready for bulk
-    interning.  Parse failures carry the file path next to the parser's
-    line context.
+    :func:`load_history` and ``awdit check --stream``: each batch covers up
+    to ``batch_ops`` operations (``None`` = the formats' default) in flat
+    parallel columns, ready for bulk interning.  Parse failures carry the
+    file path next to the parser's line context.
     """
     module = _module_for(fmt, path)
     with open(path, "r", encoding="utf-8", newline="") as handle:

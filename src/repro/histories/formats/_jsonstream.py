@@ -135,11 +135,15 @@ def iter_session_objects(
     Walks ``{..., "sessions": [[obj, ...], ...], ...}``; every top-level
     field other than ``"sessions"`` is decoded whole and reported through
     ``on_header`` (e.g. to validate a format marker).  ``line`` is the
-    1-based line the transaction object starts on, for error context.
+    1-based line the transaction object starts on, for error context.  A
+    document whose sessions hold no transaction at all is rejected, as the
+    line-based formats reject an empty file: a truncated capture must not
+    pass as consistent.
     """
     cursor = _Cursor(handle)
     cursor.expect("{")
     seen_sessions = False
+    empty = True
     if cursor.peek() == "}":
         cursor.pos += 1
     else:
@@ -153,6 +157,7 @@ def iter_session_objects(
                     raise ParseError("duplicate 'sessions' field")
                 seen_sessions = True
                 for item in _iter_sessions(cursor):
+                    empty = False
                     yield item
             else:
                 value = cursor.decode_value()
@@ -171,6 +176,8 @@ def iter_session_objects(
         # A concatenated or rewritten capture must not pass as a valid
         # history: nothing may follow the history object.
         raise ParseError(f"unexpected trailing data after history object: {trailing!r}")
+    if empty:
+        raise ParseError("history file contains no transactions")
 
 
 def _iter_sessions(cursor: _Cursor) -> Iterator[Tuple[int, object, int]]:

@@ -123,8 +123,8 @@ class RecordBatch:
         """Yield the records back as ``(session, (label, committed, ops))``.
 
         The per-record view of the columns, with plain ``(is_write, key,
-        value)`` operation tuples: what ``load_history`` and
-        ``stream_raw_history`` (:mod:`repro.histories.formats`) read.
+        value)`` operation tuples: what ``load_history``
+        (:mod:`repro.histories.formats`) reads.
         """
         kinds = self.kinds
         keys = self.keys
@@ -140,28 +140,6 @@ class RecordBatch:
                 ops,
             )
             lo = hi
-
-    def tail(self, skip: int) -> "RecordBatch":
-        """The batch without its first ``skip`` records (checkpoint resume).
-
-        Columns are sliced, not copied record by record; ``skip`` larger
-        than the batch returns an empty batch.
-        """
-        if skip <= 0:
-            return self
-        if skip >= len(self.txn_end):
-            return RecordBatch()
-        cut = self.txn_end[skip - 1]
-        out = RecordBatch()
-        out.kinds = self.kinds[cut:]
-        out.keys = self.keys[cut:]
-        out.values = self.values[cut:]
-        out.txn_end = array("q", (end - cut for end in self.txn_end[skip:]))
-        out.txn_session = self.txn_session[skip:]
-        out.txn_labels = self.txn_labels[skip:]
-        out.txn_committed = self.txn_committed[skip:]
-        out.txn_line = self.txn_line[skip:]
-        return out
 
 
 def transaction_from_raw(raw: RawTransaction) -> Transaction:

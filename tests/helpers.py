@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Tuple
+import random
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.compiled.ir import CompiledHistory
+from repro.core.compiled.online import CompiledIncrementalChecker
+from repro.core.isolation import IsolationLevel
 from repro.core.model import History, Transaction, read, write
-from repro.histories.formats import save_history
-from repro.histories.generator import RandomHistoryConfig, generate_random_history
+from repro.core.result import CheckResult
+from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RawTransaction, RecordBatch
 
-#: Bytes of file prefix a checkpoint's source fingerprint hashes.
-FINGERPRINT_PREFIX = 1 << 16
+#: A ``(session, (label, committed, ops))`` record, as a parser batch holds it.
+Record = Tuple[int, RawTransaction]
+
+#: Record-batch sizes a stream is fed at: one op, a prime that cuts
+#: transactions, and the parsers' default.
+BATCH_OPS = (1, 7, None)
 
 
 def fig_1a() -> History:
@@ -94,31 +101,110 @@ PAPER_VERDICTS = {
 }
 
 
-
-def long_plume_and_cut_copy(directory: str) -> Tuple[str, str, int, int]:
-    """A plume history past 64 KiB, and a copy cut at a line past 64 KiB.
-
-    Both files share the prefix a checkpoint's source fingerprint hashes,
-    so a checkpoint of the long file matches the cut copy.  Returns the two
-    paths and the number of transactions each holds.
-    """
-    history = generate_random_history(
-        RandomHistoryConfig(num_sessions=4, num_transactions=1500, seed=5)
+def raw_of(txn: Transaction) -> RawTransaction:
+    """``txn`` as a raw ``(label, committed, ops)`` record."""
+    return (
+        txn.label,
+        txn.committed,
+        [(op.is_write, op.key, op.value) for op in txn.operations],
     )
-    long_path = os.path.join(directory, "long.plume")
-    save_history(history, long_path, fmt="plume")
-    with open(long_path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    kept = []
-    size = 0
-    for line in lines:
-        kept.append(line)
-        size += len(line.encode("utf-8"))
-        if size > FINGERPRINT_PREFIX:
-            break
-    assert size < os.path.getsize(long_path)
-    cut_path = os.path.join(directory, "cut.plume")
-    with open(cut_path, "w", encoding="utf-8") as handle:
-        handle.writelines(kept)
-    cut_txns = sum(1 for line in kept if line.startswith("session="))
-    return long_path, cut_path, history.num_transactions, cut_txns
+
+
+def history_records(
+    history: Union[History, CompiledHistory], order: Optional[Iterable[int]] = None
+) -> List[Record]:
+    """``history``'s raw records in ``order`` (default: session by session).
+
+    ``order`` lists dense transaction ids, like ``plume_text.dumps``'s
+    ``order``; transactions of one session must keep their session order.
+    The default is the order the parsers deliver a file that
+    ``save_history`` wrote.
+    """
+    if order is None:
+        order = [tid for session in history.sessions for tid in session]
+    sid_of = [0] * history.num_transactions
+    for sid, session in enumerate(history.sessions):
+        for tid in session:
+            sid_of[tid] = sid
+    if isinstance(history, History):
+        return [(sid_of[tid], raw_of(history.transactions[tid])) for tid in order]
+    keys = history.key_table.values
+    values = history.value_table.values
+    txn_start = history.txn_start
+    records = []
+    for tid in order:
+        ops = [
+            (bool(history.op_kind[i]), keys[history.op_key[i]], values[history.op_value[i]])
+            for i in range(txn_start[tid], txn_start[tid + 1])
+        ]
+        raw = (history.labels.get(tid), bool(history.txn_committed[tid]), ops)
+        records.append((sid_of[tid], raw))
+    return records
+
+
+def interleaved_order(history: History, seed: int) -> List[int]:
+    """A random arrival order (transaction ids) that respects session order."""
+    rng = random.Random(seed)
+    positions = [0] * history.num_sessions
+    order = []
+    live = [sid for sid in range(history.num_sessions) if history.sessions[sid]]
+    while live:
+        sid = rng.choice(live)
+        order.append(history.sessions[sid][positions[sid]])
+        positions[sid] += 1
+        if positions[sid] == len(history.sessions[sid]):
+            live.remove(sid)
+    return order
+
+
+def feed(
+    checker: CompiledIncrementalChecker,
+    records: Iterable[Record],
+    batch_ops: Optional[int] = None,
+) -> CompiledIncrementalChecker:
+    """Append ``records`` to ``checker`` in batches of up to ``batch_ops`` operations.
+
+    Batches close where the parsers close them (``RecordBatch.full``), so
+    ``batch_ops=1`` appends one record per batch; ``None`` is the parsers'
+    default size.
+    """
+    if batch_ops is None:
+        batch_ops = DEFAULT_BATCH_OPS
+    batch = RecordBatch()
+    for session, (label, committed, ops) in records:
+        batch.add_record(session, label, committed, ops)
+        if batch.full(batch_ops):
+            checker.append_batch(batch)
+            batch = RecordBatch()
+    if batch.num_records:
+        checker.append_batch(batch)
+    return checker
+
+
+def stream_check(
+    history: History,
+    order: Optional[Iterable[int]] = None,
+    batch_ops: Optional[int] = None,
+    levels: Optional[Sequence[IsolationLevel]] = None,
+) -> Dict[IsolationLevel, CheckResult]:
+    """Stream ``history``'s records in ``order``; finalize ``levels`` (default: all).
+
+    Sessions are numbered as in a native JSON file (``fill_gaps``), so an
+    empty session between two others keeps its place; a trailing empty
+    session has no record, so the stream sees :func:`file_view`.
+    """
+    checker = CompiledIncrementalChecker(levels=levels, fill_gaps=True)
+    return feed(checker, history_records(history, order), batch_ops).finalize()
+
+
+def file_view(history: History) -> History:
+    """``history`` without its trailing empty sessions.
+
+    What any reader of a saved history, or any stream of its records,
+    holds: a session with no transaction after the last non-empty one
+    leaves no record in the file.
+    """
+    sessions = [[history.transactions[tid] for tid in session] for session in history.sessions]
+    while sessions and not sessions[-1]:
+        sessions.pop()
+    return History.from_sessions(sessions)

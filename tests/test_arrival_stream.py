@@ -4,19 +4,17 @@
 transactions were generated -- the realistic input order for
 ``awdit check --stream``, the file order of perfbench's fig9 history, and
 the stream ``benchmarks/perf_guard.py`` replays.  Fed in that order, the
-sessions interleave, sessions first appear out of id order, and a
-checkpoint can land anywhere in the interleaving.
+sessions interleave and sessions first appear out of id order.
 
 The contract pinned here: fed in arrival order, the streaming checker's
 verdict, violation messages and inferred-edge count equal the object batch
-oracle's at every level, at every batch size, across a checkpoint taken
-anywhere in the stream, and without numpy; the IR its finalize checks is the
-one ``CompiledHistoryBuilder`` builds from the same records, and the co log
+oracle's at every level, at every batch size, wherever its batches are
+cut, and without numpy; the IR its finalize checks is the one
+``CompiledHistoryBuilder`` builds from the same records, and the co log
 that finalize hands each commit relation is the compiled batch engine's,
-attempt for attempt; the answer never depends on which side (numpy or
-pure Python) of a kernel ran, not even across a checkpoint saved on one
-side and finished on the other.  Through the CLI, a file whose sessions
-first appear out of id order prints the same output from ``check`` and
+attempt for attempt; the answer never depends on which side (numpy or pure
+Python) of a kernel ran.  Through the CLI, a file whose sessions first
+appear out of id order prints the same output from ``check`` and
 ``check --stream``, apart from the checker label and the elapsed time.
 """
 
@@ -49,7 +47,9 @@ from repro.histories.generator import (
     generate_random_stream,
     inject_anomaly,
 )
-from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
+
+from helpers import BATCH_OPS, feed, history_records, interleaved_order, raw_of
 
 LEVELS = list(IsolationLevel)
 
@@ -67,51 +67,14 @@ GENERATOR_CONFIGS = {
 }
 
 
-def raw_of(txn):
-    return (
-        txn.label,
-        txn.committed,
-        [(op.is_write, op.key, op.value) for op in txn.operations],
-    )
-
-
-def arrival_records(history, order):
-    """``(session, raw transaction)`` records of ``history`` in ``order``."""
-    sid_of = [0] * len(history.transactions)
-    for sid, session in enumerate(history.sessions):
-        for tid in session:
-            sid_of[tid] = sid
-    return [(sid_of[tid], raw_of(history.transactions[tid])) for tid in order]
-
-
-def interleaved_order(history, seed):
-    """A random arrival order that respects per-session order."""
-    rng = random.Random(seed)
-    positions = [0] * history.num_sessions
-    order = []
-    live = [sid for sid in range(history.num_sessions) if history.sessions[sid]]
-    while live:
-        sid = rng.choice(live)
-        order.append(history.sessions[sid][positions[sid]])
-        positions[sid] += 1
-        if positions[sid] == len(history.sessions[sid]):
-            live.remove(sid)
-    return order
-
-
 def run_online(history, order, batch_ops=None):
     """Online results of ``history`` fed in ``order``, and the checker.
 
-    ``batch_ops=None`` appends one record at a time; otherwise the records
-    go through :meth:`extend_raw` in batches of ``batch_ops`` operations.
+    The records go to :meth:`append_batch` in batches of ``batch_ops``
+    operations (``None``: the parsers' default).
     """
-    checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-    records = arrival_records(history, order)
-    if batch_ops is None:
-        for sid, raw in records:
-            checker.append_raw(sid, *raw)
-    else:
-        checker.extend_raw(iter(records), batch_ops=batch_ops)
+    checker = CompiledIncrementalChecker(fill_gaps=True)
+    feed(checker, history_records(history, order), batch_ops)
     return checker.finalize(), checker
 
 
@@ -179,7 +142,7 @@ def saturation_sides(results):
     return {result.stats.get("saturation_kernel") for result in results.values()} - {None}
 
 
-def run_on_side(records, num_sessions, batch_ops, use_numpy):
+def run_on_side(records, batch_ops, use_numpy):
     """Stream ``records`` at every level on one kernel side.
 
     Returns the digest and the CC saturation sides that ran.  The fallback
@@ -188,8 +151,7 @@ def run_on_side(records, num_sessions, batch_ops, use_numpy):
     without cross-transaction reads), so callers assert what they expect.
     """
     with kernel_side(use_numpy) as resolved:
-        checker = CompiledIncrementalChecker(num_sessions=num_sessions)
-        checker.extend_raw(iter(records), batch_ops=batch_ops)
+        checker = feed(CompiledIncrementalChecker(fill_gaps=True), records, batch_ops)
         results = checker.finalize()
     sides = saturation_sides(results)
     if use_numpy:
@@ -227,7 +189,7 @@ class TestRandomStreamGenerator:
         history, order = generate_random_stream(GENERATOR_CONFIGS["serializable"])
         blocked = [tid for session in history.sessions for tid in session]
         assert order != blocked
-        sids = [sid for sid, _ in arrival_records(history, order)]
+        sids = [sid for sid, _ in history_records(history, order)]
         switches = sum(1 for a, b in zip(sids, sids[1:]) if a != b)
         assert switches > history.num_sessions
 
@@ -239,8 +201,10 @@ class TestArrivalOrderParity:
             RandomHistoryConfig(num_sessions=3, num_transactions=30, seed=5)
         )
         history = inject_anomaly(base, kind)
-        got, _ = run_online(history, interleaved_order(history, seed=7))
-        assert digest(got) == oracle_digest(history)
+        want = oracle_digest(history)
+        for batch_ops in BATCH_OPS:
+            got, _ = run_online(history, interleaved_order(history, seed=7), batch_ops)
+            assert digest(got) == want, batch_ops
 
     @pytest.fixture(scope="class")
     def arrival_stream(self):
@@ -255,9 +219,7 @@ class TestArrivalOrderParity:
         )
         return history, order, oracle_digest(history)
 
-    @pytest.mark.parametrize(
-        "batch_ops", [None, 1, 64, 4096], ids=["append_raw", "1", "64", "4096"]
-    )
+    @pytest.mark.parametrize("batch_ops", [1, 7, 64, 4096])
     def test_arrival_stream_matches_batch_oracle(self, arrival_stream, batch_ops):
         history, order, want = arrival_stream
         got, _ = run_online(history, order, batch_ops=batch_ops)
@@ -267,10 +229,11 @@ class TestArrivalOrderParity:
         # random_reads histories read arbitrarily far back, so reads cross
         # sessions and the witnesses are non-trivial.
         history, order = generate_random_stream(GENERATOR_CONFIGS["random-reads"])
-        got, _ = run_online(history, order)
         want = oracle_digest(history)
         assert not all(consistent for _, consistent, _, _ in want)
-        assert digest(got) == want
+        for batch_ops in BATCH_OPS:
+            got, _ = run_online(history, order, batch_ops)
+            assert digest(got) == want, batch_ops
 
     def test_every_transaction_stays_resident(self):
         history, order = generate_random_stream(GENERATOR_CONFIGS["aborts"])
@@ -279,6 +242,53 @@ class TestArrivalOrderParity:
         for result in results.values():
             assert result.num_transactions == history.num_transactions
             assert result.num_operations == history.num_operations
+
+
+class TestArrivalOrderCut:
+    """A stream's answer does not depend on where its batches end.
+
+    The uninterrupted run appends the whole stream in default-size batches;
+    cut anywhere -- the batch in flight closes at the cut and the rest
+    arrives in new batches -- the stream gives the same answer.
+    """
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        history, order = generate_random_stream(
+            RandomHistoryConfig(
+                num_sessions=4,
+                num_transactions=800,
+                num_keys=40,
+                abort_probability=0.02,
+                seed=17,
+            )
+        )
+        want, _ = run_online(history, order)
+        return history_records(history, order), digest(want)
+
+    @pytest.mark.parametrize("cut", [1, 200, 500, 799])
+    def test_cut_anywhere_matches_uninterrupted_run(self, stream, cut):
+        records, want = stream
+        checker = feed(CompiledIncrementalChecker(fill_gaps=True), records[:cut])
+        assert checker.num_transactions == cut
+        feed(checker, records[cut:])
+        assert digest(checker.finalize()) == want
+
+    def test_file_stream_matches_the_records_stream(self, tmp_path):
+        # The same arrival order through a plume file and its parser.
+        history, order = generate_random_stream(
+            RandomHistoryConfig(num_sessions=4, num_transactions=300, num_keys=40, seed=17)
+        )
+        path = tmp_path / "h.plume"
+        path.write_text(plume_text.dumps(history, order=order))
+        want, _ = run_online(history, order)
+        for level in LEVELS:
+            got = check_stream_file(str(path), level, fmt="plume", batch_ops=64)
+            assert got.is_consistent == want[level].is_consistent, level
+            assert [v.message for v in got.violations] == [
+                v.message for v in want[level].violations
+            ], level
+            assert got.num_transactions == history.num_transactions
 
 
 class TestCoLogParity:
@@ -324,7 +334,7 @@ class TestCoLogParity:
         monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", 0)
         side = contextlib.nullcontext() if use_numpy else csr.numpy_disabled()
         history, order = generate_random_stream(GENERATOR_CONFIGS[name])
-        records = arrival_records(history, order)
+        records = history_records(history, order)
         kernels_used = []
 
         def run_batch():
@@ -336,8 +346,7 @@ class TestCoLogParity:
                 kernels_used.append(check_compiled(ch, level).stats.get("saturation_kernel"))
 
         def run_online():
-            checker = CompiledIncrementalChecker()
-            checker.extend_raw(iter(records), batch_ops=batch_ops)
+            checker = feed(CompiledIncrementalChecker(), records, batch_ops)
             results = checker.finalize()
             kernels_used.extend(r.stats.get("saturation_kernel") for r in results.values())
 
@@ -395,9 +404,7 @@ class TestStreamIR:
             return real(ch)
 
         with mock.patch.object(online, "check_read_consistency_compiled", capture):
-            checker = CompiledIncrementalChecker()
-            checker.extend_raw(iter(records), batch_ops=batch_ops)
-            checker.finalize()
+            feed(CompiledIncrementalChecker(), records, batch_ops).finalize()
         (ch,) = built
         return ch
 
@@ -414,7 +421,7 @@ class TestStreamIR:
             history = inject_anomaly(history, anomaly, rng=random.Random(seed))
         except ValueError:
             pass  # some anomalies need a minimum history shape
-        records = arrival_records(history, interleaved_order(history, seed))
+        records = history_records(history, interleaved_order(history, seed))
         builder = CompiledHistoryBuilder()
         for sid, raw in records:
             builder.add_transaction(sid, *raw)
@@ -436,9 +443,9 @@ class TestKernelSideIdentity:
 
     def _both(self, history, order_seed, batch_ops):
         """The digest both sides agree on, and the sides numpy's run took."""
-        records = arrival_records(history, interleaved_order(history, order_seed))
-        vectorized, sides = run_on_side(records, history.num_sessions, batch_ops, True)
-        fallback, _ = run_on_side(records, history.num_sessions, batch_ops, False)
+        records = history_records(history, interleaved_order(history, order_seed))
+        vectorized, sides = run_on_side(records, batch_ops, True)
+        fallback, _ = run_on_side(records, batch_ops, False)
         assert vectorized == fallback
         return vectorized, sides
 
@@ -467,71 +474,17 @@ class TestKernelSideIdentity:
             assert sides <= {"vectorized"}
 
 
-class TestArrivalOrderCheckpoint:
-    @pytest.fixture(scope="class")
-    def stream(self):
-        history, order = generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=4,
-                num_transactions=800,
-                num_keys=40,
-                abort_probability=0.02,
-                seed=17,
-            )
-        )
-        want, _ = run_online(history, order)
-        return history, arrival_records(history, order), digest(want)
-
-    @pytest.mark.parametrize("cut", [1, 200, 500, 799])
-    def test_resume_anywhere_matches_uninterrupted_run(self, stream, tmp_path, cut):
-        history, records, want = stream
-        first = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        for sid, raw in records[:cut]:
-            first.append_raw(sid, *raw)
-        path = tmp_path / "state.awd"
-        first.save_checkpoint(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert resumed.num_transactions == cut
-        for sid, raw in records[cut:]:
-            resumed.append_raw(sid, *raw)
-        assert digest(resumed.finalize()) == want
-
-    def test_stream_file_checkpoint_and_resume(self, tmp_path):
-        history, order = generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=4, num_transactions=300, num_keys=40, seed=17
-            )
-        )
-        path = tmp_path / "h.plume"
-        path.write_text(plume_text.dumps(history, order=order))
-        state = tmp_path / "state.awd"
-        level = IsolationLevel.CAUSAL_CONSISTENCY
-        want = check_stream_file(str(path), level, fmt="plume")
-        first = check_stream_file(
-            str(path), level, fmt="plume", checkpoint=str(state), checkpoint_every=64
-        )
-        resumed = check_stream_file(
-            str(path), level, fmt="plume", checkpoint=str(state), resume=True
-        )
-        for got in (first, resumed):
-            assert got.is_consistent == want.is_consistent
-            assert [v.message for v in got.violations] == [
-                v.message for v in want.violations
-            ]
-            assert got.num_transactions == history.num_transactions
-
-
 @needs_numpy
-class TestCheckpointAcrossKernelSides:
-    """A checkpoint holds no kernel state.
+class TestKernelSideAcrossAppends:
+    """Appended batches hold no kernel state.
 
-    Saved mid-stream on one kernel side and finished on the other, a stream
-    gives the uninterrupted run's answer, in both directions.
+    Fed half a stream on one kernel side and the rest, with its finalize, on
+    the other, a stream gives the object oracle's answer, and only the
+    finalize side's kernels run, in both directions.
     """
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
-    def test_resume_on_the_other_side_matches(self, tmp_path, batch_ops):
+    def test_finalize_on_the_other_side_matches(self, batch_ops):
         history = inject_anomaly(
             generate_random_history(
                 RandomHistoryConfig(
@@ -546,19 +499,17 @@ class TestCheckpointAcrossKernelSides:
             ),
             INJECTABLE_ANOMALIES[0],
         )
-        records = arrival_records(history, interleaved_order(history, 11))
+        records = history_records(history, interleaved_order(history, 11))
         cut = len(records) // 2
         want = oracle_digest(history)
         for first_side in (True, False):
-            path = tmp_path / f"state-{first_side}.awd"
-            with kernel_side(first_side):
-                first = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-                first.extend_raw(iter(records[:cut]), batch_ops=batch_ops)
-                first.save_checkpoint(str(path))
+            with kernel_side(first_side) as early:
+                checker = feed(
+                    CompiledIncrementalChecker(fill_gaps=True), records[:cut], batch_ops
+                )
             with kernel_side(not first_side) as resolved:
-                resumed = load_checkpoint(str(path))
-                resumed.extend_raw(iter(records[cut:]), batch_ops=batch_ops)
-                results = resumed.finalize()
+                results = feed(checker, records[cut:], batch_ops).finalize()
+            assert early == []
             assert digest(results) == want, first_side
             assert saturation_sides(results) == {
                 "fallback" if first_side else "vectorized"
@@ -571,7 +522,7 @@ class TestArrivalOrderWithoutNumpy:
         "import json, sys\n"
         "from repro.core import IsolationLevel\n"
         "from repro.graph import csr\n"
-        "from repro.stream import check_stream_file\n"
+        "from repro.core.compiled.online import check_stream_file\n"
         "assert not csr.HAVE_NUMPY\n"
         "out = []\n"
         "for level in IsolationLevel:\n"
@@ -636,7 +587,7 @@ class TestArrivalOrderWithoutNumpy:
         script = (
             "import json, sys\n"
             "from repro.core import IsolationLevel\n"
-            "from repro.stream import check_stream_file\n"
+            "from repro.core.compiled.online import check_stream_file\n"
             "out = []\n"
             "for level in IsolationLevel:\n"
             "    r = check_stream_file(sys.argv[1], level, fmt='plume', batch_ops=1)\n"

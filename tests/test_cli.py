@@ -11,7 +11,7 @@ from repro.core import IsolationLevel, check
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_history, save_history
 
-from helpers import fig_4a, fig_4d, long_plume_and_cut_copy
+from helpers import fig_4a, fig_4d
 
 #: A JSON value nested far deeper than the decoder's recursion limit.
 _DEEP = "[" * 5000 + "]" * 5000
@@ -97,6 +97,12 @@ class TestCheckCommand:
             ["stats", "--stream", "--retire-lag", "64"],
             ["stats", "--stream", "--retire-every", "16"],
             ["stats", "--stream"],
+            ["check", "--stream", "--checkpoint", "PATH"],
+            ["check", "--stream", "--checkpoint-every", "5"],
+            ["check", "--stream", "--resume"],
+            ["check", "--checkpoint", "PATH"],
+            ["check", "--checkpoint-every", "5"],
+            ["check", "--resume"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -238,25 +244,13 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err == f"awdit: error: {path}: line 1: committed must be 1 or 0, got 'aborted'\n"
 
-    def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "h.plume"
-        save_history(fig_4d(), str(path), fmt="plume")
-        missing = tmp_path / "missing.awd"
-        code = main(
-            ["check", str(path), "--stream", "--checkpoint", str(missing), "--resume"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("awdit: error:") and str(missing) in err
-
 
 class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
     ``--stream`` has one checker (``--engine auto|compiled``); what
     is rejected is baseline checkers with awdit-engine flags, the batch-only
-    engine under ``--stream``, checkpointing outside streaming, and
-    out-of-range values.
+    engine under ``--stream``, and out-of-range values.
     """
 
     @pytest.fixture()
@@ -272,12 +266,6 @@ class TestCheckFlagConflicts:
             ["--checker", "plume", "--engine", "object"],
             ["--checker", "plume", "--stream"],
             ["--stream", "--engine", "object"],
-            ["--stream", "--engine", "object", "--checkpoint", "state.awd"],
-            ["--stream", "--checkpoint", "state.awd", "--checkpoint-every", "0"],
-            ["--stream", "--checkpoint-every", "100"],
-            ["--stream", "--resume"],
-            ["--checkpoint", "state.awd"],
-            ["--checkpoint-every", "100"],
             ["-i", "xx"],
             ["-i", "xx", "--stream"],
             ["-w", "-1"],
@@ -314,134 +302,6 @@ class TestCheckFlagConflicts:
     def test_stream_with_baseline_checker_still_rejected(self, history_path, capsys):
         assert main(["check", history_path, "--stream", "--checker", "plume"]) == 2
         assert "awdit" in capsys.readouterr().err.lower()
-
-    def test_stream_checkpoint_and_resume_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "h.plume"
-        save_history(fig_4d(), str(path), fmt="plume")
-        state = tmp_path / "state.awd"
-        assert (
-            main(
-                [
-                    "check", str(path), "-i", "cc", "--stream",
-                    "--checkpoint", str(state), "--checkpoint-every", "2",
-                ]
-            )
-            == 0
-        )
-        first = capsys.readouterr().out
-        assert state.exists()
-        assert (
-            main(
-                [
-                    "check", str(path), "-i", "cc", "--stream",
-                    "--checkpoint", str(state), "--resume",
-                ]
-            )
-            == 0
-        )
-        resumed = capsys.readouterr().out
-        assert "CONSISTENT" in first and "CONSISTENT" in resumed
-
-    @pytest.mark.parametrize(
-        "taken,resumed",
-        [("cc", "rc"), ("rc", "cc"), ("rc", "cut")],
-        ids=["cc-then-rc", "rc-then-cc", "cut-history"],
-    )
-    def test_bad_resume_exits_two(self, tmp_path, capsys, taken, resumed):
-        long_path, cut_path, long_txns, cut_txns = long_plume_and_cut_copy(
-            str(tmp_path)
-        )
-        state = str(tmp_path / "state.awd")
-        base = ["--stream", "--checkpoint", state]
-        main(["check", long_path, "-i", taken] + base)
-        capsys.readouterr()
-        if resumed == "cut":
-            argv = ["check", cut_path, "-i", taken] + base + ["--resume"]
-            message = (
-                f"{cut_path}: holds {cut_txns} transactions, but checkpoint "
-                f"{state} already consumed {long_txns}; re-run without --resume"
-            )
-        else:
-            argv = ["check", long_path, "-i", resumed] + base + ["--resume"]
-            message = (
-                f"{state}: checkpoint tracks ['{taken.upper()}'], not "
-                f"{resumed.upper()}; re-run without --resume"
-            )
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"awdit: error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "history,checkpoint",
-        [("h.plume", "h.plume"), ("h.plume", "./h.plume"), ("h.tmp", "h")],
-        ids=["same-path", "same-real-path", "history-is-the-temp-file"],
-    )
-    def test_checkpoint_over_the_history_exits_two(
-        self, tmp_path, capsys, monkeypatch, history, checkpoint
-    ):
-        # A save would replace the history with a checkpoint (or truncate
-        # it mid-read, through the ``.tmp`` file): refuse before any write.
-        monkeypatch.chdir(tmp_path)
-        save_history(fig_4d(), history, fmt="plume")
-        before = (tmp_path / history).read_bytes()
-        argv = ["check", history, "-i", "cc", "--stream", "--checkpoint", checkpoint]
-        assert main(argv + ["--checkpoint-every", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"awdit: error: {history}: checkpoint {checkpoint} would overwrite "
-            "the history being checked; choose another checkpoint path\n"
-        )
-        assert (tmp_path / history).read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [history]
-
-    @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["save", "resume"])
-    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-    def test_unusable_checkpoint_path_exits_two_before_the_history_is_read(
-        self, tmp_path, capsys, target, resume
-    ):
-        # The second line is malformed, so an error from the parser would
-        # name the history, not the checkpoint.
-        path = tmp_path / "h.plume"
-        save_history(fig_4d(), str(path), fmt="plume")
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(lines[0] + "not a transaction\n" + "".join(lines[1:]))
-        if target == "directory":
-            checkpoint = str(tmp_path)
-            message = f"--checkpoint {checkpoint} is a directory; give a file path"
-        else:
-            checkpoint = str(tmp_path / "absent" / "c.awd")
-            message = (
-                f"--checkpoint {checkpoint}: directory {tmp_path / 'absent'} "
-                "does not exist"
-            )
-        argv = ["check", str(path), "-i", "cc", "--stream", "--checkpoint", checkpoint]
-        assert main(argv + resume) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"awdit: error: {message}\n"
-
-    def test_resume_of_older_checkpoint_version_exits_two(self, tmp_path, capsys):
-        from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-
-        path = tmp_path / "h.plume"
-        save_history(fig_4d(), str(path), fmt="plume")
-        state = tmp_path / "state.awd"
-        argv = ["check", str(path), "-i", "cc", "--stream", "--checkpoint", str(state)]
-        assert main(argv) == 0
-        blob = state.read_bytes()
-        older = CHECKPOINT_VERSION - 1
-        state.write_bytes(
-            CHECKPOINT_MAGIC + bytes([older]) + blob[len(CHECKPOINT_MAGIC) + 1 :]
-        )
-        capsys.readouterr()
-        assert main(argv + ["--resume"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"awdit: error: {state}: unsupported checkpoint version {older}\n"
-        )
 
 
 class TestGenerateCommand:

@@ -14,9 +14,8 @@ from repro.histories.formats import (
 )
 from repro.histories.formats import cobra, dbcop, native, plume_text
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.stream import history_records
 
-from helpers import all_paper_histories, fig_1a, fig_4b
+from helpers import all_paper_histories, fig_1a, fig_4b, history_records
 
 
 def verdicts(history):
@@ -202,6 +201,26 @@ PROBES = {
         '[{"events": [{"write": false, "variable": "x", "value": 1}], "success": true}], '
         "[]]}\n",
         2,
+    ),
+    "native-no-transactions": (
+        "native",
+        '{"format": "awdit-native", "version": 1, "sessions": [[], []]}\n',
+        "history file contains no transactions",
+    ),
+    "dbcop-no-transactions": (
+        "dbcop",
+        '{"id": 0, "sessions": []}\n',
+        "history file contains no transactions",
+    ),
+    "native-no-sessions": (
+        "native",
+        '{"sessions": []}\n',
+        "history file contains no transactions",
+    ),
+    "dbcop-only-empty-sessions": (
+        "dbcop",
+        '{"id": 0, "sessions": [[], []]}\n',
+        "history file contains no transactions",
     ),
     "cobra-error-after-header": (
         "cobra",

@@ -1,42 +1,39 @@
 """The engine × mode parity matrix.
 
 Both batch engines (``object``, ``compiled``) and the stream (one
-streaming checker) must produce byte-identical verdicts, violation messages, and
+streaming checker, fed record batches of 1, 7 and the default number of
+operations) must produce byte-identical verdicts, violation messages, and
 inferred-edge counts -- including on aborted, weak-isolation, and
-anomaly-injected histories, and across a checkpoint/resume split of the
-stream.  The object batch engine is the oracle; everything else is compared
-against it.
+anomaly-injected histories.  The object batch engine is the oracle;
+everything else is compared against it.  A stream sees what a file holds,
+the history without its trailing empty sessions (``helpers.file_view``), so
+its oracle runs on that.
 """
+
+import importlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check, check_all_levels
-from repro.core.exceptions import UsageError
-from repro.histories.formats import save_history, stream_raw_history
+from repro.core.commit import CommitRelation
+from repro.core.compiled import online
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
+from repro.histories import formats
+from repro.histories.formats import save_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import (
-    CompiledIncrementalChecker,
-    check_all_levels_history_stream,
-    check_history_stream,
-    check_stream_compiled,
-    check_stream_file,
-    load_checkpoint,
-)
+
+from helpers import BATCH_OPS, feed, file_view, history_records, stream_check
 
 LEVELS = list(IsolationLevel)
-#: ``(engine, mode)`` cells: both batch engines, plus the one stream.
-CELLS = (
-    ("object", "batch"),
-    ("compiled", "batch"),
-    ("auto", "stream"),
-)
+#: Both batch engines.
+ENGINES = ("object", "compiled")
 
 
 def _assert_same(reference, result, context):
@@ -75,11 +72,16 @@ class TestEngineModeMatrix:
         history = generate_random_history(config)
         if anomaly is not None:
             history = inject_anomaly(history, anomaly)
+        streamed = file_view(history)
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            for engine, mode in CELLS:
-                result = check(history, level, engine=engine, mode=mode)
-                _assert_same(reference, result, (engine, mode, level))
+            for engine in ENGINES:
+                result = check(history, level, engine=engine)
+                _assert_same(reference, result, (engine, level))
+            reference = check(streamed, level, engine="object")
+            for batch_ops in BATCH_OPS:
+                result = stream_check(history, batch_ops=batch_ops, levels=(level,))[level]
+                _assert_same(reference, result, ("stream", batch_ops, level))
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_all_levels_matrix_per_anomaly(self, kind):
@@ -95,10 +97,15 @@ class TestEngineModeMatrix:
             kind,
         )
         reference = check_all_levels(history, engine="object")
-        for engine, mode in CELLS:
-            results = check_all_levels(history, engine=engine, mode=mode)
+        for engine in ENGINES:
+            results = check_all_levels(history, engine=engine)
             for level in LEVELS:
-                _assert_same(reference[level], results[level], (engine, mode, level))
+                _assert_same(reference[level], results[level], (engine, level))
+        reference = check_all_levels(file_view(history), engine="object")
+        for batch_ops in BATCH_OPS:
+            results = stream_check(history, batch_ops=batch_ops)
+            for level in LEVELS:
+                _assert_same(reference[level], results[level], ("stream", batch_ops, level))
 
 
 class TestStreamFileCells:
@@ -130,98 +137,24 @@ class TestStreamFileCells:
             result = check_stream_file(path, level, fmt="plume")
             _assert_same(reference, result, (engine, level))
 
-    def test_checkpoint_resume_equals_uninterrupted_run(self, anomalous, tmp_path):
-        history, path = anomalous
-        level = IsolationLevel.CAUSAL_CONSISTENCY
-        reference = check_stream_file(path, level, fmt="plume")
-        state = tmp_path / "state.awd"
-
-        # Interrupt mid-history: checkpoint after every 7 transactions, then
-        # simulate a crash by building a fresh checker from the last save.
-        checker = CompiledIncrementalChecker(levels=(level,))
-        for index, (sid, (label, committed, ops)) in enumerate(
-            stream_raw_history(path, fmt="plume")
-        ):
-            if index == 13:
-                break
-            checker.append_raw(sid, label, committed, ops)
-            if (index + 1) % 7 == 0:
-                checker.save_checkpoint(str(state))
-        del checker
-
-        resumed = load_checkpoint(str(state))
-        assert 0 < resumed.num_transactions < history.num_transactions
-        result = check_stream_file(
-            path, level, fmt="plume", checkpoint=str(state), resume=True
-        )
-        _assert_same(reference, result, ("resume", level))
-
-    def test_resume_with_other_level_rejected(self, anomalous, tmp_path):
-        _history, path = anomalous
-        state = tmp_path / "state.awd"
-        check_stream_file(
-            path, IsolationLevel.READ_COMMITTED, fmt="plume", checkpoint=str(state)
-        )
-        with pytest.raises(UsageError, match="tracks \\['RC'\\], not CC"):
-            check_stream_file(
-                path,
-                IsolationLevel.CAUSAL_CONSISTENCY,
-                fmt="plume",
-                checkpoint=str(state),
-                resume=True,
-            )
-
 
 class TestDispatchErrors:
-    def test_stream_mode_rejects_read_consistency_reports(self):
-        from repro.core.read_consistency import check_read_consistency
-
-        history = generate_random_history(
-            RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
-        )
-        report = check_read_consistency(history)
-        with pytest.raises(ValueError):
-            check(history, mode="stream", read_consistency=report)
-
-    def test_unknown_mode_rejected(self):
-        history = generate_random_history(
-            RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
-        )
-        with pytest.raises(ValueError):
-            check(history, mode="sideways")
-
-    def test_object_stream_rejects_compiled_history(self):
-        from repro.core.compiled import compile_history
-
-        history = generate_random_history(
-            RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
-        )
-        with pytest.raises(ValueError):
-            check(compile_history(history), mode="stream", engine="object")
-
     def test_removed_sharded_engine_is_unknown(self):
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
         )
-        for mode in ("batch", "stream"):
-            for entry in (check, check_all_levels):
-                with pytest.raises(ValueError, match="unknown engine 'sharded'"):
-                    entry(history, engine="sharded", mode=mode)
+        for entry in (check, check_all_levels):
+            with pytest.raises(ValueError, match="unknown engine 'sharded'"):
+                entry(history, engine="sharded")
 
     @pytest.mark.parametrize(
         "entry,args",
         [
             (CompiledIncrementalChecker, ()),
-            (check_stream_compiled, ([],)),
-            (check_history_stream, (None,)),
-            (check_all_levels_history_stream, (None,)),
             (check_stream_file, ("h.plume",)),
         ],
         ids=[
             "CompiledIncrementalChecker",
-            "check_stream_compiled",
-            "check_history_stream",
-            "check_all_levels_history_stream",
             "check_stream_file",
         ],
     )
@@ -231,20 +164,49 @@ class TestDispatchErrors:
             entry(*args, retire=None)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"engine": "object"}],
-        ids=["object"],
+        "entry", [check, check_all_levels], ids=["check", "check_all_levels"]
     )
-    def test_stream_has_no_engine_choice(self, kwargs):
-        """The batch-only engine is refused in one line naming the remedy."""
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    def test_removed_mode_parameter_is_unknown(self, entry, mode):
+        """In-memory histories have no stream mode; ``mode=`` is no parameter."""
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
         )
-        for entry in (check, check_all_levels):
-            with pytest.raises(ValueError) as info:
-                entry(history, mode="stream", **kwargs)
-            message = str(info.value)
-            assert "\n" not in message and "mode='batch'" in message
+        with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+            entry(history, mode=mode)
+
+    def test_removed_num_sessions_parameter_is_unknown(self):
+        """A stream takes its sessions from its records; none are declared up front."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'num_sessions'"):
+            CompiledIncrementalChecker(num_sessions=2)
+
+    @pytest.mark.parametrize(
+        "owner,name",
+        [
+            (CompiledIncrementalChecker, "append"),
+            (CompiledIncrementalChecker, "append_raw"),
+            (CompiledIncrementalChecker, "extend_raw"),
+            (CompiledIncrementalChecker, "save_checkpoint"),
+            (online, "check_stream_compiled"),
+            (online, "load_checkpoint"),
+            (online, "source_fingerprint"),
+            (CommitRelation, "from_edges"),
+            (formats, "stream_raw_history"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value.__name__.rsplit(".", 1)[-1],
+    )
+    def test_removed_stream_surface_is_gone(self, owner, name):
+        """Records reach a stream only as parser batches, and nothing saves one."""
+        assert not hasattr(owner, name)
+
+    def test_repro_stream_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.stream")
+
+    def test_check_stream_file_lives_beside_its_checker(self):
+        import repro
+
+        assert repro.check_stream_file is online.check_stream_file
 
     def test_compiled_history_streams_identically(self):
         from repro.core.compiled import compile_history
@@ -256,7 +218,9 @@ class TestDispatchErrors:
             INJECTABLE_ANOMALIES[4],
         )
         compiled = compile_history(history)
-        for level in LEVELS:
-            reference = check(history, level, engine="object")
-            result = check(compiled, level, mode="stream")
-            _assert_same(reference, result, level)
+        for batch_ops in BATCH_OPS:
+            checker = CompiledIncrementalChecker(fill_gaps=True)
+            results = feed(checker, history_records(compiled), batch_ops).finalize()
+            for level in LEVELS:
+                reference = check(history, level, engine="object")
+                _assert_same(reference, results[level], (batch_ops, level))

@@ -1,6 +1,5 @@
 """Tests for the compiled streaming core (repro.core.compiled.online)."""
 
-import random
 import time
 
 import pytest
@@ -9,63 +8,29 @@ from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check
 from repro.core.compiled import CompiledHistoryBuilder
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
 from repro.core.exceptions import HistoryFormatError
 from repro.core.model import History, Transaction, read, write
 from repro.core.violations import ViolationKind
-from repro.histories.formats import save_history, stream_raw_history
+from repro.histories.formats import load_history, save_history
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import (
-    CompiledIncrementalChecker,
-    check_stream_compiled,
-    load_checkpoint,
+
+from helpers import (
+    BATCH_OPS,
+    PAPER_VERDICTS,
+    all_paper_histories,
+    feed,
+    history_records,
+    interleaved_order,
+    stream_check,
 )
 
-from helpers import PAPER_VERDICTS, all_paper_histories, long_plume_and_cut_copy
-
 LEVELS = list(IsolationLevel)
-
-
-def raw_records(history):
-    """The history's raw records in file order (what stream_raw_history yields)."""
-    for sid, session in enumerate(history.sessions):
-        for tid in session:
-            txn = history.transactions[tid]
-            yield sid, (
-                txn.label,
-                txn.committed,
-                [(op.is_write, op.key, op.value) for op in txn.operations],
-            )
-
-
-def feed_in_order(history, checker):
-    for sid, (label, committed, ops) in raw_records(history):
-        checker.append_raw(sid, label, committed, ops)
-
-
-def interleaved_records(history, rng):
-    """A random record interleaving that respects per-session order."""
-    positions = [0] * history.num_sessions
-    while True:
-        live = [
-            sid
-            for sid in range(history.num_sessions)
-            if positions[sid] < len(history.sessions[sid])
-        ]
-        if not live:
-            return
-        sid = rng.choice(live)
-        txn = history.transactions[history.sessions[sid][positions[sid]]]
-        positions[sid] += 1
-        yield sid, (
-            txn.label,
-            txn.committed,
-            [(op.is_write, op.key, op.value) for op in txn.operations],
-        )
 
 
 def assert_matches_batch(history, stream_results, check_messages=False):
@@ -89,9 +54,9 @@ class TestCompiledOnlineParity:
     @pytest.mark.parametrize("name", sorted(PAPER_VERDICTS))
     def test_paper_histories_match_batch_exactly(self, name):
         history = all_paper_histories()[name]
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        feed_in_order(history, checker)
-        assert_matches_batch(history, checker.finalize(), check_messages=True)
+        for batch_ops in BATCH_OPS:
+            results = stream_check(history, batch_ops=batch_ops)
+            assert_matches_batch(history, results, check_messages=True)
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_injected_anomalies_match_batch(self, kind):
@@ -99,9 +64,8 @@ class TestCompiledOnlineParity:
             RandomHistoryConfig(num_sessions=3, num_transactions=15, seed=5)
         )
         history = inject_anomaly(base, kind)
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        feed_in_order(history, checker)
-        assert_matches_batch(history, checker.finalize())
+        for batch_ops in BATCH_OPS:
+            assert_matches_batch(history, stream_check(history, batch_ops=batch_ops))
 
     def test_matches_object_batch_oracle_verbatim(self):
         """The online checker agrees with the object batch engine message for message."""
@@ -113,14 +77,13 @@ class TestCompiledOnlineParity:
             ),
             ViolationKind.CAUSALITY_CYCLE,
         )
-        compiled = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        feed_in_order(history, compiled)
-        compiled_results = compiled.finalize()
-        for level in LEVELS:
-            oracle = check(history, level, engine="object")
-            assert [v.message for v in compiled_results[level].violations] == [
-                v.message for v in oracle.violations
-            ], level
+        for batch_ops in BATCH_OPS:
+            streamed = stream_check(history, batch_ops=batch_ops)
+            for level in LEVELS:
+                oracle = check(history, level, engine="object")
+                assert [v.message for v in streamed[level].violations] == [
+                    v.message for v in oracle.violations
+                ], (batch_ops, level)
 
     def test_stream_from_file_uses_no_model_objects(self, tmp_path):
         history = generate_random_history(
@@ -128,13 +91,34 @@ class TestCompiledOnlineParity:
         )
         path = tmp_path / "h.plume"
         save_history(history, str(path), fmt="plume")
-        result = check_stream_compiled(
-            stream_raw_history(str(path), fmt="plume"),
-            IsolationLevel.CAUSAL_CONSISTENCY,
+        result = check_stream_file(
+            str(path), IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume"
         )
         batch = check(history, IsolationLevel.CAUSAL_CONSISTENCY)
         assert result.is_consistent == batch.is_consistent
         assert result.num_operations == history.num_operations
+
+    def test_witness_budget_caps_the_cycles(self, tmp_path):
+        # Two independent commit-order cycles (the Fig. 4a gadget on x and
+        # again on y), so the witness budget is observable.
+        history = History.from_sessions(
+            [
+                [Transaction([write("x", 1)]), Transaction([write("x", 2)])],
+                [Transaction([read("x", 2), read("x", 1)])],
+                [Transaction([write("y", 1)]), Transaction([write("y", 2)])],
+                [Transaction([read("y", 2), read("y", 1)])],
+            ]
+        )
+        path = tmp_path / "h.plume"
+        save_history(history, str(path), fmt="plume")
+        for budget, found in ((5, 2), (1, 1)):
+            result = check_stream_file(
+                str(path), IsolationLevel.READ_COMMITTED, fmt="plume", max_witnesses=budget
+            )
+            cycles = [
+                v for v in result.violations if v.kind is ViolationKind.COMMIT_ORDER_CYCLE
+            ]
+            assert len(cycles) == found, budget
 
     def test_elapsed_counts_the_checks_not_the_appends(self, monkeypatch):
         # Like a batch check's, a stream result's elapsed time is its
@@ -147,8 +131,7 @@ class TestCompiledOnlineParity:
 
         monkeypatch.setattr(CompiledHistoryBuilder, "add_batch", slow_add_batch)
         history = all_paper_histories()["fig_1b"]
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        checker.extend_raw(raw_records(history))
+        checker = feed(CompiledIncrementalChecker(), history_records(history))
         for result in checker.finalize().values():
             assert result.stats["build"] > 0.2
             assert result.elapsed_seconds < 0.2
@@ -157,7 +140,7 @@ class TestCompiledOnlineParity:
         checker = CompiledIncrementalChecker()
         checker.finalize()
         with pytest.raises(RuntimeError):
-            checker.append_raw(0, None, True, [(True, "x", 1)])
+            feed(checker, [(0, (None, True, [(True, "x", 1)]))])
 
     def test_value_cardinality_guard(self, monkeypatch):
         import repro.core.compiled.ir as ir
@@ -166,9 +149,52 @@ class TestCompiledOnlineParity:
         # 2^32 values; the stream refuses at finalize, as load_compiled does.
         monkeypatch.setattr(ir, "_VALUE_SHIFT", 2)
         checker = CompiledIncrementalChecker()
-        checker.append_raw(0, None, True, [(True, "x", value) for value in range(5)])
+        feed(checker, [(0, (None, True, [(True, "x", value) for value in range(5)]))])
         with pytest.raises(HistoryFormatError, match="too many distinct values"):
             checker.finalize()
+
+
+class TestCheckStreamFile:
+    """``check_stream_file`` reads a file like the batch loaders do."""
+
+    @pytest.mark.parametrize(
+        "fmt,ext",
+        [("native", ".json"), ("plume", ".plume"), ("dbcop", ".dbcop"), ("cobra", ".cobra")],
+    )
+    def test_format_detected_from_the_extension(self, tmp_path, fmt, ext):
+        history = all_paper_histories()["fig_1b"]
+        path = tmp_path / f"h{ext}"
+        save_history(history, str(path), fmt=fmt)
+        loaded = load_history(str(path), fmt=fmt)
+        for level, consistent in zip(LEVELS, PAPER_VERDICTS["fig_1b"]):
+            detected = check_stream_file(str(path), level)
+            assert detected.is_consistent == consistent, level
+            assert [v.message for v in detected.violations] == [
+                v.message for v in check(loaded, level).violations
+            ], level
+
+    def test_timings_receive_the_parse_lap(self, tmp_path, monkeypatch):
+        # The parse lap times the batch pulls alone: a slow parser shows
+        # there, and not in the build lap of the appends.
+        import repro.histories.formats as formats
+
+        pull = formats.stream_raw_batches
+
+        def slow_pull(*args, **kwargs):
+            for batch in pull(*args, **kwargs):
+                time.sleep(0.1)
+                yield batch
+
+        monkeypatch.setattr(formats, "stream_raw_batches", slow_pull)
+        path = tmp_path / "h.plume"
+        save_history(all_paper_histories()["fig_1b"], str(path), fmt="plume")
+        timings = {}
+        result = check_stream_file(
+            str(path), IsolationLevel.READ_ATOMIC, fmt="plume", timings=timings
+        )
+        assert list(timings) == ["parse"]
+        assert timings["parse"] >= 0.1
+        assert result.stats["build"] < 0.1
 
 
 class TestDuplicateWriteResolution:
@@ -186,13 +212,15 @@ class TestDuplicateWriteResolution:
     def test_in_order_feed_matches_batch(self, engine):
         """The stream agrees with each batch engine (``engine`` is the oracle)."""
         history = self.history()
-        for level in LEVELS:
-            batch = check(history, level, engine=engine)
-            streamed = check(history, level, mode="stream")
-            assert streamed.is_consistent == batch.is_consistent, (engine, level)
-            assert sorted(v.kind.name for v in streamed.violations) == sorted(
-                v.kind.name for v in batch.violations
-            ), (engine, level)
+        for batch_ops in BATCH_OPS:
+            for level in LEVELS:
+                batch = check(history, level, engine=engine)
+                streamed = stream_check(history, batch_ops=batch_ops, levels=(level,))[level]
+                context = (engine, batch_ops, level)
+                assert streamed.is_consistent == batch.is_consistent, context
+                assert sorted(v.kind.name for v in streamed.violations) == sorted(
+                    v.kind.name for v in batch.violations
+                ), context
 
     @pytest.mark.parametrize("engine", ["object", "compiled"])
     def test_superseding_write_wins_like_batch(self, engine):
@@ -205,15 +233,15 @@ class TestDuplicateWriteResolution:
         tw = Transaction([write("x", 5)], label="winner")
         ty = Transaction([write("y", 9)], label="ywriter")
         history = History.from_sessions([[tl], [tr], [tw], [ty]])
-        checker = CompiledIncrementalChecker(num_sessions=4)
-        feed_in_order(history, checker)
-        results = checker.finalize()
-        for level in LEVELS:
-            batch = check(history, level, engine=engine)
-            assert results[level].is_consistent == batch.is_consistent, level
-            assert sorted(v.kind.name for v in results[level].violations) == sorted(
-                v.kind.name for v in batch.violations
-            ), level
+        for batch_ops in BATCH_OPS:
+            results = stream_check(history, batch_ops=batch_ops)
+            for level in LEVELS:
+                batch = check(history, level, engine=engine)
+                context = (batch_ops, level)
+                assert results[level].is_consistent == batch.is_consistent, context
+                assert sorted(v.kind.name for v in results[level].violations) == sorted(
+                    v.kind.name for v in batch.violations
+                ), context
 
     def test_same_transaction_duplicate_writes(self):
         # Two identical writes inside one transaction: the later one is the
@@ -223,245 +251,23 @@ class TestDuplicateWriteResolution:
         t1 = Transaction([read("x", 7)], label="t1")
         history = History.from_sessions([[t0], [t1]])
         for engine in ("object", "compiled"):
-            for level in LEVELS:
-                batch = check(history, level, engine=engine)
-                streamed = check(history, level, mode="stream")
-                assert streamed.is_consistent == batch.is_consistent, (engine, level)
-
-
-class TestCheckpointResume:
-    def _records(self, seed=9, n=40):
-        history = generate_random_history(
-            RandomHistoryConfig(
-                num_sessions=4, num_transactions=n, mode="random_reads", seed=seed
-            )
-        )
-        return history, list(raw_records(history))
-
-    def test_round_trip_mid_history_is_equivalent(self, tmp_path):
-        history, records = self._records()
-        full = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        full.extend_raw(records)
-        want = full.finalize()
-
-        half = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        half.extend_raw(records[: len(records) // 2])
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert resumed.num_transactions == len(records) // 2
-        resumed.extend_raw(records[len(records) // 2 :])
-        got = resumed.finalize()
-        for level in LEVELS:
-            assert got[level].is_consistent == want[level].is_consistent, level
-            assert [v.message for v in got[level].violations] == [
-                v.message for v in want[level].violations
-            ], level
-            assert got[level].stats.get("inferred_edges") == want[level].stats.get(
-                "inferred_edges"
-            ), level
-
-    def test_saved_checkpoints_are_v10(self, tmp_path):
-        from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-
-        checker = CompiledIncrementalChecker(num_sessions=2)
-        checker.append_raw(0, "t0", True, [(True, "x", 1)])
-        path = tmp_path / "state.awd"
-        checker.save_checkpoint(str(path))
-        blob = path.read_bytes()
-        assert blob.startswith(CHECKPOINT_MAGIC)
-        assert blob[len(CHECKPOINT_MAGIC)] == CHECKPOINT_VERSION == 10
-
-    def test_checkpoint_rejects_finalized_checker(self, tmp_path):
-        checker = CompiledIncrementalChecker()
-        checker.finalize()
-        with pytest.raises(RuntimeError):
-            checker.save_checkpoint(str(tmp_path / "state.awd"))
-
-    def test_load_rejects_non_checkpoint_files(self, tmp_path):
-        from repro.core.compiled.online import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-
-        history, records = self._records()
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        checker.extend_raw(records)
-        good = tmp_path / "good.awd"
-        checker.save_checkpoint(str(good))
-        blob = good.read_bytes()
-        body = blob[len(CHECKPOINT_MAGIC) + 1 :]
-        assert blob[len(CHECKPOINT_MAGIC)] == CHECKPOINT_VERSION
-        inputs = {"bogus": (b"not a checkpoint at all", "not an awdit checkpoint")}
-        # Only the current version loads; older layouts are refused, not
-        # migrated, even around an otherwise intact body.
-        for version in range(1, CHECKPOINT_VERSION):
-            inputs[f"v{version}"] = (
-                CHECKPOINT_MAGIC + bytes([version]) + body,
-                f"unsupported checkpoint version {version}",
-            )
-        inputs["truncated"] = (
-            blob[: len(blob) // 2],
-            "truncated or corrupt checkpoint; re-run without --resume",
-        )
-        for name, (data, message) in inputs.items():
-            path = tmp_path / f"{name}.awd"
-            path.write_bytes(data)
-            with pytest.raises(HistoryFormatError, match=message):
-                load_checkpoint(str(path))
-
-    def test_checkpoint_write_is_atomic(self, tmp_path, monkeypatch):
-        import errno
-        import os
-        import pickle
-        import stat
-
-        history, records = self._records()
-        cut = len(records) // 2
-        full = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        full.extend_raw(records)
-        want = full.finalize()
-
-        syncs = []
-        real_fsync = os.fsync
-
-        def counting_fsync(fd):
-            syncs.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", counting_fsync)
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        checker.extend_raw(records[:cut])
-        path = tmp_path / "state.awd"
-        checker.save_checkpoint(str(path))
-        # The temp file before the rename, then its directory after it, so
-        # the rename itself is durable.
-        assert syncs == ["file", "dir"]
-        assert not (tmp_path / "state.awd.tmp").exists()
-
-        # A save that fails after a partial write (a full disk) removes its
-        # temp file and leaves the previous checkpoint loadable.
-        real_dump = pickle.dump
-
-        def failing_dump(obj, handle, protocol=None):
-            handle.write(b"partial")
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(pickle, "dump", failing_dump)
-        checker.extend_raw(records[cut:])
-        with pytest.raises(OSError):
-            checker.save_checkpoint(str(path))
-        monkeypatch.setattr(pickle, "dump", real_dump)
-        assert not (tmp_path / "state.awd.tmp").exists()
-        assert syncs == ["file", "dir"]
-
-        resumed = load_checkpoint(str(path))
-        assert resumed.num_transactions == cut
-        resumed.extend_raw(records[cut:])
-        got = resumed.finalize()
-        for level in LEVELS:
-            assert [v.message for v in got[level].violations] == [
-                v.message for v in want[level].violations
-            ], level
-            assert got[level].stats.get("inferred_edges") == want[level].stats.get(
-                "inferred_edges"
-            ), level
-
-    def test_resume_refuses_a_history_shorter_than_the_checkpoint(self, tmp_path):
-        from repro.stream import check_stream_file
-
-        long_path, cut_path, consumed, cut_txns = long_plume_and_cut_copy(
-            str(tmp_path)
-        )
-        state = tmp_path / "state.awd"
-        rc = IsolationLevel.READ_COMMITTED
-        check_stream_file(long_path, rc, fmt="plume", checkpoint=str(state))
-        with pytest.raises(
-            HistoryFormatError,
-            match=(
-                f"holds {cut_txns} transactions, but checkpoint .* already "
-                f"consumed {consumed}; re-run without --resume"
-            ),
-        ):
-            check_stream_file(
-                cut_path, rc, fmt="plume", checkpoint=str(state), resume=True
-            )
-        # The refusal happens before the final save: the checkpoint still
-        # holds the long history's state.
-        assert load_checkpoint(str(state)).num_transactions == consumed
-
-    def test_resume_rejects_a_different_history_file(self, tmp_path):
-        from repro.stream import check_stream_file
-
-        history_a, records = self._records(seed=1)
-        history_b, _ = self._records(seed=2)
-        path_a = tmp_path / "a.plume"
-        path_b = tmp_path / "b.plume"
-        save_history(history_a, str(path_a), fmt="plume")
-        save_history(history_b, str(path_b), fmt="plume")
-        state = tmp_path / "state.awd"
-        check_stream_file(
-            str(path_a),
-            IsolationLevel.CAUSAL_CONSISTENCY,
-            fmt="plume",
-            checkpoint=str(state),
-        )
-        with pytest.raises(HistoryFormatError):
-            check_stream_file(
-                str(path_b),
-                IsolationLevel.CAUSAL_CONSISTENCY,
-                fmt="plume",
-                checkpoint=str(state),
-                resume=True,
-            )
-
-    def test_resume_applies_the_new_witness_budget(self, tmp_path):
-        from repro.stream import check_stream_file
-
-        # Two independent commit-order cycles (the Fig. 4a gadget on x and
-        # again on y), so the witness budget is observable.
-        history = History.from_sessions(
-            [
-                [Transaction([write("x", 1)]), Transaction([write("x", 2)])],
-                [Transaction([read("x", 2), read("x", 1)])],
-                [Transaction([write("y", 1)]), Transaction([write("y", 2)])],
-                [Transaction([read("y", 2), read("y", 1)])],
-            ]
-        )
-        path = tmp_path / "h.plume"
-        save_history(history, str(path), fmt="plume")
-        state = tmp_path / "state.awd"
-        first = check_stream_file(
-            str(path),
-            IsolationLevel.READ_COMMITTED,
-            fmt="plume",
-            checkpoint=str(state),
-            max_witnesses=5,
-        )
-        cycles = [
-            v for v in first.violations
-            if v.kind is ViolationKind.COMMIT_ORDER_CYCLE
-        ]
-        assert len(cycles) == 2
-        resumed = check_stream_file(
-            str(path),
-            IsolationLevel.READ_COMMITTED,
-            fmt="plume",
-            checkpoint=str(state),
-            resume=True,
-            max_witnesses=1,
-        )
-        resumed_cycles = [
-            v for v in resumed.violations
-            if v.kind is ViolationKind.COMMIT_ORDER_CYCLE
-        ]
-        assert len(resumed_cycles) == 1
+            for batch_ops in BATCH_OPS:
+                for level in LEVELS:
+                    batch = check(history, level, engine=engine)
+                    streamed = stream_check(history, batch_ops=batch_ops, levels=(level,))
+                    assert streamed[level].is_consistent == batch.is_consistent, (
+                        engine,
+                        batch_ops,
+                        level,
+                    )
 
 
 class TestLiveStats:
     def test_keys_read_by_perfbench_are_present(self):
         # perfbench/run.py reads these counters from a traced stream run.
         checker = CompiledIncrementalChecker()
-        checker.append_raw(0, None, True, [(True, "x", 1)])
-        checker.append_raw(1, None, True, [(False, "x", 1)])
+        feed(checker, [(0, (None, True, [(True, "x", 1)]))])
+        feed(checker, [(1, (None, True, [(False, "x", 1)]))])
         stats = checker.live_stats()
         for key in (
             "resolve_fast_path",
@@ -490,10 +296,10 @@ class TestLiveStats:
         )
         checker = CompiledIncrementalChecker()
         transactions = operations = 0
-        for sid, (label, committed, ops) in raw_records(history):
-            checker.append_raw(sid, label, committed, ops)
+        for record in history_records(history):
+            feed(checker, [record])
             transactions += 1
-            operations += len(ops)
+            operations += len(record[1][2])
             stats = checker.live_stats()
             assert (stats["transactions"], stats["operations"]) == (transactions, operations)
             assert (checker.num_transactions, checker.num_operations) == (
@@ -536,9 +342,6 @@ class TestCompiledOnlineProperties:
     )
     def test_matches_batch_on_random_interleavings(self, config, order_seed):
         history = generate_random_history(config)
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        for sid, (label, committed, ops) in interleaved_records(
-            history, random.Random(order_seed)
-        ):
-            checker.append_raw(sid, label, committed, ops)
-        assert_matches_batch(history, checker.finalize())
+        order = interleaved_order(history, order_seed)
+        for batch_ops in BATCH_OPS:
+            assert_matches_batch(history, stream_check(history, order, batch_ops=batch_ops))

@@ -9,9 +9,8 @@ On top of the parse layer, the batch_ops streaming matrix over a saved
 file must stay byte-identical to the batch oracle
 (batch-boundary-straddling transactions included), including a duplicate
 ``(key, value)`` write that arrives after its reader and readers that
-arrive before their writer in any order, resume must cut a straddling
-batch at the checkpointed transaction, and a batch size below 1 is refused
-up front.
+arrive before their writer in any order, a batch cut mid-file, and a
+batch size below 1 is refused up front.
 """
 
 import io
@@ -38,7 +37,6 @@ from repro.histories.formats import (
     plume_text,
     save_history,
     stream_raw_batches,
-    stream_raw_history,
 )
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -46,7 +44,9 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
+
+from helpers import feed, raw_of
 
 LEVELS = list(IsolationLevel)
 
@@ -60,15 +60,6 @@ FORMAT_MODULES = {
 #: The parity axis: degenerate single-op batches, a prime that lands
 #: batch boundaries mid-transaction, and the production default.
 BATCH_OPS = (1, 7, 4096)
-
-
-def _raw(txn):
-    """``txn`` as a raw ``(label, committed, ops)`` record."""
-    return (
-        txn.label,
-        txn.committed,
-        [(op.is_write, op.key, op.value) for op in txn.operations],
-    )
 
 
 def _assert_same(reference, result, context):
@@ -131,7 +122,11 @@ class TestStreamBatchesParity:
         )
         path = tmp_path / f"h.{fmt}"
         save_history(history, str(path), fmt=fmt)
-        reference = list(stream_raw_history(str(path), fmt))
+        reference = [
+            record
+            for batch in stream_raw_batches(str(path), fmt, batch_ops=1)
+            for record in batch.iter_records()
+        ]
         for batch_ops in BATCH_OPS:
             records = [
                 record
@@ -311,11 +306,8 @@ class TestReaderBeforeWriter:
             for batch_ops in BATCH_OPS:
                 for side in self._sides():
                     with side:
-                        checker = CompiledIncrementalChecker()
-                        checker.extend_raw(
-                            ((sid, _raw(sessions[sid])) for sid in order),
-                            batch_ops=batch_ops,
-                        )
+                        records = [(sid, raw_of(sessions[sid])) for sid in order]
+                        checker = feed(CompiledIncrementalChecker(), records, batch_ops)
                         results = checker.finalize()
                     for level in LEVELS:
                         _assert_same(want[level], results[level], (order, batch_ops, level))
@@ -373,32 +365,22 @@ class TestBatchOpsMatrix:
                 result = check_stream_file(path, level, fmt="plume", batch_ops=batch_ops)
                 _assert_same(reference, result, (batch_ops, level))
 
-    def test_resume_cuts_a_straddling_batch(self, anomalous, tmp_path):
-        # Checkpoint 13 transactions in, then resume with one huge batch:
-        # the resume skip lands mid-batch and RecordBatch.tail must cut
-        # exactly at the checkpointed transaction.
+    def test_a_cut_batch_matches_the_whole_file(self, anomalous):
+        # Thirteen one-record batches, then the rest of the file's records
+        # in batches of 4096 operations: the cut lands where a whole-file
+        # batch would straddle it, and the answer must not move.
         _history, path = anomalous
         level = IsolationLevel.CAUSAL_CONSISTENCY
         reference = check_stream_file(path, level, fmt="plume")
-        state = tmp_path / "state.awd"
-        checker = CompiledIncrementalChecker(levels=(level,))
-        for index, batch in enumerate(stream_raw_batches(path, "plume", batch_ops=1)):
-            if index == 13:
-                break
-            checker.append_batch(batch)
-        checker.save_checkpoint(str(state))
-        del checker
-
-        assert load_checkpoint(str(state)).num_transactions == 13
-        result = check_stream_file(
-            path,
-            level,
-            fmt="plume",
-            checkpoint=str(state),
-            resume=True,
-            batch_ops=4096,
-        )
-        _assert_same(reference, result, ("resume-tail", level))
+        records = [
+            record
+            for batch in stream_raw_batches(path, "plume", batch_ops=1)
+            for record in batch.iter_records()
+        ]
+        checker = feed(CompiledIncrementalChecker(levels=(level,)), records[:13], 1)
+        assert checker.num_transactions == 13
+        result = feed(checker, records[13:], 4096).finalize()[level]
+        _assert_same(reference, result, ("cut", level))
 
 
 class TestBatchOpsValidation:
@@ -424,10 +406,10 @@ class TestBatchOpsValidation:
         assert f"--batch-ops must be >= 1, got {value}" in err
 
     @pytest.mark.parametrize("value", [0, -1])
-    def test_extend_raw_rejects_bad_batch_ops(self, value):
-        checker = CompiledIncrementalChecker(num_sessions=1)
+    def test_stream_raw_batches_rejects_bad_batch_ops(self, history_path, value):
+        batches = stream_raw_batches(history_path, "plume", batch_ops=value)
         with pytest.raises(ValueError, match=f"batch_ops must be >= 1, got {value}"):
-            checker.extend_raw(iter([]), batch_ops=value)
+            next(batches)
 
     def test_check_stream_file_rejects_bad_batch_ops(self, history_path):
         with pytest.raises(ValueError, match="batch_ops must be >= 1, got 0"):

@@ -1,7 +1,6 @@
-"""Tests for the streaming checking subsystem (CompiledIncrementalChecker + parsers)."""
+"""Tests for the streaming checker (CompiledIncrementalChecker + parsers)."""
 
 import io
-import random
 import re
 
 import pytest
@@ -12,11 +11,8 @@ from repro.cli import main
 from repro.core import IsolationLevel, check
 from repro.core.model import History, Transaction, read, write
 from repro.core.violations import ViolationKind
-from repro.histories.formats import (
-    load_history,
-    save_history,
-    stream_raw_history,
-)
+from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
+from repro.histories.formats import load_history, save_history, stream_raw_batches
 from repro.histories.formats._raw import transaction_from_raw
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -24,36 +20,19 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.stream import CompiledIncrementalChecker, check_stream_compiled
 
-from helpers import PAPER_VERDICTS, all_paper_histories
+from helpers import (
+    BATCH_OPS,
+    PAPER_VERDICTS,
+    all_paper_histories,
+    feed,
+    interleaved_order,
+    raw_of,
+    stream_check,
+)
 
 LEVELS = list(IsolationLevel)
 FORMAT_EXTS = [("native", ".json"), ("plume", ".plume"), ("dbcop", ".dbcop"), ("cobra", ".cobra")]
-
-
-def feed_in_order(history, checker):
-    """Feed a history session by session (the on-disk file order)."""
-    for sid, session in enumerate(history.sessions):
-        for tid in session:
-            checker.append(sid, history.transactions[tid])
-
-
-def interleaved(history, rng):
-    """A random stream interleaving that respects per-session order."""
-    positions = [0] * history.num_sessions
-    while True:
-        live = [
-            sid
-            for sid in range(history.num_sessions)
-            if positions[sid] < len(history.sessions[sid])
-        ]
-        if not live:
-            return
-        sid = rng.choice(live)
-        tid = history.sessions[sid][positions[sid]]
-        positions[sid] += 1
-        yield sid, history.transactions[tid]
 
 
 def assert_matches_batch(history, stream_results, check_messages=False):
@@ -78,8 +57,9 @@ class TestStreamingParsers:
         save_history(history, str(path), fmt=fmt)
         loaded = load_history(str(path), fmt=fmt)
         sessions = {}
-        for sid, raw in stream_raw_history(str(path), fmt=fmt):
-            sessions.setdefault(sid, []).append(transaction_from_raw(raw))
+        for batch in stream_raw_batches(str(path), fmt=fmt, batch_ops=1):
+            for sid, raw in batch.iter_records():
+                sessions.setdefault(sid, []).append(transaction_from_raw(raw))
         ordered = [sessions[sid] for sid in sorted(sessions)]
         restreamed = History.from_sessions(ordered)
         assert restreamed.num_operations == loaded.num_operations
@@ -146,10 +126,10 @@ class TestIncrementalCheckerParity:
     @pytest.mark.parametrize("name", sorted(PAPER_VERDICTS))
     def test_paper_histories_match_batch_exactly(self, name):
         history = all_paper_histories()[name]
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        feed_in_order(history, checker)
-        # Labeled histories reproduce the batch witnesses verbatim.
-        assert_matches_batch(history, checker.finalize(), check_messages=True)
+        for batch_ops in BATCH_OPS:
+            # Labeled histories reproduce the batch witnesses verbatim.
+            results = stream_check(history, batch_ops=batch_ops)
+            assert_matches_batch(history, results, check_messages=True)
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_injected_anomalies_match_batch(self, kind):
@@ -157,28 +137,25 @@ class TestIncrementalCheckerParity:
             RandomHistoryConfig(num_sessions=3, num_transactions=15, seed=5)
         )
         history = inject_anomaly(base, kind)
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        feed_in_order(history, checker)
-        assert_matches_batch(history, checker.finalize())
+        for batch_ops in BATCH_OPS:
+            assert_matches_batch(history, stream_check(history, batch_ops=batch_ops))
 
     def test_out_of_order_reads_resolve_on_write_arrival(self):
         # Session 1's read arrives before the write it observes.
         t_read = Transaction([read("x", 1)], label="reader")
         t_write = Transaction([write("x", 1)], label="writer")
         history = History.from_sessions([[t_write], [t_read]])
-        checker = CompiledIncrementalChecker(num_sessions=2)
-        checker.append(1, t_read)
+        checker = CompiledIncrementalChecker()
+        feed(checker, [(1, raw_of(t_read))])
         assert checker.violations == []  # not witnessable yet
-        checker.append(0, t_write)
+        feed(checker, [(0, raw_of(t_write))])
         assert_matches_batch(history, checker.finalize())
 
     def test_single_session_uses_linear_specialization(self):
         history = History.from_sessions(
             [[Transaction([write("x", 1)]), Transaction([read("x", 1)])]]
         )
-        checker = CompiledIncrementalChecker(num_sessions=1)
-        feed_in_order(history, checker)
-        result = checker.finalize()[IsolationLevel.READ_ATOMIC]
+        result = stream_check(history)[IsolationLevel.READ_ATOMIC]
         assert result.checker == "awdit-stream-1session"
         assert result.is_consistent
 
@@ -186,15 +163,15 @@ class TestIncrementalCheckerParity:
         t1 = Transaction([write("x", 1), read("y", 1)], label="t1")
         t2 = Transaction([write("y", 1), read("x", 1)], label="t2")
         history = History.from_sessions([[t1], [t2]])
-        checker = CompiledIncrementalChecker(num_sessions=2)
-        feed_in_order(history, checker)
-        assert_matches_batch(history, checker.finalize(), check_messages=True)
+        for batch_ops in BATCH_OPS:
+            results = stream_check(history, batch_ops=batch_ops)
+            assert_matches_batch(history, results, check_messages=True)
 
     def test_append_after_finalize_rejected(self):
         checker = CompiledIncrementalChecker()
         checker.finalize()
         with pytest.raises(RuntimeError):
-            checker.append(0, Transaction([write("x", 1)]))
+            feed(checker, [(0, raw_of(Transaction([write("x", 1)])))])
 
 
 class TestEarlyReporting:
@@ -202,8 +179,8 @@ class TestEarlyReporting:
 
     def test_read_violations_witnessed_at_finalize(self):
         checker = CompiledIncrementalChecker()
-        checker.append(0, Transaction([write("x", 1), write("x", 2)], label="w"))
-        checker.append(1, Transaction([read("x", 1)], label="r"))
+        feed(checker, [(0, raw_of(Transaction([write("x", 1), write("x", 2)], label="w")))])
+        feed(checker, [(1, raw_of(Transaction([read("x", 1)], label="r")))])
         assert checker.violations == []
         checker.finalize()
         kinds = [v.kind for v in checker.violations]
@@ -211,8 +188,8 @@ class TestEarlyReporting:
 
     def test_aborted_read_witnessed_at_finalize(self):
         checker = CompiledIncrementalChecker()
-        checker.append(0, Transaction([read("x", 1)], label="r"))
-        checker.append(1, Transaction([write("x", 1)], committed=False, label="a"))
+        feed(checker, [(0, raw_of(Transaction([read("x", 1)], label="r")))])
+        feed(checker, [(1, raw_of(Transaction([write("x", 1)], committed=False, label="a")))])
         assert checker.violations == []
         checker.finalize()
         kinds = [v.kind for v in checker.violations]
@@ -242,21 +219,21 @@ class TestStreamingProperties:
     )
     def test_streaming_matches_batch_on_random_histories(self, config, order_seed):
         history = generate_random_history(config)
-        checker = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        for sid, txn in interleaved(history, random.Random(order_seed)):
-            checker.append(sid, txn)
-        results = checker.finalize()
-        for level in LEVELS:
-            batch = check(history, level)
-            streamed = results[level]
-            assert streamed.is_consistent == batch.is_consistent, level
-            assert sorted(v.kind.name for v in streamed.violations) == sorted(
-                v.kind.name for v in batch.violations
-            ), level
-            # The replayed commit relation is structurally identical too.
-            assert streamed.stats.get("inferred_edges") == batch.stats.get(
-                "inferred_edges"
-            ), level
+        order = interleaved_order(history, order_seed)
+        for batch_ops in BATCH_OPS:
+            results = stream_check(history, order, batch_ops=batch_ops)
+            for level in LEVELS:
+                batch = check(history, level)
+                streamed = results[level]
+                context = (batch_ops, level)
+                assert streamed.is_consistent == batch.is_consistent, context
+                assert sorted(v.kind.name for v in streamed.violations) == sorted(
+                    v.kind.name for v in batch.violations
+                ), context
+                # The replayed commit relation is structurally identical too.
+                assert streamed.stats.get("inferred_edges") == batch.stats.get(
+                    "inferred_edges"
+                ), context
 
 
 class TestLargeStreamedLog:
@@ -273,9 +250,8 @@ class TestLargeStreamedLog:
         history = generate_random_history(config)
         path = tmp_path / "large.plume"
         save_history(history, str(path), fmt="plume")
-        result = check_stream_compiled(
-            stream_raw_history(str(path), fmt="plume"),
-            IsolationLevel.CAUSAL_CONSISTENCY,
+        result = check_stream_file(
+            str(path), IsolationLevel.CAUSAL_CONSISTENCY, fmt="plume"
         )
         assert result.is_consistent
         assert result.num_operations == history.num_operations
@@ -326,6 +302,20 @@ class TestCliStream:
             outputs.append(re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", out, count=2))
         assert outputs[0] == outputs[1]
         assert "cycle" in outputs[0]
+
+    @pytest.mark.parametrize("name", sorted(PAPER_VERDICTS))
+    def test_paper_histories_print_like_batch(self, tmp_path, capsys, name):
+        # Labelled histories: every witness line names the paper's
+        # transactions, and both modes give the paper's verdicts.
+        path = tmp_path / "h.json"
+        save_history(all_paper_histories()[name], str(path))
+        for level, consistent in zip(("rc", "ra", "cc"), PAPER_VERDICTS[name]):
+            outputs = []
+            for mode in ([], ["--stream"]):
+                assert main(["check", str(path), "-i", level] + mode) == (0 if consistent else 1)
+                out = capsys.readouterr().out
+                outputs.append(re.sub(r"^\[[^\]]+\] | in [0-9.]+ ms", "", out, count=2))
+            assert outputs[0] == outputs[1], level
 
     @pytest.mark.parametrize("fmt,ext", FORMAT_EXTS)
     def test_empty_session_numbered_like_batch(self, tmp_path, capsys, fmt, ext):

@@ -18,7 +18,7 @@ from repro.histories.formats import (
     plume_text,
     load_history,
     save_history,
-    stream_raw_history,
+    stream_raw_batches,
 )
 
 from helpers import all_paper_histories
@@ -153,7 +153,7 @@ class TestDuplicateTxnId:
 
 
 class TestFileContext:
-    """load_history / stream_raw_history prefix errors with the file path."""
+    """load_history / stream_raw_batches prefix errors with the file path."""
 
     def test_load_history_reports_the_path(self, tmp_path):
         path = tmp_path / "broken.plume"
@@ -163,10 +163,10 @@ class TestFileContext:
         message = str(excinfo.value)
         assert "broken.plume" in message and "line 1" in message
 
-    def test_stream_raw_history_reports_the_path(self, tmp_path):
+    def test_stream_raw_batches_reports_the_path(self, tmp_path):
         path = tmp_path / "broken.json"
         save_history(all_paper_histories()["fig_4a"], str(path))
         path.write_text(path.read_text()[:-30])  # truncate mid-record
         with pytest.raises(HistoryFormatError) as excinfo:
-            _drain(stream_raw_history(str(path)))
+            _drain(stream_raw_batches(str(path), batch_ops=1))
         assert "broken.json" in str(excinfo.value)
