@@ -18,6 +18,7 @@ Run ``awdit <subcommand> --help`` for the full flag list.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -365,6 +366,11 @@ def _run_stats(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``awdit`` command-line tool."""
     from repro.core.exceptions import ReproError
+
+    # awdit calls no BLAS routine, but OpenBLAS starts a thread pool when a
+    # CC check loads numpy; one thread halves numpy's import.  It must be set
+    # before that import, and a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     parser = build_parser()
     args = parser.parse_args(argv)

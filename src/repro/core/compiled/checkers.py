@@ -16,7 +16,10 @@ hot path the compiled layer exists for.  The saturation inner loops
 themselves live in :mod:`repro.core.compiled.kernels`
 (``saturate_{rc,ra,cc}_compiled``), which the per-level functions here
 call.  CC saturation has a vectorized and a fallback side, and the CC
-result reports which ran in its ``saturation_kernel`` stat.
+result reports which ran in its ``saturation_kernel`` stat.  Happens-before
+(:func:`compute_happens_before_compiled`) has two sides as well: with numpy
+loaded it writes one n × k clock matrix, which the vectorized CC kernel
+reads in place; without, one clock list per committed transaction.
 
 Everything a level does after read consistency (and repeatable reads, for
 RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,
@@ -51,6 +54,7 @@ from repro.core.violations import (
     Violation,
     ViolationKind,
 )
+from repro.graph import csr as _csr
 from repro.graph.csr import freeze_packed, load_numpy, toposort_frozen
 from repro.graph.digraph import EDGE_SHIFT
 
@@ -454,10 +458,25 @@ def _causality_edges_compiled(ch: CompiledHistory, bad_ops: Set[int]):
     return so_log, wr_log, wr_keys
 
 
-def compute_happens_before_compiled(
-    ch: CompiledHistory, bad_ops: Set[int]
-) -> Tuple[Optional[List[Optional[List[int]]]], List[Violation]]:
-    """``ComputeHB`` on the IR: one plain-list clock per committed transaction."""
+def compute_happens_before_compiled(ch: CompiledHistory, bad_ops: Set[int]):
+    """``ComputeHB`` on the IR: one clock row per committed transaction.
+
+    Returns ``(hb, [])``, or ``(None, violations)`` with the causality-cycle
+    witnesses when ``so ∪ wr`` is cyclic.  ``hb[t][s]`` is the session index
+    of the so-latest transaction of session ``s`` in ``t``'s causal past
+    (``-1`` for none).  With numpy loaded, ``hb`` is one n × k int32 matrix
+    (:func:`_clock_matrix`) that the vectorized CC kernel reads in place;
+    otherwise it is one plain list per committed transaction and ``None``
+    for the others (:func:`_clock_lists`).
+
+    Both sides visit the committed transactions in topological order.  A
+    row starts as its session predecessor's row, advanced to that
+    predecessor, and then joins the rows of its good committed writers.
+    A writer ``w`` with ``session_index(w) <= row[session(w)]`` is skipped:
+    the row is always the frontier of a down-closed set of transactions, so
+    ``w`` and its whole past are in it already.  That skip also drops a
+    writer read twice, and on many-session histories it drops most joins.
+    """
     so_log, wr_log, wr_keys = _causality_edges_compiled(ch, bad_ops)
     graph = freeze_packed(ch.num_transactions, (so_log, wr_log))
     order = toposort_frozen(graph)
@@ -467,7 +486,69 @@ def compute_happens_before_compiled(
         )
         names = [ch.name_of(tid) for tid in range(ch.num_transactions)]
         return None, causality_cycles(names, graph, labels)
+    np = _csr._np
+    if np is not None:
+        return _clock_matrix(np, ch, order, bad_ops), []
+    return _clock_lists(ch, order, bad_ops), []
 
+
+def _clock_matrix(np, ch: CompiledHistory, order: List[int], bad_ops: Set[int]):
+    """The happens-before clocks as one n × k int32 matrix, rows of ``-1``.
+
+    The rows are written through a flat ``memoryview`` of the matrix: a
+    row copy is one slice assignment, and each entry read or write is a
+    C-level index that yields a plain int.  Only the join itself,
+    ``np.maximum`` over two rows, goes through numpy.  A session index is
+    below the transaction count, which CC saturation caps at ``2^31``, so
+    int32 holds it; a larger one would make the ``memoryview`` raise, never
+    wrap.
+    """
+    k = ch.num_sessions
+    committed = ch.txn_committed
+    txn_session = ch.txn_session
+    txn_session_index = ch.txn_session_index
+    xr_start = ch._xr_start
+    xr_po = ch._xr_po
+    xr_writer = ch._xr_writer
+    txn_start = ch.txn_start
+    check_bad = bool(bad_ops)
+    matrix = np.full((ch.num_transactions, k), -1, dtype=np.int32)
+    flat = memoryview(matrix.reshape(-1))
+    maximum = np.maximum
+    last_in_session = [-1] * k
+    for tid in order:
+        if not committed[tid]:
+            continue
+        session = txn_session[tid]
+        row = tid * k
+        previous = last_in_session[session]
+        last_in_session[session] = tid
+        if previous >= 0:
+            flat[row : row + k] = flat[previous * k : previous * k + k]
+            flat[row + session] = txn_session_index[previous]
+        clock = None
+        base = txn_start[tid]
+        for j in range(xr_start[tid], xr_start[tid + 1]):
+            if check_bad and base + xr_po[j] in bad_ops:
+                continue
+            writer = xr_writer[j]
+            if not committed[writer]:
+                continue
+            wsi = txn_session_index[writer]
+            ws = row + txn_session[writer]
+            if wsi <= flat[ws]:
+                continue
+            if clock is None:
+                clock = matrix[tid]
+            maximum(clock, matrix[writer], out=clock)
+            flat[ws] = wsi
+    return matrix
+
+
+def _clock_lists(
+    ch: CompiledHistory, order: List[int], bad_ops: Set[int]
+) -> List[Optional[List[int]]]:
+    """The happens-before clocks as plain lists: the side without numpy."""
     k = ch.num_sessions
     committed = ch.txn_committed
     txn_session = ch.txn_session
@@ -485,33 +566,27 @@ def compute_happens_before_compiled(
         session = txn_session[tid]
         clock = session_clock[session][:]
         base = txn_start[tid]
-        seen_writers: Set[int] = set()
         for j in range(xr_start[tid], xr_start[tid + 1]):
             if check_bad and base + xr_po[j] in bad_ops:
                 continue
             writer = xr_writer[j]
-            if writer in seen_writers:
-                continue
-            seen_writers.add(writer)
             if not committed[writer]:
                 continue
-            writer_clock = hb[writer]
-            if writer_clock is not None:
-                for s2 in range(k):
-                    value = writer_clock[s2]
-                    if value > clock[s2]:
-                        clock[s2] = value
             ws = txn_session[writer]
             wsi = txn_session_index[writer]
-            if wsi > clock[ws]:
-                clock[ws] = wsi
+            if wsi <= clock[ws]:
+                continue
+            writer_clock = hb[writer]
+            for s2 in range(k):
+                value = writer_clock[s2]
+                if value > clock[s2]:
+                    clock[s2] = value
+            clock[ws] = wsi
         hb[tid] = clock
         next_clock = clock[:]
-        sidx = txn_session_index[tid]
-        if sidx > next_clock[session]:
-            next_clock[session] = sidx
+        next_clock[session] = txn_session_index[tid]
         session_clock[session] = next_clock
-    return hb, []
+    return hb
 
 
 def cc_cycles(

@@ -29,8 +29,13 @@ the loop.
 
 The two sides of a kept kernel produce byte-identical output in the
 identical order, so verdicts, violation lists, and witness renderings never
-depend on which ran (property-tested in ``tests/test_kernels.py``).  The key argument for the CC kernel:
-along one session the happens-before clocks are monotone
+depend on which ran (property-tested in ``tests/test_kernels.py``).  The CC
+kernel reads the happens-before clocks that
+:func:`~repro.core.compiled.checkers.compute_happens_before_compiled`
+returns: with numpy loaded, one n × k int32 matrix, which the vectorized
+side reads in place; without, one plain list per transaction.  Each side
+takes either and converts the other at its boundary.  The key argument for
+the CC kernel: along one session the happens-before clocks are monotone
 (``hb[t3'][s] >= hb[t3][s]`` for ``t3'`` after ``t3``), so the fallback's
 memoized monotone pointer per (key, session) bucket always lands on *the
 latest writer with session index <= clock bound* -- a stateless query the
@@ -432,18 +437,16 @@ def _saturate_cc_vectorized(
     """
     np = _csr._np
     committed = ch.txn_committed
-    t3s = [
-        t3
-        for session in ch.sessions
-        for t3 in session
-        if committed[t3] and hb[t3] is not None
-    ]
-    # One transactions x sessions clock matrix, flat and row-major, serves
-    # every chunk: the t3 rows bound the probes, and the t1 rows drop the
-    # hb-implied edges.  Rows without a clock (uncommitted) are never read.
+    t3s = [t3 for session in ch.sessions for t3 in session if committed[t3]]
+    # The transactions x sessions clock matrix, read flat and in place,
+    # serves every chunk: the t3 rows bound the probes, and the t1 rows drop
+    # the hb-implied edges.  Rows without a clock (uncommitted) are never read.
     k = ch.num_sessions
-    empty = [-1] * k
-    clocks = np.array([empty if c is None else c for c in hb], dtype=np.int64).reshape(-1)
+    if isinstance(hb, list):
+        # Clock lists from happens-before run while numpy was not loaded.
+        empty = [-1] * k
+        hb = np.array([empty if c is None else c for c in hb], dtype=np.int32)
+    clocks = hb.reshape(-1)
     bad = np.fromiter(bad_ops, dtype=np.int64, count=len(bad_ops)) if bad_ops else None
     for first in range(0, len(t3s), _CC_CHUNK_TXNS):
         _saturate_cc_chunk(
@@ -536,6 +539,8 @@ def saturate_cc_compiled(
 ) -> str:
     """CC saturation on the IR (mirror of ``saturate_cc``).
 
+    ``hb`` is the clock matrix or the clock lists of
+    :func:`~repro.core.compiled.checkers.compute_happens_before_compiled`.
     Loads numpy (a CC check is where it pays for its import) and dispatches
     to the vectorized kernel (:func:`_saturate_cc_vectorized`) when it is
     available and the selected transactions carry enough reads;
@@ -567,6 +572,10 @@ def saturate_cc_compiled(
             _saturate_cc_vectorized(ch, idx, relation, hb, bad_ops)
             return "vectorized"
 
+    if not isinstance(hb, list):
+        # A clock matrix from happens-before run with numpy loaded: the
+        # interpreted walk indexes plain lists.
+        hb = hb.tolist()
     writers_index, num_buckets = _writers_by_key_compiled(ch)
     committed = ch.txn_committed
     xr_start = ch._xr_start
@@ -592,8 +601,6 @@ def saturate_cc_compiled(
             if not committed[t3]:
                 continue
             clock = hb[t3]
-            if clock is None:
-                continue
             base = txn_start[t3]
             for j in range(xr_start[t3], xr_start[t3 + 1]):
                 if check_bad and base + xr_po[j] in bad_ops:

@@ -94,11 +94,6 @@ class CompiledIncrementalChecker:
     # -- public surface --------------------------------------------------------
 
     @property
-    def levels(self) -> Tuple[IsolationLevel, ...]:
-        """The isolation levels this checker checks."""
-        return self._levels
-
-    @property
     def num_transactions(self) -> int:
         """Number of transactions appended so far."""
         return self._num_transactions
@@ -107,11 +102,6 @@ class CompiledIncrementalChecker:
     def num_operations(self) -> int:
         """Number of operations appended so far."""
         return self._num_operations
-
-    @property
-    def finalized(self) -> bool:
-        """True once :meth:`finalize` has produced results."""
-        return self._results is not None
 
     @property
     def violations(self) -> List[Violation]:

@@ -135,7 +135,7 @@ def stream_batches(
             )
         ops.append((is_write, key, value))
     if current is None:
-        raise ParseError("empty cobra-style history")
+        raise ParseError("history file contains no transactions")
     batch.add_record(current[0], None, committed, ops, line=current_line)
     yield batch
 

@@ -222,6 +222,16 @@ PROBES = {
         '{"id": 0, "sessions": [[], []]}\n',
         "history file contains no transactions",
     ),
+    "cobra-no-transactions": (
+        "cobra",
+        "",
+        "history file contains no transactions",
+    ),
+    "cobra-header-only": (
+        "cobra",
+        "session,txn_index,op,key,value,committed\n",
+        "history file contains no transactions",
+    ),
     "cobra-error-after-header": (
         "cobra",
         "session,txn_index,op,key,value,committed\n0,0,W,x,1,1\n0,0,Q,y,1,1\n",

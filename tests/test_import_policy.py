@@ -138,3 +138,60 @@ def test_numpy_that_fails_to_import_falls_back(history_path, tmp_path):
     assert "Traceback" not in got.stderr
     assert _without_elapsed(got.stdout) == _without_elapsed(want.stdout)
     assert re.search(r"saturation_kernel\s+fallback", got.stderr), got.stderr
+
+
+#: Run in a fresh interpreter: a CC check, then whether numpy is loaded,
+#: the process's thread count and the OpenBLAS setting, as one JSON line.
+#: ``before`` is the setting after ``import repro.cli``, before ``main``.
+THREADS_PROBE = dedent(
+    """
+    import contextlib, io, json, os, sys
+    import repro.cli
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = repro.cli.main(["check", sys.argv[1], "-i", "cc"])
+    print(json.dumps({
+        "code": code,
+        "before": before,
+        "after": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": "numpy" in sys.modules,
+        "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    }))
+    """
+)
+
+
+def _threads_probe(history_path, setting):
+    env = _env([])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE, history_path],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] in (0, 1)
+    return out
+
+
+@pytest.mark.skipif(
+    not csr.HAVE_NUMPY or not os.path.isdir("/proc/self/task"),
+    reason="counts the threads numpy's OpenBLAS starts; needs numpy and /proc",
+)
+def test_cc_check_starts_no_blas_thread_pool(history_path):
+    # awdit calls no BLAS routine, so the CLI asks OpenBLAS for one thread
+    # before a CC check imports numpy; importing repro.cli sets nothing.
+    out = _threads_probe(history_path, None)
+    assert out["before"] is None
+    assert out["after"] == "1"
+    assert out["numpy"] is True
+    assert out["threads"] == 1
+
+
+def test_users_blas_setting_wins(history_path):
+    out = _threads_probe(history_path, "2")
+    assert out["before"] == out["after"] == "2"

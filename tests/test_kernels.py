@@ -17,6 +17,10 @@ finalize) relies on:
   happens-before implies, in the same order, and what they keep has the
   transitive closure, verdict and violation kinds of the definitional
   checker (``repro.baselines.naive``);
+* compiled happens-before, a clock matrix with numpy and clock lists
+  without, equals the object engine's clocks, and a writer the clock
+  already covers costs no join; the scalar CC kernel reads the matrix and
+  the vectorized one reads the lists, with the same co log;
 * the vectorized CC kernel's transaction chunking does not change the co
   log (one transaction per chunk, the whole history in one chunk, and the
   scalar side agree), and it keeps the peak well below one whole pass's;
@@ -56,6 +60,7 @@ from repro.core.compiled.checkers import (
     compute_happens_before_compiled,
 )
 from repro.core.compiled.kernels import saturate_cc_compiled
+from repro.core.model import History, Transaction, read, write
 from repro.core.read_consistency import check_read_consistency
 from repro.graph import csr
 from repro.graph.digraph import EDGE_SHIFT
@@ -351,6 +356,161 @@ class TestHbImpliedEdgesDropped:
         expected = _closure(cc_relation_naive(history, report.bad_reads))
         for relation in (oracle, *sides):
             assert _closure(relation) == expected
+
+
+def _compiled_clocks(history):
+    """The compiled happens-before clocks of ``history`` (``None`` if cyclic)."""
+    ch = compile_history(history)
+    report = check_read_consistency_compiled(ch)
+    hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
+    return hb
+
+
+class _CountingNumpy:
+    """numpy, but counting the ``np.maximum`` calls: the matrix side's joins."""
+
+    def __init__(self, np):
+        self._np = np
+        self.joins = 0
+
+    def __getattr__(self, name):
+        return getattr(self._np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.joins += 1
+        return self._np.maximum(*args, **kwargs)
+
+
+class TestHappensBeforeClocks:
+    """Compiled happens-before: a clock matrix with numpy, lists without.
+
+    Both sides skip a writer whose session index the row already reaches;
+    the row is the frontier of a down-closed set, so the skip is exact.
+    The object engine's ``compute_happens_before`` is the oracle.
+    """
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        config=history_configs,
+        anomaly=st.sampled_from([None, *INJECTABLE_ANOMALIES]),
+        anomaly_seed=st.integers(0, 1000),
+    )
+    def test_both_sides_equal_the_object_engine(self, config, anomaly, anomaly_seed):
+        history = generate_random_history(config)
+        if anomaly is not None:
+            try:
+                history = inject_anomaly(history, anomaly, rng=random.Random(anomaly_seed))
+            except ValueError:
+                # Some anomalies need a minimum history shape.
+                pass
+        report = check_read_consistency(history)
+        oracle, _ = compute_happens_before(history, report.bad_reads)
+        with csr.numpy_disabled():
+            lists = _compiled_clocks(history)
+        assert lists is None or isinstance(lists, list)
+        sides = [lists]
+        if csr.load_numpy() is not None:
+            matrix = _compiled_clocks(history)
+            assert matrix is None or not isinstance(matrix, list)
+            sides.append(matrix)
+        for hb in sides:
+            if oracle is None:
+                assert hb is None
+                continue
+            for txn in history.transactions:
+                if txn.committed:
+                    assert list(hb[txn.tid]) == oracle[txn.tid].entries, txn.tid
+
+    # Each case: sessions, then the clock of every transaction and how many
+    # joins the matrix side runs.  Transaction ids run session-major.
+    COVERED = {
+        # t (3) inherits p's row along session order; p's past already
+        # holds a1, so t's read from a0 (index 0 < 1) needs no join.
+        "through-session-order": (
+            [
+                [Transaction([write("x", 1)]), Transaction([write("y", 2)])],
+                [Transaction([read("y", 2)]), Transaction([read("x", 1)])],
+            ],
+            [[-1, -1], [0, -1], [1, -1], [1, 0]],
+            1,
+        ),
+        # t (3) first joins b, whose past holds a1; its later read from a0
+        # is then covered by that earlier writer's clock.
+        "through-an-earlier-writer": (
+            [
+                [Transaction([write("x", 1)]), Transaction([write("z", 3)])],
+                [Transaction([read("z", 3), write("y", 2)])],
+                [Transaction([read("y", 2), read("x", 1)])],
+            ],
+            [[-1, -1, -1], [0, -1, -1], [1, -1, -1], [1, 0, -1]],
+            2,
+        ),
+        # t (1) reads a twice: after the first join the row's entry equals
+        # a's session index, and equality is covered too.
+        "at-equality": (
+            [
+                [Transaction([write("x", 1), write("y", 2)])],
+                [Transaction([read("x", 1), read("y", 2)])],
+            ],
+            [[-1, -1], [0, -1]],
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COVERED))
+    def test_covered_writers_are_skipped(self, case, monkeypatch):
+        sessions, expected, joins = self.COVERED[case]
+        history = History.from_sessions(sessions)
+        assert [c.entries for c in compute_happens_before(history)[0]] == expected
+        with csr.numpy_disabled():
+            assert _compiled_clocks(history) == expected
+        np = csr.load_numpy()
+        if np is None:
+            return
+        counting = _CountingNumpy(np)
+        monkeypatch.setattr(csr, "_np", counting)
+        assert _compiled_clocks(history).tolist() == expected
+        assert counting.joins == joins
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(config=history_configs)
+    @needs_numpy
+    def test_scalar_kernel_reads_the_matrix(self, config, monkeypatch):
+        # With numpy loaded, a history below _MIN_VECTOR_READS runs the
+        # scalar kernel on the clock matrix; clock lists from a run
+        # without numpy feed the vectorized kernel.  Every pairing emits
+        # the vectorized kernel's co log.
+        csr.load_numpy()
+        history = generate_random_history(config)
+        ch = compile_history(history)
+        report = check_read_consistency_compiled(ch)
+        matrix, _ = compute_happens_before_compiled(ch, report.bad_ops)
+        if matrix is None:
+            return
+        with csr.numpy_disabled():
+            lists, _ = compute_happens_before_compiled(ch, report.bad_ops)
+        logs = []
+        for floor, hb, side in (
+            (0, matrix, "vectorized"),
+            (1 << 62, matrix, "fallback"),
+            (0, lists, "vectorized"),
+        ):
+            monkeypatch.setattr(kernels, "_MIN_VECTOR_READS", floor)
+            relation = _relation_from_compiled(ch)
+            assert saturate_cc_compiled(ch, relation, hb, report.bad_ops) == side
+            logs.append((relation._co_log.tobytes(), relation._co_keys.tobytes()))
+        assert logs[0] == logs[1] == logs[2]
 
 
 class TestCompositeProbeBoundary:
