@@ -24,7 +24,11 @@ The package is organised as follows:
   --stream``): a checker that builds the compiled IR from a file's parser
   batches as they arrive and runs the batch checkers at the end.  Its
   memory is O(history), like batch, because it holds the same IR.
-* :mod:`repro.cli` -- the ``awdit`` command-line tool.
+* :mod:`repro.cli` -- the ``awdit`` command-line tool.  Importing it loads
+  only the parser's names and the thin :mod:`repro.core.checker` and
+  :mod:`repro.core.witnesses` modules; each command imports its engine,
+  loader and format module when it runs, so a compiled check never compiles
+  the object engine or another format's parser.
 
 The names below are imported on first access (PEP 562), so importing the
 package loads none of these modules.

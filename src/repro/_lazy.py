@@ -6,8 +6,11 @@ and binds the pair this module returns::
     __getattr__, __dir__ = lazy_exports(__name__, {"History": "repro.core.model"})
 
 ``from package import History`` then imports :mod:`repro.core.model` at that
-moment, not when the package itself is imported, so ``import repro.cli``
-loads only what the CLI's parser and a compiled batch check use.
+moment, not when the package itself is imported.  Together with the
+function-level imports of :mod:`repro.cli`, :mod:`repro.core.checker` and
+:mod:`repro.histories.formats`, this keeps ``import repro.cli`` to what the
+CLI's parser needs; a command loads its engine, loader and format module
+when it runs.
 """
 
 from __future__ import annotations

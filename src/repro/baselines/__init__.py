@@ -31,12 +31,14 @@ paying for them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro._lazy import lazy_exports
 from repro.core.isolation import IsolationLevel
-from repro.core.model import History
-from repro.core.result import CheckResult
+
+if TYPE_CHECKING:
+    from repro.core.model import History
+    from repro.core.result import CheckResult
 
 #: Public checker name -> the submodule that defines it.
 _CHECKERS = {

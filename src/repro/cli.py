@@ -13,6 +13,12 @@ Subcommands:
   sessions) and its estimated in-memory footprint.
 
 Run ``awdit <subcommand> --help`` for the full flag list.
+
+Importing this module loads only what the parser needs: the isolation
+levels, the format and baseline names, and the thin :func:`check` and
+:func:`format_report` modules.  Each subcommand imports its own machinery
+(the loaders, the engines, numpy for a CC check) when it runs, so an
+``awdit`` process compiles only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -20,15 +26,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.baselines import BASELINE_REGISTRY
 from repro.core.checker import check
 from repro.core.isolation import IsolationLevel
-from repro.core.result import CheckResult
 from repro.core.witnesses import format_report
-from repro.graph.csr import load_numpy
-from repro.histories.formats import FORMATS, load_compiled, load_history, save_history
+from repro.histories.formats import FORMATS
+
+if TYPE_CHECKING:
+    from repro.core.result import CheckResult
 
 __all__ = ["main", "build_parser"]
 
@@ -258,7 +265,11 @@ def _run_check(args: argparse.Namespace) -> int:
             timings=profile_timings,
         )
     elif checker_name in ("awdit", "default"):
+        from repro.histories.formats import load_compiled, load_history
+
         if level is IsolationLevel.CAUSAL_CONSISTENCY:
+            from repro.graph.csr import load_numpy
+
             # CC is the level whose kernels win from numpy; load it before
             # the parse, so the IR build's unique-writes resolution runs
             # its numpy side too.  RC and RA never load it (repro.graph.csr).
@@ -277,6 +288,8 @@ def _run_check(args: argparse.Namespace) -> int:
             history = load_history(args.history, fmt=args.format, batch_ops=args.batch_ops)
             result = check(history, level, max_witnesses=args.witnesses, engine="object")
     elif checker_name in BASELINE_REGISTRY:
+        from repro.histories.formats import load_history
+
         history = load_history(args.history, fmt=args.format, batch_ops=args.batch_ops)
         result = BASELINE_REGISTRY[checker_name](history, level)
     else:
@@ -296,6 +309,7 @@ def _run_check(args: argparse.Namespace) -> int:
 def _run_generate(args: argparse.Namespace) -> int:
     from repro.db.config import IsolationMode
     from repro.db.profiles import profile_by_name, with_overrides
+    from repro.histories.formats import save_history
     from repro.workloads import collect_history, workload_by_name
 
     if args.sessions < 1:
@@ -328,6 +342,8 @@ def _run_generate(args: argparse.Namespace) -> int:
 
 
 def _run_convert(args: argparse.Namespace) -> int:
+    from repro.histories.formats import load_history, save_history
+
     history = load_history(args.source, fmt=args.from_format)
     save_history(history, args.destination, fmt=args.to_format)
     print(f"converted {args.source} -> {args.destination} ({history.describe()})")
@@ -335,6 +351,8 @@ def _run_convert(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
+    from repro.histories.formats import load_compiled
+
     compiled = load_compiled(args.history, fmt=args.format)
     print(compiled.describe())
     txn_start = compiled.txn_start

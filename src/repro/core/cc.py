@@ -24,22 +24,16 @@ order; the definitional checker ``repro.baselines.naive`` keeps every edge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.commit import CommitRelation
+from repro.core.compiled.checkers import causality_cycles, causality_labels
 from repro.core.isolation import IsolationLevel
 from repro.core.model import History, OpRef
 from repro.core.read_consistency import ReadConsistencyReport, check_read_consistency
 from repro.core.result import CheckResult, Stopwatch
-from repro.core.violations import CycleEdge, CycleViolation, Violation, ViolationKind
-from repro.graph.csr import (
-    FrozenGraph,
-    find_cycle_in_component_frozen,
-    freeze_packed,
-    load_numpy,
-    scc_frozen,
-    toposort_frozen,
-)
+from repro.core.violations import Violation
+from repro.graph.csr import freeze_packed, load_numpy, toposort_frozen
 from repro.graph.digraph import EDGE_SHIFT
 from repro.graph.vector_clock import VectorClock
 
@@ -47,8 +41,6 @@ __all__ = [
     "check_cc",
     "compute_happens_before",
     "saturate_cc",
-    "causality_cycles",
-    "causality_labels",
 ]
 
 
@@ -57,8 +49,9 @@ def _causality_graph(history: History, bad_reads: Set[OpRef]):
 
     Returns ``(frozen_graph, so_log, wr_log, wr_keys)``: the packed edge
     logs feed the frozen CSR snapshot, and the parallel wr key row labels
-    causality-cycle witnesses (built lazily via :func:`causality_labels`,
-    only when a cycle exists).  Duplicate observations append duplicate log
+    causality-cycle witnesses (built lazily via
+    :func:`~repro.core.compiled.checkers.causality_labels`, only when a cycle
+    exists).  Duplicate observations append duplicate log
     entries; the freeze collapses them.
     """
     so_log: List[int] = []
@@ -79,74 +72,6 @@ def _causality_graph(history: History, bad_reads: Set[OpRef]):
             wr_keys.append(op.key)
     graph = freeze_packed(history.num_transactions, (so_log, wr_log))
     return graph, so_log, wr_log, wr_keys
-
-
-def causality_labels(
-    so_log: Sequence[int],
-    wr_log: Sequence[int],
-    wr_keys: Sequence,
-    key_names: Optional[Sequence[str]] = None,
-) -> Dict[int, Optional[str]]:
-    """Witness labels of a causality graph: packed edge -> witnessing key.
-
-    Replays the edge logs in arrival order: ``None`` for session-order
-    edges, the key of the *first* witnessing read for ``wr`` edges.  An edge
-    that is both ``so`` and ``wr`` keeps the keyed label (a session reading
-    its predecessor's write must not be reported as bare ``so``).  When
-    ``key_names`` is given the wr key row holds dense ids to decode;
-    otherwise it holds the key objects themselves.
-    """
-    labels: Dict[int, Optional[str]] = {}
-    for edge in so_log:
-        if edge not in labels:
-            labels[edge] = None
-    if key_names is None:
-        for edge, key in zip(wr_log, wr_keys):
-            if labels.get(edge) is None:
-                labels[edge] = key
-    else:
-        for edge, kid in zip(wr_log, wr_keys):
-            if labels.get(edge) is None:
-                labels[edge] = key_names[kid]
-    return labels
-
-
-def causality_cycles(
-    names: Sequence[str],
-    graph: FrozenGraph,
-    labels: Dict[int, Optional[str]],
-    max_witnesses: Optional[int] = None,
-) -> List[Violation]:
-    """One causality-cycle witness per non-trivial SCC of ``so ∪ wr``.
-
-    ``names`` maps dense transaction ids to printable names and ``labels``
-    packed edges to witnessing keys (see :func:`causality_labels`).  Shared
-    by every engine -- the object path, the compiled batch path, and both
-    streaming finalizers extract their causality witnesses here, over the
-    same frozen CSR rows, so the renderings cannot drift.
-    """
-    violations: List[Violation] = []
-    for component in scc_frozen(graph):
-        if len(component) <= 1:
-            continue
-        cycle = find_cycle_in_component_frozen(graph, component)
-        edges: List[CycleEdge] = []
-        for i, source in enumerate(cycle):
-            target = cycle[(i + 1) % len(cycle)]
-            key = labels.get((source << EDGE_SHIFT) | target)
-            reason = "so" if key is None else "wr"
-            edges.append(CycleEdge(source, target, reason, key))
-        names_text = " -> ".join(names[t] for t in cycle)
-        violations.append(
-            CycleViolation(
-                kind=ViolationKind.CAUSALITY_CYCLE,
-                message=f"so ∪ wr cycle over {names_text} -> {names[cycle[0]]}",
-                edges=tuple(edges),
-            )
-        )
-        if max_witnesses is not None and len(violations) >= max_witnesses:
-            break
-    return violations
 
 
 def compute_happens_before(

@@ -24,24 +24,24 @@ On-disk histories can also stream through
 :func:`repro.core.compiled.online.check_stream_file` (``awdit check
 --stream``), which builds the same IR batch by batch and runs the compiled
 engine on it.
+
+Importing this module loads neither engine: :func:`check` imports the
+compiled checkers when it is called, and the object engine only on its
+``engine="object"`` branch, so a compiled check never compiles the object
+checkers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from repro.core.cc import check_cc
-from repro.core.compiled.checkers import (
-    check_all_levels_compiled,
-    check_compiled,
-)
-from repro.core.compiled.ir import CompiledHistory
 from repro.core.isolation import IsolationLevel
-from repro.core.model import History
-from repro.core.ra import check_ra, check_ra_single_session
-from repro.core.rc import check_rc
-from repro.core.read_consistency import ReadConsistencyReport, check_read_consistency
-from repro.core.result import CheckResult
+
+if TYPE_CHECKING:
+    from repro.core.compiled.ir import CompiledHistory
+    from repro.core.model import History
+    from repro.core.read_consistency import ReadConsistencyReport
+    from repro.core.result import CheckResult
 
 __all__ = ["check", "check_all_levels"]
 
@@ -82,6 +82,9 @@ def check(
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    from repro.core.compiled.checkers import check_compiled
+    from repro.core.compiled.ir import CompiledHistory
+
     if isinstance(history, CompiledHistory):
         if engine == "object":
             raise ValueError("a CompiledHistory requires a compiled-IR engine")
@@ -110,10 +113,14 @@ def check(
             use_single_session_fast_path=use_single_session_fast_path,
         )
     if level is IsolationLevel.READ_COMMITTED:
+        from repro.core.rc import check_rc
+
         return check_rc(
             history, max_witnesses=max_witnesses, read_consistency=read_consistency
         )
     if level is IsolationLevel.READ_ATOMIC:
+        from repro.core.ra import check_ra, check_ra_single_session
+
         if use_single_session_fast_path and history.num_sessions <= 1:
             return check_ra_single_session(
                 history, max_witnesses=max_witnesses, read_consistency=read_consistency
@@ -122,6 +129,8 @@ def check(
             history, max_witnesses=max_witnesses, read_consistency=read_consistency
         )
     if level is IsolationLevel.CAUSAL_CONSISTENCY:
+        from repro.core.cc import check_cc
+
         return check_cc(
             history, max_witnesses=max_witnesses, read_consistency=read_consistency
         )
@@ -143,14 +152,20 @@ def check_all_levels(
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    from repro.core.compiled.ir import CompiledHistory
+
     if isinstance(history, CompiledHistory) and engine == "object":
         raise ValueError("a CompiledHistory requires a compiled-IR engine")
     if engine != "object" or isinstance(history, CompiledHistory):
+        from repro.core.compiled.checkers import check_all_levels_compiled
+
         return check_all_levels_compiled(
             history,
             max_witnesses=max_witnesses,
             use_single_session_fast_path=use_single_session_fast_path,
         )
+    from repro.core.read_consistency import check_read_consistency
+
     report = check_read_consistency(history)
     return {
         level: check(

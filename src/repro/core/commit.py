@@ -20,10 +20,12 @@ saturation never appends them (see :mod:`repro.core.cc`).
 
 Edge *labels* -- the ``(reason, key)`` pair that explains an edge in a
 witness -- are never built on the hot path.  The logs retain the reason
-implicitly (which log an edge sits in) and the key alongside it; the label
-tables materialize lazily, by a first-occurrence-wins replay of
-``so, wr, co`` in arrival order, only when a violation actually needs a
-witness rendered.  A consistent history never pays for them.
+implicitly (which log an edge sits in) and the key alongside it; a label is
+looked up only for an edge a witness renders, by a first-occurrence-wins
+replay of ``so, wr, co`` in arrival order restricted to the wanted edges,
+and kept for later lookups.  :meth:`find_cycles` collects its cycles first
+and labels their edges in one such pass.  A consistent history builds no
+label.
 
 An edge may be justified by several relations at once (a session reading its
 so-predecessor's write is related by both ``so`` and ``wr``).  The primary
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.model import History
 from repro.core.violations import CycleEdge, CycleViolation, ViolationKind
@@ -111,8 +113,8 @@ class CommitRelation:
         else:
             self._wr_keys: list = []  # type: ignore[no-redef]
             self._co_keys: list = []  # type: ignore[no-redef]
-        # Frozen snapshot + lazily materialized label tables, each tagged
-        # with the log length it was computed at so later appends invalidate.
+        # Frozen snapshot + the labels looked up so far, each tagged with the
+        # log length it was computed at so later appends invalidate.
         self._frozen: Optional[FrozenGraph] = None
         self._frozen_at = -1
         self._num_inferred = 0
@@ -121,8 +123,10 @@ class CommitRelation:
         # only the co log grows.
         self._sowr_distinct = -1
         self._sowr_distinct_at = -1
-        self._labels: Optional[Dict[int, Tuple[str, Optional[str]]]] = None
-        self._keyed: Optional[Dict[int, Tuple[str, str]]] = None
+        # Packed edge -> primary label (``None`` for an edge not in the
+        # relation), and -> its first keyed ``wr`` label, if any.
+        self._labels: Dict[int, Optional[Tuple[str, Optional[str]]]] = {}
+        self._keyed: Dict[int, Tuple[str, str]] = {}
         self._labels_at = -1
         #: Wall-clock of the freeze/acyclicity/witness phases of the last
         #: :meth:`find_cycles` (and any standalone :meth:`freeze`), for
@@ -242,39 +246,59 @@ class CommitRelation:
             return key
         return None if key < 0 else self._key_names[key]
 
-    def _ensure_labels(self) -> None:
-        """Materialize the label tables by replaying the edge logs.
+    def _label(self, edges: Iterable[int]) -> None:
+        """Look up the labels of the packed ``edges`` that are not known yet.
 
-        First occurrence wins within and across logs (``so`` before ``wr``
-        before ``co`` -- arrival order), which reproduces exactly what
-        eager first-label-wins insertion used to record.
+        Replays the logs for those edges only: first occurrence wins within
+        and across logs (``so`` before ``wr`` before ``co`` -- arrival
+        order), and the first keyed ``wr`` entry of an edge is kept beside
+        its primary label.  The ``so`` test and the "is any wanted edge in
+        this log" tests are set operations over the whole log; only a log
+        that holds a wanted edge is walked in Python, and the walk stops
+        once every wanted edge in it is found.
         """
         size = self._log_size()
-        if self._labels is not None and self._labels_at == size:
+        if self._labels_at != size:
+            self._labels = {}
+            self._keyed = {}
+            self._labels_at = size
+        labels = self._labels
+        wanted = {edge for edge in edges if edge not in labels}
+        if not wanted:
             return
-        labels: Dict[int, Tuple[str, Optional[str]]] = {}
-        keyed: Dict[int, Tuple[str, str]] = {}
-        for edge in self._so_log:
-            if edge not in labels:
-                labels[edge] = _SO_LABEL
+        for edge in wanted.intersection(self._so_log):
+            labels[edge] = _SO_LABEL
         decode = self._decode_key
-        for edge, key in zip(self._wr_log, self._wr_keys):
-            name = decode(key)
-            if edge not in labels:
-                labels[edge] = ("wr", name)
-            if name is not None and edge not in keyed:
-                keyed[edge] = ("wr", name)
-        for edge, key in zip(self._co_log, self._co_keys):
-            if edge not in labels:
-                labels[edge] = ("co", decode(key))
-        self._labels = labels
-        self._keyed = keyed
-        self._labels_at = size
+        pending = wanted.intersection(self._wr_log)
+        if pending:
+            keyed = self._keyed
+            for edge, key in zip(self._wr_log, self._wr_keys):
+                if edge in pending:
+                    name = decode(key)
+                    if edge not in labels:
+                        labels[edge] = ("wr", name)
+                    if name is not None:
+                        keyed[edge] = ("wr", name)
+                        pending.discard(edge)
+                        if not pending:
+                            break
+        unlabelled = wanted.difference(labels)
+        pending = unlabelled.intersection(self._co_log)
+        for edge in unlabelled.difference(pending):
+            labels[edge] = None
+        if pending:
+            for edge, key in zip(self._co_log, self._co_keys):
+                if edge in pending:
+                    labels[edge] = ("co", decode(key))
+                    pending.discard(edge)
+                    if not pending:
+                        break
 
     def edge_label(self, source: int, target: int) -> Optional[Tuple[str, Optional[str]]]:
         """The primary ``(reason, key)`` label of an edge, or ``None`` if absent."""
-        self._ensure_labels()
-        return self._labels.get((source << EDGE_SHIFT) | target)
+        packed = (source << EDGE_SHIFT) | target
+        self._label((packed,))
+        return self._labels[packed]
 
     def witness_label(self, source: int, target: int) -> Optional[Tuple[str, Optional[str]]]:
         """The most informative label of an edge, for cycle witnesses.
@@ -283,9 +307,9 @@ class CommitRelation:
         is both ``so`` and ``wr`` is reported as ``wr[key]`` so the witnessing
         key is never dropped.
         """
-        self._ensure_labels()
         packed = (source << EDGE_SHIFT) | target
-        primary = self._labels.get(packed)
+        self._label((packed,))
+        primary = self._labels[packed]
         if primary is None:
             return None
         if primary[1] is None and primary[0] != "co":
@@ -321,9 +345,9 @@ class CommitRelation:
         A cycle whose edges are all ``so``/``wr`` edges is classified as a
         *causality cycle*; any other cycle is a *commit-order cycle* (the
         paper's Section 3.4 taxonomy).  Witnesses are sorted so cycles with
-        the fewest inferred edges come first.  Labels materialize only when
-        a non-trivial SCC actually exists, so the consistent case never
-        builds them.
+        the fewest inferred edges come first.  The cycles are collected
+        first and their edges labelled in one pass (:meth:`_label`), so the
+        consistent case never builds a label.
         """
         frozen = self.freeze()
         start = time.perf_counter()
@@ -337,14 +361,19 @@ class CommitRelation:
         components = scc_frozen(frozen)
         split = time.perf_counter()
         self.timings["acyclicity"] = split - start
-        violations: List[CycleViolation] = []
+        cycles: List[List[int]] = []
         for component in components:
             if len(component) <= 1:
                 continue
-            cycle = find_cycle_in_component_frozen(frozen, component)
-            violations.append(self._cycle_to_violation(cycle))
-            if max_witnesses is not None and len(violations) >= max_witnesses:
+            cycles.append(find_cycle_in_component_frozen(frozen, component))
+            if max_witnesses is not None and len(cycles) >= max_witnesses:
                 break
+        self._label(
+            (source << EDGE_SHIFT) | cycle[(i + 1) % len(cycle)]
+            for cycle in cycles
+            for i, source in enumerate(cycle)
+        )
+        violations = [self._cycle_to_violation(cycle) for cycle in cycles]
         violations.sort(key=lambda v: v.inferred_edges)
         self.timings["witness"] = time.perf_counter() - split
         return violations

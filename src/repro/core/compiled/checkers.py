@@ -23,8 +23,13 @@ reads in place; without, one clock list per committed transaction.
 
 Everything a level does after read consistency (and repeatable reads, for
 RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,
-:func:`cc_cycles`: build ``so ∪ wr``, saturate, compute happens-before (CC
-only), and search the relation for cycles.  ``check_{rc,ra,cc}_compiled``
+:func:`cc_cycles`: build ``so ∪ wr``, compute happens-before (CC only),
+saturate, and search the relation for cycles.  CC builds ``so ∪ wr`` once:
+happens-before freezes the relation's own logs (it builds a second wr log
+only when a read is bad), and saturation then extends that relation.  The
+causality-cycle witnesses of a cyclic ``so ∪ wr`` (:func:`causality_cycles`)
+live here too; the object engine's :mod:`repro.core.cc` imports them, so a
+compiled check loads no object-engine module.  ``check_{rc,ra,cc}_compiled``
 call them after their read-level checks.  They read only the IR's
 transaction arrays, ``sessions``, ``labels``, ``txn_start``, ``_kw_*`` and
 ``_xr_*``, never its operation columns.  A streaming check
@@ -35,9 +40,8 @@ transaction arrays, ``sessions``, ``labels``, ``txn_start``, ``_kw_*`` and
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cc import causality_cycles, causality_labels
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, compile_history
 from repro.core.compiled.kernels import (
@@ -49,13 +53,22 @@ from repro.core.isolation import IsolationLevel
 from repro.core.model import History, OpRef
 from repro.core.result import CheckResult, Stopwatch
 from repro.core.violations import (
+    CycleEdge,
+    CycleViolation,
     ReadConsistencyViolation,
     RepeatableReadViolation,
     Violation,
     ViolationKind,
 )
 from repro.graph import csr as _csr
-from repro.graph.csr import freeze_packed, load_numpy, toposort_frozen
+from repro.graph.csr import (
+    FrozenGraph,
+    find_cycle_in_component_frozen,
+    freeze_packed,
+    load_numpy,
+    scc_frozen,
+    toposort_frozen,
+)
 from repro.graph.digraph import EDGE_SHIFT
 
 __all__ = [
@@ -70,6 +83,8 @@ __all__ = [
     "rc_cycles",
     "ra_cycles",
     "cc_cycles",
+    "causality_cycles",
+    "causality_labels",
 ]
 
 
@@ -414,33 +429,97 @@ def check_ra_single_session_compiled(
 # -- CC (Algorithm 3) ----------------------------------------------------------
 
 
-def _causality_edges_compiled(ch: CompiledHistory, bad_ops: Set[int]):
+def causality_labels(
+    so_log: Sequence[int],
+    wr_log: Sequence[int],
+    wr_keys: Sequence,
+    key_names: Optional[Sequence[str]] = None,
+) -> Dict[int, Optional[str]]:
+    """Witness labels of a causality graph: packed edge -> witnessing key.
+
+    Replays the edge logs in arrival order: ``None`` for session-order
+    edges, the key of the *first* witnessing read for ``wr`` edges.  An edge
+    that is both ``so`` and ``wr`` keeps the keyed label (a session reading
+    its predecessor's write must not be reported as bare ``so``).  When
+    ``key_names`` is given the wr key row holds dense ids to decode;
+    otherwise it holds the key objects themselves.
+    """
+    labels: Dict[int, Optional[str]] = {}
+    for edge in so_log:
+        if edge not in labels:
+            labels[edge] = None
+    if key_names is None:
+        for edge, key in zip(wr_log, wr_keys):
+            if labels.get(edge) is None:
+                labels[edge] = key
+    else:
+        for edge, kid in zip(wr_log, wr_keys):
+            if labels.get(edge) is None:
+                labels[edge] = key_names[kid]
+    return labels
+
+
+def causality_cycles(
+    names: Sequence[str],
+    graph: FrozenGraph,
+    labels: Dict[int, Optional[str]],
+    max_witnesses: Optional[int] = None,
+) -> List[Violation]:
+    """One causality-cycle witness per non-trivial SCC of ``so ∪ wr``.
+
+    ``names`` maps dense transaction ids to printable names and ``labels``
+    packed edges to witnessing keys (see :func:`causality_labels`).  Shared
+    by both engines -- the object path (:mod:`repro.core.cc`) and the
+    compiled path extract their causality witnesses here, over the same
+    frozen CSR rows, so the renderings cannot drift.
+    """
+    violations: List[Violation] = []
+    for component in scc_frozen(graph):
+        if len(component) <= 1:
+            continue
+        cycle = find_cycle_in_component_frozen(graph, component)
+        edges: List[CycleEdge] = []
+        for i, source in enumerate(cycle):
+            target = cycle[(i + 1) % len(cycle)]
+            key = labels.get((source << EDGE_SHIFT) | target)
+            reason = "so" if key is None else "wr"
+            edges.append(CycleEdge(source, target, reason, key))
+        names_text = " -> ".join(names[t] for t in cycle)
+        violations.append(
+            CycleViolation(
+                kind=ViolationKind.CAUSALITY_CYCLE,
+                message=f"so ∪ wr cycle over {names_text} -> {names[cycle[0]]}",
+                edges=tuple(edges),
+            )
+        )
+        if max_witnesses is not None and len(violations) >= max_witnesses:
+            break
+    return violations
+
+
+def _causality_edges_compiled(
+    ch: CompiledHistory, bad_ops: Set[int], relation: CommitRelation
+):
     """Packed edge logs of the committed ``so ∪ good-wr`` graph.
 
-    Returns ``(so_log, wr_log, wr_keys)`` flat rows; nothing is deduplicated
-    here (a reader observing the same writer twice appends twice) -- the
-    freeze collapses duplicates, and the labels replay first-wins, exactly
-    like the eager dict gating used to.
+    Returns ``(so_log, wr_log, wr_keys)`` flat rows.  They are
+    ``relation``'s own logs (:func:`_relation_from_compiled` walks the same
+    sessions and external reads in the same order) unless a read is bad:
+    only then is a second wr log built, without the bad reads' entries.
+    Nothing is deduplicated here (a reader observing the same writer twice
+    appends twice): the freeze collapses duplicates, and the labels replay
+    first-wins.
     """
-    so_log = array("Q")
+    if not bad_ops:
+        return relation._so_log, relation._wr_log, relation._wr_keys
     wr_log = array("Q")
     wr_keys = array("q")
     committed = ch.txn_committed
-    so_append = so_log.append
-    for session in ch.sessions:
-        previous = -1
-        for tid in session:
-            if not committed[tid]:
-                continue
-            if previous >= 0:
-                so_append((previous << EDGE_SHIFT) | tid)
-            previous = tid
     xr_start = ch._xr_start
     xr_po = ch._xr_po
     xr_key = ch._xr_key
     xr_writer = ch._xr_writer
     txn_start = ch.txn_start
-    check_bad = bool(bad_ops)
     wr_append = wr_log.append
     wrk_append = wr_keys.append
     for tid in range(ch.num_transactions):
@@ -448,17 +527,21 @@ def _causality_edges_compiled(ch: CompiledHistory, bad_ops: Set[int]):
             continue
         base = txn_start[tid]
         for j in range(xr_start[tid], xr_start[tid + 1]):
-            if check_bad and base + xr_po[j] in bad_ops:
+            if base + xr_po[j] in bad_ops:
                 continue
             writer = xr_writer[j]
             if not committed[writer]:
                 continue
             wr_append((writer << EDGE_SHIFT) | tid)
             wrk_append(xr_key[j])
-    return so_log, wr_log, wr_keys
+    return relation._so_log, wr_log, wr_keys
 
 
-def compute_happens_before_compiled(ch: CompiledHistory, bad_ops: Set[int]):
+def compute_happens_before_compiled(
+    ch: CompiledHistory,
+    bad_ops: Set[int],
+    relation: Optional[CommitRelation] = None,
+):
     """``ComputeHB`` on the IR: one clock row per committed transaction.
 
     Returns ``(hb, [])``, or ``(None, violations)`` with the causality-cycle
@@ -467,7 +550,9 @@ def compute_happens_before_compiled(ch: CompiledHistory, bad_ops: Set[int]):
     (``-1`` for none).  With numpy loaded, ``hb`` is one n × k int32 matrix
     (:func:`_clock_matrix`) that the vectorized CC kernel reads in place;
     otherwise it is one plain list per committed transaction and ``None``
-    for the others (:func:`_clock_lists`).
+    for the others (:func:`_clock_lists`).  ``relation`` is the unsaturated
+    ``so ∪ wr`` relation of ``ch`` (:func:`_relation_from_compiled`, built
+    here when not given); its logs are the graph's unless a read is bad.
 
     Both sides visit the committed transactions in topological order.  A
     row starts as its session predecessor's row, advanced to that
@@ -477,7 +562,9 @@ def compute_happens_before_compiled(ch: CompiledHistory, bad_ops: Set[int]):
     ``w`` and its whole past are in it already.  That skip also drops a
     writer read twice, and on many-session histories it drops most joins.
     """
-    so_log, wr_log, wr_keys = _causality_edges_compiled(ch, bad_ops)
+    if relation is None:
+        relation = _relation_from_compiled(ch)
+    so_log, wr_log, wr_keys = _causality_edges_compiled(ch, bad_ops, relation)
     graph = freeze_packed(ch.num_transactions, (so_log, wr_log))
     order = toposort_frozen(graph)
     if order is None:
@@ -600,15 +687,16 @@ def cc_cycles(
     A cycle in ``so ∪ wr`` itself ends the check with causality-cycle
     violations (and no stats).  Otherwise the saturated ``co'`` is searched
     for cycles, and the stats name the saturation kernel that ran.  Laps
-    ``happens_before``, then ``saturation`` and ``cycle_check``.  Loads
-    numpy first, so the CC kernels run their numpy sides for every caller.
+    ``happens_before`` (which includes building ``so ∪ wr``, shared with
+    saturation), then ``saturation`` and ``cycle_check``.  Loads numpy
+    first, so the CC kernels run their numpy sides for every caller.
     """
     load_numpy()
-    hb, cycle_violations = compute_happens_before_compiled(ch, bad_ops)
+    relation = _relation_from_compiled(ch)
+    hb, cycle_violations = compute_happens_before_compiled(ch, bad_ops, relation)
     watch.lap("happens_before")
     if hb is None:
         return cycle_violations, {}
-    relation = _relation_from_compiled(ch)
     kernel = saturate_cc_compiled(ch, relation, hb, bad_ops)
     # The clocks are dead once the co log holds every attempt; the cycle
     # search should not carry them.

@@ -12,16 +12,21 @@ witness-reporting strategies described in the paper:
 * :func:`rank_witnesses` -- order cycle witnesses so those with the fewest
   inferred (non-``so ∪ wr``) edges come first, which the paper argues exposes
   the "weakest and thus most serious" anomalies.
+
+The CLI imports :func:`format_report` before it checks anything, so this
+module imports the violation types inside the functions that build or
+inspect them; by then the check has loaded them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
-from repro.core.commit import CommitRelation
-from repro.core.violations import CycleEdge, CycleViolation, Violation, ViolationKind
-from repro.graph.digraph import DiGraph
+if TYPE_CHECKING:
+    from repro.core.commit import CommitRelation
+    from repro.core.violations import CycleViolation, Violation, ViolationKind
+    from repro.graph.digraph import DiGraph
 
 __all__ = ["summarize", "shortest_cycle_through", "rank_witnesses", "format_report"]
 
@@ -68,6 +73,8 @@ def minimize_cycle_witness(
     relation: CommitRelation, witness: CycleViolation
 ) -> CycleViolation:
     """Replace a cycle witness by the shortest cycle through one of its transactions."""
+    from repro.core.violations import CycleEdge, CycleViolation, ViolationKind
+
     if not witness.edges:
         return witness
     members = set(witness.transactions)
@@ -98,6 +105,7 @@ def minimize_cycle_witness(
 
 def rank_witnesses(violations: Sequence[Violation]) -> List[Violation]:
     """Order violations: read-level anomalies first, then cycles by inferred-edge count."""
+    from repro.core.violations import CycleViolation
 
     def sort_key(violation: Violation):
         if isinstance(violation, CycleViolation):

@@ -25,19 +25,26 @@ object :class:`~repro.core.model.History`, and both number sessions by
 engines, the baselines and ``awdit convert`` all read one history, or refuse
 one file with one message.  :func:`load_history` / :func:`save_history`
 dispatch on a format name or on the file extension.
+
+Importing this package loads no format module and no part of the IR or the
+object model: :data:`FORMATS` holds module *names*, so the CLI's parser can
+list the formats for free.  A load or save imports the one format module it
+reads or writes, and :func:`load_compiled` / :func:`load_history` import
+the builder or the model when they are called.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.core.compiled import CompiledHistory, CompiledHistoryBuilder
-from repro.core.compiled.ir import session_order
 from repro.core.exceptions import ParseError, UsageError
-from repro.core.model import History, Transaction
-from repro.histories.formats import cobra, dbcop, native, plume_text
-from repro.histories.formats._raw import RecordBatch, transaction_from_raw
+
+if TYPE_CHECKING:
+    from repro.core.compiled.ir import CompiledHistory
+    from repro.core.model import History, Transaction
+    from repro.histories.formats._raw import RecordBatch
 
 __all__ = [
     "load_history",
@@ -49,12 +56,14 @@ __all__ = [
     "detect_format",
 ]
 
-FORMATS: Dict[str, object] = {
-    "native": native,
-    "json": native,
-    "plume": plume_text,
-    "dbcop": dbcop,
-    "cobra": cobra,
+#: Format name -> the submodule that reads and writes it, imported by the
+#: first load or save in that format.
+FORMATS: Dict[str, str] = {
+    "native": "native",
+    "json": "native",
+    "plume": "plume_text",
+    "dbcop": "dbcop",
+    "cobra": "cobra",
 }
 
 _EXTENSIONS = {
@@ -79,7 +88,7 @@ def _module_for(fmt: Optional[str], path: str):
     name = fmt or detect_format(path)
     if name not in FORMATS:
         raise UsageError(f"unknown history format {name!r}; known: {sorted(FORMATS)}")
-    return FORMATS[name]
+    return importlib.import_module(f"{__name__}.{FORMATS[name]}")
 
 
 def _decode_error(path: str, exc: UnicodeDecodeError) -> ParseError:
@@ -100,6 +109,10 @@ def load_history(
     :func:`~repro.core.compiled.ir.session_order` rule, so both loaders
     read one history and refuse one file with one message.
     """
+    from repro.core.compiled.ir import session_order
+    from repro.core.model import History
+    from repro.histories.formats._raw import transaction_from_raw
+
     sessions: Dict[object, List[Transaction]] = {}
     for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
         for session, raw in batch.iter_records():
@@ -174,6 +187,8 @@ def load_compiled(
     pull and the builder's ``add_batch`` -- no materialization needed.
     ``batch_ops`` tunes the operations per batch (``--batch-ops``).
     """
+    from repro.core.compiled.ir import CompiledHistoryBuilder
+
     builder = CompiledHistoryBuilder()
     if timings is None:
         for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):

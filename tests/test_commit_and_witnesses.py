@@ -38,6 +38,14 @@ class TestCommitRelation:
         assert relation.edge_label(1, 0) == ("co", "x")
         assert relation.num_inferred_edges == 1
 
+    def test_a_label_looked_up_before_an_append_follows_it(self):
+        relation = CommitRelation(simple_history())
+        assert relation.edge_label(1, 0) is None
+        assert relation.witness_label(1, 0) is None
+        relation.add_inferred(1, 0, key="x")
+        assert relation.edge_label(1, 0) == ("co", "x")
+        assert relation.witness_label(1, 0) == ("co", "x")
+
     def test_duplicate_inferred_edges_ignored(self):
         relation = CommitRelation(simple_history())
         relation.add_inferred(1, 0, key="x")

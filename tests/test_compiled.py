@@ -6,6 +6,8 @@ inferred-edge counts -- at all three isolation levels, on arbitrary histories
 including injected anomalies.  Hypothesis enforces it below.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,17 @@ from repro.core.compiled import (
     check_compiled,
     compile_history,
 )
+from repro.core.compiled.checkers import (
+    _relation_from_compiled,
+    check_read_consistency_compiled,
+    compute_happens_before_compiled,
+)
+from repro.core.compiled.kernels import (
+    saturate_cc_compiled,
+    saturate_ra_compiled,
+    saturate_rc_compiled,
+)
+from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_compiled, load_history, save_history
 from repro.histories.generator import (
@@ -271,3 +284,80 @@ class TestHypothesisParity:
             assert [v.describe() for v in a.violations] == [
                 v.describe() for v in b.violations
             ], level
+
+
+def _saturated_relation(ch, level):
+    """The compiled check's saturated relation at ``level``, or ``None`` at a
+    CC check whose ``so ∪ wr`` is cyclic (it saturates nothing)."""
+    bad_ops = check_read_consistency_compiled(ch).bad_ops
+    relation = _relation_from_compiled(ch)
+    if level is IsolationLevel.READ_COMMITTED:
+        saturate_rc_compiled(ch, relation, bad_ops)
+    elif level is IsolationLevel.READ_ATOMIC:
+        saturate_ra_compiled(ch, relation, bad_ops)
+    else:
+        hb, _ = compute_happens_before_compiled(ch, bad_ops, relation)
+        if hb is None:
+            return None
+        saturate_cc_compiled(ch, relation, hb, bad_ops)
+    return relation
+
+
+def _replayed_labels(relation):
+    """Every edge's primary and witness label, by replaying the whole logs.
+
+    The reference for the relation's targeted lookups: first occurrence
+    wins in ``so``, ``wr``, ``co`` order, and a keyed ``wr`` label is
+    preferred over a bare ``so`` one in a witness.
+    """
+    primary, keyed = {}, {}
+    for edge in relation._so_log:
+        primary.setdefault(edge, ("so", None))
+    for edge, key in zip(relation._wr_log, relation._wr_keys):
+        name = relation._decode_key(key)
+        primary.setdefault(edge, ("wr", name))
+        if name is not None:
+            keyed.setdefault(edge, ("wr", name))
+    for edge, key in zip(relation._co_log, relation._co_keys):
+        primary.setdefault(edge, ("co", relation._decode_key(key)))
+    witness = {
+        edge: keyed.get(edge, label) if label == ("so", None) else label
+        for edge, label in primary.items()
+    }
+    return primary, witness
+
+
+class TestTargetedLabels:
+    """Labels looked up for a witness's edges alone equal the whole-log replay."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        config=history_configs,
+        kind=st.sampled_from(INJECTABLE_ANOMALIES),
+        anomaly_seed=st.integers(0, 1000),
+        level=st.sampled_from(LEVELS),
+    )
+    def test_targeted_labels_equal_the_full_replay(self, config, kind, anomaly_seed, level):
+        history = generate_random_history(config)
+        try:
+            history = inject_anomaly(history, kind, rng=random.Random(anomaly_seed))
+        except ValueError:
+            pass  # some anomalies need a minimum history shape
+        ch = compile_history(history)
+        relation = _saturated_relation(ch, level)
+        if relation is None:
+            return
+        primary, witness = _replayed_labels(relation)
+        for violation in relation.find_cycles():
+            for edge in violation.edges:
+                packed = (edge.source << EDGE_SHIFT) | edge.target
+                assert (edge.reason, edge.key) == witness[packed]
+        fresh = _saturated_relation(ch, level)
+        for packed in primary:
+            source, target = packed >> EDGE_SHIFT, packed & EDGE_MASK
+            assert fresh.edge_label(source, target) == primary[packed]
+            assert fresh.witness_label(source, target) == witness[packed]
+            if (target << EDGE_SHIFT) | source not in primary:
+                assert fresh.edge_label(target, source) is None

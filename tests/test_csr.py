@@ -241,20 +241,23 @@ class TestFreezeIsTheSingleDedupPoint:
 
 
 class TestLazyLabels:
-    """Labels replay from the retained logs only when a witness needs them."""
+    """Labels replay from the retained logs only for the edges a witness renders."""
 
     def test_no_label_tables_materialize_on_consistent_history(self):
         t1 = Transaction([write("x", 1)], label="t1")
         t2 = Transaction([read("x", 1)], label="t2")
         relation = CommitRelation(History.from_sessions([[t1], [t2]]))
         assert relation.find_cycles() == []
-        assert relation._labels is None  # the happy path never built them
+        assert relation._labels == {}  # the happy path never built one
 
     def test_labels_materialize_for_witnesses_and_stay_correct(self):
         relation = CommitRelation(_cyclic_history())
         cycles = relation.find_cycles()
         assert len(cycles) == 1
-        assert relation._labels is not None
+        # Exactly the witness's edges were labelled, nothing else.
+        assert set(relation._labels) == {
+            (edge.source << EDGE_SHIFT) | edge.target for edge in cycles[0].edges
+        }
         assert relation.edge_label(0, 1) == ("wr", "y") or relation.edge_label(
             0, 1
         ) == ("wr", "x")

@@ -1,17 +1,26 @@
 """What an ``awdit`` process imports, probed from a fresh interpreter.
 
+Every ``awdit`` process compiles the ``repro`` modules it imports (without
+bytecode caches, from source), so ``import repro.cli`` loads only what the
+parser needs, and each command imports its own machinery when it runs: a
+compiled check loads neither the object engine nor another format's parser.
 Only a CC check gains more from numpy than numpy's import costs, so
 :mod:`repro.graph.csr` imports it lazily and only a CC check loads it; the
 packages resolve their re-exports on first access, so the CLI loads no
 baseline checker, no history generator and, in batch mode, not the
 streaming checker.  Each probe runs ``repro.cli.main`` in a new interpreter and
 prints ``sys.modules`` afterwards, since the test process itself has long
-since imported everything.
+since imported everything.  For the same reason a missing lazy import would
+fail only in a fresh process, on its own command's path, so every command
+whose machinery is imported lazily runs once in a fresh interpreter and
+must print what it prints in this one.
 
 A numpy that is installed but does not import must not break a CC check:
 the check finishes on the pure-Python sides with the same output.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -21,6 +30,7 @@ from textwrap import dedent
 
 import pytest
 
+from repro import cli
 from repro.graph import csr
 from repro.histories.formats import save_history
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
@@ -90,6 +100,100 @@ def history_path(tmp_path_factory):
 def test_bare_import_loads_no_engine():
     loaded = _probe([])["modules"]
     assert _unwanted(loaded, batch=True) == []
+
+
+#: Everything ``import repro.cli`` loads of ``repro``: the packages on the
+#: way, the isolation levels, the format and baseline names, and the thin
+#: ``check`` / ``format_report`` modules.
+CLI_IMPORT = [
+    "repro",
+    "repro._lazy",
+    "repro.baselines",
+    "repro.cli",
+    "repro.core",
+    "repro.core.checker",
+    "repro.core.exceptions",
+    "repro.core.isolation",
+    "repro.core.witnesses",
+    "repro.histories",
+    "repro.histories.formats",
+]
+
+#: Modules a compiled check of a plume file never runs: the object engine,
+#: the vector clock only it and the baselines use, and the other formats'
+#: parsers.
+NOT_IN_A_COMPILED_PLUME_CHECK = [
+    "repro.core.rc",
+    "repro.core.ra",
+    "repro.core.cc",
+    "repro.core.read_consistency",
+    "repro.graph.vector_clock",
+    "repro.histories.formats.cobra",
+    "repro.histories.formats.dbcop",
+    "repro.histories.formats.native",
+    "repro.histories.formats._jsonstream",
+]
+
+
+def test_cli_import_loads_only_what_the_parser_needs():
+    loaded = _probe([])["modules"]
+    ours = [name for name in loaded if name == "repro" or name.startswith("repro.")]
+    assert ours == CLI_IMPORT
+
+
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+@pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+def test_compiled_check_loads_no_object_engine_or_other_format(history_path, level, mode):
+    argv = ["check", history_path, "-i", level]
+    if mode == "stream":
+        argv.append("--stream")
+    out = _probe(argv)
+    assert out["code"] in (0, 1)
+    assert [name for name in NOT_IN_A_COMPILED_PLUME_CHECK if name in out["modules"]] == []
+
+
+#: Commands whose machinery ``repro.cli`` imports when they run, other than
+#: the compiled check the tests above run: ``{h}`` is the plume history and
+#: ``{out}`` a directory for written files.
+LAZY_COMMANDS = {
+    **{
+        f"check-object-{level}": ["check", "{h}", "-i", level, "--engine", "object"]
+        for level in ("rc", "ra", "cc")
+    },
+    "check-naive": ["check", "{h}", "--checker", "naive"],
+    "check-plume": ["check", "{h}", "--checker", "plume"],
+    **{
+        f"convert-{fmt}": ["convert", "{h}", "{out}/h." + fmt]
+        for fmt in ("json", "plume", "dbcop", "cobra")
+    },
+    "stats": ["stats", "{h}"],
+    "generate-cobra": [
+        "generate", "{out}/g.cobra", "-f", "cobra",
+        "--sessions", "3", "--transactions", "30", "--seed", "5",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_COMMANDS))
+def test_lazy_command_runs_the_same_in_a_fresh_interpreter(history_path, tmp_path, name):
+    # Both runs take the pure-Python sides: ``stats`` prints the arrays'
+    # allocated size, which depends on whether numpy built them.
+    argv = [arg.format(h=history_path, out=tmp_path) for arg in LAZY_COMMANDS[name]]
+    written = argv[-1] if argv[0] == "convert" else argv[1] if argv[0] == "generate" else None
+    stdout = io.StringIO()
+    with csr.numpy_disabled(), contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    want = written and open(written, "rb").read()
+    env = _env([])
+    env["AWDIT_NO_NUMPY"] = "1"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert "Traceback" not in fresh.stderr, fresh.stderr
+    assert fresh.returncode == code, fresh.stderr
+    assert _without_elapsed(fresh.stdout) == _without_elapsed(stdout.getvalue())
+    if written:
+        assert open(written, "rb").read() == want
 
 
 @pytest.mark.parametrize("mode", ["batch", "stream"])

@@ -55,6 +55,7 @@ from repro.core.commit import CommitRelation
 from repro.core.compiled import compile_history
 from repro.core.compiled import kernels
 from repro.core.compiled.checkers import (
+    _causality_edges_compiled,
     _relation_from_compiled,
     check_read_consistency_compiled,
     compute_happens_before_compiled,
@@ -460,6 +461,22 @@ class TestHappensBeforeClocks:
             1,
         ),
     }
+
+    def test_graph_shares_the_relations_logs_unless_a_read_is_bad(self):
+        # t1 reads x = 1, a non-final write of t0: a bad read.  Saturation's
+        # relation keeps its wr edge; happens-before's graph must not.
+        t0 = Transaction([write("x", 1), write("x", 2)])
+        t1 = Transaction([read("x", 1)])
+        ch = compile_history(History.from_sessions([[t0], [t1]]))
+        report = check_read_consistency_compiled(ch)
+        assert report.bad_ops
+        relation = _relation_from_compiled(ch)
+        so_log, wr_log, wr_keys = _causality_edges_compiled(ch, report.bad_ops, relation)
+        assert so_log is relation._so_log
+        assert list(wr_log) == [] and list(wr_keys) == []
+        assert list(relation._wr_log) == [(0 << EDGE_SHIFT) | 1]
+        shared = _causality_edges_compiled(ch, set(), relation)
+        assert shared == (relation._so_log, relation._wr_log, relation._wr_keys)
 
     @pytest.mark.parametrize("case", sorted(COVERED))
     def test_covered_writers_are_skipped(self, case, monkeypatch):
