@@ -40,7 +40,7 @@ import time
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
-from repro.core.compiled.checkers import check_cc_compiled
+from repro.core.compiled.cc import check_cc_compiled
 from repro.core.compiled.ir import compile_history
 from repro.core.compiled.online import check_stream_file
 from repro.graph import csr

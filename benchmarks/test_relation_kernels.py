@@ -30,12 +30,14 @@ import pytest
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel, check
-from repro.core.compiled.checkers import (
-    _relation_from_compiled,
+from repro.core.compiled.cc import (
     check_cc_compiled,
-    check_read_consistency_compiled,
     compute_happens_before_compiled,
     saturate_cc_compiled,
+)
+from repro.core.compiled.checkers import (
+    _relation_from_compiled,
+    check_read_consistency_compiled,
 )
 from repro.core.compiled.ir import compile_history
 from repro.core.compiled.online import check_stream_file

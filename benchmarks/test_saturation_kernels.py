@@ -45,12 +45,14 @@ import pytest
 from _calibration import calibration_seconds
 
 from repro.core import IsolationLevel
-from repro.core.compiled import kernels
+from repro.core.compiled.cc import (
+    check_cc_compiled,
+    compute_happens_before_compiled,
+    saturate_cc_compiled,
+)
 from repro.core.compiled.checkers import (
     _relation_from_compiled,
-    check_cc_compiled,
     check_read_consistency_compiled,
-    compute_happens_before_compiled,
 )
 from repro.core.compiled.ir import compile_history
 from repro.core.compiled.online import check_stream_file
@@ -156,7 +158,7 @@ def test_bench7_snapshot(tmp_path, results):
 
     def _saturate(side="vectorized"):
         relation = _relation_from_compiled(ch)
-        assert kernels.saturate_cc_compiled(ch, relation, hb, report.bad_ops) == side
+        assert saturate_cc_compiled(ch, relation, hb, report.bad_ops) == side
         return relation
 
     def _saturate_fallback():

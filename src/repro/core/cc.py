@@ -18,7 +18,7 @@ an edge changes neither the relation's transitive closure nor its
 acyclicity, just as the so-predecessors of the hb-latest writer need no
 edge of their own.  The test is one clock lookup, ``hb[t1][session(t2)] >=
 session_index(t2)``, so the ``O(n · k)`` bound holds.  The compiled kernels
-(``repro.core.compiled.kernels``) apply the same rule in the same emission
+(``repro.core.compiled.cc``) apply the same rule in the same emission
 order; the definitional checker ``repro.baselines.naive`` keeps every edge.
 """
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.commit import CommitRelation
-from repro.core.compiled.checkers import causality_cycles, causality_labels
 from repro.core.isolation import IsolationLevel
 from repro.core.model import History, OpRef
 from repro.core.read_consistency import ReadConsistencyReport, check_read_consistency
@@ -50,7 +49,7 @@ def _causality_graph(history: History, bad_reads: Set[OpRef]):
     Returns ``(frozen_graph, so_log, wr_log, wr_keys)``: the packed edge
     logs feed the frozen CSR snapshot, and the parallel wr key row labels
     causality-cycle witnesses (built lazily via
-    :func:`~repro.core.compiled.checkers.causality_labels`, only when a cycle
+    :func:`~repro.core.compiled.cc.causality_labels`, only when a cycle
     exists).  Duplicate observations append duplicate log
     entries; the freeze collapses them.
     """
@@ -88,6 +87,9 @@ def compute_happens_before(
     graph, so_log, wr_log, wr_keys = _causality_graph(history, bad)
     order = toposort_frozen(graph)
     if order is None:
+        # The witnesses are the compiled engine's, from the same frozen rows.
+        from repro.core.compiled.cc import causality_cycles, causality_labels
+
         names = [txn.name for txn in history.transactions]
         return None, causality_cycles(
             names, graph, causality_labels(so_log, wr_log, wr_keys)

@@ -26,9 +26,8 @@ On-disk histories can also stream through
 engine on it.
 
 Importing this module loads neither engine: :func:`check` imports the
-compiled checkers when it is called, and the object engine only on its
-``engine="object"`` branch, so a compiled check never compiles the object
-checkers.
+compiled checkers on its compiled branches and the object engine only on
+its ``engine="object"`` branch, so each check compiles one engine.
 """
 
 from __future__ import annotations
@@ -82,10 +81,10 @@ def check(
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    from repro.core.compiled.checkers import check_compiled
     from repro.core.compiled.ir import CompiledHistory
 
-    if isinstance(history, CompiledHistory):
+    compiled = isinstance(history, CompiledHistory)
+    if compiled:
         if engine == "object":
             raise ValueError("a CompiledHistory requires a compiled-IR engine")
         if read_consistency is not None:
@@ -93,19 +92,15 @@ def check(
                 "read_consistency reports belong to the object engine; "
                 "compiled checkers share a CompiledReadReport instead"
             )
-        return check_compiled(
-            history,
-            level,
-            max_witnesses=max_witnesses,
-            use_single_session_fast_path=use_single_session_fast_path,
-        )
-    if read_consistency is not None and engine == "compiled":
+    elif read_consistency is not None and engine == "compiled":
         raise ValueError(
             "read_consistency reports belong to the object engine; pass "
             "engine='object' (or 'auto') to reuse one, or let the compiled "
             "engine share a CompiledReadReport via check_all_levels"
         )
-    if engine != "object" and read_consistency is None:
+    if compiled or (engine != "object" and read_consistency is None):
+        from repro.core.compiled.checkers import check_compiled
+
         return check_compiled(
             history,
             level,

@@ -48,10 +48,8 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.model import History
-from repro.core.violations import CycleEdge, CycleViolation, ViolationKind
 from repro.graph.csr import (
     FrozenGraph,
     distinct_edge_count,
@@ -61,6 +59,10 @@ from repro.graph.csr import (
     toposort_frozen,
 )
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, MAX_PACKED_EDGE, pack_edge
+
+if TYPE_CHECKING:
+    from repro.core.model import History
+    from repro.core.violations import CycleViolation
 
 __all__ = ["CommitRelation"]
 
@@ -383,6 +385,8 @@ class CommitRelation:
         return all(len(c) == 1 for c in scc_frozen(self.freeze()))
 
     def _cycle_to_violation(self, cycle: List[int]) -> CycleViolation:
+        from repro.core.violations import CycleEdge, CycleViolation, ViolationKind
+
         edges: List[CycleEdge] = []
         for i, source in enumerate(cycle):
             target = cycle[(i + 1) % len(cycle)]

@@ -11,29 +11,29 @@ Public surface:
   checkers on the IR, byte-identical to the object path.
 * :class:`CompiledIncrementalChecker` -- the compiled *streaming* front end
   (:mod:`repro.core.compiled.online`): the builder fed record batch by
-  record batch, then these checkers at finalize.  Its names are imported
-  on first access (PEP 562), so a batch check never loads it.
+  record batch, then these checkers at finalize.
 * :class:`Intern` -- the dense interning table.
+
+Every name is imported on first access (PEP 562), so importing a submodule
+loads only what it imports: ``load_history`` reads
+:func:`~repro.core.compiled.ir.session_order` without compiling the
+checkers, and a batch check never loads the streaming checker.
 """
 
-from repro.core.compiled.checkers import (
-    CompiledReadReport,
-    check_all_levels_compiled,
-    check_compiled,
-    check_read_consistency_compiled,
-)
-from repro.core.compiled.ir import (
-    CompiledHistory,
-    CompiledHistoryBuilder,
-    Intern,
-    compile_history,
-)
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        "CompiledHistory": "repro.core.compiled.ir",
+        "CompiledHistoryBuilder": "repro.core.compiled.ir",
         "CompiledIncrementalChecker": "repro.core.compiled.online",
+        "CompiledReadReport": "repro.core.compiled.checkers",
+        "Intern": "repro.core.compiled.ir",
+        "check_all_levels_compiled": "repro.core.compiled.checkers",
+        "check_compiled": "repro.core.compiled.checkers",
+        "check_read_consistency_compiled": "repro.core.compiled.checkers",
+        "compile_history": "repro.core.compiled.ir",
     },
 )
 

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import HistoryFormatError
-from repro.core.model import History, OpKind
+
+if TYPE_CHECKING:
+    from repro.core.model import History
 
 __all__ = [
     "Intern",
@@ -52,6 +54,9 @@ __all__ = [
 #: identity.  4.3e9 distinct values per history is far beyond the in-memory
 #: regime of the tester.
 _VALUE_SHIFT = 32
+
+#: Bytes per list slot (a pointer, on the 64-bit builds the tester targets).
+_POINTER_BYTES = 8
 
 
 class Intern:
@@ -280,28 +285,37 @@ class CompiledHistory:
     # -- memory accounting -------------------------------------------------------
 
     def memory_footprint(self) -> Dict[str, int]:
-        """Estimated resident bytes per component of the IR."""
-        def _arr(a) -> int:
-            return sys.getsizeof(a)
+        """Estimated resident bytes per component of the IR.
+
+        A column counts the bytes its elements use (one pointer per element
+        of a list), not its allocated capacity: capacity depends on how the
+        column grew, and the numpy and pure-Python sides of unique-writes
+        resolution grow ``op_wr`` differently, so one history would report
+        two footprints.
+        """
+        def _used(column) -> int:
+            if isinstance(column, list):
+                return _POINTER_BYTES * len(column)
+            return memoryview(column).nbytes
 
         arrays = (
-            _arr(self.op_kind)
-            + _arr(self.op_key)
-            + _arr(self.op_value)
-            + _arr(self.op_txn)
-            + _arr(self.op_wr)
-            + _arr(self.op_final)
-            + _arr(self.txn_start)
-            + _arr(self.txn_session)
-            + _arr(self.txn_session_index)
-            + _arr(self.txn_committed)
-            + _arr(self._kw_start)
-            + _arr(self._kw_key)
-            + _arr(self._xr_start)
-            + _arr(self._xr_po)
-            + _arr(self._xr_key)
-            + _arr(self._xr_writer)
-            + sum(_arr(s) for s in self.sessions)
+            _used(self.op_kind)
+            + _used(self.op_key)
+            + _used(self.op_value)
+            + _used(self.op_txn)
+            + _used(self.op_wr)
+            + _used(self.op_final)
+            + _used(self.txn_start)
+            + _used(self.txn_session)
+            + _used(self.txn_session_index)
+            + _used(self.txn_committed)
+            + _used(self._kw_start)
+            + _used(self._kw_key)
+            + _used(self._xr_start)
+            + _used(self._xr_po)
+            + _used(self._xr_key)
+            + _used(self._xr_writer)
+            + sum(_used(s) for s in self.sessions)
         )
         interns = (
             self.key_table.memory_bytes()
@@ -373,6 +387,8 @@ def compile_history(history: History) -> CompiledHistory:
     have been inferred or supplied explicitly), so the compiled checkers see
     exactly the same ``wr`` as the object-path checkers.
     """
+    from repro.core.model import OpKind
+
     ch = CompiledHistory()
     intern_key = ch.key_table.intern
     intern_value = ch.value_table.intern

@@ -21,15 +21,18 @@ finalize.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiled.checkers import check_compiled, check_read_consistency_compiled
 from repro.core.compiled.ir import CompiledHistoryBuilder
 from repro.core.isolation import IsolationLevel
-from repro.core.result import CheckResult, Stopwatch
-from repro.core.violations import Violation
+from repro.core.result import Stopwatch
 from repro.graph.csr import load_numpy
-from repro.histories.formats._raw import RecordBatch
+
+if TYPE_CHECKING:
+    from repro.core.result import CheckResult
+    from repro.core.violations import Violation
+    from repro.histories.formats._raw import RecordBatch
 
 __all__ = ["CompiledIncrementalChecker", "check_stream_file"]
 

@@ -9,27 +9,65 @@ history size).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.isolation import IsolationLevel
-from repro.core.violations import Violation, ViolationKind
+if TYPE_CHECKING:
+    from repro.core.isolation import IsolationLevel
+    from repro.core.violations import Violation, ViolationKind
 
 __all__ = ["CheckResult", "Stopwatch"]
 
+#: The fields of a :class:`CheckResult`, in constructor order.
+_FIELDS = (
+    "level",
+    "violations",
+    "checker",
+    "elapsed_seconds",
+    "num_operations",
+    "num_transactions",
+    "num_sessions",
+    "stats",
+)
 
-@dataclass
+
 class CheckResult:
-    """The outcome of checking one history against one isolation level."""
+    """The outcome of checking one history against one isolation level.
 
-    level: IsolationLevel
-    violations: List[Violation] = field(default_factory=list)
-    checker: str = "awdit"
-    elapsed_seconds: float = 0.0
-    num_operations: int = 0
-    num_transactions: int = 0
-    num_sessions: int = 0
-    stats: Dict[str, float] = field(default_factory=dict)
+    A plain class with a dataclass's constructor, equality and ``repr``:
+    every check returns one, and a dataclass would import :mod:`dataclasses`
+    (and :mod:`inspect` with it) into every ``awdit check`` process.
+    """
+
+    def __init__(
+        self,
+        level: IsolationLevel,
+        violations: Optional[List[Violation]] = None,
+        checker: str = "awdit",
+        elapsed_seconds: float = 0.0,
+        num_operations: int = 0,
+        num_transactions: int = 0,
+        num_sessions: int = 0,
+        stats: Optional[Dict[str, float]] = None,
+    ) -> None:
+        self.level = level
+        self.violations: List[Violation] = [] if violations is None else violations
+        self.checker = checker
+        self.elapsed_seconds = elapsed_seconds
+        self.num_operations = num_operations
+        self.num_transactions = num_transactions
+        self.num_sessions = num_sessions
+        self.stats: Dict[str, float] = {} if stats is None else stats
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def is_consistent(self) -> bool:

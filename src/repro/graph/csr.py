@@ -18,8 +18,9 @@ it: a CC check does, before it reads the history (the CLI, the streaming
 checker built for CC, and ``cc_cycles``/CC saturation for library callers),
 because CC saturation is the one kernel where numpy wins more than its
 import costs.  RC and RA never load numpy.  Every numpy side -- the freeze,
-distinct count and toposort here, and the kernels of
-:mod:`repro.core.compiled.kernels` -- reads ``_np`` from this module at call
+distinct count and toposort here, unique-writes resolution in
+:mod:`repro.core.compiled.kernels` and CC's kernels in
+:mod:`repro.core.compiled.cc` -- reads ``_np`` from this module at call
 time, so it runs only once numpy is loaded (and, in the kernels, when its
 input clears ``_MIN_VECTOR_READS``).  Otherwise a pure-Python fallback
 produces bit-identical structures, so a process without numpy loses only

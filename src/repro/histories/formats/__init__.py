@@ -111,12 +111,12 @@ def load_history(
     """
     from repro.core.compiled.ir import session_order
     from repro.core.model import History
-    from repro.histories.formats._raw import transaction_from_raw
+    from repro.histories.formats._raw import batch_transactions
 
     sessions: Dict[object, List[Transaction]] = {}
     for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-        for session, raw in batch.iter_records():
-            sessions.setdefault(session, []).append(transaction_from_raw(raw))
+        for session, txn in batch_transactions(batch):
+            sessions.setdefault(session, []).append(txn)
     order = session_order(sessions, session_gaps(path, fmt))
     return History.from_sessions([sessions.get(session, []) for session in order])
 

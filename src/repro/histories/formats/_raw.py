@@ -2,12 +2,12 @@
 
 Every format's ``stream_batches`` parser -- the only parser each format has
 -- yields :class:`RecordBatch` containers: flat parallel columns (operation
-kinds, keys, values; per-record session ids, labels, committed flags,
-source lines) covering up to ``batch_ops`` operations each.  The batches
+kinds, keys, values; per-record session ids, labels, committed flags)
+covering up to ``batch_ops`` operations each.  The batches
 feed both assemblers: :meth:`repro.core.compiled.ir.CompiledHistoryBuilder.add_batch`
 bulk-interns whole columns into the compiled IR (``load_compiled``, ``awdit
 check`` and ``--stream``), and ``load_history`` turns each record into a
-:class:`~repro.core.model.Transaction` with :func:`transaction_from_raw`
+:class:`~repro.core.model.Transaction` with :func:`batch_transactions`
 (the object engine, the baselines and ``awdit convert``).
 
 :meth:`RecordBatch.iter_records` gives the per-record view: ``(session_id,
@@ -18,16 +18,17 @@ committed, ops)`` with plain ``(is_write, key, value)`` operation tuples).
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.core.model import Operation, OpKind, Transaction
+if TYPE_CHECKING:
+    from repro.core.model import Transaction
 
 __all__ = [
     "DEFAULT_BATCH_OPS",
     "RawOps",
     "RawTransaction",
     "RecordBatch",
-    "transaction_from_raw",
+    "batch_transactions",
 ]
 
 #: ``(is_write, key, value)`` per operation, in program order.
@@ -46,12 +47,10 @@ class RecordBatch:
     """A columnar slice of parsed history records.
 
     Operations live in three parallel columns (``kinds``/``keys``/``values``,
-    one entry per op, file order); records live in five parallel columns
-    (``txn_session``/``txn_labels``/``txn_committed``/``txn_line``/
-    ``txn_end``).  Record ``t`` owns the operation rows
-    ``txn_end[t-1]:txn_end[t]`` (``txn_end`` is cumulative, ``txn_end[-1]``
-    is the total op count).  ``txn_line`` records each record's source line
-    (0 when the producer has no line numbers).
+    one entry per op, file order); records live in four parallel columns
+    (``txn_session``/``txn_labels``/``txn_committed``/``txn_end``).  Record
+    ``t`` owns the operation rows ``txn_end[t-1]:txn_end[t]`` (``txn_end``
+    is cumulative, ``txn_end[-1]`` is the total op count).
     """
 
     __slots__ = (
@@ -62,7 +61,6 @@ class RecordBatch:
         "txn_session",
         "txn_labels",
         "txn_committed",
-        "txn_line",
     )
 
     def __init__(self) -> None:
@@ -73,7 +71,6 @@ class RecordBatch:
         self.txn_session: List[object] = []
         self.txn_labels: List[Optional[str]] = []
         self.txn_committed = bytearray()
-        self.txn_line = array("q")
 
     @property
     def num_records(self) -> int:
@@ -94,7 +91,6 @@ class RecordBatch:
         label: Optional[str],
         committed: bool,
         ops: RawOps,
-        line: int = 0,
     ) -> None:
         """Append one raw record (the tuple-shaped producer surface)."""
         kinds = self.kinds
@@ -107,7 +103,6 @@ class RecordBatch:
         self.txn_session.append(session)
         self.txn_labels.append(label)
         self.txn_committed.append(1 if committed else 0)
-        self.txn_line.append(line)
         self.txn_end.append(len(kinds))
 
     def full(self, batch_ops: int) -> bool:
@@ -142,14 +137,20 @@ class RecordBatch:
             lo = hi
 
 
-def transaction_from_raw(raw: RawTransaction) -> Transaction:
-    """Materialize a :class:`Transaction` from a raw record."""
-    label, committed, ops = raw
-    return Transaction(
-        [
-            Operation(OpKind.WRITE if is_write else OpKind.READ, key, value)
-            for is_write, key, value in ops
-        ],
-        committed=committed,
-        label=label,
-    )
+def batch_transactions(batch: RecordBatch) -> Iterator[Tuple[object, Transaction]]:
+    """``(session, Transaction)`` per record of ``batch``, in file order.
+
+    The object model is imported here, once per batch: the compiled check
+    reads the same batches and never loads it.
+    """
+    from repro.core.model import Operation, OpKind, Transaction
+
+    for session, (label, committed, ops) in batch.iter_records():
+        yield session, Transaction(
+            [
+                Operation(OpKind.WRITE if is_write else OpKind.READ, key, value)
+                for is_write, key, value in ops
+            ],
+            committed=committed,
+            label=label,
+        )

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RawOps, RecordBatch
+
+if TYPE_CHECKING:
+    from repro.core.model import History
 
 __all__ = ["dumps", "stream_batches"]
 
@@ -89,7 +91,6 @@ def stream_batches(
     if batch_ops < 1:
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
     current: Optional[Tuple[int, int]] = None
-    current_line = 0
     ops: RawOps = []
     committed = True
     before_first_row = True
@@ -106,7 +107,7 @@ def stream_batches(
         ident = (sid, txn_index)
         if ident != current:
             if current is not None:
-                batch.add_record(current[0], None, committed, ops, line=current_line)
+                batch.add_record(current[0], None, committed, ops)
                 if batch.full(batch_ops):
                     yield batch
                     batch = RecordBatch()
@@ -126,7 +127,6 @@ def stream_batches(
                 )
             last_index[sid] = txn_index
             current = ident
-            current_line = line_number
             ops = []
             committed = is_committed
         elif committed != is_committed:
@@ -136,7 +136,7 @@ def stream_batches(
         ops.append((is_write, key, value))
     if current is None:
         raise ParseError("history file contains no transactions")
-    batch.add_record(current[0], None, committed, ops, line=current_line)
+    batch.add_record(current[0], None, committed, ops)
     yield batch
 
 

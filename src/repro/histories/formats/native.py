@@ -23,10 +23,9 @@ the paper assumes.  Values may be any JSON scalar.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.core.exceptions import ParseError
-from repro.core.model import History
 from repro.histories.formats._jsonstream import iter_session_objects, require_scalar
 from repro.histories.formats._raw import (
     DEFAULT_BATCH_OPS,
@@ -34,6 +33,9 @@ from repro.histories.formats._raw import (
     RawTransaction,
     RecordBatch,
 )
+
+if TYPE_CHECKING:
+    from repro.core.model import History
 
 __all__ = ["dumps", "stream_batches"]
 
@@ -90,7 +92,7 @@ def stream_batches(
             label, committed, ops = _raw_from_doc(txn_doc)
         except ParseError as exc:
             raise ParseError(f"line {line}: {exc}") from exc
-        batch.add_record(sid, label, committed, ops, line=line)
+        batch.add_record(sid, label, committed, ops)
         if batch.full(batch_ops):
             yield batch
             batch = RecordBatch()

@@ -20,16 +20,12 @@ from repro.core.compiled import (
     check_compiled,
     compile_history,
 )
+from repro.core.compiled.cc import compute_happens_before_compiled, saturate_cc_compiled
 from repro.core.compiled.checkers import (
     _relation_from_compiled,
     check_read_consistency_compiled,
-    compute_happens_before_compiled,
 )
-from repro.core.compiled.kernels import (
-    saturate_cc_compiled,
-    saturate_ra_compiled,
-    saturate_rc_compiled,
-)
+from repro.core.compiled.kernels import saturate_ra_compiled, saturate_rc_compiled
 from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT
 from repro.core.model import History, Transaction, read, write
 from repro.histories.formats import load_compiled, load_history, save_history

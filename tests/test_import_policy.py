@@ -152,6 +152,90 @@ def test_compiled_check_loads_no_object_engine_or_other_format(history_path, lev
     assert [name for name in NOT_IN_A_COMPILED_PLUME_CHECK if name in out["modules"]] == []
 
 
+#: What a consistent RC or RA check never needs: the object model and the
+#: violation types (it builds no violation), CC's own code, and what a
+#: dataclass would import.
+NOT_IN_A_CONSISTENT_RC_OR_RA_CHECK = [
+    "dataclasses",
+    "inspect",
+    "repro.core.compiled.cc",
+    "repro.core.model",
+    "repro.core.violations",
+]
+
+
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+@pytest.mark.parametrize("level", ["rc", "ra"])
+def test_consistent_check_loads_only_its_levels_code(history_path, level, mode):
+    argv = ["check", history_path, "-i", level]
+    if mode == "stream":
+        argv.append("--stream")
+    out = _probe(argv)
+    assert out["code"] == 0
+    loaded = [name for name in NOT_IN_A_CONSISTENT_RC_OR_RA_CHECK if name in out["modules"]]
+    assert loaded == []
+
+
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+def test_cc_check_loads_the_cc_module(history_path, mode):
+    argv = ["check", history_path, "-i", "cc"]
+    if mode == "stream":
+        argv.append("--stream")
+    out = _probe(argv)
+    assert out["code"] == 0
+    assert "repro.core.compiled.cc" in out["modules"]
+
+
+#: The compiled checker stack: what ``awdit convert`` never runs.
+COMPILED_CHECKERS = [
+    "repro.core.compiled.cc",
+    "repro.core.compiled.checkers",
+    "repro.core.compiled.kernels",
+]
+
+#: Per command (``{h}`` the plume history, ``{out}`` a directory for
+#: written files), the modules it must not load.  The object engine and the
+#: plume baseline build their own ``CommitRelation``, so they load
+#: ``repro.core.commit`` and ``repro.graph.csr``; ``convert`` checks nothing.
+WITHOUT_THE_COMPILED_ENGINE = {
+    "convert": (
+        ["convert", "{h}", "{out}/h.cobra"],
+        COMPILED_CHECKERS + ["repro.core.commit", "repro.graph.csr"],
+    ),
+    **{
+        f"object-{level}": (
+            ["check", "{h}", "-i", level, "--engine", "object"],
+            COMPILED_CHECKERS,
+        )
+        for level in ("rc", "ra", "cc")
+    },
+    "checker-plume": (["check", "{h}", "--checker", "plume"], COMPILED_CHECKERS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_THE_COMPILED_ENGINE))
+def test_commands_without_the_compiled_engine_load_none_of_it(history_path, tmp_path, name):
+    template, unwanted = WITHOUT_THE_COMPILED_ENGINE[name]
+    out = _probe([arg.format(h=history_path, out=tmp_path) for arg in template])
+    assert out["code"] == 0
+    assert [module for module in unwanted if module in out["modules"]] == []
+
+
+def test_the_compiled_package_still_serves_its_submodules():
+    # The layered benchmark imports a submodule and a re-export through
+    # the package; both resolve on first access.
+    code = (
+        "from repro.core.compiled import CompiledHistoryBuilder, checkers\n"
+        "print(checkers.check_read_consistency_compiled.__name__, "
+        "CompiledHistoryBuilder.__name__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_env([]), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["check_read_consistency_compiled", "CompiledHistoryBuilder"]
+
+
 #: Commands whose machinery ``repro.cli`` imports when they run, other than
 #: the compiled check the tests above run: ``{h}`` is the plume history and
 #: ``{out}`` a directory for written files.
@@ -176,8 +260,8 @@ LAZY_COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(LAZY_COMMANDS))
 def test_lazy_command_runs_the_same_in_a_fresh_interpreter(history_path, tmp_path, name):
-    # Both runs take the pure-Python sides: ``stats`` prints the arrays'
-    # allocated size, which depends on whether numpy built them.
+    # Both runs take the pure-Python sides, so numpy's sides cannot hide a
+    # missing import of the pure-Python ones.
     argv = [arg.format(h=history_path, out=tmp_path) for arg in LAZY_COMMANDS[name]]
     written = argv[-1] if argv[0] == "convert" else argv[1] if argv[0] == "generate" else None
     stdout = io.StringIO()
@@ -217,6 +301,29 @@ def test_cc_loads_numpy_when_available(history_path, mode):
     assert ("numpy" in out["modules"]) == csr.HAVE_NUMPY
     others = [name for name in _unwanted(out["modules"], mode == "batch") if name != "numpy"]
     assert others == []
+
+
+@pytest.mark.skipif(not csr.HAVE_NUMPY, reason="compares against numpy's side")
+def test_stats_footprint_does_not_depend_on_numpy(tmp_path):
+    # Enough operations that unique-writes resolution takes its numpy side
+    # in this process, and its pure-Python side in a fresh ``awdit stats``.
+    history = generate_random_history(
+        RandomHistoryConfig(num_sessions=4, num_transactions=201, num_keys=8, seed=2)
+    )
+    path = str(tmp_path / "h.plume")
+    save_history(history, path, fmt="plume")
+    csr.load_numpy()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["stats", path]) == 0
+    env = _env([])
+    env.pop("AWDIT_NO_NUMPY", None)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "stats", path], env=env, capture_output=True, text=True
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert "compiled footprint" in fresh.stdout
+    assert fresh.stdout == stdout.getvalue()
 
 
 def _without_elapsed(text):

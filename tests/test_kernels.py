@@ -52,15 +52,18 @@ from repro.baselines.naive import cc_relation_naive, check_cc_naive
 from repro.core import IsolationLevel, check
 from repro.core.cc import compute_happens_before, saturate_cc
 from repro.core.commit import CommitRelation
+from repro.core.compiled import cc as compiled_cc
 from repro.core.compiled import compile_history
 from repro.core.compiled import kernels
-from repro.core.compiled.checkers import (
+from repro.core.compiled.cc import (
     _causality_edges_compiled,
+    compute_happens_before_compiled,
+    saturate_cc_compiled,
+)
+from repro.core.compiled.checkers import (
     _relation_from_compiled,
     check_read_consistency_compiled,
-    compute_happens_before_compiled,
 )
-from repro.core.compiled.kernels import saturate_cc_compiled
 from repro.core.model import History, Transaction, read, write
 from repro.core.read_consistency import check_read_consistency
 from repro.graph import csr
@@ -215,7 +218,7 @@ class TestCCChunking:
         history = generate_random_history(config)
         logs = []
         for chunk in (1, 1 << 30):
-            monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", chunk)
+            monkeypatch.setattr(compiled_cc, "_CC_CHUNK_TXNS", chunk)
             logs.append(_saturation_logs(history))
         with csr.numpy_disabled():
             logs.append(_saturation_logs(history))
@@ -247,10 +250,10 @@ class TestCCChunking:
         report = check_read_consistency_compiled(ch)
         hb, _ = compute_happens_before_compiled(ch, report.bad_ops)
         assert hb is not None
-        kernels._cc_index(ch)
+        compiled_cc._cc_index(ch)
 
         def peak(chunk):
-            monkeypatch.setattr(kernels, "_CC_CHUNK_TXNS", chunk)
+            monkeypatch.setattr(compiled_cc, "_CC_CHUNK_TXNS", chunk)
             relation = _relation_from_compiled(ch)
             tracemalloc.start()
             try:
@@ -542,15 +545,15 @@ class TestCompositeProbeBoundary:
     """
 
     def test_span_covers_every_session_index(self):
-        assert kernels._SIDX_SPAN == 1 << 32
+        assert compiled_cc._SIDX_SPAN == 1 << 32
         # Largest representable sidx stays strictly below the span, so the
         # bound=-1 probe of bucket b sorts above every bucket b-1 entry.
-        assert (2**31 - 1) < kernels._SIDX_SPAN - 1
+        assert (2**31 - 1) < compiled_cc._SIDX_SPAN - 1
 
     @needs_numpy
     def test_probe_matches_bisect_reference_at_boundary(self):
         np = csr.load_numpy()
-        span = kernels._SIDX_SPAN
+        span = compiled_cc._SIDX_SPAN
         # Bucket 0 holds writers at the very top of the sidx range; bucket 1
         # holds small ones.  (bucket, sidx, tid) rows, bucket-major.
         rows = [

@@ -13,7 +13,7 @@ from repro.core.model import History, Transaction, read, write
 from repro.core.violations import ViolationKind
 from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
 from repro.histories.formats import load_history, save_history, stream_raw_batches
-from repro.histories.formats._raw import transaction_from_raw
+from repro.histories.formats._raw import batch_transactions
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
     RandomHistoryConfig,
@@ -58,8 +58,8 @@ class TestStreamingParsers:
         loaded = load_history(str(path), fmt=fmt)
         sessions = {}
         for batch in stream_raw_batches(str(path), fmt=fmt, batch_ops=1):
-            for sid, raw in batch.iter_records():
-                sessions.setdefault(sid, []).append(transaction_from_raw(raw))
+            for sid, txn in batch_transactions(batch):
+                sessions.setdefault(sid, []).append(txn)
         ordered = [sessions[sid] for sid in sorted(sessions)]
         restreamed = History.from_sessions(ordered)
         assert restreamed.num_operations == loaded.num_operations
