@@ -13,5 +13,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    entry_points={"console_scripts": ["awdit = repro.cli:main"]},
+    entry_points={"console_scripts": ["awdit = repro.cli:run"]},
 )

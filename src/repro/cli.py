@@ -37,7 +37,7 @@ from repro.histories.formats import FORMATS
 if TYPE_CHECKING:
     from repro.core.result import CheckResult
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,5 +411,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2
 
 
+def run() -> int:
+    """The ``awdit`` process: :func:`main`, then a heap the exit leaves alone.
+
+    Interpreter shutdown runs a full garbage collection over every tracked
+    object (the IR's, numpy's) only to free memory the process is about to
+    return anyway; ``gc.freeze()`` moves them all out of its reach, and
+    shutdown still flushes files and runs ``atexit`` handlers.  Tests call
+    :func:`main` in-process, so it leaves the collector alone.
+    """
+    import gc
+
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

@@ -69,8 +69,8 @@ def check(
         If given, stop extracting cycle witnesses after this many (the
         verdict is unaffected; only the witness list is truncated).
     use_single_session_fast_path:
-        Use the linear-time RA algorithm of Theorem 1.6 when the history has
-        a single session.
+        Use the linear-time RA algorithm of Theorem 1.6 when at most one
+        session of the history holds a transaction.
     read_consistency:
         A precomputed object-path Read Consistency report to reuse (one RC
         pass can be shared across several levels); supplying it pins the
@@ -116,7 +116,7 @@ def check(
     if level is IsolationLevel.READ_ATOMIC:
         from repro.core.ra import check_ra, check_ra_single_session
 
-        if use_single_session_fast_path and history.num_sessions <= 1:
+        if use_single_session_fast_path and sum(1 for s in history.sessions if s) <= 1:
             return check_ra_single_session(
                 history, max_witnesses=max_witnesses, read_consistency=read_consistency
             )

@@ -35,7 +35,10 @@ sides, like the object ``saturate_cc``, drop a candidate ``t2 -> t1`` that
 happens-before already implies (``hb[t1][session(t2)] >=
 session_index(t2)``), and skip a probe outright when ``t3``'s bound at the
 session is at most ``t1``'s clock there; the scalar pointer may then lag,
-and the next larger bound walks it on.
+and the next larger bound walks it on.  The vectorized side also skips a
+probe whose bucket has no writer above ``t1``'s clock and at or below the
+bound (its first writer is above the bound, or its last is at or below the
+clock), so it never searches for an edge it would drop.
 
 Two 32-bit boundaries shape the vectorized encodings (mirroring the packed
 edges of :mod:`repro.graph.csr`):
@@ -407,7 +410,10 @@ class _CCIndex:
     fallback's bucket lists use).  ``wb_tid`` is the aligned writer id.  A
     probe "latest writer of bucket b with session index <= bound" is then
     ``searchsorted(wb_comp, b * span + bound, side='right')``, a hit iff the
-    insertion point is past ``bucket_start[b]``.
+    insertion point is past ``bucket_start[b]``.  ``bucket_first[b]`` and
+    ``bucket_last[b]`` are the session indices of bucket ``b``'s first and
+    last writers: a probe of ``b`` hits nothing below the first, and
+    returns nothing above the last.
     """
 
     __slots__ = (
@@ -420,6 +426,8 @@ class _CCIndex:
         "wb_comp",
         "wb_tid",
         "bucket_start",
+        "bucket_first",
+        "bucket_last",
         "bucket_sid",
         "key_bucket_start",
         "key_bucket_count",
@@ -454,6 +462,8 @@ def _build_cc_index(ch: CompiledHistory) -> Optional[_CCIndex]:
         idx.wb_comp = np.zeros(0, dtype=np.int64)
         idx.wb_tid = np.zeros(0, dtype=np.int64)
         idx.bucket_start = np.zeros(0, dtype=np.int64)
+        idx.bucket_first = np.zeros(0, dtype=np.int64)
+        idx.bucket_last = np.zeros(0, dtype=np.int64)
         idx.bucket_sid = np.zeros(0, dtype=np.int64)
         idx.key_bucket_start = np.zeros(num_keys, dtype=np.int64)
         idx.key_bucket_count = np.zeros(num_keys, dtype=np.int64)
@@ -497,6 +507,9 @@ def _build_cc_index(ch: CompiledHistory) -> Optional[_CCIndex]:
     idx.wb_comp = wb_comp
     idx.wb_tid = tid_of[order]
     idx.bucket_start = first_rows
+    sidx_sorted = sidx_of[order]
+    idx.bucket_first = sidx_sorted[first_rows]
+    idx.bucket_last = sidx_sorted[np.append(first_rows[1:], total) - 1]
     idx.bucket_sid = bucket_sid
     idx.key_bucket_count = key_bucket_count
     kb_cum = np.cumsum(key_bucket_count)
@@ -589,8 +602,10 @@ def _saturate_cc_chunk(
     keys = idx.xr_key[pos]
 
     # Pass 3: expand each read over its key's (key, session) writer buckets.
-    # A probe whose t3 bound is at most t1's clock at the bucket's session
-    # is dropped here: every candidate writer of that bucket hb-precedes t1.
+    # A probe is dropped here when it can return no writer that t1 does not
+    # hb-follow: when t3's bound at the bucket's session, or the bucket's
+    # last writer, is at most t1's clock there, or the bucket's first writer
+    # is above the bound.
     per_read = idx.key_bucket_count[keys]
     total2 = int(per_read.sum())
     if total2 == 0:
@@ -601,7 +616,9 @@ def _saturate_cc_chunk(
     probe_sid = idx.bucket_sid[probe_bucket]
     bound = clocks[(tids[row_of] * k)[read_of] + probe_sid]
     floor = clocks[(t1 * k)[read_of] + probe_sid]
-    live = np.flatnonzero(bound > floor)
+    live = (bound > floor) & (idx.bucket_last[probe_bucket] > floor)
+    live &= idx.bucket_first[probe_bucket] <= bound
+    live = np.flatnonzero(live)
     if live.shape[0] == 0:
         return
     read_of = read_of[live]

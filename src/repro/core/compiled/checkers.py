@@ -39,7 +39,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, compile_history
-from repro.core.compiled.kernels import saturate_ra_compiled, saturate_rc_compiled
+from repro.core.compiled.kernels import (
+    saturate_ra_compiled,
+    saturate_rc_compiled,
+    vector_sides,
+)
 from repro.core.isolation import IsolationLevel
 from repro.core.result import CheckResult, Stopwatch
 from repro.graph.digraph import EDGE_SHIFT
@@ -80,9 +84,18 @@ class CompiledReadReport:
 
 
 def check_read_consistency_compiled(ch: CompiledHistory) -> CompiledReadReport:
-    """Algorithm 4 on the IR (mirror of ``check_read_consistency``)."""
+    """Algorithm 4 on the IR (mirror of ``check_read_consistency``).
+
+    A CC process first screens every read with numpy
+    (:func:`repro.core.compiled.numpy_sides.reads_consistent`) and returns
+    the empty report when none breaks an axiom; otherwise the loop below,
+    which alone builds violations, runs.
+    """
     violations: List[Violation] = []
     bad_ops: Set[int] = set()
+    sides = vector_sides(ch.num_operations)
+    if sides is not None and sides.reads_consistent(ch):
+        return CompiledReadReport(violations, bad_ops)
     op_kind = ch.op_kind
     op_key = ch.op_key
     op_wr = ch.op_wr
@@ -211,7 +224,8 @@ def _relation_from_compiled(ch: CompiledHistory) -> CommitRelation:
     into the relation's flat rows, with no per-edge dict probe, no label
     tuple, and no name materialization -- duplicates collapse and labels
     replay lazily at freeze.  Names and key names resolve through the IR
-    only if a witness is rendered.
+    only if a witness is rendered.  A CC process writes the same logs with
+    numpy (:func:`repro.core.compiled.numpy_sides.relation_logs`).
     """
     committed = ch.txn_committed
     relation = CommitRelation(
@@ -220,6 +234,10 @@ def _relation_from_compiled(ch: CompiledHistory) -> CommitRelation:
         namer=ch.name_of,
         key_names=ch.key_table.values,
     )
+    sides = vector_sides(ch._xr_start[ch.num_transactions])
+    if sides is not None:
+        sides.relation_logs(ch, relation)
+        return relation
     so_append = relation._so_log.append
     for session in ch.sessions:
         previous = -1
@@ -387,10 +405,11 @@ def check_ra_single_session_compiled(
     report: Optional[CompiledReadReport] = None,
 ) -> CheckResult:
     """Theorem 1.6's linear RA check on the IR (mirror of ``check_ra_single_session``)."""
-    if ch.num_sessions > 1:
+    busy = sum(1 for session in ch.sessions if session)
+    if busy > 1:
         raise ValueError(
             "check_ra_single_session requires a single-session history; "
-            f"got {ch.num_sessions} sessions"
+            f"got {busy} sessions with transactions"
         )
     watch = Stopwatch()
     report = report or check_read_consistency_compiled(ch)
@@ -448,13 +467,14 @@ def check_compiled(
     """Check a history (object or compiled) against ``level`` on the IR.
 
     The compiled analogue of :func:`repro.core.check`: same dispatch, same
-    single-session RA specialization, same results.
+    single-session RA specialization (when at most one session holds a
+    transaction), same results.
     """
     ch = _compiled(source)
     if level is IsolationLevel.READ_COMMITTED:
         return check_rc_compiled(ch, max_witnesses=max_witnesses, report=report)
     if level is IsolationLevel.READ_ATOMIC:
-        if use_single_session_fast_path and ch.num_sessions <= 1:
+        if use_single_session_fast_path and sum(1 for s in ch.sessions if s) <= 1:
             return check_ra_single_session_compiled(
                 ch, max_witnesses=max_witnesses, report=report
             )

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain, repeat
+from operator import add, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import HistoryFormatError
@@ -57,6 +59,9 @@ _VALUE_SHIFT = 32
 
 #: Bytes per list slot (a pointer, on the 64-bit builds the tester targets).
 _POINTER_BYTES = 8
+
+#: CPython's cached small ints: a list slot holding one shares the object.
+_SMALL_INTS = range(-5, 257)
 
 
 class Intern:
@@ -287,15 +292,18 @@ class CompiledHistory:
     def memory_footprint(self) -> Dict[str, int]:
         """Estimated resident bytes per component of the IR.
 
-        A column counts the bytes its elements use (one pointer per element
-        of a list), not its allocated capacity: capacity depends on how the
-        column grew, and the numpy and pure-Python sides of unique-writes
-        resolution grow ``op_wr`` differently, so one history would report
-        two footprints.
+        A column counts the bytes its elements use, not its allocated
+        capacity: capacity depends on how the column grew, and the numpy and
+        pure-Python sides of unique-writes resolution and of ``_freeze`` grow
+        columns differently, so one history would report two footprints.  A
+        list element costs its pointer and, outside CPython's small-int
+        cache, the int object behind it: every list here holds ints boxed one
+        by one (by indexing an ``array('q')``, ``range`` or ``tolist()``).
         """
         def _used(column) -> int:
             if isinstance(column, list):
-                return _POINTER_BYTES * len(column)
+                boxed = sum(sys.getsizeof(v) for v in column if v not in _SMALL_INTS)
+                return _POINTER_BYTES * len(column) + boxed
             return memoryview(column).nbytes
 
         arrays = (
@@ -331,7 +339,19 @@ class CompiledHistory:
     # -- finishing (shared by both construction paths) ---------------------------
 
     def _freeze(self) -> None:
-        """Compute the derived structures once the base arrays are complete."""
+        """Compute the derived structures once the base arrays are complete.
+
+        A CC process derives them with numpy
+        (:func:`repro.core.compiled.numpy_sides.freeze`), any other with the
+        loop below; both build the same columns of the same types.
+        """
+        self._kw_sets = [None] * self.num_transactions
+        # Lazy import: kernels imports this module for the IR types.
+        from repro.core.compiled.kernels import vector_sides
+
+        sides = vector_sides(self.num_operations)
+        if sides is not None and sides.freeze(self):
+            return
         op_kind = self.op_kind
         op_key = self.op_key
         op_wr = self.op_wr
@@ -377,7 +397,6 @@ class CompiledHistory:
                     op_final[i] = 1
             kw_start.append(len(kw_key))
             xr_start.append(len(xr_po))
-        self._kw_sets = [None] * self.num_transactions
 
 
 def compile_history(history: History) -> CompiledHistory:
@@ -563,32 +582,28 @@ class CompiledHistoryBuilder:
             for e in externals
         ]
 
-        op_kind = ch.op_kind
+        # Whole session buffers at a time, each column copied at C level.
         op_key = ch.op_key
-        op_value = ch.op_value
-        op_txn = ch.op_txn
-        txn_start = ch.txn_start
         tid = 0
         for dense_sid, buf in enumerate(ordered):
-            ids: List[int] = []
-            lo = 0
-            for pos in range(len(buf.committed)):
-                hi = buf.txn_end[pos]
-                op_kind.extend(buf.kind[lo:hi])
-                op_key.extend(buf.key[lo:hi])
-                op_value.extend(buf.value[lo:hi])
-                op_txn.extend([tid] * (hi - lo))
-                txn_start.append(len(op_key))
-                ch.txn_session.append(dense_sid)
-                ch.txn_session_index.append(pos)
-                ch.txn_committed.append(buf.committed[pos])
-                label = buf.labels.get(pos)
-                if label is not None:
-                    ch.labels[tid] = label
-                ids.append(tid)
-                tid += 1
-                lo = hi
-            ch.sessions.append(ids)
+            count = len(buf.committed)
+            ends = buf.txn_end
+            ch.txn_start.extend(map(add, ends, repeat(len(op_key))))  # before the copy
+            ch.op_kind += buf.kind
+            op_key += buf.key
+            ch.op_value += buf.value
+            ch.op_txn.extend(
+                chain.from_iterable(
+                    map(repeat, range(tid, tid + count), map(sub, ends, chain((0,), ends)))
+                )
+            )
+            ch.txn_session.extend(repeat(dense_sid, count))
+            ch.txn_session_index.extend(range(count))
+            ch.txn_committed += buf.committed
+            # Positions ascend in each buffer, so labels go in in tid order.
+            ch.labels.update((tid + pos, label) for pos, label in buf.labels.items())
+            ch.sessions.append(list(range(tid, tid + count)))
+            tid += count
         self._buffers = []
         self._session_ids = {}
 
@@ -596,7 +611,7 @@ class CompiledHistoryBuilder:
         # Lazy import: kernels imports this module for the IR types.
         from repro.core.compiled.kernels import resolve_unique_writes
 
-        ch.op_wr = resolve_unique_writes(op_kind, op_key, op_value)
+        ch.op_wr = resolve_unique_writes(ch.op_kind, op_key, ch.op_value)
 
         ch.op_final = bytearray(len(op_key))
         if len(ch.value_table) >= (1 << _VALUE_SHIFT):

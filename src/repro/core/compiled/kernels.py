@@ -16,9 +16,10 @@ because it measurably wins on a benchmarked workload (the kernel census in
 ``README.md``).  :mod:`repro.graph.csr` is the one module that imports
 numpy, and only a CC check loads it; the vectorized side runs when numpy is
 already loaded and the input is large enough to amortize array setup
-(:data:`_MIN_VECTOR_READS`, which CC saturation reads too).  Both sides
-produce byte-identical output (property-tested in ``tests/test_kernels.py``),
-and the scalar side is the only path on a machine without numpy.
+(:data:`_MIN_VECTOR_READS`, which CC saturation and :func:`vector_sides`
+read too).  Both sides produce byte-identical output (property-tested in
+``tests/test_kernels.py``), and the scalar side is the only path on a
+machine without numpy.
 """
 
 from __future__ import annotations
@@ -38,13 +39,29 @@ __all__ = [
     "saturate_rc_compiled",
     "saturate_ra_compiled",
     "resolve_unique_writes",
+    "vector_sides",
 ]
 
 #: Below this many external reads the numpy array setup costs more than the
-#: interpreted loop it replaces, here and in CC saturation; both sides are
-#: bit-identical, so the cutoff is pure tuning (tests pin it to 0 to force
-#: the vectorized sides).
+#: interpreted loop it replaces, here, in CC saturation and in
+#: :mod:`repro.core.compiled.numpy_sides`; both sides are bit-identical, so
+#: the cutoff is pure tuning (tests pin it to 0 to force the vectorized
+#: sides).
 _MIN_VECTOR_READS = 192
+
+
+def vector_sides(size: int):
+    """:mod:`repro.core.compiled.numpy_sides`, or ``None`` for the loops.
+
+    The module when numpy is loaded (a CC process) and an input of ``size``
+    clears :data:`_MIN_VECTOR_READS`; it is imported here, so a process
+    without numpy never compiles it.
+    """
+    if _csr._np is None or size < _MIN_VECTOR_READS or size == 0:
+        return None
+    from repro.core.compiled import numpy_sides
+
+    return numpy_sides
 
 
 # -- shared read gathering -----------------------------------------------------
@@ -217,7 +234,7 @@ def resolve_unique_writes(op_kind, op_key, op_value):
     history.  Vectorized and fallback are bit-identical.
     """
     n = len(op_key)
-    if _csr._np is not None and n >= _MIN_VECTOR_READS:
+    if n and _csr._np is not None and n >= _MIN_VECTOR_READS:
         out = _resolve_unique_writes_vectorized(op_kind, op_key, op_value)
         if out is not None:
             return out

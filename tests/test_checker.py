@@ -1,7 +1,12 @@
 """Tests for the unified checker entry point and the check results."""
 
+import contextlib
+import io
+import re
+
 import pytest
 
+from repro import cli
 from repro.core import IsolationLevel, check, check_all_levels
 from repro.core.model import History, Transaction, read, write
 from repro.core.result import CheckResult, Stopwatch
@@ -59,6 +64,75 @@ class TestDispatch:
         history = History.from_sessions([[Transaction([write("x", 1)])]])
         results = check_all_levels(history, use_single_session_fast_path=False)
         assert results[IsolationLevel.READ_ATOMIC].checker == "awdit"
+
+
+#: One session's transactions: a stale read of ``x`` (so RA fails) or not.
+ONE_SESSION = {
+    "consistent": [
+        Transaction([write("x", 1)]),
+        Transaction([read("x", 1), write("y", 2)]),
+        Transaction([read("y", 2)]),
+    ],
+    "violation": [
+        Transaction([write("x", 1)]),
+        Transaction([write("x", 2)]),
+        Transaction([read("x", 1)]),
+    ],
+}
+
+
+def _verdict(line):
+    """``[checker] LEVEL: VERDICT (kinds)`` of a summary line, stream label folded."""
+    return re.sub(r" in [0-9.]+ ms .*$", "", line).replace("[awdit-stream", "[awdit")
+
+
+class TestSingleSessionDispatch:
+    """RA takes Theorem 1.6's path when at most one session holds a transaction.
+
+    Empty sessions depend on the container: JSON, DBCop and cobra files
+    keep the empty sessions before a used id, plume keeps none, and an
+    in-memory history may end in empty sessions.  Every reader, engine
+    and mode must print the same verdict line for one history.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ONE_SESSION))
+    def test_every_view_prints_the_same_verdict(self, case, tmp_path):
+        from repro.histories.formats import save_history
+
+        txns = ONE_SESSION[case]
+        later = History.from_sessions([[], [Transaction(t.operations) for t in txns]])
+        trailing = History.from_sessions([[Transaction(t.operations) for t in txns], [], []])
+        lines = {
+            "memory-later": check(later, IsolationLevel.READ_ATOMIC).summary(),
+            "memory-trailing": check(trailing, IsolationLevel.READ_ATOMIC).summary(),
+            "object-trailing": check(
+                trailing, IsolationLevel.READ_ATOMIC, engine="object"
+            ).summary(),
+        }
+        for fmt in ("json", "plume", "dbcop", "cobra"):
+            path = str(tmp_path / f"h.{fmt}")
+            save_history(later, path, fmt=fmt)
+            for flags in ([], ["--stream"], ["--engine", "object"]):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    cli.main(["check", path, "-i", "ra", *flags])
+                lines[" ".join([fmt, *flags])] = stdout.getvalue().splitlines()[0]
+        verdicts = {name: _verdict(line) for name, line in lines.items()}
+        want = "CONSISTENT" if case == "consistent" else "VIOLATION (commit order cycle)"
+        assert set(verdicts.values()) == {f"[awdit-1session] RA: {want}"}, verdicts
+
+    def test_the_fast_path_refuses_two_sessions_with_transactions(self):
+        from repro.core.compiled import compile_history
+        from repro.core.compiled.checkers import check_ra_single_session_compiled
+        from repro.core.ra import check_ra_single_session
+
+        history = History.from_sessions(
+            [[Transaction([write("x", 1)])], [], [Transaction([read("x", 1)])]]
+        )
+        for run in (check_ra_single_session, check_ra_single_session_compiled):
+            source = history if run is check_ra_single_session else compile_history(history)
+            with pytest.raises(ValueError, match="got 2 sessions with transactions"):
+                run(source)
 
 
 class TestLatticeMonotonicity:
