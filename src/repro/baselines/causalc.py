@@ -111,13 +111,7 @@ def check_cc_causalc(history: History) -> CheckResult:
             )
         )
     watch.lap("report")
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="causalc-like",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={"derived_ord": len(database.get("ord", set())), **watch.laps},
+    stats = {"derived_ord": len(database.get("ord", set()))}
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "causalc-like", watch, stats
     )

@@ -80,13 +80,6 @@ def check_cc_dbcop(history: History) -> CheckResult:
 
     violations.extend(relation.find_cycles())
     watch.lap("cycle_check")
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="dbcop-like",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats=dict(watch.laps),
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "dbcop-like", watch
     )

@@ -91,7 +91,7 @@ def check_rc_naive(history: History) -> CheckResult:
                     relation.add_inferred(t2, t1, key=op_rx.key)
     violations.extend(relation.find_cycles())
     watch.lap("total")
-    return _result(IsolationLevel.READ_COMMITTED, history, violations, watch, "naive")
+    return CheckResult.of(history, IsolationLevel.READ_COMMITTED, violations, "naive", watch)
 
 
 def check_ra_naive(history: History) -> CheckResult:
@@ -121,7 +121,7 @@ def check_ra_naive(history: History) -> CheckResult:
                     relation.add_inferred(t2, t1, key=op.key)
     violations.extend(relation.find_cycles())
     watch.lap("total")
-    return _result(IsolationLevel.READ_ATOMIC, history, violations, watch, "naive")
+    return CheckResult.of(history, IsolationLevel.READ_ATOMIC, violations, "naive", watch)
 
 
 def cc_relation_naive(history: History, bad_reads: Set[OpRef]) -> CommitRelation:
@@ -148,7 +148,9 @@ def check_cc_naive(history: History) -> CheckResult:
     relation = cc_relation_naive(history, report.bad_reads)
     violations.extend(relation.find_cycles())
     watch.lap("total")
-    return _result(IsolationLevel.CAUSAL_CONSISTENCY, history, violations, watch, "naive")
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "naive", watch
+    )
 
 
 def check_naive(history: History, level: IsolationLevel) -> CheckResult:
@@ -160,22 +162,3 @@ def check_naive(history: History, level: IsolationLevel) -> CheckResult:
     if level is IsolationLevel.CAUSAL_CONSISTENCY:
         return check_cc_naive(history)
     raise ValueError(f"unsupported level {level!r}")
-
-
-def _result(
-    level: IsolationLevel,
-    history: History,
-    violations: List[Violation],
-    watch: Stopwatch,
-    checker: str,
-) -> CheckResult:
-    return CheckResult(
-        level=level,
-        violations=violations,
-        checker=checker,
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats=dict(watch.laps),
-    )

@@ -181,7 +181,7 @@ def check_plume(history: History, level: IsolationLevel) -> CheckResult:
                 v for v in cycle_result.violations if v not in violations
             )
             watch.lap("search")
-            return _result(level, history, violations, watch)
+            return CheckResult.of(history, level, violations, "plume-like", watch)
         for t3 in history.committed:
             for _index, op, t1 in index.external_reads[t3]:
                 for t2 in index.writers_of_key.get(op.key, ()):  # all writers of the key
@@ -193,19 +193,4 @@ def check_plume(history: History, level: IsolationLevel) -> CheckResult:
 
     violations.extend(relation.find_cycles())
     watch.lap("cycle_check")
-    return _result(level, history, violations, watch)
-
-
-def _result(
-    level: IsolationLevel, history: History, violations: List[Violation], watch: Stopwatch
-) -> CheckResult:
-    return CheckResult(
-        level=level,
-        violations=violations,
-        checker="plume-like",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats=dict(watch.laps),
-    )
+    return CheckResult.of(history, level, violations, "plume-like", watch)

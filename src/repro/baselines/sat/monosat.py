@@ -111,17 +111,7 @@ def check_cc_monosat(history: History) -> CheckResult:
                 edges=(),
             )
         )
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="tcc-mono-like",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={
-            "constraints": num_constraints,
-            "cegar_rounds": encoder.rounds,
-            **watch.laps,
-        },
+    stats = {"constraints": num_constraints, "cegar_rounds": encoder.rounds}
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "tcc-mono-like", watch, stats
     )

@@ -117,18 +117,11 @@ def check_si_polysi(history: History) -> CheckResult:
                 edges=(),
             )
         )
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="polysi-like",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={
-            "clauses": num_clauses,
-            "conflict_pairs": len(conflict_pairs),
-            "cegar_rounds": encoder.rounds,
-            **watch.laps,
-        },
+    stats = {
+        "clauses": num_clauses,
+        "conflict_pairs": len(conflict_pairs),
+        "cegar_rounds": encoder.rounds,
+    }
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "polysi-like", watch, stats
     )

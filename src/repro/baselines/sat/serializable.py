@@ -80,13 +80,7 @@ def check_serializability(history: History) -> CheckResult:
                 edges=(),
             )
         )
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="ser-sat",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={"clauses": num_clauses, "cegar_rounds": encoder.rounds, **watch.laps},
+    stats = {"clauses": num_clauses, "cegar_rounds": encoder.rounds}
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "ser-sat", watch, stats
     )

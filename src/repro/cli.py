@@ -76,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--engine",
-        default="auto",
-        choices=["auto", "compiled", "object"],
+        default=None,
+        choices=["compiled", "object"],
         help=(
-            "batch checking engine: 'compiled' runs on the interned array IR "
-            "(default via 'auto'), 'object' runs the reference object-model "
-            "checkers; --stream has one engine and accepts only "
-            "auto/compiled; conflicts with baseline checkers"
+            "batch checking engine: 'compiled' (default) runs on the "
+            "interned array IR, 'object' runs the reference object-model "
+            "checkers; --stream has one engine and accepts only compiled; "
+            "conflicts with baseline checkers"
         ),
     )
     check_parser.add_argument(
@@ -165,7 +165,7 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     if args.stream:
         if is_baseline:
             return f"--stream supports only the awdit checker, not {args.checker!r}"
-        if args.engine not in ("auto", "compiled"):
+        if args.engine not in (None, "compiled"):
             return (
                 f"--stream has one checker; --engine {args.engine} is "
                 "batch-only (drop --engine or --stream)"
@@ -174,7 +174,7 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     if is_baseline:
         if checker_name not in BASELINE_REGISTRY:
             return None  # unknown checker: reported separately
-        if args.engine != "auto":
+        if args.engine is not None:
             return (
                 f"--engine selects an awdit engine; baseline checker "
                 f"{args.checker!r} has its own implementation (drop --engine "
@@ -274,7 +274,7 @@ def _run_check(args: argparse.Namespace) -> int:
             # the parse, so the IR build's unique-writes resolution runs
             # its numpy side too.  RC and RA never load it (repro.graph.csr).
             load_numpy()
-        if args.engine in ("auto", "compiled"):
+        if args.engine != "object":
             # The compiled path can ingest the file without materializing
             # the object model at all.
             compiled = load_compiled(

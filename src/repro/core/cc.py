@@ -74,14 +74,17 @@ def _causality_graph(history: History, bad_reads: Set[OpRef]):
 
 
 def compute_happens_before(
-    history: History, bad_reads: Optional[Set[OpRef]] = None
+    history: History,
+    bad_reads: Optional[Set[OpRef]] = None,
+    max_witnesses: Optional[int] = None,
 ) -> Tuple[Optional[List[Optional[VectorClock]]], List[Violation]]:
     """``ComputeHB`` of Algorithm 3: one vector clock per committed transaction.
 
     ``HB[t][s]`` is the session-order index of the so-latest transaction of
     session ``s`` in ``t``'s causal past (``-1`` when no transaction of ``s``
     happens before ``t``).  When ``so ∪ wr`` is cyclic the function returns
-    ``(None, violations)`` where the violations are causality-cycle witnesses.
+    ``(None, violations)`` where the violations are causality-cycle
+    witnesses, at most ``max_witnesses`` of them.
     """
     bad = bad_reads if bad_reads is not None else set()
     graph, so_log, wr_log, wr_keys = _causality_graph(history, bad)
@@ -92,7 +95,7 @@ def compute_happens_before(
 
         names = [txn.name for txn in history.transactions]
         return None, causality_cycles(
-            names, graph, causality_labels(so_log, wr_log, wr_keys)
+            names, graph, causality_labels(so_log, wr_log, wr_keys), max_witnesses
         )
 
     transactions = history.transactions
@@ -228,20 +231,15 @@ def check_cc(
     watch.lap("read_consistency")
 
     violations: List[Violation] = list(report.violations)
-    hb, cycle_violations = compute_happens_before(history, report.bad_reads)
+    hb, cycle_violations = compute_happens_before(
+        history, report.bad_reads, max_witnesses
+    )
     watch.lap("happens_before")
 
     if hb is None:
         violations.extend(cycle_violations)
-        return CheckResult(
-            level=IsolationLevel.CAUSAL_CONSISTENCY,
-            violations=violations,
-            checker="awdit",
-            elapsed_seconds=watch.total,
-            num_operations=history.num_operations,
-            num_transactions=history.num_transactions,
-            num_sessions=history.num_sessions,
-            stats=dict(watch.laps),
+        return CheckResult.of(
+            history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit", watch
         )
 
     relation = CommitRelation(history)
@@ -251,17 +249,7 @@ def check_cc(
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
     watch.lap("cycle_check")
 
-    return CheckResult(
-        level=IsolationLevel.CAUSAL_CONSISTENCY,
-        violations=violations,
-        checker="awdit",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            **watch.laps,
-        },
+    stats = {"inferred_edges": relation.num_inferred_edges, "co_edges": relation.num_edges}
+    return CheckResult.of(
+        history, IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit", watch, stats
     )

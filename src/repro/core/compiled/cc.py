@@ -7,11 +7,12 @@ only for a CC check.  The object engine (:mod:`repro.core.cc`) imports
 ``so ∪ wr`` is cyclic, so both engines render causality witnesses from
 the same frozen CSR rows.
 
-:func:`cc_cycles` is everything CC does after read consistency: build
-``so ∪ wr`` once (:func:`~repro.core.compiled.checkers._relation_from_compiled`),
-compute happens-before from it (:func:`compute_happens_before_compiled`,
-which builds a second wr log only when a read is bad), saturate the same
-relation (:func:`saturate_cc_compiled`) and search it for cycles.
+:func:`check_cc_compiled` is the whole CC check: after read consistency
+it builds ``so ∪ wr`` once
+(:func:`~repro.core.compiled.checkers._relation_from_compiled`), computes
+happens-before from it (:func:`compute_happens_before_compiled`, which
+builds a second wr log only when a read is bad), saturates the same
+relation (:func:`saturate_cc_compiled`) and searches it for cycles.
 
 Happens-before has two sides: with numpy loaded it writes one n × k int32
 clock matrix, which the vectorized CC kernel reads in place; without, one
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.compiled import checkers, kernels
 from repro.core.isolation import IsolationLevel
-from repro.core.result import Stopwatch
+from repro.core.result import CheckResult, Stopwatch
 from repro.graph import csr as _csr
 from repro.graph.csr import (
     find_cycle_in_component_frozen,
@@ -74,14 +75,12 @@ if TYPE_CHECKING:
     from repro.core.commit import CommitRelation
     from repro.core.compiled.checkers import CompiledReadReport
     from repro.core.compiled.ir import CompiledHistory
-    from repro.core.result import CheckResult
     from repro.core.violations import Violation
     from repro.graph.csr import FrozenGraph
 
 __all__ = [
     "causality_cycles",
     "causality_labels",
-    "cc_cycles",
     "check_cc_compiled",
     "compute_happens_before_compiled",
     "saturate_cc_compiled",
@@ -224,16 +223,18 @@ def compute_happens_before_compiled(
     ch: CompiledHistory,
     bad_ops: Set[int],
     relation: Optional[CommitRelation] = None,
+    max_witnesses: Optional[int] = None,
 ):
     """``ComputeHB`` on the IR: one clock row per committed transaction.
 
     Returns ``(hb, [])``, or ``(None, violations)`` with the causality-cycle
-    witnesses when ``so ∪ wr`` is cyclic.  ``hb[t][s]`` is the session index
-    of the so-latest transaction of session ``s`` in ``t``'s causal past
-    (``-1`` for none).  With numpy loaded, ``hb`` is one n × k int32 matrix
-    (:func:`_clock_matrix`) that the vectorized CC kernel reads in place;
-    otherwise it is one plain list per committed transaction and ``None``
-    for the others (:func:`_clock_lists`).  ``relation`` is the unsaturated
+    witnesses (at most ``max_witnesses``) when ``so ∪ wr`` is cyclic.
+    ``hb[t][s]`` is the session index of the so-latest transaction of
+    session ``s`` in ``t``'s causal past (``-1`` for none).  With numpy
+    loaded, ``hb`` is one n × k int32 matrix (:func:`_clock_matrix`) that
+    the vectorized CC kernel reads in place; otherwise it is one plain
+    list per committed transaction and ``None`` for the others
+    (:func:`_clock_lists`).  ``relation`` is the unsaturated
     ``so ∪ wr`` relation of ``ch`` (``checkers._relation_from_compiled``,
     built here when not given); its logs are the graph's unless a read is
     bad.
@@ -256,7 +257,7 @@ def compute_happens_before_compiled(
             so_log, wr_log, wr_keys, key_names=ch.key_table.values
         )
         names = [ch.name_of(tid) for tid in range(ch.num_transactions)]
-        return None, causality_cycles(names, graph, labels)
+        return None, causality_cycles(names, graph, labels, max_witnesses)
     np = _csr._np
     if np is not None:
         return _clock_matrix(np, ch, order, bad_ops), []
@@ -757,52 +758,41 @@ def saturate_cc_compiled(
 # -- the check -----------------------------------------------------------------
 
 
-def cc_cycles(
-    ch: CompiledHistory,
-    bad_ops: Set[int],
-    watch: Stopwatch,
-    max_witnesses: Optional[int] = None,
-) -> Tuple[List[Violation], Dict[str, object]]:
-    """Algorithm 3 after read consistency: happens-before, saturation, cycles.
-
-    A cycle in ``so ∪ wr`` itself ends the check with causality-cycle
-    violations (and no stats).  Otherwise the saturated ``co'`` is searched
-    for cycles, and the stats name the saturation kernel that ran.  Laps
-    ``happens_before`` (which includes building ``so ∪ wr``, shared with
-    saturation), then ``saturation`` and ``cycle_check``.  Loads numpy
-    first, so the CC kernels run their numpy sides for every caller.
-    """
-    load_numpy()
-    relation = checkers._relation_from_compiled(ch)
-    hb, cycle_violations = compute_happens_before_compiled(ch, bad_ops, relation)
-    watch.lap("happens_before")
-    if hb is None:
-        return cycle_violations, {}
-    kernel = saturate_cc_compiled(ch, relation, hb, bad_ops)
-    # The clocks are dead once the co log holds every attempt; the cycle
-    # search should not carry them.
-    del hb
-    watch.lap("saturation")
-    violations = relation.find_cycles(max_witnesses=max_witnesses)
-    watch.lap("cycle_check")
-    return violations, {**checkers._relation_stats(relation), "saturation_kernel": kernel}
-
-
 def check_cc_compiled(
     ch: CompiledHistory,
     max_witnesses: Optional[int] = None,
     report: Optional[CompiledReadReport] = None,
 ) -> CheckResult:
-    """Causal Consistency on the IR (mirror of ``check_cc``)."""
+    """Causal Consistency on the IR (mirror of ``check_cc``).
+
+    Algorithm 3 after read consistency: happens-before, saturation, cycles.
+    A cycle in ``so ∪ wr`` itself ends the check with causality-cycle
+    violations (and no relation stats).  Otherwise the saturated ``co'`` is
+    searched for cycles, and the stats name the saturation kernel that
+    ran.  Laps ``read_consistency``, ``happens_before`` (which includes
+    loading numpy and building ``so ∪ wr``, shared with saturation), then
+    ``saturation`` and ``cycle_check``.  Loads numpy after read
+    consistency, so the CC kernels run their numpy sides for every caller.
+    """
     watch = Stopwatch()
     report = report or checkers.check_read_consistency_compiled(ch)
     watch.lap("read_consistency")
-    cycles, stats = cc_cycles(ch, report.bad_ops, watch, max_witnesses)
-    return checkers._result(
-        ch,
-        IsolationLevel.CAUSAL_CONSISTENCY,
-        report.violations + cycles,
-        "awdit",
-        watch,
-        stats,
+    load_numpy()
+    relation = checkers._relation_from_compiled(ch)
+    hb, cycles = compute_happens_before_compiled(ch, report.bad_ops, relation, max_witnesses)
+    watch.lap("happens_before")
+    if hb is None:
+        return CheckResult.of(
+            ch, IsolationLevel.CAUSAL_CONSISTENCY, report.violations + cycles, "awdit", watch
+        )
+    kernel = saturate_cc_compiled(ch, relation, hb, report.bad_ops)
+    # The clocks are dead once the co log holds every attempt; the cycle
+    # search should not carry them.
+    del hb
+    watch.lap("saturation")
+    violations = report.violations + relation.find_cycles(max_witnesses=max_witnesses)
+    watch.lap("cycle_check")
+    stats = {**checkers._relation_stats(relation), "saturation_kernel": kernel}
+    return CheckResult.of(
+        ch, IsolationLevel.CAUSAL_CONSISTENCY, violations, "awdit", watch, stats
     )

@@ -18,15 +18,15 @@ and :func:`~repro.core.compiled.cc.check_cc_compiled` -- is in
 :mod:`repro.core.compiled.cc`, which :func:`check_compiled` imports only for
 a CC check, so an RC or RA check compiles none of it.
 
-Everything a level does after read consistency (and repeatable reads, for
-RA) is one function per level -- :func:`rc_cycles`, :func:`ra_cycles`,
-:func:`~repro.core.compiled.cc.cc_cycles`: build ``so ∪ wr``
-(:func:`_relation_from_compiled`), saturate, and search the relation for
-cycles.  ``check_{rc,ra,cc}_compiled`` call them after their read-level
-checks.  They read only the IR's transaction arrays, ``sessions``,
-``labels``, ``txn_start``, ``_kw_*`` and ``_xr_*``, never its operation
-columns.  A streaming check (:mod:`repro.core.compiled.online`) builds the
-same IR and runs :func:`check_compiled`, so both modes run the same code.
+Each level is one function, ``check_{rc,ra,cc}_compiled``: after read
+consistency (and repeatable reads, for RA) it builds ``so ∪ wr``
+(:func:`_relation_from_compiled`), saturates it, and searches it for
+cycles; past read consistency it reads only the IR's transaction arrays,
+``sessions``, ``labels``, ``txn_start``, ``_kw_*`` and ``_xr_*``, never its
+operation columns.  :func:`check_compiled` picks the level's function and
+is where this engine takes Theorem 1.6's single-session RA path.  A
+streaming check (:mod:`repro.core.compiled.online`) builds the same IR and
+runs :func:`check_compiled`, so both modes run the same code.
 
 A consistent history builds no violation, so the violation types and the
 object model are imported where a violation is built or a
@@ -35,7 +35,7 @@ object model are imported where a violation is built or a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, compile_history
@@ -59,8 +59,6 @@ __all__ = [
     "check_rc_compiled",
     "check_ra_compiled",
     "check_ra_single_session_compiled",
-    "rc_cycles",
-    "ra_cycles",
 ]
 
 
@@ -276,37 +274,22 @@ def _relation_stats(relation: CommitRelation, co_edges: bool = True) -> Dict[str
 # -- RC (Algorithm 1) ----------------------------------------------------------
 
 
-def rc_cycles(
-    ch: CompiledHistory,
-    bad_ops: Set[int],
-    watch: Stopwatch,
-    max_witnesses: Optional[int] = None,
-) -> Tuple[List[Violation], Dict[str, object]]:
-    """Algorithm 1 after read consistency: saturate ``co'``, then find its cycles.
-
-    Returns the cycle violations and the relation's stats; laps
-    ``saturation`` and ``cycle_check`` into ``watch``.
-    """
-    relation = _relation_from_compiled(ch)
-    saturate_rc_compiled(ch, relation, bad_ops)
-    watch.lap("saturation")
-    violations = relation.find_cycles(max_witnesses=max_witnesses)
-    watch.lap("cycle_check")
-    return violations, _relation_stats(relation)
-
-
 def check_rc_compiled(
     ch: CompiledHistory,
     max_witnesses: Optional[int] = None,
     report: Optional[CompiledReadReport] = None,
 ) -> CheckResult:
-    """Read Committed on the IR (mirror of ``check_rc``)."""
+    """Read Committed on the IR (mirror of ``check_rc``): saturate ``co'``, find its cycles."""
     watch = Stopwatch()
     report = report or check_read_consistency_compiled(ch)
     watch.lap("read_consistency")
-    cycles, stats = rc_cycles(ch, report.bad_ops, watch, max_witnesses)
-    return _result(
-        ch, IsolationLevel.READ_COMMITTED, report.violations + cycles, "awdit", watch, stats
+    relation = _relation_from_compiled(ch)
+    saturate_rc_compiled(ch, relation, report.bad_ops)
+    watch.lap("saturation")
+    violations = report.violations + relation.find_cycles(max_witnesses=max_witnesses)
+    watch.lap("cycle_check")
+    return CheckResult.of(
+        ch, IsolationLevel.READ_COMMITTED, violations, "awdit", watch, _relation_stats(relation)
     )
 
 
@@ -358,25 +341,39 @@ def check_repeatable_reads_compiled(
     return violations
 
 
-def ra_cycles(
+def _check_ra(
     ch: CompiledHistory,
-    bad_ops: Set[int],
-    watch: Stopwatch,
-    max_witnesses: Optional[int] = None,
-    so_only: bool = False,
-) -> Tuple[List[Violation], Dict[str, object]]:
-    """Algorithm 2 after repeatable reads: saturate ``co'``, then find its cycles.
+    max_witnesses: Optional[int],
+    report: Optional[CompiledReadReport],
+    so_only: bool,
+) -> CheckResult:
+    """Algorithm 2: repeatable reads, then saturate ``co'`` and find its cycles.
 
     ``so_only`` is the single-session specialization (Theorem 1.6): only
-    the ``t2 -so-> t3`` inferences, lapped as ``scan``, and no ``co_edges``
-    stat.  Otherwise laps ``saturation``; ``cycle_check`` either way.
+    the ``t2 -so-> t3`` inferences, lapped with repeatable reads as
+    ``scan``, and no ``co_edges`` stat.  Otherwise laps
+    ``repeatable_reads`` and ``saturation``; ``cycle_check`` either way.
     """
+    watch = Stopwatch()
+    report = report or check_read_consistency_compiled(ch)
+    watch.lap("read_consistency")
+
+    violations = report.violations + check_repeatable_reads_compiled(ch, report.bad_ops)
+    if not so_only:
+        watch.lap("repeatable_reads")
     relation = _relation_from_compiled(ch)
-    saturate_ra_compiled(ch, relation, bad_ops, so_only=so_only)
+    saturate_ra_compiled(ch, relation, report.bad_ops, so_only=so_only)
     watch.lap("scan" if so_only else "saturation")
-    violations = relation.find_cycles(max_witnesses=max_witnesses)
+    violations += relation.find_cycles(max_witnesses=max_witnesses)
     watch.lap("cycle_check")
-    return violations, _relation_stats(relation, co_edges=not so_only)
+    return CheckResult.of(
+        ch,
+        IsolationLevel.READ_ATOMIC,
+        violations,
+        "awdit-1session" if so_only else "awdit",
+        watch,
+        _relation_stats(relation, co_edges=not so_only),
+    )
 
 
 def check_ra_compiled(
@@ -385,18 +382,7 @@ def check_ra_compiled(
     report: Optional[CompiledReadReport] = None,
 ) -> CheckResult:
     """Read Atomic on the IR (mirror of ``check_ra``)."""
-    watch = Stopwatch()
-    report = report or check_read_consistency_compiled(ch)
-    watch.lap("read_consistency")
-
-    violations: List[Violation] = list(report.violations)
-    violations.extend(check_repeatable_reads_compiled(ch, report.bad_ops))
-    watch.lap("repeatable_reads")
-
-    cycles, stats = ra_cycles(ch, report.bad_ops, watch, max_witnesses)
-    return _result(
-        ch, IsolationLevel.READ_ATOMIC, violations + cycles, "awdit", watch, stats
-    )
+    return _check_ra(ch, max_witnesses, report, so_only=False)
 
 
 def check_ra_single_session_compiled(
@@ -411,40 +397,10 @@ def check_ra_single_session_compiled(
             "check_ra_single_session requires a single-session history; "
             f"got {busy} sessions with transactions"
         )
-    watch = Stopwatch()
-    report = report or check_read_consistency_compiled(ch)
-    watch.lap("read_consistency")
-
-    violations: List[Violation] = list(report.violations)
-    violations.extend(check_repeatable_reads_compiled(ch, report.bad_ops))
-
-    cycles, stats = ra_cycles(ch, report.bad_ops, watch, max_witnesses, so_only=True)
-    return _result(
-        ch, IsolationLevel.READ_ATOMIC, violations + cycles, "awdit-1session", watch, stats
-    )
+    return _check_ra(ch, max_witnesses, report, so_only=True)
 
 
 # -- dispatch -------------------------------------------------------------------
-
-
-def _result(
-    ch: CompiledHistory,
-    level: IsolationLevel,
-    violations: List[Violation],
-    checker: str,
-    watch: Stopwatch,
-    stats: Dict[str, object],
-) -> CheckResult:
-    return CheckResult(
-        level=level,
-        violations=violations,
-        checker=checker,
-        elapsed_seconds=watch.total,
-        num_operations=ch.num_operations,
-        num_transactions=ch.num_transactions,
-        num_sessions=ch.num_sessions,
-        stats={**stats, **watch.laps},
-    )
 
 
 def _compiled(source) -> CompiledHistory:
@@ -461,20 +417,19 @@ def check_compiled(
     source,
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     max_witnesses: Optional[int] = None,
-    use_single_session_fast_path: bool = True,
     report: Optional[CompiledReadReport] = None,
 ) -> CheckResult:
     """Check a history (object or compiled) against ``level`` on the IR.
 
-    The compiled analogue of :func:`repro.core.check`: same dispatch, same
-    single-session RA specialization (when at most one session holds a
-    transaction), same results.
+    The compiled engine of :func:`repro.core.check`.  RA takes Theorem
+    1.6's linear path when at most one session holds a transaction.
+    ``report`` is a read-consistency report of ``source`` to share.
     """
     ch = _compiled(source)
     if level is IsolationLevel.READ_COMMITTED:
         return check_rc_compiled(ch, max_witnesses=max_witnesses, report=report)
     if level is IsolationLevel.READ_ATOMIC:
-        if use_single_session_fast_path and sum(1 for s in ch.sessions if s) <= 1:
+        if sum(1 for s in ch.sessions if s) <= 1:
             return check_ra_single_session_compiled(
                 ch, max_witnesses=max_witnesses, report=report
             )
@@ -487,21 +442,13 @@ def check_compiled(
 
 
 def check_all_levels_compiled(
-    source,
-    max_witnesses: Optional[int] = None,
-    use_single_session_fast_path: bool = True,
+    source, max_witnesses: Optional[int] = None
 ) -> Dict[IsolationLevel, CheckResult]:
     """Check all three levels on one compiled IR, sharing one RC pass."""
     ch = _compiled(source)
     report = check_read_consistency_compiled(ch)
     return {
-        level: check_compiled(
-            ch,
-            level,
-            max_witnesses=max_witnesses,
-            use_single_session_fast_path=use_single_session_fast_path,
-            report=report,
-        )
+        level: check_compiled(ch, level, max_witnesses=max_witnesses, report=report)
         for level in (
             IsolationLevel.READ_COMMITTED,
             IsolationLevel.READ_ATOMIC,

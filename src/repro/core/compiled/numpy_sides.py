@@ -135,9 +135,10 @@ def reads_consistent(ch: CompiledHistory) -> bool:
     txn = np.frombuffer(ch.op_txn, dtype=np.int64)
     committed = np.frombuffer(ch.txn_committed, dtype=np.uint8) != 0
 
+    # Each n-sized temporary is dropped after its last read, and the sort
+    # keys are built in place, so few are alive at once.
     rpos = np.flatnonzero(~kind)
-    reader = txn[rpos]
-    rpos = rpos[committed[reader]]
+    rpos = rpos[committed[txn[rpos]]]
     reader = txn[rpos]
     source = np.frombuffer(ch.op_wr, dtype=np.int64)[rpos]
     if (source < 0).any():
@@ -146,18 +147,33 @@ def reads_consistent(ch: CompiledHistory) -> bool:
     if not committed[writer].all():
         return False
     own = writer == reader
+    del writer
     if not np.frombuffer(ch.op_final, dtype=np.uint8)[source[~own]].all():
         return False
 
     wpos = np.flatnonzero(kind)
-    writes = key[wpos] * n + wpos
+    del kind
+    writes = key[wpos]
+    writes *= n
+    writes += wpos
+    del wpos
     writes.sort()
-    base = key[rpos] * n
-    at = np.searchsorted(writes, base + rpos) - 1
-    latest = writes[np.maximum(at, 0)] - base
+    base = key[rpos]
+    base *= n
+    rpos += base
+    at = np.searchsorted(writes, rpos)
+    del rpos
+    at -= 1
     own_before = at >= 0
+    np.maximum(at, 0, out=at)
+    latest = writes[at]
+    del writes, at
+    latest -= base
+    del base
     own_before &= latest >= 0
-    own_before &= txn[np.where(own_before, latest, 0)] == reader
+    latest[~own_before] = 0
+    own_before &= txn[latest] == reader
+    del reader
     if (own_before & ~own).any():
         return False
     return not (own & ~(own_before & (latest == source))).any()

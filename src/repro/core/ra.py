@@ -175,20 +175,8 @@ def check_ra(
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
     watch.lap("cycle_check")
 
-    return CheckResult(
-        level=IsolationLevel.READ_ATOMIC,
-        violations=violations,
-        checker="awdit",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            **watch.laps,
-        },
-    )
+    stats = {"inferred_edges": relation.num_inferred_edges, "co_edges": relation.num_edges}
+    return CheckResult.of(history, IsolationLevel.READ_ATOMIC, violations, "awdit", watch, stats)
 
 
 def check_ra_single_session(
@@ -232,13 +220,7 @@ def check_ra_single_session(
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
     watch.lap("cycle_check")
 
-    return CheckResult(
-        level=IsolationLevel.READ_ATOMIC,
-        violations=violations,
-        checker="awdit-1session",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={"inferred_edges": relation.num_inferred_edges, **watch.laps},
+    stats = {"inferred_edges": relation.num_inferred_edges}
+    return CheckResult.of(
+        history, IsolationLevel.READ_ATOMIC, violations, "awdit-1session", watch, stats
     )

@@ -133,17 +133,7 @@ def check_rc(
     violations.extend(relation.find_cycles(max_witnesses=max_witnesses))
     watch.lap("cycle_check")
 
-    return CheckResult(
-        level=IsolationLevel.READ_COMMITTED,
-        violations=violations,
-        checker="awdit",
-        elapsed_seconds=watch.total,
-        num_operations=history.num_operations,
-        num_transactions=history.num_transactions,
-        num_sessions=history.num_sessions,
-        stats={
-            "inferred_edges": relation.num_inferred_edges,
-            "co_edges": relation.num_edges,
-            **watch.laps,
-        },
+    stats = {"inferred_edges": relation.num_inferred_edges, "co_edges": relation.num_edges}
+    return CheckResult.of(
+        history, IsolationLevel.READ_COMMITTED, violations, "awdit", watch, stats
     )

@@ -9,10 +9,12 @@ history size).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 if TYPE_CHECKING:
+    from repro.core.compiled.ir import CompiledHistory
     from repro.core.isolation import IsolationLevel
+    from repro.core.model import History
     from repro.core.violations import Violation, ViolationKind
 
 __all__ = ["CheckResult", "Stopwatch"]
@@ -57,6 +59,33 @@ class CheckResult:
         self.num_transactions = num_transactions
         self.num_sessions = num_sessions
         self.stats: Dict[str, float] = {} if stats is None else stats
+
+    @classmethod
+    def of(
+        cls,
+        history: Union[History, CompiledHistory],
+        level: IsolationLevel,
+        violations: List[Violation],
+        checker: str,
+        watch: Stopwatch,
+        stats: Optional[Dict[str, object]] = None,
+    ) -> CheckResult:
+        """The result of a check of ``history`` timed by ``watch``.
+
+        Every checker builds its result here: the sizes come from the
+        history (object or compiled), the elapsed time is the sum of
+        ``watch``'s laps, and ``stats`` is followed by those laps.
+        """
+        return cls(
+            level=level,
+            violations=violations,
+            checker=checker,
+            elapsed_seconds=watch.total,
+            num_operations=history.num_operations,
+            num_transactions=history.num_transactions,
+            num_sessions=history.num_sessions,
+            stats={**(stats or {}), **watch.laps},
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

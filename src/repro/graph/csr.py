@@ -15,9 +15,9 @@ This is the one module that imports numpy, and it does so lazily.
 leaves it on; it is found without importing numpy.  :func:`load_numpy`
 imports it on its first call, and the isolation level decides who calls
 it: a CC check does, before it reads the history (the CLI, the streaming
-checker built for CC, and ``cc_cycles``/CC saturation for library callers),
-because CC saturation is the one kernel where numpy wins more than its
-import costs.  RC and RA never load numpy.  Every numpy side -- the freeze,
+checker built for CC, and ``check_cc_compiled``/CC saturation for library
+callers), because CC saturation is the one kernel where numpy wins more
+than its import costs.  RC and RA never load numpy.  Every numpy side -- the freeze,
 distinct count and toposort here, unique-writes resolution in
 :mod:`repro.core.compiled.kernels` and CC's kernels in
 :mod:`repro.core.compiled.cc` -- reads ``_np`` from this module at call

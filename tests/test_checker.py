@@ -9,10 +9,31 @@ import pytest
 from repro import cli
 from repro.core import IsolationLevel, check, check_all_levels
 from repro.core.model import History, Transaction, read, write
+from repro.core.read_consistency import check_read_consistency
 from repro.core.result import CheckResult, Stopwatch
 from repro.core.violations import ViolationKind
 
 from helpers import PAPER_VERDICTS, all_paper_histories, fig_4a, fig_4d
+
+
+#: One session's transactions: a stale read of ``x`` (so RA fails) or not.
+ONE_SESSION = {
+    "consistent": [
+        Transaction([write("x", 1)]),
+        Transaction([read("x", 1), write("y", 2)]),
+        Transaction([read("y", 2)]),
+    ],
+    "violation": [
+        Transaction([write("x", 1)]),
+        Transaction([write("x", 2)]),
+        Transaction([read("x", 1)]),
+    ],
+}
+
+
+def _one_session(case):
+    """A fresh one-session history of ``ONE_SESSION[case]``."""
+    return History.from_sessions([[Transaction(t.operations) for t in ONE_SESSION[case]]])
 
 
 class TestDispatch:
@@ -31,12 +52,27 @@ class TestDispatch:
         result = check(history, IsolationLevel.READ_ATOMIC)
         assert result.checker == "awdit-1session"
 
-    def test_single_session_fast_path_can_be_disabled(self):
-        history = History.from_sessions([[Transaction([write("x", 1)])]])
-        result = check(
-            history, IsolationLevel.READ_ATOMIC, use_single_session_fast_path=False
-        )
-        assert result.checker == "awdit"
+    @pytest.mark.parametrize("case", sorted(ONE_SESSION))
+    @pytest.mark.parametrize("entry", ["check", "check_all_levels"])
+    def test_single_session_fast_path_agrees_with_the_general_check(self, entry, case):
+        """On one session both entry points take Theorem 1.6's path in both
+        engines, and decide as Algorithm 2 run directly does."""
+        from repro.core.compiled import compile_history
+        from repro.core.compiled.checkers import check_ra_compiled
+        from repro.core.ra import check_ra
+
+        history = _one_session(case)
+        general = [check_ra(history), check_ra_compiled(compile_history(history))]
+        assert [result.checker for result in general] == ["awdit", "awdit"]
+        for engine in ("compiled", "object"):
+            if entry == "check":
+                fast = check(history, IsolationLevel.READ_ATOMIC, engine=engine)
+            else:
+                fast = check_all_levels(history, engine=engine)[IsolationLevel.READ_ATOMIC]
+            assert fast.checker == "awdit-1session"
+            for result in general:
+                assert result.is_consistent == fast.is_consistent
+                assert result.violation_kinds() == fast.violation_kinds()
 
     def test_check_all_levels_returns_all_three(self):
         results = check_all_levels(fig_4a())
@@ -60,25 +96,20 @@ class TestDispatch:
         assert direct.stats["inferred_edges"] == via_all.stats["inferred_edges"]
         assert set(direct.stats) == set(via_all.stats)
 
-    def test_check_all_levels_fast_path_can_be_disabled(self):
-        history = History.from_sessions([[Transaction([write("x", 1)])]])
-        results = check_all_levels(history, use_single_session_fast_path=False)
-        assert results[IsolationLevel.READ_ATOMIC].checker == "awdit"
-
-
-#: One session's transactions: a stale read of ``x`` (so RA fails) or not.
-ONE_SESSION = {
-    "consistent": [
-        Transaction([write("x", 1)]),
-        Transaction([read("x", 1), write("y", 2)]),
-        Transaction([read("y", 2)]),
-    ],
-    "violation": [
-        Transaction([write("x", 1)]),
-        Transaction([write("x", 2)]),
-        Transaction([read("x", 1)]),
-    ],
-}
+    @pytest.mark.parametrize(
+        "entry", [check, check_all_levels], ids=["check", "check_all_levels"]
+    )
+    def test_removed_engine_value_and_knobs_are_refused(self, entry):
+        """``engine="auto"`` is no engine, and the fast-path and report knobs
+        are no parameters: each engine decides Theorem 1.6 itself."""
+        history = fig_4a()
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            entry(history, engine="auto")
+        with pytest.raises(TypeError, match="'use_single_session_fast_path'"):
+            entry(history, use_single_session_fast_path=False)
+        report = check_read_consistency(history)
+        with pytest.raises(TypeError, match="'read_consistency'"):
+            entry(history, read_consistency=report)
 
 
 def _verdict(line):

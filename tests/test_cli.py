@@ -74,7 +74,7 @@ class TestCheckCommand:
         save_history(fig_4d(), str(path))
         assert main(["check", str(path), "-i", "read atomic"]) == 0
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
+    @pytest.mark.parametrize("engine", ["compiled", "object"])
     def test_engines_agree_on_verdict_and_witnesses(self, tmp_path, capsys, engine):
         path = tmp_path / "bad.json"
         save_history(fig_4a(), str(path))
@@ -88,6 +88,7 @@ class TestCheckCommand:
             ["check", "--jobs", "2"],
             ["check", "-j", "2"],
             ["check", "--engine", "sharded"],
+            ["check", "--engine", "auto"],
             ["stats", "--jobs", "2"],
             ["check", "--stream", "--retire"],
             ["check", "--stream", "--retire-lag", "64"],
@@ -245,10 +246,59 @@ class TestCheckCommand:
         assert captured.err == f"awdit: error: {path}: line 1: committed must be 1 or 0, got 'aborted'\n"
 
 
+#: Three disjoint two-transaction ``wr`` cycles: one witness each at every level.
+THREE_CYCLES = """\
+session=0 txn=a1 committed ops= W(x1,1) R(y1,1)
+session=1 txn=b1 committed ops= W(y1,1) R(x1,1)
+session=2 txn=a2 committed ops= W(x2,1) R(y2,1)
+session=3 txn=b2 committed ops= W(y2,1) R(x2,1)
+session=4 txn=a3 committed ops= W(x3,1) R(y3,1)
+session=5 txn=b3 committed ops= W(y3,1) R(x3,1)
+"""
+
+
+class TestWitnessCap:
+    """``--witnesses`` / ``max_witnesses`` caps the cycle witnesses of every
+    level, CC's causality cycles (``so ∪ wr`` itself cyclic) included."""
+
+    @pytest.fixture()
+    def three_cycles(self, tmp_path):
+        path = tmp_path / "three.plume"
+        path.write_text(THREE_CYCLES, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("level", list(IsolationLevel), ids=lambda level: level.short_name)
+    def test_library_reports_at_most_k_cycles(self, three_cycles, level, k):
+        from repro.core.compiled.online import check_stream_file
+
+        history = load_history(three_cycles)
+        results = {
+            engine: check(history, level, max_witnesses=k, engine=engine)
+            for engine in ("compiled", "object")
+        }
+        results["stream"] = check_stream_file(three_cycles, level, max_witnesses=k)
+        assert {cell: len(r.violations) for cell, r in results.items()} == dict.fromkeys(
+            results, min(k, 3)
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("level", ["rc", "ra", "cc"])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--engine", "object"], ["--stream"]],
+        ids=lambda flags: " ".join(flags) or "batch",
+    )
+    def test_cli_prints_at_most_k_cycles(self, three_cycles, capsys, level, k, flags):
+        argv = ["check", three_cycles, "-i", level, "--witnesses", str(k), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[1] == f"{min(k, 3)} violation(s) found:"
+
+
 class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
-    ``--stream`` has one checker (``--engine auto|compiled``); what
+    ``--stream`` has one checker (``--engine compiled``); what
     is rejected is baseline checkers with awdit-engine flags, the batch-only
     engine under ``--stream``, and out-of-range values.
     """

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import IsolationLevel, check, check_all_levels
 from repro.core.commit import CommitRelation
-from repro.core.compiled import online
+from repro.core.compiled import cc as compiled_cc
+from repro.core.compiled import checkers, online
 from repro.core.compiled.online import CompiledIncrementalChecker, check_stream_file
 from repro.histories import formats
 from repro.histories.formats import save_history
@@ -128,7 +129,7 @@ class TestStreamFileCells:
         save_history(history, str(path), fmt="plume")
         return history, str(path)
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_file_stream_engines_agree(self, anomalous, engine):
         """The file stream matches batch ``engine`` on the same history."""
         history, path = anomalous
@@ -192,11 +193,16 @@ class TestDispatchErrors:
             (online, "source_fingerprint"),
             (CommitRelation, "from_edges"),
             (formats, "stream_raw_history"),
+            (checkers, "rc_cycles"),
+            (checkers, "ra_cycles"),
+            (compiled_cc, "cc_cycles"),
         ],
         ids=lambda value: value if isinstance(value, str) else value.__name__.rsplit(".", 1)[-1],
     )
     def test_removed_stream_surface_is_gone(self, owner, name):
-        """Records reach a stream only as parser batches, and nothing saves one."""
+        """Records reach a stream only as parser batches, nothing saves one,
+        and the cycle search the online fold's finalize shared is back in
+        each level's check."""
         assert not hasattr(owner, name)
 
     def test_repro_stream_package_is_gone(self):
